@@ -228,6 +228,10 @@ func BenchmarkPolyTMDispatch(b *testing.B) { runSuitePrefix(b, "PolyTMDispatch")
 // per-transaction overhead.
 func BenchmarkGroupCommit(b *testing.B) { runSuitePrefix(b, "GroupCommit") }
 
+// BenchmarkTuner covers the tuner's decision path on the tune-shift corpus:
+// one surrogate query, one whole optimization, and model selection.
+func BenchmarkTuner(b *testing.B) { runSuitePrefix(b, "Tuner") }
+
 // BenchmarkThreadGate is the Algorithm-1 ablation: fetch-and-add gating vs a
 // compare-and-swap loop for the enter/exit pair.
 func BenchmarkThreadGate(b *testing.B) {

@@ -222,7 +222,8 @@ type Case struct {
 // Suite returns the regression suite recorded by `proteusbench bench`: the
 // counter workload for every backend at 1, 4 and 8 threads, the write-heavy
 // workload at 1 and 4 threads, the PolyTM dispatch pair, the group-commit
-// amortization pair, and the public API path.
+// amortization pair, the public API path, and the tuner's decision path
+// (surrogate query, one optimization, model selection).
 func Suite() []Case {
 	var cases []Case
 	for _, name := range AlgorithmNames {
@@ -248,6 +249,9 @@ func Suite() []Case {
 		Case{Name: "GroupCommit/solo", Fn: GroupCommitSolo},
 		Case{Name: "GroupCommit/grouped", Fn: GroupCommitGrouped},
 		Case{Name: "PublicAPI", Fn: PublicAPI},
+		Case{Name: "Tuner/PredictDist", Fn: TunerPredictDist},
+		Case{Name: "Tuner/Optimize", Fn: TunerOptimize},
+		Case{Name: "Tuner/SelectModel", Fn: TunerSelectModel},
 	)
 	return cases
 }

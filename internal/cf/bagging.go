@@ -19,9 +19,14 @@ type Bagging struct {
 	Seed uint64
 
 	models []Predictor
+	// knn is set when every learner is a KNN with the same similarity and
+	// overlap rule, so one set of similarities per query serves them all.
+	knn bool
 }
 
-// Fit trains the ensemble on the rating matrix.
+// Fit trains the ensemble on the rating matrix. Learners do not get copies of
+// their bootstrap rows: a KNN learner holds row indices into train, any other
+// predictor is fitted on a matrix whose rows alias train's.
 func (b *Bagging) Fit(train *Matrix) {
 	k := b.Learners
 	if k <= 0 {
@@ -38,18 +43,38 @@ func (b *Bagging) Fit(train *Matrix) {
 		if n < 1 {
 			n = 1
 		}
-		boot := NewMatrix(n, train.Cols)
-		for r := 0; r < n; r++ {
+		rows := make([]int, n)
+		for r := range rows {
 			src := int(rand01(&rng) * float64(train.Rows))
 			if src >= train.Rows {
 				src = train.Rows - 1
 			}
-			copy(boot.Data[r], train.Data[src])
+			rows[r] = src
 		}
 		m := b.New(i)
-		m.Fit(boot)
+		if knn, ok := m.(*KNN); ok {
+			knn.fit(train, rows)
+		} else {
+			boot := &Matrix{Rows: n, Cols: train.Cols, Data: make([][]float64, n)}
+			for r, src := range rows {
+				boot.Data[r] = train.Data[src]
+			}
+			m.Fit(boot)
+		}
 		b.models[i] = m
 	}
+	b.knn = sameQuery(b.models)
+}
+
+// sameQuery reports whether every learner is a KNN ranking training rows by
+// the same similarities.
+func sameQuery(models []Predictor) bool {
+	first, ok := models[0].(*KNN)
+	for _, m := range models {
+		k, isKNN := m.(*KNN)
+		ok = ok && isKNN && k.Sim == first.Sim && k.MinOverlap == first.MinOverlap
+	}
+	return ok
 }
 
 // Predict returns the ensemble-mean prediction row.
@@ -63,36 +88,7 @@ func (b *Bagging) Predict(active []float64) []float64 {
 // acquisition functions consume. Entries no learner can predict are NaN in
 // both outputs.
 func (b *Bagging) PredictDist(active []float64) (mean, variance []float64) {
-	cols := len(active)
-	mean = make([]float64, cols)
-	variance = make([]float64, cols)
-	sums := make([]float64, cols)
-	sqs := make([]float64, cols)
-	counts := make([]int, cols)
-	for _, m := range b.models {
-		pred := m.Predict(active)
-		for i, v := range pred {
-			if IsMissing(v) || math.IsInf(v, 0) {
-				continue
-			}
-			sums[i] += v
-			sqs[i] += v * v
-			counts[i]++
-		}
-	}
-	for i := 0; i < cols; i++ {
-		if counts[i] == 0 {
-			mean[i], variance[i] = Missing, Missing
-			continue
-		}
-		n := float64(counts[i])
-		mean[i] = sums[i] / n
-		variance[i] = sqs[i]/n - mean[i]*mean[i]
-		if variance[i] < 0 {
-			variance[i] = 0
-		}
-	}
-	return mean, variance
+	return b.dist(active, false)
 }
 
 // FullPredictor is the optional interface of predictors that can produce
@@ -104,12 +100,33 @@ type FullPredictor interface {
 // PredictFull returns the ensemble-mean model prediction for every column,
 // using PredictFull on base learners that support it and Predict otherwise.
 func (b *Bagging) PredictFull(active []float64) []float64 {
+	mean, _ := b.dist(active, true)
+	return mean
+}
+
+// dist aggregates every learner's row for the active row. KNN learners share
+// the query: the active row's known indices and its similarity to each
+// distinct training row are computed once, and each learner only selects its
+// neighbours among its own rows.
+func (b *Bagging) dist(active []float64, full bool) (mean, variance []float64) {
 	cols := len(active)
-	sums := make([]float64, cols)
-	counts := make([]int, cols)
+	// mean and variance accumulate the sum and the sum of squares first.
+	out := make([]float64, 2*cols)
+	mean, variance = out[:cols:cols], out[cols:]
+	q := newQuery(active)
+	defer q.release()
+	q.counts = resize(q.counts, cols)
+	clear(q.counts)
+	if b.knn {
+		first := b.models[0].(*KNN)
+		q.similarities(first.Sim, first.MinOverlap, first.train)
+		q.pred = resize(q.pred, cols)
+	}
 	for _, m := range b.models {
-		var pred []float64
-		if fp, ok := m.(FullPredictor); ok {
+		pred := q.pred
+		if b.knn {
+			m.(*KNN).fill(pred, q, full)
+		} else if fp, ok := m.(FullPredictor); ok && full {
 			pred = fp.PredictFull(active)
 		} else {
 			pred = m.Predict(active)
@@ -118,19 +135,24 @@ func (b *Bagging) PredictFull(active []float64) []float64 {
 			if IsMissing(v) || math.IsInf(v, 0) {
 				continue
 			}
-			sums[i] += v
-			counts[i]++
+			mean[i] += v
+			variance[i] += v * v
+			q.counts[i]++
 		}
 	}
-	out := make([]float64, cols)
-	for i := range out {
-		if counts[i] == 0 {
-			out[i] = Missing
-		} else {
-			out[i] = sums[i] / float64(counts[i])
+	for i := 0; i < cols; i++ {
+		if q.counts[i] == 0 {
+			mean[i], variance[i] = Missing, Missing
+			continue
+		}
+		n := float64(q.counts[i])
+		mean[i] /= n
+		variance[i] = variance[i]/n - mean[i]*mean[i]
+		if variance[i] < 0 {
+			variance[i] = 0
 		}
 	}
-	return out
+	return mean, variance
 }
 
 // Name identifies the ensemble (after the first base learner).

@@ -2,7 +2,7 @@ package cf
 
 import (
 	"math"
-	"sort"
+	"sync"
 )
 
 // Similarity identifies a KNN row-similarity function (§5.1 discusses why
@@ -37,7 +37,8 @@ func (s Similarity) String() string {
 type Predictor interface {
 	// Name identifies the predictor in experiment output.
 	Name() string
-	// Fit trains on the rating matrix.
+	// Fit trains on the rating matrix, which it may keep but must not
+	// modify: Bagging hands every learner a view of the same rows.
 	Fit(train *Matrix)
 	// Predict returns a full row of ratings for the active row: known
 	// entries are echoed, missing ones filled with predictions (NaN if no
@@ -50,6 +51,10 @@ type Predictor interface {
 // the k most similar training workloads that rated i. Item-based KNN is
 // deliberately absent — as footnote 3 of the paper notes, it cannot predict
 // outside the range already witnessed by the active row.
+//
+// A prediction costs what the active row knows, not what the matrix holds:
+// similarities are summed over the active row's known columns only, and the
+// K best rows are kept by bounded insertion instead of sorting all of them.
 type KNN struct {
 	// K is the neighbourhood size.
 	K int
@@ -63,6 +68,11 @@ type KNN struct {
 	MinOverlap int
 
 	train *Matrix
+	// rows is the multiset of training rows this learner may pick
+	// neighbours from: every row once, or a Bagging bootstrap sample.
+	rows []int
+	// means holds the mean of every training row (MeanCenter only).
+	means []float64
 }
 
 // Name implements Predictor.
@@ -75,11 +85,22 @@ func (k *KNN) Name() string {
 }
 
 // Fit implements Predictor.
-func (k *KNN) Fit(train *Matrix) { k.train = train }
+func (k *KNN) Fit(train *Matrix) {
+	rows := make([]int, train.Rows)
+	for u := range rows {
+		rows[u] = u
+	}
+	k.fit(train, rows)
+}
 
-type neighbour struct {
-	row int
-	sim float64
+func (k *KNN) fit(train *Matrix, rows []int) {
+	k.train, k.rows, k.means = train, rows, nil
+	if k.MeanCenter {
+		k.means = make([]float64, train.Rows)
+		for u, row := range train.Data {
+			k.means[u], _ = RowMean(row)
+		}
+	}
 }
 
 // Predict implements Predictor.
@@ -98,71 +119,165 @@ func (k *KNN) PredictFull(active []float64) []float64 {
 
 func (k *KNN) predict(active []float64, full bool) []float64 {
 	out := make([]float64, len(active))
-	copy(out, active)
 	if k.train == nil {
+		copy(out, active)
 		return out
 	}
-	minOv := k.MinOverlap
-	if minOv < 1 {
-		minOv = 1
-	}
-	neighbours := make([]neighbour, 0, k.train.Rows)
-	for u, row := range k.train.Data {
-		sim, overlap := rowSimilarity(k.Sim, active, row)
-		if overlap >= minOv && sim > 0 {
-			neighbours = append(neighbours, neighbour{u, sim})
+	q := newQuery(active)
+	q.similarities(k.Sim, k.MinOverlap, k.train)
+	k.fill(out, q, full)
+	q.release()
+	return out
+}
+
+// query is what a prediction needs of the active row, computed once and
+// shared by every learner fitted on the same matrix: where the row is known,
+// the mean of those entries, and its similarity to each training row. The
+// buffers are pooled — one Optimize issues a query per exploration.
+type query struct {
+	active []float64
+	known  []int     // indices of the known entries, ascending
+	mean   float64   // their mean (0 when none)
+	sims   []float64 // per training row; 0 = not a neighbour
+	nb     []neighbour
+	num    []float64 // per column: Σ sim·rating over the neighbours that rated it
+	den    []float64 // per column: Σ |sim| over the same
+	pred   []float64 // Bagging: the current learner's row
+	counts []int     // Bagging: learners that predicted each column
+}
+
+type neighbour struct {
+	sim float64
+	row int // in the training matrix
+}
+
+var queryPool = sync.Pool{New: func() any { return new(query) }}
+
+func newQuery(active []float64) *query {
+	q := queryPool.Get().(*query)
+	q.active, q.known = active, q.known[:0]
+	sum := 0.0
+	for i, v := range active {
+		if !IsMissing(v) {
+			q.known = append(q.known, i)
+			sum += v
 		}
 	}
-	sort.Slice(neighbours, func(a, b int) bool { return neighbours[a].sim > neighbours[b].sim })
+	q.mean = 0
+	if len(q.known) > 0 {
+		q.mean = sum / float64(len(q.known))
+	}
+	return q
+}
+
+func (q *query) release() {
+	q.active = nil
+	queryPool.Put(q)
+}
+
+// resize returns s with length n, reallocating only when it must; the
+// contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// similarities fills q.sims with the similarity of the active row to every
+// row of train, zero where the row is no neighbour (overlap below minOverlap
+// or similarity not positive).
+func (q *query) similarities(s Similarity, minOverlap int, train *Matrix) {
+	if minOverlap < 1 {
+		minOverlap = 1
+	}
+	q.sims = resize(q.sims, train.Rows)
+	for u, row := range train.Data {
+		sim, overlap := knownSimilarity(s, q.active, q.known, row)
+		if overlap < minOverlap || !(sim > 0) {
+			sim = 0
+		}
+		q.sims[u] = sim
+	}
+}
+
+// nearest selects the learner's K most similar rows from q.sims into q.nb,
+// by similarity descending and, among equals, position in the learner's row
+// set ascending.
+func (k *KNN) nearest(q *query) {
 	kk := k.K
 	if kk <= 0 {
 		kk = 10
 	}
-	if kk > len(neighbours) {
-		kk = len(neighbours)
-	}
-	neighbours = neighbours[:kk]
-
-	activeMean, _ := RowMean(active)
-	for i := range out {
-		if !full && !IsMissing(out[i]) {
+	nb := q.nb[:0]
+	for _, u := range k.rows {
+		sim := q.sims[u]
+		if sim == 0 || (len(nb) == kk && sim <= nb[kk-1].sim) {
 			continue
 		}
-		num, den := 0.0, 0.0
-		for _, nb := range neighbours {
-			v := k.train.Data[nb.row][i]
+		if len(nb) < kk {
+			nb = append(nb, neighbour{})
+		}
+		j := len(nb) - 1
+		for ; j > 0 && nb[j-1].sim < sim; j-- {
+			nb[j] = nb[j-1]
+		}
+		nb[j] = neighbour{sim, u}
+	}
+	q.nb = nb
+}
+
+// fill writes the learner's row for the query into out: known entries are
+// echoed unless full, every other column is the similarity-weighted average
+// of the nearest rows that rated it (Missing when none did). q.sims must be
+// current for the learner's matrix and similarity.
+func (k *KNN) fill(out []float64, q *query, full bool) {
+	k.nearest(q)
+	cols := len(q.active)
+	q.num, q.den = resize(q.num, cols), resize(q.den, cols)
+	num, den := q.num[:cols], q.den[:cols] // the reslice spares the loop below its bounds checks
+	clear(num)
+	clear(den)
+	// Neighbour by neighbour, so each training row is read front to back;
+	// every column still sums its neighbours in rank order.
+	for _, nb := range q.nb {
+		mean := 0.0 // v - 0 is v, bit for bit
+		if k.MeanCenter {
+			mean = k.means[nb.row]
+		}
+		abs := math.Abs(nb.sim)
+		for i, v := range k.train.Data[nb.row][:cols] {
 			if IsMissing(v) {
 				continue
 			}
-			if k.MeanCenter {
-				m, _ := RowMean(k.train.Data[nb.row])
-				v -= m
-			}
-			num += nb.sim * v
-			den += math.Abs(nb.sim)
+			num[i] += nb.sim * (v - mean)
+			den[i] += abs
 		}
-		if den == 0 {
-			out[i] = Missing
-			continue
-		}
-		pred := num / den
-		if k.MeanCenter {
-			pred += activeMean
-		}
-		out[i] = pred
 	}
-	return out
+	for i, a := range q.active {
+		switch {
+		case !full && !IsMissing(a):
+			out[i] = a
+		case den[i] == 0:
+			out[i] = Missing
+		case k.MeanCenter:
+			out[i] = num[i]/den[i] + q.mean
+		default:
+			out[i] = num[i] / den[i]
+		}
+	}
 }
 
-// rowSimilarity computes the similarity between two partially known rows
-// over their co-rated columns, returning the similarity and the overlap
-// size.
-func rowSimilarity(s Similarity, a, b []float64) (float64, int) {
+// knownSimilarity computes the similarity between the active row a, whose
+// known entries are at the ascending indices known, and a partially known
+// training row b over their co-rated columns, returning the similarity and
+// the overlap size.
+func knownSimilarity(s Similarity, a []float64, known []int, b []float64) (float64, int) {
 	switch s {
 	case Cosine:
 		dot, na, nb, n := 0.0, 0.0, 0.0, 0
-		for i := range a {
-			if IsMissing(a[i]) || IsMissing(b[i]) {
+		for _, i := range known {
+			if IsMissing(b[i]) {
 				continue
 			}
 			dot += a[i] * b[i]
@@ -177,8 +292,8 @@ func rowSimilarity(s Similarity, a, b []float64) (float64, int) {
 	case Pearson:
 		// Means over the overlap.
 		sa, sb, n := 0.0, 0.0, 0
-		for i := range a {
-			if IsMissing(a[i]) || IsMissing(b[i]) {
+		for _, i := range known {
+			if IsMissing(b[i]) {
 				continue
 			}
 			sa += a[i]
@@ -190,8 +305,8 @@ func rowSimilarity(s Similarity, a, b []float64) (float64, int) {
 		}
 		ma, mb := sa/float64(n), sb/float64(n)
 		dot, na, nb := 0.0, 0.0, 0.0
-		for i := range a {
-			if IsMissing(a[i]) || IsMissing(b[i]) {
+		for _, i := range known {
+			if IsMissing(b[i]) {
 				continue
 			}
 			da, db := a[i]-ma, b[i]-mb
@@ -205,8 +320,8 @@ func rowSimilarity(s Similarity, a, b []float64) (float64, int) {
 		return dot / (math.Sqrt(na) * math.Sqrt(nb)), n
 	case Euclidean:
 		sum, n := 0.0, 0
-		for i := range a {
-			if IsMissing(a[i]) || IsMissing(b[i]) {
+		for _, i := range known {
+			if IsMissing(b[i]) {
 				continue
 			}
 			d := a[i] - b[i]

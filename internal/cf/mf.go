@@ -68,18 +68,20 @@ func (m *MF) Fit(train *Matrix) {
 
 	for e := 0; e < epochs; e++ {
 		for u, row := range train.Data {
+			pu := p[u]
 			for i, v := range row {
 				if IsMissing(v) {
 					continue
 				}
-				pred := m.globalMean + userBias[u] + m.itemBias[i] + dot(p[u], m.q[i])
+				qi := m.q[i][:len(pu)]
+				pred := m.globalMean + userBias[u] + m.itemBias[i] + dot(pu, qi)
 				err := v - pred
 				userBias[u] += lr * (err - reg*userBias[u])
 				m.itemBias[i] += lr * (err - reg*m.itemBias[i])
-				for f := 0; f < d; f++ {
-					pu, qi := p[u][f], m.q[i][f]
-					p[u][f] += lr * (err*qi - reg*pu)
-					m.q[i][f] += lr * (err*pu - reg*qi)
+				for f, pf := range pu {
+					qf := qi[f]
+					pu[f] = pf + lr*(err*qf-reg*pf)
+					qi[f] = qf + lr*(err*pf-reg*qf)
 				}
 			}
 		}
@@ -135,22 +137,24 @@ func (m *MF) foldIn(active []float64) (float64, []float64) {
 			if IsMissing(v) {
 				continue
 			}
-			pred := m.globalMean + bu + m.itemBias[i] + dot(pu, m.q[i])
+			qi := m.q[i][:len(pu)]
+			pred := m.globalMean + bu + m.itemBias[i] + dot(pu, qi)
 			err := v - pred
 			bu += lr * (err - reg*bu)
-			for f := 0; f < d; f++ {
-				pf := pu[f]
-				pu[f] += lr * (err*m.q[i][f] - reg*pf)
+			for f, pf := range pu {
+				pu[f] = pf + lr*(err*qi[f]-reg*pf)
 			}
 		}
 	}
 	return bu, pu
 }
 
+// dot sums a[i]*b[i] front to back; b must be at least as long as a.
 func dot(a, b []float64) float64 {
+	b = b[:len(a)]
 	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+	for i, x := range a {
+		s += x * b[i]
 	}
 	return s
 }

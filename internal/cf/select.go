@@ -2,7 +2,10 @@ package cf
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Candidate is one (algorithm, hyper-parameters) point evaluated during
@@ -56,7 +59,9 @@ func DefaultCandidates() []Candidate {
 //
 // Scoring hides a fraction of each validation row's known entries, predicts
 // them from the remainder, and accumulates the mean absolute percentage
-// error in rating space.
+// error in rating space. Candidates are scored on up to GOMAXPROCS
+// goroutines; everything random is drawn beforehand, in candidate order, so
+// the scores are the same on any number of them.
 func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint64) (best Candidate, scored []Candidate) {
 	if folds < 2 {
 		folds = 5
@@ -67,27 +72,33 @@ func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint6
 	rng := splitmix64(seed + 0x2545F4914F6CDD1D)
 
 	// Random-search subset of the candidate space.
-	idx := make([]int, len(cands))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := len(idx) - 1; i > 0; i-- {
-		j := int(rand01(&rng) * float64(i+1))
-		if j > i {
-			j = i
-		}
-		idx[i], idx[j] = idx[j], idx[i]
-	}
+	idx := permutation(len(cands), &rng)
 	if budget <= 0 || budget > len(idx) {
 		budget = len(idx)
 	}
 	idx = idx[:budget]
 
+	scored = make([]Candidate, len(idx))
+	perms := make([][]int, len(idx))
+	for n := range perms {
+		perms[n] = permutation(train.Rows, &rng)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(idx)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := int(next.Add(1)) - 1; n < len(idx); n = int(next.Add(1)) - 1 {
+				scored[n] = cands[idx[n]]
+				scored[n].Score = crossValidate(train, scored[n].New, folds, perms[n])
+			}
+		}()
+	}
+	wg.Wait()
+
 	bestScore := math.Inf(1)
-	for _, ci := range idx {
-		cand := cands[ci]
-		cand.Score = crossValidate(train, cand.New, folds, &rng)
-		scored = append(scored, cand)
+	for _, cand := range scored {
 		if cand.Score < bestScore {
 			bestScore = cand.Score
 			best = cand
@@ -97,9 +108,8 @@ func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint6
 	return best, scored
 }
 
-// crossValidate scores a predictor constructor with n-fold CV over rows.
-func crossValidate(train *Matrix, newP func() Predictor, folds int, rng *uint64) float64 {
-	n := train.Rows
+// permutation draws a uniform shuffle of 0..n-1.
+func permutation(n int, rng *uint64) []int {
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
@@ -111,6 +121,13 @@ func crossValidate(train *Matrix, newP func() Predictor, folds int, rng *uint64)
 		}
 		perm[i], perm[j] = perm[j], perm[i]
 	}
+	return perm
+}
+
+// crossValidate scores a predictor constructor with n-fold CV over rows,
+// folds being consecutive runs of perm.
+func crossValidate(train *Matrix, newP func() Predictor, folds int, perm []int) float64 {
+	n := train.Rows
 	totalErr, totalCnt := 0.0, 0
 	for f := 0; f < folds; f++ {
 		lo, hi := f*n/folds, (f+1)*n/folds

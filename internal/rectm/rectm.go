@@ -122,15 +122,33 @@ func (r *Recommender) ratingsFor(goodness []float64) ([]float64, func(int, float
 		return ratings, denorm
 	}
 	scale := num / den
-	out := make([]float64, len(goodness))
-	for i, g := range goodness {
-		if cf.IsMissing(g) {
-			out[i] = cf.Missing
-		} else {
-			out[i] = g / scale
+	return divideRow(make([]float64, len(goodness)), goodness, scale), func(_ int, rr float64) float64 { return rr * scale }
+}
+
+// ratingsInto is ratingsFor for Optimize, which normalizes the same row again
+// after every sample: once the distillation reference has been sampled (the
+// first thing Optimize does by default) the scale is that sample, exactly as
+// Distiller.NormalizeRow takes it, and the ratings are written into dst.
+func (r *Recommender) ratingsInto(dst, goodness []float64) []float64 {
+	if d, ok := r.Norm.(*cf.Distiller); ok && d.RefCol >= 0 && d.RefCol < len(goodness) {
+		if ref := goodness[d.RefCol]; !cf.IsMissing(ref) && ref > 0 {
+			return divideRow(dst, goodness, ref)
 		}
 	}
-	return out, func(_ int, rr float64) float64 { return rr * scale }
+	ratings, _ := r.ratingsFor(goodness)
+	return ratings
+}
+
+// divideRow writes row/scale into dst, keeping missing entries missing.
+func divideRow(dst, row []float64, scale float64) []float64 {
+	for i, g := range row {
+		if cf.IsMissing(g) {
+			dst[i] = cf.Missing
+		} else {
+			dst[i] = g / scale
+		}
+	}
+	return dst
 }
 
 // PredictKPI completes a raw KPI row: known entries are the sampled
@@ -187,20 +205,31 @@ type OptResult struct {
 // The protocol matches §6.3: profile the reference, explore per the
 // acquisition policy until the stop rule fires, ask the model for its final
 // recommendation, profile it if new, and return the best explored
-// configuration.
+// configuration. No configuration is profiled twice, also not one whose
+// sample came back unusable (NaN, or 0 under a lower-is-better KPI — a failed
+// reconfiguration): it stays out of the ratings and out of the candidates.
 func (r *Recommender) Optimize(sample func(int) float64, initial []int, opts smbo.Options) OptResult {
 	cols := r.Cols
-	raw := make([]float64, cols)
+	// One backing array for the call's three rows: raw goodness, its
+	// ratings, and the candidate mask handed to PickNext.
+	buf := make([]float64, 3*cols)
+	raw, ratingsBuf, candidates := buf[:cols], buf[cols:2*cols], buf[2*cols:]
 	for i := range raw {
 		raw[i] = cf.Missing
 	}
-	res := OptResult{}
+	tried := make([]bool, cols)
+	failed := 0 // tried columns whose sample was unusable
+	// A typical run explores 5 or 6 configurations.
+	res := OptResult{Explored: make([]int, 0, 8)}
 	takeSample := func(i int) {
-		if !cf.IsMissing(raw[i]) {
+		if tried[i] {
 			return
 		}
-		kpi := sample(i)
-		raw[i] = cf.Goodness(kpi, r.HigherIsBetter)
+		tried[i] = true
+		raw[i] = cf.Goodness(sample(i), r.HigherIsBetter)
+		if cf.IsMissing(raw[i]) {
+			failed++
+		}
 		res.Explored = append(res.Explored, i)
 	}
 	if len(initial) == 0 {
@@ -222,11 +251,26 @@ func (r *Recommender) Optimize(sample func(int) float64, initial []int, opts smb
 
 	prevEI, prevPrevEI := math.Inf(1), math.Inf(1)
 	lastImprovement := math.Inf(1)
+	ratings := r.ratingsInto(ratingsBuf, raw)
+	var mean, variance []float64
+	current := false // mean and variance describe ratings as they are now
 	for steps := 0; steps < maxExpl; steps++ {
-		ratings, _ := r.ratingsFor(raw)
-		mean, variance := r.Ensemble.PredictDist(ratings)
+		mean, variance = r.Ensemble.PredictDist(ratings)
+		current = true
 		incumbent := bestKnown(ratings)
-		next, nextEI := smbo.PickNext(ratings, mean, variance, incumbent, opts.Policy, &rng)
+		// PickNext takes every NaN entry for a candidate: mask the
+		// columns that were tried and yielded no rating.
+		pick := ratings
+		if failed > 0 {
+			pick = candidates
+			for i, v := range ratings {
+				if tried[i] && cf.IsMissing(v) {
+					v = math.Inf(-1)
+				}
+				pick[i] = v
+			}
+		}
+		next, nextEI := smbo.PickNext(pick, mean, variance, incumbent, opts.Policy, &rng)
 		if next < 0 {
 			break
 		}
@@ -234,8 +278,9 @@ func (r *Recommender) Optimize(sample func(int) float64, initial []int, opts smb
 			break
 		}
 		takeSample(next)
-		ratingsAfter, _ := r.ratingsFor(raw)
-		newBest := bestKnown(ratingsAfter)
+		ratings = r.ratingsInto(ratingsBuf, raw)
+		current = false
+		newBest := bestKnown(ratings)
 		if newBest > incumbent && !math.IsInf(incumbent, -1) && incumbent != 0 {
 			lastImprovement = (newBest - incumbent) / math.Abs(incumbent)
 		} else {
@@ -246,13 +291,16 @@ func (r *Recommender) Optimize(sample func(int) float64, initial []int, opts smb
 
 	// Final recommendation: the model's argmax; profile it if unexplored.
 	if !opts.NoFinalCheck {
-		ratings, _ := r.ratingsFor(raw)
-		mean, _ := r.Ensemble.PredictDist(ratings)
+		if !current {
+			mean, _ = r.Ensemble.PredictDist(ratings)
+		}
 		bestPred, bestIdx := math.Inf(-1), -1
 		for i := 0; i < cols; i++ {
 			v := mean[i]
 			if !cf.IsMissing(ratings[i]) {
 				v = ratings[i]
+			} else if tried[i] {
+				continue
 			}
 			if cf.IsMissing(v) {
 				continue
@@ -261,7 +309,7 @@ func (r *Recommender) Optimize(sample func(int) float64, initial []int, opts smb
 				bestPred, bestIdx = v, i
 			}
 		}
-		if bestIdx >= 0 && cf.IsMissing(raw[bestIdx]) {
+		if bestIdx >= 0 {
 			takeSample(bestIdx)
 		}
 	}

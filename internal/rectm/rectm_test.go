@@ -215,3 +215,91 @@ func splitRowsW(m *cf.Matrix, trainFrac float64) (train, test *cf.Matrix, a, b [
 	tr, te := splitRows(m, trainFrac)
 	return tr, te, nil, nil
 }
+
+// TestOptimizeProfilesFailedSampleOnce: a configuration whose sample comes
+// back unusable (NaN, or 0 under a lower-is-better KPI: what the runtime
+// reports when reconfiguring to it fails) yields no rating, so the model keeps
+// proposing it; it must still be profiled only once, and the recommendation
+// must come from the usable samples.
+func TestOptimizeProfilesFailedSampleOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kind   perfmodel.KPIKind
+		higher bool
+		bad    float64
+	}{
+		{"NaN throughput", perfmodel.Throughput, true, math.NaN()},
+		{"zero exec time", perfmodel.ExecTime, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, truth, _ := buildTruth(t, 60, tc.kind)
+			train, test := splitRows(truth, 0.5)
+			rec, err := rectm.Train(train, tc.higher, rectm.Options{
+				Predictor: func() cf.Predictor { return &cf.KNN{K: 5, Sim: cf.Cosine} },
+				Learners:  6,
+				Seed:      3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := test.Data[0]
+			opts := smbo.Options{Policy: smbo.EI, Stop: smbo.StopNone, MaxExplorations: 12}
+			clean := rec.Optimize(func(i int) float64 { return row[i] }, nil, opts)
+			if len(clean.Explored) < 3 {
+				t.Fatalf("explored only %v", clean.Explored)
+			}
+			failing := clean.Explored[1] // the model's first pick after the reference
+			calls := map[int]int{}
+			res := rec.Optimize(func(i int) float64 {
+				calls[i]++
+				if i == failing {
+					return tc.bad
+				}
+				return row[i]
+			}, nil, opts)
+			for i, n := range calls {
+				if n != 1 {
+					t.Errorf("configuration %d profiled %d times", i, n)
+				}
+			}
+			if calls[failing] != 1 || len(res.Explored) != len(calls) {
+				t.Errorf("explored %v, sampled %v; want the failing configuration %d once and no repeats", res.Explored, calls, failing)
+			}
+			if len(res.Explored) != len(clean.Explored) {
+				t.Errorf("explored %d configurations, want the same budget as a clean run (%d)", len(res.Explored), len(clean.Explored))
+			}
+			if res.Best < 0 || res.Best == failing || calls[res.Best] != 1 || math.Abs(res.BestKPI-row[res.Best]) > 1e-9*row[res.Best] {
+				t.Errorf("best = %d (KPI %v), want a usable explored configuration", res.Best, res.BestKPI)
+			}
+		})
+	}
+}
+
+// TestOptimizeAllocations bounds what one optimization of typical length (the
+// reference, four explorations, the final check) allocates: its own rows, and
+// the mean/variance pair each surrogate query returns (the kernel's buffers
+// are pooled).
+func TestOptimizeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	_, truth, _ := buildTruth(t, 60, perfmodel.Throughput)
+	train, test := splitRows(truth, 0.5)
+	rec, err := rectm.Train(train, true, rectm.Options{
+		Predictor: func() cf.Predictor { return &cf.KNN{K: 3, Sim: cf.Euclidean} },
+		Learners:  10,
+		Seed:      3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := test.Data[0]
+	sample := func(i int) float64 { return row[i] }
+	opts := smbo.Options{Policy: smbo.EI, Stop: smbo.StopNone, MaxExplorations: 4}
+	explored := len(rec.Optimize(sample, nil, opts).Explored)
+	allocs := testing.AllocsPerRun(50, func() { rec.Optimize(sample, nil, opts) })
+	t.Logf("%d explorations, %.0f allocations", explored, allocs)
+	if allocs > 16 {
+		t.Errorf("one Optimize (%d explorations) allocated %.0f times, want at most 16", explored, allocs)
+	}
+}

@@ -1,8 +1,9 @@
-// Package smbo implements the Controller's Sequential Model-Based Bayesian
-// Optimization (§5.2 of the paper): the exploration of a new workload's
-// configuration space driven by an acquisition function over the bagged CF
-// ensemble's predictive distribution, with the Cautious early-stopping
-// heuristic.
+// Package smbo implements the steps of the Controller's Sequential
+// Model-Based Bayesian Optimization (§5.2 of the paper): the acquisition
+// function that picks the next configuration to profile from the bagged CF
+// ensemble's predictive distribution, and the Cautious early-stopping
+// heuristic. The loop that alternates them with sampling, and owns the
+// surrogate (*cf.Bagging), is rectm.Recommender.Optimize.
 //
 // Conventions: ratings are higher-is-better (goodness space), so the
 // optimizer MAXIMIZES; Expected Improvement is computed for maximization.
@@ -61,13 +62,6 @@ const (
 	StopNaive
 )
 
-// Model is the predictive surrogate: given the active row's known ratings
-// (NaN for unexplored), it returns per-configuration predictive means and
-// variances. Implemented by *cf.Bagging via an adapter in rectm.
-type Model interface {
-	PredictDist(active []float64) (mean, variance []float64)
-}
-
 // Options configures an optimization run.
 type Options struct {
 	Policy  Policy
@@ -82,128 +76,6 @@ type Options struct {
 	// exploration budget translates into an exact sample count (used by
 	// the fixed-budget sweeps of Fig. 5).
 	NoFinalCheck bool
-}
-
-// Result summarizes an optimization run.
-type Result struct {
-	// Explored lists the profiled configurations in order (including the
-	// initial ones handed to Optimize and the final recommendation
-	// check).
-	Explored []int
-	// Best is the recommended configuration: the explored column with
-	// the best sampled rating.
-	Best int
-	// BestRating is the sampled rating of Best.
-	BestRating float64
-}
-
-// ExploredCount returns the number of profiled configurations.
-func (r Result) ExploredCount() int { return len(r.Explored) }
-
-// Optimize runs the §5.2 loop for one workload. active is the current
-// rating row (known entries = already-profiled configurations, e.g. the
-// reference configuration sampled first); sample profiles configuration i
-// and returns its true rating. The loop:
-//
-//  1. query the surrogate for (mean, variance) of unexplored configs;
-//  2. pick the next configuration per the acquisition policy;
-//  3. profile it, insert the rating, and re-evaluate the stop rule;
-//  4. finally, recommend the model's argmax; if unexplored, profile it; the
-//     recommendation is the best *explored* configuration (§6.3).
-func Optimize(model Model, active []float64, sample func(int) float64, opts Options) Result {
-	cols := len(active)
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 0.01
-	}
-	maxExpl := opts.MaxExplorations
-	if maxExpl <= 0 || maxExpl > cols {
-		maxExpl = cols
-	}
-	rng := opts.Seed*0x9E3779B97F4A7C15 + 0x106689D45497FDB5
-
-	res := Result{}
-	row := make([]float64, cols)
-	copy(row, active)
-	for i, v := range row {
-		if !math.IsNaN(v) {
-			res.Explored = append(res.Explored, i)
-		}
-	}
-
-	incumbent := bestKnown(row)
-	prevEI := math.Inf(1)
-	prevPrevEI := math.Inf(1)
-	lastImprovement := math.Inf(1)
-
-	for steps := 0; steps < maxExpl; steps++ {
-		mean, variance := model.PredictDist(row)
-		next, nextEI := PickNext(row, mean, variance, incumbent, opts.Policy, &rng)
-		if next < 0 {
-			break // everything explored or unpredictable
-		}
-		if ShouldStop(opts.Stop, eps, incumbent, nextEI, prevEI, prevPrevEI, lastImprovement) {
-			break
-		}
-		rating := sample(next)
-		row[next] = rating
-		res.Explored = append(res.Explored, next)
-		if rating > incumbent {
-			lastImprovement = (rating - incumbent) / math.Abs(incumbent)
-			incumbent = rating
-		} else {
-			lastImprovement = 0
-		}
-		prevPrevEI, prevEI = prevEI, nextEI
-	}
-
-	// Final recommendation: model argmax over all configurations; profile
-	// it if unexplored, then return the best explored configuration.
-	if opts.NoFinalCheck {
-		res.Best, res.BestRating = argBestKnown(row)
-		return res
-	}
-	mean, _ := model.PredictDist(row)
-	bestPred, bestIdx := math.Inf(-1), -1
-	for i := 0; i < cols; i++ {
-		v := mean[i]
-		if math.IsNaN(v) {
-			continue
-		}
-		if !math.IsNaN(row[i]) {
-			v = row[i] // trust samples over predictions
-		}
-		if v > bestPred {
-			bestPred, bestIdx = v, i
-		}
-	}
-	if bestIdx >= 0 && math.IsNaN(row[bestIdx]) {
-		row[bestIdx] = sample(bestIdx)
-		res.Explored = append(res.Explored, bestIdx)
-	}
-	res.Best, res.BestRating = argBestKnown(row)
-	return res
-}
-
-// bestKnown returns the best sampled rating (−Inf when none).
-func bestKnown(row []float64) float64 {
-	best := math.Inf(-1)
-	for _, v := range row {
-		if !math.IsNaN(v) && v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-func argBestKnown(row []float64) (int, float64) {
-	best, idx := math.Inf(-1), -1
-	for i, v := range row {
-		if !math.IsNaN(v) && v > best {
-			best, idx = v, i
-		}
-	}
-	return idx, best
 }
 
 // PickNext applies the acquisition policy over unexplored configurations

@@ -8,13 +8,29 @@ import (
 	"repro/internal/smbo"
 )
 
-// constModel returns fixed means/variances.
-type constModel struct {
-	mean, variance []float64
-}
-
-func (m constModel) PredictDist(active []float64) ([]float64, []float64) {
-	return m.mean, m.variance
+// explore profiles up to budget configurations the way the Controller's loop
+// does: ask PickNext for the next column given a fixed surrogate, sample it
+// from truth, and carry the incumbent forward. It returns the picks in order.
+func explore(truth, mean, variance []float64, known int, policy smbo.Policy, budget int, seed uint64) []int {
+	row := make([]float64, len(truth))
+	for i := range row {
+		row[i] = math.NaN()
+	}
+	incumbent := math.Inf(-1)
+	if known >= 0 {
+		row[known], incumbent = truth[known], truth[known]
+	}
+	var picks []int
+	for len(picks) < budget {
+		next, _ := smbo.PickNext(row, mean, variance, incumbent, policy, &seed)
+		if next < 0 {
+			break
+		}
+		row[next] = truth[next]
+		incumbent = math.Max(incumbent, truth[next])
+		picks = append(picks, next)
+	}
+	return picks
 }
 
 // TestExpectedImprovementProperties checks the closed-form EI: zero when the
@@ -48,22 +64,13 @@ func TestOptimizeFindsMaximum(t *testing.T) {
 	for i := range variance {
 		variance[i] = 0.25
 	}
-	model := constModel{mean: truth, variance: variance}
-	active := make([]float64, len(truth))
-	for i := range active {
-		active[i] = math.NaN()
+	picks := explore(truth, truth, variance, 0, smbo.EI, 3, 1)
+	found := false
+	for _, i := range picks {
+		found = found || i == 3
 	}
-	active[0] = truth[0]
-	samples := 0
-	res := smbo.Optimize(model, active, func(i int) float64 {
-		samples++
-		return truth[i]
-	}, smbo.Options{Policy: smbo.EI, Stop: smbo.StopNone, MaxExplorations: 3})
-	if res.Best != 3 {
-		t.Errorf("best = %d (rating %f), want 3", res.Best, res.BestRating)
-	}
-	if samples > 4 {
-		t.Errorf("used %d samples; EI should find the max almost immediately", samples)
+	if !found {
+		t.Errorf("EI picked %v in 3 explorations; the maximum is column 3", picks)
 	}
 }
 
@@ -109,24 +116,20 @@ func TestStopRules(t *testing.T) {
 	}
 }
 
-// TestRandomPolicyCoverage: the Random policy eventually samples everything.
+// TestRandomPolicyCoverage: the Random policy eventually samples everything,
+// each column once, and then has nothing left to pick.
 func TestRandomPolicyCoverage(t *testing.T) {
 	n := 10
 	truth := make([]float64, n)
 	for i := range truth {
 		truth[i] = float64(i)
 	}
-	model := constModel{mean: make([]float64, n), variance: make([]float64, n)}
-	active := make([]float64, n)
-	for i := range active {
-		active[i] = math.NaN()
-	}
+	picks := explore(truth, make([]float64, n), make([]float64, n), -1, smbo.Random, n+1, 4)
 	seen := map[int]bool{}
-	smbo.Optimize(model, active, func(i int) float64 {
+	for _, i := range picks {
 		seen[i] = true
-		return truth[i]
-	}, smbo.Options{Policy: smbo.Random, Stop: smbo.StopNone, MaxExplorations: n, Seed: 4, NoFinalCheck: true})
-	if len(seen) != n {
-		t.Errorf("Random explored %d of %d columns", len(seen), n)
+	}
+	if len(picks) != n || len(seen) != n {
+		t.Errorf("Random explored %v: want each of the %d columns once", picks, n)
 	}
 }
