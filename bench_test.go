@@ -232,6 +232,11 @@ func BenchmarkGroupCommit(b *testing.B) { runSuitePrefix(b, "GroupCommit") }
 // one surrogate query, one whole optimization, and model selection.
 func BenchmarkTuner(b *testing.B) { runSuitePrefix(b, "Tuner") }
 
+// BenchmarkServe covers the serve layer's in-process submit path — lease,
+// transaction, reply, and for mput4x2 the cross-shard commit — with no
+// HTTP or JSON around it.
+func BenchmarkServe(b *testing.B) { runSuitePrefix(b, "Serve") }
+
 // BenchmarkThreadGate is the Algorithm-1 ablation: fetch-and-add gating vs a
 // compare-and-swap loop for the enter/exit pair.
 func BenchmarkThreadGate(b *testing.B) {

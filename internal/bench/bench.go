@@ -16,6 +16,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/htm"
 	"repro/internal/polytm"
+	"repro/internal/serve"
 	"repro/internal/stm"
 	"repro/internal/tm"
 )
@@ -222,8 +223,9 @@ type Case struct {
 // Suite returns the regression suite recorded by `proteusbench bench`: the
 // counter workload for every backend at 1, 4 and 8 threads, the write-heavy
 // workload at 1 and 4 threads, the PolyTM dispatch pair, the group-commit
-// amortization pair, the public API path, and the tuner's decision path
-// (surrogate query, one optimization, model selection).
+// amortization pair, the public API path, the tuner's decision path
+// (surrogate query, one optimization, model selection), and the serve
+// layer's in-process submit path (get, put, a four-key two-shard mput).
 func Suite() []Case {
 	var cases []Case
 	for _, name := range AlgorithmNames {
@@ -253,5 +255,12 @@ func Suite() []Case {
 		Case{Name: "Tuner/Optimize", Fn: TunerOptimize},
 		Case{Name: "Tuner/SelectModel", Fn: TunerSelectModel},
 	)
+	for _, kind := range []string{"get", "put", "mput4x2"} {
+		kind := kind
+		cases = append(cases, Case{
+			Name: "Serve/submit/" + kind,
+			Fn:   func(b *testing.B) { serve.BenchSubmit(b, kind) },
+		})
+	}
 	return cases
 }

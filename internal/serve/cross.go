@@ -9,8 +9,9 @@
 // stamps a heartbeat, and the coordinator records the (shard, epoch)
 // pairs in the server's commit-state registry (see recovery.go). Any
 // acquisition failure aborts the whole attempt: every fence taken so far
-// is released ("abort-all on any shard abort") and the coordinator backs
-// off — capped exponential backoff with seeded jitter — and retries.
+// is released ("abort-all on any shard abort") and the coordinator waits
+// for the blocking shard's next fence release — at most a capped
+// exponential backoff with seeded jitter — and retries.
 //
 // Phase 2 (apply+release): with every fence held, the coordinator marks
 // the batch decided (for writes) and then applies each shard's
@@ -24,12 +25,14 @@
 // (writes it finishes on the coordinator's behalf) over abort-release.
 //
 // Local operations always read the fence inside their own transaction
-// and requeue while it is held, which is what makes the span between the
-// first and last apply unobservable — the protocol's linearization point
+// and come back unexecuted while it is held — their submitter waits for
+// the release and retries — which is what makes the span between the
+// first and last apply unobservable: the protocol's linearization point
 // sits between the last acquire and the first apply.
 //
-// Control steps travel on each shard's priority lane and execute on the
-// shard's own worker slots, so they obey the same graceful-drain protocol
+// Control steps execute under the shard's own worker slots — on the
+// coordinator's goroutine when a slot is free, through the shard's
+// priority lane otherwise — so they obey the same graceful-drain protocol
 // as data operations. See docs/sharding.md for the state diagram.
 package serve
 
@@ -69,16 +72,17 @@ func splitBatchAt(part shard.Partitioner, keys []uint64) []subBatch {
 }
 
 // Backoff constants of the acquire-phase abort-retry loop: attempt n
-// sleeps min(base<<n, cap) scaled by a seeded jitter in [0.5, 1.5), so
-// colliding coordinators spread out instead of re-colliding in lockstep.
+// waits at most min(base<<n, cap) scaled by a seeded jitter in [0.5, 1.5),
+// so colliding coordinators whose wake-up never came spread out instead of
+// re-colliding in lockstep.
 const (
 	crossBackoffBase = 50 * time.Microsecond
 	crossBackoffCap  = 2 * time.Millisecond
 )
 
-// crossBackoff sleeps the capped exponential backoff for abort-retry
-// attempt n and accounts the sleep (surfaced as ops.cross_backoff_ms).
-func (s *Server) crossBackoff(attempt int) {
+// crossBackoff returns the capped, jittered exponential backoff of
+// abort-retry attempt n.
+func (s *Server) crossBackoff(attempt int) time.Duration {
 	d := crossBackoffBase
 	for i := 0; i < attempt && d < crossBackoffCap; i++ {
 		d *= 2
@@ -91,9 +95,14 @@ func (s *Server) crossBackoff(attempt int) {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	frac := float64((x^(x>>31))>>11) / float64(1<<53) // [0, 1)
-	d = d/2 + time.Duration(float64(d)*frac)
-	s.crossBackoffNs.Add(uint64(d))
-	time.Sleep(d)
+	return d/2 + time.Duration(float64(d)*frac)
+}
+
+// crossWait parks an aborted coordinator until shard ss — whose fence
+// refused it, at release generation gen — releases a fence, or attempt's
+// backoff elapses; the measured wait is surfaced as ops.cross_backoff_ms.
+func (s *Server) crossWait(ss *shardState, gen uint64, attempt int) {
+	s.crossBackoffNs.Add(uint64(ss.awaitRelease(gen, s.crossBackoff(attempt))))
 }
 
 // submitCross admits one multi-key operation. The participant set is
@@ -231,7 +240,10 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 			s.releaseParts(rec)
 			return response{}, 0, true
 		}
-		ok := true
+		// blocker is the shard whose fence refused this attempt, blockGen
+		// its release generation read before the refused acquire.
+		var blocker *shardState
+		var blockGen uint64
 		for _, p := range rec.parts {
 			// Injected coordinator stall between acquisitions: the
 			// coordinator sits on already-claimed fences, indistinguishable
@@ -245,24 +257,26 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 				s.releaseParts(rec)
 				return response{}, 0, true
 			}
+			gen := fleet[p.shard].relGen.Load()
 			r := s.ctlAcquire(fleet[p.shard], token, partSig(req, p))
 			if r.Err != "" {
 				s.releaseParts(rec)
 				return r, http.StatusServiceUnavailable, false
 			}
 			if !r.Applied {
-				ok = false
+				blocker, blockGen = fleet[p.shard], gen
 				break
 			}
 			s.reg.acquired(rec, p, r.epoch, r.slot)
 		}
-		if !ok {
+		if blocker != nil {
 			// Abort-all: another coordinator (or an unlucky interleaving)
-			// holds a fence we need. Release everything, back off, retry.
+			// holds a fence we need. Release everything, wait for the
+			// blocking shard to release, retry.
 			s.releaseParts(rec)
 			s.crossAborts.Add(1)
 			if attempt+1 < s.opts.CrossRetries {
-				s.crossBackoff(attempt)
+				s.crossWait(blocker, blockGen, attempt)
 			}
 			continue
 		}
@@ -318,13 +332,29 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 		http.StatusServiceUnavailable, false
 }
 
-// ctl submits one control step to shard ss's priority lane and waits for
-// its result. Control steps skip the closed-check on purpose: Close waits
+// ctl runs one control step on shard ss and returns its result: on the
+// caller's goroutine when a slot token is free, through the priority lane
+// otherwise. Control steps skip the closed-check on purpose: Close waits
 // for in-flight coordinators (registered in inflight) before stopping the
-// workers, so a coordinator must be able to finish its protocol — fence
+// shards, so a coordinator must be able to finish its protocol — fence
 // releases included — after shutdown begins.
 func (s *Server) ctl(ss *shardState, fn func(w *proteustm.Worker, slot int) response) response {
-	req := &request{ctl: fn, done: make(chan response, 1)}
+	return s.runCtl(ss, &request{ctl: fn})
+}
+
+// ctlRelease is ctl for a step that may release one of ss's fences: once
+// its transaction has committed, the shard wakes whoever waits for a
+// release. Acquire steps must not come through here — a coordinator's own
+// acquire would wake it, and the wait would degenerate to a spin.
+func (s *Server) ctlRelease(ss *shardState, fn func(w *proteustm.Worker, slot int) response) response {
+	return s.runCtl(ss, &request{ctl: fn, releases: true})
+}
+
+func (s *Server) runCtl(ss *shardState, req *request) response {
+	if resp, ok := ss.run(req, false); ok {
+		return resp
+	}
+	req.done = make(chan response, 1)
 	select {
 	case ss.prio <- req:
 	case <-ss.stop:
@@ -394,7 +424,7 @@ func (s *Server) releaseParts(rec *crossRec) {
 			continue
 		}
 		ss := fleet[p.shard]
-		s.ctl(ss, func(w *proteustm.Worker, _ int) response {
+		s.ctlRelease(ss, func(w *proteustm.Worker, _ int) response {
 			w.Atomic(func(tx proteustm.Txn) {
 				if ss.store.FenceHeldAt(tx, slot, token, epoch) {
 					ss.store.FenceReleaseAt(tx, slot, epoch)
@@ -458,7 +488,7 @@ func (s *Server) applyAll(rec *crossRec, req *request) response {
 			}
 			ss, idx := fleet[p.shard], p.idx
 			epoch, fslot := s.reg.holdOf(rec, p)
-			r := s.ctl(ss, func(w *proteustm.Worker, slot int) response {
+			r := s.ctlRelease(ss, func(w *proteustm.Worker, slot int) response {
 				var stale bool
 				w.Atomic(func(tx proteustm.Txn) {
 					if stale = !ss.store.FenceHeldAt(tx, fslot, rec.token, epoch); stale {
@@ -492,7 +522,7 @@ func (s *Server) applyAll(rec *crossRec, req *request) response {
 			}
 			ss, idx := fleet[p.shard], p.idx
 			epoch, fslot := s.reg.holdOf(rec, p)
-			r := s.ctl(ss, func(w *proteustm.Worker, _ int) response {
+			r := s.ctlRelease(ss, func(w *proteustm.Worker, _ int) response {
 				var stale bool
 				vals := make([]uint64, len(idx))
 				present := make([]bool, len(idx))
@@ -528,7 +558,7 @@ func (s *Server) applyAll(rec *crossRec, req *request) response {
 			}
 			ss := fleet[p.shard]
 			epoch, fslot := s.reg.holdOf(rec, p)
-			r := s.ctl(ss, func(w *proteustm.Worker, _ int) response {
+			r := s.ctlRelease(ss, func(w *proteustm.Worker, _ int) response {
 				var stale bool
 				var count, sum uint64
 				w.Atomic(func(tx proteustm.Txn) {

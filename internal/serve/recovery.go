@@ -277,7 +277,8 @@ func (ss *shardState) extendStall(until time.Time) {
 	}
 }
 
-// sleepInjectedStall parks the worker until the stall horizon passes.
+// sleepInjectedStall parks the slot's holder until the stall horizon
+// passes.
 func (ss *shardState) sleepInjectedStall() {
 	until := ss.stallUntil.Load()
 	if until == 0 {
@@ -401,15 +402,19 @@ func (ss *shardState) detector() {
 	}
 }
 
-// ctlRecover submits one recovery control step to shard target's
-// priority lane on behalf of shard own's detector, waiting for the
-// result but never past either shard's shutdown — a detector must not
-// deadlock Close. A step that times out this way may still execute on a
-// worker later; all its effects are epoch-guarded and it records its own
-// completion inside the closure, so the detector simply retries on the
-// next tick.
+// ctlRecover runs one recovery control step on shard target on behalf of
+// shard own's detector — a step that releases a fence, so target's waiters
+// are woken — waiting for the result but never past either shard's
+// shutdown: a detector must not deadlock Close. A step that times out this
+// way may still execute on a worker later; all its effects are
+// epoch-guarded and it records its own completion inside the closure, so
+// the detector simply retries on the next tick.
 func (s *Server) ctlRecover(own, target *shardState, fn func(w *proteustm.Worker, slot int) response) bool {
-	req := &request{ctl: fn, done: make(chan response, 1)}
+	req := &request{ctl: fn, releases: true}
+	if _, ok := target.run(req, false); ok {
+		return true
+	}
+	req.done = make(chan response, 1)
 	select {
 	case target.prio <- req:
 	case <-target.stop:

@@ -269,8 +269,8 @@ func (s *Server) migrate(plan shard.SplitPlan) (moved uint64, newEpoch uint64, e
 
 	// Fence the donor. The conflict-with-everything signature makes the
 	// keyed granularity behave exactly like the whole-shard word for the
-	// migration window: every local KV operation requeues, every
-	// competing cross-shard commit serializes.
+	// migration window: every local KV operation waits for the release,
+	// every competing cross-shard commit serializes.
 	token := s.nextToken.Add(1)
 	hold, err := s.acquireMigrationFence(donor, token)
 	if err != nil {
@@ -345,8 +345,8 @@ func (s *Server) migrate(plan shard.SplitPlan) (moved uint64, newEpoch uint64, e
 
 	// Flip. The grown fleet is published and the span fully installed,
 	// so any operation routed under the new epoch finds its shard and
-	// its data; everything routed under the old epoch either requeues on
-	// the still-held fence or bounces off the placement bump below.
+	// its data; everything routed under the old epoch either waits on the
+	// still-held fence or bounces off the placement bump below.
 	newEpoch = s.place.Install(plan.Grown)
 
 	// Donor cleanup, entirely under the fence: bump the placement-epoch
@@ -406,10 +406,12 @@ func (s *Server) migrate(plan shard.SplitPlan) (moved uint64, newEpoch uint64, e
 }
 
 // acquireMigrationFence claims the donor's fence for the migration,
-// riding out coordinator contention with the cross-shard backoff
-// schedule.
+// riding out coordinator contention the way an aborted coordinator does:
+// wait for the donor's next fence release, at most the cross-shard
+// backoff.
 func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (response, error) {
 	for attempt := 0; ; attempt++ {
+		gen := donor.relGen.Load()
 		r := s.ctlAcquire(donor, token, ^uint64(0))
 		if r.Err != "" {
 			return r, fmt.Errorf("acquiring donor fence: %s", r.Err)
@@ -420,7 +422,7 @@ func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (respons
 		if attempt+1 >= s.opts.CrossRetries {
 			return r, fmt.Errorf("donor fence contention: exhausted %d acquisition attempts", s.opts.CrossRetries)
 		}
-		s.crossBackoff(attempt)
+		s.crossWait(donor, gen, attempt)
 	}
 }
 
@@ -428,7 +430,7 @@ func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (respons
 // like every release: a hold the failure detector already recovered is
 // left alone.
 func (s *Server) releaseMigrationFence(donor *shardState, hold response, token uint64) {
-	s.ctl(donor, func(w *proteustm.Worker, _ int) response {
+	s.ctlRelease(donor, func(w *proteustm.Worker, _ int) response {
 		w.Atomic(func(tx proteustm.Txn) {
 			if donor.store.FenceHeldAt(tx, hold.slot, token, hold.epoch) {
 				donor.store.FenceReleaseAt(tx, hold.slot, hold.epoch)
@@ -741,10 +743,12 @@ func (s *Server) rollbackMergeCopy(token uint64) bool {
 // retireShard drains and permanently stops the fleet's top shard after
 // the placement has stopped naming it (a merge flip, or a spare the
 // reaper is reclaiming). The caller holds reshardMu. The shard leaves
-// the fleet first, so no new router can reach it; then its workers and
-// failure detector stop for good (the same drain contract Close uses:
-// ss.wg covers every per-shard goroutine) and its ProteusTM system —
-// tuner included — is closed. A lightweight drainer keeps answering
+// the fleet first, so no new router can reach it; then every slot token
+// is collected — leases fail once stop is closed, so from there no
+// request can execute on it — its queue workers and failure detector stop
+// for good (the same drain contract Close uses: ss.wg covers every
+// per-shard goroutine) and its ProteusTM system — tuner included — is
+// closed. A lightweight drainer keeps answering
 // stragglers that loaded the fleet before the truncation: data
 // operations bounce for re-routing, control steps report not-applied so
 // their coordinator re-routes off the flipped epoch.
@@ -765,6 +769,7 @@ func (s *Server) retireShard(ss *shardState) {
 	close(ss.stop)
 	s.drainersWG.Add(1)
 	go s.retiredDrainer(ss)
+	ss.quiesce()
 	ss.wg.Wait()
 	ss.sys.OnReconfigure(nil)
 	s.opts.Logf("serve: shard %d retired (final config %s)", ss.idx, ss.sys.CurrentConfig())
@@ -774,8 +779,8 @@ func (s *Server) retireShard(ss *shardState) {
 }
 
 // retiredDrainer answers requests that raced into a retired shard's
-// queues: its workers are gone, but a sender holding the pre-truncation
-// fleet may still deliver (the channels are buffered, so sends never
+// lanes: its slot tokens and workers are gone, but a sender holding the
+// pre-truncation fleet may still deliver (the channels are buffered, so sends never
 // block — this loop exists so the sender's reply always arrives). It
 // lives until Close, when no new sender can exist.
 func (s *Server) retiredDrainer(ss *shardState) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,12 +41,19 @@ const (
 // opNames are the wire/report labels, indexed by opKind.
 var opNames = [numOps]string{"get", "put", "del", "cas", "range", "mput", "mget", "lpush", "rpush", "lpop", "rpop", "llen"}
 
-// maxFenceTries bounds how often a fenced request is requeued before the
+// maxFenceTries bounds how often a fenced request is retried before the
 // server gives up on it — a safety valve against a fence that never
 // clears, which the protocol does not produce but a bug might.
 const maxFenceTries = 20000
 
-// request is one admitted operation waiting for a worker slot.
+// fencedYield bounds one wait of a fenced data operation for the fence's
+// release (see awaitRelease): a missed wake-up costs at most this before
+// the operation retries.
+const fencedYield = 50 * time.Microsecond
+
+// request is one admitted operation: it runs under a leased worker slot,
+// on its submitter's goroutine when a slot is free and on a queue worker
+// otherwise.
 type request struct {
 	op        opKind
 	key, val  uint64
@@ -55,14 +63,17 @@ type request struct {
 	keys, vals []uint64
 	// ctl, when set, is a cross-shard commit control step (fence acquire,
 	// apply+release, release); it bypasses the op switch and the served
-	// counters and is delivered on the shard's priority lane.
-	ctl func(w *proteustm.Worker, slot int) response
+	// counters and, when no slot is free, waits on the shard's priority
+	// lane. releases marks a step that may free a fence: once it has run
+	// the shard wakes the operations waiting for a release.
+	ctl      func(w *proteustm.Worker, slot int) response
+	releases bool
 	// accepted is stamped when the request is admitted, before it is
 	// enqueued, so queue-wait is measured from acceptance.
 	accepted time.Time
-	// ctx is the client's request context: a queued operation whose
-	// client hung up is dropped by the worker, never executed. Nil means
-	// no cancellation source (internal submissions).
+	// ctx is the client's request context: an operation whose client hung
+	// up is dropped, never executed. Nil means no cancellation source
+	// (internal submissions).
 	ctx context.Context
 	// budget is the per-request deadline override (the wire's
 	// deadline_ms); the effective deadline is the tighter of budget and
@@ -71,20 +82,22 @@ type request struct {
 	// deadline, when non-zero, is the instant after which the operation
 	// must not execute (it is answered 504 and counted shed_deadline).
 	deadline time.Time
-	// fenceTries counts requeues caused by an observed fence.
+	// fenceTries counts retries caused by an observed fence.
 	fenceTries int
 	// routingEpoch is the placement epoch the request was routed under
 	// (stamped by shardFor / submitCross). A shard whose placement epoch
 	// has advanced past it bounces the operation back for re-routing
 	// instead of executing against possibly-migrated state.
 	routingEpoch uint64
-	done         chan response
+	// done carries the reply of a request that went through a lane; a
+	// directly executed request never allocates it.
+	done chan response
 }
 
 // expired reports whether the request must not execute: its deadline has
-// passed or its client's context is done. Workers call it after dequeue,
-// immediately before execution, so an expired queued op is dropped rather
-// than run against a store nobody is waiting on.
+// passed or its client's context is done. process calls it immediately
+// before execution, so an expired queued op is dropped rather than run
+// against a store nobody is waiting on.
 func (r *request) expired(now time.Time) bool {
 	if !r.deadline.IsZero() && now.After(r.deadline) {
 		return true
@@ -122,6 +135,10 @@ type response struct {
 	// advanced past the request's routing epoch: nothing was executed,
 	// and the submitter must re-route under the current placement.
 	moved bool
+	// fenced reports that a cross-shard fence covered the operation:
+	// nothing was executed, and the submitter waits for the fence's
+	// release and retries.
+	fenced bool
 }
 
 // Fence granularities (Options.FenceGranularity): one whole-shard fence
@@ -177,9 +194,9 @@ type Options struct {
 	// CrossRetries bounds fence-acquisition attempts of one cross-shard
 	// operation before it fails with 503 (default 64).
 	CrossRetries int
-	// GroupCommit enables the batching worker gate: when a worker dequeues
-	// a data operation and more are already queued behind it, it coalesces
-	// up to GroupCommitMax of them into one TM transaction (group commit),
+	// GroupCommit enables the batching gate: when a data operation is
+	// about to execute and more are already queued behind it, up to
+	// GroupCommitMax of them join its TM transaction (group commit),
 	// amortizing the per-transaction overhead under load. Per-operation
 	// deadline and cancellation semantics are preserved inside a batch: an
 	// expired or client-abandoned operation is excised (answered 504/499)
@@ -353,20 +370,45 @@ func (o *Options) setDefaults() {
 
 // shardState is one shard of the serving layer: an independent ProteusTM
 // system with its own store, admission queue, priority lane for
-// cross-shard control steps, worker pool and graceful-drain state.
+// cross-shard control steps, slot tokens, queue workers and
+// graceful-drain state.
 type shardState struct {
 	idx   int
 	srv   *Server
 	sys   *proteustm.System
 	store *Store
 
+	// queue and prio hold the requests that found no free slot token;
+	// prio carries cross-shard commit control steps, and the queue workers
+	// drain it before the admission queue so a held fence is always
+	// released even when the queue is saturated.
 	queue chan *request
-	// prio carries cross-shard commit control requests; workers drain it
-	// before the admission queue so a held fence is always released even
-	// when the queue is saturated with fenced operations cycling through.
-	prio chan *request
-	stop chan struct{}
-	wg   sync.WaitGroup
+	prio  chan *request
+	stop  chan struct{}
+	wg    sync.WaitGroup
+
+	// The shard owns exactly Options.Workers slot tokens, one per PolyTM
+	// thread slot; whoever executes a request holds one for the duration.
+	// Tokens with an id inside the installed parallelism degree circulate
+	// in tokens; the rest sit in parked (a shrink withdraws a token when
+	// its next lessee sees id >= active, a growth re-injects parked ones).
+	// Every token starts parked; startShardWorkers puts them into
+	// circulation. tokenMu guards parked and quiescing, which routes every
+	// token to the collector once quiesce has begun.
+	tokens    chan int
+	workers   []*proteustm.Worker
+	tokenMu   sync.Mutex
+	parked    []int
+	quiescing bool
+
+	// relGen counts the control steps that may have released one of this
+	// shard's fences; relCh is closed (and replaced) at each such step
+	// while relWaiters is non-zero — the wake-up a fenced operation or an
+	// aborted coordinator waits for instead of sleeping (see awaitRelease).
+	relGen     atomic.Uint64
+	relWaiters atomic.Int64
+	relMu      sync.Mutex
+	relCh      chan struct{}
 
 	// routed counts data operations admitted to this shard's queue — the
 	// per-shard load counter /statusz exposes (ops_routed) and the range
@@ -441,11 +483,23 @@ type Server struct {
 	hookFires   atomic.Uint64
 	drains      atomic.Uint64
 
-	// crossBackoffNs totals acquire-phase backoff sleeps (surfaced as
-	// ops.cross_backoff_ms); jitterState is the seeded stream behind the
-	// backoff jitter.
+	// crossBackoffNs totals the measured acquire-phase backoff waits
+	// (surfaced as ops.cross_backoff_ms); jitterState is the seeded stream
+	// behind the backoff jitter.
 	crossBackoffNs atomic.Uint64
 	jitterState    atomic.Uint64
+
+	// directOps counts requests (data operations and control steps) that
+	// ran on their submitter's goroutine, queuedOps those that went
+	// through a lane to a queue worker. fenceWaits counts waits for a
+	// fence release (fenced operations and aborted coordinators),
+	// fenceWaitTimeouts those that ran out their bound unwoken, and
+	// fenceWaitNs their measured total.
+	directOps         atomic.Uint64
+	queuedOps         atomic.Uint64
+	fenceWaits        atomic.Uint64
+	fenceWaitTimeouts atomic.Uint64
+	fenceWaitNs       atomic.Uint64
 
 	// crossCrashes counts injected coordinator crashes; fenceRecovered
 	// counts recovered orphan batches (fenceRolledForward of them
@@ -534,7 +588,8 @@ type Server struct {
 const crossSlots = 32
 
 // New opens one ProteusTM system per shard, builds the stores (optionally
-// preloading them) and starts one queue worker per slot per shard. The
+// preloading them), puts each shard's slot tokens into circulation and
+// starts its queue workers. The
 // returned Server is ready to serve; wire it into an http.Server as its
 // Handler.
 func New(opts Options) (*Server, error) {
@@ -613,11 +668,18 @@ func (s *Server) part() shard.Partitioner { p, _ := s.place.Load(); return p }
 func (s *Server) newShard(i int) (*shardState, error) {
 	opts := &s.opts
 	ss := &shardState{
-		idx:   i,
-		srv:   s,
-		queue: make(chan *request, opts.QueueDepth),
-		prio:  make(chan *request, crossSlots),
-		stop:  make(chan struct{}),
+		idx:     i,
+		srv:     s,
+		queue:   make(chan *request, opts.QueueDepth),
+		prio:    make(chan *request, crossSlots),
+		stop:    make(chan struct{}),
+		tokens:  make(chan int, opts.Workers),
+		workers: make([]*proteustm.Worker, opts.Workers),
+		parked:  make([]int, opts.Workers),
+		relCh:   make(chan struct{}),
+	}
+	for id := range ss.parked {
+		ss.parked[id] = id
 	}
 	sysOpts := []proteustm.Option{
 		proteustm.WithWorkers(opts.Workers),
@@ -660,14 +722,19 @@ func (s *Server) newShard(i int) (*shardState, error) {
 	}
 	ss.sys = sys
 	ss.store = store
+	for id := range ss.workers {
+		if ss.workers[id], err = sys.Worker(id); err != nil {
+			sys.Close() //nolint:errcheck // already failing
+			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+		}
+	}
 	ss.active.Store(int64(sys.CurrentConfig().Threads))
 	sys.OnReconfigure(ss.reconfigureHook)
 	return ss, nil
 }
 
-// startWorkers launches one queue worker per slot per shard, plus each
-// shard's failure detector (unless detection is disabled) and the
-// background maintenance loop. The loop runs whenever the placement is
+// startWorkers starts every shard serving (see startShardWorkers) and
+// launches the background maintenance loop. The loop runs whenever the placement is
 // resharding-capable even with both triggers disabled: the spare-shard
 // reaper must retire spares stranded by manual migrations too.
 func (s *Server) startWorkers() {
@@ -681,13 +748,17 @@ func (s *Server) startWorkers() {
 	}
 }
 
-// startShardWorkers launches one shard's queue workers and failure
-// detector — the per-shard half of startWorkers, reused when a live
-// reshard grows the fleet.
+// startShardWorkers puts one shard's slot tokens into circulation and
+// launches its queue workers and failure detector (unless detection is
+// disabled) — the per-shard half of startWorkers, reused when a live
+// reshard grows the fleet. Tokens start circulating here, not in newShard,
+// so a server built with newServer alone (and no tuner to grow its
+// degree) executes nothing.
 func (s *Server) startShardWorkers(ss *shardState) {
-	for id := 0; id < s.opts.Workers; id++ {
+	ss.unpark()
+	for i := 0; i < s.opts.Workers; i++ {
 		ss.wg.Add(1)
-		go ss.worker(id)
+		go ss.worker()
 	}
 	if s.opts.FenceDeadline > 0 {
 		ss.wg.Add(1)
@@ -743,8 +814,9 @@ func (s *Server) preload(n int) error {
 // reconfigureHook runs at the start of every pool reconfiguration on this
 // shard, before any thread gating (see proteustm.System.OnReconfigure).
 // On a shrink it waits for in-flight operations to finish and publishes
-// the smaller active set, so workers on soon-to-be-parked slots requeue
-// rather than execute; growth publishes immediately.
+// the smaller active set, so a holder of a soon-to-be-parked slot hands it
+// back rather than executes; growth publishes immediately and re-injects
+// the parked tokens the larger degree covers.
 func (ss *shardState) reconfigureHook(old, newCfg proteustm.Config) {
 	ss.srv.hookFires.Add(1)
 	if int64(newCfg.Threads) < ss.active.Load() {
@@ -756,34 +828,122 @@ func (ss *shardState) reconfigureHook(old, newCfg proteustm.Config) {
 		return
 	}
 	ss.active.Store(int64(newCfg.Threads))
+	ss.unpark()
 	if old != newCfg {
 		ss.srv.opts.Logf("serve: shard %d reconfigure %s -> %s", ss.idx, old, newCfg)
 	}
 }
 
-// worker is the per-slot request executor of one shard. A worker only
-// consumes while its slot is inside the installed parallelism degree;
-// slot 0 is always active (Threads >= 1), so every shard drains even at
-// minimum parallelism. The priority lane is drained before the admission
-// queue so cross-shard commit control steps (fence release in particular)
-// are never starved by fenced operations cycling through the queue.
-func (ss *shardState) worker(id int) {
-	defer ss.wg.Done()
-	w, err := ss.sys.Worker(id)
-	if err != nil {
-		panic(fmt.Sprintf("serve: shard %d worker %d: %v", ss.idx, id, err))
+// unpark puts every parked token inside the installed parallelism degree
+// into circulation. Sends never block: the channel holds all the shard's
+// tokens.
+func (ss *shardState) unpark() {
+	ss.tokenMu.Lock()
+	defer ss.tokenMu.Unlock()
+	keep := ss.parked[:0]
+	for _, id := range ss.parked {
+		if int64(id) < ss.active.Load() {
+			ss.tokens <- id
+		} else {
+			keep = append(keep, id)
+		}
 	}
-	idle := time.NewTicker(2 * time.Millisecond)
-	defer idle.Stop()
+	ss.parked = keep
+}
+
+// park withdraws a token whose id a shrink left outside the parallelism
+// degree. The degree is re-read under tokenMu: a growth that published
+// after the lessee's check either sees the token parked (and re-injects
+// it) or is seen here.
+func (ss *shardState) park(id int) {
+	ss.tokenMu.Lock()
+	defer ss.tokenMu.Unlock()
+	if ss.quiescing || int64(id) < ss.active.Load() {
+		ss.tokens <- id
+		return
+	}
+	ss.parked = append(ss.parked, id)
+}
+
+// lease takes a circulating slot token, withdrawing the ones a shrink has
+// retired on the way. With wait it blocks until a token or the shard's
+// stop; without, it fails when no token is free. A lease always fails
+// once stop is closed (a lessee that raced the close still runs: quiesce
+// waits for its token).
+func (ss *shardState) lease(wait bool) (int, bool) {
 	for {
-		if int64(id) >= ss.active.Load() {
+		var id int
+		if wait {
+			select {
+			case id = <-ss.tokens:
+			case <-ss.stop:
+				return 0, false
+			}
+		} else {
 			select {
 			case <-ss.stop:
-				return
-			case <-idle.C:
+				return 0, false
+			default:
 			}
-			continue
+			select {
+			case id = <-ss.tokens:
+			default:
+				return 0, false
+			}
 		}
+		if int64(id) < ss.active.Load() {
+			return id, true
+		}
+		ss.park(id)
+	}
+}
+
+// run executes req under a leased slot on the calling goroutine: the
+// direct path (wait=false, the submitter itself; ok=false when no slot is
+// free) and the queued path (wait=true, a queue worker; ok=false when the
+// shard stopped). A slot a shrink retired between lease and execution is
+// handed back and another leased.
+func (ss *shardState) run(req *request, wait bool) (resp response, ok bool) {
+	for {
+		slot, leased := ss.lease(wait)
+		if !leased {
+			return response{}, false
+		}
+		resp, ran := ss.process(slot, req)
+		ss.tokens <- slot
+		if ran {
+			if wait {
+				ss.srv.queuedOps.Add(1)
+			} else {
+				ss.srv.directOps.Add(1)
+			}
+			return resp, true
+		}
+		ss.srv.requeued.Add(1)
+	}
+}
+
+// quiesce collects every slot token after stop has closed, so it returns
+// only when no process call is running or can start on this shard.
+func (ss *shardState) quiesce() {
+	ss.tokenMu.Lock()
+	ss.quiescing = true
+	home := len(ss.parked)
+	ss.parked = nil
+	ss.tokenMu.Unlock()
+	for ; home < len(ss.workers); home++ {
+		<-ss.tokens
+	}
+}
+
+// worker is one of the shard's queue workers: it serves the requests that
+// found no free slot at submission, leasing a token per request. The
+// priority lane is drained before the admission queue so cross-shard
+// commit control steps (fence release in particular) are never starved
+// by a backlog of data operations.
+func (ss *shardState) worker() {
+	defer ss.wg.Done()
+	for {
 		var req *request
 		select {
 		case req = <-ss.prio:
@@ -795,130 +955,159 @@ func (ss *shardState) worker(id int) {
 			case req = <-ss.queue:
 			}
 		}
-		// Fault-injection hooks (nil injector: one pointer compare). A
-		// fired shard-stall freezes every worker of this shard — each
-		// sleeps out the shared horizon at its next dequeue — which is
-		// the no-progress signature the circuit breaker trips on.
-		if inj := ss.srv.opts.Fault; inj != nil {
-			if d, ok := inj.Fire(fault.ShardStall, ss.idx); ok {
-				ss.extendStall(time.Now().Add(d))
-			}
-			ss.sleepInjectedStall()
-			if req.ctl == nil {
-				if d, ok := inj.Fire(fault.OpDelay, ss.idx); ok {
-					time.Sleep(d)
-				}
-			}
-		}
-		// Deadline/cancellation gate: a queued data op whose client hung
-		// up or whose deadline passed is dropped here, never executed.
-		// Control steps are exempt — a fence release must always run.
-		if req.ctl == nil && req.expired(time.Now()) {
-			ss.srv.shedDeadline.Add(1)
-			req.done <- response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}
-			continue
-		}
-		// Group commit: with backlog behind this op, coalesce compatible
-		// queued data ops into the same transaction. Expired ops are
-		// excised during the drain, so a batch preserves per-op deadline
-		// semantics exactly.
-		var batch []*request
-		if req.ctl == nil && ss.srv.opts.GroupCommit {
-			batch = ss.coalesce(req)
-		}
-		ss.drainMu.RLock()
-		if int64(id) >= ss.active.Load() {
-			ss.drainMu.RUnlock()
-			if batch != nil {
-				for _, r := range batch {
-					ss.requeue(r)
-				}
-			} else {
-				ss.requeue(req)
-			}
-			continue
-		}
-		if batch != nil {
-			t0 := time.Now()
-			resps, fencedOps := ss.executeBatch(w, id, batch)
-			t1 := time.Now()
-			ss.drainMu.RUnlock()
-			committed := 0
-			for i, f := range fencedOps {
-				if !f && !resps[i].moved {
-					committed++
-				}
-			}
-			// Only batches that actually coalesced work count as group
-			// commits: fenced ops no-op inside the transaction, and a
-			// fully-fenced batch committed nothing at all.
-			if committed >= 2 {
-				ss.srv.groupCommits.Add(1)
-				ss.srv.batchSizes.Observe(float64(committed))
-			}
-			for i, r := range batch {
-				if fencedOps[i] {
-					ss.srv.fenced.Add(1)
-					r.fenceTries++
-					if r.fenceTries > maxFenceTries {
-						r.done <- response{Err: "shard fence held too long"}
-						continue
-					}
-					ss.requeue(r)
-					continue
-				}
-				if resps[i].moved {
-					// Nothing executed: the submitter re-routes under the
-					// current placement (no served/executed accounting).
-					r.done <- resps[i]
-					continue
-				}
-				ss.srv.queueWait.Observe(msBetween(r.accepted, t0))
-				ss.srv.svc.Observe(msBetween(t0, t1))
-				ss.srv.served[r.op].Add(1)
-				ss.executed.Add(1)
-				r.done <- resps[i]
-			}
-			if committed == 0 {
-				// The whole batch was fenced: yield like the solo path so
-				// the fence holder's control steps make progress instead
-				// of the batch re-coalescing hot through the queue.
-				time.Sleep(50 * time.Microsecond)
-			}
-			continue
-		}
-		var resp response
-		var fenced bool
-		if req.ctl != nil {
-			resp = req.ctl(w, id)
-		} else {
-			t0 := time.Now()
-			resp, fenced = ss.execute(w, id, req)
-			if !fenced {
-				ss.srv.queueWait.Observe(msBetween(req.accepted, t0))
-				ss.srv.svc.Observe(msBetween(t0, time.Now()))
-			}
-		}
-		ss.drainMu.RUnlock()
-		if fenced {
-			ss.srv.fenced.Add(1)
-			req.fenceTries++
-			if req.fenceTries > maxFenceTries {
-				req.done <- response{Err: "shard fence held too long"}
-				continue
-			}
-			// Yield briefly so the fence holder's control steps (on the
-			// priority lane) make progress, then cycle the request.
-			time.Sleep(50 * time.Microsecond)
-			ss.requeue(req)
-			continue
-		}
-		if req.ctl == nil && !resp.moved {
-			ss.srv.served[req.op].Add(1)
-			ss.executed.Add(1)
+		resp, ok := ss.run(req, true)
+		if !ok {
+			resp = ss.stopAnswer(req)
 		}
 		req.done <- resp
 	}
+}
+
+// process is the shard's one execution body: it runs req on the leased
+// slot and returns its response, from whichever goroutine holds the
+// token. ran=false means a shrink retired the slot before anything
+// executed. Operations coalesced behind req (group commit) are answered on
+// their own reply channels.
+func (ss *shardState) process(slot int, req *request) (resp response, ran bool) {
+	s := ss.srv
+	// Fault-injection hooks (nil injector: one pointer compare). A fired
+	// shard-stall freezes every slot of this shard — each holder sleeps out
+	// the shared horizon — which is the no-progress signature the circuit
+	// breaker trips on.
+	if inj := s.opts.Fault; inj != nil {
+		if d, ok := inj.Fire(fault.ShardStall, ss.idx); ok {
+			ss.extendStall(time.Now().Add(d))
+		}
+		ss.sleepInjectedStall()
+		if req.ctl == nil {
+			if d, ok := inj.Fire(fault.OpDelay, ss.idx); ok {
+				time.Sleep(d)
+			}
+		}
+	}
+	// Deadline/cancellation gate: a data op whose client hung up or whose
+	// deadline passed is dropped here, never executed. Control steps are
+	// exempt — a fence release must always run.
+	if req.ctl == nil && req.expired(time.Now()) {
+		s.shedDeadline.Add(1)
+		return response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}, true
+	}
+	ss.drainMu.RLock()
+	if int64(slot) >= ss.active.Load() {
+		ss.drainMu.RUnlock()
+		return response{}, false
+	}
+	w := ss.workers[slot]
+	if req.ctl != nil {
+		resp = req.ctl(w, slot)
+		ss.drainMu.RUnlock()
+		if req.releases {
+			ss.fenceReleased()
+		}
+		return resp, true
+	}
+	// Group commit: with backlog behind this op, coalesce compatible
+	// queued data ops into the same transaction. Expired ops are excised
+	// during the drain, so a batch preserves per-op deadline semantics
+	// exactly.
+	var batch []*request
+	if s.opts.GroupCommit {
+		batch = ss.coalesce(req)
+	}
+	if batch == nil {
+		t0 := time.Now()
+		resp, fenced := ss.execute(w, slot, req)
+		t1 := time.Now()
+		ss.drainMu.RUnlock()
+		if fenced {
+			return response{fenced: true}, true
+		}
+		ss.account(req, resp, t0, t1)
+		return resp, true
+	}
+	t0 := time.Now()
+	resps, fencedOps := ss.executeBatch(w, slot, batch)
+	t1 := time.Now()
+	ss.drainMu.RUnlock()
+	committed := 0
+	for i, r := range batch {
+		if fencedOps[i] {
+			// Fenced ops no-op inside the transaction: their submitters
+			// wait for the release and retry.
+			resps[i] = response{fenced: true}
+		} else {
+			if !resps[i].moved {
+				committed++
+			}
+			ss.account(r, resps[i], t0, t1)
+		}
+		if i > 0 {
+			r.done <- resps[i]
+		}
+	}
+	// Only batches that actually coalesced work count as group commits.
+	if committed >= 2 {
+		s.groupCommits.Add(1)
+		s.batchSizes.Observe(float64(committed))
+	}
+	return resps[0], true
+}
+
+// account books one executed data operation: queue wait, service time and
+// the served/executed counters. A bounced operation (resp.moved) executed
+// nothing and is not booked.
+func (ss *shardState) account(req *request, resp response, t0, t1 time.Time) {
+	if resp.moved {
+		return
+	}
+	ss.srv.queueWait.Observe(msBetween(req.accepted, t0))
+	ss.srv.svc.Observe(msBetween(t0, t1))
+	ss.srv.served[req.op].Add(1)
+	ss.executed.Add(1)
+}
+
+// fenceReleased publishes that a control step which may have released one
+// of this shard's fences has committed, waking every waiter.
+func (ss *shardState) fenceReleased() {
+	ss.relGen.Add(1)
+	if ss.relWaiters.Load() == 0 {
+		return
+	}
+	ss.relMu.Lock()
+	close(ss.relCh)
+	ss.relCh = make(chan struct{})
+	ss.relMu.Unlock()
+}
+
+// awaitRelease waits until the shard's release generation moves past gen —
+// the value the caller read before the attempt a fence refused — or bound
+// elapses, and returns how long it waited. The caller holds no slot token.
+// The bound is what the fixed schedule would have slept, so a wake-up that
+// never comes (a fence cleared outside the protocol's release steps)
+// degrades to polling and liveness never rests on the notification.
+func (ss *shardState) awaitRelease(gen uint64, bound time.Duration) time.Duration {
+	s := ss.srv
+	t0 := time.Now()
+	ss.relWaiters.Add(1)
+	ss.relMu.Lock()
+	ch := ss.relCh
+	ss.relMu.Unlock()
+	// Registered before the generation check: a release that lands after
+	// the check sees the waiter and closes ch.
+	if ss.relGen.Load() == gen {
+		t := time.NewTimer(bound)
+		select {
+		case <-ch:
+			t.Stop()
+		case <-t.C:
+			s.fenceWaitTimeouts.Add(1)
+		}
+	}
+	ss.relWaiters.Add(-1)
+	d := time.Since(t0)
+	s.fenceWaits.Add(1)
+	s.fenceWaitNs.Add(uint64(d))
+	return d
 }
 
 // coalesce builds a group-commit batch behind first: a non-blocking
@@ -958,38 +1147,6 @@ drain:
 // msBetween converts a time span to milliseconds for the reservoirs.
 func msBetween(from, to time.Time) float64 {
 	return float64(to.Sub(from).Nanoseconds()) / 1e6
-}
-
-// requeue hands a request back after a shrink beat this worker to it or
-// a fence forced a retry. Control steps go back onto the priority lane —
-// they must keep their delivery guarantee and their precedence over
-// fenced data operations, and the lane has reserved capacity (crossSlots
-// bounds outstanding control steps, and this worker just freed a slot).
-// Data requests go back onto the admission queue with a bounded push: a
-// worker must never block forever on its own full queue (it may be the
-// only consumer), so after a grace period the request fails instead.
-func (ss *shardState) requeue(req *request) {
-	ss.srv.requeued.Add(1)
-	if req.ctl != nil {
-		select {
-		case ss.prio <- req:
-		case <-ss.stop:
-			req.done <- ss.stopAnswer(req)
-		}
-		return
-	}
-	for i := 0; i < 200; i++ {
-		select {
-		case ss.queue <- req:
-			return
-		case <-ss.stop:
-			req.done <- ss.stopAnswer(req)
-			return
-		default:
-		}
-		time.Sleep(time.Millisecond)
-	}
-	req.done <- response{Err: "admission queue full during requeue"}
 }
 
 // stopAnswer is the reply for a request caught by this shard's closed
@@ -1178,16 +1335,30 @@ func (s *Server) shedForLatency(ss *shardState) bool {
 	return s.queueWaitP99() > budgetMs
 }
 
-// submit admits one request to shard ss: a full queue — or a queue-wait
-// p99 over the SLO budget — rejects immediately (the 429 paths) rather
-// than stalling the client. The inflight registration precedes the
-// closed-check, so Close cannot observe an empty system while a submitter
-// is between its check and its enqueue.
+// submit admits one request to shard ss and executes it: on the calling
+// goroutine when a slot token is free, through the admission queue
+// otherwise — where a full queue, like a queue-wait p99 over the SLO
+// budget, rejects immediately (the 429 paths) rather than stalling the
+// client. An operation a cross-shard fence covers comes back unexecuted;
+// the submitter, holding no slot, waits for the fence's release and
+// retries. The inflight registration precedes the closed-check, so Close
+// cannot observe an empty system while a submitter is between its check
+// and its execution.
 func (s *Server) submit(ss *shardState, req *request) (response, int) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	if s.closed.Load() {
 		return response{Err: "server shutting down"}, http.StatusServiceUnavailable
+	}
+	var cancel <-chan struct{}
+	if req.ctx != nil {
+		if req.ctx.Err() != nil {
+			// Nobody is waiting for the answer: drop the op before it can
+			// take a slot or a queue place.
+			s.shedDeadline.Add(1)
+			return response{Err: "client canceled"}, 499
+		}
+		cancel = req.ctx.Done()
 	}
 	if ra := ss.breakerRetryAfter(time.Now()); ra > 0 {
 		// The shard's circuit breaker is open: it has queued work it is
@@ -1203,20 +1374,46 @@ func (s *Server) submit(ss *shardState, req *request) (response, int) {
 		s.shedLatency.Add(1)
 		return response{Err: "queue-wait p99 over SLO budget"}, http.StatusTooManyRequests
 	}
-	req.done = make(chan response, 1)
-	select {
-	case ss.queue <- req:
-		ss.routed.Add(1)
-	default:
-		s.rejected.Add(1)
-		return response{Err: "admission queue full"}, http.StatusTooManyRequests
-	}
-	var cancel <-chan struct{}
-	if req.ctx != nil {
-		cancel = req.ctx.Done()
-	}
-	select {
-	case resp := <-req.done:
+	for pass := 0; ; pass++ {
+		// Read before the attempt: a release that lands between a fenced
+		// attempt and the wait below must not be slept through.
+		gen := ss.relGen.Load()
+		resp, direct := ss.run(req, false)
+		if !direct {
+			if req.done == nil {
+				req.done = make(chan response, 1)
+			}
+			select {
+			case ss.queue <- req:
+			default:
+				s.rejected.Add(1)
+				return response{Err: "admission queue full"}, http.StatusTooManyRequests
+			}
+		}
+		if pass == 0 {
+			ss.routed.Add(1)
+		}
+		if !direct {
+			select {
+			case resp = <-req.done:
+			case <-cancel:
+				// The client hung up while the op was queued. Return at
+				// once; the worker that eventually dequeues the op sees the
+				// dead context and drops it (counted shed_deadline). The
+				// 499 mirrors the de-facto "client closed request" status
+				// — nobody is left to read it.
+				return response{Err: "client canceled"}, 499
+			}
+		}
+		if resp.fenced {
+			s.fenced.Add(1)
+			if req.fenceTries++; req.fenceTries > maxFenceTries {
+				return response{Err: "shard fence held too long"}, http.StatusServiceUnavailable
+			}
+			s.requeued.Add(1)
+			ss.awaitRelease(gen, fencedYield)
+			continue
+		}
 		s.lat.Observe(msBetween(req.accepted, time.Now()))
 		if resp.code != 0 {
 			return resp, resp.code
@@ -1225,13 +1422,6 @@ func (s *Server) submit(ss *shardState, req *request) (response, int) {
 			return resp, http.StatusServiceUnavailable
 		}
 		return resp, http.StatusOK
-	case <-cancel:
-		// The client hung up while the op was queued. Hand the slot back
-		// immediately; the worker that eventually dequeues the op sees
-		// the dead context and drops it (counted shed_deadline). The 499
-		// mirrors the de-facto "client closed request" status — nobody is
-		// left to read it.
-		return response{Err: "client canceled"}, 499
 	}
 }
 
@@ -1254,13 +1444,14 @@ func (s *Server) Close() error {
 	s.reshardMu.Lock()
 	s.reshardMu.Unlock() //nolint:staticcheck // barrier: wait out a live migration
 	// Every submission that passed the closed-check has registered in
-	// inflight, and the workers are still running, so waiting here both
+	// inflight, and the shards are still serving, so waiting here both
 	// drains the queues and guarantees every admitted request (including
-	// every cross-shard coordinator) got its reply before workers stop.
+	// every cross-shard coordinator) got its reply before the shards stop.
 	s.inflight.Wait()
 	var firstErr error
 	for _, ss := range s.fleet() {
 		close(ss.stop)
+		ss.quiesce()
 		ss.wg.Wait()
 		ss.sys.OnReconfigure(nil)
 		s.opts.Logf("serve: shard %d drained (final config %s)", ss.idx, ss.sys.CurrentConfig())
@@ -1366,11 +1557,12 @@ func (s *Server) submitRouted(req *request) (response, int) {
 func (s *Server) opHandler(op opKind, params ...string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req := &request{op: op, ctx: r.Context()}
-		if ok := parseDeadline(w, r, req); !ok {
+		q := r.URL.Query()
+		if ok := parseDeadline(w, q, req); !ok {
 			return
 		}
 		for _, name := range params {
-			raw := r.URL.Query().Get(name)
+			raw := q.Get(name)
 			v, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
 				writeJSON(w, http.StatusBadRequest, response{Err: fmt.Sprintf("parameter %q: want uint64, got %q", name, raw)})
@@ -1399,11 +1591,12 @@ func (s *Server) opHandler(op opKind, params ...string) http.HandlerFunc {
 // plain single-shard transaction with no fence protocol at all.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	var lo, hi uint64
+	q := r.URL.Query()
 	for _, p := range []struct {
 		name string
 		dst  *uint64
 	}{{"lo", &lo}, {"hi", &hi}} {
-		raw := r.URL.Query().Get(p.name)
+		raw := q.Get(p.name)
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, response{Err: fmt.Sprintf("parameter %q: want uint64, got %q", p.name, raw)})
@@ -1419,17 +1612,18 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		hi = lo + s.opts.MaxScanSpan
 	}
 	req := &request{op: opRange, lo: lo, hi: hi, ctx: r.Context()}
-	if ok := parseDeadline(w, r, req); !ok {
+	if ok := parseDeadline(w, q, req); !ok {
 		return
 	}
 	resp, code := s.submitCross(req)
 	writeResp(w, code, resp)
 }
 
-// parseDeadline reads the optional deadline_ms query parameter into
-// req.budget, answering 400 (and returning false) on a malformed value.
-func parseDeadline(w http.ResponseWriter, r *http.Request, req *request) bool {
-	raw := r.URL.Query().Get("deadline_ms")
+// parseDeadline reads the optional deadline_ms parameter of the request's
+// parsed query into req.budget, answering 400 (and returning false) on a
+// malformed value.
+func parseDeadline(w http.ResponseWriter, q url.Values, req *request) bool {
+	raw := q.Get("deadline_ms")
 	if raw == "" {
 		return true
 	}
@@ -1447,7 +1641,8 @@ func parseDeadline(w http.ResponseWriter, r *http.Request, req *request) bool {
 // participating shard.
 func (s *Server) batchHandler(op opKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		keys, err := parseUintList(r.URL.Query().Get("keys"))
+		q := r.URL.Query()
+		keys, err := parseUintList(q.Get("keys"))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, response{Err: fmt.Sprintf("parameter \"keys\": %v", err)})
 			return
@@ -1461,11 +1656,11 @@ func (s *Server) batchHandler(op opKind) http.HandlerFunc {
 			return
 		}
 		req := &request{op: op, keys: keys, ctx: r.Context()}
-		if ok := parseDeadline(w, r, req); !ok {
+		if ok := parseDeadline(w, q, req); !ok {
 			return
 		}
 		if op == opMPut {
-			vals, err := parseUintList(r.URL.Query().Get("vals"))
+			vals, err := parseUintList(q.Get("vals"))
 			if err != nil {
 				writeJSON(w, http.StatusBadRequest, response{Err: fmt.Sprintf("parameter \"vals\": %v", err)})
 				return

@@ -128,12 +128,20 @@ type ShardStatus struct {
 // OpsStatus counts served operations by kind, plus admission and
 // cross-shard commit outcomes.
 type OpsStatus struct {
-	Served    map[string]uint64 `json:"served"`
-	Total     uint64            `json:"total"`
-	Rejected  uint64            `json:"rejected"`
-	Requeued  uint64            `json:"requeued"`
-	HookFires uint64            `json:"reconfigure_hook_fires"`
-	Drains    uint64            `json:"drains"`
+	Served   map[string]uint64 `json:"served"`
+	Total    uint64            `json:"total"`
+	Rejected uint64            `json:"rejected"`
+	// Requeued counts passes that executed nothing and had to be repeated:
+	// a fenced operation's retries plus slots a shrink retired between
+	// lease and execution.
+	Requeued uint64 `json:"requeued"`
+	// Direct counts requests (data operations and control steps) executed
+	// on their submitter's goroutine under a leased slot; Queued those
+	// that found no free slot and went through a lane to a queue worker.
+	Direct    uint64 `json:"direct"`
+	Queued    uint64 `json:"queued"`
+	HookFires uint64 `json:"reconfigure_hook_fires"`
+	Drains    uint64 `json:"drains"`
 	// ShedDeadline counts queued ops dropped unexecuted (deadline passed
 	// or client hung up); ShedLatency counts admissions rejected because
 	// queue-wait p99 crossed the SLO budget — the two tail-latency shed
@@ -142,13 +150,21 @@ type OpsStatus struct {
 	ShedLatency  uint64 `json:"shed_latency"`
 	// CrossOps counts committed cross-shard (multi-participant) commits;
 	// CrossAborts counts abort-all retries of the acquire phase; Fenced
-	// counts local operations requeued because a fence was held.
+	// counts attempts of local operations that came back unexecuted
+	// because a fence was held.
 	CrossOps    uint64 `json:"cross_ops"`
 	CrossAborts uint64 `json:"cross_aborts"`
 	Fenced      uint64 `json:"fenced_requeues"`
-	// CrossBackoffMs totals the acquire-phase backoff sleeps (capped
-	// exponential with seeded jitter) across all coordinators.
+	// CrossBackoffMs totals the measured acquire-phase waits of aborted
+	// coordinators (each ends at the blocking shard's next release, or at
+	// the capped, jittered exponential backoff).
 	CrossBackoffMs float64 `json:"cross_backoff_ms"`
+	// FenceWaits counts waits for a fence release — fenced operations and
+	// aborted coordinators alike; FenceWaitTimeouts those that ran out
+	// their bound without a wake-up; FenceWaitMs their measured total.
+	FenceWaits        uint64  `json:"fence_waits"`
+	FenceWaitTimeouts uint64  `json:"fence_wait_timeouts"`
+	FenceWaitMs       float64 `json:"fence_wait_ms"`
 	// CrossCrashes counts injected coordinator crashes (fault
 	// substrate); FenceRecovered counts orphaned fence batches the
 	// failure detector recovered — FenceRolledForward of them re-applied
@@ -389,6 +405,8 @@ func (s *Server) StatusSnapshot() Status {
 			Total:              servedTotal,
 			Rejected:           s.rejected.Load(),
 			Requeued:           s.requeued.Load(),
+			Direct:             s.directOps.Load(),
+			Queued:             s.queuedOps.Load(),
 			HookFires:          s.hookFires.Load(),
 			Drains:             s.drains.Load(),
 			ShedDeadline:       s.shedDeadline.Load(),
@@ -397,6 +415,9 @@ func (s *Server) StatusSnapshot() Status {
 			CrossAborts:        s.crossAborts.Load(),
 			Fenced:             s.fenced.Load(),
 			CrossBackoffMs:     float64(s.crossBackoffNs.Load()) / 1e6,
+			FenceWaits:         s.fenceWaits.Load(),
+			FenceWaitTimeouts:  s.fenceWaitTimeouts.Load(),
+			FenceWaitMs:        float64(s.fenceWaitNs.Load()) / 1e6,
 			CrossCrashes:       s.crossCrashes.Load(),
 			FenceRecovered:     s.fenceRecovered.Load(),
 			FenceRolledForward: s.fenceRolledForward.Load(),
