@@ -232,10 +232,14 @@ func BenchmarkGroupCommit(b *testing.B) { runSuitePrefix(b, "GroupCommit") }
 // one surrogate query, one whole optimization, and model selection.
 func BenchmarkTuner(b *testing.B) { runSuitePrefix(b, "Tuner") }
 
-// BenchmarkServe covers the serve layer's in-process submit path — lease,
-// transaction, reply, and for mput4x2 the cross-shard commit — with no
-// HTTP or JSON around it.
+// BenchmarkServe covers the serve layer: building a server (empty and
+// preloaded), the in-process submit path — lease, transaction, reply, and
+// for mput4x2 the cross-shard commit — and the same operations through
+// ServeHTTP, whose extra cost is the HTTP shell's.
 func BenchmarkServe(b *testing.B) { runSuitePrefix(b, "Serve") }
+
+// BenchmarkSystem covers booting a pinned System through the public API.
+func BenchmarkSystem(b *testing.B) { runSuitePrefix(b, "System") }
 
 // BenchmarkThreadGate is the Algorithm-1 ablation: fetch-and-add gating vs a
 // compare-and-swap loop for the enter/exit pair.

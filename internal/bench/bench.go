@@ -135,6 +135,20 @@ func PublicAPI(b *testing.B) {
 	}
 }
 
+// SystemOpen measures one proteustm.Open (and Close) of a pinned System —
+// default 4 Mi-word heap, no tuner — with the given number of worker slots:
+// what every shard, every split and every benchmark System pays to boot.
+func SystemOpen(b *testing.B, workers int) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := proteustm.Open(proteustm.WithWorkers(workers))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Close() //nolint:errcheck // pinned: nothing to stop
+	}
+}
+
 // DispatchPolyTM runs the counter workload through PolyTM's gated dispatch
 // at 4 threads (pair with CounterTx on the bare algorithm for the Table-4
 // overhead delta).
@@ -224,8 +238,11 @@ type Case struct {
 // counter workload for every backend at 1, 4 and 8 threads, the write-heavy
 // workload at 1 and 4 threads, the PolyTM dispatch pair, the group-commit
 // amortization pair, the public API path, the tuner's decision path
-// (surrogate query, one optimization, model selection), and the serve
-// layer's in-process submit path (get, put, a four-key two-shard mput).
+// (surrogate query, one optimization, model selection), start-up (one pinned
+// System at 2 and 8 workers; one two-shard server, empty and preloaded), and
+// the serve layer's get, put and four-key two-shard mput — through the
+// in-process submit path and through ServeHTTP, so the difference is the
+// HTTP shell's cost with nothing contending for it.
 func Suite() []Case {
 	var cases []Case
 	for _, name := range AlgorithmNames {
@@ -255,12 +272,26 @@ func Suite() []Case {
 		Case{Name: "Tuner/Optimize", Fn: TunerOptimize},
 		Case{Name: "Tuner/SelectModel", Fn: TunerSelectModel},
 	)
-	for _, kind := range []string{"get", "put", "mput4x2"} {
-		kind := kind
+	for _, workers := range []int{2, 8} {
 		cases = append(cases, Case{
-			Name: "Serve/submit/" + kind,
-			Fn:   func(b *testing.B) { serve.BenchSubmit(b, kind) },
+			Name: fmt.Sprintf("System/Open/%dw", workers),
+			Fn:   func(b *testing.B) { SystemOpen(b, workers) },
 		})
+	}
+	cases = append(cases,
+		Case{Name: "Serve/New/empty", Fn: func(b *testing.B) { serve.BenchNew(b, 0) }},
+		Case{Name: "Serve/New/preload131072", Fn: func(b *testing.B) { serve.BenchNew(b, 131072) }},
+	)
+	for _, entry := range []struct {
+		name string
+		body func(*testing.B, string)
+	}{{"submit", serve.BenchSubmit}, {"http", serve.BenchHTTP}} {
+		for _, kind := range []string{"get", "put", "mput4x2"} {
+			cases = append(cases, Case{
+				Name: "Serve/" + entry.name + "/" + kind,
+				Fn:   func(b *testing.B) { entry.body(b, kind) },
+			})
+		}
 	}
 	return cases
 }

@@ -154,7 +154,15 @@ type ReconfigEvent struct {
 // Runtime is a live ProteusTM instance.
 type Runtime struct {
 	Pool *polytm.Pool
-	Rec  *rectm.Recommender
+
+	// The recommender is trained when tuning starts, not when the runtime
+	// boots: prepared holds the fitted normalizer (which fixed the boot
+	// configuration), and the first exploration phase — whichever goroutine
+	// runs it — builds rec (or recErr) from it under recOnce.
+	prepared *rectm.Prepared
+	recOnce  sync.Once
+	rec      *rectm.Recommender
+	recErr   error
 
 	opts    Options
 	cfgs    []config.Config
@@ -176,8 +184,12 @@ type Runtime struct {
 	lastOps   uint64
 }
 
-// New builds the runtime: trains the recommender on the offline UM and
-// creates the PolyTM pool in the recommender's reference configuration.
+// New builds the runtime: it fits the rating normalizer on the offline UM and
+// creates the PolyTM pool in the reference configuration that fit selects.
+// Model selection and the ensemble fit — the expensive part of training —
+// wait for the first exploration phase (see recommender), so a runtime that
+// is never tuned never pays for them, and a tuned one serves in its
+// reference configuration while the model trains.
 func New(opts Options) (*Runtime, error) {
 	if len(opts.Configs) == 0 {
 		return nil, fmt.Errorf("core: no configurations")
@@ -210,11 +222,11 @@ func New(opts Options) (*Runtime, error) {
 	if opts.Clock == nil {
 		opts.Clock = RealTime()
 	}
-	rec, err := rectm.Train(opts.TrainKPI, opts.KPI.HigherIsBetter(), rectm.Options{Seed: opts.Seed, Learners: 10})
+	prepared, err := rectm.Prepare(opts.TrainKPI, opts.KPI.HigherIsBetter(), rectm.Options{Seed: opts.Seed, Learners: 10})
 	if err != nil {
 		return nil, fmt.Errorf("core: training recommender: %w", err)
 	}
-	initial := opts.Configs[rec.RefCol()]
+	initial := opts.Configs[prepared.RefCol()]
 	pool := polytm.New(opts.HeapWords, opts.MaxThreads, initial)
 	cus := monitor.NewCUSUM()
 	if opts.MonitorMinDwell != 0 {
@@ -225,7 +237,7 @@ func New(opts Options) (*Runtime, error) {
 	}
 	return &Runtime{
 		Pool:       pool,
-		Rec:        rec,
+		prepared:   prepared,
 		opts:       opts,
 		cfgs:       opts.Configs,
 		clock:      opts.Clock,
@@ -330,9 +342,30 @@ func (rt *Runtime) adapterLoop() {
 	}
 }
 
-// optimizePhase runs one SMBO exploration and installs the winner.
-func (rt *Runtime) optimizePhase(reason string) {
+// recommender returns the trained recommender, training it on first use.
+// An auto-tuned runtime gets here on its adapter goroutine, a harness-driven
+// one on the goroutine that calls ExploreSync; either way the application
+// keeps running in the reference configuration meanwhile.
+func (rt *Runtime) recommender() (*rectm.Recommender, error) {
+	rt.recOnce.Do(func() {
+		trainings.Add(1)
+		rt.rec, rt.recErr = rt.prepared.Train()
+		rt.prepared = nil
+	})
+	return rt.rec, rt.recErr
+}
+
+// trainings counts recommender trainings process-wide; tests read it to
+// prove that a runtime nobody tunes never trains.
+var trainings atomic.Int64
+
+// explore runs one exploration phase: the recommender picks candidate
+// configurations by Expected Improvement, measure profiles each, and the
+// best explored configuration is installed. A runtime whose model cannot be
+// trained keeps its configuration; the phase is logged with the reason.
+func (rt *Runtime) explore(reason string, measure func(config.Config) float64) rectm.OptResult {
 	rt.exploring.Store(true)
+	defer rt.exploring.Store(false)
 	rt.mu.Lock()
 	rt.phases++
 	phase := rt.phases
@@ -340,20 +373,32 @@ func (rt *Runtime) optimizePhase(reason string) {
 	rt.mu.Unlock()
 	before := rt.Pool.Config()
 
-	res := rt.Rec.Optimize(func(i int) float64 {
-		return rt.profileConfig(rt.cfgs[i])
-	}, nil, smbo.Options{
-		Policy:          smbo.EI,
-		Stop:            smbo.StopCautious,
-		Epsilon:         rt.opts.Epsilon,
-		MaxExplorations: rt.opts.MaxExplorations,
-		Seed:            seed,
-	})
+	res := rectm.OptResult{Best: -1}
+	rec, err := rt.recommender()
+	if err != nil {
+		reason += ": " + err.Error()
+	} else {
+		res = rec.Optimize(func(i int) float64 {
+			return measure(rt.cfgs[i])
+		}, nil, smbo.Options{
+			Policy:          smbo.EI,
+			Stop:            smbo.StopCautious,
+			Epsilon:         rt.opts.Epsilon,
+			MaxExplorations: rt.opts.MaxExplorations,
+			Seed:            seed,
+		})
+	}
 	if res.Best >= 0 {
 		rt.Pool.Reconfigure(rt.cfgs[res.Best]) //nolint:errcheck // validated configs
 	}
 	rt.recordReconfig(before, rt.Pool.Config(), reason, phase)
-	rt.exploring.Store(false)
+	return res
+}
+
+// optimizePhase runs one SMBO exploration on live KPI windows and installs
+// the winner.
+func (rt *Runtime) optimizePhase(reason string) {
+	rt.explore(reason, rt.profileConfig)
 	// Re-anchor the detector on the installed configuration's level.
 	settle := rt.measureWindowAfter(rt.opts.SettleTime)
 	rt.cus.Reset(settle)
@@ -474,34 +519,11 @@ func (rt *Runtime) ResetMonitor(level float64) { rt.cus.Reset(level) }
 // Configs returns the tuned configuration space (the UM columns).
 func (rt *Runtime) Configs() []config.Config { return rt.cfgs }
 
-// ExploreSync runs one exploration phase synchronously: the recommender
-// picks candidate configurations by Expected Improvement, measure profiles
-// each one (installing it, running the workload, and returning the KPI —
-// all on the calling goroutine), and the best explored configuration is
-// installed. Seeding matches the adapter thread's optimizePhase, so a
-// fixed Options.Seed yields an identical exploration sequence.
+// ExploreSync runs one exploration phase synchronously: measure profiles
+// each candidate configuration (installing it, running the workload, and
+// returning the KPI — all on the calling goroutine). Seeding matches the
+// adapter thread's optimizePhase, so a fixed Options.Seed yields an
+// identical exploration sequence.
 func (rt *Runtime) ExploreSync(measure func(config.Config) float64) rectm.OptResult {
-	rt.exploring.Store(true)
-	rt.mu.Lock()
-	rt.phases++
-	phase := rt.phases
-	seed := rt.opts.Seed + uint64(rt.phases)*0x9E3779B97F4A7C15
-	rt.mu.Unlock()
-	before := rt.Pool.Config()
-
-	res := rt.Rec.Optimize(func(i int) float64 {
-		return measure(rt.cfgs[i])
-	}, nil, smbo.Options{
-		Policy:          smbo.EI,
-		Stop:            smbo.StopCautious,
-		Epsilon:         rt.opts.Epsilon,
-		MaxExplorations: rt.opts.MaxExplorations,
-		Seed:            seed,
-	})
-	if res.Best >= 0 {
-		rt.Pool.Reconfigure(rt.cfgs[res.Best]) //nolint:errcheck // validated configs
-	}
-	rt.recordReconfig(before, rt.Pool.Config(), "sync", phase)
-	rt.exploring.Store(false)
-	return res
+	return rt.explore("sync", measure)
 }

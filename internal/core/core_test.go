@@ -1,17 +1,22 @@
 package core_test
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	proteustm "repro"
 	"repro/internal/cf"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
+	"repro/internal/rectm"
+	"repro/internal/smbo"
 	"repro/internal/tm"
 )
 
@@ -83,9 +88,11 @@ func TestRuntimeOptimizesAndReacts(t *testing.T) {
 	}
 
 	rt.Start()
-	// Wait for the initial optimization phase to complete (generously:
+	// Wait for the initial optimization phase to complete (generously: the
+	// phase first trains the recommender, on the adapter goroutine and in
+	// competition with the four workers above — seconds under -race — and
 	// the test may share the machine with parallel benchmark load).
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	for rt.Phases() < 1 || rt.Exploring() {
 		if time.Now().After(deadline) {
 			t.Fatalf("no initial optimization phase ran")
@@ -203,5 +210,140 @@ func TestExploreSyncIsDeterministic(t *testing.T) {
 	}
 	if len(rt.Configs()) != len(cfgs) {
 		t.Fatalf("Configs() returned %d entries", len(rt.Configs()))
+	}
+}
+
+// TestPinnedSystemNeverTrains: a System opened without auto-tuning, pinned
+// by hand and driven with traffic never runs model selection — the
+// recommender is the tuner's, and nothing here tunes.
+func TestPinnedSystemNeverTrains(t *testing.T) {
+	before := core.Trainings()
+	sys, err := proteustm.Open(proteustm.WithWorkers(2), proteustm.WithHeapWords(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetConfig(proteustm.Config{Alg: proteustm.NOrec, Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	a := sys.MustAlloc(1)
+	for i := 0; i < 2; i++ {
+		if err := sys.Spawn(func(w *proteustm.Worker) {
+			for n := 0; n < 1000; n++ {
+				w.Atomic(func(tx proteustm.Txn) { tx.Store(a, tx.Load(a)+1) })
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Wait()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Load(a); got != 2000 {
+		t.Fatalf("counter = %d, want 2000", got)
+	}
+	if n := core.Trainings() - before; n != 0 {
+		t.Fatalf("a pinned System trained %d recommender(s)", n)
+	}
+}
+
+// TestFirstExploreMatchesEagerTraining: the recommender a fresh Runtime
+// builds at its first exploration is the one rectm.Train builds eagerly from
+// the same matrix and seed — same boot configuration, and bit-identical
+// exploration results, phase after phase.
+func TestFirstExploreMatchesEagerTraining(t *testing.T) {
+	cfgs := testConfigs()
+	train := trainFor(cfgs)
+	const seed = 11
+	kpiOf := func(c config.Config) float64 {
+		return float64(c.Threads)*1.37 + float64(c.Alg)*0.61
+	}
+	before := core.Trainings()
+	rt, err := core.New(core.Options{
+		HeapWords: 1 << 12, Configs: cfgs, TrainKPI: train, Seed: seed,
+		Clock: core.NewVirtualClock(time.Time{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := core.Trainings() - before; n != 0 {
+		t.Fatalf("New trained %d recommender(s)", n)
+	}
+	rec, err := rectm.Train(train, true, rectm.Options{Seed: seed, Learners: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rt.Pool.Config(), cfgs[rec.RefCol()]; got != want {
+		t.Fatalf("booted in %v, the eager recommender's reference is %v", got, want)
+	}
+	for phase := uint64(1); phase <= 2; phase++ {
+		got := rt.ExploreSync(kpiOf)
+		want := rec.Optimize(func(i int) float64 { return kpiOf(cfgs[i]) }, nil, smbo.Options{
+			Policy: smbo.EI, Stop: smbo.StopCautious, Epsilon: 0.01, MaxExplorations: 10,
+			Seed: seed + phase*0x9E3779B97F4A7C15,
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("phase %d: lazy runtime explored %+v, eager recommender %+v", phase, got, want)
+		}
+	}
+	if n := core.Trainings() - before; n != 1 {
+		t.Fatalf("two explorations trained %d recommenders, want 1", n)
+	}
+}
+
+// TestFirstBuildRaces starts the adapter (whose startup phase trains the
+// recommender) and immediately races ForceReoptimize, ExploreSync from other
+// goroutines and Stop against that first build. Run under -race.
+func TestFirstBuildRaces(t *testing.T) {
+	cfgs := testConfigs()
+	before := core.Trainings()
+	rt, err := core.New(core.Options{
+		HeapWords: 1 << 12, MaxThreads: 4, Configs: cfgs, TrainKPI: trainFor(cfgs), Seed: 5,
+		SamplePeriod: 2 * time.Millisecond, SettleTime: time.Millisecond, MaxExplorations: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.ForceReoptimize()
+			if res := rt.ExploreSync(func(c config.Config) float64 { return float64(c.Threads) }); res.Best < 0 {
+				t.Error("ExploreSync racing the first build recommended nothing")
+			}
+		}()
+	}
+	rt.Stop()
+	wg.Wait()
+	if n := core.Trainings() - before; n != 1 {
+		t.Fatalf("trained %d recommenders, want exactly 1", n)
+	}
+	if rt.Phases() < 4 {
+		t.Fatalf("phases = %d, want the startup phase and three synchronous ones", rt.Phases())
+	}
+}
+
+// TestUntrainableModelKeepsServing: a matrix the normalizer accepts but
+// cross-validation cannot score (one row) boots, stays in its reference
+// configuration when asked to explore, and logs why.
+func TestUntrainableModelKeepsServing(t *testing.T) {
+	cfgs := testConfigs()
+	one := trainFor(cfgs)
+	one.Rows, one.Data = 1, one.Data[:1]
+	rt, err := core.New(core.Options{HeapWords: 1 << 12, Configs: cfgs, TrainKPI: one, Seed: 3,
+		Clock: core.NewVirtualClock(time.Time{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := rt.Pool.Config()
+	if res := rt.ExploreSync(func(config.Config) float64 { return 1 }); res.Best != -1 || len(res.Explored) != 0 {
+		t.Fatalf("explored %+v without a model", res)
+	}
+	ev := rt.Reconfigurations()
+	if len(ev) != 1 || ev[0].From != boot || ev[0].To != boot || !strings.Contains(ev[0].Reason, "no candidate") {
+		t.Fatalf("reconfiguration log = %+v", ev)
 	}
 }

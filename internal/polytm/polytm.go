@@ -154,7 +154,8 @@ func (p *Pool) SetNonStoppable(t int, v bool) { p.nonStoppable[t].Store(v) }
 // installed configuration, retrying until commit. It is PolyTM's
 // implementation of the TM ABI's tm_begin/tm_end pair: each attempt passes
 // through the thread gate, so reconfigurations are observed even by
-// transactions stuck in retry storms.
+// transactions stuck in retry storms. A panic raised by fn propagates to the
+// caller with the attempt aborted and the gate left.
 func (p *Pool) Atomic(t int, fn func(tm.Txn)) {
 	c := p.ctxs[t]
 	c.Attempts = 0
@@ -163,7 +164,7 @@ func (p *Pool) Atomic(t int, fn func(tm.Txn)) {
 		p.gateEnter(t)
 		alg := p.algs[config.AlgID(p.mode.Load())]
 		alg.Begin(c)
-		code, ok := tm.Attempt(alg, c, fn)
+		code, ok, foreign := tm.Attempt(alg, c, fn)
 		if ok {
 			c.Stats.IncCommit()
 			p.gateExit(t)
@@ -171,6 +172,13 @@ func (p *Pool) Atomic(t int, fn func(tm.Txn)) {
 		}
 		c.AbortReason = code
 		alg.Abort(c)
+		if foreign != nil {
+			// fn itself panicked: the attempt is released, so leave the
+			// gate too (a set RUN bit would hang every later Reconfigure
+			// and SnapshotStats) and let the panic continue.
+			p.gateExit(t)
+			panic(foreign)
+		}
 		c.Stats.Record(code)
 		c.Attempts++
 		p.gateExit(t)

@@ -1,6 +1,7 @@
 package polytm_test
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,4 +207,63 @@ func TestCMReconfigureIsImmediate(t *testing.T) {
 		t.Fatal("CM-only reconfiguration blocked on a running transaction")
 	}
 	close(release)
+}
+
+// TestPanickingBlockLeavesPoolLive: an atomic block that panics (here with
+// the heap's own exhaustion error, the way a node pool does) must reach the
+// caller with its attempt aborted and the thread gate left, on every backend
+// and on HTM's fallback path too: a second thread then commits on the same
+// words, the panicking slot commits again, and SnapshotStats and Reconfigure
+// — which wait on the RUN bit — return.
+func TestPanickingBlockLeavesPoolLive(t *testing.T) {
+	cfgs := make(map[string]config.Config)
+	for alg := config.AlgID(0); int(alg) < config.NumAlgs; alg++ {
+		cfgs[alg.String()] = baseCfg(alg, 2)
+	}
+	cfgs["htm-fallback"] = config.Config{Alg: config.HTM, Threads: 2} // budget 0: every attempt takes the fallback lock
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			p := polytm.New(64, 2, cfg)
+			a := p.Heap().MustAlloc(1)
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				p.Atomic(0, func(tx tm.Txn) {
+					tx.Store(a, tx.Load(a)+7)
+					p.Heap().MustAlloc(1 << 10)
+				})
+			}()
+			if err, ok := got.(error); !ok || !errors.Is(err, tm.ErrHeapExhausted) {
+				t.Fatalf("recovered %v, want the heap-exhausted error", got)
+			}
+			live := make(chan struct{})
+			go func() {
+				defer close(live)
+				p.Atomic(1, func(tx tm.Txn) { tx.Store(a, tx.Load(a)+1) })
+				p.Atomic(0, func(tx tm.Txn) { tx.Store(a, tx.Load(a)+1) })
+				if st := p.SnapshotStats(); st.Commits != 2 {
+					t.Errorf("commits = %d, want 2 (the panicking block must not count)", st.Commits)
+				}
+				next := baseCfg((cfg.Alg+1)%config.AlgID(config.NumAlgs), 1)
+				if err := p.Reconfigure(next); err != nil {
+					t.Error(err)
+				}
+				p.Atomic(0, func(tx tm.Txn) { tx.Store(a, tx.Load(a)+1) })
+			}()
+			select {
+			case <-live:
+			case <-time.After(5 * time.Second):
+				t.Fatal("pool wedged after a panicking atomic block")
+			}
+			// The global lock writes in place and cannot roll back; every
+			// other backend must have discarded the panicking block's store.
+			want := uint64(3)
+			if cfg.Alg == config.GlobalLock {
+				want += 7
+			}
+			if v := p.Heap().LoadWord(a); v != want {
+				t.Errorf("word = %d, want %d", v, want)
+			}
+		})
+	}
 }

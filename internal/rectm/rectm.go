@@ -46,10 +46,23 @@ type Recommender struct {
 	Cols int
 }
 
-// Train builds a Recommender from a training KPI matrix (rows = profiled
+// Prepared is the cheap half of Train: the normalizer fitted on the training
+// matrix and the matrix distilled to ratings. It already knows the reference
+// configuration, which is all a runtime needs to boot; Train on it does the
+// expensive half (model selection, ensemble fit) whenever the model is first
+// wanted — internal/core does so when tuning starts, so a System that never
+// tunes never pays for cross-validation.
+type Prepared struct {
+	higherIsBetter bool
+	norm           cf.Normalizer
+	ratings        *cf.Matrix
+	opts           Options
+}
+
+// Prepare fits the normalizer on a training KPI matrix (rows = profiled
 // workloads, columns = configurations, entries = raw KPI values; NaN where
-// unprofiled).
-func Train(trainKPI *cf.Matrix, higherIsBetter bool, opts Options) (*Recommender, error) {
+// unprofiled) and fails exactly where Train would fail on the matrix itself.
+func Prepare(trainKPI *cf.Matrix, higherIsBetter bool, opts Options) (*Prepared, error) {
 	goodness := cf.GoodnessMatrix(trainKPI, higherIsBetter)
 	norm := opts.Normalizer
 	if norm == nil {
@@ -59,11 +72,20 @@ func Train(trainKPI *cf.Matrix, higherIsBetter bool, opts Options) (*Recommender
 		return nil, fmt.Errorf("rectm: normalizer fit: %w", err)
 	}
 	ratings, _ := cf.NormalizeMatrix(norm, goodness)
+	return &Prepared{higherIsBetter: higherIsBetter, norm: norm, ratings: ratings, opts: opts}, nil
+}
 
+// RefCol is the reference configuration of the Recommender Train will return.
+func (p *Prepared) RefCol() int { return refCol(p.norm) }
+
+// Train selects the CF model by cross-validation (unless Options.Predictor
+// pins it) and fits the bagging ensemble.
+func (p *Prepared) Train() (*Recommender, error) {
+	opts := p.opts
 	newPred := opts.Predictor
 	selected := "fixed"
 	if newPred == nil {
-		best, _ := cf.SelectModel(ratings, cf.DefaultCandidates(), opts.CVFolds, opts.SearchBudget, opts.Seed)
+		best, _ := cf.SelectModel(p.ratings, cf.DefaultCandidates(), opts.CVFolds, opts.SearchBudget, opts.Seed)
 		if best.New == nil {
 			return nil, fmt.Errorf("rectm: model selection produced no candidate")
 		}
@@ -75,20 +97,32 @@ func Train(trainKPI *cf.Matrix, higherIsBetter bool, opts Options) (*Recommender
 		New:      func(i int) cf.Predictor { return newPred() },
 		Seed:     opts.Seed,
 	}
-	ens.Fit(ratings)
+	ens.Fit(p.ratings)
 	return &Recommender{
-		HigherIsBetter: higherIsBetter,
-		Norm:           norm,
+		HigherIsBetter: p.higherIsBetter,
+		Norm:           p.norm,
 		Ensemble:       ens,
 		Selected:       selected,
-		Cols:           trainKPI.Cols,
+		Cols:           p.ratings.Cols,
 	}, nil
+}
+
+// Train builds a Recommender from a training KPI matrix: Prepare, then the
+// model selection and ensemble fit, in one call.
+func Train(trainKPI *cf.Matrix, higherIsBetter bool, opts Options) (*Recommender, error) {
+	p, err := Prepare(trainKPI, higherIsBetter, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Train()
 }
 
 // RefCol returns the reference configuration the Controller should profile
 // first: the distillation reference when available, otherwise column 0.
-func (r *Recommender) RefCol() int {
-	if d, ok := r.Norm.(*cf.Distiller); ok {
+func (r *Recommender) RefCol() int { return refCol(r.Norm) }
+
+func refCol(norm cf.Normalizer) int {
+	if d, ok := norm.(*cf.Distiller); ok {
 		return d.RefCol
 	}
 	return 0

@@ -257,6 +257,15 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 				s.releaseParts(rec)
 				return response{}, 0, true
 			}
+			if req.op == opMPut && !fleet[p.shard].store.kv.Room(len(p.idx)) {
+				// Refuse the batch while nothing is decided rather than let
+				// phase 2 fail on this shard with other parts applied. Best
+				// effort: a local put that allocates before the fence lands
+				// can still take the room, and the apply then answers 507
+				// with the batch applied in part.
+				s.releaseParts(rec)
+				return heapFull, heapFull.code, false
+			}
 			gen := fleet[p.shard].relGen.Load()
 			r := s.ctlAcquire(fleet[p.shard], token, partSig(req, p))
 			if r.Err != "" {

@@ -793,6 +793,18 @@ func TestLoadgenSkewedAgainstShardedServer(t *testing.T) {
 		SamplePeriod: 20 * time.Millisecond,
 		Seed:         3,
 	})
+	// Each shard's tuner trains its recommender when it starts, serving in
+	// the reference configuration meanwhile. Under -race that is seconds of
+	// CPU, which would leave a 400 ms session too few operations to contain
+	// an mput: start it once every startup phase is over.
+	waitUntil(t, time.Minute, "every shard's tuner to finish its startup phase", func() bool {
+		for i := 0; i < s.Shards(); i++ {
+			if sys := s.ShardSystem(i); sys.Phases() < 1 || sys.Exploring() {
+				return false
+			}
+		}
+		return true
+	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/shard"
+	"repro/internal/tm"
 )
 
 // opKind identifies one service operation.
@@ -626,24 +628,35 @@ func newServer(opts Options) (*Server, error) {
 		batchSizes:   metrics.NewReservoir(opts.LatencyWindow),
 	}
 	s.jitterState.Store(opts.Seed | 1)
-	fleet := make([]*shardState, 0, opts.Shards)
-	for i := 0; i < opts.Shards; i++ {
-		ss, err := s.newShard(i)
-		if err != nil {
-			for _, prev := range fleet {
-				prev.sys.Close() //nolint:errcheck // already failing
+	// Shards share nothing until they serve (own heap, own seed), so each is
+	// built and preloaded on its own goroutine; the result is the same bytes
+	// as building them in turn.
+	keys := preloadKeys(part, opts.Preload)
+	fleet := make([]*shardState, opts.Shards)
+	errs := make([]error, opts.Shards)
+	var wg sync.WaitGroup
+	for i := range fleet {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if fleet[i], errs[i] = s.newShard(i); errs[i] == nil {
+				errs[i] = fleet[i].preload(keys[i])
 			}
-			return nil, err
-		}
-		fleet = append(fleet, ss)
+		}()
 	}
-	s.fleetPtr.Store(&fleet)
-	if err := s.preload(opts.Preload); err != nil {
+	wg.Wait()
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
 		for _, ss := range fleet {
-			ss.sys.Close() //nolint:errcheck // already failing
+			if ss != nil {
+				ss.sys.Close() //nolint:errcheck // already failing
+			}
 		}
 		return nil, err
 	}
+	s.fleetPtr.Store(&fleet)
 	s.mux = s.routes()
 	return s, nil
 }
@@ -776,36 +789,32 @@ func (s *Server) Shards() int { return len(s.fleet()) }
 // ShardSystem exposes shard i's ProteusTM instance.
 func (s *Server) ShardSystem(i int) *proteustm.System { return s.fleet()[i].sys }
 
-// preload inserts n keys, each into its owning shard, in batched setup
-// transactions on slot 0 (always an active slot: the parallelism degree
-// is at least 1).
-func (s *Server) preload(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	byShard := make([][]uint64, len(s.fleet()))
+// preloadKeys lists, per owning shard, the keys 0..n-1 a server preloads.
+func preloadKeys(part shard.Partitioner, n int) [][]uint64 {
+	byShard := make([][]uint64, part.Shards())
 	for k := 0; k < n; k++ {
-		o := s.part().Owner(uint64(k))
+		o := part.Owner(uint64(k))
 		byShard[o] = append(byShard[o], uint64(k))
 	}
+	return byShard
+}
+
+// preload inserts keys (value = key) into this shard's store in batched
+// setup transactions on slot 0 (always an active slot: the parallelism
+// degree is at least 1). It fails when the shard's heap cannot hold them.
+func (ss *shardState) preload(keys []uint64) error {
 	const batch = 64
-	for i, keys := range byShard {
-		ss := s.fleet()[i]
-		w, err := ss.sys.Worker(0)
-		if err != nil {
-			return err
-		}
-		for base := 0; base < len(keys); base += batch {
-			end := base + batch
-			if end > len(keys) {
-				end = len(keys)
+	w := ss.workers[0]
+	for base := 0; base < len(keys); base += batch {
+		chunk := keys[base:min(base+batch, len(keys))]
+		full := atomically(w, func(tx proteustm.Txn) {
+			for _, k := range chunk {
+				ss.store.Put(tx, 0, k, k)
 			}
-			chunk := keys[base:end]
-			w.Atomic(func(tx proteustm.Txn) {
-				for _, k := range chunk {
-					ss.store.Put(tx, 0, k, k)
-				}
-			})
+		})
+		if full.Err != "" {
+			return fmt.Errorf("serve: preload of %d keys does not fit: the heap of shard %d (%d words) is full after %d of its %d keys",
+				ss.srv.opts.Preload, ss.idx, ss.srv.opts.HeapWords, base, len(keys))
 		}
 	}
 	return nil
@@ -999,7 +1008,7 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 	}
 	w := ss.workers[slot]
 	if req.ctl != nil {
-		resp = req.ctl(w, slot)
+		resp = runCtlStep(req, w, slot)
 		ss.drainMu.RUnlock()
 		if req.releases {
 			ss.fenceReleased()
@@ -1016,26 +1025,23 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 	}
 	if batch == nil {
 		t0 := time.Now()
-		resp, fenced := ss.execute(w, slot, req)
+		resp := ss.execute(w, slot, req)
 		t1 := time.Now()
 		ss.drainMu.RUnlock()
-		if fenced {
-			return response{fenced: true}, true
+		if !resp.fenced {
+			ss.account(req, resp, t0, t1)
 		}
-		ss.account(req, resp, t0, t1)
 		return resp, true
 	}
 	t0 := time.Now()
-	resps, fencedOps := ss.executeBatch(w, slot, batch)
+	resps := ss.executeBatch(w, slot, batch)
 	t1 := time.Now()
 	ss.drainMu.RUnlock()
 	committed := 0
 	for i, r := range batch {
-		if fencedOps[i] {
-			// Fenced ops no-op inside the transaction: their submitters
-			// wait for the release and retry.
-			resps[i] = response{fenced: true}
-		} else {
+		// Fenced ops no-op inside the transaction: their submitters wait
+		// for the release and retry.
+		if !resps[i].fenced {
 			if !resps[i].moved {
 				committed++
 			}
@@ -1263,17 +1269,55 @@ func (ss *shardState) applyOp(tx proteustm.Txn, slot int, req *request, resp *re
 	return false
 }
 
-// execute runs one data operation as a single atomic block on worker w.
-func (ss *shardState) execute(w *proteustm.Worker, slot int, req *request) (response, bool) {
-	var resp response
-	var fenced bool
-	w.Atomic(func(tx proteustm.Txn) {
-		fenced = ss.applyOp(tx, slot, req, &resp)
-	})
-	if fenced {
-		return response{}, true
+// heapFull is the answer to an operation the shard's heap has no room for.
+var heapFull = response{Err: "shard heap full", code: http.StatusInsufficientStorage}
+
+// heapFullAnswer, deferred around atomic blocks, turns the panic of an
+// allocation the shard's heap has no room for into the heapFull answer. The
+// TM has rolled the block back by the time the panic gets here (tm.Run and
+// polytm.Pool.Atomic abort the attempt and leave the thread gate first), so
+// nothing was applied and the shard keeps serving. Any other panic continues.
+func heapFullAnswer(resp *response) {
+	r := recover()
+	if r == nil {
+		return
 	}
-	return resp, false
+	if err, ok := r.(error); !ok || !errors.Is(err, tm.ErrHeapExhausted) {
+		panic(r)
+	}
+	*resp = heapFull
+}
+
+// atomically runs fn as one atomic block on w and answers heapFull when the
+// block could not allocate; otherwise the answer is empty and whatever fn
+// did has committed.
+func atomically(w *proteustm.Worker, fn func(proteustm.Txn)) (full response) {
+	defer heapFullAnswer(&full)
+	w.Atomic(fn)
+	return
+}
+
+// runCtlStep runs a control step; one whose transaction exhausts the heap
+// (a migration install, a cross-shard apply) reports it as its error.
+func runCtlStep(req *request, w *proteustm.Worker, slot int) (resp response) {
+	defer heapFullAnswer(&resp)
+	return req.ctl(w, slot)
+}
+
+// execute runs one data operation as a single atomic block on worker w. A
+// response with fenced set means a cross-shard fence covered the operation
+// and nothing was executed.
+func (ss *shardState) execute(w *proteustm.Worker, slot int, req *request) response {
+	var resp response
+	full := atomically(w, func(tx proteustm.Txn) {
+		if ss.applyOp(tx, slot, req, &resp) {
+			resp = response{fenced: true}
+		}
+	})
+	if full.Err != "" {
+		return full
+	}
+	return resp
 }
 
 // executeBatch runs a group commit: every coalesced operation applies
@@ -1282,16 +1326,24 @@ func (ss *shardState) execute(w *proteustm.Worker, slot int, req *request) (resp
 // transaction (applyOp returns before touching the store) and is
 // requeued by the caller; the others' effects commit regardless —
 // exactly the per-op outcome of the solo path, minus the per-op
-// transaction overhead.
-func (ss *shardState) executeBatch(w *proteustm.Worker, slot int, reqs []*request) ([]response, []bool) {
+// transaction overhead. When the block exhausts the heap it rolls back
+// whole, and the operations run one by one instead, so only the one the
+// heap has no room for is refused.
+func (ss *shardState) executeBatch(w *proteustm.Worker, slot int, reqs []*request) []response {
 	resps := make([]response, len(reqs))
-	fenced := make([]bool, len(reqs))
-	w.Atomic(func(tx proteustm.Txn) {
+	full := atomically(w, func(tx proteustm.Txn) {
 		for i, r := range reqs {
-			fenced[i] = ss.applyOp(tx, slot, r, &resps[i])
+			if ss.applyOp(tx, slot, r, &resps[i]) {
+				resps[i] = response{fenced: true}
+			}
 		}
 	})
-	return resps, fenced
+	if full.Err != "" {
+		for i, r := range reqs {
+			resps[i] = ss.execute(w, slot, r)
+		}
+	}
+	return resps
 }
 
 // armDeadline stamps the admission instant and derives the effective

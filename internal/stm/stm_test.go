@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/htm"
 	"repro/internal/stm"
@@ -261,6 +262,50 @@ func TestReadOnlyCommits(t *testing.T) {
 			}
 			if sum != 0 {
 				t.Errorf("sum of zeroed heap = %d", sum)
+			}
+		})
+	}
+}
+
+// TestRunReleasesAPanickingBlock: tm.Run lets a panic raised by the block
+// itself through, but only after aborting the attempt — a second thread must
+// then be able to write the same word (no encounter lock, writer slot or
+// global lock left behind), and the panicking thread to run again.
+func TestRunReleasesAPanickingBlock(t *testing.T) {
+	for name, alg := range algorithms() {
+		t.Run(name, func(t *testing.T) {
+			h := tm.NewHeap(1024, 4)
+			a := h.MustAlloc(1)
+			c0, c1 := tm.NewCtx(0, h), tm.NewCtx(1, h)
+			boom := "boom"
+			func() {
+				defer func() {
+					if r := recover(); r != boom {
+						t.Errorf("recovered %v, want %q", r, boom)
+					}
+				}()
+				tm.Run(alg, c0, func(tx tm.Txn) {
+					tx.Store(a, tx.Load(a)+7)
+					panic(boom)
+				})
+			}()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				tm.Run(alg, c1, func(tx tm.Txn) { tx.Store(a, tx.Load(a)+1) })
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("second thread blocked behind the panicked attempt")
+			}
+			tm.Run(alg, c0, func(tx tm.Txn) { tx.Store(a, tx.Load(a)+1) })
+			want := uint64(2)
+			if name == "gl" {
+				want += 7 // in-place writes are not rolled back
+			}
+			if got := h.LoadWord(a); got != want {
+				t.Errorf("word = %d, want %d", got, want)
 			}
 		})
 	}

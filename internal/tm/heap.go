@@ -1,9 +1,15 @@
 package tm
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 )
+
+// ErrHeapExhausted is wrapped by the error of an Alloc the heap has no room
+// for — and so is the value MustAlloc panics with, which lets a server whose
+// atomic blocks allocate tell a full heap from a bug.
+var ErrHeapExhausted = errors.New("tm: heap exhausted")
 
 // StripeShift sets the ownership-record granularity: 2^StripeShift words map
 // to one stripe. With 8-byte words, 3 yields 64-byte stripes, matching the
@@ -104,7 +110,7 @@ func (h *Heap) Alloc(n int) (Addr, error) {
 	}
 	base := atomic.AddUint64(&h.next, uint64(n)) - uint64(n)
 	if base+uint64(n) > uint64(len(h.words)) {
-		return NilAddr, fmt.Errorf("tm: heap exhausted (%d words requested, %d used of %d)", n, base, len(h.words))
+		return NilAddr, fmt.Errorf("%w (%d words requested, %d used of %d)", ErrHeapExhausted, n, min(base, uint64(len(h.words))), len(h.words))
 	}
 	return Addr(base), nil
 }

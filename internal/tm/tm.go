@@ -158,7 +158,10 @@ func BindCached(alg Algorithm, c *Ctx) Txn {
 // It is the engine beneath every public Atomic entry point. Before each
 // attempt Run invokes c.BeginHook if set; PolyTM uses the hook to implement
 // the thread-gating protocol of Algorithm 1 in the paper, so a thread stuck
-// in a retry storm still observes reconfiguration requests.
+// in a retry storm still observes reconfiguration requests. A panic raised
+// by fn itself (anything but a retry) aborts the attempt like a conflict
+// would — encounter locks, speculative marks and the global lock are
+// released — and then continues up the caller's stack.
 func Run(alg Algorithm, c *Ctx, fn func(Txn)) {
 	tx := BindCached(alg, c)
 	c.Attempts = 0
@@ -168,13 +171,16 @@ func Run(alg Algorithm, c *Ctx, fn func(Txn)) {
 			c.BeginHook()
 		}
 		alg.Begin(c)
-		code, ok := attempt(alg, tx, c, fn)
+		code, ok, foreign := attempt(alg, tx, c, fn)
 		if ok {
 			c.Stats.IncCommit()
 			return
 		}
 		c.AbortReason = code
 		alg.Abort(c)
+		if foreign != nil {
+			panic(foreign)
+		}
 		c.Stats.Record(code)
 		c.Attempts++
 		c.Backoff()
@@ -182,30 +188,34 @@ func Run(alg Algorithm, c *Ctx, fn func(Txn)) {
 }
 
 // Attempt runs one try of the atomic block under alg, converting a retry
-// panic into a normal (code, false) return. Non-retry panics propagate. The
-// caller is responsible for Begin beforehand and, on failure, for invoking
-// alg.Abort. PolyTM's dispatch loop uses Attempt directly so the algorithm
-// can be re-resolved between attempts.
-func Attempt(alg Algorithm, c *Ctx, fn func(Txn)) (code AbortCode, ok bool) {
+// panic into a normal (code, false) return. Any other panic is handed back
+// as foreign (with ok false): the caller must release the attempt with
+// alg.Abort, leave whatever gate it entered, and re-panic with the value, so
+// a block that blows up never strands the algorithm's locks or the caller's
+// gate. The caller is responsible for Begin beforehand and, on failure, for
+// invoking alg.Abort. PolyTM's dispatch loop uses Attempt directly so the
+// algorithm can be re-resolved between attempts.
+func Attempt(alg Algorithm, c *Ctx, fn func(Txn)) (code AbortCode, ok bool, foreign any) {
 	return attempt(alg, BindCached(alg, c), c, fn)
 }
 
 // attempt is the shared single-try body behind Run and Attempt.
-func attempt(alg Algorithm, tx Txn, c *Ctx, fn func(Txn)) (code AbortCode, ok bool) {
+func attempt(alg Algorithm, tx Txn, c *Ctx, fn func(Txn)) (code AbortCode, ok bool, foreign any) {
 	defer func() {
 		if r := recover(); r != nil {
-			sig, isRetry := r.(retrySig)
-			if !isRetry {
-				panic(r)
+			if sig, isRetry := r.(retrySig); isRetry {
+				code = sig.code
+			} else {
+				foreign = r
 			}
-			code, ok = sig.code, false
+			ok = false
 		}
 	}()
 	fn(tx)
 	if alg.Commit(c) {
-		return AbortNone, true
+		return AbortNone, true, nil
 	}
-	return c.AbortReason, false
+	return c.AbortReason, false, nil
 }
 
 // Ctx is the per-thread transaction context. One Ctx is allocated per worker

@@ -113,6 +113,11 @@ func NewRBSet(h *tm.Heap) (*RBSet, error) {
 	return &RBSet{h: h, root: root, pool: pool}, nil
 }
 
+// Room reports whether the heap still has space for n fresh nodes. Nodes on
+// the free lists are not counted, so false can be pessimistic — but true is
+// a promise, as long as nobody else allocates in between.
+func (s *RBSet) Room(n int) bool { return s.h.Words()-s.h.Allocated() >= n*rbNodeWords }
+
 // Contains reports whether key k is present.
 func (s *RBSet) Contains(tx tm.Txn, k uint64) bool {
 	n := tm.Addr(tx.Load(s.root))
