@@ -51,9 +51,10 @@
 // (up to --group-commit-max) into one TM transaction, amortizing the
 // per-transaction overhead; per-op deadlines still hold inside a batch
 // (an expired op is excised with 504, not executed).
-// --fence-granularity=key replaces the whole-shard cross-shard fence
-// with per-key fence table entries, so local ops that don't intersect an
-// in-flight 2PC's footprint proceed instead of requeueing. Observables:
+// --fence-granularity=key makes a cross-shard commit publish a per-key
+// signature in its participants' fence tables instead of the whole shard,
+// so local ops that don't intersect an in-flight 2PC's footprint proceed
+// instead of requeueing. Observables:
 // ops.group_commits, ops.group_batch_p50/p99, ops.fence_keys_held,
 // ops.fenced_requeues.
 //
@@ -142,7 +143,7 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "minimum time a stalled shard's circuit breaker sheds before admitting probes (0 = 1s default)")
 	groupCommit := flag.Bool("group-commit", false, "coalesce queued single-shard ops into one TM transaction when the admission queue has backlog")
 	groupCommitMax := flag.Int("group-commit-max", 0, "cap on ops coalesced per group commit (0 = 16 default)")
-	fenceGranularity := flag.String("fence-granularity", "shard", "cross-shard fence granularity: shard (whole-shard word) or key (per-key fence table; non-intersecting local ops proceed during a 2PC)")
+	fenceGranularity := flag.String("fence-granularity", "shard", "signature a cross-shard commit publishes in a participant's fence table: shard (the whole shard) or key (one bit per key; non-intersecting local ops proceed during a 2PC)")
 	autosplit := flag.Float64("autosplit", 0, "hottest-shard ops_routed share above which the daemon splits it live (range partitioner only; 0 = manual /admin/reshard only)")
 	autosplitMax := flag.Int("autosplit-max", 0, "shard-count ceiling for --autosplit (0 = 8 default)")
 	autosplitInterval := flag.Duration("autosplit-interval", 0, "how often --autosplit/--automerge check the load signal (0 = 2s default)")

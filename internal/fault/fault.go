@@ -56,18 +56,15 @@ const (
 	OpDelay Point = "op-delay"
 	// ReshardDonorCrash kills the resharding migrator mid-copy, donor
 	// side: the donor's fence stays held over a partially-exported span
-	// until the failure detector rolls the migration back (the placement
-	// never flipped, so the donor still serves everything). Both
-	// migration directions share the point: on a merge the rollback also
-	// deletes the partial copy from the live recipient before the fence
-	// releases. Arrival unit: one migration copy batch; the shard filter
+	// until the failure detector rolls the migration back: it deletes the
+	// partial copy from the recipient, then releases the fence (the
+	// placement never flipped, so the donor still serves everything). Both
+	// migration directions share the point. Arrival unit: one migration copy batch; the shard filter
 	// matches the donor's index (the fleet's top shard for a merge).
 	ReshardDonorCrash Point = "reshard-donor-crash"
 	// ReshardInstallCrash kills the migrator after the span is fully
 	// installed on the recipient but before the placement flips: same
-	// rollback as ReshardDonorCrash — on a split the copied data is
-	// unreachable garbage the next attempt clears, on a merge the
-	// detector deletes it from the live recipient. Arrival unit: one
+	// rollback as ReshardDonorCrash. Arrival unit: one
 	// completed span copy about to flip.
 	ReshardInstallCrash Point = "reshard-install-crash"
 )

@@ -212,7 +212,7 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 }
 
 // sweepRow sets the scenario up once and measures its missing cells,
-// reconfiguring between columns like proteustrain's profiling loop.
+// reconfiguring between columns like RecTM's off-line profiling loop.
 func sweepRow(spec SweepSpec, name string, row int, labels []string, res *SweepResult, journal io.Writer) error {
 	s, _ := Lookup(name)
 	params := spec.Params[name]

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	proteustm "repro"
 	"repro/internal/fault"
 	"repro/internal/shard"
 )
@@ -62,27 +61,51 @@ func regSize(s *Server) int {
 }
 
 // forEachGranularity runs the chaos leg under both fence granularities:
-// the whole-shard fence word and the keyed fence table must heal through
-// the identical failure schedule with the same exactly-once counters.
+// whole-shard and keyed signatures must heal through the identical
+// failure schedule with the same exactly-once counters.
 func forEachGranularity(t *testing.T, leg func(t *testing.T, granularity string)) {
 	for _, fg := range []string{FenceShard, FenceKey} {
 		t.Run(fg, func(t *testing.T) { leg(t, fg) })
 	}
 }
 
-// fencesFree reports whether no fence — whole-shard word or keyed table
-// entry — is held on any shard. Under shard granularity the occupancy
-// word is identically zero, and vice versa, so both are always checked.
+// fenceHeld reports whether any entry of ss's fence table is held.
+func fenceHeld(ss *shardState) bool { return ss.sys.Load(ss.store.FenceOccWord()) != 0 }
+
+// fencesFree reports whether no fence is held on any shard.
 func fencesFree(s *Server) bool {
 	for _, ss := range s.fleet() {
-		if ss.sys.Load(ss.store.FenceWord()) != 0 {
-			return false
-		}
-		if ss.sys.Load(ss.store.FenceOccWord()) != 0 {
+		if fenceHeld(ss) {
 			return false
 		}
 	}
 	return true
+}
+
+// holderOf reads the hold occupying entry slot of ss's fence table
+// (Token 0: free).
+func holderOf(ss *shardState, slot int) FenceHold {
+	tokenW, epochW, _ := ss.store.FenceSlotWordsOf(slot)
+	return FenceHold{Slot: slot, Token: ss.sys.Load(tokenW), Epoch: ss.sys.Load(epochW)}
+}
+
+// wedgeFence holds ss's whole shard for token behind the protocol's back:
+// raw heap stores into an idle table — no epoch, no heartbeat, no registry
+// record — the way a fence wedged by something outside the protocol
+// looks. It returns the hold a detector would observe. unwedgeFence clears
+// it the same way, so no release step runs and no waiter is woken.
+func wedgeFence(ss *shardState, token uint64) FenceHold {
+	a := ss.store.slotAddr(0)
+	ss.sys.Store(a+fsSig, SigAll)
+	ss.sys.Store(a+fsToken, token)
+	ss.sys.Store(ss.store.FenceOccWord(), 1)
+	return FenceHold{Slot: 0, Token: token}
+}
+
+func unwedgeFence(ss *shardState) {
+	a := ss.store.slotAddr(0)
+	ss.sys.Store(ss.store.FenceOccWord(), 0)
+	ss.sys.Store(a+fsToken, 0)
 }
 
 // TestCoordinatorCrashRecovery is the acceptance test of the self-healing
@@ -260,54 +283,45 @@ func TestFenceEpochLateReleaseIsNoOp(t *testing.T) {
 	s := newTestServer(t, Options{Shards: 2, Workers: 2, FenceDeadline: -1})
 	ss := s.fleet()[1]
 
-	r1 := s.ctlAcquire(ss, 101, 0)
+	r1 := s.ctlAcquire(ss, 101, SigAll)
 	if !r1.Applied {
 		t.Fatalf("initial acquire failed: %+v", r1)
 	}
 	// The detector (driven by hand: detection is disabled) declares
 	// coordinator 101 dead. Its token was never registered, so the fence
 	// is simply released at its observed epoch.
-	s.recoverOrphan(ss, 101, r1.epoch, -1)
-	if v := ss.sys.Load(ss.store.FenceWord()); v != 0 {
-		t.Fatalf("fence not recovered: held by %d", v)
+	s.recoverOrphan(ss, r1.hold)
+	if fenceHeld(ss) {
+		t.Fatalf("fence not recovered: held by %+v", holderOf(ss, r1.hold.Slot))
 	}
 	if got, aborted := s.fenceRecovered.Load(), s.fenceAborted.Load(); got != 1 || aborted != 1 {
 		t.Fatalf("recovery counters = recovered %d aborted %d, want 1/1", got, aborted)
 	}
 
 	// A new coordinator takes the fence under a fresh epoch.
-	r2 := s.ctlAcquire(ss, 202, 0)
-	if !r2.Applied || r2.epoch != r1.epoch+1 {
-		t.Fatalf("re-acquire = %+v, want epoch %d", r2, r1.epoch+1)
+	r2 := s.ctlAcquire(ss, 202, SigAll)
+	if !r2.Applied || r2.hold.Epoch != r1.hold.Epoch+1 {
+		t.Fatalf("re-acquire = %+v, want epoch %d", r2, r1.hold.Epoch+1)
 	}
 
 	// The original coordinator finally issues its release with the old
 	// epoch: a provable no-op, not a theft of coordinator 202's fence.
-	var heldByOld, released bool
-	s.ctl(ss, func(w *proteustm.Worker, _ int) response {
-		w.Atomic(func(tx proteustm.Txn) {
-			heldByOld = ss.store.FenceHeldBy(tx, 101, r1.epoch)
-			released = ss.store.FenceRelease(tx, r1.epoch)
-		})
-		return response{}
-	})
-	if heldByOld || released {
-		t.Fatalf("late release applied: heldByOld=%v released=%v", heldByOld, released)
+	if r := s.guarded(ss, r1.hold, true, nil); r.Applied {
+		t.Fatalf("late release applied: %+v", r)
 	}
-	if v := ss.sys.Load(ss.store.FenceWord()); v != 202 {
-		t.Fatalf("fence = %d after late release, want 202", v)
+	if h := holderOf(ss, r2.hold.Slot); h != r2.hold {
+		t.Fatalf("fence = %+v after late release, want %+v", h, r2.hold)
 	}
-	if e := ss.sys.Load(ss.store.FenceEpochWord()); e != r2.epoch {
-		t.Fatalf("epoch = %d after late release, want %d", e, r2.epoch)
+	if e := ss.sys.Load(ss.store.FenceEpochWord()); e != r2.hold.Epoch {
+		t.Fatalf("epoch = %d after late release, want %d", e, r2.hold.Epoch)
 	}
 
 	// The current holder's correctly-epoched release still works.
-	s.ctl(ss, func(w *proteustm.Worker, _ int) response {
-		w.Atomic(func(tx proteustm.Txn) { ss.store.FenceRelease(tx, r2.epoch) })
-		return response{}
-	})
-	if v := ss.sys.Load(ss.store.FenceWord()); v != 0 {
-		t.Fatalf("guarded release by current holder failed: fence = %d", v)
+	if r := s.guarded(ss, r2.hold, true, nil); !r.Applied {
+		t.Fatalf("current holder's guarded release = %+v", r)
+	}
+	if fenceHeld(ss) {
+		t.Fatalf("guarded release by current holder failed: fence = %+v", holderOf(ss, r2.hold.Slot))
 	}
 }
 
@@ -327,17 +341,16 @@ func TestDoubleRecoveryIdempotence(t *testing.T) {
 	}
 
 	ss := s.fleet()[s.part().Owner(keys[0])]
-	token := ss.sys.Load(ss.store.FenceWord())
-	epoch := ss.sys.Load(ss.store.FenceEpochWord())
-	if token == 0 {
+	orphan := holderOf(ss, 0)
+	if orphan.Token == 0 {
 		t.Fatal("crashed coordinator left no fence held")
 	}
 
 	// First recovery heals the whole batch across all three shards.
-	s.recoverOrphan(ss, token, epoch, -1)
+	s.recoverOrphan(ss, orphan)
 	for i, sh := range s.fleet() {
-		if v := sh.sys.Load(sh.store.FenceWord()); v != 0 {
-			t.Fatalf("shard %d fence still held (%d) after recovery", i, v)
+		if fenceHeld(sh) {
+			t.Fatalf("shard %d fence still held (%+v) after recovery", i, holderOf(sh, 0))
 		}
 	}
 	if rec, fwd := s.fenceRecovered.Load(), s.fenceRolledForward.Load(); rec != 1 || fwd != 1 {
@@ -346,9 +359,9 @@ func TestDoubleRecoveryIdempotence(t *testing.T) {
 
 	// A second detector firing on the same orphan — from this shard or
 	// any other participant — must be a no-op.
-	s.recoverOrphan(ss, token, epoch, -1)
+	s.recoverOrphan(ss, orphan)
 	other := s.fleet()[s.part().Owner(keys[1])]
-	s.recoverOrphan(other, token, other.sys.Load(other.store.FenceEpochWord()), -1)
+	s.recoverOrphan(other, FenceHold{Token: orphan.Token, Epoch: other.sys.Load(other.store.FenceEpochWord())})
 	if rec, fwd, ab := s.fenceRecovered.Load(), s.fenceRolledForward.Load(), s.fenceAborted.Load(); rec != 1 || fwd != 1 || ab != 0 {
 		t.Fatalf("after double recovery: recovered %d rolled-forward %d aborted %d, want 1/1/0", rec, fwd, ab)
 	}

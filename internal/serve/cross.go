@@ -2,10 +2,10 @@
 // operations (mput, mget, range) atomic when their keys live on different
 // ProteusTM systems.
 //
-// Phase 1 (acquire): the coordinator claims each participating shard's
-// fence word with a CAS-with-fence transaction, in ascending shard-index
-// order — the global lock order that keeps concurrent coordinators
-// deadlock-free. Every acquisition bumps the shard's fence epoch and
+// Phase 1 (acquire): the coordinator claims an entry in each
+// participating shard's fence table with a CAS-with-fence transaction, in
+// ascending shard-index order — the global lock order that keeps
+// concurrent coordinators deadlock-free. Every acquisition bumps the shard's fence epoch and
 // stamps a heartbeat, and the coordinator records the (shard, epoch)
 // pairs in the server's commit-state registry (see recovery.go). Any
 // acquisition failure aborts the whole attempt: every fence taken so far
@@ -267,7 +267,7 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 				return heapFull, heapFull.code, false
 			}
 			gen := fleet[p.shard].relGen.Load()
-			r := s.ctlAcquire(fleet[p.shard], token, partSig(req, p))
+			r := s.ctlAcquire(fleet[p.shard], token, s.partSig(req, p))
 			if r.Err != "" {
 				s.releaseParts(rec)
 				return r, http.StatusServiceUnavailable, false
@@ -276,7 +276,7 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 				blocker, blockGen = fleet[p.shard], gen
 				break
 			}
-			s.reg.acquired(rec, p, r.epoch, r.slot)
+			s.reg.acquired(rec, p, r.hold)
 		}
 		if blocker != nil {
 			// Abort-all: another coordinator (or an unlucky interleaving)
@@ -341,22 +341,21 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 		http.StatusServiceUnavailable, false
 }
 
-// ctl runs one control step on shard ss and returns its result: on the
-// caller's goroutine when a slot token is free, through the priority lane
-// otherwise. Control steps skip the closed-check on purpose: Close waits
-// for in-flight coordinators (registered in inflight) before stopping the
-// shards, so a coordinator must be able to finish its protocol — fence
-// releases included — after shutdown begins.
-func (s *Server) ctl(ss *shardState, fn func(w *proteustm.Worker, slot int) response) response {
-	return s.runCtl(ss, &request{ctl: fn})
+// ctl runs step as one control-step transaction on shard ss and returns
+// its result: on the caller's goroutine when a slot token is free, through
+// the priority lane otherwise. Control steps skip the closed-check on
+// purpose: Close waits for in-flight coordinators (registered in inflight)
+// before stopping the shards, so a coordinator must be able to finish its
+// protocol — fence releases included — after shutdown begins.
+func (s *Server) ctl(ss *shardState, step func(tx proteustm.Txn, slot int) response) response {
+	return s.runCtl(ss, &request{ctl: true, step: step})
 }
 
-// ctlRelease is ctl for a step that may release one of ss's fences: once
-// its transaction has committed, the shard wakes whoever waits for a
-// release. Acquire steps must not come through here — a coordinator's own
-// acquire would wake it, and the wait would degenerate to a spin.
-func (s *Server) ctlRelease(ss *shardState, fn func(w *proteustm.Worker, slot int) response) response {
-	return s.runCtl(ss, &request{ctl: fn, releases: true})
+// guarded is ctl for a step that is a no-op unless hold h is still current
+// on ss, and that frees h in the same transaction when release is set; the
+// response's Applied reports whether h was current.
+func (s *Server) guarded(ss *shardState, h FenceHold, release bool, step func(tx proteustm.Txn, slot int) response) response {
+	return s.runCtl(ss, &request{ctl: true, hold: h, releases: release, step: step})
 }
 
 func (s *Server) runCtl(ss *shardState, req *request) response {
@@ -374,13 +373,14 @@ func (s *Server) runCtl(ss *shardState, req *request) response {
 	return <-req.done
 }
 
-// partSig builds the keyed-fence Bloom signature for part p of req: the
-// union of the signature bits of the keys the part owns, or a
-// conflict-with-everything signature for range scans (whose covered key
-// set cannot be enumerated). Unused under the whole-shard fence.
-func partSig(req *request, p *crossPart) uint64 {
-	if req.op == opRange {
-		return ^uint64(0)
+// partSig chooses the signature part p of req publishes in its shard's
+// fence table — the one place the fence-granularity policy is read: the
+// whole shard under FenceShard and for range scans (whose covered key set
+// cannot be enumerated), the union of the part's keys' signature bits
+// under FenceKey.
+func (s *Server) partSig(req *request, p *crossPart) uint64 {
+	if s.opts.FenceGranularity == FenceShard || req.op == opRange {
+		return SigAll
 	}
 	var sig uint64
 	for _, i := range p.idx {
@@ -389,58 +389,33 @@ func partSig(req *request, p *crossPart) uint64 {
 	return sig
 }
 
-// ctlAcquire runs the CAS-with-fence acquisition on one shard, stamping
-// the heartbeat with the coordinator's current wall clock; the response
-// carries the new fence epoch and — under keyed fences — the claimed
-// slot (-1 under the whole-shard fence). sig is the keyed-fence Bloom
-// signature of the keys this acquisition covers.
+// ctlAcquire runs the CAS-with-fence acquisition on one shard, publishing
+// sig and stamping the heartbeat with the coordinator's current wall
+// clock; the response carries the claimed hold.
 func (s *Server) ctlAcquire(ss *shardState, token, sig uint64) response {
 	beat := uint64(time.Now().UnixNano())
-	keyed := s.opts.FenceGranularity == FenceKey
-	return s.ctl(ss, func(w *proteustm.Worker, _ int) response {
-		var got bool
-		var epoch uint64
-		slot := -1
-		w.Atomic(func(tx proteustm.Txn) {
-			if keyed {
-				epoch, slot, got = ss.store.FenceAcquireKey(tx, token, beat, sig)
-			} else {
-				epoch, got = ss.store.FenceAcquire(tx, token, beat)
-				slot = -1
-			}
-		})
-		return response{Applied: got, epoch: epoch, slot: slot}
+	return s.ctl(ss, func(tx proteustm.Txn, _ int) (r response) {
+		r.hold, r.Applied = ss.store.AcquireFence(tx, token, beat, sig)
+		return r
 	})
 }
 
 // releaseParts frees the fences of every acquired-but-unreleased part of
 // rec (the abort path; the commit path releases inside applyAll's
-// per-shard transactions). Every release is epoch-guarded, so a part the
-// failure detector already recovered — and possibly handed to a new
-// coordinator under a new epoch — is left alone. Part state is reset so
-// the next acquire attempt starts clean.
+// per-shard transactions). Part state is reset so the next acquire
+// attempt starts clean.
 func (s *Server) releaseParts(rec *crossRec) {
 	for _, p := range rec.parts {
-		token, epoch, slot, held := s.reg.acquireState(rec, p)
+		h, held := s.reg.acquireState(rec, p)
 		if !held {
 			continue
 		}
-		fleet := s.fleet()
-		if p.shard >= len(fleet) {
-			// Defensive: a fenced shard cannot retire (the merge migrator
-			// needs the same fence), so a held part is always in the fleet —
-			// but never index past a truncation.
-			continue
+		// A fenced shard cannot retire (the merge migrator needs the same
+		// fence), so a held part is always in the fleet — but never index
+		// past a truncation.
+		if fleet := s.fleet(); p.shard < len(fleet) {
+			s.guarded(fleet[p.shard], h, true, nil)
 		}
-		ss := fleet[p.shard]
-		s.ctlRelease(ss, func(w *proteustm.Worker, _ int) response {
-			w.Atomic(func(tx proteustm.Txn) {
-				if ss.store.FenceHeldAt(tx, slot, token, epoch) {
-					ss.store.FenceReleaseAt(tx, slot, epoch)
-				}
-			})
-			return response{}
-		})
 	}
 	s.reg.resetParts(rec)
 }
@@ -470,128 +445,56 @@ func (s *Server) superseded(rec *crossRec) response {
 }
 
 // applyAll runs phase 2: each shard applies its slice of the operation
-// and releases its fence in one transaction, guarded by the (token,
-// epoch) recorded at acquisition. With every fence held no local
-// operation can observe the store between two shards' applies, so the
-// batch is atomic even though the applies run one shard at a time. A
-// part the failure detector already rolled forward (a slow-but-alive
-// coordinator racing recovery) is skipped: its writes are in and its
-// fence is released, which is exactly what this loop would have done.
+// and releases its fence in one guarded transaction. With every fence
+// held no local operation can observe the store between two shards'
+// applies, so the batch is atomic even though the applies run one shard at
+// a time. A part the failure detector already rolled forward (a
+// slow-but-alive coordinator racing recovery) is skipped: its writes are
+// in and its fence is released, which is exactly what this loop would have
+// done. Any other part found released or superseded means recovery aborted
+// the batch out from under a stalled coordinator: nothing was applied on
+// that shard, and the batch fails whole.
 func (s *Server) applyAll(rec *crossRec, req *request) response {
-	var out response
-	switch req.op {
-	case opMPut:
-		for _, p := range rec.parts {
-			if s.reg.partReleased(rec, p) {
-				if s.reg.partRolledForward(rec, p) {
-					continue // recovery rolled this part forward
-				}
-				// Released but not rolled forward: recovery aborted the
-				// batch out from under a stalled coordinator. Nothing was
-				// applied on this shard — fail the batch whole.
-				return s.superseded(rec)
-			}
-			fleet := s.fleet()
-			if p.shard >= len(fleet) {
-				return s.superseded(rec) // defensive: fenced shards never retire
-			}
-			ss, idx := fleet[p.shard], p.idx
-			epoch, fslot := s.reg.holdOf(rec, p)
-			r := s.ctlRelease(ss, func(w *proteustm.Worker, slot int) response {
-				var stale bool
-				w.Atomic(func(tx proteustm.Txn) {
-					if stale = !ss.store.FenceHeldAt(tx, fslot, rec.token, epoch); stale {
-						return
-					}
-					for _, i := range idx {
-						ss.store.Put(tx, slot, req.keys[i], req.vals[i])
-					}
-					ss.store.FenceReleaseAt(tx, fslot, epoch)
-				})
-				if !stale {
-					s.reg.markReleased(rec, p, false)
-				}
-				return response{Applied: true}
-			})
-			if r.Err != "" {
-				return s.failRemaining(rec, r)
-			}
-			if !s.reg.partReleased(rec, p) {
-				return s.superseded(rec)
-			}
-		}
-		out.Applied = true
-	case opMGet:
+	out := response{Applied: req.op == opMPut}
+	if req.op == opMGet {
 		out.Vals = make([]uint64, len(req.keys))
 		out.Present = make([]bool, len(req.keys))
-		for _, p := range rec.parts {
-			fleet := s.fleet()
-			if p.shard >= len(fleet) {
-				return s.superseded(rec) // defensive: fenced shards never retire
-			}
-			ss, idx := fleet[p.shard], p.idx
-			epoch, fslot := s.reg.holdOf(rec, p)
-			r := s.ctlRelease(ss, func(w *proteustm.Worker, _ int) response {
-				var stale bool
-				vals := make([]uint64, len(idx))
-				present := make([]bool, len(idx))
-				w.Atomic(func(tx proteustm.Txn) {
-					if stale = !ss.store.FenceHeldAt(tx, fslot, rec.token, epoch); stale {
-						return
-					}
-					for j, i := range idx {
-						vals[j], present[j] = ss.store.Get(tx, req.keys[i])
-					}
-					ss.store.FenceReleaseAt(tx, fslot, epoch)
-				})
-				if !stale {
-					s.reg.markReleased(rec, p, false)
-				}
-				return response{Vals: vals, Present: present, Applied: !stale}
-			})
-			if r.Err != "" {
-				return s.failRemaining(rec, r)
-			}
-			if !r.Applied {
-				return s.superseded(rec)
-			}
-			for j, i := range idx {
-				out.Vals[i], out.Present[i] = r.Vals[j], r.Present[j]
-			}
+	}
+	vals, present := out.Vals, out.Present // captured by value: out stays off the heap
+	for _, p := range rec.parts {
+		if s.reg.partRolledForward(rec, p) {
+			continue
 		}
-	case opRange:
-		for _, p := range rec.parts {
-			fleet := s.fleet()
-			if p.shard >= len(fleet) {
-				return s.superseded(rec) // defensive: fenced shards never retire
-			}
-			ss := fleet[p.shard]
-			epoch, fslot := s.reg.holdOf(rec, p)
-			r := s.ctlRelease(ss, func(w *proteustm.Worker, _ int) response {
-				var stale bool
-				var count, sum uint64
-				w.Atomic(func(tx proteustm.Txn) {
-					count, sum = 0, 0
-					if stale = !ss.store.FenceHeldAt(tx, fslot, rec.token, epoch); stale {
-						return
-					}
-					count, sum = ss.store.Range(tx, req.lo, req.hi)
-					ss.store.FenceReleaseAt(tx, fslot, epoch)
-				})
-				if !stale {
-					s.reg.markReleased(rec, p, false)
-				}
-				return response{Count: count, Sum: sum, Applied: !stale}
-			})
-			if r.Err != "" {
-				return s.failRemaining(rec, r)
-			}
-			if !r.Applied {
-				return s.superseded(rec)
-			}
-			out.Count += r.Count
-			out.Sum += r.Sum
+		h, held := s.reg.acquireState(rec, p)
+		fleet := s.fleet()
+		if !held || p.shard >= len(fleet) { // the latter defensive: fenced shards never retire
+			return s.superseded(rec)
 		}
+		ss := fleet[p.shard]
+		r := s.guarded(ss, h, true, func(tx proteustm.Txn, slot int) (r response) {
+			switch req.op {
+			case opMPut:
+				for _, i := range p.idx {
+					ss.store.Put(tx, slot, req.keys[i], req.vals[i])
+				}
+			case opMGet:
+				for _, i := range p.idx {
+					vals[i], present[i] = ss.store.Get(tx, req.keys[i])
+				}
+			case opRange:
+				r.Count, r.Sum = ss.store.Range(tx, req.lo, req.hi)
+			}
+			return r
+		})
+		if r.Err != "" {
+			return s.failRemaining(rec, r)
+		}
+		if !r.Applied {
+			return s.superseded(rec)
+		}
+		s.reg.markReleased(rec, p, false)
+		out.Count += r.Count
+		out.Sum += r.Sum
 	}
 	return out
 }

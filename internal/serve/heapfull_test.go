@@ -83,8 +83,8 @@ func TestHeapFullAnswers507(t *testing.T) {
 	})
 	within(t, "a control step that allocates", func() {
 		ss := s.fleet()[0]
-		r := s.ctl(ss, func(w *proteustm.Worker, slot int) response {
-			w.Atomic(func(tx proteustm.Txn) { ss.store.Put(tx, slot, uint64(full), 1) })
+		r := s.ctl(ss, func(tx proteustm.Txn, slot int) response {
+			ss.store.Put(tx, slot, uint64(full), 1)
 			return response{Applied: true}
 		})
 		if r.Err != heapFull.Err || r.code != http.StatusInsufficientStorage {

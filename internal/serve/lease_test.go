@@ -51,7 +51,7 @@ func TestTokenConservationUnderReconfigureStorm(t *testing.T) {
 				if i%3 == 0 {
 					// A control step sees the slot it runs on; process holds
 					// drainMu shared around it, so active cannot shrink here.
-					s.ctl(ss, func(_ *proteustm.Worker, slot int) response {
+					s.ctl(ss, func(_ proteustm.Txn, slot int) response {
 						if int64(slot) >= ss.active.Load() {
 							outside.Add(1)
 						}
@@ -133,9 +133,9 @@ func TestFencedOpsHoldNoToken(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	hold := s.ctlAcquire(victim, 7, ^uint64(0))
-	if !hold.Applied {
-		t.Fatalf("acquire = %+v", hold)
+	acq := s.ctlAcquire(victim, 7, SigAll)
+	if !acq.Applied {
+		t.Fatalf("acquire = %+v", acq)
 	}
 
 	var wg sync.WaitGroup
@@ -156,10 +156,7 @@ func TestFencedOpsHoldNoToken(t *testing.T) {
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
-		s.ctlRelease(victim, func(w *proteustm.Worker, _ int) response {
-			w.Atomic(func(tx proteustm.Txn) { victim.store.FenceReleaseAt(tx, hold.slot, hold.epoch) })
-			return response{}
-		})
+		s.guarded(victim, acq.hold, true, nil)
 	}()
 	select {
 	case <-released:
@@ -224,7 +221,7 @@ func TestMissedWakeupDegradesToPolling(t *testing.T) {
 	s := newTestServer(t, Options{Shards: 2, Workers: 2, CrossRetries: 3})
 	victim := s.fleet()[1]
 	keys := keysOnDistinctShards(t, s, 2)
-	victim.sys.Store(victim.store.FenceWord(), 7)
+	wedgeFence(victim, 7)
 
 	done := make(chan struct{})
 	go func() {
@@ -251,7 +248,7 @@ func TestMissedWakeupDegradesToPolling(t *testing.T) {
 	}
 
 	cleared := time.Now()
-	victim.sys.Store(victim.store.FenceWord(), 0)
+	unwedgeFence(victim)
 	select {
 	case <-done:
 		if d := time.Since(cleared); d > time.Second {
@@ -322,7 +319,7 @@ func TestRetireBarrier(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				if c%2 == 0 {
-					s.ctl(donor, func(*proteustm.Worker, int) response {
+					s.ctl(donor, func(proteustm.Txn, int) response {
 						ran.Add(1)
 						if donor.retired.Load() {
 							late.Add(1)

@@ -31,13 +31,10 @@ import (
 type crossPart struct {
 	shard int
 	idx   []int // positions into the batch's keys/vals owned by this shard
-	// epoch is the fence epoch this batch holds the shard under (valid
-	// while acquired); slot is the keyed fence table entry the hold
-	// occupies (-1 under the whole-shard fence); released marks the
-	// fence freed (by the coordinator's apply/abort or — byRecovery —
-	// by the detector).
-	epoch      uint64
-	slot       int
+	// hold is the fence hold this batch has on the shard (valid while
+	// acquired); released marks the fence freed (by the coordinator's
+	// apply/abort or — byRecovery — by the detector).
+	hold       FenceHold
 	acquired   bool
 	released   bool
 	byRecovery bool
@@ -74,7 +71,7 @@ func newCrossReg() *crossReg { return &crossReg{recs: make(map[uint64]*crossRec)
 func (g *crossReg) register(token uint64, req *request, batches []subBatch) *crossRec {
 	rec := &crossRec{token: token, op: req.op, keys: req.keys, vals: req.vals}
 	for _, b := range batches {
-		rec.parts = append(rec.parts, &crossPart{shard: b.shard, idx: b.idx, slot: -1})
+		rec.parts = append(rec.parts, &crossPart{shard: b.shard, idx: b.idx})
 	}
 	g.mu.Lock()
 	g.recs[token] = rec
@@ -89,20 +86,19 @@ func (g *crossReg) remove(token uint64) {
 	g.mu.Unlock()
 }
 
-// acquired records that part p holds its shard's fence under epoch, at
-// keyed table entry slot (-1 under the whole-shard fence).
-func (g *crossReg) acquired(rec *crossRec, p *crossPart, epoch uint64, slot int) {
+// acquired records that part p holds its shard's fence as h.
+func (g *crossReg) acquired(rec *crossRec, p *crossPart, h FenceHold) {
 	g.mu.Lock()
-	p.epoch, p.slot, p.acquired, p.released, p.byRecovery = epoch, slot, true, false, false
+	p.hold, p.acquired, p.released, p.byRecovery = h, true, false, false
 	g.mu.Unlock()
 }
 
-// acquireState reports the (token, epoch, slot) part p currently holds
-// its fence under, if it does.
-func (g *crossReg) acquireState(rec *crossRec, p *crossPart) (token, epoch uint64, slot int, held bool) {
+// acquireState reports the hold part p currently has on its shard's
+// fence, if it has one.
+func (g *crossReg) acquireState(rec *crossRec, p *crossPart) (h FenceHold, held bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return rec.token, p.epoch, p.slot, p.acquired && !p.released
+	return p.hold, p.acquired && !p.released
 }
 
 // resetParts clears acquisition state after an abort-all, so the next
@@ -110,7 +106,7 @@ func (g *crossReg) acquireState(rec *crossRec, p *crossPart) (token, epoch uint6
 func (g *crossReg) resetParts(rec *crossRec) {
 	g.mu.Lock()
 	for _, p := range rec.parts {
-		p.epoch, p.slot, p.acquired, p.released, p.byRecovery = 0, -1, false, false, false
+		p.hold, p.acquired, p.released, p.byRecovery = FenceHold{}, false, false, false
 	}
 	g.mu.Unlock()
 }
@@ -154,13 +150,6 @@ func (g *crossReg) markReleased(rec *crossRec, p *crossPart, byRecovery bool) {
 	g.mu.Unlock()
 }
 
-// partReleased reports whether part p's fence has been freed.
-func (g *crossReg) partReleased(rec *crossRec, p *crossPart) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return p.released
-}
-
 // partRolledForward reports whether part p's fence was freed by a
 // recovery that rolled the decided batch forward — the only kind of
 // release a committing coordinator may treat as already-applied. A
@@ -171,13 +160,6 @@ func (g *crossReg) partRolledForward(rec *crossRec, p *crossPart) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return p.released && p.byRecovery && rec.decided
-}
-
-// holdOf returns the (epoch, slot) part p acquired its fence under.
-func (g *crossReg) holdOf(rec *crossRec, p *crossPart) (epoch uint64, slot int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return p.epoch, p.slot
 }
 
 // claim hands token's record to one recovering detector. rollForward is
@@ -303,7 +285,7 @@ func beatStale(beat uint64, now time.Time, deadline time.Duration) bool {
 }
 
 // fenceSus is one suspicion cell of the detector: the (token, epoch)
-// last observed on a fence word or slot, and since when.
+// last observed on a fence table entry, and since when.
 type fenceSus struct {
 	token, epoch uint64
 	since        time.Time
@@ -333,18 +315,16 @@ func (f *fenceSus) watch(token, epoch, beat uint64, now time.Time, deadline time
 // the same (token, epoch) across the whole deadline AND carry a stale
 // heartbeat, so a busy protocol reacquiring the fence never trips it —
 // and (b) trips the circuit breaker when the shard has queued work but
-// made no progress for BreakerStallTicks consecutive ticks. Under keyed
-// fences the scavenger iterates the fence table, one suspicion cell per
-// slot, so each orphaned entry is recovered independently.
+// made no progress for BreakerStallTicks consecutive ticks. The scavenger
+// iterates the fence table, one suspicion cell per entry, so each
+// orphaned hold is recovered independently.
 func (ss *shardState) detector() {
 	defer ss.wg.Done()
 	s := ss.srv
 	deadline, cooldown := s.opts.FenceDeadline, s.opts.BreakerCooldown
-	keyed := s.opts.FenceGranularity == FenceKey
 	tick := time.NewTicker(s.opts.DetectInterval)
 	defer tick.Stop()
-	var sus fenceSus
-	var slotSus [FenceSlots]fenceSus
+	var sus [FenceSlots]fenceSus
 	lastExecuted := ss.executed.Load()
 	stallTicks := 0
 	for {
@@ -355,29 +335,20 @@ func (ss *shardState) detector() {
 		}
 		now := time.Now()
 
-		// Orphaned-fence scavenging: the whole-shard word always (it is
-		// never set under keyed granularity, so the extra load is free),
-		// plus the keyed fence table when configured.
-		token := ss.sys.Load(ss.store.FenceWord())
-		var epoch, beat uint64
-		if token != 0 {
-			epoch = ss.sys.Load(ss.store.FenceEpochWord())
-			beat = ss.sys.Load(ss.store.FenceBeatWord())
-		}
-		if sus.watch(token, epoch, beat, now, deadline) {
-			s.recoverOrphan(ss, token, epoch, -1)
-		}
-		if keyed && ss.sys.Load(ss.store.FenceOccWord()) != 0 {
-			for i := 0; i < FenceSlots; i++ {
+		// Orphaned-fence scavenging. With nothing held the cells keep what
+		// they last saw: epochs never repeat, so a stale cell cannot match
+		// a later hold.
+		if ss.sys.Load(ss.store.FenceOccWord()) != 0 {
+			for i := range sus {
 				tokenW, epochW, beatW := ss.store.FenceSlotWordsOf(i)
-				tok := ss.sys.Load(tokenW)
-				var ep, bt uint64
-				if tok != 0 {
-					ep = ss.sys.Load(epochW)
-					bt = ss.sys.Load(beatW)
+				h := FenceHold{Slot: i, Token: ss.sys.Load(tokenW)}
+				var beat uint64
+				if h.Token != 0 {
+					h.Epoch = ss.sys.Load(epochW)
+					beat = ss.sys.Load(beatW)
 				}
-				if slotSus[i].watch(tok, ep, bt, now, deadline) {
-					s.recoverOrphan(ss, tok, ep, i)
+				if sus[i].watch(h.Token, h.Epoch, beat, now, deadline) {
+					s.recoverOrphan(ss, h)
 				}
 			}
 		}
@@ -403,32 +374,30 @@ func (ss *shardState) detector() {
 }
 
 // ctlRecover runs one recovery control step on shard target on behalf of
-// shard own's detector — a step that releases a fence, so target's waiters
-// are woken — waiting for the result but never past either shard's
-// shutdown: a detector must not deadlock Close. A step that times out this
-// way may still execute on a worker later; all its effects are
-// epoch-guarded and it records its own completion inside the closure, so
+// shard own's detector, waiting for the result but never past either
+// shard's shutdown: a detector must not deadlock Close. A step that times
+// out this way may still execute on a worker later; all its effects are
+// epoch-guarded and it books its own completion (request.then), so
 // the detector simply retries on the next tick.
-func (s *Server) ctlRecover(own, target *shardState, fn func(w *proteustm.Worker, slot int) response) bool {
-	req := &request{ctl: fn, releases: true}
-	if _, ok := target.run(req, false); ok {
-		return true
+func (s *Server) ctlRecover(own, target *shardState, req *request) (response, bool) {
+	if resp, ok := target.run(req, false); ok {
+		return resp, true
 	}
 	req.done = make(chan response, 1)
 	select {
 	case target.prio <- req:
 	case <-target.stop:
-		return false
+		return response{}, false
 	case <-own.stop:
-		return false
+		return response{}, false
 	}
 	select {
-	case <-req.done:
-		return true
+	case resp := <-req.done:
+		return resp, true
 	case <-target.stop:
-		return false
+		return response{}, false
 	case <-own.stop:
-		return false
+		return response{}, false
 	}
 }
 
@@ -441,46 +410,37 @@ func (s *Server) fenceRecoveryEta() time.Duration {
 	return s.opts.FenceDeadline + s.opts.DetectInterval
 }
 
-// recoverOrphan recovers the batch holding (token, epoch) on shard ss's
-// fence — the whole-shard word when slot < 0, keyed table entry slot
-// otherwise — past the deadline. A registered batch is recovered whole —
-// decided writes roll forward (applied on the dead coordinator's
-// behalf), everything else aborts — across all its shards, so one
-// detector firing heals every participant. A token the registry has
-// never seen (a fence wedged from outside the protocol) is simply
-// released at its observed epoch.
-func (s *Server) recoverOrphan(ss *shardState, token, epoch uint64, slot int) {
-	rec, rollForward, known := s.reg.claim(token)
+// recoverOrphan recovers the batch holding h on shard ss's fence past the
+// deadline. A registered batch is recovered whole — decided writes roll
+// forward (applied on the dead coordinator's behalf), everything else
+// aborts — across all its shards, so one detector firing heals every
+// participant. A token the registry has never seen is a span move's (or a
+// fence wedged from outside the protocol): its partial copy is rolled back
+// and the hold released.
+func (s *Server) recoverOrphan(ss *shardState, h FenceHold) {
+	rec, rollForward, known := s.reg.claim(h.Token)
 	if rec == nil {
 		if known {
 			return // another shard's detector owns this batch's recovery
 		}
-		// An unregistered token is a migration fence (split or merge): its
-		// holder records no cross-shard batch. If a merge was live under
-		// this token, delete its partial copy from the recipient FIRST —
-		// releasing the donor's fence before the rollback would let a scan
-		// double-count the copied duplicates. A rollback that cannot finish
-		// leaves the fence held; this detector fires again next tick.
-		if !s.rollbackMergeCopy(token) {
+		// If a span move was live under this token, delete its partial copy
+		// from the recipient FIRST — releasing the donor's fence before the
+		// rollback would let a scan double-count the copied duplicates. A
+		// rollback that cannot finish leaves the fence held; this detector
+		// fires again next tick.
+		if !s.rollbackMove(h.Token) {
 			return
 		}
-		released := false
-		ok := s.ctlRecover(ss, ss, func(w *proteustm.Worker, _ int) response {
-			w.Atomic(func(tx proteustm.Txn) {
-				released = ss.store.FenceHeldAt(tx, slot, token, epoch) && ss.store.FenceReleaseAt(tx, slot, epoch)
-			})
-			return response{}
-		})
-		if ok && released {
+		if r, ok := s.ctlRecover(ss, ss, &request{ctl: true, hold: h, releases: true}); ok && r.Applied {
 			s.fenceRecovered.Add(1)
 			s.fenceAborted.Add(1)
-			s.opts.Logf("serve: shard %d fence recovery: released unregistered token %d (epoch %d)", ss.idx, token, epoch)
+			s.opts.Logf("serve: shard %d fence recovery: released unregistered token %d (epoch %d)", ss.idx, h.Token, h.Epoch)
 		}
 		return
 	}
 	defer s.reg.unclaim(rec)
 	for _, p := range rec.parts {
-		recToken, recEpoch, recSlot, held := s.reg.acquireState(rec, p)
+		ph, held := s.reg.acquireState(rec, p)
 		if !held {
 			continue
 		}
@@ -491,27 +451,17 @@ func (s *Server) recoverOrphan(ss *shardState, token, epoch uint64, slot int) {
 			s.reg.markReleased(rec, p, true)
 			continue
 		}
-		part, target := p, fleet[p.shard]
-		s.ctlRecover(ss, target, func(w *proteustm.Worker, slot int) response {
-			var did bool
-			w.Atomic(func(tx proteustm.Txn) {
-				did = false
-				if !target.store.FenceHeldAt(tx, recSlot, recToken, recEpoch) {
-					return
-				}
+		target := fleet[p.shard]
+		s.ctlRecover(ss, target, &request{ctl: true, hold: ph, releases: true,
+			step: func(tx proteustm.Txn, slot int) response {
 				if rollForward {
-					for _, i := range part.idx {
+					for _, i := range p.idx {
 						target.store.Put(tx, slot, rec.keys[i], rec.vals[i])
 					}
 				}
-				target.store.FenceReleaseAt(tx, recSlot, recEpoch)
-				did = true
-			})
-			if did {
-				s.reg.markReleased(rec, part, true)
-			}
-			return response{}
-		})
+				return response{}
+			},
+			then: func() { s.reg.markReleased(rec, p, true) }})
 	}
 	if s.reg.completeIfDone(rec) {
 		s.fenceRecovered.Add(1)
@@ -523,7 +473,7 @@ func (s *Server) recoverOrphan(ss *shardState, token, epoch uint64, slot int) {
 			s.fenceAborted.Add(1)
 		}
 		s.opts.Logf("serve: shard %d fence recovery: %s batch token %d across %d shard(s)",
-			ss.idx, action, token, len(rec.parts))
+			ss.idx, action, h.Token, len(rec.parts))
 	}
 }
 
@@ -555,21 +505,13 @@ func (s *Server) Health() HealthStatus {
 	if deadline <= 0 {
 		deadline = time.Second
 	}
-	keyed := s.opts.FenceGranularity == FenceKey
 	h := HealthStatus{Healthy: true, Shards: make([]ShardHealth, len(s.fleet()))}
 	for i, ss := range s.fleet() {
 		sh := ShardHealth{Index: i, Breaker: ss.breakerName(now)}
 		if sh.Breaker == "open" {
 			h.Healthy = false
 		}
-		if ss.sys.Load(ss.store.FenceWord()) != 0 {
-			sh.FenceHeld = true
-			if beatStale(ss.sys.Load(ss.store.FenceBeatWord()), now, deadline) {
-				sh.FenceStale = true
-				h.Healthy = false
-			}
-		}
-		if keyed && ss.sys.Load(ss.store.FenceOccWord()) != 0 {
+		if ss.sys.Load(ss.store.FenceOccWord()) != 0 {
 			for slot := 0; slot < FenceSlots; slot++ {
 				tokenW, _, beatW := ss.store.FenceSlotWordsOf(slot)
 				if ss.sys.Load(tokenW) == 0 {

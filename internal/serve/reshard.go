@@ -22,21 +22,21 @@
 //	         batches, and releases.
 //
 // Crash model: a migrator that dies mid-copy or after install-but-
-// before-flip leaves the donor's fence held with an unregistered token;
-// the failure detector's orphan recovery releases it (rollback — the
-// placement never flipped, so the donor still serves the whole span, and
-// the partial copy on the spare shard is cleared when the next attempt
-// begins). See docs/sharding.md for the crash matrix.
+// before-flip leaves the donor's fence held with an unregistered token and
+// the move's record in place; the failure detector's orphan recovery
+// deletes the partial copy from the recipient and only then releases the
+// fence (rollback — the placement never flipped, so the donor still serves
+// the whole span). See docs/sharding.md for the crash matrix.
 //
-// The merge direction (PlanMergeColdest) reuses the same fenced
-// pipeline with the asymmetries inverted: there is no spare to grow and
-// clear — the recipient is a live shard serving its own keys throughout
-// — and the flip shrinks the placement, after which the donor (always
-// the fleet's top shard) is drained and retired for good. Because the
-// recipient is live, a crashed merge's partial copy must be rolled back
-// (deleted from the recipient) before the donor's fence is ever
-// released; the failure detector does this through the activeMig record
-// before its unregistered-token release. See docs/sharding.md.
+// A split and a merge are the same move (moveSpan) between different
+// ends: a split's recipient is a spare shard the prologue grows (or finds
+// left over from a rolled-back attempt) and its placement grows by one; a
+// merge's recipient is a live shard serving its own keys throughout, its
+// placement shrinks by one, and the epilogue drains and retires the donor
+// (always the fleet's top shard) for good. Because a recipient may be
+// live, copied duplicates must never become observable — a scan spanning
+// the boundary would double-count them — which is why the rollback
+// precedes the release.
 package serve
 
 import (
@@ -168,7 +168,12 @@ func (s *Server) Reshard() (reshardResult, int) {
 			Shards: part.Shards()}, http.StatusBadRequest
 	}
 
-	moved, newEpoch, err := s.migrate(plan)
+	recip, err := s.spareShard(plan.NewShard)
+	var moved, newEpoch uint64
+	if err == nil {
+		moved, newEpoch, err = s.moveSpan(spanMove{kind: "reshard", what: "migration",
+			donor: s.fleet()[plan.Donor], recip: recip, lo: plan.MovedLo, hi: plan.MovedHi, next: plan.Grown})
+	}
 	res := reshardResult{
 		Plan: "split", Donor: plan.Donor, NewShard: plan.NewShard,
 		MovedLo: plan.MovedLo, MovedHi: plan.MovedHi,
@@ -222,111 +227,129 @@ func clampPlanForDeque(plan shard.SplitPlan) (shard.SplitPlan, error) {
 	return plan, nil
 }
 
-// migrate executes one clamped split plan: grow (or reuse) the fleet's
-// spare shard, clear it, fence the donor, copy the span, flip the
-// placement, and clean the donor up under the same fence. It returns the
-// migrated pair count and the installed placement epoch.
-func (s *Server) migrate(plan shard.SplitPlan) (moved uint64, newEpoch uint64, err error) {
+// spareShard returns the fleet's shard idx for a split to fill: the spare
+// a rolled-back attempt left behind (empty again — the rollback cleared
+// its copy), or a new shard, published in the fleet before any placement
+// can name it: readers load the placement first, so once the flip lands,
+// index idx is guaranteed present.
+func (s *Server) spareShard(idx int) (*shardState, error) {
 	fleet := s.fleet()
-	donor := fleet[plan.Donor]
-	var recip *shardState
-	if plan.NewShard < len(fleet) {
-		// A spare shard left by an earlier rolled-back attempt: reuse it.
-		recip = fleet[plan.NewShard]
-	} else {
-		recip, err = s.newShard(plan.NewShard)
-		if err != nil {
-			return 0, 0, fmt.Errorf("building shard %d: %w", plan.NewShard, err)
-		}
-		grown := make([]*shardState, len(fleet), len(fleet)+1)
-		copy(grown, fleet)
-		grown = append(grown, recip)
-		// Publish the grown fleet before the placement can name it:
-		// readers load the placement first, so once the flip lands, index
-		// NewShard is guaranteed present.
-		s.fleetPtr.Store(&grown)
-		s.startShardWorkers(recip)
+	if idx < len(fleet) {
+		return fleet[idx], nil
 	}
-
-	// Clear the recipient's KV state: an earlier rolled-back attempt may
-	// have left a partial copy, and stray keys would pollute range scans
-	// once the recipient starts serving.
-	for {
-		var more bool
-		r := s.ctl(recip, func(w *proteustm.Worker, slot int) response {
-			w.Atomic(func(tx proteustm.Txn) {
-				_, more = recip.store.DeleteSpan(tx, slot, 0, ^uint64(0), migrateBatch)
-			})
-			return response{Applied: true}
-		})
-		if r.Err != "" {
-			return 0, 0, fmt.Errorf("clearing recipient shard %d: %s", plan.NewShard, r.Err)
-		}
-		if !more {
-			break
-		}
+	recip, err := s.newShard(idx)
+	if err != nil {
+		return nil, fmt.Errorf("building shard %d: %w", idx, err)
 	}
+	grown := append(fleet[:len(fleet):len(fleet)], recip)
+	s.fleetPtr.Store(&grown)
+	s.startShardWorkers(recip)
+	return recip, nil
+}
 
-	// Fence the donor. The conflict-with-everything signature makes the
-	// keyed granularity behave exactly like the whole-shard word for the
-	// migration window: every local KV operation waits for the release,
-	// every competing cross-shard commit serializes.
+// spanMove is one span migration: the keys of [lo, hi] leave donor for
+// recip and the placement next takes effect. kind ("reshard" or "merge")
+// and what ("migration" or "merge") name the move in error texts.
+type spanMove struct {
+	kind, what   string
+	donor, recip *shardState
+	lo, hi       uint64
+	next         shard.Partitioner
+}
+
+// migRecord identifies the in-flight span move so that whoever finds it
+// dead can roll its partial copy back off the recipient. It is set (under
+// migMu) right after the donor's fence is acquired and cleared atomically
+// with the placement flip: a record still present when the detector
+// recovers the token means the flip never happened, so the copied keys on
+// the recipient are deletable duplicates.
+type migRecord struct {
+	token     uint64
+	recipient int
+	lo, hi    uint64
+}
+
+// moveSpan executes one span move: fence the donor under the whole-shard
+// signature (every local operation waits for the release, every competing
+// cross-shard commit serializes), record the move, stream the span into
+// the recipient, flip the placement, and clean the donor up under the same
+// fence. It returns the migrated pair count and the installed placement
+// epoch.
+func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error) {
+	donor, recip := m.donor, m.recip
+	// reshardMu admits one move at a time, so a record still live here is
+	// a dead move's, its donor still fenced: finish its rollback rather
+	// than overwrite the record the detector would have found it by.
+	s.migMu.Lock()
+	dead := s.activeMig
+	s.migMu.Unlock()
+	if dead != nil && !s.rollbackMove(dead.token) {
+		return 0, 0, fmt.Errorf("rolling back the copy of an earlier span move on shard %d failed", dead.recipient)
+	}
 	token := s.nextToken.Add(1)
 	hold, err := s.acquireMigrationFence(donor, token)
 	if err != nil {
 		return 0, 0, err
 	}
-	beatAddr := donor.store.FenceBeatWord()
-	if hold.slot >= 0 {
-		_, _, beatAddr = donor.store.FenceSlotWordsOf(hold.slot)
+	// Record the move before the first copy batch: if this migrator dies,
+	// the failure detector finds the record under the orphaned token and
+	// deletes the partial copy from the recipient before releasing the
+	// fence.
+	s.migMu.Lock()
+	s.activeMig = &migRecord{token: token, recipient: recip.idx, lo: m.lo, hi: m.hi}
+	s.migMu.Unlock()
+	// abort undoes a move that failed before its flip.
+	abort := func(format string, args ...any) (uint64, uint64, error) {
+		s.rollbackMove(token)
+		s.guarded(donor, hold, true, nil)
+		return 0, 0, fmt.Errorf(format, args...)
 	}
 
-	// Copy the moved span donor → recipient in bounded batches. Each
-	// export runs under the fence-hold guard — if the failure detector
-	// recovered the fence, this migration is dead and must stop — and
-	// re-stamps the holder heartbeat so a long copy is never mistaken
-	// for an orphan.
-	lo := plan.MovedLo
+	// Copy the span donor → recipient in bounded batches. Each export runs
+	// under the fence-hold guard — if the failure detector recovered the
+	// fence, this move is dead and must stop — and re-stamps the holder
+	// heartbeat so a long copy is never mistaken for an orphan.
+	lo := m.lo
 	for {
-		if _, fire := s.opts.Fault.Fire(fault.ReshardDonorCrash, plan.Donor); fire {
-			// Injected migrator crash mid-copy: abandon with the fence
-			// held. The failure detector sees an unregistered token and
-			// rolls the migration back by releasing the fence; the
-			// placement never flipped, so the donor still serves the whole
-			// span and the partial copy is cleared on the next attempt.
-			return 0, 0, fmt.Errorf("reshard migrator crashed mid-copy (injected fault); fence recovery pending")
+		if _, fire := s.opts.Fault.Fire(fault.ReshardDonorCrash, donor.idx); fire {
+			// Injected migrator crash mid-copy: abandon with the fence held
+			// and the record in place, for the failure detector to roll back.
+			return 0, 0, fmt.Errorf("%s migrator crashed mid-copy (injected fault); fence recovery pending", m.kind)
 		}
 		var keys, vals []uint64
 		var next uint64
-		var resume, held bool
-		r := s.ctl(donor, func(w *proteustm.Worker, _ int) response {
-			w.Atomic(func(tx proteustm.Txn) {
-				keys, vals, next, resume = nil, nil, 0, false
-				if held = donor.store.FenceHeldAt(tx, hold.slot, token, hold.epoch); !held {
-					return
-				}
-				keys, vals, next, resume = donor.store.ExportSpan(tx, lo, plan.MovedHi, migrateBatch)
-				tx.Store(beatAddr, uint64(time.Now().UnixNano()))
-			})
-			return response{Applied: true}
+		var resume bool
+		r := s.guarded(donor, hold, false, func(tx proteustm.Txn, _ int) response {
+			keys, vals, next, resume = donor.store.ExportSpan(tx, lo, m.hi, migrateBatch)
+			donor.store.StampFence(tx, hold, uint64(time.Now().UnixNano()))
+			return response{}
 		})
 		if r.Err != "" {
-			s.releaseMigrationFence(donor, hold, token)
-			return 0, 0, fmt.Errorf("exporting span from shard %d: %s", plan.Donor, r.Err)
+			return abort("exporting span from shard %d: %s", donor.idx, r.Err)
 		}
-		if !held {
-			return 0, 0, fmt.Errorf("donor fence recovered out from under the migration; rolled back")
+		if !r.Applied {
+			// The detector stole the fence; it rolled the copy back if the
+			// record was still live. Run the rollback again ourselves in
+			// case a batch landed between its delete and the steal.
+			s.rollbackMove(token)
+			return 0, 0, fmt.Errorf("donor fence recovered out from under the %s; rolled back", m.what)
 		}
 		if len(keys) > 0 {
-			r = s.ctl(recip, func(w *proteustm.Worker, slot int) response {
-				w.Atomic(func(tx proteustm.Txn) {
-					recip.store.InstallPairs(tx, slot, keys, vals)
-				})
-				return response{Applied: true}
+			// Install under migMu: rollbackMove serializes on it, so no
+			// batch can land on the recipient after a rollback has decided
+			// what to delete.
+			s.migMu.Lock()
+			if s.activeMig == nil || s.activeMig.token != token {
+				s.migMu.Unlock()
+				return 0, 0, fmt.Errorf("%s rolled back by fence recovery mid-copy", m.kind)
+			}
+			r = s.ctl(recip, func(tx proteustm.Txn, slot int) response {
+				recip.store.InstallPairs(tx, slot, keys, vals)
+				return response{}
 			})
+			s.migMu.Unlock()
 			if r.Err != "" {
-				s.releaseMigrationFence(donor, hold, token)
-				return 0, 0, fmt.Errorf("installing span on shard %d: %s", plan.NewShard, r.Err)
+				return abort("installing span on shard %d: %s", recip.idx, r.Err)
 			}
 			moved += uint64(len(keys))
 		}
@@ -336,18 +359,28 @@ func (s *Server) migrate(plan shard.SplitPlan) (moved uint64, newEpoch uint64, e
 		lo = next
 	}
 
-	if _, fire := s.opts.Fault.Fire(fault.ReshardInstallCrash, plan.Donor); fire {
-		// Injected migrator crash after install, before the flip: same
-		// rollback as the donor-side crash — the copied span is
-		// unreachable garbage until the next attempt clears it.
-		return 0, 0, fmt.Errorf("reshard migrator crashed before the flip (injected fault); fence recovery pending")
+	if _, fire := s.opts.Fault.Fire(fault.ReshardInstallCrash, donor.idx); fire {
+		// Injected crash after the copy, before the flip: same rollback as
+		// the mid-copy crash.
+		return 0, 0, fmt.Errorf("%s migrator crashed before the flip (injected fault); fence recovery pending", m.kind)
 	}
 
-	// Flip. The grown fleet is published and the span fully installed,
-	// so any operation routed under the new epoch finds its shard and
-	// its data; everything routed under the old epoch either waits on the
-	// still-held fence or bounces off the placement bump below.
-	newEpoch = s.place.Install(plan.Grown)
+	// Flip, atomically retiring the move's record under migMu: from here
+	// the move is committed — the recipient owns the span, the copied keys
+	// are live data, and no rollback may ever delete them. Any operation
+	// routed under the new epoch finds its shard and its data; everything
+	// routed under the old epoch either waits on the still-held fence or
+	// bounces off the placement bump below.
+	s.migMu.Lock()
+	if s.activeMig == nil || s.activeMig.token != token {
+		// Detector rollback won the race at the last instant: the copy is
+		// gone and the fence released. Nothing flipped.
+		s.migMu.Unlock()
+		return 0, 0, fmt.Errorf("%s rolled back by fence recovery before the flip", m.kind)
+	}
+	newEpoch = s.place.Install(m.next)
+	s.activeMig = nil
+	s.migMu.Unlock()
 
 	// Donor cleanup, entirely under the fence: bump the placement-epoch
 	// word (in the same transactions that delete, so a stale-routed
@@ -357,99 +390,53 @@ func (s *Server) migrate(plan shard.SplitPlan) (moved uint64, newEpoch uint64, e
 	// declared death — the beat re-stamps make this a pathological
 	// FenceDeadline), re-acquire and resume: the flip is installed, and
 	// leftover moved keys on the donor would tear range scans.
-	held := true
-	for {
-		if !held {
-			hold, err = s.acquireMigrationFence(donor, token)
-			if err != nil {
-				// Can't re-fence: publish the bump unfenced — monotonic and
-				// harmless, and without it stale-routed operations would
-				// read the half-deleted span.
-				s.ctl(donor, func(w *proteustm.Worker, _ int) response {
-					w.Atomic(func(tx proteustm.Txn) { donor.store.BumpPlacement(tx, newEpoch) })
-					return response{}
-				})
-				return moved, newEpoch, fmt.Errorf("re-fencing donor for cleanup: %w", err)
-			}
-			beatAddr = donor.store.FenceBeatWord()
-			if hold.slot >= 0 {
-				_, _, beatAddr = donor.store.FenceSlotWordsOf(hold.slot)
-			}
-			held = true
-		}
-		var more bool
-		r := s.ctl(donor, func(w *proteustm.Worker, slot int) response {
-			w.Atomic(func(tx proteustm.Txn) {
-				more = false
-				if held = donor.store.FenceHeldAt(tx, hold.slot, token, hold.epoch); !held {
-					return
-				}
-				donor.store.BumpPlacement(tx, newEpoch)
-				_, more = donor.store.DeleteSpan(tx, slot, plan.MovedLo, plan.MovedHi, migrateBatch)
-				tx.Store(beatAddr, uint64(time.Now().UnixNano()))
-			})
-			return response{Applied: true}
+	for more := true; more; {
+		r := s.guarded(donor, hold, false, func(tx proteustm.Txn, slot int) response {
+			donor.store.BumpPlacement(tx, newEpoch)
+			_, more = donor.store.DeleteSpan(tx, slot, m.lo, m.hi, migrateBatch)
+			donor.store.StampFence(tx, hold, uint64(time.Now().UnixNano()))
+			return response{}
 		})
 		if r.Err != "" {
-			s.releaseMigrationFence(donor, hold, token)
-			return moved, newEpoch, fmt.Errorf("cleaning donor shard %d: %s", plan.Donor, r.Err)
+			s.guarded(donor, hold, true, nil)
+			return moved, newEpoch, fmt.Errorf("cleaning donor shard %d: %s", donor.idx, r.Err)
 		}
-		if !held {
+		if r.Applied {
 			continue
 		}
-		if !more {
-			break
+		if hold, err = s.acquireMigrationFence(donor, token); err != nil {
+			// Can't re-fence: publish the bump unfenced — monotonic and
+			// harmless, and without it stale-routed operations would read
+			// the half-deleted span.
+			s.ctl(donor, func(tx proteustm.Txn, _ int) response {
+				donor.store.BumpPlacement(tx, newEpoch)
+				return response{}
+			})
+			return moved, newEpoch, fmt.Errorf("re-fencing donor for cleanup: %w", err)
 		}
 	}
-	s.releaseMigrationFence(donor, hold, token)
+	s.guarded(donor, hold, true, nil)
 	return moved, newEpoch, nil
 }
 
-// acquireMigrationFence claims the donor's fence for the migration,
-// riding out coordinator contention the way an aborted coordinator does:
-// wait for the donor's next fence release, at most the cross-shard
-// backoff.
-func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (response, error) {
+// acquireMigrationFence claims the donor's fence for the move, riding out
+// coordinator contention the way an aborted coordinator does: wait for the
+// donor's next fence release, at most the cross-shard backoff.
+func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (FenceHold, error) {
 	for attempt := 0; ; attempt++ {
 		gen := donor.relGen.Load()
-		r := s.ctlAcquire(donor, token, ^uint64(0))
+		r := s.ctlAcquire(donor, token, SigAll)
 		if r.Err != "" {
-			return r, fmt.Errorf("acquiring donor fence: %s", r.Err)
+			return FenceHold{}, fmt.Errorf("acquiring donor fence: %s", r.Err)
 		}
 		if r.Applied {
-			return r, nil
+			return r.hold, nil
 		}
 		if attempt+1 >= s.opts.CrossRetries {
-			return r, fmt.Errorf("donor fence contention: exhausted %d acquisition attempts", s.opts.CrossRetries)
+			return FenceHold{}, fmt.Errorf("donor fence contention: exhausted %d acquisition attempts", s.opts.CrossRetries)
 		}
 		s.crossWait(donor, gen, attempt)
 	}
-}
-
-// releaseMigrationFence frees the migration's fence hold, epoch-guarded
-// like every release: a hold the failure detector already recovered is
-// left alone.
-func (s *Server) releaseMigrationFence(donor *shardState, hold response, token uint64) {
-	s.ctlRelease(donor, func(w *proteustm.Worker, _ int) response {
-		w.Atomic(func(tx proteustm.Txn) {
-			if donor.store.FenceHeldAt(tx, hold.slot, token, hold.epoch) {
-				donor.store.FenceReleaseAt(tx, hold.slot, hold.epoch)
-			}
-		})
-		return response{}
-	})
-}
-
-// migRecord identifies the in-flight merge migration so the failure
-// detector can roll its partial copy back off the live recipient. It is
-// set (under migMu) right after the donor's fence is acquired and
-// cleared atomically with the placement flip: a record still present
-// when the detector recovers the token means the flip never happened,
-// so the copied keys on the recipient are deletable duplicates.
-type migRecord struct {
-	token            uint64
-	donor, recipient int
-	lo, hi           uint64
 }
 
 // ReshardMerge computes a PlanMergeColdest plan from the live per-shard
@@ -503,7 +490,14 @@ func (s *Server) reshardMerge(load []uint64) (reshardResult, int) {
 			Shards: part.Shards()}, http.StatusOK
 	}
 
-	moved, newEpoch, err := s.migrateMerge(plan)
+	var moved, newEpoch uint64
+	var err error
+	if plan.Donor != len(fleet)-1 {
+		err = fmt.Errorf("merge donor %d is not the fleet's top shard (%d)", plan.Donor, len(fleet)-1)
+	} else {
+		moved, newEpoch, err = s.moveSpan(spanMove{kind: "merge", what: "merge",
+			donor: fleet[plan.Donor], recip: fleet[plan.Recipient], lo: plan.MovedLo, hi: plan.MovedHi, next: plan.Merged})
+	}
 	res := reshardResult{
 		Plan: "merge", Donor: plan.Donor, Recipient: plan.Recipient,
 		MovedLo: plan.MovedLo, MovedHi: plan.MovedHi,
@@ -527,204 +521,32 @@ func (s *Server) reshardMerge(load []uint64) (reshardResult, int) {
 	return res, http.StatusOK
 }
 
-// migrateMerge executes one merge plan: fence the retiring donor,
-// stream its span into the live recipient (which keeps serving its own
-// keys throughout — only operations the donor's fence covers wait),
-// flip the placement, and clean the donor up under the same fence. The
-// caller retires the donor afterwards. Unlike the split path there is
-// no spare to grow and clear: the recipient is live, so a partial copy
-// left by a crash is rolled back (rollbackMergeCopy) before the donor's
-// fence is released — copied duplicates must never become observable,
-// or a scan spanning the boundary would double-count them.
-func (s *Server) migrateMerge(plan shard.MergePlan) (moved uint64, newEpoch uint64, err error) {
-	fleet := s.fleet()
-	if plan.Donor != len(fleet)-1 {
-		return 0, 0, fmt.Errorf("merge donor %d is not the fleet's top shard (%d)", plan.Donor, len(fleet)-1)
-	}
-	donor, recip := fleet[plan.Donor], fleet[plan.Recipient]
-
-	token := s.nextToken.Add(1)
-	hold, err := s.acquireMigrationFence(donor, token)
-	if err != nil {
-		return 0, 0, err
-	}
-	beatAddr := donor.store.FenceBeatWord()
-	if hold.slot >= 0 {
-		_, _, beatAddr = donor.store.FenceSlotWordsOf(hold.slot)
-	}
-	// Record the migration before the first copy batch: if this migrator
-	// dies, the failure detector finds the record under the orphaned
-	// token and deletes the partial copy from the recipient before
-	// releasing the fence.
-	s.migMu.Lock()
-	s.activeMig = &migRecord{token: token, donor: plan.Donor, recipient: plan.Recipient, lo: plan.MovedLo, hi: plan.MovedHi}
-	s.migMu.Unlock()
-
-	lo := plan.MovedLo
-	for {
-		if _, fire := s.opts.Fault.Fire(fault.ReshardDonorCrash, plan.Donor); fire {
-			// Injected migrator crash mid-copy: abandon with the fence held
-			// and the migration record in place. The failure detector sees
-			// an unregistered token, rolls the recipient's partial copy
-			// back, and releases the fence — the placement never flipped,
-			// so the donor still serves the whole span.
-			return 0, 0, fmt.Errorf("merge migrator crashed mid-copy (injected fault); fence recovery pending")
-		}
-		var keys, vals []uint64
-		var next uint64
-		var resume, held bool
-		r := s.ctl(donor, func(w *proteustm.Worker, _ int) response {
-			w.Atomic(func(tx proteustm.Txn) {
-				keys, vals, next, resume = nil, nil, 0, false
-				if held = donor.store.FenceHeldAt(tx, hold.slot, token, hold.epoch); !held {
-					return
-				}
-				keys, vals, next, resume = donor.store.ExportSpan(tx, lo, plan.MovedHi, migrateBatch)
-				tx.Store(beatAddr, uint64(time.Now().UnixNano()))
-			})
-			return response{Applied: true}
-		})
-		if r.Err != "" {
-			s.rollbackMergeCopy(token)
-			s.releaseMigrationFence(donor, hold, token)
-			return 0, 0, fmt.Errorf("exporting span from shard %d: %s", plan.Donor, r.Err)
-		}
-		if !held {
-			// The detector stole the fence; it rolled the copy back if the
-			// record was still live. Run the rollback again ourselves in
-			// case a batch landed between its delete and the steal.
-			s.rollbackMergeCopy(token)
-			return 0, 0, fmt.Errorf("donor fence recovered out from under the merge; rolled back")
-		}
-		if len(keys) > 0 {
-			// Install under migMu: rollbackMergeCopy serializes on it, so
-			// no batch can land on the recipient after a rollback has
-			// decided what to delete.
-			s.migMu.Lock()
-			if s.activeMig == nil || s.activeMig.token != token {
-				s.migMu.Unlock()
-				return 0, 0, fmt.Errorf("merge rolled back by fence recovery mid-copy")
-			}
-			r = s.ctl(recip, func(w *proteustm.Worker, slot int) response {
-				w.Atomic(func(tx proteustm.Txn) {
-					recip.store.InstallPairs(tx, slot, keys, vals)
-				})
-				return response{Applied: true}
-			})
-			s.migMu.Unlock()
-			if r.Err != "" {
-				s.rollbackMergeCopy(token)
-				s.releaseMigrationFence(donor, hold, token)
-				return 0, 0, fmt.Errorf("installing span on shard %d: %s", plan.Recipient, r.Err)
-			}
-			moved += uint64(len(keys))
-		}
-		if !resume {
-			break
-		}
-		lo = next
-	}
-
-	if _, fire := s.opts.Fault.Fire(fault.ReshardInstallCrash, plan.Donor); fire {
-		// Injected crash after the copy, before the flip: same rollback as
-		// the mid-copy crash — detector deletes the copy, releases the
-		// fence, the fleet keeps all its shards.
-		return 0, 0, fmt.Errorf("merge migrator crashed before the flip (injected fault); fence recovery pending")
-	}
-
-	// Flip, atomically retiring the migration record under migMu: from
-	// here the merge is committed — the recipient owns the span, the
-	// copied keys are live data, and no rollback may ever delete them.
-	s.migMu.Lock()
-	if s.activeMig == nil || s.activeMig.token != token {
-		// Detector rollback won the race at the last instant: the copy is
-		// gone and the fence released. Nothing flipped.
-		s.migMu.Unlock()
-		return 0, 0, fmt.Errorf("merge rolled back by fence recovery before the flip")
-	}
-	newEpoch = s.place.Install(plan.Merged)
-	s.activeMig = nil
-	s.migMu.Unlock()
-
-	// Donor cleanup, entirely under the fence, exactly like the split
-	// path: bump the placement-epoch word in the same transactions that
-	// delete the moved span, re-acquiring on a detector steal. The donor
-	// is about to retire, but until the truncated fleet is published a
-	// stale-routed operation can still land here and must bounce, not
-	// read a half-deleted span.
-	held := true
-	for {
-		if !held {
-			hold, err = s.acquireMigrationFence(donor, token)
-			if err != nil {
-				s.ctl(donor, func(w *proteustm.Worker, _ int) response {
-					w.Atomic(func(tx proteustm.Txn) { donor.store.BumpPlacement(tx, newEpoch) })
-					return response{}
-				})
-				return moved, newEpoch, fmt.Errorf("re-fencing donor for cleanup: %w", err)
-			}
-			beatAddr = donor.store.FenceBeatWord()
-			if hold.slot >= 0 {
-				_, _, beatAddr = donor.store.FenceSlotWordsOf(hold.slot)
-			}
-			held = true
-		}
-		var more bool
-		r := s.ctl(donor, func(w *proteustm.Worker, slot int) response {
-			w.Atomic(func(tx proteustm.Txn) {
-				more = false
-				if held = donor.store.FenceHeldAt(tx, hold.slot, token, hold.epoch); !held {
-					return
-				}
-				donor.store.BumpPlacement(tx, newEpoch)
-				_, more = donor.store.DeleteSpan(tx, slot, plan.MovedLo, plan.MovedHi, migrateBatch)
-				tx.Store(beatAddr, uint64(time.Now().UnixNano()))
-			})
-			return response{Applied: true}
-		})
-		if r.Err != "" {
-			s.releaseMigrationFence(donor, hold, token)
-			return moved, newEpoch, fmt.Errorf("cleaning donor shard %d: %s", plan.Donor, r.Err)
-		}
-		if !held {
-			continue
-		}
-		if !more {
-			break
-		}
-	}
-	s.releaseMigrationFence(donor, hold, token)
-	return moved, newEpoch, nil
-}
-
-// rollbackMergeCopy clears a dead merge's partial copy from the live
-// recipient and retires the migration record. It serializes against the
-// migrator's install batches on migMu, so once it returns true no
-// further batch can land: the recipient holds no keys from the moved
-// span, and the donor's fence may be released. It returns false when
-// the copy could not be fully cleared (a control step failed, typically
-// at shutdown) — the caller must then NOT release the donor's fence, so
-// the duplicates stay unobservable until a later recovery tick finishes
-// the job. A token that doesn't match the live record is a no-op: the
-// merge either committed (flip cleared the record — the keys are live
-// data) or was already rolled back.
-func (s *Server) rollbackMergeCopy(token uint64) bool {
+// rollbackMove clears a dead span move's partial copy from the recipient
+// and retires the move's record. It serializes against the migrator's
+// install batches on migMu, so once it returns true no further batch can
+// land: the recipient holds no keys from the moved span, and the donor's
+// fence may be released. It returns false when the copy could not be fully
+// cleared (a control step failed, typically at shutdown) — the caller must
+// then NOT release the donor's fence, so the duplicates stay unobservable
+// until a later recovery tick finishes the job. A token that doesn't match
+// the live record is a no-op: the move either committed (flip cleared the
+// record — the keys are live data) or was already rolled back.
+func (s *Server) rollbackMove(token uint64) bool {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	rec := s.activeMig
 	if rec == nil || rec.token != token {
 		return true
 	}
-	fleet := s.fleet()
-	if rec.recipient < len(fleet) {
+	if fleet := s.fleet(); rec.recipient < len(fleet) {
 		recip := fleet[rec.recipient]
+		// more starts false each round: a recipient retiring under us (a
+		// spare the reaper took) answers without running the step.
 		for {
 			var more bool
-			r := s.ctl(recip, func(w *proteustm.Worker, slot int) response {
-				w.Atomic(func(tx proteustm.Txn) {
-					_, more = recip.store.DeleteSpan(tx, slot, rec.lo, rec.hi, migrateBatch)
-				})
-				return response{Applied: true}
+			r := s.ctl(recip, func(tx proteustm.Txn, slot int) response {
+				_, more = recip.store.DeleteSpan(tx, slot, rec.lo, rec.hi, migrateBatch)
+				return response{}
 			})
 			if r.Err != "" {
 				return false
@@ -735,7 +557,7 @@ func (s *Server) rollbackMergeCopy(token uint64) bool {
 		}
 	}
 	s.activeMig = nil
-	s.opts.Logf("serve: merge rollback: cleared copied span [%d, %d] from recipient shard %d (token %d)",
+	s.opts.Logf("serve: span-move rollback: cleared copied span [%d, %d] from recipient shard %d (token %d)",
 		rec.lo, rec.hi, rec.recipient, rec.token)
 	return true
 }

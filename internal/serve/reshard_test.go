@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	proteustm "repro"
 	"repro/internal/shard"
 )
 
@@ -246,6 +247,125 @@ func TestAutosplit(t *testing.T) {
 		if code != http.StatusOK || !resp.Found || resp.Val != k {
 			t.Fatalf("post-autosplit get(%d) = %d %+v", k, code, resp)
 		}
+	}
+}
+
+// keysOn counts (and sums the values of) the keys of [lo, hi] that shard ss
+// physically holds, whatever the placement says.
+func keysOn(s *Server, ss *shardState, lo, hi uint64) (count, sum uint64) {
+	r := s.ctl(ss, func(tx proteustm.Txn, _ int) (r response) {
+		r.Count, r.Sum = ss.store.Range(tx, lo, hi)
+		return r
+	})
+	return r.Count, r.Sum
+}
+
+// TestCrashedSplitRollsBackItsCopy pins the rollback rule a split shares
+// with a merge: fence recovery of a crashed split deletes the partial copy
+// from the spare before it releases the donor, so the spare is left with
+// zero keys — and a key census stays exact through split -> crash ->
+// recovery -> retry -> merge.
+func TestCrashedSplitRollsBackItsCopy(t *testing.T) {
+	const preload = 8192
+	for _, leg := range []struct{ name, fault string }{
+		{"donor-crash", "reshard-donor-crash@after=3;count=1"},
+		{"install-crash", "reshard-install-crash@count=1"},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			// Detection disabled: the recovery is driven by hand, so the
+			// crashed state can be inspected first.
+			s := newTestServer(t, Options{
+				Shards: 4, Workers: 2, Partitioner: shard.KindRange, Preload: preload,
+				FenceDeadline: -1, Fault: mustFault(t, leg.fault, 1),
+			})
+			census := func(when string) {
+				t.Helper()
+				resp, code := s.submitCross(&request{op: opRange, lo: 0, hi: ^uint64(0)})
+				if code != http.StatusOK || resp.Count != preload || resp.Sum != preload*(preload-1)/2 {
+					t.Fatalf("%s: full scan = %d count %d sum %d, want %d keys summing to %d",
+						when, code, resp.Count, resp.Sum, preload, preload*(preload-1)/2)
+				}
+				var physical uint64
+				for _, ss := range s.fleet() {
+					n, _ := keysOn(s, ss, 0, ^uint64(0))
+					physical += n
+				}
+				if physical != preload {
+					t.Fatalf("%s: the shards hold %d keys between them, want %d (a stray copy survives)", when, physical, preload)
+				}
+			}
+			s.fleet()[0].routed.Add(10_000)
+			res, code := s.Reshard()
+			if code != http.StatusServiceUnavailable || !strings.Contains(res.Err, "injected fault") {
+				t.Fatalf("faulted reshard = %d %+v, want 503 with the injected-fault error", code, res)
+			}
+			donor, spare := s.fleet()[res.Donor], s.fleet()[res.NewShard]
+			if n, _ := keysOn(s, spare, res.MovedLo, res.MovedHi); n == 0 {
+				t.Fatal("the crash left no partial copy on the spare: nothing to roll back")
+			}
+			orphan := holderOf(donor, 0)
+			if orphan.Token == 0 {
+				t.Fatal("the crashed migrator left no fence held on the donor")
+			}
+			s.recoverOrphan(donor, orphan)
+			if n, _ := keysOn(s, spare, 0, ^uint64(0)); n != 0 {
+				t.Fatalf("spare holds %d keys after fence recovery, want 0", n)
+			}
+			if !fencesFree(s) {
+				t.Fatal("donor fence still held after recovery")
+			}
+			census("after recovery")
+
+			if res, code = s.Reshard(); code != http.StatusOK || !res.Applied || res.KeysMigrated != 2048 {
+				t.Fatalf("reshard retry after rollback = %d %+v", code, res)
+			}
+			census("after the retried split")
+
+			heatAllBut(s, res.NewShard, 50_000)
+			if res, code = s.ReshardMerge(); code != http.StatusOK || !res.Applied || res.KeysMigrated != 2048 {
+				t.Fatalf("merge after the split = %d %+v", code, res)
+			}
+			if got := len(s.fleet()); got != 4 {
+				t.Fatalf("fleet has %d shards after the merge, want 4", got)
+			}
+			census("after the merge")
+		})
+	}
+}
+
+// TestSplitBehindCrashedMergeFinishesItsRollback: there is one move record,
+// so a split that starts while a crashed merge still awaits fence recovery
+// must finish that merge's rollback rather than overwrite the record the
+// detector would have found its copy by — else the duplicates on the live
+// recipient become observable the moment the merge's donor is released.
+func TestSplitBehindCrashedMergeFinishesItsRollback(t *testing.T) {
+	const preload = 16384
+	s := newTestServer(t, Options{
+		Shards: 4, Workers: 2, Partitioner: shard.KindRange, Preload: preload,
+		FenceDeadline: -1, Fault: mustFault(t, "reshard-install-crash@count=1", 1),
+	})
+	heatAllBut(s, 3, 5_000)
+	merge, code := s.ReshardMerge()
+	if code != http.StatusServiceUnavailable || !strings.Contains(merge.Err, "injected fault") {
+		t.Fatalf("faulted merge = %d %+v", code, merge)
+	}
+	recip, donor := s.fleet()[merge.Recipient], s.fleet()[merge.Donor]
+	if n, _ := keysOn(s, recip, merge.MovedLo, merge.MovedHi); n != 4096 {
+		t.Fatalf("crashed merge left %d copied keys on the recipient, want 4096", n)
+	}
+	s.fleet()[0].routed.Add(100_000)
+	if res, code := s.Reshard(); code != http.StatusOK || !res.Applied || res.Donor != 0 {
+		t.Fatalf("split behind the crashed merge = %d %+v", code, res)
+	}
+	if n, _ := keysOn(s, recip, merge.MovedLo, merge.MovedHi); n != 0 {
+		t.Fatalf("the merge's recipient still holds %d duplicate keys after the split", n)
+	}
+	s.recoverOrphan(donor, holderOf(donor, 0))
+	if !fencesFree(s) {
+		t.Fatal("merge donor still fenced after recovery")
+	}
+	if resp, code := s.submitCross(&request{op: opRange, lo: 0, hi: ^uint64(0)}); code != http.StatusOK || resp.Count != preload {
+		t.Fatalf("full scan = %d count %d, want %d", code, resp.Count, preload)
 	}
 }
 

@@ -525,7 +525,7 @@ func TestCrossShardAbortAll(t *testing.T) {
 	// Wedge the fence of the last participant (highest shard index, so
 	// the coordinator acquires the other three first).
 	victim := s.fleet()[batches[3].shard]
-	victim.sys.Store(victim.store.FenceWord(), 999)
+	wedgeFence(victim, 999)
 
 	vals := []uint64{1, 2, 3, 4}
 	req := &request{op: opMPut, keys: keys, vals: vals}
@@ -539,8 +539,8 @@ func TestCrossShardAbortAll(t *testing.T) {
 	// Abort-all must have released every fence the coordinator acquired.
 	for _, b := range batches[:3] {
 		ss := s.fleet()[b.shard]
-		if v := ss.sys.Load(ss.store.FenceWord()); v != 0 {
-			t.Fatalf("shard %d fence leaked after abort-all: %d", b.shard, v)
+		if fenceHeld(ss) {
+			t.Fatalf("shard %d fence leaked after abort-all: %+v", b.shard, holderOf(ss, 0))
 		}
 	}
 	// And no write may have landed anywhere.
@@ -558,7 +558,7 @@ func TestCrossShardAbortAll(t *testing.T) {
 	}
 
 	// Clear the wedge: the same batch must now commit everywhere.
-	victim.sys.Store(victim.store.FenceWord(), 0)
+	unwedgeFence(victim)
 	resp, code = s.submitCross(&request{op: opMPut, keys: keys, vals: vals})
 	if code != http.StatusOK || !resp.Applied {
 		t.Fatalf("mput after clearing fence = %d %+v", code, resp)
@@ -687,7 +687,7 @@ func TestFencedOpsWaitForCommit(t *testing.T) {
 		k++
 	}
 	victim := s.fleet()[1]
-	victim.sys.Store(victim.store.FenceWord(), 7)
+	wedgeFence(victim, 7)
 
 	done := make(chan struct{})
 	go func() {
@@ -710,7 +710,7 @@ func TestFencedOpsWaitForCommit(t *testing.T) {
 		t.Fatal("op completed while the fence was held")
 	case <-time.After(50 * time.Millisecond):
 	}
-	victim.sys.Store(victim.store.FenceWord(), 0)
+	unwedgeFence(victim)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -749,8 +749,8 @@ func TestConcurrentCrossShardStress(t *testing.T) {
 		t.Fatalf("%d cross-shard ops failed under contention", f)
 	}
 	for i, ss := range s.fleet() {
-		if v := ss.sys.Load(ss.store.FenceWord()); v != 0 {
-			t.Fatalf("shard %d fence left held (%d) after stress", i, v)
+		if fenceHeld(ss) {
+			t.Fatalf("shard %d fence left held (%+v) after stress", i, holderOf(ss, 0))
 		}
 	}
 	st := s.StatusSnapshot()
@@ -876,7 +876,7 @@ func TestKeyedFenceAllowsNonIntersectingOps(t *testing.T) {
 
 	// A coordinator holds a keyed fence covering only fencedKey.
 	r := s.ctlAcquire(victim, 7, KeyFenceSig([]uint64{fencedKey}))
-	if !r.Applied || r.slot < 0 {
+	if !r.Applied {
 		t.Fatalf("keyed acquire = %+v", r)
 	}
 	if got := s.StatusSnapshot().Ops.FenceKeysHeld; got != 1 {
@@ -907,10 +907,7 @@ func TestKeyedFenceAllowsNonIntersectingOps(t *testing.T) {
 	}
 
 	// Release the slot: the parked op drains.
-	s.ctl(victim, func(w *proteustm.Worker, _ int) response {
-		w.Atomic(func(tx proteustm.Txn) { victim.store.FenceSlotRelease(tx, r.slot, r.epoch) })
-		return response{}
-	})
+	s.guarded(victim, r.hold, true, nil)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

@@ -63,13 +63,26 @@ type request struct {
 	lo, hi    uint64
 	// keys/vals carry batch operations (mput/mget) confined to one shard.
 	keys, vals []uint64
-	// ctl, when set, is a cross-shard commit control step (fence acquire,
-	// apply+release, release); it bypasses the op switch and the served
-	// counters and, when no slot is free, waits on the shard's priority
-	// lane. releases marks a step that may free a fence: once it has run
-	// the shard wakes the operations waiting for a release.
-	ctl      func(w *proteustm.Worker, slot int) response
+	// ctl marks a control step of the cross-shard machinery (fence
+	// acquire, apply+release, release, migration batch): it bypasses the op
+	// switch and the served counters and, when no slot is free, waits on
+	// the shard's priority lane. The step is one transaction on the shard
+	// running step (nil: nothing). With hold set (a non-zero token) it is a
+	// guarded step: a no-op unless hold is still the current holder of its
+	// fence entry — the failure detector may have recovered it, and
+	// possibly handed the entry to a new holder under a new epoch — and
+	// releases then frees hold in the same transaction, after which the
+	// shard wakes the operations waiting for a release. then, if set, runs
+	// after a guarded step that found its hold current has committed, on
+	// the goroutine that ran it, so a step whose submitter stopped waiting
+	// (ctlRecover) still books its effect. An acquire must not set
+	// releases: a coordinator's own acquire would wake it, and its wait
+	// would degenerate to a spin.
+	ctl      bool
+	step     func(tx proteustm.Txn, slot int) response
+	hold     FenceHold
 	releases bool
+	then     func()
 	// accepted is stamped when the request is admitted, before it is
 	// enqueued, so queue-wait is measured from acceptance.
 	accepted time.Time
@@ -128,11 +141,9 @@ type response struct {
 	// HTTP reply — the circuit breaker's and fence recovery's backoff
 	// hint to clients.
 	retryAfter time.Duration
-	// epoch carries the fence epoch out of a ctlAcquire control step;
-	// slot carries the keyed fence table entry the acquisition claimed
-	// (-1 under the whole-shard fence).
-	epoch uint64
-	slot  int
+	// hold carries the claimed fence hold out of a ctlAcquire control
+	// step.
+	hold FenceHold
 	// moved reports that the executing shard's placement epoch has
 	// advanced past the request's routing epoch: nothing was executed,
 	// and the submitter must re-route under the current placement.
@@ -143,8 +154,9 @@ type response struct {
 	fenced bool
 }
 
-// Fence granularities (Options.FenceGranularity): one whole-shard fence
-// word per shard, or a table of per-key fence entries (see store.go).
+// Fence granularities (Options.FenceGranularity): the signature a
+// cross-shard commit publishes in a participant's fence table — the
+// whole shard, or one Bloom bit per key of the batch (see store.go).
 const (
 	FenceShard = "shard"
 	FenceKey   = "key"
@@ -209,13 +221,13 @@ type Options struct {
 	// GroupCommitMax caps how many operations one group commit coalesces
 	// (default 16).
 	GroupCommitMax int
-	// FenceGranularity selects the cross-shard fence implementation:
-	// FenceShard (default) blocks every local operation on a participant
-	// shard for the whole 2PC window; FenceKey replaces the whole-shard
-	// fence with per-key fence entries (an OCC-style prepare that
-	// validates key ownership via Bloom signatures), so local operations
-	// whose keys do not intersect an in-flight commit proceed instead of
-	// requeueing. See docs/sharding.md.
+	// FenceGranularity selects the signature a cross-shard commit
+	// publishes in each participant's fence table: FenceShard (default)
+	// the whole shard, so every local operation on a participant waits
+	// out the 2PC window; FenceKey one Bloom bit per key of the batch, so
+	// local operations and other commits whose keys do not intersect it
+	// proceed. Scans and migrations publish the whole shard under either.
+	// See docs/sharding.md.
 	FenceGranularity string
 	// SLOP99 is the p99 latency target the service sells (0 disables all
 	// SLO machinery). With AutoTune it switches every shard's tuner to
@@ -537,11 +549,11 @@ type Server struct {
 	maintStop         chan struct{}
 	maintWG           sync.WaitGroup
 
-	// migMu guards activeMig, the record of the in-flight merge
-	// migration. The merge's install batches, its placement flip and the
-	// rollback path (rollbackMergeCopy) all serialize on it, so a crashed
-	// merge's partial copy is cleared from the live recipient exactly
-	// once, before the donor's fence release can make it observable.
+	// migMu guards activeMig, the record of the in-flight span move. The
+	// move's install batches, its placement flip and the rollback path
+	// (rollbackMove) all serialize on it, so a crashed move's partial copy
+	// is cleared from the recipient exactly once, before the donor's fence
+	// release can make it observable.
 	migMu     sync.Mutex
 	activeMig *migRecord
 
@@ -988,7 +1000,7 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 			ss.extendStall(time.Now().Add(d))
 		}
 		ss.sleepInjectedStall()
-		if req.ctl == nil {
+		if !req.ctl {
 			if d, ok := inj.Fire(fault.OpDelay, ss.idx); ok {
 				time.Sleep(d)
 			}
@@ -997,7 +1009,7 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 	// Deadline/cancellation gate: a data op whose client hung up or whose
 	// deadline passed is dropped here, never executed. Control steps are
 	// exempt — a fence release must always run.
-	if req.ctl == nil && req.expired(time.Now()) {
+	if !req.ctl && req.expired(time.Now()) {
 		s.shedDeadline.Add(1)
 		return response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}, true
 	}
@@ -1007,8 +1019,8 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 		return response{}, false
 	}
 	w := ss.workers[slot]
-	if req.ctl != nil {
-		resp = runCtlStep(req, w, slot)
+	if req.ctl {
+		resp = ss.runCtlStep(req, w, slot)
 		ss.drainMu.RUnlock()
 		if req.releases {
 			ss.fenceReleased()
@@ -1166,29 +1178,24 @@ func (ss *shardState) stopAnswer(req *request) response {
 	if !ss.retiring.Load() {
 		return response{Err: "server shutting down"}
 	}
-	if req.ctl != nil {
+	if req.ctl {
 		return response{}
 	}
 	return response{moved: true}
 }
 
-// opFenced reports whether req must requeue because a cross-shard
-// commit fence covers it, dispatching on the configured granularity.
-// Under the whole-shard fence every operation blocks while the fence is
-// held. Under keyed fences a single-key or batch operation intersects
-// its keys' Bloom signature with the held fence entries (a false
-// positive costs one spurious requeue; a false negative is impossible),
-// a local range scan checks conservatively against any held entry, and
-// deque operations never block — the cross-shard protocol cannot touch
-// the deque.
+// opFenced reports whether a held fence covers req, which then comes
+// back unexecuted: a single-key or batch operation intersects its keys'
+// signature bits with the held entries (a false positive costs one
+// spurious wait; a false negative is impossible), a local range scan
+// checks conservatively against any held entry, and a deque operation
+// checks as the bottom key of the deque-reserved window. A whole-shard
+// hold therefore covers every operation.
 func (ss *shardState) opFenced(tx proteustm.Txn, req *request) bool {
 	// With a single shard no cross-shard commit ever takes a fence, so
 	// skip the per-operation fence read entirely.
 	if len(ss.srv.fleet()) == 1 {
 		return false
-	}
-	if ss.srv.opts.FenceGranularity != FenceKey {
-		return ss.store.Fenced(tx)
 	}
 	switch req.op {
 	case opGet, opPut, opDel, opCAS:
@@ -1198,7 +1205,7 @@ func (ss *shardState) opFenced(tx proteustm.Txn, req *request) bool {
 	case opRange:
 		return ss.store.FencedAny(tx)
 	default:
-		return false
+		return ss.store.FencedKey(tx, DequeReservedLo)
 	}
 }
 
@@ -1297,11 +1304,33 @@ func atomically(w *proteustm.Worker, fn func(proteustm.Txn)) (full response) {
 	return
 }
 
-// runCtlStep runs a control step; one whose transaction exhausts the heap
-// (a migration install, a cross-shard apply) reports it as its error.
-func runCtlStep(req *request, w *proteustm.Worker, slot int) (resp response) {
+// runCtlStep runs control step req as one transaction on w — the one place
+// a fence hold is checked, used and released (see request.ctl). A guarded
+// step answers Applied iff its hold was current; a step whose transaction
+// exhausts the heap (a migration install, a cross-shard apply) answers
+// heapFull with nothing applied.
+func (ss *shardState) runCtlStep(req *request, w *proteustm.Worker, slot int) (resp response) {
 	defer heapFullAnswer(&resp)
-	return req.ctl(w, slot)
+	guarded := req.hold.Token != 0
+	w.Atomic(func(tx proteustm.Txn) {
+		resp = response{}
+		if guarded && !ss.store.HoldsFence(tx, req.hold) {
+			return
+		}
+		if req.step != nil {
+			resp = req.step(tx, slot)
+		}
+		if guarded {
+			resp.Applied = true
+			if req.releases {
+				ss.store.ReleaseFence(tx, req.hold)
+			}
+		}
+	})
+	if guarded && resp.Applied && req.then != nil {
+		req.then()
+	}
+	return resp
 }
 
 // execute runs one data operation as a single atomic block on worker w. A

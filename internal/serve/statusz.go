@@ -195,8 +195,8 @@ type OpsStatus struct {
 	GroupCommits  uint64  `json:"group_commits"`
 	GroupBatchP50 float64 `json:"group_batch_p50"`
 	GroupBatchP99 float64 `json:"group_batch_p99"`
-	// FenceKeysHeld sums the keyed fence table occupancy across shards at
-	// snapshot time (identically 0 under --fence-granularity=shard).
+	// FenceKeysHeld sums the fence table occupancy across shards at
+	// snapshot time: the holds in being, whatever signature they publish.
 	FenceKeysHeld uint64 `json:"fence_keys_held"`
 	// Reshards counts installed split flips and Merges installed merge
 	// flips; KeysMigrated totals the key-value pairs moved by either;
@@ -270,6 +270,7 @@ func (s *Server) StatusSnapshot() Status {
 	phases := 0
 	exploring := false
 	activeWorkers, queueLen := 0, 0
+	var fenceKeysHeld uint64
 	configs := map[string]bool{}
 
 	for i, ss := range fleetShards {
@@ -308,6 +309,8 @@ func (s *Server) StatusSnapshot() Status {
 		activeWorkers += act
 		qn := len(ss.queue)
 		queueLen += qn
+		held := ss.sys.Load(ss.store.FenceOccWord())
+		fenceKeysHeld += held
 
 		shards[i] = ShardStatus{
 			Index:         i,
@@ -316,7 +319,7 @@ func (s *Server) StatusSnapshot() Status {
 			Exploring:     shExploring,
 			ActiveWorkers: act,
 			QueueLen:      qn,
-			FenceHeld:     ss.sys.Load(ss.store.FenceWord()) != 0,
+			FenceHeld:     held != 0,
 			FenceEpoch:    ss.sys.Load(ss.store.FenceEpochWord()),
 			Breaker:       ss.breakerName(time.Now()),
 			OpsRouted:     ss.routed.Load(),
@@ -367,10 +370,6 @@ func (s *Server) StatusSnapshot() Status {
 		servedTotal += n
 	}
 
-	var fenceKeysHeld uint64
-	for _, ss := range fleetShards {
-		fenceKeysHeld += ss.sys.Load(ss.store.FenceOccWord())
-	}
 	batch := metrics.Summarize(s.batchSizes.Snapshot())
 
 	return Status{

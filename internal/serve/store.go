@@ -52,33 +52,27 @@ type Store struct {
 	ltail tm.Addr // heap word holding the deque tail node address
 	llen  tm.Addr // heap word holding the deque length
 
-	// fence is the shard's cross-shard commit fence: zero when free, a
-	// coordinator token while a two-phase cross-shard operation holds the
-	// shard. Every data operation on a sharded server reads it inside its
-	// own transaction, so the TM serializes local operations against fence
-	// acquisition and release (see docs/sharding.md).
+	// fences is the shard's cross-shard commit fence: a table of
+	// FenceSlots entries of fenceSlotWords words each — holder token,
+	// epoch, heartbeat, and a 64-bit signature of what the hold covers —
+	// behind a header (see NewStore for the layout): fenceOcc, the number
+	// of held entries, so the dominant unfenced case costs a local
+	// operation a single load, and fenceEpoch. Every data operation on a
+	// sharded server reads the
+	// table inside its own transaction, so the TM serializes local
+	// operations against fence acquisition and release (see
+	// docs/sharding.md).
 	//
 	// fenceEpoch increments on every acquisition and never resets: a
 	// (token, epoch) pair names one specific hold, so a release presented
 	// with a superseded epoch — a slow coordinator racing the failure
 	// detector's recovery, or a second recovery of the same orphan — is a
-	// provable no-op. fenceBeat is the holder's heartbeat (unix
-	// nanoseconds, stamped at acquisition); the per-shard failure
+	// provable no-op. An entry's heartbeat is stamped (unix nanoseconds)
+	// at acquisition and re-stamped by long holds; the per-shard failure
 	// detector reads it non-transactionally to date an orphaned hold.
-	fence      tm.Addr
+	fenceOcc   tm.Addr
 	fenceEpoch tm.Addr
-	fenceBeat  tm.Addr
-
-	// slots is the keyed fence table (Options.FenceGranularity == "key"):
-	// FenceSlots entries of fenceSlotWords words each — holder token,
-	// epoch, heartbeat, and a 64-bit Bloom signature over the keys the
-	// hold covers — preceded at fenceOcc by an occupancy count so the
-	// dominant unfenced case costs local operations a single load. The
-	// epoch space is shared with the whole-shard fence (fenceEpoch), so a
-	// (token, epoch) pair still names exactly one hold across both
-	// granularities.
-	slots    tm.Addr
-	fenceOcc tm.Addr
+	fences     tm.Addr
 
 	// placeEpoch is the shard's placement epoch: the partitioner epoch as
 	// of which this shard's span set is current. Every KV data operation
@@ -93,15 +87,14 @@ type Store struct {
 	placeEpoch tm.Addr
 }
 
-// FenceSlots is the keyed fence table's capacity per shard: the maximum
-// number of cross-shard commits that can simultaneously hold fence
-// entries on one shard. It matches the server-wide coordinator-slot
-// bound, so a keyed acquire never fails for want of a table entry while
-// a whole-shard acquire would have succeeded.
+// FenceSlots is the fence table's capacity per shard: the maximum number
+// of holds one shard carries at once. It matches the server-wide
+// coordinator-slot bound, so an acquire never fails for want of a table
+// entry.
 const FenceSlots = 32
 
-// Keyed fence slot layout: holder token (zero = free), epoch, heartbeat,
-// Bloom key signature.
+// Fence table entry layout: holder token (zero = free), epoch, heartbeat,
+// signature.
 const (
 	fsToken = iota
 	fsEpoch
@@ -120,90 +113,56 @@ func NewStore(h *tm.Heap) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: deque pool: %w", err)
 	}
-	words, err := h.Alloc(7)
-	if err != nil {
-		return nil, fmt.Errorf("serve: deque heads: %w", err)
-	}
-	slots, err := h.Alloc(1 + FenceSlots*fenceSlotWords)
+	// The words every operation reads — placement epoch, fence occupancy —
+	// sit together at the head of the fence table, directly followed by
+	// entry 0, so an operation's two checks touch one ownership stripe, as
+	// do a hold check and a release on an otherwise idle table (the store
+	// is the first thing on its heap: the header is words 258-260, entry
+	// 0's token, epoch and heartbeat 261-263).
+	table, err := h.Alloc(3 + FenceSlots*fenceSlotWords)
 	if err != nil {
 		return nil, fmt.Errorf("serve: fence slots: %w", err)
+	}
+	words, err := h.Alloc(3)
+	if err != nil {
+		return nil, fmt.Errorf("serve: deque heads: %w", err)
 	}
 	return &Store{
 		kv: kv, pool: pool,
 		lhead: words, ltail: words + 1, llen: words + 2,
-		fence: words + 3, fenceEpoch: words + 4, fenceBeat: words + 5,
-		placeEpoch: words + 6,
-		fenceOcc:   slots, slots: slots + 1,
+		placeEpoch: table, fenceOcc: table + 1, fenceEpoch: table + 2, fences: table + 3,
 	}, nil
 }
 
-// Fenced reports whether a cross-shard commit currently holds this
-// store's fence. Local operations that observe a held fence must back off
-// and retry (the serve worker requeues them) rather than read state a
-// cross-shard batch is mid-way through installing.
-func (s *Store) Fenced(tx tm.Txn) bool { return tx.Load(s.fence) != 0 }
-
-// FenceAcquire is the CAS-with-fence of the cross-shard commit protocol:
-// it claims the fence for token iff it is free, bumping the epoch and
-// stamping the holder heartbeat, and returns the new epoch. The
-// surrounding transaction makes the test-and-set atomic against every
-// other fence access.
-func (s *Store) FenceAcquire(tx tm.Txn, token, beat uint64) (epoch uint64, ok bool) {
-	if tx.Load(s.fence) != 0 {
-		return 0, false
-	}
-	epoch = tx.Load(s.fenceEpoch) + 1
-	tx.Store(s.fence, token)
-	tx.Store(s.fenceEpoch, epoch)
-	tx.Store(s.fenceBeat, beat)
-	return epoch, true
-}
-
-// FenceHeldBy reports whether the fence is currently held by exactly
-// this (token, epoch) acquisition — the guard every apply and release
-// runs under, which is what makes a superseded coordinator's late writes
-// no-ops instead of corruption.
-func (s *Store) FenceHeldBy(tx tm.Txn, token, epoch uint64) bool {
-	return tx.Load(s.fence) == token && tx.Load(s.fenceEpoch) == epoch
-}
-
-// FenceRelease frees the fence iff it is still held at the given epoch,
-// reporting whether it released. Cross-shard commits release inside the
-// same transaction that applies their per-shard writes, so local readers
-// observe the writes and the release atomically; a release racing the
-// failure detector (which re-acquires under a new epoch) is a no-op.
-func (s *Store) FenceRelease(tx tm.Txn, epoch uint64) bool {
-	if tx.Load(s.fence) == 0 || tx.Load(s.fenceEpoch) != epoch {
-		return false
-	}
-	tx.Store(s.fence, 0)
-	return true
-}
-
-// FenceWord exposes the fence's heap address for non-transactional status
-// peeks and tests.
-func (s *Store) FenceWord() tm.Addr { return s.fence }
-
-// FenceEpochWord exposes the epoch word's heap address.
-func (s *Store) FenceEpochWord() tm.Addr { return s.fenceEpoch }
-
-// FenceBeatWord exposes the heartbeat word's heap address.
-func (s *Store) FenceBeatWord() tm.Addr { return s.fenceBeat }
-
-// ---- keyed fences (Options.FenceGranularity == "key") ----
+// ---- the fence ----
 //
-// Instead of one whole-shard fence word, a cross-shard commit claims a
-// slot in a per-shard fence table and publishes a Bloom signature of the
-// keys it covers. Local operations intersect their own key's signature
-// bit with the held slots: a miss (the common case — one occupancy load
-// plus, when entries are held, one signature AND per slot) proceeds
-// immediately instead of requeueing for the whole 2PC window; a hit
-// requeues exactly as under the whole-shard fence. A signature false
-// positive costs one spurious requeue and nothing else; a false negative
-// is impossible, so atomicity never rests on the filter.
+// A cross-shard commit, a cross-shard scan or a span migration claims an
+// entry in the shard's fence table and publishes a signature of what it
+// covers: SigAll for the whole shard, or — under the keyed policy — one
+// Bloom bit per key of the batch. Local operations intersect their own
+// keys' bits with the held entries: a miss (one occupancy load plus, when
+// entries are held, one signature AND per held entry) proceeds
+// immediately; a hit comes back unexecuted and its submitter waits for
+// the release. Two holds whose signatures intersect never coexist. A
+// signature false positive costs one spurious wait and nothing else; a
+// false negative is impossible, so atomicity never rests on the filter.
 
-// keyBit maps a key to its Bloom signature bit via a splitmix64-style
-// mix, so dense key ranges spread across the 64-bit signature.
+// SigAll is the whole-shard signature: it intersects every other
+// signature, so its hold excludes every local operation and every other
+// hold. Scans and migrations, which cannot enumerate their keys, always
+// publish it.
+const SigAll = ^uint64(0)
+
+// FenceHold names one acquisition: the table entry it occupies and the
+// (token, epoch) pair that distinguishes it from every earlier and later
+// holder of that entry. Every apply, re-stamp and release presents it.
+type FenceHold struct {
+	Slot         int
+	Token, Epoch uint64
+}
+
+// keyBit maps a key to its signature bit via a splitmix64-style mix, so
+// dense key ranges spread across the 64-bit signature.
 func keyBit(key uint64) uint64 {
 	x := key + 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -211,10 +170,8 @@ func keyBit(key uint64) uint64 {
 	return 1 << ((x ^ (x >> 31)) & 63)
 }
 
-// KeyFenceSig builds the Bloom signature a keyed fence publishes for a
-// batch: the union of every key's signature bit. Range holds, which
-// cannot enumerate their keys, pass ^uint64(0) and conflict with every
-// local operation — exactly the whole-shard fence's behavior.
+// KeyFenceSig builds the Bloom signature of a key set: the union of every
+// key's signature bit.
 func KeyFenceSig(keys []uint64) uint64 {
 	var sig uint64
 	for _, k := range keys {
@@ -223,120 +180,110 @@ func KeyFenceSig(keys []uint64) uint64 {
 	return sig
 }
 
-// slotAddr returns the base word of fence slot i.
-func (s *Store) slotAddr(i int) tm.Addr { return s.slots + tm.Addr(i*fenceSlotWords) }
+// slotAddr returns the base word of fence table entry i.
+func (s *Store) slotAddr(i int) tm.Addr { return s.fences + tm.Addr(i*fenceSlotWords) }
 
-// FenceAcquireKey claims a free keyed fence slot for token, covering the
-// keys summarized by sig: the keyed counterpart of FenceAcquire. The
-// epoch comes from the same monotonic counter as the whole-shard fence
-// and the slot index is the handle every later guard needs. Acquisition
-// fails — abort-all and retry, like fence contention — when the table is
-// full or when sig intersects a slot already held: two cross-shard
-// commits touching the same key on this shard must serialize exactly as
-// they would on the whole-shard fence, or their apply phases could
-// interleave and tear each other's batches.
-func (s *Store) FenceAcquireKey(tx tm.Txn, token, beat, sig uint64) (epoch uint64, slot int, ok bool) {
-	free := -1
-	for i := 0; i < FenceSlots; i++ {
+// AcquireFence is the CAS-with-fence of the cross-shard commit protocol:
+// it claims a free table entry for token, publishing sig, bumping the
+// epoch and stamping the heartbeat. The surrounding transaction makes the
+// test-and-set atomic against every other fence access. Acquisition fails
+// — abort-all and retry — when the table is full or when sig intersects
+// an entry already held: two commits touching the same key on this shard
+// must serialize, or their apply phases could interleave and tear each
+// other's batches. The scan stops once it has seen every held entry, so
+// on an idle table an acquire reads only the two header words.
+func (s *Store) AcquireFence(tx tm.Txn, token, beat, sig uint64) (FenceHold, bool) {
+	occ := tx.Load(s.fenceOcc)
+	free, i := FenceSlots, 0
+	for seen := uint64(0); seen < occ && i < FenceSlots; i++ {
 		a := s.slotAddr(i)
 		if tx.Load(a+fsToken) == 0 {
-			if free < 0 {
-				free = i
-			}
+			free = min(free, i)
 			continue
 		}
-		if tx.Load(a+fsSig)&sig != 0 {
-			return 0, -1, false
+		if seen++; tx.Load(a+fsSig)&sig != 0 {
+			return FenceHold{}, false
 		}
 	}
-	if free < 0 {
-		return 0, -1, false
+	// Every held entry lies below i, so entry i — if the table has one —
+	// is free without looking.
+	if free = min(free, i); free == FenceSlots {
+		return FenceHold{}, false
 	}
 	a := s.slotAddr(free)
-	epoch = tx.Load(s.fenceEpoch) + 1
+	epoch := tx.Load(s.fenceEpoch) + 1
 	tx.Store(s.fenceEpoch, epoch)
 	tx.Store(a+fsToken, token)
 	tx.Store(a+fsEpoch, epoch)
 	tx.Store(a+fsBeat, beat)
 	tx.Store(a+fsSig, sig)
-	tx.Store(s.fenceOcc, tx.Load(s.fenceOcc)+1)
-	return epoch, free, true
+	tx.Store(s.fenceOcc, occ+1)
+	return FenceHold{Slot: free, Token: token, Epoch: epoch}, true
 }
 
-// FenceSlotHeldBy reports whether slot is held by exactly this (token,
-// epoch) acquisition — the keyed analogue of FenceHeldBy.
-func (s *Store) FenceSlotHeldBy(tx tm.Txn, slot int, token, epoch uint64) bool {
-	a := s.slotAddr(slot)
-	return tx.Load(a+fsToken) == token && tx.Load(a+fsEpoch) == epoch
+// HoldsFence reports whether h is still the current holder of its entry —
+// the guard every apply and release runs under, which is what makes a
+// superseded coordinator's late writes no-ops instead of corruption.
+func (s *Store) HoldsFence(tx tm.Txn, h FenceHold) bool {
+	a := s.slotAddr(h.Slot)
+	return tx.Load(a+fsToken) == h.Token && tx.Load(a+fsEpoch) == h.Epoch
 }
 
-// FenceSlotRelease frees slot iff it is still held at the given epoch,
-// reporting whether it released.
-func (s *Store) FenceSlotRelease(tx tm.Txn, slot int, epoch uint64) bool {
-	a := s.slotAddr(slot)
-	if tx.Load(a+fsToken) == 0 || tx.Load(a+fsEpoch) != epoch {
-		return false
-	}
-	tx.Store(a+fsToken, 0)
-	tx.Store(a+fsSig, 0)
+// ReleaseFence frees h's entry; the caller has checked HoldsFence in the
+// same transaction, which is what makes a release racing the failure
+// detector (whose recovery lets the entry be re-acquired under a new epoch)
+// a no-op. Cross-shard commits release inside the same transaction that
+// applies their per-shard writes, so local readers observe the writes and
+// the release atomically. The signature stays behind: a free entry's is
+// never read.
+func (s *Store) ReleaseFence(tx tm.Txn, h FenceHold) {
+	tx.Store(s.slotAddr(h.Slot)+fsToken, 0)
 	tx.Store(s.fenceOcc, tx.Load(s.fenceOcc)-1)
-	return true
 }
 
-// FencedSig reports whether any held fence slot's key signature
-// intersects sig — the keyed-fence check local operations run instead of
-// Fenced. With no slots held it costs a single load.
+// StampFence renews h's heartbeat; the caller has checked HoldsFence in
+// the same transaction.
+func (s *Store) StampFence(tx tm.Txn, h FenceHold, beat uint64) {
+	tx.Store(s.slotAddr(h.Slot)+fsBeat, beat)
+}
+
+// FencedSig reports whether any held entry's signature intersects sig —
+// the check local operations run. With nothing held it costs a single
+// load, and it stops at the last held entry.
 func (s *Store) FencedSig(tx tm.Txn, sig uint64) bool {
-	if tx.Load(s.fenceOcc) == 0 {
-		return false
-	}
-	for i := 0; i < FenceSlots; i++ {
+	occ := tx.Load(s.fenceOcc)
+	for i, seen := 0, uint64(0); i < FenceSlots && seen < occ; i++ {
 		a := s.slotAddr(i)
-		if tx.Load(a+fsToken) != 0 && tx.Load(a+fsSig)&sig != 0 {
+		if tx.Load(a+fsToken) == 0 {
+			continue
+		}
+		if seen++; tx.Load(a+fsSig)&sig != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// FencedKey reports whether key may be covered by a held keyed fence.
+// FencedKey reports whether key may be covered by a held fence.
 func (s *Store) FencedKey(tx tm.Txn, key uint64) bool { return s.FencedSig(tx, keyBit(key)) }
 
-// FencedAny reports whether any keyed fence slot is held — the
-// conservative check for local range scans, whose key set cannot be
-// intersected with a Bloom signature.
+// FencedAny reports whether any fence entry is held — the conservative
+// check for local range scans, whose key set cannot be intersected with a
+// signature.
 func (s *Store) FencedAny(tx tm.Txn) bool { return tx.Load(s.fenceOcc) != 0 }
 
-// FenceOccWord exposes the slot-occupancy word's heap address for
-// non-transactional status peeks (ops.fence_keys_held).
+// FenceOccWord exposes the occupancy word's heap address for
+// non-transactional status peeks (fence_held, ops.fence_keys_held).
 func (s *Store) FenceOccWord() tm.Addr { return s.fenceOcc }
 
-// FenceSlotWordsOf exposes slot i's (token, epoch, beat) heap addresses
-// for the failure detector's non-transactional scan.
+// FenceEpochWord exposes the epoch word's heap address.
+func (s *Store) FenceEpochWord() tm.Addr { return s.fenceEpoch }
+
+// FenceSlotWordsOf exposes entry i's (token, epoch, beat) heap addresses
+// for the failure detector's and /healthz's non-transactional scans.
 func (s *Store) FenceSlotWordsOf(i int) (token, epoch, beat tm.Addr) {
 	a := s.slotAddr(i)
 	return a + fsToken, a + fsEpoch, a + fsBeat
-}
-
-// FenceHeldAt dispatches the held-by guard across granularities: a
-// negative slot checks the whole-shard fence, anything else the keyed
-// table entry. The cross-shard protocol records the slot at acquisition
-// and threads it through every later guard, so phase 2 and recovery
-// stay granularity-agnostic.
-func (s *Store) FenceHeldAt(tx tm.Txn, slot int, token, epoch uint64) bool {
-	if slot < 0 {
-		return s.FenceHeldBy(tx, token, epoch)
-	}
-	return s.FenceSlotHeldBy(tx, slot, token, epoch)
-}
-
-// FenceReleaseAt dispatches the epoch-guarded release across
-// granularities, mirroring FenceHeldAt.
-func (s *Store) FenceReleaseAt(tx tm.Txn, slot int, epoch uint64) bool {
-	if slot < 0 {
-		return s.FenceRelease(tx, epoch)
-	}
-	return s.FenceSlotRelease(tx, slot, epoch)
 }
 
 // ---- live resharding (span migration + placement epoch) ----
