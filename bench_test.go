@@ -234,8 +234,10 @@ func BenchmarkTuner(b *testing.B) { runSuitePrefix(b, "Tuner") }
 
 // BenchmarkServe covers the serve layer: building a server (empty and
 // preloaded), the in-process submit path — lease, transaction, reply, and
-// for mput4x2 the cross-shard commit — and the same operations through
-// ServeHTTP, whose extra cost is the HTTP shell's.
+// for mput4x2, mget4x2 and range256x2 the cross-shard commit — the same
+// operations through ServeHTTP, whose extra cost is the HTTP shell's, and the
+// kv-multi mix from two callers at once (contended/kvmix), the one row in
+// which operations wait for a slot or a fence.
 func BenchmarkServe(b *testing.B) { runSuitePrefix(b, "Serve") }
 
 // BenchmarkSystem covers booting a pinned System through the public API.

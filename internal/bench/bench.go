@@ -241,8 +241,10 @@ type Case struct {
 // (surrogate query, one optimization, model selection), start-up (one pinned
 // System at 2 and 8 workers; one two-shard server, empty and preloaded), and
 // the serve layer's get, put and four-key two-shard mput — through the
-// in-process submit path and through ServeHTTP, so the difference is the
-// HTTP shell's cost with nothing contending for it.
+// in-process submit path (which also has the two-shard mget and range scan)
+// and through ServeHTTP, so the difference is the HTTP shell's cost with
+// nothing contending for it — and the kv-multi mix from two callers at once,
+// the one row in which operations wait for each other.
 func Suite() []Case {
 	var cases []Case
 	for _, name := range AlgorithmNames {
@@ -283,15 +285,20 @@ func Suite() []Case {
 		Case{Name: "Serve/New/preload131072", Fn: func(b *testing.B) { serve.BenchNew(b, 131072) }},
 	)
 	for _, entry := range []struct {
-		name string
-		body func(*testing.B, string)
-	}{{"submit", serve.BenchSubmit}, {"http", serve.BenchHTTP}} {
-		for _, kind := range []string{"get", "put", "mput4x2"} {
+		name  string
+		body  func(*testing.B, string)
+		kinds []string
+	}{
+		{"submit", serve.BenchSubmit, []string{"get", "put", "mput4x2", "mget4x2", "range256x2"}},
+		{"http", serve.BenchHTTP, []string{"get", "put", "mput4x2"}},
+	} {
+		for _, kind := range entry.kinds {
 			cases = append(cases, Case{
 				Name: "Serve/" + entry.name + "/" + kind,
 				Fn:   func(b *testing.B) { entry.body(b, kind) },
 			})
 		}
 	}
+	cases = append(cases, Case{Name: "Serve/contended/kvmix", Fn: serve.BenchContended})
 	return cases
 }

@@ -3,9 +3,12 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/shard"
+	"repro/internal/workloads"
 )
 
 // benchKeys is how many keys the Serve/submit and Serve/http rows' server
@@ -36,11 +39,16 @@ func benchServer(b *testing.B) (*Server, [2][]uint64) {
 // operation per iteration through submit/submitCross, in process with no
 // HTTP or JSON, from a single caller against the two-shard, two-worker,
 // hash-partitioned server the repo benchmark's kv workloads run against.
-// kind is "get", "put" or "mput4x2" (four keys, two on each shard, so every
-// iteration runs the cross-shard commit).
+// kind is "get", "put", "mput4x2" or "mget4x2" (four keys, two on each shard,
+// so every iteration runs the cross-shard commit) or "range256x2" (a scan of
+// 256 consecutive keys, which hashing spreads over both shards).
 func BenchSubmit(b *testing.B, kind string) {
 	b.ReportAllocs()
 	s, byShard := benchServer(b)
+	fourKeys := func(i int) []uint64 {
+		a, c := byShard[0], byShard[1]
+		return []uint64{a[i%len(a)], a[(i+1)%len(a)], c[i%len(c)], c[(i+1)%len(c)]}
+	}
 	issue := func(i int) (response, int) {
 		switch kind {
 		case "get":
@@ -48,10 +56,12 @@ func BenchSubmit(b *testing.B, kind string) {
 		case "put":
 			return s.submitRouted(&request{op: opPut, key: uint64(i % benchKeys), val: uint64(i)})
 		case "mput4x2":
-			a, c := byShard[0], byShard[1]
-			return s.submitCross(&request{op: opMPut,
-				keys: []uint64{a[i%len(a)], a[(i+1)%len(a)], c[i%len(c)], c[(i+1)%len(c)]},
-				vals: []uint64{1, 2, 3, 4}})
+			return s.submitCross(&request{op: opMPut, keys: fourKeys(i), vals: []uint64{1, 2, 3, 4}})
+		case "mget4x2":
+			return s.submitCross(&request{op: opMGet, keys: fourKeys(i)})
+		case "range256x2":
+			lo := uint64(i % (benchKeys - 256))
+			return s.submitCross(&request{op: opRange, lo: lo, hi: lo + 255})
 		}
 		panic(fmt.Sprintf("serve: unknown BenchSubmit kind %q", kind))
 	}
@@ -60,6 +70,57 @@ func BenchSubmit(b *testing.B, kind string) {
 		if resp, code := issue(i); code != http.StatusOK {
 			b.Fatalf("%s %d = HTTP %d %+v", kind, i, code, resp)
 		}
+	}
+}
+
+// BenchContended is the body of the Serve/contended/kvmix row: the repo
+// benchmark's kv-multi mix (get 30 / put 10 / four-key two-shard mput 25 /
+// four-key mget 20 / range of 256 keys 15) issued through the submit path by
+// two callers at once, each writing its own half of the keys — the one
+// Serve/* row in which operations meet on a slot token or a fence, so ns/op
+// (wall time over both callers' operations) shows what waiting costs.
+func BenchContended(b *testing.B) {
+	b.ReportAllocs()
+	s, byShard := benchServer(b)
+	const callers = 2
+	var failed atomic.Uint64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			next := workloads.NewRand(uint64(c) + 1).Intn // the stream is fixed per caller
+			own := func(sh int) uint64 {                  // a key of shard sh in this caller's half
+				keys := byShard[sh]
+				return keys[next(len(keys)/callers)*callers+c]
+			}
+			for i := c; i < b.N; i += callers {
+				var code int
+				switch roll := next(100); {
+				case roll < 30:
+					_, code = s.submitRouted(&request{op: opGet, key: uint64(next(benchKeys))})
+				case roll < 40:
+					_, code = s.submitRouted(&request{op: opPut, key: own(next(2)), val: uint64(i)})
+				case roll < 65:
+					_, code = s.submitCross(&request{op: opMPut,
+						keys: []uint64{own(0), own(0), own(1), own(1)}, vals: []uint64{1, 2, 3, 4}})
+				case roll < 85:
+					_, code = s.submitCross(&request{op: opMGet, keys: []uint64{
+						uint64(next(benchKeys)), uint64(next(benchKeys)), uint64(next(benchKeys)), uint64(next(benchKeys))}})
+				default:
+					lo := uint64(next(benchKeys - 256))
+					_, code = s.submitCross(&request{op: opRange, lo: lo, hi: lo + 255})
+				}
+				if code != http.StatusOK {
+					failed.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		b.Fatalf("%d of %d operations failed", n, b.N)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -517,4 +518,81 @@ func testTornWriteAfterAcquireStallRecovery(t *testing.T, granularity string) {
 				code, got.Present, got.Vals)
 		}
 	}
+}
+
+// TestStalledCoordinatorsNeverSplitABatch races the two parties that share
+// a registry record's state — its coordinator and the failure detectors —
+// over many records at once: eight coordinators commit three-shard batches
+// while injected stalls park some of them on already-claimed fences past the
+// detection deadline, so recovery claims their records while they sleep and
+// they resume into decide. Each coordinator owns its keys, so after every
+// batch it can tell exactly what the batch did: a 200 means every key holds
+// the batch's value, anything else that every key still holds the previous
+// one — whole or nothing, with no key left out of either census.
+func TestStalledCoordinatorsNeverSplitABatch(t *testing.T) {
+	const coordinators, rounds = 8, 20
+	s := newTestServer(t, Options{
+		Shards: 3, Workers: 2, Seed: 5,
+		FenceDeadline:  40 * time.Millisecond,
+		DetectInterval: 10 * time.Millisecond,
+		Fault:          mustFault(t, "fence-acquire-stall@after=2;every=9;count=30;stall=120ms", 5),
+	})
+	var byShard [3][]uint64
+	for k := uint64(0); len(byShard[0]) < coordinators || len(byShard[1]) < coordinators || len(byShard[2]) < coordinators; k++ {
+		o := s.part().Owner(k)
+		byShard[o] = append(byShard[o], k)
+	}
+	var applied, aborted atomic.Uint64
+	var wg sync.WaitGroup
+	for c := 0; c < coordinators; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			keys := []uint64{byShard[0][c], byShard[1][c], byShard[2][c]}
+			var last uint64 // the value every key holds; 0 = absent
+			for i := 1; i <= rounds; i++ {
+				v := uint64(c*1000 + i)
+				_, code := s.submitCross(&request{op: opMPut, keys: keys, vals: []uint64{v, v, v}})
+				var got response
+				for try := 0; ; try++ { // a read may itself be superseded by a recovery
+					var gcode int
+					if got, gcode = s.submitCross(&request{op: opMGet, keys: keys}); gcode == http.StatusOK {
+						break
+					}
+					if try == 50 {
+						t.Errorf("coordinator %d: mget = %d %+v", c, gcode, got)
+						return
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				want := last
+				if code == http.StatusOK {
+					want = v
+				}
+				for j := range keys {
+					if have := got.Vals[j]; got.Present[j] != (want != 0) || have != want {
+						t.Errorf("SPLIT BATCH: coordinator %d batch %d answered %d; key %d holds %d (present=%v), want %d — all keys: %v %v",
+							c, i, code, j, have, got.Present[j], want, got.Vals, got.Present)
+						return
+					}
+				}
+				if last = want; code == http.StatusOK {
+					applied.Add(1)
+				} else {
+					aborted.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if applied.Load()+aborted.Load() != coordinators*rounds && !t.Failed() {
+		t.Fatalf("census: %d applied + %d aborted of %d batches", applied.Load(), aborted.Load(), coordinators*rounds)
+	}
+	// A recovered batch need not fail: when the stalled coordinator resumes
+	// into a refused acquire it aborts the attempt and commits on the next.
+	if s.fenceRecovered.Load() == 0 {
+		t.Fatal("fence_recovered = 0: no stall outlived the detection deadline, the test raced nothing")
+	}
+	waitUntil(t, 5*time.Second, "every fence released and every record gone", func() bool { return fencesFree(s) && regSize(s) == 0 })
+	t.Logf("%d applied whole, %d aborted whole, %d recovered by the detectors", applied.Load(), aborted.Load(), s.fenceRecovered.Load())
 }

@@ -45,32 +45,6 @@ import (
 	"repro/internal/shard"
 )
 
-// subBatch is one shard's slice of a cross-shard batch: the positions
-// into the request's keys/vals arrays this shard owns.
-type subBatch struct {
-	shard int
-	idx   []int
-}
-
-// splitBatchAt groups the request's keys by owning shard under one
-// pinned placement, in ascending shard order (the fence-acquisition
-// order). The caller passes the partitioner it loaded alongside the
-// routing epoch, so the batch and the epoch describe the same placement.
-func splitBatchAt(part shard.Partitioner, keys []uint64) []subBatch {
-	parts := part.Participants(keys)
-	pos := make(map[int]int, len(parts))
-	out := make([]subBatch, len(parts))
-	for i, p := range parts {
-		out[i] = subBatch{shard: p}
-		pos[p] = i
-	}
-	for i, k := range keys {
-		j := pos[part.Owner(k)]
-		out[j].idx = append(out[j].idx, i)
-	}
-	return out
-}
-
 // Backoff constants of the acquire-phase abort-retry loop: attempt n
 // waits at most min(base<<n, cap) scaled by a seeded jitter in [0.5, 1.5),
 // so colliding coordinators whose wake-up never came spread out instead of
@@ -101,8 +75,10 @@ func (s *Server) crossBackoff(attempt int) time.Duration {
 // crossWait parks an aborted coordinator until shard ss — whose fence
 // refused it, at release generation gen — releases a fence, or attempt's
 // backoff elapses; the measured wait is surfaced as ops.cross_backoff_ms.
-func (s *Server) crossWait(ss *shardState, gen uint64, attempt int) {
-	s.crossBackoffNs.Add(uint64(ss.awaitRelease(gen, s.crossBackoff(attempt))))
+func (s *Server) crossWait(ss *shardState, gen uint64, attempt int) (timedOut bool) {
+	d, timedOut := ss.awaitRelease(gen, s.crossBackoff(attempt))
+	s.crossBackoffNs.Add(uint64(d))
+	return timedOut
 }
 
 // submitCross admits one multi-key operation. The participant set is
@@ -123,16 +99,18 @@ func (s *Server) submitCross(req *request) (response, int) {
 	for try := 0; ; try++ {
 		part, epoch := s.place.Load()
 		req.routingEpoch = epoch
-		var batches []subBatch
+		// owners: the owning shard of every key of a batch — one Owner call
+		// per key, grouped into parts only if the batch turns out to span
+		// shards — or the participants of a scan.
+		var buf [inlineKeys]int
+		owners := buf[:0]
 		if req.op == opRange {
 			// Fence only the shards whose key spans intersect the scan. The
 			// partitioner's owner set is exact for the range partitioner and
 			// for narrow hashed scans, conservative (every shard) for wide
 			// hashed ones — never fewer than the shards that could hold a key
 			// in [lo, hi], which is what keeps the snapshot atomic.
-			for _, p := range part.OwnersInRange(req.lo, req.hi) {
-				batches = append(batches, subBatch{shard: p})
-			}
+			owners = part.OwnersInRange(req.lo, req.hi)
 			if part.Kind() == shard.KindHash && part.Shards() > 1 && req.hi-req.lo >= shard.RangeEnumCap {
 				// The hash partitioner gave up enumerating: the owner set is
 				// the conservative all-shards fallback, and this scan fences
@@ -140,30 +118,36 @@ func (s *Server) submitCross(req *request) (response, int) {
 				// (ops.range_conservative in /statusz).
 				s.rangeConservative.Add(1)
 			}
-			if len(batches) == 1 {
+			if len(owners) == 1 {
 				s.rangeLocal.Add(1)
 			} else {
 				s.rangeCross.Add(1)
-				s.rangeFencedShards.Add(uint64(len(batches)))
+				s.rangeFencedShards.Add(uint64(len(owners)))
 			}
 		} else {
-			batches = splitBatchAt(part, req.keys)
+			for _, k := range req.keys {
+				owners = append(owners, part.Owner(k))
+			}
+		}
+		single := len(owners) > 0
+		for _, o := range owners {
+			single = single && o == owners[0]
 		}
 		var resp response
 		var code int
 		var flipped bool
-		if fleet := s.fleet(); len(batches) == 1 && batches[0].shard < len(fleet) {
+		if fleet := s.fleet(); single && owners[0] < len(fleet) {
 			// Fast path: the whole operation lives on one shard; the shard's
 			// own transaction makes it atomic, and the fence check inside
 			// execute keeps it ordered against concurrent cross-shard commits.
-			resp, code = s.submit(fleet[batches[0].shard], req)
+			resp, code = s.submit(fleet[owners[0]], req)
 			flipped = resp.moved
-		} else if len(batches) == 1 {
+		} else if single {
 			// The single owner was merged away between the placement and
 			// fleet loads: re-route under the fresh placement.
 			flipped = true
 		} else {
-			resp, code, flipped = s.crossProtocol(req, batches, epoch)
+			resp, code, flipped = s.crossProtocol(req, owners, epoch)
 		}
 		if !flipped {
 			return resp, code
@@ -175,8 +159,9 @@ func (s *Server) submitCross(req *request) (response, int) {
 	}
 }
 
-// crossProtocol runs the two-phase commit over batches, which were
-// computed under the placement of routedEpoch. It reports flipped=true —
+// crossProtocol runs the two-phase commit over the shards in owners (see
+// crossReg.register), which were computed under the placement of
+// routedEpoch. It reports flipped=true —
 // with every fence released and nothing applied — when a live reshard
 // installed a newer placement after the fences were acquired: the
 // participant set may be stale, and the caller recomputes it. The check
@@ -184,18 +169,18 @@ func (s *Server) submitCross(req *request) (response, int) {
 // keys must first take their current owner's fence (a participant's), so
 // a batch that passes the check cannot lose a key to a flip before it
 // applies.
-func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uint64) (response, int, bool) {
+func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (response, int, bool) {
 	// A sick participant fails the whole batch before any fence is
 	// taken: shed to the breaker's Retry-After instead of letting the
 	// protocol discover the stall the slow way. A participant the fleet
 	// no longer holds was merged away after the batch was computed —
 	// bounce for re-routing instead of indexing past the truncation.
-	for _, b := range batches {
+	for _, o := range owners {
 		fleet := s.fleet()
-		if b.shard >= len(fleet) {
+		if o >= len(fleet) {
 			return response{}, 0, true
 		}
-		if ra := fleet[b.shard].breakerRetryAfter(time.Now()); ra > 0 {
+		if ra := fleet[o].breakerRetryAfter(); ra > 0 {
 			s.breakerShed.Add(1)
 			return response{Err: "participant shard circuit breaker open",
 					code: http.StatusServiceUnavailable, retryAfter: ra},
@@ -215,7 +200,7 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 	}
 	defer func() { <-s.crossSem }()
 	token := s.nextToken.Add(1)
-	rec := s.reg.register(token, req, batches)
+	rec := s.reg.register(token, req, owners)
 	abandoned := false
 	defer func() {
 		if !abandoned {
@@ -223,12 +208,15 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 		}
 	}()
 
-	for attempt := 0; attempt < s.opts.CrossRetries; attempt++ {
+	// spent counts the attempts charged to the CrossRetries budget: those
+	// whose wait ran into its bound (see the abort-all arm below). tries
+	// counts them all, under the same safety valve as a fenced operation's.
+	for spent, tries := 0, 0; spent < s.opts.CrossRetries && tries < maxFenceTries; tries++ {
 		// Deadline/cancellation gate, checked only between attempts: a
 		// coordinator never abandons a protocol round mid-flight (that
 		// would strand fences), but an expired or client-abandoned batch
 		// is dropped before it claims any fence.
-		if req.expired(time.Now()) {
+		if req.expired() {
 			s.shedDeadline.Add(1)
 			return response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}, http.StatusGatewayTimeout, false
 		}
@@ -244,7 +232,8 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 		// its release generation read before the refused acquire.
 		var blocker *shardState
 		var blockGen uint64
-		for _, p := range rec.parts {
+		for i := range rec.parts {
+			p := &rec.parts[i]
 			// Injected coordinator stall between acquisitions: the
 			// coordinator sits on already-claimed fences, indistinguishable
 			// from a dead one — the window the epoch guards exist for.
@@ -267,7 +256,7 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 				return heapFull, heapFull.code, false
 			}
 			gen := fleet[p.shard].relGen.Load()
-			r := s.ctlAcquire(fleet[p.shard], token, s.partSig(req, p))
+			r := s.runCtl(fleet[p.shard], acquireStep(&rec.ctlReq, token, s.partSig(req, p)))
 			if r.Err != "" {
 				s.releaseParts(rec)
 				return r, http.StatusServiceUnavailable, false
@@ -276,16 +265,20 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 				blocker, blockGen = fleet[p.shard], gen
 				break
 			}
-			s.reg.acquired(rec, p, r.hold)
+			rec.acquired(p, r.hold)
 		}
 		if blocker != nil {
 			// Abort-all: another coordinator (or an unlucky interleaving)
 			// holds a fence we need. Release everything, wait for the
-			// blocking shard to release, retry.
+			// blocking shard to release, retry. The budget was sized in waits
+			// of the backoff schedule (64 of them are tens of milliseconds):
+			// a wait cut short by a release — possibly of a fence that still
+			// was not the one this batch needs — took microseconds, so it
+			// neither spends the budget nor lengthens the next wait.
 			s.releaseParts(rec)
 			s.crossAborts.Add(1)
-			if attempt+1 < s.opts.CrossRetries {
-				s.crossWait(blocker, blockGen, attempt)
+			if spent+1 >= s.opts.CrossRetries || s.crossWait(blocker, blockGen, spent) {
+				spent++
 			}
 			continue
 		}
@@ -302,7 +295,7 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 		// from here recovery rolls the batch forward instead of aborting.
 		// A failed decide means the detector claimed this batch for abort
 		// while we were stalled mid-acquire: nothing may be applied.
-		if req.op == opMPut && !s.reg.decide(rec) {
+		if req.op == opMPut && !rec.decide() {
 			resp := s.superseded(rec)
 			return resp, resp.code, false
 		}
@@ -312,7 +305,7 @@ func (s *Server) crossProtocol(req *request, batches []subBatch, routedEpoch uin
 			// fences stay held until it recovers them, and the client is
 			// told when to retry.
 			abandoned = true
-			s.reg.abandon(rec)
+			rec.abandon()
 			s.crossCrashes.Add(1)
 			return response{Err: "cross-shard coordinator crashed (injected fault); fence recovery pending",
 					code: http.StatusServiceUnavailable, retryAfter: s.fenceRecoveryEta()},
@@ -358,6 +351,8 @@ func (s *Server) guarded(ss *shardState, h FenceHold, release bool, step func(tx
 	return s.runCtl(ss, &request{ctl: true, hold: h, releases: release, step: step})
 }
 
+// runCtl runs control step req on shard ss and waits for its answer, so
+// the caller may reuse req once it has returned.
 func (s *Server) runCtl(ss *shardState, req *request) response {
 	if resp, ok := ss.run(req, false); ok {
 		return resp
@@ -389,15 +384,17 @@ func (s *Server) partSig(req *request, p *crossPart) uint64 {
 	return sig
 }
 
-// ctlAcquire runs the CAS-with-fence acquisition on one shard, publishing
-// sig and stamping the heartbeat with the coordinator's current wall
-// clock; the response carries the claimed hold.
+// acquireStep makes req the CAS-with-fence acquisition of a fence entry
+// for token, publishing sig and stamping the heartbeat with the caller's
+// current wall clock; the step's response carries the claimed hold.
+func acquireStep(req *request, token, sig uint64) *request {
+	*req = request{ctl: true, kind: stepAcquire, key: token, val: uint64(time.Now().UnixNano()), lo: sig}
+	return req
+}
+
+// ctlAcquire runs one acquisition (see acquireStep) on shard ss.
 func (s *Server) ctlAcquire(ss *shardState, token, sig uint64) response {
-	beat := uint64(time.Now().UnixNano())
-	return s.ctl(ss, func(tx proteustm.Txn, _ int) (r response) {
-		r.hold, r.Applied = ss.store.AcquireFence(tx, token, beat, sig)
-		return r
-	})
+	return s.runCtl(ss, acquireStep(new(request), token, sig))
 }
 
 // releaseParts frees the fences of every acquired-but-unreleased part of
@@ -405,8 +402,9 @@ func (s *Server) ctlAcquire(ss *shardState, token, sig uint64) response {
 // per-shard transactions). Part state is reset so the next acquire
 // attempt starts clean.
 func (s *Server) releaseParts(rec *crossRec) {
-	for _, p := range rec.parts {
-		h, held := s.reg.acquireState(rec, p)
+	for i := range rec.parts {
+		p := &rec.parts[i]
+		h, held := rec.held(p)
 		if !held {
 			continue
 		}
@@ -414,10 +412,11 @@ func (s *Server) releaseParts(rec *crossRec) {
 		// fence), so a held part is always in the fleet — but never index
 		// past a truncation.
 		if fleet := s.fleet(); p.shard < len(fleet) {
-			s.guarded(fleet[p.shard], h, true, nil)
+			rec.ctlReq = request{ctl: true, hold: h, releases: true}
+			s.runCtl(fleet[p.shard], &rec.ctlReq)
 		}
 	}
-	s.reg.resetParts(rec)
+	rec.resetParts()
 }
 
 // failRemaining handles a control-step failure inside phase 2 — only
@@ -459,42 +458,49 @@ func (s *Server) applyAll(rec *crossRec, req *request) response {
 	if req.op == opMGet {
 		out.Vals = make([]uint64, len(req.keys))
 		out.Present = make([]bool, len(req.keys))
+		rec.got, rec.present = out.Vals, out.Present
 	}
-	vals, present := out.Vals, out.Present // captured by value: out stays off the heap
-	for _, p := range rec.parts {
-		if s.reg.partRolledForward(rec, p) {
+	for i := range rec.parts {
+		p := &rec.parts[i]
+		if rec.rolledForward(p) {
 			continue
 		}
-		h, held := s.reg.acquireState(rec, p)
+		h, held := rec.held(p)
 		fleet := s.fleet()
 		if !held || p.shard >= len(fleet) { // the latter defensive: fenced shards never retire
 			return s.superseded(rec)
 		}
-		ss := fleet[p.shard]
-		r := s.guarded(ss, h, true, func(tx proteustm.Txn, slot int) (r response) {
-			switch req.op {
-			case opMPut:
-				for _, i := range p.idx {
-					ss.store.Put(tx, slot, req.keys[i], req.vals[i])
-				}
-			case opMGet:
-				for _, i := range p.idx {
-					vals[i], present[i] = ss.store.Get(tx, req.keys[i])
-				}
-			case opRange:
-				r.Count, r.Sum = ss.store.Range(tx, req.lo, req.hi)
-			}
-			return r
-		})
+		rec.ctlReq = request{ctl: true, kind: stepApply, part: p, hold: h, releases: true}
+		r := s.runCtl(fleet[p.shard], &rec.ctlReq)
 		if r.Err != "" {
 			return s.failRemaining(rec, r)
 		}
 		if !r.Applied {
 			return s.superseded(rec)
 		}
-		s.reg.markReleased(rec, p, false)
+		rec.markReleased(p, false)
 		out.Count += r.Count
 		out.Sum += r.Sum
 	}
 	return out
+}
+
+// apply is the transaction body of part p's phase 2 on its shard's store:
+// its slice of the batch's writes, reads (into the coordinator's result
+// buffers) or scan.
+func (p *crossPart) apply(tx proteustm.Txn, slot int, st *Store) (r response) {
+	rec := p.rec
+	switch rec.op {
+	case opMPut:
+		for _, i := range p.idx {
+			st.Put(tx, slot, rec.keys[i], rec.vals[i])
+		}
+	case opMGet:
+		for _, i := range p.idx {
+			rec.got[i], rec.present[i] = st.Get(tx, rec.keys[i])
+		}
+	case opRange:
+		r.Count, r.Sum = st.Range(tx, rec.lo, rec.hi)
+	}
+	return r
 }

@@ -2,8 +2,9 @@ package serve
 
 // Battery for the leased-slot executor and the wake-on-release wait: slot
 // tokens are conserved through reconfiguration storms, a fenced operation
-// waits holding no token, a wake-up that never comes costs at most the
-// wait's bound, and a retired shard executes nothing.
+// waits holding no token, a wait spins before it blocks (one spinner a
+// shard, never behind backlog, never on one P), a wake-up that never comes
+// costs at most the wait's bound, and a retired shard executes nothing.
 
 import (
 	"context"
@@ -180,7 +181,7 @@ func TestAwaitRelease(t *testing.T) {
 
 	gen := ss.relGen.Load()
 	woken := make(chan time.Duration, 1)
-	go func() { woken <- ss.awaitRelease(gen, 10*time.Second) }()
+	go func() { d, _ := ss.awaitRelease(gen, 10*time.Second); woken <- d }()
 	waitUntil(t, 2*time.Second, "waiter registered", func() bool { return ss.relWaiters.Load() == 1 })
 	ss.fenceReleased()
 	select {
@@ -193,7 +194,7 @@ func TestAwaitRelease(t *testing.T) {
 	}
 
 	// gen is stale now: the release the caller would wait for has happened.
-	if d := ss.awaitRelease(gen, 10*time.Second); d > 5*time.Second {
+	if d, _ := ss.awaitRelease(gen, 10*time.Second); d > 5*time.Second {
 		t.Fatalf("wait on a generation already passed took %v", d)
 	}
 	if got := s.fenceWaitTimeouts.Load(); got != 0 {
@@ -202,13 +203,226 @@ func TestAwaitRelease(t *testing.T) {
 
 	// Missed wake-up: nothing releases, the bound ends the wait.
 	const bound = 5 * time.Millisecond
-	if d := ss.awaitRelease(ss.relGen.Load(), bound); d < bound || d > 100*bound {
+	if d, timedOut := ss.awaitRelease(ss.relGen.Load(), bound); !timedOut || d < bound || d > 100*bound {
 		t.Fatalf("unwoken wait took %v, want about the %v bound", d, bound)
 	}
+	// Only the second wait ended in its spin (its first poll): the first had
+	// registered, the third ran out its spin and then its bound.
 	st := s.StatusSnapshot()
-	if st.Ops.FenceWaits != 3 || st.Ops.FenceWaitTimeouts != 1 || st.Ops.FenceWaitMs < 5 {
-		t.Fatalf("fence_waits=%d fence_wait_timeouts=%d fence_wait_ms=%v, want 3, 1 and >= 5",
-			st.Ops.FenceWaits, st.Ops.FenceWaitTimeouts, st.Ops.FenceWaitMs)
+	if st.Ops.FenceWaits != 3 || st.Ops.FenceWaitTimeouts != 1 || st.Ops.FenceWaitMs < 5 || st.Ops.FenceWaitSpun != 1 {
+		t.Fatalf("fence_waits=%d fence_wait_timeouts=%d fence_wait_ms=%v fence_wait_spun=%d, want 3, 1, >= 5 and 1",
+			st.Ops.FenceWaits, st.Ops.FenceWaitTimeouts, st.Ops.FenceWaitMs, st.Ops.FenceWaitSpun)
+	}
+}
+
+// eventually repeats try — a race the test must win against the spin budget,
+// which a descheduled test goroutine loses — until it reports success.
+func eventually(t *testing.T, what string, try func() bool) {
+	t.Helper()
+	for i := 0; i < 2000; i++ {
+		if try() {
+			return
+		}
+	}
+	t.Fatalf("never saw %s", what)
+}
+
+// TestSpinSeesReleaseWithoutParking: a release that lands while the waiter
+// spins ends the wait without the waiter ever registering for the wake-up —
+// no relWaiters entry, so the release does not even replace relCh — and the
+// wait is booked like any other.
+func TestSpinSeesReleaseWithoutParking(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := newTestServer(t, Options{Shards: 2, Workers: 2})
+	ss := s.fleet()[0]
+	eventually(t, "a release land inside the spin", func() bool {
+		ss.relMu.Lock()
+		ch := ss.relCh
+		ss.relMu.Unlock()
+		before := s.StatusSnapshot().Ops
+		gen := ss.relGen.Load()
+		done := make(chan bool, 1)
+		go func() { _, timedOut := ss.awaitRelease(gen, 10*time.Second); done <- timedOut }()
+		for !ss.relSpinner.Load() && ss.relWaiters.Load() == 0 {
+		}
+		ss.fenceReleased()
+		if <-done {
+			t.Fatal("a released wait reported running into its bound")
+		}
+		after := s.StatusSnapshot().Ops
+		if after.FenceWaits != before.FenceWaits+1 || after.FenceWaitMs <= before.FenceWaitMs {
+			t.Fatalf("fence_waits %d -> %d, fence_wait_ms %v -> %v: the wait was not booked",
+				before.FenceWaits, after.FenceWaits, before.FenceWaitMs, after.FenceWaitMs)
+		}
+		if after.FenceWaitSpun == before.FenceWaitSpun {
+			return false // the spin ran out first and the waiter blocked
+		}
+		ss.relMu.Lock()
+		defer ss.relMu.Unlock()
+		if ss.relCh != ch || ss.relWaiters.Load() != 0 {
+			t.Fatalf("a wait that ended in its spin left relWaiters=%d, relCh replaced=%v", ss.relWaiters.Load(), ss.relCh != ch)
+		}
+		return true
+	})
+}
+
+// TestOneSpinnerPerWaitPoint: while one goroutine spins for a shard's
+// release, a second waiter blocks at once; the same for its slot tokens.
+func TestOneSpinnerPerWaitPoint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	polled := false
+	var gate atomic.Bool
+	gate.Store(true)
+	if spin(&gate, time.Now(), func() bool { polled = true; return true }) || polled {
+		t.Fatal("spin ran behind a taken gate")
+	}
+	if !gate.Load() {
+		t.Fatal("a refused spinner released the gate it never held")
+	}
+	gate.Store(false)
+	if !spin(&gate, time.Now(), func() bool { return true }) || gate.Load() {
+		t.Fatal("spin with a free gate and a true condition: want true and the gate released")
+	}
+
+	s := newTestServer(t, Options{Shards: 2, Workers: 2})
+	ss := s.fleet()[0]
+	ss.relSpinner.Store(true) // somebody is spinning for this shard's release
+	spun := s.fenceWaitSpun.Load()
+	woken := make(chan time.Duration, 1)
+	go func() { d, _ := ss.awaitRelease(ss.relGen.Load(), 10*time.Second); woken <- d }()
+	waitUntil(t, 2*time.Second, "the second waiter registered", func() bool { return ss.relWaiters.Load() == 1 })
+	ss.fenceReleased()
+	if d := <-woken; d > 5*time.Second {
+		t.Fatalf("woken waiter took %v", d)
+	}
+	ss.relSpinner.Store(false)
+	if got := s.fenceWaitSpun.Load(); got != spun {
+		t.Fatalf("fence_wait_spun %d -> %d for a waiter that found the spinner place taken", spun, got)
+	}
+
+	ss.slotSpinner.Store(true)
+	if ss.spinForSlot() {
+		t.Fatal("a second submitter spun for a slot")
+	}
+	ss.slotSpinner.Store(false)
+	if !ss.spinForSlot() {
+		t.Fatal("an idle shard's token was not seen free")
+	}
+}
+
+// TestSpinForSlot: a submitter that finds the shard's slot taken gets it
+// without queueing when it comes back inside the spin budget.
+func TestSpinForSlot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := newTestServer(t, Options{Workers: 1, Preload: 8})
+	ss := s.fleet()[0]
+	eventually(t, "a slot come free inside the spin", func() bool {
+		before := s.StatusSnapshot().Ops
+		slot := <-ss.tokens
+		done := make(chan int, 1)
+		go func() {
+			_, code := s.submit(ss, &request{op: opGet, key: 1})
+			done <- code
+		}()
+		for t0 := time.Now(); !ss.slotSpinner.Load() && time.Since(t0) < time.Millisecond; {
+		}
+		ss.tokens <- slot
+		if code := <-done; code != http.StatusOK {
+			t.Fatalf("get = HTTP %d", code)
+		}
+		after := s.StatusSnapshot().Ops
+		if after.LeaseSpins == before.LeaseSpins {
+			return false // the spin ran out first and the operation queued
+		}
+		if after.Direct != before.Direct+1 || after.Queued != before.Queued {
+			t.Fatalf("direct %d -> %d, queued %d -> %d for an operation whose slot came free in its spin",
+				before.Direct, after.Direct, before.Queued, after.Queued)
+		}
+		return true
+	})
+}
+
+// TestNoSlotSpinBehindBacklog: with requests waiting in either lane a
+// slot-less submitter joins the queue without spinning, even for a token
+// that is free — those requests were there first.
+func TestNoSlotSpinBehindBacklog(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s, err := newServer(Options{Workers: 2, QueueDepth: 4, HeapWords: 1 << 18})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	ss := s.fleet()[0]
+	ss.unpark() // tokens circulate, but no queue worker takes them
+	if !ss.spinForSlot() {
+		t.Fatal("free token, empty lanes: the spin should see the token")
+	}
+	for _, lane := range []chan *request{ss.queue, ss.prio} {
+		lane <- &request{}
+		if ss.spinForSlot() {
+			t.Fatal("spun for a slot with a request waiting in a lane")
+		}
+		<-lane
+	}
+	var leased []int // every circulating token is out, as if executing
+	for len(ss.tokens) > 0 {
+		leased = append(leased, <-ss.tokens)
+	}
+
+	// A queues (after its spin: the lanes were empty), B finds A waiting and
+	// queues behind it at once.
+	var wg sync.WaitGroup
+	for i, key := range []uint64{11, 22} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, code := s.submit(ss, &request{op: opPut, key: key, val: 1}); code != http.StatusOK {
+				t.Errorf("queued put %d = HTTP %d", key, code)
+			}
+		}()
+		waitQueueLen(t, ss, i+1)
+	}
+	for _, key := range []uint64{11, 22} {
+		req := <-ss.queue
+		if req.key != key {
+			t.Fatalf("queue order: got the put of key %d where %d was due", req.key, key)
+		}
+		req.done <- response{}
+	}
+	wg.Wait()
+	if got := s.leaseSpins.Load(); got != 0 {
+		t.Fatalf("ops.lease_spins = %d with no token ever freed", got)
+	}
+	for _, id := range leased {
+		ss.tokens <- id
+	}
+	s.startWorkers()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestNoSpinOnOneP: on a single P whoever would end the wait needs the P
+// the spinner holds, so neither spin runs.
+func TestNoSpinOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	polled := false
+	var gate atomic.Bool
+	if spin(&gate, time.Now(), func() bool { polled = true; return true }) || polled {
+		t.Fatal("spin ran on one P")
+	}
+	s := newTestServer(t, Options{Shards: 2, Workers: 2})
+	ss := s.fleet()[0]
+	if ss.spinForSlot() {
+		t.Fatal("spun for a slot on one P")
+	}
+	// The release already landed, yet the wait goes the registering way.
+	ss.fenceReleased()
+	if _, timedOut := ss.awaitRelease(ss.relGen.Load()-1, 10*time.Second); timedOut {
+		t.Fatal("a wait on a passed generation ran into its bound")
+	}
+	if st := s.StatusSnapshot(); st.Ops.FenceWaits != 1 || st.Ops.FenceWaitSpun != 0 || st.Ops.LeaseSpins != 0 {
+		t.Fatalf("fence_waits=%d fence_wait_spun=%d lease_spins=%d on one P, want 1, 0, 0",
+			st.Ops.FenceWaits, st.Ops.FenceWaitSpun, st.Ops.LeaseSpins)
 	}
 }
 
@@ -349,4 +563,85 @@ func TestRetireBarrier(t *testing.T) {
 	if n := late.Load(); n > 0 {
 		t.Fatalf("%d control steps executed on the donor after it retired", n)
 	}
+}
+
+// TestCoordinatorStormExhaustsNoRetries: eight coordinators commit batches
+// over the same two shards from two Ps, beside local writers, while a
+// migration-style whole-shard hold of 5 ms comes and goes. A coordinator woken
+// by somebody else's release retries within microseconds, so a retry budget
+// counted in attempts would drain in a fraction of the time it was sized
+// for; nothing here may run out of one.
+func TestCoordinatorStormExhaustsNoRetries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := newTestServer(t, Options{Shards: 2, Workers: 2, Preload: 512})
+	var byShard [2][]uint64
+	for k := uint64(0); k < 512; k++ {
+		o := s.part().Owner(k)
+		byShard[o] = append(byShard[o], k)
+	}
+
+	const coordinators, batches = 8, 20000
+	var next, failed atomic.Int64
+	var exhausted, heldTooLong atomic.Uint64
+	book := func(resp response, code int) {
+		if code == http.StatusOK {
+			return
+		}
+		failed.Add(1)
+		switch resp.Err {
+		case "cross-shard commit: fence contention exhausted retries":
+			exhausted.Add(1)
+		case "shard fence held too long":
+			heldTooLong.Add(1)
+		default:
+			t.Errorf("operation failed: %d %+v", code, resp)
+		}
+	}
+	var stop atomic.Bool
+	var storm, side sync.WaitGroup
+	for c := 0; c < coordinators; c++ {
+		storm.Add(1)
+		go func(c int) {
+			defer storm.Done()
+			for i := next.Add(1); i <= batches; i = next.Add(1) {
+				a, b := byShard[0], byShard[1]
+				book(s.submitCross(&request{op: opMPut,
+					keys: []uint64{a[int(i)%len(a)], b[(int(i)+c)%len(b)]}, vals: []uint64{uint64(i), uint64(i)}}))
+			}
+		}(c)
+	}
+	for w := 0; w < 2; w++ {
+		side.Add(1)
+		go func(w int) {
+			defer side.Done()
+			for i := 0; !stop.Load(); i++ {
+				book(s.submitRouted(&request{op: opPut, key: byShard[w][i%len(byShard[w])], val: uint64(i)}))
+			}
+		}(w)
+	}
+	side.Add(1)
+	go func() {
+		defer side.Done()
+		donor := s.fleet()[1]
+		for !stop.Load() {
+			hold, err := s.acquireMigrationFence(donor, s.nextToken.Add(1))
+			if err != nil {
+				t.Errorf("whole-shard hold: %v", err)
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+			s.guarded(donor, hold, true, nil)
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	storm.Wait()
+	stop.Store(true)
+	side.Wait()
+	if exhausted.Load() > 0 || heldTooLong.Load() > 0 || failed.Load() > 0 {
+		t.Fatalf("%d operations failed: %d coordinators exhausted their retries, %d local operations gave up on a held fence",
+			failed.Load(), exhausted.Load(), heldTooLong.Load())
+	}
+	st := s.StatusSnapshot()
+	t.Logf("cross_ops=%d cross_aborts=%d fence_waits=%d spun=%d timeouts=%d fenced_requeues=%d lease_spins=%d queued=%d",
+		st.Ops.CrossOps, st.Ops.CrossAborts, st.Ops.FenceWaits, st.Ops.FenceWaitSpun, st.Ops.FenceWaitTimeouts, st.Ops.Fenced, st.Ops.LeaseSpins, st.Ops.Queued)
 }

@@ -15,30 +15,38 @@
 // fence's (token, epoch) guard, so recovery racing a slow-but-alive
 // coordinator is safe in both directions: whichever transaction commits
 // second observes the mismatch and becomes a no-op. The decide/claim
-// handshake is serialized by the registry mutex, so recovery and a slow
+// handshake is serialized by the record's mutex, so recovery and a slow
 // coordinator can never split a batch between roll-forward and abort.
 package serve
 
 import (
 	"net/http"
+	"slices"
 	"sync"
 	"time"
-
-	proteustm "repro"
 )
 
 // crossPart is one shard's slice of a registered cross-shard batch.
 type crossPart struct {
+	rec   *crossRec
 	shard int
 	idx   []int // positions into the batch's keys/vals owned by this shard
 	// hold is the fence hold this batch has on the shard (valid while
 	// acquired); released marks the fence freed (by the coordinator's
-	// apply/abort or — byRecovery — by the detector).
+	// apply/abort or — byRecovery — by the detector). Guarded by rec.mu.
 	hold       FenceHold
 	acquired   bool
 	released   bool
 	byRecovery bool
 }
+
+// Batches up to these sizes live inside their crossRec, which is then the
+// one allocation a cross-shard commit's bookkeeping makes; larger ones
+// spill to slices.
+const (
+	inlineParts = 4
+	inlineKeys  = 16
+)
 
 // crossRec is the registry record of one in-flight cross-shard batch —
 // everything recovery needs to finish or undo it without its coordinator.
@@ -46,7 +54,22 @@ type crossRec struct {
 	token      uint64
 	op         opKind
 	keys, vals []uint64
-	parts      []*crossPart
+	lo, hi     uint64 // the scanned interval of an opRange batch
+	parts      []crossPart
+
+	// got and present receive an mget's per-key results from its parts'
+	// applies; ctlReq is the one request every control step of the coordinator
+	// reuses (it runs them one at a time and waits for each). Coordinator
+	// only: recovery never touches them.
+	got     []uint64
+	present []bool
+	ctlReq  request
+
+	// mu guards every part's acquisition state and the four flags below —
+	// the state the coordinator and the failure detectors share. decide and
+	// claim both take it, which is what serializes the decide/claim
+	// handshake.
+	mu sync.Mutex
 	// decided flips once every fence is held (writes only): from here
 	// the batch must commit, so recovery rolls it forward. abandoned
 	// marks a coordinator crash (fault injection): the record is owned
@@ -57,9 +80,14 @@ type crossRec struct {
 	// time); counted makes the recovered-batch accounting idempotent.
 	recovering bool
 	counted    bool
+
+	partsBuf [inlineParts]crossPart
+	idxBuf   [inlineKeys]int
 }
 
-// crossReg is the server-wide commit-state registry.
+// crossReg is the server-wide commit-state registry: the token → record
+// map. Its mutex guards the map alone; a record's state is under the
+// record's own (crossRec.mu).
 type crossReg struct {
 	mu   sync.Mutex
 	recs map[uint64]*crossRec
@@ -67,16 +95,57 @@ type crossReg struct {
 
 func newCrossReg() *crossReg { return &crossReg{recs: make(map[uint64]*crossRec)} }
 
-// register records a new batch before its first acquisition.
-func (g *crossReg) register(token uint64, req *request, batches []subBatch) *crossRec {
-	rec := &crossRec{token: token, op: req.op, keys: req.keys, vals: req.vals}
-	for _, b := range batches {
-		rec.parts = append(rec.parts, &crossPart{shard: b.shard, idx: b.idx})
+// register records a new batch before its first acquisition. owners are
+// the owning shards of req.keys, key by key — or, for a range scan, the
+// shards its interval maps onto, ascending. Parts come out in ascending
+// shard order, the fence-acquisition order.
+func (g *crossReg) register(token uint64, req *request, owners []int) *crossRec {
+	rec := &crossRec{token: token, op: req.op, keys: req.keys, vals: req.vals, lo: req.lo, hi: req.hi}
+	rec.parts = rec.partsBuf[:0]
+	if req.op == opRange {
+		for _, o := range owners {
+			rec.parts = append(rec.parts, crossPart{shard: o})
+		}
+	} else {
+		rec.splitKeys(owners)
+	}
+	for i := range rec.parts {
+		rec.parts[i].rec = rec
 	}
 	g.mu.Lock()
 	g.recs[token] = rec
 	g.mu.Unlock()
 	return rec
+}
+
+// splitKeys groups the batch's key positions by owning shard: one part per
+// distinct owner, ascending, each with the positions it owns in batch
+// order, carved out of one backing array.
+func (rec *crossRec) splitKeys(owners []int) {
+	// Distinct owners, ascending (insertion sort: there are few shards).
+	for _, o := range owners {
+		at := 0
+		for at < len(rec.parts) && rec.parts[at].shard < o {
+			at++
+		}
+		if at == len(rec.parts) || rec.parts[at].shard != o {
+			rec.parts = slices.Insert(rec.parts, at, crossPart{shard: o})
+		}
+	}
+	all := rec.idxBuf[:0]
+	if len(owners) > cap(all) {
+		all = make([]int, 0, len(owners))
+	}
+	for i := range rec.parts {
+		p := &rec.parts[i]
+		start := len(all)
+		for pos, o := range owners {
+			if o == p.shard {
+				all = append(all, pos)
+			}
+		}
+		p.idx = all[start:len(all):len(all)]
+	}
 }
 
 // remove drops a completed (non-abandoned) batch.
@@ -87,28 +156,29 @@ func (g *crossReg) remove(token uint64) {
 }
 
 // acquired records that part p holds its shard's fence as h.
-func (g *crossReg) acquired(rec *crossRec, p *crossPart, h FenceHold) {
-	g.mu.Lock()
+func (rec *crossRec) acquired(p *crossPart, h FenceHold) {
+	rec.mu.Lock()
 	p.hold, p.acquired, p.released, p.byRecovery = h, true, false, false
-	g.mu.Unlock()
+	rec.mu.Unlock()
 }
 
-// acquireState reports the hold part p currently has on its shard's
-// fence, if it has one.
-func (g *crossReg) acquireState(rec *crossRec, p *crossPart) (h FenceHold, held bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// held reports the hold part p currently has on its shard's fence, if it
+// has one.
+func (rec *crossRec) held(p *crossPart) (h FenceHold, held bool) {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	return p.hold, p.acquired && !p.released
 }
 
 // resetParts clears acquisition state after an abort-all, so the next
 // attempt starts clean.
-func (g *crossReg) resetParts(rec *crossRec) {
-	g.mu.Lock()
-	for _, p := range rec.parts {
+func (rec *crossRec) resetParts() {
+	rec.mu.Lock()
+	for i := range rec.parts {
+		p := &rec.parts[i]
 		p.hold, p.acquired, p.released, p.byRecovery = FenceHold{}, false, false, false
 	}
-	g.mu.Unlock()
+	rec.mu.Unlock()
 }
 
 // decide marks a fully-prepared write batch as committed — unless the
@@ -121,14 +191,14 @@ func (g *crossReg) resetParts(rec *crossRec) {
 // (fences released, recovery long unclaimed) would otherwise resume,
 // acquire the remaining fences and commit a batch that is already
 // part-released — a torn write.
-func (g *crossReg) decide(rec *crossRec) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+func (rec *crossRec) decide() bool {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	if rec.recovering && !rec.decided {
 		return false
 	}
-	for _, p := range rec.parts {
-		if !p.acquired || p.released {
+	for i := range rec.parts {
+		if p := &rec.parts[i]; !p.acquired || p.released {
 			return false
 		}
 	}
@@ -137,28 +207,28 @@ func (g *crossReg) decide(rec *crossRec) bool {
 }
 
 // abandon hands the record to recovery (injected coordinator crash).
-func (g *crossReg) abandon(rec *crossRec) {
-	g.mu.Lock()
+func (rec *crossRec) abandon() {
+	rec.mu.Lock()
 	rec.abandoned = true
-	g.mu.Unlock()
+	rec.mu.Unlock()
 }
 
 // markReleased records that part p's fence was freed.
-func (g *crossReg) markReleased(rec *crossRec, p *crossPart, byRecovery bool) {
-	g.mu.Lock()
+func (rec *crossRec) markReleased(p *crossPart, byRecovery bool) {
+	rec.mu.Lock()
 	p.released, p.byRecovery = true, byRecovery
-	g.mu.Unlock()
+	rec.mu.Unlock()
 }
 
-// partRolledForward reports whether part p's fence was freed by a
-// recovery that rolled the decided batch forward — the only kind of
-// release a committing coordinator may treat as already-applied. A
-// release that is not a decided roll-forward (recovery aborted the
-// batch while the coordinator was stalled) means nothing of this part
-// was written and the whole batch must fail.
-func (g *crossReg) partRolledForward(rec *crossRec, p *crossPart) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// rolledForward reports whether part p's fence was freed by a recovery
+// that rolled the decided batch forward — the only kind of release a
+// committing coordinator may treat as already-applied. A release that is
+// not a decided roll-forward (recovery aborted the batch while the
+// coordinator was stalled) means nothing of this part was written and the
+// whole batch must fail.
+func (rec *crossRec) rolledForward(p *crossPart) bool {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	return p.released && p.byRecovery && rec.decided
 }
 
@@ -169,11 +239,13 @@ func (g *crossReg) partRolledForward(rec *crossRec, p *crossPart) bool {
 // false) for tokens the registry has never seen.
 func (g *crossReg) claim(token uint64) (rec *crossRec, rollForward, known bool) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	r, ok := g.recs[token]
+	g.mu.Unlock()
 	if !ok {
 		return nil, false, false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.recovering {
 		return nil, false, true
 	}
@@ -183,10 +255,10 @@ func (g *crossReg) claim(token uint64) (rec *crossRec, rollForward, known bool) 
 
 // unclaim releases a detector's claim (recovery complete or retrying
 // next tick).
-func (g *crossReg) unclaim(rec *crossRec) {
-	g.mu.Lock()
+func (rec *crossRec) unclaim() {
+	rec.mu.Lock()
 	rec.recovering = false
-	g.mu.Unlock()
+	rec.mu.Unlock()
 }
 
 // completeIfDone checks whether every acquired part of rec has been
@@ -194,21 +266,20 @@ func (g *crossReg) unclaim(rec *crossRec) {
 // gone) and reports whether this call is the first to observe
 // completion — the once-per-batch accounting edge.
 func (g *crossReg) completeIfDone(rec *crossRec) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, p := range rec.parts {
-		if p.acquired && !p.released {
+	rec.mu.Lock()
+	for i := range rec.parts {
+		if p := &rec.parts[i]; p.acquired && !p.released {
+			rec.mu.Unlock()
 			return false
 		}
 	}
-	if rec.counted {
-		return false
-	}
+	first, abandoned := !rec.counted, rec.abandoned
 	rec.counted = true
-	if rec.abandoned {
-		delete(g.recs, rec.token)
+	rec.mu.Unlock()
+	if first && abandoned {
+		g.remove(rec.token)
 	}
-	return true
+	return first
 }
 
 // ---- per-shard failure detector + circuit breaker ----
@@ -227,11 +298,11 @@ const (
 // or 0 when the shard accepts work. Past the cooldown an open breaker
 // admits probes (half-open); the detector closes it on progress or
 // re-arms the cooldown if the stall persists.
-func (ss *shardState) breakerRetryAfter(now time.Time) time.Duration {
+func (ss *shardState) breakerRetryAfter() time.Duration {
 	if ss.breakerState.Load() != breakerOpen {
 		return 0
 	}
-	if d := time.Duration(ss.breakerUntil.Load() - now.UnixNano()); d > 0 {
+	if d := time.Duration(ss.breakerUntil.Load() - time.Now().UnixNano()); d > 0 {
 		return d
 	}
 	return 0
@@ -438,9 +509,10 @@ func (s *Server) recoverOrphan(ss *shardState, h FenceHold) {
 		}
 		return
 	}
-	defer s.reg.unclaim(rec)
-	for _, p := range rec.parts {
-		ph, held := s.reg.acquireState(rec, p)
+	defer rec.unclaim()
+	for i := range rec.parts {
+		p := &rec.parts[i]
+		ph, held := rec.held(p)
 		if !held {
 			continue
 		}
@@ -448,20 +520,17 @@ func (s *Server) recoverOrphan(ss *shardState, h FenceHold) {
 		if p.shard >= len(fleet) {
 			// The participant was merged away (its fence died with it);
 			// mark it handled so the batch's recovery can complete.
-			s.reg.markReleased(rec, p, true)
+			rec.markReleased(p, true)
 			continue
 		}
-		target := fleet[p.shard]
-		s.ctlRecover(ss, target, &request{ctl: true, hold: ph, releases: true,
-			step: func(tx proteustm.Txn, slot int) response {
-				if rollForward {
-					for _, i := range p.idx {
-						target.store.Put(tx, slot, rec.keys[i], rec.vals[i])
-					}
-				}
-				return response{}
-			},
-			then: func() { s.reg.markReleased(rec, p, true) }})
+		// Only a decided batch rolls forward, and only writes are decided, so
+		// the apply below never reaches the coordinator's read buffers.
+		req := &request{ctl: true, hold: ph, releases: true,
+			then: func() { rec.markReleased(p, true) }}
+		if rollForward {
+			req.kind, req.part = stepApply, p
+		}
+		s.ctlRecover(ss, fleet[p.shard], req)
 	}
 	if s.reg.completeIfDone(rec) {
 		s.fenceRecovered.Add(1)

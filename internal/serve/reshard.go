@@ -421,9 +421,10 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 
 // acquireMigrationFence claims the donor's fence for the move, riding out
 // coordinator contention the way an aborted coordinator does: wait for the
-// donor's next fence release, at most the cross-shard backoff.
+// donor's next fence release, at most the cross-shard backoff, charging the
+// retry budget only for the waits that ran into that bound.
 func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (FenceHold, error) {
-	for attempt := 0; ; attempt++ {
+	for spent, tries := 0, 0; ; tries++ {
 		gen := donor.relGen.Load()
 		r := s.ctlAcquire(donor, token, SigAll)
 		if r.Err != "" {
@@ -432,10 +433,12 @@ func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (FenceHo
 		if r.Applied {
 			return r.hold, nil
 		}
-		if attempt+1 >= s.opts.CrossRetries {
+		if spent+1 >= s.opts.CrossRetries || tries >= maxFenceTries {
 			return FenceHold{}, fmt.Errorf("donor fence contention: exhausted %d acquisition attempts", s.opts.CrossRetries)
 		}
-		s.crossWait(donor, gen, attempt)
+		if s.crossWait(donor, gen, spent) {
+			spent++
+		}
 	}
 }
 

@@ -518,13 +518,13 @@ func TestCrossShardAbortAll(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	batches := splitBatchAt(s.part(), keys)
+	batches := s.part().Participants(keys)
 	if len(batches) != 4 {
 		t.Fatalf("expected 4 participants, got %d", len(batches))
 	}
 	// Wedge the fence of the last participant (highest shard index, so
 	// the coordinator acquires the other three first).
-	victim := s.fleet()[batches[3].shard]
+	victim := s.fleet()[batches[3]]
 	wedgeFence(victim, 999)
 
 	vals := []uint64{1, 2, 3, 4}
@@ -538,9 +538,9 @@ func TestCrossShardAbortAll(t *testing.T) {
 	}
 	// Abort-all must have released every fence the coordinator acquired.
 	for _, b := range batches[:3] {
-		ss := s.fleet()[b.shard]
+		ss := s.fleet()[b]
 		if fenceHeld(ss) {
-			t.Fatalf("shard %d fence leaked after abort-all: %+v", b.shard, holderOf(ss, 0))
+			t.Fatalf("shard %d fence leaked after abort-all: %+v", b, holderOf(ss, 0))
 		}
 	}
 	// And no write may have landed anywhere.

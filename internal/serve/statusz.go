@@ -138,10 +138,13 @@ type OpsStatus struct {
 	// Direct counts requests (data operations and control steps) executed
 	// on their submitter's goroutine under a leased slot; Queued those
 	// that found no free slot and went through a lane to a queue worker.
-	Direct    uint64 `json:"direct"`
-	Queued    uint64 `json:"queued"`
-	HookFires uint64 `json:"reconfigure_hook_fires"`
-	Drains    uint64 `json:"drains"`
+	// LeaseSpins counts the direct ones whose slot came free while the
+	// submitter spun for it (without the spin they would have queued).
+	Direct     uint64 `json:"direct"`
+	Queued     uint64 `json:"queued"`
+	LeaseSpins uint64 `json:"lease_spins"`
+	HookFires  uint64 `json:"reconfigure_hook_fires"`
+	Drains     uint64 `json:"drains"`
 	// ShedDeadline counts queued ops dropped unexecuted (deadline passed
 	// or client hung up); ShedLatency counts admissions rejected because
 	// queue-wait p99 crossed the SLO budget — the two tail-latency shed
@@ -162,9 +165,12 @@ type OpsStatus struct {
 	// FenceWaits counts waits for a fence release — fenced operations and
 	// aborted coordinators alike; FenceWaitTimeouts those that ran out
 	// their bound without a wake-up; FenceWaitMs their measured total.
+	// FenceWaitSpun counts the waits whose release landed while the waiter
+	// was still spinning, so FenceWaits − FenceWaitSpun blocked.
 	FenceWaits        uint64  `json:"fence_waits"`
 	FenceWaitTimeouts uint64  `json:"fence_wait_timeouts"`
 	FenceWaitMs       float64 `json:"fence_wait_ms"`
+	FenceWaitSpun     uint64  `json:"fence_wait_spun"`
 	// CrossCrashes counts injected coordinator crashes (fault
 	// substrate); FenceRecovered counts orphaned fence batches the
 	// failure detector recovered — FenceRolledForward of them re-applied
@@ -406,6 +412,7 @@ func (s *Server) StatusSnapshot() Status {
 			Requeued:           s.requeued.Load(),
 			Direct:             s.directOps.Load(),
 			Queued:             s.queuedOps.Load(),
+			LeaseSpins:         s.leaseSpins.Load(),
 			HookFires:          s.hookFires.Load(),
 			Drains:             s.drains.Load(),
 			ShedDeadline:       s.shedDeadline.Load(),
@@ -417,6 +424,7 @@ func (s *Server) StatusSnapshot() Status {
 			FenceWaits:         s.fenceWaits.Load(),
 			FenceWaitTimeouts:  s.fenceWaitTimeouts.Load(),
 			FenceWaitMs:        float64(s.fenceWaitNs.Load()) / 1e6,
+			FenceWaitSpun:      s.fenceWaitSpun.Load(),
 			CrossCrashes:       s.crossCrashes.Load(),
 			FenceRecovered:     s.fenceRecovered.Load(),
 			FenceRolledForward: s.fenceRolledForward.Load(),
