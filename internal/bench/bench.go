@@ -53,6 +53,7 @@ func CounterTx(b *testing.B, alg tm.Algorithm, threads int) {
 	b.ReportAllocs()
 	h := tm.NewHeap(1<<16, threads)
 	base := h.MustAlloc(1024)
+	stats := make([]tm.Stats, threads)
 	var wg sync.WaitGroup
 	per := b.N/threads + 1
 	b.ResetTimer()
@@ -68,9 +69,23 @@ func CounterTx(b *testing.B, alg tm.Algorithm, threads int) {
 					tx.Store(base+slot, v+1)
 				})
 			}
+			stats[id] = c.Stats
 		}(w)
 	}
 	wg.Wait()
+	reportAbortShare(b, stats)
+}
+
+// abortShareUnit names the extra metric the TM rows report: aborted attempts
+// over all attempts, the `abort_share` of a record's row.
+const abortShareUnit = "abort-share"
+
+func reportAbortShare(b *testing.B, stats []tm.Stats) {
+	var sum tm.Stats
+	for _, st := range stats {
+		sum.Add(st)
+	}
+	b.ReportMetric(float64(sum.Aborts)/float64(max(sum.Aborts+sum.Commits, 1)), abortShareUnit)
 }
 
 // writeHeavySpan is the number of distinct words each write-heavy
@@ -87,6 +102,7 @@ func WriteHeavyTx(b *testing.B, alg tm.Algorithm, threads int) {
 	const region = 1 << 14
 	h := tm.NewHeap(1<<18, threads)
 	base := h.MustAlloc(region)
+	stats := make([]tm.Stats, threads)
 	var wg sync.WaitGroup
 	per := b.N/threads + 1
 	b.ResetTimer()
@@ -108,9 +124,11 @@ func WriteHeavyTx(b *testing.B, alg tm.Algorithm, threads int) {
 					tx.Store(base+start, sum)
 				})
 			}
+			stats[id] = c.Stats
 		}(w)
 	}
 	wg.Wait()
+	reportAbortShare(b, stats)
 }
 
 // PublicAPI exercises the root package's Atomic path end to end (Open →
@@ -235,7 +253,9 @@ type Case struct {
 }
 
 // Suite returns the regression suite recorded by `proteusbench bench`: the
-// counter workload for every backend at 1, 4 and 8 threads, the write-heavy
+// counter workload for every backend at 1, 2, 4 and 8 threads (on this
+// project's two-core box 2t is real parallelism, 4t and 8t oversubscription),
+// the write-heavy
 // workload at 1 and 4 threads, the PolyTM dispatch pair, the group-commit
 // amortization pair, the public API path, the tuner's decision path
 // (surrogate query, one optimization, model selection), start-up (one pinned
@@ -249,7 +269,7 @@ func Suite() []Case {
 	var cases []Case
 	for _, name := range AlgorithmNames {
 		name := name
-		for _, threads := range []int{1, 4, 8} {
+		for _, threads := range []int{1, 2, 4, 8} {
 			threads := threads
 			cases = append(cases, Case{
 				Name: fmt.Sprintf("Algorithms/%s/%dt", name, threads),

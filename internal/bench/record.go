@@ -23,6 +23,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// AbortShare is aborted attempts over all attempts, for the rows whose
+	// body reports it (the bare-TM rows); 0 elsewhere.
+	AbortShare float64 `json:"abort_share"`
 }
 
 // Record is a full regression-suite run, persisted as BENCH_<n>.json at the
@@ -56,11 +59,12 @@ func RunSuite(filter string, progress io.Writer) Record {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			AbortShare:  r.Extra[abortShareUnit],
 		}
 		rec.Results = append(rec.Results, res)
 		if progress != nil {
-			fmt.Fprintf(progress, "%-34s %12d iters %12.1f ns/op %6d B/op %4d allocs/op\n",
-				res.Name, res.Iters, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+			fmt.Fprintf(progress, "%-34s %12d iters %12.1f ns/op %6d B/op %4d allocs/op %7.4f aborts\n",
+				res.Name, res.Iters, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.AbortShare)
 		}
 	}
 	return rec

@@ -8,13 +8,13 @@
 //   - bounded speculative capacity: transactions whose footprint exceeds the
 //     modeled cache raise capacity aborts no matter how often they retry;
 //   - eager conflict detection at cache-line granularity with remote aborts
-//     (a writer invalidates concurrent readers, as coherence-based HTM does);
+//     (a writer invalidates concurrent readers, as coherence-based HTM does),
+//     through per-slot read marks — see the protocol note above doomReaders;
 //   - a software fallback path guarded by a global lock, plus the retry
 //     budget and capacity-abort policies of §4.3 that PolyTM retunes online.
 package htm
 
 import (
-	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -108,17 +108,17 @@ func (h *HTM) Name() string { return "htm" }
 
 // Begin implements tm.Algorithm. The first attempt of a transaction loads
 // the retry budget from the contention manager; once the budget is exhausted
-// the attempt runs on the fallback path under the global lock. Hardware
-// attempts subscribe to the fallback lock so that a fallback acquisition
-// aborts them.
+// the attempt runs on the fallback path under the global lock. A hardware
+// attempt publishes its epoch — which is what releases the previous attempt's
+// read marks, all at once — and subscribes to the fallback lock so that a
+// fallback acquisition aborts it.
 func (h *HTM) Begin(c *tm.Ctx) {
 	c.ResetSets()
 	c.AbortReason = tm.AbortNone
 	st := &c.HTM
-	if st.RLines == nil {
-		st.RLines = make([]uint32, 0, 64)
+	if st.Slot == nil {
+		st.Slot = c.H.HTMAttach(c.ID)
 		st.WLines = make([]uint32, 0, 64)
-		c.H.RegisterDoomFlag(c.ID, &st.Doomed)
 	}
 	if st.LastTxn != c.TxnID {
 		st.LastTxn = c.TxnID
@@ -128,8 +128,7 @@ func (h *HTM) Begin(c *tm.Ctx) {
 		}
 		st.Budget = b
 	}
-	st.Doomed.Store(false)
-	st.RLines = st.RLines[:0]
+	st.Reads = 0
 	st.WLines = st.WLines[:0]
 	if st.Budget <= 0 {
 		st.Fallback = true
@@ -139,6 +138,13 @@ func (h *HTM) Begin(c *tm.Ctx) {
 		return
 	}
 	st.Fallback = false
+	e := st.Slot.Cur.Load() + 1
+	if uint32(e) == 0 {
+		// The 32-bit stamps are used up: clear the table, start over at 1.
+		e = st.Slot.NewGeneration() + 1
+	}
+	st.Slot.Cur.Store(e)
+	st.Epoch = e
 	// Subscribe to the fallback lock: spin past any in-flight serial
 	// transaction, then record the (even) lock value.
 	for {
@@ -151,10 +157,10 @@ func (h *HTM) Begin(c *tm.Ctx) {
 	st.InTx = true
 }
 
-// Load implements tm.Algorithm. Hardware reads mark the line in the reader
-// bitmap, refuse lines with an active speculative writer, and re-check the
-// doom flag and fallback subscription after reading so no inconsistent value
-// ever escapes to the application.
+// Load implements tm.Algorithm. Hardware reads stamp the line in the slot's
+// own mark table, refuse lines with an active speculative writer, and re-check
+// the doom word and fallback subscription after reading so no inconsistent
+// value ever escapes to the application.
 func (h *HTM) Load(c *tm.Ctx, a tm.Addr) uint64 {
 	heap := c.H
 	st := &c.HTM
@@ -172,15 +178,14 @@ func (h *HTM) Load(c *tm.Ctx, a tm.Addr) uint64 {
 		return v
 	}
 	s := heap.Stripe(a)
-	bit := uint64(1) << uint(c.ID&63)
-	if heap.ReaderMaskLoad(s)&bit == 0 {
+	if mark, stamp := &st.Slot.Marks[s], uint32(st.Epoch); atomic.LoadUint32(mark) != stamp {
 		rcap, _ := h.caps()
-		if len(st.RLines) >= rcap {
+		if st.Reads >= rcap {
 			h.cleanup(c)
 			c.Retry(tm.AbortCapacity)
 		}
-		heap.ReaderMaskOr(s, bit)
-		st.RLines = append(st.RLines, s)
+		atomic.StoreUint32(mark, stamp)
+		st.Reads++
 	}
 	if w := heap.WriterLoad(s); w != 0 && int(w-1) != c.ID {
 		h.cleanup(c)
@@ -200,7 +205,7 @@ func (h *HTM) Store(c *tm.Ctx, a tm.Addr, v uint64) {
 	if st.Fallback {
 		s := heap.Stripe(a)
 		h.evictWriter(c, s)
-		h.doomReaders(c, s)
+		h.doomReaders(c, []uint32{s})
 		c.WS.Put(a, v)
 		return
 	}
@@ -220,7 +225,7 @@ func (h *HTM) Store(c *tm.Ctx, a tm.Addr, v uint64) {
 			c.Retry(tm.AbortConflict)
 		}
 		st.WLines = append(st.WLines, s)
-		h.doomReaders(c, s)
+		h.doomReaders(c, st.WLines[len(st.WLines)-1:])
 	}
 	c.WS.Put(a, v)
 	h.check(c)
@@ -241,7 +246,7 @@ func (h *HTM) Commit(c *tm.Ctx) bool {
 		st.Fallback = false
 		return true
 	}
-	if st.Doomed.Load() || heap.FallbackLock() != st.SnapshotRV {
+	if st.Slot.Doom.Load() == st.Epoch || heap.FallbackLock() != st.SnapshotRV {
 		h.cleanup(c)
 		c.AbortReason = tm.AbortConflict
 		if heap.FallbackLock() != st.SnapshotRV {
@@ -250,14 +255,19 @@ func (h *HTM) Commit(c *tm.Ctx) bool {
 		return false
 	}
 	// Invalidate readers of written lines once more: anything that marked
-	// its bit after our Store-time sweep must not commit a mixed view.
+	// the line after our Store-time sweep must not commit a mixed view.
+	h.doomReaders(c, st.WLines)
+	stripes, stamp := st.Reads, uint32(st.Epoch)
 	for _, s := range st.WLines {
-		h.doomReaders(c, s)
+		if atomic.LoadUint32(&st.Slot.Marks[s]) != stamp {
+			stripes++ // written, never read
+		}
 	}
 	for _, e := range c.WS.Entries() {
 		heap.StoreWord(e.Addr, e.Val)
 	}
 	h.cleanup(c)
+	c.Stats.Stripes += uint64(stripes)
 	st.InTx = false
 	return true
 }
@@ -297,7 +307,7 @@ func (h *HTM) Abort(c *tm.Ctx) {
 // conflicting transaction or if a fallback transaction acquired the lock.
 func (h *HTM) check(c *tm.Ctx) {
 	st := &c.HTM
-	if st.Doomed.Load() {
+	if st.Slot.Doom.Load() == st.Epoch {
 		h.cleanup(c)
 		c.Retry(tm.AbortConflict)
 	}
@@ -307,30 +317,76 @@ func (h *HTM) check(c *tm.Ctx) {
 	}
 }
 
-// cleanup releases every reader bit and writer slot held by the attempt.
+// cleanup releases every writer slot held by the attempt. Its read marks need
+// no release: the next Begin moves the slot to a new epoch, and until then a
+// writer that finds one dooms an epoch no attempt will have again.
 func (h *HTM) cleanup(c *tm.Ctx) {
-	heap := c.H
 	st := &c.HTM
-	bit := uint64(1) << uint(c.ID&63)
-	for _, s := range st.RLines {
-		heap.ReaderMaskAndNot(s, bit)
-	}
 	for _, s := range st.WLines {
-		heap.WriterStore(s, 0)
+		c.H.WriterStore(s, 0)
 	}
-	st.RLines = st.RLines[:0]
 	st.WLines = st.WLines[:0]
 }
 
-// doomReaders remotely aborts every speculative reader of stripe s other
-// than c itself.
-func (h *HTM) doomReaders(c *tm.Ctx, s uint32) {
-	mask := c.H.ReaderMaskLoad(s)
-	mask &^= uint64(1) << uint(c.ID&63)
-	for mask != 0 {
-		id := trailingZeros(mask)
-		c.H.DoomThread(id)
-		mask &= mask - 1
+// The read-mark protocol. Slot t's attempt E (Begin: Cur[t] = E) reads stripe
+// s by storing E's stamp in marks[t][s] — a table only t writes, so readers of
+// one line share no metadata line — and then loading writers[s]; a writer
+// claims writers[s] by CAS and then loads marks[t][s] for every other slot t
+// that has run a hardware attempt. All four are sequentially consistent, so of
+// a reader and a writer of one stripe at least one sees the other (Dekker):
+// the reader finds the claim and aborts itself, or the writer finds the mark.
+// A mark is live iff its stamp is Cur[t]'s — Cur[t] is stored before the
+// attempt's first mark and loaded after the mark, so it can only be that
+// attempt's epoch or a later one — and then the writer dooms exactly that
+// attempt, Doom[t] = Cur[t]: t checks Doom[t] == E after each read, before the
+// value escapes, and at commit, while the writer publishes only after its
+// sweeps. A doom that lands after attempt E is over names an epoch nothing
+// will have again, so Begin clears nothing and the next attempt is not killed.
+//
+// Cur[t] is the line t writes at every Begin, so a writer avoids it: Seen[t]
+// (tm.HTMPeer, private to the writer's context) is the last Cur[t] it loaded.
+// Epochs only grow, so a mark below Seen[t]'s stamp belongs to an attempt that
+// is over — provided both are of one generation. Stamps are 32 bits of a
+// 64-bit epoch; when they are used up (and at Heap.Reset) the slot stores
+// Gen[t], clears its table and only then publishes the new generation's first
+// Cur[t]. The writer loads Gen[t], a word that changes once per 2^32 attempts,
+// after the mark: if it still equals Seen[t]'s generation, t had not begun to
+// wrap when the mark was loaded, and no older generation's mark survived the
+// clear that preceded the Cur[t] the writer saw — the mark and Seen[t] are
+// comparable. If Gen[t] moved, the bound is dropped and Cur[t] loaded. A stale
+// mark can equal the stamp of a Cur[t] from another generation only if the
+// wrap falls between the writer's two loads; the cost is one spurious abort,
+// never a missed one.
+
+// doomReaders remotely aborts every speculative reader, other than c itself,
+// of the given stripes.
+func (h *HTM) doomReaders(c *tm.Ctx, stripes []uint32) {
+	st := &c.HTM
+	if slots := c.H.HTMSlots(); len(slots) != st.Attached {
+		for _, sl := range slots[st.Attached:] {
+			if sl != st.Slot {
+				st.Peers = append(st.Peers, tm.HTMPeer{Slot: sl})
+			}
+		}
+		st.Attached = len(slots)
+	}
+	for i := range st.Peers {
+		p := &st.Peers[i]
+		marks := p.Slot.Marks
+		for _, s := range stripes {
+			m := atomic.LoadUint32(&marks[s])
+			if m == 0 {
+				continue
+			}
+			if m < uint32(p.Seen) && p.Slot.Gen.Load() == p.Seen>>32 {
+				continue
+			}
+			cur := p.Slot.Cur.Load()
+			p.Seen = cur
+			if uint32(cur) == m {
+				p.Slot.DoomEpoch(cur)
+			}
+		}
 	}
 }
 
@@ -343,17 +399,17 @@ func (h *HTM) evictWriter(c *tm.Ctx, s uint32) {
 		if w == 0 || int(w-1) == c.ID {
 			return
 		}
-		heap.DoomThread(int(w - 1))
+		// The slot is held, so the holder's attempt is still Cur.
+		victim := heap.HTMSlot(int(w - 1))
+		victim.DoomEpoch(victim.Cur.Load())
 		for i := 0; i < 128 && heap.WriterLoad(s) == w; i++ {
 		}
 		if heap.WriterLoad(s) == w {
 			// Let the victim's goroutine run so it can observe the
-			// doom flag and clean up.
+			// doom and clean up.
 			yield()
 		}
 	}
 }
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
 func yield() { runtime.Gosched() }

@@ -3,6 +3,7 @@ package tm
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -32,14 +33,12 @@ type Heap struct {
 	// rvers is the secondary per-stripe version table used by SwissTM's
 	// two-phase (eager write / lazy read) conflict detection.
 	rvers []uint64
-	// readers is the per-stripe speculative reader bitmap used by the
-	// simulated HTM (bit i set = thread slot i has the line in its read
-	// set). Limited to 64 hardware threads, which covers both machine
-	// profiles.
-	readers []uint64
 	// writers is the per-stripe speculative writer slot (owner+1, or 0)
 	// used by the simulated HTM.
 	writers []uint64
+	// htm is the per-slot state of the simulated HTM, read-mark table
+	// included (see HTMSlot).
+	htm []HTMSlot
 
 	mask uint32
 
@@ -56,17 +55,18 @@ type Heap struct {
 	next uint64
 	_    [7]uint64
 
-	// htmDoom holds one doom flag pointer per thread slot so a conflicting
-	// HTM transaction can remotely abort its victims. Slots are atomic
-	// pointers because threads register lazily (at their first HTM
-	// transaction) while other threads may already be dooming.
-	htmDoom []atomic.Pointer[atomic.Bool]
+	// htmList[:htmActive] are the slots that have run a hardware attempt:
+	// the tables a writer has to scan. htmMu serializes the appends; the
+	// count is published after the entry.
+	htmMu     sync.Mutex
+	htmList   []*HTMSlot
+	htmActive atomic.Uint32
 }
 
 // NewHeap creates a heap with the given number of 64-bit words (rounded up
 // to at least 2^StripeShift) and an ownership-record table with one stripe
 // per cache line, capped at 2^20 stripes to bound metadata memory. maxThreads
-// bounds the thread slots that may run HTM transactions.
+// is the number of thread slots: NewCtx accepts ids in [0, maxThreads).
 func NewHeap(words int, maxThreads int) *Heap {
 	if words < 1<<StripeShift {
 		words = 1 << StripeShift
@@ -82,14 +82,26 @@ func NewHeap(words int, maxThreads int) *Heap {
 		words:   make([]uint64, words),
 		orecs:   make([]uint64, nStripes),
 		rvers:   make([]uint64, nStripes),
-		readers: make([]uint64, nStripes),
 		writers: make([]uint64, nStripes),
+		htm:     make([]HTMSlot, maxThreads),
+		htmList: make([]*HTMSlot, maxThreads),
 		mask:    uint32(nStripes - 1),
 		next:    1, // word 0 is NilAddr
-		htmDoom: make([]atomic.Pointer[atomic.Bool], maxThreads),
+	}
+	// One allocation for every slot's read-mark table: a table whose slot
+	// never runs a hardware attempt is never touched, so its pages stay
+	// unmapped. A whole number of cache lines each, so that two slots never
+	// write the same line.
+	stride := max(nStripes, 64/4)
+	marks := make([]uint32, maxThreads*stride)
+	for t := range h.htm {
+		h.htm[t].Marks = marks[t*stride:][:nStripes:nStripes]
 	}
 	return h
 }
+
+// MaxThreads returns the number of thread slots the heap was created for.
+func (h *Heap) MaxThreads() int { return len(h.htm) }
 
 // Words returns the heap capacity in 64-bit words.
 func (h *Heap) Words() int { return len(h.words) }
@@ -126,8 +138,9 @@ func (h *Heap) MustAlloc(n int) Addr {
 }
 
 // Reset returns the heap to its freshly-created state: allocation cursor
-// rewound, words and metadata zeroed, clock reset. Callers must guarantee
-// quiescence (no live transactions).
+// rewound, words and metadata zeroed, clock reset, and every attached slot's
+// read marks cleared under a new generation (contexts may outlive a Reset).
+// Callers must guarantee quiescence (no live transactions).
 func (h *Heap) Reset() {
 	for i := range h.words {
 		h.words[i] = 0
@@ -135,8 +148,10 @@ func (h *Heap) Reset() {
 	for i := range h.orecs {
 		h.orecs[i] = 0
 		h.rvers[i] = 0
-		h.readers[i] = 0
 		h.writers[i] = 0
+	}
+	for _, sl := range h.HTMSlots() {
+		sl.NewGeneration()
 	}
 	atomic.StoreUint64(&h.clock, 0)
 	atomic.StoreUint64(&h.fallbackLock, 0)
@@ -239,20 +254,6 @@ func OrecUnlocked(version uint64) uint64 { return version << 1 }
 
 // --- Simulated-HTM metadata -------------------------------------------------
 
-// ReaderMaskLoad returns the speculative reader bitmap of stripe s.
-func (h *Heap) ReaderMaskLoad(s uint32) uint64 { return atomic.LoadUint64(&h.readers[s]) }
-
-// ReaderMaskOr sets bits in the reader bitmap of stripe s and returns the
-// previous value.
-func (h *Heap) ReaderMaskOr(s uint32, bits uint64) uint64 {
-	return atomic.OrUint64(&h.readers[s], bits)
-}
-
-// ReaderMaskAndNot clears bits in the reader bitmap of stripe s.
-func (h *Heap) ReaderMaskAndNot(s uint32, bits uint64) {
-	atomic.AndUint64(&h.readers[s], ^bits)
-}
-
 // WriterLoad returns the speculative writer slot (+1) of stripe s, 0 if none.
 func (h *Heap) WriterLoad(s uint32) uint64 { return atomic.LoadUint64(&h.writers[s]) }
 
@@ -264,37 +265,81 @@ func (h *Heap) WriterCAS(s uint32, old, new uint64) bool {
 // WriterStore unconditionally sets the speculative writer slot of stripe s.
 func (h *Heap) WriterStore(s uint32, v uint64) { atomic.StoreUint64(&h.writers[s], v) }
 
-// RegisterDoomFlag publishes thread slot id's doom flag so conflicting HTM
-// transactions can remotely abort it. For ids within the table sized by
-// NewHeap's maxThreads — every id a correctly configured pool produces —
-// registration is an atomic pointer publish and is safe to perform lazily
-// (a thread's first HTM transaction) while other threads are concurrently
-// calling DoomThread. Registering an out-of-range id grows the table with
-// an unsynchronized copy-and-swap of the slice header, which concurrent
-// DoomThread readers do NOT observe safely: such calls require quiescence
-// (no HTM transactions in flight anywhere), which only holds during setup.
-func (h *Heap) RegisterDoomFlag(id int, f *atomic.Bool) {
-	if id < len(h.htmDoom) {
-		h.htmDoom[id].Store(f)
-		return
-	}
-	grown := make([]atomic.Pointer[atomic.Bool], id+1)
-	for i := range h.htmDoom {
-		grown[i].Store(h.htmDoom[i].Load())
-	}
-	grown[id].Store(f)
-	h.htmDoom = grown
+// HTMSlot is a thread slot's simulated-HTM state that other slots read and
+// write. An attempt is named by its epoch: the generation in the high half,
+// in the low half the stamp its reads leave in Marks. Epochs of one slot only
+// grow. internal/htm has the protocol.
+type HTMSlot struct {
+	// Cur is the epoch of the slot's current hardware attempt (of its last
+	// one, between attempts). The owner stores it once per attempt, before
+	// the attempt's first mark; a writer that finds a mark it cannot rule
+	// out loads it to learn whether the mark is live.
+	Cur atomic.Uint64
+	_   [7]uint64
+	// Doom is the highest epoch a conflicting transaction has doomed: the
+	// attempt with exactly that epoch must abort. Written by other slots
+	// (see DoomEpoch), read by the owner on every access.
+	Doom atomic.Uint64
+	// Gen is Cur's generation, stored before the table is cleared for it:
+	// the word writers read in place of the hot Cur line to learn that the
+	// stamps started over. Zero until the slot attaches.
+	Gen atomic.Uint64
+	// Marks is the slot's read-mark table, one entry per stripe: the stamp
+	// of the last attempt of the current generation that read the stripe,
+	// 0 if none did. Only the owner stores to it; everyone uses atomics.
+	Marks []uint32
+	_     [3]uint64
 }
 
-// DoomThread requests the remote abort of thread slot id's current hardware
-// transaction. Dooming an unregistered slot is a no-op.
-func (h *Heap) DoomThread(id int) {
-	if id >= 0 && id < len(h.htmDoom) {
-		if f := h.htmDoom[id].Load(); f != nil {
-			f.Store(true)
+// DoomEpoch requests the remote abort of the slot's attempt e. It only ever
+// raises Doom, so a doom that arrives late cannot hide a newer one; one for
+// an attempt that is over hits nothing, since no later attempt has its epoch.
+func (sl *HTMSlot) DoomEpoch(e uint64) {
+	for {
+		d := sl.Doom.Load()
+		if d >= e || sl.Doom.CompareAndSwap(d, e) {
+			return
 		}
 	}
 }
+
+// NewGeneration starts the next generation of the slot's stamps — the owner
+// calls it between attempts when the 32-bit stamp is used up, Heap.Reset for
+// every attached slot — and returns the generation's base epoch (stamp 0;
+// attempts count from 1). Concurrent writers rely on the order: Gen first,
+// then the table, then Cur.
+func (sl *HTMSlot) NewGeneration() uint64 {
+	gen := sl.Gen.Load() + 1
+	sl.Gen.Store(gen)
+	for i := range sl.Marks {
+		atomic.StoreUint32(&sl.Marks[i], 0)
+	}
+	sl.Cur.Store(gen << 32)
+	return gen << 32
+}
+
+// HTMSlot returns slot id's simulated-HTM state.
+func (h *Heap) HTMSlot(id int) *HTMSlot { return &h.htm[id] }
+
+// HTMAttach returns slot id's state after adding the slot, before its first
+// hardware attempt, to the slots whose marks writers scan (HTMSlots). Other
+// slots may be in hardware attempts meanwhile; attaching twice is harmless.
+func (h *Heap) HTMAttach(id int) *HTMSlot {
+	h.htmMu.Lock()
+	defer h.htmMu.Unlock()
+	sl := &h.htm[id]
+	if sl.Gen.Load() == 0 {
+		sl.Cur.Store(1 << 32)
+		sl.Gen.Store(1)
+		n := h.htmActive.Load()
+		h.htmList[n] = sl
+		h.htmActive.Store(n + 1)
+	}
+	return sl
+}
+
+// HTMSlots returns the attached slots, in attach order. The list only grows.
+func (h *Heap) HTMSlots() []*HTMSlot { return h.htmList[:h.htmActive.Load()] }
 
 // --- HTM fallback lock --------------------------------------------------------
 

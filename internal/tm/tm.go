@@ -13,6 +13,7 @@
 package tm
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
@@ -286,8 +287,12 @@ type Ctx struct {
 	_ [5]uint64 // pad to keep hot contexts off each other's cache lines
 }
 
-// NewCtx returns a context for thread slot id operating on h.
+// NewCtx returns a context for thread slot id operating on h. The id must be
+// one of the heap's slots: every per-slot table is sized by NewHeap.
 func NewCtx(id int, h *Heap) *Ctx {
+	if id < 0 || id >= h.MaxThreads() {
+		panic(fmt.Sprintf("tm: thread slot %d out of range [0,%d)", id, h.MaxThreads()))
+	}
 	c := &Ctx{ID: id, H: h, rng: uint64(id)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
 	c.WS.init()
 	c.Locked.init()
@@ -370,7 +375,10 @@ type Stats struct {
 	ExplicitAborts uint64
 	FallbackAborts uint64
 	FallbackRuns   uint64 // HTM transactions executed on the fallback path
-	_              [1]uint64
+	// Stripes counts the distinct stripes committed hardware attempts of
+	// the simulated HTM read-marked or write-claimed: over Commits, the
+	// footprint of a transaction in cache lines.
+	Stripes uint64
 }
 
 // IncCommit counts one committed transaction (owner thread only).
@@ -408,6 +416,7 @@ func (s *Stats) Add(o Stats) {
 	s.ExplicitAborts += o.ExplicitAborts
 	s.FallbackAborts += o.FallbackAborts
 	s.FallbackRuns += o.FallbackRuns
+	s.Stripes += o.Stripes
 }
 
 // Sub returns s minus o field-wise (use on snapshots to window counters).
@@ -420,19 +429,28 @@ func (s Stats) Sub(o Stats) Stats {
 		ExplicitAborts: s.ExplicitAborts - o.ExplicitAborts,
 		FallbackAborts: s.FallbackAborts - o.FallbackAborts,
 		FallbackRuns:   s.FallbackRuns - o.FallbackRuns,
+		Stripes:        s.Stripes - o.Stripes,
 	}
 }
 
 // HTMState is the simulated-HTM speculation state embedded in every Ctx.
-// The fixed-capacity footprint arrays model the bounded speculative buffers
-// of best-effort hardware TM: overflowing them raises a capacity abort.
+// The bounded footprint models the speculative buffers of best-effort
+// hardware TM: overflowing it raises a capacity abort.
 type HTMState struct {
-	// RLines and WLines record the cache lines speculatively read and
-	// written by the current hardware attempt.
-	RLines, WLines []uint32
-	// Doomed is set (remotely, by a conflicting transaction) when this
-	// attempt must abort; checked on every access and at commit.
-	Doomed atomic.Bool
+	// Slot is the slot's shared state and read-mark table (Heap.HTMAttach),
+	// nil until the context's first attempt under the simulated HTM.
+	Slot *HTMSlot
+	// Epoch names the current hardware attempt (a copy of Slot.Cur); its
+	// low half is the stamp the attempt's reads leave in Slot.Marks.
+	Epoch uint64
+	// Reads counts the distinct cache lines the attempt has read-marked.
+	Reads int
+	// WLines records the cache lines speculatively written by the attempt.
+	WLines []uint32
+	// Peers are the other attached slots, the first Attached entries of
+	// Heap.HTMSlots less this one: the tables a write has to look at.
+	Peers    []HTMPeer
+	Attached int
 	// InTx marks that a hardware attempt is active.
 	InTx bool
 	// Fallback marks that the current attempt runs on the software
@@ -445,6 +463,14 @@ type HTMState struct {
 	SnapshotRV uint64
 	// LastTxn is the Ctx.TxnID for which Budget was last initialized.
 	LastTxn uint64
+}
+
+// HTMPeer is what a context keeps about another slot of the simulated HTM.
+type HTMPeer struct {
+	Slot *HTMSlot
+	// Seen is the last Slot.Cur this context loaded: a mark with an older
+	// stamp of the same generation belongs to an attempt that is over.
+	Seen uint64
 }
 
 // log2ceil returns ceil(log2(n)) for n >= 1.

@@ -3,6 +3,7 @@ package tm_test
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/tm"
 )
@@ -97,6 +98,39 @@ func TestHeapReset(t *testing.T) {
 	}
 	if b != a {
 		t.Errorf("allocation cursor not rewound: %d vs %d", b, a)
+	}
+}
+
+// TestNewCtxRejectsOutOfRangeSlot: every per-slot table is sized by NewHeap,
+// so a slot id outside it is refused when the context is made, not when a
+// table is first indexed.
+func TestNewCtxRejectsOutOfRangeSlot(t *testing.T) {
+	h := tm.NewHeap(64, 2)
+	for _, id := range []int{-1, 2, 64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCtx(%d) on a 2-slot heap did not panic", id)
+				}
+			}()
+			tm.NewCtx(id, h)
+		}()
+	}
+	if c := tm.NewCtx(1, h); c.ID != 1 {
+		t.Errorf("NewCtx(1).ID = %d", c.ID)
+	}
+}
+
+// TestStatsStayOneCacheLine: the per-thread counters are padded state; a new
+// counter takes the spare word, it does not grow the struct.
+func TestStatsStayOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(tm.Stats{}); got != 64 {
+		t.Errorf("sizeof(tm.Stats) = %d, want 64", got)
+	}
+	a := tm.Stats{Commits: 5, Stripes: 40}
+	a.Add(tm.Stats{Commits: 1, Stripes: 2})
+	if d := a.Sub(tm.Stats{Commits: 2, Stripes: 12}); d.Commits != 4 || d.Stripes != 30 {
+		t.Errorf("Add/Sub drop a field: %+v", d)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestInterferenceStartStop(t *testing.T) {
 // seed → identical operation streams, commit counts and heap contents.
 func TestSerialDriverDeterminism(t *testing.T) {
 	run := func(seed uint64) (uint64, uint64) {
-		h := tm.NewHeap(1<<18, 1<<10)
+		h := tm.NewHeap(1<<18, 4)
 		wl := &workloads.RBTree{KeyRange: 256, UpdateRatio: 0.5}
 		if err := wl.Setup(h, workloads.NewRand(seed)); err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSerialDriverDeterminism(t *testing.T) {
 
 // TestSerialDriverSlotClamping covers SetSlots bounds.
 func TestSerialDriverSlotClamping(t *testing.T) {
-	h := tm.NewHeap(1<<16, 1<<8)
+	h := tm.NewHeap(1<<16, 2)
 	wl := &workloads.RBTree{KeyRange: 64}
 	if err := wl.Setup(h, workloads.NewRand(1)); err != nil {
 		t.Fatal(err)
