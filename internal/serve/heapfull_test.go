@@ -63,7 +63,7 @@ func TestHeapFullAnswers507(t *testing.T) {
 		}
 	}
 	if full < 1 {
-		t.Fatalf("4096 seven-word nodes fit a 4096-word heap (first refused key: %d)", full)
+		t.Fatalf("4096 keys fit a 4096-word heap (first refused key: %d)", full)
 	}
 	within(t, "get", func() {
 		if code, r := call(t, s, "/kv/get?key=0"); code != http.StatusOK || !r.Found {

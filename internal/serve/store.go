@@ -39,13 +39,17 @@ const (
 	dqNodeWords
 )
 
-// Store is the data plane of the service: a sorted key-value map (the
-// red-black tree the rbtree scenarios benchmark) plus a doubly-linked
-// deque, both living in the transactional heap. Every method runs inside
-// the caller's transaction; the Server invokes each request as one atomic
-// block on its worker slot.
+// Store is the data plane of the service: a sorted key-value map plus a
+// doubly-linked deque, both living in the transactional heap, behind the
+// shard's fence table and placement epoch. The map is a B+-tree laid out
+// along the ownership stripes (btree.go), because a transaction pays per
+// stripe, not per node: on a 65 536-key shard a get touches 12-13 stripes
+// and a 256-key range 81-109 (TestStoreStripesPerOperation). Every method
+// runs inside the caller's transaction; the Server invokes each request as
+// one atomic block on its worker slot, whose index self names the deque's
+// free list (the map needs none: it never frees a node).
 type Store struct {
-	kv *workloads.RBSet
+	kv *btree
 
 	pool  *workloads.NodePool
 	lhead tm.Addr // heap word holding the deque head node address
@@ -105,7 +109,7 @@ const (
 
 // NewStore allocates an empty store on h.
 func NewStore(h *tm.Heap) (*Store, error) {
-	kv, err := workloads.NewRBSet(h)
+	kv, err := newBTree(h)
 	if err != nil {
 		return nil, fmt.Errorf("serve: kv store: %w", err)
 	}
@@ -115,11 +119,11 @@ func NewStore(h *tm.Heap) (*Store, error) {
 	}
 	// The words every operation reads — placement epoch, fence occupancy —
 	// sit together at the head of the fence table, directly followed by
-	// entry 0, so an operation's two checks touch one ownership stripe, as
-	// do a hold check and a release on an otherwise idle table (the store
-	// is the first thing on its heap: the header is words 258-260, entry
-	// 0's token, epoch and heartbeat 261-263).
-	table, err := h.Alloc(3 + FenceSlots*fenceSlotWords)
+	// entry 0, and the table starts on a stripe boundary, so the header and
+	// all of entry 0 share one ownership stripe: an operation's two checks
+	// touch one stripe, as do a hold check and a release on an otherwise
+	// idle table (TestFenceHeaderIsOneStripe).
+	table, err := allocAligned(h, 3+FenceSlots*fenceSlotWords)
 	if err != nil {
 		return nil, fmt.Errorf("serve: fence slots: %w", err)
 	}
@@ -335,7 +339,7 @@ func (s *Store) ExportSpan(tx tm.Txn, lo, hi uint64, max int) (keys, vals []uint
 // re-running an interrupted install converges instead of diverging.
 func (s *Store) InstallPairs(tx tm.Txn, self int, keys, vals []uint64) {
 	for i, k := range keys {
-		s.kv.Insert(tx, self, k, vals[i])
+		s.kv.Insert(tx, k, vals[i])
 	}
 }
 
@@ -353,7 +357,7 @@ func (s *Store) DeleteSpan(tx tm.Txn, self int, lo, hi uint64, max int) (removed
 		return true
 	})
 	for _, k := range doomed {
-		s.kv.Delete(tx, self, k)
+		s.kv.Delete(tx, k)
 	}
 	return len(doomed), more
 }
@@ -363,12 +367,12 @@ func (s *Store) Get(tx tm.Txn, key uint64) (uint64, bool) { return s.kv.Get(tx, 
 
 // Put inserts or updates key, reporting whether the key already existed.
 func (s *Store) Put(tx tm.Txn, self int, key, val uint64) (existed bool) {
-	return !s.kv.Insert(tx, self, key, val)
+	return !s.kv.Insert(tx, key, val)
 }
 
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(tx tm.Txn, self int, key uint64) bool {
-	return s.kv.Delete(tx, self, key)
+	return s.kv.Delete(tx, key)
 }
 
 // CAS replaces the value at key with newv iff the key is present and its
@@ -379,7 +383,7 @@ func (s *Store) CAS(tx tm.Txn, self int, key, old, newv uint64) (cur uint64, app
 	if !ok || cur != old {
 		return cur, false
 	}
-	s.kv.Insert(tx, self, key, newv)
+	s.kv.Insert(tx, key, newv)
 	return newv, true
 }
 
