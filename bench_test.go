@@ -222,12 +222,6 @@ func BenchmarkAlgorithmsWriteHeavy(b *testing.B) { runSuitePrefix(b, "Algorithms
 // (the per-transaction delta behind Table 4).
 func BenchmarkPolyTMDispatch(b *testing.B) { runSuitePrefix(b, "PolyTMDispatch") }
 
-// BenchmarkGroupCommit is the amortization pair behind the serve layer's
-// group-commit worker gate: the same 16 logical operations per iteration
-// as 16 transactions (solo) vs one (grouped); the ns/op gap is pure
-// per-transaction overhead.
-func BenchmarkGroupCommit(b *testing.B) { runSuitePrefix(b, "GroupCommit") }
-
 // BenchmarkTuner covers the tuner's decision path on the tune-shift corpus:
 // one surrogate query, one whole optimization, and model selection.
 func BenchmarkTuner(b *testing.B) { runSuitePrefix(b, "Tuner") }

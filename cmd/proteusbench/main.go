@@ -331,7 +331,7 @@ func cmdLoadgen(args []string) error {
 	keyrange := fs.Uint64("keyrange", 16384, "key range of generated operations")
 	span := fs.Uint64("span", 256, "range-scan width")
 	skew := fs.Float64("skew", 0, "fraction of shard-correlated traffic (sharded daemons: writes -> low shards, reads -> high shards)")
-	mputFrac := fs.Float64("mput-frac", 0, "fraction of ops issued as cross-shard 4-key mput batches (batch-heavy sessions for the group-commit/keyed-fence A/B)")
+	mputFrac := fs.Float64("mput-frac", 0, "fraction of ops issued as cross-shard 4-key mput batches (batch-heavy sessions that exercise keyed fences)")
 	seed := fs.Uint64("seed", 42, "per-connection operation stream seed")
 	deadline := fs.Duration("deadline", 0, "per-request deadline_ms budget the daemon enforces (0 = none)")
 	sloP99 := fs.Duration("slo-p99", 0, "latency target SLO attainment is reported against (0 = no attainment reporting)")

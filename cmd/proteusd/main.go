@@ -13,8 +13,6 @@
 //	    [--heap-words 4194304] [--preload 8192]
 //	    [--slo-p99 0] [--deadline 0] [--fault ""]
 //	    [--fence-deadline 1s] [--breaker-cooldown 1s]
-//	    [--group-commit] [--group-commit-max 16]
-//	    [--fence-granularity shard]
 //	    [--autosplit 0] [--autosplit-max 8] [--autosplit-interval 2s]
 //	    [--automerge 0] [--automerge-min 0] [--spare-grace 30s]
 //
@@ -46,17 +44,11 @@
 // counters appear under /statusz ops.* and fault fire counts under
 // ops.faults.
 //
-// --group-commit turns on the worker-gate group commit: when the
-// admission queue has backlog, compatible single-shard ops are coalesced
-// (up to --group-commit-max) into one TM transaction, amortizing the
-// per-transaction overhead; per-op deadlines still hold inside a batch
-// (an expired op is excised with 504, not executed).
-// --fence-granularity=key makes a cross-shard commit publish a per-key
-// signature in its participants' fence tables instead of the whole shard,
-// so local ops that don't intersect an in-flight 2PC's footprint proceed
-// instead of requeueing. Observables:
-// ops.group_commits, ops.group_batch_p50/p99, ops.fence_keys_held,
-// ops.fenced_requeues.
+// A cross-shard commit publishes one signature bit per key of its batch in
+// each participant's fence table, so local ops that don't intersect an
+// in-flight 2PC's footprint proceed; range scans and migrations hold the
+// whole shard. Observables: ops.fence_keys_held, ops.fenced_requeues,
+// ops.cross_aborts.
 //
 // A range-partitioned daemon resharding live: POST /admin/reshard plans a
 // SplitHeaviest step from the live per-shard ops_routed counters, grows
@@ -141,9 +133,6 @@ func main() {
 	faultSpec := flag.String("fault", "", "deterministic fault-injection spec, e.g. coord-crash@after=3;every=5;count=6 (see internal/fault; empty = no injection)")
 	fenceDeadline := flag.Duration("fence-deadline", 0, "age past which a heartbeat-stale cross-shard fence is declared orphaned and recovered (0 = 1s default)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "minimum time a stalled shard's circuit breaker sheds before admitting probes (0 = 1s default)")
-	groupCommit := flag.Bool("group-commit", false, "coalesce queued single-shard ops into one TM transaction when the admission queue has backlog")
-	groupCommitMax := flag.Int("group-commit-max", 0, "cap on ops coalesced per group commit (0 = 16 default)")
-	fenceGranularity := flag.String("fence-granularity", "shard", "signature a cross-shard commit publishes in a participant's fence table: shard (the whole shard) or key (one bit per key; non-intersecting local ops proceed during a 2PC)")
 	autosplit := flag.Float64("autosplit", 0, "hottest-shard ops_routed share above which the daemon splits it live (range partitioner only; 0 = manual /admin/reshard only)")
 	autosplitMax := flag.Int("autosplit-max", 0, "shard-count ceiling for --autosplit (0 = 8 default)")
 	autosplitInterval := flag.Duration("autosplit-interval", 0, "how often --autosplit/--automerge check the load signal (0 = 2s default)")
@@ -179,9 +168,6 @@ func main() {
 		Fault:              injector,
 		FenceDeadline:      *fenceDeadline,
 		BreakerCooldown:    *breakerCooldown,
-		GroupCommit:        *groupCommit,
-		GroupCommitMax:     *groupCommitMax,
-		FenceGranularity:   *fenceGranularity,
 		AutosplitShare:     *autosplit,
 		AutosplitMaxShards: *autosplitMax,
 		AutosplitInterval:  *autosplitInterval,

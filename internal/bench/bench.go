@@ -207,43 +207,6 @@ func ThreadGateFA(b *testing.B) {
 	}
 }
 
-// groupedOps is the number of micro-operations the group-commit pair
-// executes per iteration — the serve worker gate's default batch cap.
-const groupedOps = 16
-
-// GroupCommitSolo runs groupedOps single-operation transactions per
-// iteration: the one-transaction-per-op baseline of the serving layer.
-func GroupCommitSolo(b *testing.B) { groupCommitTx(b, false) }
-
-// GroupCommitGrouped coalesces the same groupedOps operations into one
-// transaction per iteration — the amortization the group-commit worker
-// gate (serve.Options.GroupCommit) exploits under backlog. Compare
-// ns/op against GroupCommitSolo: both do identical logical work, so the
-// gap is pure per-transaction overhead (begin/validate/commit).
-func GroupCommitGrouped(b *testing.B) { groupCommitTx(b, true) }
-
-func groupCommitTx(b *testing.B, grouped bool) {
-	b.ReportAllocs()
-	pool := polytm.New(1<<16, 1, config.Config{Alg: config.TL2, Threads: 1})
-	base := pool.Heap().MustAlloc(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if grouped {
-			pool.Atomic(0, func(tx tm.Txn) {
-				for j := 0; j < groupedOps; j++ {
-					a := base + tm.Addr((i+j)%1024)
-					tx.Store(a, tx.Load(a)+1)
-				}
-			})
-			continue
-		}
-		for j := 0; j < groupedOps; j++ {
-			a := base + tm.Addr((i+j)%1024)
-			pool.Atomic(0, func(tx tm.Txn) { tx.Store(a, tx.Load(a)+1) })
-		}
-	}
-}
-
 // Case is one named benchmark of the regression suite. Names mirror the
 // `go test -bench` hierarchy (e.g. "Algorithms/tl2/4t") so records can be
 // compared against test output with benchstat.
@@ -255,9 +218,8 @@ type Case struct {
 // Suite returns the regression suite recorded by `proteusbench bench`: the
 // counter workload for every backend at 1, 2, 4 and 8 threads (on this
 // project's two-core box 2t is real parallelism, 4t and 8t oversubscription),
-// the write-heavy
-// workload at 1 and 4 threads, the PolyTM dispatch pair, the group-commit
-// amortization pair, the public API path, the tuner's decision path
+// the write-heavy workload at 1 and 4 threads, the PolyTM dispatch pair, the
+// public API path, the tuner's decision path
 // (surrogate query, one optimization, model selection), start-up (one pinned
 // System at 2 and 8 workers; one two-shard server, empty and preloaded), and
 // the serve layer's get, put and four-key two-shard mput — through the
@@ -287,8 +249,6 @@ func Suite() []Case {
 	cases = append(cases,
 		Case{Name: "PolyTMDispatch/bare", Fn: func(b *testing.B) { CounterTx(b, NewAlgorithm("tl2"), 4) }},
 		Case{Name: "PolyTMDispatch/polytm", Fn: DispatchPolyTM},
-		Case{Name: "GroupCommit/solo", Fn: GroupCommitSolo},
-		Case{Name: "GroupCommit/grouped", Fn: GroupCommitGrouped},
 		Case{Name: "PublicAPI", Fn: PublicAPI},
 		Case{Name: "Tuner/PredictDist", Fn: TunerPredictDist},
 		Case{Name: "Tuner/Optimize", Fn: TunerOptimize},

@@ -89,13 +89,6 @@ type Options struct {
 	// request-latency reservoir. Nil degrades ThroughputUnderSLO to plain
 	// Throughput (no latency signal, no penalty).
 	LatencyP99 func() float64
-	// OpsSource supplies a monotonic count of service-level operations
-	// completed. When set, KPI windows use its delta as the throughput
-	// numerator instead of raw TM commits — required when a serving layer
-	// coalesces many operations into one transaction (group commit),
-	// which otherwise deflates and jitters the commit-rate signal with
-	// queue depth and churns the monitor.
-	OpsSource func() uint64
 	// MonitorMinDwell overrides the change detector's minimum dwell
 	// (samples after a re-anchor before alarms may fire): 0 keeps the
 	// monitor default, positive sets that many samples, negative disables
@@ -181,7 +174,6 @@ type Runtime struct {
 
 	lastStats tm.Stats
 	lastTime  time.Time
-	lastOps   uint64
 }
 
 // New builds the runtime: it fits the rating normalizer on the offline UM and
@@ -259,9 +251,6 @@ func (rt *Runtime) Start() {
 	rt.started = rt.clock.Now()
 	rt.lastStats = rt.Pool.SnapshotStats()
 	rt.lastTime = rt.started
-	if rt.opts.OpsSource != nil {
-		rt.lastOps = rt.opts.OpsSource()
-	}
 	rt.done.Add(1)
 	go rt.adapterLoop()
 }
@@ -440,9 +429,6 @@ func (rt *Runtime) sleep(d time.Duration) {
 func (rt *Runtime) resetWindow() {
 	rt.lastStats = rt.Pool.SnapshotStats()
 	rt.lastTime = rt.clock.Now()
-	if rt.opts.OpsSource != nil {
-		rt.lastOps = rt.opts.OpsSource()
-	}
 }
 
 // measureWindow computes the KPI over the stats window since the last call.
@@ -456,16 +442,7 @@ func (rt *Runtime) measureWindow() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	// The throughput numerator defaults to committed transactions; an
-	// OpsSource (service-level operation counter) replaces it so group
-	// commit — many operations per transaction — cannot starve the KPI.
-	num := float64(win.Commits)
-	if rt.opts.OpsSource != nil {
-		curOps := rt.opts.OpsSource()
-		num = float64(curOps - rt.lastOps)
-		rt.lastOps = curOps
-	}
-	tput := num / elapsed.Seconds()
+	tput := float64(win.Commits) / elapsed.Seconds()
 	switch rt.opts.KPI {
 	case ThroughputPerJoule:
 		s := energy.Sample{

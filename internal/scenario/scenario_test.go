@@ -71,7 +71,6 @@ func TestEveryScenarioSetsUp(t *testing.T) {
 		"service-hotkey":  {"partitioner": "range", "shards": "2", "keyrange": "256", "hotspan": "32", "moveevery": "16", "span": "16", "batchevery": "8"},
 		"service-diurnal": {"keyrange": "256", "span": "16", "periodops": "64"},
 		"service-slo":     {"keyrange": "256", "span": "16", "mix": "scan-heavy"},
-		"service-batch":   {"shards": "2", "keyrange": "256", "batchmax": "4", "crossevery": "8", "batchkeys": "2"},
 	}
 	for _, s := range All() {
 		v, ok := small[s.Name]

@@ -66,15 +66,6 @@ var (
 	chFaultCount  = Param{Name: "faultcount", Desc: "total injections before the quiet tail", Kind: Int, Default: "6"}
 	chDeadlineOps = Param{Name: "deadlineops", Desc: "orphaned-fence deadline in operations", Kind: Int, Default: "200"}
 
-	gbShards      = Param{Name: "shards", Desc: "number of key-space shards", Kind: Int, Default: "4"}
-	gbKeyRange    = Param{Name: "keyrange", Desc: "key range of the sharded store", Kind: Int, Default: "16384"}
-	gbInitial     = Param{Name: "initial", Desc: "pre-populated size (0 = keyrange/2)", Kind: Int, Default: "0"}
-	gbSpan        = Param{Name: "span", Desc: "micro-op range-scan width", Kind: Int, Default: "64"}
-	gbGroupCommit = Param{Name: "groupcommit", Desc: "1 = coalesce each plan into one atomic block, 0 = one block per micro-op", Kind: Int, Default: "0"}
-	gbBatchMax    = Param{Name: "batchmax", Desc: "micro-ops per plan", Kind: Int, Default: "8"}
-	gbCrossEvery  = Param{Name: "crossevery", Desc: "every Nth op is a cross-shard 2PC batch (0 disables)", Kind: Int, Default: "32"}
-	gbBatchKeys   = Param{Name: "batchkeys", Desc: "keys per cross-shard batch", Kind: Int, Default: "4"}
-
 	rsShards       = Param{Name: "shards", Desc: "initial shard count", Kind: Int, Default: "2"}
 	rsMaxShards    = Param{Name: "maxshards", Desc: "shard-count ceiling for splits", Kind: Int, Default: "4"}
 	rsKeyRange     = Param{Name: "keyrange", Desc: "key range (and range-partitioner universe)", Kind: Int, Default: "16384"}
@@ -141,28 +132,6 @@ func init() {
 				Skew:        v.Float(shSkew),
 				BatchEvery:  batchEvery,
 				BatchKeys:   v.Int(shBatchKeys),
-			}, nil
-		},
-	})
-	Register(Scenario{
-		Name:        "service-batch",
-		Family:      "service",
-		Description: "group-commit A/B: identical seeded plans executed coalesced or solo — end state must be byte-identical, only batch counters differ",
-		Params:      []Param{gbShards, gbKeyRange, gbInitial, gbSpan, gbGroupCommit, gbBatchMax, gbCrossEvery, gbBatchKeys},
-		Make: func(v Values) (workloads.Workload, error) {
-			crossEvery := v.Int(gbCrossEvery)
-			if crossEvery == 0 {
-				crossEvery = -1 // ServiceBatch treats negative as disabled, 0 as default
-			}
-			return &workloads.ServiceBatch{
-				Shards:      v.Int(gbShards),
-				KeyRange:    v.Int(gbKeyRange),
-				InitialSize: v.Int(gbInitial),
-				Span:        v.Int(gbSpan),
-				GroupCommit: v.Int(gbGroupCommit) != 0,
-				BatchMax:    v.Int(gbBatchMax),
-				CrossEvery:  crossEvery,
-				BatchKeys:   v.Int(gbBatchKeys),
 			}, nil
 		},
 	})

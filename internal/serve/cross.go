@@ -256,7 +256,7 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 				return heapFull, heapFull.code, false
 			}
 			gen := fleet[p.shard].relGen.Load()
-			r := s.runCtl(fleet[p.shard], acquireStep(&rec.ctlReq, token, s.partSig(req, p)))
+			r := s.runCtl(fleet[p.shard], acquireStep(&rec.ctlReq, token, partSig(req, p)))
 			if r.Err != "" {
 				s.releaseParts(rec)
 				return r, http.StatusServiceUnavailable, false
@@ -368,13 +368,11 @@ func (s *Server) runCtl(ss *shardState, req *request) response {
 	return <-req.done
 }
 
-// partSig chooses the signature part p of req publishes in its shard's
-// fence table — the one place the fence-granularity policy is read: the
-// whole shard under FenceShard and for range scans (whose covered key set
-// cannot be enumerated), the union of the part's keys' signature bits
-// under FenceKey.
-func (s *Server) partSig(req *request, p *crossPart) uint64 {
-	if s.opts.FenceGranularity == FenceShard || req.op == opRange {
+// partSig is the signature part p of req publishes in its shard's fence
+// table: the union of the part's keys' signature bits, or the whole shard
+// for a range scan, whose covered key set cannot be enumerated.
+func partSig(req *request, p *crossPart) uint64 {
+	if req.op == opRange {
 		return SigAll
 	}
 	var sig uint64

@@ -1,10 +1,11 @@
 package serve
 
-// Fuzz target for the group-commit worker gate: arbitrary op programs,
-// executed concurrently through a batching server, must leave a
+// Fuzz target for the cross-shard commit path: arbitrary op programs,
+// executed concurrently through a two-shard server, must leave a
 // committed history that admits a sequential witness (shard.Linearize).
 // This is the same linearizability-first gate the hand-written battery
-// uses, pointed at fuzzer-chosen interleavings of the coalescing path.
+// uses, pointed at fuzzer-chosen interleavings of point operations and
+// keyed-fence cross-shard batches.
 
 import (
 	"net/http"
@@ -15,11 +16,10 @@ import (
 	"repro/internal/shard"
 )
 
-// FuzzGroupCommitLinearizable decodes the fuzz input into a program of
+// FuzzCrossShardLinearizable decodes the fuzz input into a program of
 // point and cross-shard ops, replays it from three concurrent clients
-// through a server with group commit engaged (fence granularity chosen
-// by the input too), and checks the committed history linearizes.
-func FuzzGroupCommitLinearizable(f *testing.F) {
+// and checks the committed history linearizes.
+func FuzzCrossShardLinearizable(f *testing.F) {
 	f.Add([]byte{0, 7, 14, 21, 28, 35, 42, 49, 3, 9, 27, 81})
 	f.Add([]byte{255, 254, 253, 1, 2, 3, 4, 5, 6})
 	f.Add([]byte{4, 4, 4, 4, 5, 5, 5, 5, 0, 1, 2, 3, 4, 5})
@@ -30,15 +30,7 @@ func FuzzGroupCommitLinearizable(f *testing.F) {
 		if len(program) > 96 {
 			program = program[:96]
 		}
-		granularity := FenceShard
-		if len(program)%2 == 1 {
-			granularity = FenceKey
-		}
-		s := newTestServer(t, Options{
-			Shards: 2, Workers: 2, HeapWords: 1 << 16,
-			GroupCommit: true, GroupCommitMax: 8,
-			FenceGranularity: granularity,
-		})
+		s := newTestServer(t, Options{Shards: 2, Workers: 2, HeapWords: 1 << 16})
 		// A small key set so ops collide; the first three keys straddle
 		// both shards often enough to exercise the cross-shard path.
 		keys := []uint64{0, 1, 2, 3, 4, 5, 6, 7}
@@ -103,7 +95,7 @@ func FuzzGroupCommitLinearizable(f *testing.F) {
 		wg.Wait()
 
 		if _, ok := shard.Linearize(rec.ops); !ok {
-			t.Fatalf("group-commit history of %d ops admits no sequential witness: %+v", len(rec.ops), rec.ops)
+			t.Fatalf("history of %d ops admits no sequential witness: %+v", len(rec.ops), rec.ops)
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -103,47 +102,6 @@ func TestHeapFullAnswers507(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	})
-}
-
-// TestHeapFullInGroupCommit: a coalesced batch whose transaction exhausts
-// the heap rolls back whole and its operations run one by one, so the reads
-// that shared the batch with the refused put are still answered.
-func TestHeapFullInGroupCommit(t *testing.T) {
-	s, err := newServer(Options{Workers: 1, HeapWords: 4096, QueueDepth: 8, GroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := s.fleet()[0]
-	fresh := uint64(0)
-	for ; ; fresh++ {
-		if r := ss.execute(ss.workers[0], 0, &request{op: opPut, key: fresh, val: fresh}); r.code == http.StatusInsufficientStorage {
-			break
-		}
-	}
-	// No slot token circulates yet, so these queue up behind one another.
-	reqs := []*request{
-		{op: opGet, key: 0},
-		{op: opPut, key: fresh, val: 1},
-		{op: opGet, key: 1},
-	}
-	codes := make([]int, len(reqs))
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, codes[i] = s.submit(ss, req)
-		}()
-	}
-	waitQueueLen(t, ss, len(reqs))
-	s.startWorkers()
-	wg.Wait()
-	if want := []int{http.StatusOK, http.StatusInsufficientStorage, http.StatusOK}; fmt.Sprint(codes) != fmt.Sprint(want) {
-		t.Fatalf("batch answered %v, want %v", codes, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestHeapFullRefusesCrossShardBatchWhole: an mput that needs a node on a

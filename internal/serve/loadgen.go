@@ -90,11 +90,10 @@ type LoadgenOptions struct {
 	// ring the server routes with.
 	Skew float64
 	// MPutFrac in [0,1] is the probability an operation is a cross-shard
-	// 4-key /kv/mput batch regardless of the phase mix — the batch-heavy
-	// knob the group-commit and keyed-fence A/B sessions turn up. The
-	// mputs run the full two-phase fence protocol on a sharded daemon, so
-	// raising this drives ops.fenced_requeues under shard-granularity
-	// fences and exercises the keyed-fence OCC path under key granularity.
+	// 4-key /kv/mput batch regardless of the phase mix. The mputs run the
+	// full two-phase fence protocol on a sharded daemon, so raising this
+	// exercises keyed fences: ops.cross_ops, ops.cross_aborts and the
+	// ops.fenced_requeues of local operations whose keys a batch covers.
 	MPutFrac float64
 	// Seed drives the per-connection operation streams.
 	Seed uint64

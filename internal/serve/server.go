@@ -199,14 +199,6 @@ type response struct {
 	fenced bool
 }
 
-// Fence granularities (Options.FenceGranularity): the signature a
-// cross-shard commit publishes in a participant's fence table — the
-// whole shard, or one Bloom bit per key of the batch (see store.go).
-const (
-	FenceShard = "shard"
-	FenceKey   = "key"
-)
-
 // Options configures a Server.
 type Options struct {
 	// Shards is the number of independent ProteusTM systems the key space
@@ -253,27 +245,6 @@ type Options struct {
 	// CrossRetries bounds fence-acquisition attempts of one cross-shard
 	// operation before it fails with 503 (default 64).
 	CrossRetries int
-	// GroupCommit enables the batching gate: when a data operation is
-	// about to execute and more are already queued behind it, up to
-	// GroupCommitMax of them join its TM transaction (group commit),
-	// amortizing the per-transaction overhead under load. Per-operation
-	// deadline and cancellation semantics are preserved inside a batch: an
-	// expired or client-abandoned operation is excised (answered 504/499)
-	// before the transaction runs, never executed. Batching engages only
-	// at queue depth — an idle server executes one op per transaction
-	// exactly as before.
-	GroupCommit bool
-	// GroupCommitMax caps how many operations one group commit coalesces
-	// (default 16).
-	GroupCommitMax int
-	// FenceGranularity selects the signature a cross-shard commit
-	// publishes in each participant's fence table: FenceShard (default)
-	// the whole shard, so every local operation on a participant waits
-	// out the 2PC window; FenceKey one Bloom bit per key of the batch, so
-	// local operations and other commits whose keys do not intersect it
-	// proceed. Scans and migrations publish the whole shard under either.
-	// See docs/sharding.md.
-	FenceGranularity string
 	// SLOP99 is the p99 latency target the service sells (0 disables all
 	// SLO machinery). With AutoTune it switches every shard's tuner to
 	// the ThroughputUnderSLO KPI, fed by the server's accept→reply
@@ -379,12 +350,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.CrossRetries <= 0 {
 		o.CrossRetries = 64
-	}
-	if o.GroupCommitMax <= 0 {
-		o.GroupCommitMax = 16
-	}
-	if o.FenceGranularity == "" {
-		o.FenceGranularity = FenceShard
 	}
 	if o.ShedBudget <= 0 {
 		o.ShedBudget = 0.5
@@ -630,12 +595,6 @@ type Server struct {
 	gateP99Bits atomic.Uint64
 	gateNext    atomic.Int64
 
-	// groupCommits counts batched transactions the worker gate committed
-	// (each covering 2+ coalesced operations); batchSizes is the sliding
-	// reservoir behind the group_batch_p50/p99 status fields.
-	groupCommits atomic.Uint64
-	batchSizes   *metrics.Reservoir
-
 	// rangeLocal counts /kv/range scans whose owner set collapsed to one
 	// shard (a plain shard transaction, no fences); rangeCross counts
 	// scans that ran the cross-shard protocol; rangeFencedShards totals
@@ -675,10 +634,6 @@ func New(opts Options) (*Server, error) {
 // the split to exercise admission-queue overflow deterministically).
 func newServer(opts Options) (*Server, error) {
 	opts.setDefaults()
-	if opts.FenceGranularity != FenceShard && opts.FenceGranularity != FenceKey {
-		return nil, fmt.Errorf("serve: unknown fence granularity %q (want %q or %q)",
-			opts.FenceGranularity, FenceShard, FenceKey)
-	}
 	part, err := shard.NewPartitioner(opts.Partitioner, opts.Shards, opts.KeyUniverse)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -693,7 +648,6 @@ func newServer(opts Options) (*Server, error) {
 		lat:          metrics.NewReservoir(opts.LatencyWindow),
 		queueWait:    metrics.NewReservoir(opts.LatencyWindow),
 		svc:          metrics.NewReservoir(opts.LatencyWindow),
-		batchSizes:   metrics.NewReservoir(opts.LatencyWindow),
 	}
 	s.jitterState.Store(opts.Seed | 1)
 	// Shards share nothing until they serve (own heap, own seed), so each is
@@ -783,14 +737,6 @@ func (s *Server) newShard(i int) (*shardState, error) {
 		sysOpts = append(sysOpts, proteustm.WithSLO(opts.SLOP99, func() float64 {
 			return s.lat.Quantile(99)
 		}))
-	}
-	if opts.AutoTune && opts.GroupCommit {
-		// Group commit breaks the ops ∝ commits proportionality the
-		// commit-rate KPI relies on (one transaction covers a whole
-		// batch, so the commit rate shrinks and jitters with queue
-		// depth). Feed the tuner this shard's completed-operation
-		// counter instead, so it optimizes what the service delivers.
-		sysOpts = append(sysOpts, proteustm.WithOpsKPI(ss.executed.Load))
 	}
 	sys, err := proteustm.Open(sysOpts...)
 	if err != nil {
@@ -1082,8 +1028,7 @@ func (ss *shardState) worker() {
 // process is the shard's one execution body: it runs req on the leased
 // slot and returns its response, from whichever goroutine holds the
 // token. ran=false means a shrink retired the slot before anything
-// executed. Operations coalesced behind req (group commit) are answered on
-// their own reply channels.
+// executed.
 func (ss *shardState) process(slot int, req *request) (resp response, ran bool) {
 	s := ss.srv
 	// Fault-injection hooks (nil injector: one pointer compare). A fired
@@ -1122,48 +1067,14 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 		}
 		return resp, true
 	}
-	// Group commit: with backlog behind this op, coalesce compatible
-	// queued data ops into the same transaction. Expired ops are excised
-	// during the drain, so a batch preserves per-op deadline semantics
-	// exactly.
-	var batch []*request
-	if s.opts.GroupCommit {
-		batch = ss.coalesce(req)
-	}
-	if batch == nil {
-		t0 := time.Now()
-		resp := ss.execute(w, slot, req)
-		t1 := time.Now()
-		ss.drainMu.RUnlock()
-		if !resp.fenced {
-			ss.account(req, resp, t0, t1)
-		}
-		return resp, true
-	}
 	t0 := time.Now()
-	resps := ss.executeBatch(w, slot, batch)
+	resp = ss.execute(w, slot, req)
 	t1 := time.Now()
 	ss.drainMu.RUnlock()
-	committed := 0
-	for i, r := range batch {
-		// Fenced ops no-op inside the transaction: their submitters wait
-		// for the release and retry.
-		if !resps[i].fenced {
-			if !resps[i].moved {
-				committed++
-			}
-			ss.account(r, resps[i], t0, t1)
-		}
-		if i > 0 {
-			r.done <- resps[i]
-		}
+	if !resp.fenced {
+		ss.account(req, resp, t0, t1)
 	}
-	// Only batches that actually coalesced work count as group commits.
-	if committed >= 2 {
-		s.groupCommits.Add(1)
-		s.batchSizes.Observe(float64(committed))
-	}
-	return resps[0], true
+	return resp, true
 }
 
 // account books one executed data operation: queue wait, service time and
@@ -1231,39 +1142,6 @@ func (ss *shardState) awaitRelease(gen uint64, bound time.Duration) (d time.Dura
 	return d, timedOut
 }
 
-// coalesce builds a group-commit batch behind first: a non-blocking
-// drain of further data operations from the admission queue, up to
-// Options.GroupCommitMax. Only the queue is drained — control steps
-// ride the priority lane and are never batched. An op that expired
-// while queued is excised here (504, shed_deadline), exactly as the
-// solo gate would have dropped it. Returns nil when nothing coalesced,
-// so an idle server keeps the one-op-per-transaction path.
-func (ss *shardState) coalesce(first *request) []*request {
-	maxB := ss.srv.opts.GroupCommitMax
-	if maxB <= 1 || len(ss.queue) == 0 {
-		return nil
-	}
-	batch := []*request{first}
-drain:
-	for len(batch) < maxB {
-		select {
-		case extra := <-ss.queue:
-			if extra.expired() {
-				ss.srv.shedDeadline.Add(1)
-				extra.done <- response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}
-				continue
-			}
-			batch = append(batch, extra)
-		default:
-			break drain
-		}
-	}
-	if len(batch) == 1 {
-		return nil
-	}
-	return batch
-}
-
 // msBetween converts a time span to milliseconds for the reservoirs.
 func msBetween(from, to time.Time) float64 {
 	return float64(to.Sub(from).Nanoseconds()) / 1e6
@@ -1315,8 +1193,7 @@ func (ss *shardState) opFenced(tx proteustm.Txn, req *request) bool {
 // reports fenced=true (and performs no writes) when a cross-shard fence
 // covers the operation: the caller must requeue it rather than answer
 // it. The response is reset at the top because the TM retries the
-// enclosing atomic block on aborts — and because a group commit runs
-// many applyOps in one block, every op's results must rebuild cleanly
+// enclosing atomic block on aborts, so its results must rebuild cleanly
 // on each attempt.
 func (ss *shardState) applyOp(tx proteustm.Txn, slot int, req *request, resp *response) (fenced bool) {
 	*resp = response{}
@@ -1456,32 +1333,6 @@ func (ss *shardState) execute(w *proteustm.Worker, slot int, req *request) respo
 		return full
 	}
 	return resp
-}
-
-// executeBatch runs a group commit: every coalesced operation applies
-// inside one atomic block, in queue order, so the batch costs one
-// commit instead of len(reqs). A fenced op contributes nothing to the
-// transaction (applyOp returns before touching the store) and is
-// requeued by the caller; the others' effects commit regardless —
-// exactly the per-op outcome of the solo path, minus the per-op
-// transaction overhead. When the block exhausts the heap it rolls back
-// whole, and the operations run one by one instead, so only the one the
-// heap has no room for is refused.
-func (ss *shardState) executeBatch(w *proteustm.Worker, slot int, reqs []*request) []response {
-	resps := make([]response, len(reqs))
-	full := atomically(w, func(tx proteustm.Txn) {
-		for i, r := range reqs {
-			if ss.applyOp(tx, slot, r, &resps[i]) {
-				resps[i] = response{fenced: true}
-			}
-		}
-	})
-	if full.Err != "" {
-		for i, r := range reqs {
-			resps[i] = ss.execute(w, slot, r)
-		}
-	}
-	return resps
 }
 
 // armDeadline stamps the admission instant and derives the effective

@@ -194,13 +194,6 @@ type OpsStatus struct {
 	RangeLocal        uint64 `json:"range_local"`
 	RangeCross        uint64 `json:"range_cross"`
 	RangeFencedShards uint64 `json:"range_fenced_shards"`
-	// GroupCommits counts worker-gate batches that coalesced two or more
-	// queued ops into one TM transaction; GroupBatchP50/P99 summarize the
-	// batch-size distribution over the sliding window. The amortization
-	// observables the group-commit A/B compares.
-	GroupCommits  uint64  `json:"group_commits"`
-	GroupBatchP50 float64 `json:"group_batch_p50"`
-	GroupBatchP99 float64 `json:"group_batch_p99"`
 	// FenceKeysHeld sums the fence table occupancy across shards at
 	// snapshot time: the holds in being, whatever signature they publish.
 	FenceKeysHeld uint64 `json:"fence_keys_held"`
@@ -376,8 +369,6 @@ func (s *Server) StatusSnapshot() Status {
 		servedTotal += n
 	}
 
-	batch := metrics.Summarize(s.batchSizes.Snapshot())
-
 	return Status{
 		Server: ServerStatus{
 			UptimeSec:        time.Since(s.start).Seconds(),
@@ -435,9 +426,6 @@ func (s *Server) StatusSnapshot() Status {
 			RangeLocal:         s.rangeLocal.Load(),
 			RangeCross:         s.rangeCross.Load(),
 			RangeFencedShards:  s.rangeFencedShards.Load(),
-			GroupCommits:       s.groupCommits.Load(),
-			GroupBatchP50:      batch.P50,
-			GroupBatchP99:      batch.P99,
 			FenceKeysHeld:      fenceKeysHeld,
 			Reshards:           s.reshards.Load(),
 			Merges:             s.merges.Load(),

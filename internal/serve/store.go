@@ -142,8 +142,8 @@ func NewStore(h *tm.Heap) (*Store, error) {
 //
 // A cross-shard commit, a cross-shard scan or a span migration claims an
 // entry in the shard's fence table and publishes a signature of what it
-// covers: SigAll for the whole shard, or — under the keyed policy — one
-// Bloom bit per key of the batch. Local operations intersect their own
+// covers: one Bloom bit per key of a commit's part, or SigAll for the
+// whole shard (scans and migrations). Local operations intersect their own
 // keys' bits with the held entries: a miss (one occupancy load plus, when
 // entries are held, one signature AND per held entry) proceeds
 // immediately; a hit comes back unexecuted and its submitter waits for

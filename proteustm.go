@@ -102,7 +102,6 @@ type options struct {
 	samplePeriod time.Duration
 	sloP99       time.Duration
 	latencyP99   func() float64
-	opsSource    func() uint64
 }
 
 // WithHeapWords sizes the transactional heap (default 1<<22 words = 32 MiB).
@@ -130,16 +129,6 @@ func WithSLO(p99Target time.Duration, latencyP99 func() float64) Option {
 		o.sloP99 = p99Target
 		o.latencyP99 = latencyP99
 	}
-}
-
-// WithOpsKPI makes KPI windows count service-level operations instead of
-// raw TM commits: source must be a monotonic counter of completed
-// operations. Serving layers that coalesce many operations into one
-// transaction (group commit) need this — with it, the monitor and tuner
-// see the throughput the service actually delivers, instead of a commit
-// rate that shrinks and jitters with the coalescing batch size.
-func WithOpsKPI(source func() uint64) Option {
-	return func(o *options) { o.opsSource = source }
 }
 
 // WithSeed fixes the random seed of the tuning machinery.
@@ -231,7 +220,6 @@ func Open(opts ...Option) (*System, error) {
 		Energy:          energy.NewModel(18, 6.5),
 		SLOTargetMs:     sloMs,
 		LatencyP99:      o.latencyP99,
-		OpsSource:       o.opsSource,
 		Seed:            o.seed,
 		MaxExplorations: o.maxExplore,
 		SamplePeriod:    o.samplePeriod,
