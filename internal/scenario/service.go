@@ -6,13 +6,25 @@ import (
 	"repro/internal/workloads"
 )
 
-// Service family (internal/workloads/service.go): proteusd's key-value
-// traffic shapes, replayed in-process. `service-kv` is the deterministic
-// twin of the `proteusbench loadgen` phase-shift session documented in
-// docs/serving.md; `service-steady` pins one mix for sweep rows;
-// `service-sharded` exercises consistent-hash routing and the cross-shard
-// 2PC; `service-range` A/Bs the hash vs. order-preserving partitioner
-// under an identical scan-heavy op stream (docs/sharding.md).
+// Service family: proteusd's key-value traffic shapes and serving
+// mechanisms, replayed in-process.
+//
+//   - `service-kv` is the deterministic twin of the `proteusbench loadgen`
+//     phase-shift session documented in docs/serving.md; `service-steady`
+//     pins one mix for sweep rows; `service-slo` pins one mix for the SLO
+//     tuning A/B; `service-diurnal` drives the change monitor with an
+//     offered-rate curve.
+//   - The protocol twins run on one kernel (internal/workloads/svcshard.go,
+//     docs/architecture.md): `service-sharded` exercises consistent-hash
+//     routing and the cross-shard 2PC; `service-range` and
+//     `service-hotkey` A/B the hash vs. order-preserving partitioner under
+//     an identical scan-heavy or hot-key op stream (docs/sharding.md);
+//     `service-chaos` injects coordinator crashes and foreign wedges for
+//     the failure detector; `service-reshard` and `service-merge` split
+//     and merge spans live under a stale client placement.
+//
+// Every parameter default lives in the Param below; the workloads take
+// their fields as given.
 
 var (
 	svcKeyRange = Param{Name: "keyrange", Desc: "key range of the store", Kind: Int, Default: "16384"}
@@ -120,17 +132,13 @@ func init() {
 		Description: "sharded KV: consistent-hash routing, skewed vs. uniform per-shard mixes, cross-shard 2PC batches",
 		Params:      []Param{shShards, shKeyRange, shInitial, shSpan, shSkew, shBatchEvery, shBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			batchEvery := v.Int(shBatchEvery)
-			if batchEvery == 0 {
-				batchEvery = -1 // ServiceSharded treats negative as disabled, 0 as default
-			}
 			return &workloads.ServiceSharded{
 				Shards:      v.Int(shShards),
 				KeyRange:    v.Int(shKeyRange),
 				InitialSize: v.Int(shInitial),
 				Span:        v.Int(shSpan),
 				Skew:        v.Float(shSkew),
-				BatchEvery:  batchEvery,
+				BatchEvery:  v.Int(shBatchEvery),
 				BatchKeys:   v.Int(shBatchKeys),
 			}, nil
 		},
@@ -201,10 +209,6 @@ func init() {
 		Description: "partitioner A/B: identical scan-heavy op stream under hash or range placement, fence counts in metrics",
 		Params:      []Param{rgPartitioner, rgShards, rgKeyRange, rgInitial, rgSpan, rgMix, rgBatchEvery, rgBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			batchEvery := v.Int(rgBatchEvery)
-			if batchEvery == 0 {
-				batchEvery = -1 // ServiceRange treats negative as disabled, 0 as default
-			}
 			return &workloads.ServiceRange{
 				Partitioner: v.Str(rgPartitioner),
 				Shards:      v.Int(rgShards),
@@ -212,7 +216,7 @@ func init() {
 				InitialSize: v.Int(rgInitial),
 				Span:        v.Int(rgSpan),
 				Mix:         v.Str(rgMix),
-				BatchEvery:  batchEvery,
+				BatchEvery:  v.Int(rgBatchEvery),
 				BatchKeys:   v.Int(rgBatchKeys),
 			}, nil
 		},
@@ -223,10 +227,6 @@ func init() {
 		Description: "hostile hot-key traffic: sliding Zipf window over hash or range placement, locality counters in metrics",
 		Params:      []Param{hkPartitioner, hkShards, hkKeyRange, hkInitial, hkHotSpan, hkHotFrac, hkTheta, hkMoveEvery, hkSpan, hkMix, hkBatchEvery, hkBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			batchEvery := v.Int(hkBatchEvery)
-			if batchEvery == 0 {
-				batchEvery = -1 // ServiceHotKey treats negative as disabled, 0 as default
-			}
 			return &workloads.ServiceHotKey{
 				Partitioner: v.Str(hkPartitioner),
 				Shards:      v.Int(hkShards),
@@ -238,7 +238,7 @@ func init() {
 				MoveEvery:   v.Int(hkMoveEvery),
 				Span:        v.Int(hkSpan),
 				Mix:         v.Str(hkMix),
-				BatchEvery:  batchEvery,
+				BatchEvery:  v.Int(hkBatchEvery),
 				BatchKeys:   v.Int(hkBatchKeys),
 			}, nil
 		},

@@ -16,7 +16,7 @@ import (
 // abandon decided batches with their fences held, and foreign wedges that
 // seize a fence from outside the protocol — and an in-workload failure
 // detector that recovers every orphan from its recorded commit state:
-// decided batches roll forward, unregistered holds abort-release.
+// decided batches roll forward, foreign wedges abort-release.
 //
 // Time is operation count, not wall clock: fence heartbeats are stamped
 // with the acquiring operation's sequence number and the orphan deadline
@@ -26,43 +26,38 @@ import (
 // (wall-clock deadline, per-shard goroutine) is exercised by the serve
 // tests and the chaos e2e job; this workload pins the protocol algebra.
 type ServiceChaos struct {
-	// Label overrides the workload name (default "service-chaos").
-	Label string
-	// Shards is the number of key-space shards (default 4).
+	// Shards is the number of key-space shards.
 	Shards int
-	// KeyRange bounds the keys (default 1 << 14).
+	// KeyRange bounds the keys.
 	KeyRange int
-	// InitialSize pre-populates the stores (default KeyRange/2).
+	// InitialSize pre-populates the stores (0 = KeyRange/2).
 	InitialSize int
-	// CrossEvery makes every Nth operation a cross-shard batch put
-	// (default 16).
+	// CrossEvery makes every Nth operation a cross-shard batch put.
 	CrossEvery int
-	// BatchKeys is the batch width (default 4).
+	// BatchKeys is the batch width.
 	BatchKeys int
 	// FaultKind selects the injected failure: "crash" abandons every
 	// FaultEvery-th prepared batch post-decision (roll-forward leg),
 	// "stall" wedges a fence under a foreign token after every
-	// FaultEvery-th batch commits (abort leg). Default "crash".
+	// FaultEvery-th batch commits (abort leg).
 	FaultKind string
-	// FaultEvery is the injection cadence in cross-shard batches
-	// (default 4); FaultCount caps total injections (default 6), so a
-	// long run ends with a quiet tail in which every orphan is recovered
-	// before metrics are captured.
+	// FaultEvery is the injection cadence in cross-shard batches;
+	// FaultCount caps total injections, so a long run ends with a quiet
+	// tail in which every orphan is recovered before metrics are
+	// captured.
 	FaultEvery int
 	FaultCount int
 	// DeadlineOps is the orphan deadline in operations: a fence whose
-	// heartbeat is DeadlineOps operations old is recovered (default 200).
+	// heartbeat is DeadlineOps operations old is recovered.
 	DeadlineOps int
 
-	ring  *shard.Ring
-	sets  []*RBSet
-	words tm.Addr // 3 per shard: fence token, epoch, heartbeat (op number)
-	ops   atomic.Uint64
+	kv  *svcShards
+	ops atomic.Uint64
 
-	// recs is the commit-state registry: decided batches by token. A
-	// record present at recovery time rolls forward; a token with no
-	// record aborts. outstanding gates the detector scan so fault-free
-	// stretches pay one atomic load per op.
+	// recs is the commit-state registry: the decided batches whose
+	// coordinator crashed, by token, which recovery rolls forward.
+	// outstanding gates the detector scan so fault-free stretches pay one
+	// atomic load per op.
 	mu          sync.Mutex
 	recs        map[uint64]*chaosRec
 	outstanding atomic.Int64
@@ -76,110 +71,38 @@ type ServiceChaos struct {
 	rolledFwd  atomic.Uint64
 	abortedRec atomic.Uint64
 	fencedSkip atomic.Uint64
-
-	// Resolved by Setup so Op stays cheap on the hot path.
-	shards, keyRange, crossEvery, batchKeys int
-	faultEvery, faultCount, deadlineOps     int
-	crashKind                               bool
 }
 
 // chaosRec is one decided-but-unfinished batch: everything the detector
 // needs to finish it without its coordinator.
 type chaosRec struct {
-	token  uint64
-	keys   []uint64
-	val    uint64
-	parts  []int
-	epochs map[int]uint64
+	hold *svcHold
+	keys []uint64
+	val  uint64
 }
+
+// chaosWedge marks the token of a fence seized from outside the protocol.
+const chaosWedge = uint64(1) << 63
 
 // Name implements Workload.
-func (s *ServiceChaos) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "service-chaos"
-}
-
-func (s *ServiceChaos) params() (shards, keyRange, initial, crossEvery, batchKeys, faultEvery, faultCount, deadlineOps int, crashKind bool) {
-	shards = s.Shards
-	if shards <= 0 {
-		shards = 4
-	}
-	keyRange = s.KeyRange
-	if keyRange <= 0 {
-		keyRange = 1 << 14
-	}
-	initial = s.InitialSize
-	if initial <= 0 {
-		initial = keyRange / 2
-	}
-	crossEvery = s.CrossEvery
-	if crossEvery <= 0 {
-		crossEvery = 16
-	}
-	batchKeys = s.BatchKeys
-	if batchKeys <= 0 {
-		batchKeys = 4
-	}
-	faultEvery = s.FaultEvery
-	if faultEvery <= 0 {
-		faultEvery = 4
-	}
-	faultCount = s.FaultCount
-	if faultCount <= 0 {
-		faultCount = 6
-	}
-	deadlineOps = s.DeadlineOps
-	if deadlineOps <= 0 {
-		deadlineOps = 200
-	}
-	crashKind = s.FaultKind != "stall"
-	return
-}
+func (s *ServiceChaos) Name() string { return "service-chaos" }
 
 // Setup implements Workload.
 func (s *ServiceChaos) Setup(h *tm.Heap, rng *Rand) error {
-	var initial int
-	s.shards, s.keyRange, initial, s.crossEvery, s.batchKeys,
-		s.faultEvery, s.faultCount, s.deadlineOps, s.crashKind = s.params()
-	if s.FaultKind != "" && s.FaultKind != "crash" && s.FaultKind != "stall" {
+	if s.FaultKind != "crash" && s.FaultKind != "stall" {
 		return fmt.Errorf("chaos: unknown fault kind %q (want crash or stall)", s.FaultKind)
 	}
-	s.ring = shard.New(s.shards)
-	s.sets = make([]*RBSet, s.shards)
-	for i := range s.sets {
-		set, err := NewRBSet(h)
-		if err != nil {
-			return fmt.Errorf("chaos: shard %d store: %w", i, err)
-		}
-		s.sets[i] = set
+	if err := positive("chaos", s.Shards, s.KeyRange, s.CrossEvery, s.BatchKeys, s.FaultEvery, s.DeadlineOps); err != nil {
+		return err
 	}
-	words, err := h.Alloc(3 * s.shards)
+	kv, err := newSvcShards(h, rng, s.Shards, shard.New(s.Shards), s.KeyRange, s.InitialSize)
 	if err != nil {
-		return fmt.Errorf("chaos: fence words: %w", err)
+		return fmt.Errorf("chaos: %w", err)
 	}
-	s.words = words
+	s.kv = kv
 	s.recs = make(map[uint64]*chaosRec)
-	s.ops.Store(0)
-	s.outstanding.Store(0)
-	for _, c := range []*atomic.Uint64{&s.crashes, &s.stalls, &s.batches, &s.committed,
-		&s.blocked, &s.recovered, &s.rolledFwd, &s.abortedRec, &s.fencedSkip} {
-		c.Store(0)
-	}
-	seq := NewBareRunner(seqAlg(), h, 1)
-	for i := 0; i < initial; i++ {
-		k := uint64(rng.Intn(s.keyRange))
-		o := s.ring.Owner(k)
-		seq.Atomic(0, func(tx tm.Txn) { s.sets[o].Insert(tx, 0, k, k) })
-	}
 	return nil
 }
-
-// Fence word addresses of shard i.
-func (s *ServiceChaos) fence(i int) tm.Addr { return s.words + tm.Addr(3*i) }
-func (s *ServiceChaos) epoch(i int) tm.Addr { return s.words + tm.Addr(3*i) + 1 }
-func (s *ServiceChaos) beat(i int) tm.Addr  { return s.words + tm.Addr(3*i) + 2 }
 
 // Op implements Workload: run the failure detector, then either one
 // cross-shard batch put (every CrossEvery-th call, possibly faulted) or
@@ -189,155 +112,56 @@ func (s *ServiceChaos) Op(r Runner, self int, rng *Rand) {
 	if s.outstanding.Load() > 0 {
 		s.detect(r, self, n)
 	}
-	if n%uint64(s.crossEvery) == 0 {
+	if n%uint64(s.CrossEvery) == 0 {
 		s.crossBatch(r, self, rng, n)
 		return
 	}
-	k := uint64(rng.Intn(s.keyRange))
-	o := s.ring.Owner(k)
-	set, fence := s.sets[o], s.fence(o)
-	mix := serviceMixes["mixed"]
+	k := uint64(rng.Intn(s.KeyRange))
 	p := rng.Float64()
 	// An orphaned fence persists until the detector's deadline, so a
 	// fenced operation is skipped (and counted), not spun on — the
 	// workload analogue of the serve worker's requeue.
-	var fenced bool
-	switch {
-	case p < mix.Get:
-		r.Atomic(self, func(tx tm.Txn) {
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			set.Get(tx, k)
-		})
-	case p < mix.Get+mix.Put:
-		r.Atomic(self, func(tx tm.Txn) {
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			set.Insert(tx, self, k, n)
-		})
-	case p < mix.Get+mix.Put+mix.Del:
-		r.Atomic(self, func(tx tm.Txn) {
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			set.Delete(tx, self, k)
-		})
-	default:
-		r.Atomic(self, func(tx tm.Txn) {
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			if v, ok := set.Get(tx, k); ok {
-				set.Insert(tx, self, k, v+1)
-			}
-		})
-	}
-	if fenced {
+	if _, fenced, _ := s.kv.routed(r, self, k, s.kv.place.Load(), pointOp(serviceMixes["mixed"], p, self, k, n)); fenced {
 		s.fencedSkip.Add(1)
 	}
 }
 
 // crossBatch runs one cross-shard batch put: ordered epoch-bumping
-// acquire with heartbeat, decision record, then either the injected
-// fault or the normal guarded apply+release.
+// acquire with heartbeat, then either the injected fault or the normal
+// guarded apply+release.
 func (s *ServiceChaos) crossBatch(r Runner, self int, rng *Rand, n uint64) {
-	keys := make([]uint64, s.batchKeys)
+	keys := make([]uint64, s.BatchKeys)
 	for i := range keys {
-		keys[i] = uint64(rng.Intn(s.keyRange))
+		keys[i] = uint64(rng.Intn(s.KeyRange))
 	}
-	parts := s.ring.Participants(keys)
-	token := n // unique and nonzero
-	epochs := make(map[int]uint64, len(parts))
-	acquired := 0
-	for _, p := range parts {
-		fw, ew, bw := s.fence(p), s.epoch(p), s.beat(p)
-		var got bool
-		var e uint64
-		r.Atomic(self, func(tx tm.Txn) {
-			got = false
-			if tx.Load(fw) != 0 {
-				return
-			}
-			e = tx.Load(ew) + 1
-			tx.Store(fw, token)
-			tx.Store(ew, e)
-			tx.Store(bw, n)
-			got = true
-		})
-		if !got {
-			break
-		}
-		epochs[p] = e
-		acquired++
-	}
-	if acquired < len(parts) {
-		// A participant's fence is orphaned by an outstanding fault:
-		// abort-all and skip the batch — the detector will clear the
-		// orphan at its deadline, not mid-batch.
-		for _, p := range parts[:acquired] {
-			s.release(r, self, p, token, epochs[p])
-		}
+	part := s.kv.place.Load().part
+	h, ok := s.kv.acquire(r, self, part.Participants(keys), n, n, 0)
+	if !ok {
+		// A participant's fence is orphaned by an outstanding fault: the
+		// acquire aborted all, and the detector clears the orphan at its
+		// deadline, not mid-batch.
 		s.blocked.Add(1)
 		return
 	}
-	s.batches.Add(1)
-	b := s.batches.Load()
-
-	// Prepared: record the decision. From here the batch must commit —
-	// with or without its coordinator.
-	rec := &chaosRec{token: token, keys: keys, val: n, parts: parts, epochs: epochs}
-	s.mu.Lock()
-	s.recs[token] = rec
-	s.mu.Unlock()
-
-	if s.crashKind && s.faultInjected(b) {
-		// Coordinator crash between prepare and apply: fences stay held,
-		// the decision record stays behind for the detector.
+	b := s.batches.Add(1)
+	if s.FaultKind == "crash" && s.faultInjected(b) {
+		// Coordinator crash between prepare and apply: the batch is
+		// decided, so its record stays behind for the detector to roll
+		// forward; its fences stay held.
+		s.mu.Lock()
+		s.recs[n] = &chaosRec{hold: h, keys: keys, val: n}
+		s.mu.Unlock()
 		s.crashes.Add(1)
 		s.outstanding.Add(1)
 		return
 	}
-
-	for _, p := range parts {
-		set, fw, ew := s.sets[p], s.fence(p), s.epoch(p)
-		e := epochs[p]
-		r.Atomic(self, func(tx tm.Txn) {
-			if tx.Load(fw) != token || tx.Load(ew) != e {
-				return // superseded by recovery: a no-op, not corruption
-			}
-			for _, k := range keys {
-				if s.ring.Owner(k) == p {
-					set.Insert(tx, self, k, n)
-				}
-			}
-			tx.Store(fw, 0)
-		})
-	}
-	s.mu.Lock()
-	delete(s.recs, token)
-	s.mu.Unlock()
+	s.kv.commit(r, self, h, putOwned(part, keys, self, n))
 	s.committed.Add(1)
 
-	if !s.crashKind && s.faultInjected(b) {
+	if s.FaultKind == "stall" && s.faultInjected(b) {
 		// Foreign wedge: seize one shard's fence from outside the
 		// protocol. No decision record exists, so recovery must abort it.
-		w := int(n) % s.shards
-		fw, ew, bw := s.fence(w), s.epoch(w), s.beat(w)
-		wedge := uint64(1)<<63 | n
-		var got bool
-		r.Atomic(self, func(tx tm.Txn) {
-			got = false
-			if tx.Load(fw) != 0 {
-				return
-			}
-			tx.Store(fw, wedge)
-			tx.Store(ew, tx.Load(ew)+1)
-			tx.Store(bw, n)
-			got = true
-		})
-		if got {
+		if _, ok := s.kv.acquire(r, self, []int{int(n) % s.Shards}, chaosWedge|n, n, 0); ok {
 			s.stalls.Add(1)
 			s.outstanding.Add(1)
 		}
@@ -347,68 +171,40 @@ func (s *ServiceChaos) crossBatch(r Runner, self int, rng *Rand, n uint64) {
 // faultInjected reports whether batch b is on the fault schedule, under
 // the FaultCount cap.
 func (s *ServiceChaos) faultInjected(b uint64) bool {
-	if b%uint64(s.faultEvery) != 0 {
-		return false
-	}
-	injected := s.crashes.Load() + s.stalls.Load()
-	return injected < uint64(s.faultCount)
+	return b%uint64(s.FaultEvery) == 0 && s.crashes.Load()+s.stalls.Load() < uint64(s.FaultCount)
 }
 
-// release frees shard p's fence iff still held by (token, epoch).
-func (s *ServiceChaos) release(r Runner, self int, p int, token, epoch uint64) {
-	fw, ew := s.fence(p), s.epoch(p)
-	r.Atomic(self, func(tx tm.Txn) {
-		if tx.Load(fw) == token && tx.Load(ew) == epoch {
-			tx.Store(fw, 0)
-		}
-	})
-}
-
-// detect is the failure-detector step: any fence whose heartbeat is
+// detect is the failure-detector step: a fence whose heartbeat is
 // DeadlineOps operations old is recovered — the whole batch rolled
 // forward if its decision was recorded, the hold released with nothing
-// applied otherwise.
+// applied if it is a foreign wedge. A live coordinator's hold is left
+// alone: on real goroutines one can be preempted past the deadline, and
+// unlike serve the twin knows it is alive.
 func (s *ServiceChaos) detect(r Runner, self int, n uint64) {
-	for i := 0; i < s.shards; i++ {
+	for i := 0; i < s.Shards; i++ {
 		var token, epoch, beat uint64
-		fw, ew, bw := s.fence(i), s.epoch(i), s.beat(i)
 		r.Atomic(self, func(tx tm.Txn) {
-			token, epoch, beat = tx.Load(fw), tx.Load(ew), tx.Load(bw)
+			token, epoch, beat = tx.Load(s.kv.word(i, fenceToken)), tx.Load(s.kv.word(i, fenceEpoch)), tx.Load(s.kv.word(i, fenceBeat))
 		})
-		if token == 0 || n-beat < uint64(s.deadlineOps) {
+		if token == 0 || n-beat < uint64(s.DeadlineOps) {
 			continue
 		}
 		s.mu.Lock()
 		rec := s.recs[token]
 		delete(s.recs, token) // claim-once
 		s.mu.Unlock()
-		if rec == nil {
-			// Unregistered hold (foreign wedge): abort-release this shard.
-			s.release(r, self, i, token, epoch)
-			s.recovered.Add(1)
+		switch {
+		case rec != nil:
+			// Decided batch: roll every participant forward on the dead
+			// coordinator's behalf, each under its (token, epoch) guard.
+			s.kv.commit(r, self, rec.hold, putOwned(s.kv.place.Load().part, rec.keys, self, rec.val))
+			s.rolledFwd.Add(1)
+		case token&chaosWedge != 0 && s.kv.guarded(r, self, i, token, epoch, nil):
 			s.abortedRec.Add(1)
-			s.outstanding.Add(-1)
+		default:
 			continue
 		}
-		// Decided batch: roll every participant forward on the dead
-		// coordinator's behalf, each under its (token, epoch) guard.
-		for _, p := range rec.parts {
-			set, pfw, pew := s.sets[p], s.fence(p), s.epoch(p)
-			e := rec.epochs[p]
-			r.Atomic(self, func(tx tm.Txn) {
-				if tx.Load(pfw) != rec.token || tx.Load(pew) != e {
-					return
-				}
-				for _, k := range rec.keys {
-					if s.ring.Owner(k) == p {
-						set.Insert(tx, self, k, rec.val)
-					}
-				}
-				tx.Store(pfw, 0)
-			})
-		}
 		s.recovered.Add(1)
-		s.rolledFwd.Add(1)
 		s.outstanding.Add(-1)
 	}
 }
@@ -433,32 +229,15 @@ func (s *ServiceChaos) Metrics() map[string]uint64 {
 // window — is recovered regardless of age), then every fence must be
 // free, the registry empty, and every key on the shard that owns it.
 func (s *ServiceChaos) Verify(h *tm.Heap) error {
-	seq := NewBareRunner(seqAlg(), h, 1)
-	s.detect(seq, 0, s.ops.Load()+uint64(s.deadlineOps))
+	s.detect(NewBareRunner(seqAlg(), h, 1), 0, s.ops.Load()+uint64(s.DeadlineOps))
 	s.mu.Lock()
 	pending := len(s.recs)
 	s.mu.Unlock()
 	if pending != 0 {
 		return fmt.Errorf("chaos: %d decided batches never recovered", pending)
 	}
-	var err error
-	for i, set := range s.sets {
-		seq.Atomic(0, func(tx tm.Txn) {
-			if v := tx.Load(s.fence(i)); v != 0 {
-				err = fmt.Errorf("chaos: shard %d fence left held by %d", i, v)
-				return
-			}
-			set.AscendRange(tx, 0, ^uint64(0), func(k, _ uint64) bool {
-				if o := s.ring.Owner(k); o != i {
-					err = fmt.Errorf("chaos: key %d found on shard %d but owned by %d", k, i, o)
-					return false
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.kv.verify(h); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	if got := s.crashes.Load() + s.stalls.Load(); s.recovered.Load() != got {
 		return fmt.Errorf("chaos: recovered %d orphans for %d injected faults", s.recovered.Load(), got)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/shard"
 	"repro/internal/tm"
 )
 
@@ -24,44 +23,39 @@ import (
 // concentrated load); under hashing it scatters across all shards every
 // draw (many owner switches, diluted load). Metrics records both.
 type ServiceHotKey struct {
-	// Label overrides the workload name (default "service-hotkey").
-	Label string
 	// Partitioner is the placement policy: shard.KindHash or
-	// shard.KindRange (the default).
+	// shard.KindRange.
 	Partitioner string
-	// Shards is the number of key-space shards (default 4).
+	// Shards is the number of key-space shards.
 	Shards int
 	// KeyRange bounds the keys and sizes the range partitioner's
-	// universe (default 1 << 12).
+	// universe.
 	KeyRange int
-	// InitialSize pre-populates the stores (default KeyRange/2).
+	// InitialSize pre-populates the stores (0 = KeyRange/2).
 	InitialSize int
-	// HotSpan is the width of the Zipf window (default 512).
+	// HotSpan is the width of the Zipf window (at most KeyRange).
 	HotSpan int
 	// HotFrac is the probability an operation draws its key from the
-	// Zipf window instead of uniformly (default 0.9).
+	// Zipf window instead of uniformly.
 	HotFrac float64
-	// Theta is the Zipf exponent (default 1.1; higher = more skewed).
+	// Theta is the Zipf exponent (higher = more skewed).
 	Theta float64
-	// MoveEvery slides the window head every N operations (default 1000).
+	// MoveEvery slides the window head every N operations, by KeyRange/7
+	// (coprime-ish with the shard count so the hot spot visits them all).
 	MoveEvery int
-	// HeadStep is how far the head jumps per move (default KeyRange/7,
-	// coprime-ish with the shard count so the hot spot visits them all).
-	HeadStep int
-	// Mix is the operation mix name (default "mixed").
+	// Mix is the operation mix name.
 	Mix string
-	// Span is the width of a range scan (default 64).
+	// Span is the width of a range scan.
 	Span int
 	// BatchEvery makes every Nth operation a cross-shard batch put
-	// through the fence protocol (default 64; negative disables).
+	// through the fence protocol (0 disables).
 	BatchEvery int
-	// BatchKeys is the batch width (default 4).
+	// BatchKeys is the batch width.
 	BatchKeys int
 
-	part   shard.Partitioner
-	sets   []*RBSet
-	fences tm.Addr // Shards consecutive fence words, one per shard
-	ops    atomic.Uint64
+	kv  *svcShards
+	ops atomic.Uint64
+	mix ServiceOpMix
 
 	// cum is the precomputed cumulative Zipf weight table over the
 	// window's ranks; sampling is one Float64 draw plus a binary search,
@@ -73,156 +67,39 @@ type ServiceHotKey struct {
 	ownerSwitches, scanTotal       atomic.Uint64
 	scanFencedShards, crossBatches atomic.Uint64
 	lastOwner                      atomic.Int64
-
-	// Resolved by Setup so Op stays cheap on the hot path.
-	shards, keyRange, hotSpan, moveEvery, headStep int
-	span, batchEvery, batchKeys                    int
-	hotFrac                                        float64
-	mix                                            ServiceOpMix
 }
 
 // Name implements Workload.
-func (s *ServiceHotKey) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "service-hotkey"
-}
+func (s *ServiceHotKey) Name() string { return "service-hotkey" }
 
-func (s *ServiceHotKey) params() (kind string, shards, keyRange, initial, hotSpan, moveEvery, headStep, span, batchEvery, batchKeys int, hotFrac, theta float64, mix ServiceOpMix, err error) {
-	kind = s.Partitioner
-	if kind == "" {
-		kind = shard.KindRange
-	}
-	shards = s.Shards
-	if shards <= 0 {
-		shards = 4
-	}
-	keyRange = s.KeyRange
-	if keyRange <= 0 {
-		keyRange = 1 << 12
-	}
-	initial = s.InitialSize
-	if initial <= 0 {
-		initial = keyRange / 2
-	}
-	hotSpan = s.HotSpan
-	if hotSpan <= 0 {
-		hotSpan = 512
-	}
-	if hotSpan > keyRange {
-		hotSpan = keyRange
-	}
-	moveEvery = s.MoveEvery
-	if moveEvery <= 0 {
-		moveEvery = 1000
-	}
-	headStep = s.HeadStep
-	if headStep <= 0 {
-		headStep = keyRange / 7
-		if headStep == 0 {
-			headStep = 1
-		}
-	}
-	span = s.Span
-	if span <= 0 {
-		span = 64
-	}
-	batchEvery = s.BatchEvery
-	if batchEvery < 0 {
-		batchEvery = 0
-	} else if batchEvery == 0 {
-		batchEvery = 64
-	}
-	batchKeys = s.BatchKeys
-	if batchKeys <= 0 {
-		batchKeys = 4
-	}
-	hotFrac = s.HotFrac
-	if hotFrac <= 0 {
-		hotFrac = 0.9
-	}
-	if hotFrac > 1 {
-		hotFrac = 1
-	}
-	theta = s.Theta
-	if theta <= 0 {
-		theta = 1.1
-	}
-	name := s.Mix
-	if name == "" {
-		name = "mixed"
-	}
-	mix, err = ServiceMixByName(name)
-	if err != nil {
-		return
-	}
-	mix = mix.Normalize()
-	return
-}
-
-// Setup implements Workload: it builds the partitioner, the per-shard
-// stores and fences, and the cumulative Zipf table, then pre-populates
-// each store with the keys it owns.
+// Setup implements Workload: it builds the partitioner, the kernel store
+// and the cumulative Zipf table, and pre-populates each shard with the
+// keys it owns.
 func (s *ServiceHotKey) Setup(h *tm.Heap, rng *Rand) error {
-	var kind string
-	var initial int
-	var theta float64
+	if err := positive("service-hotkey", s.HotSpan, s.MoveEvery); err != nil {
+		return err
+	}
 	var err error
-	kind, s.shards, s.keyRange, initial, s.hotSpan, s.moveEvery, s.headStep, s.span, s.batchEvery, s.batchKeys, s.hotFrac, theta, s.mix, err = s.params()
-	if err != nil {
-		return fmt.Errorf("service-hotkey: %w", err)
+	if s.kv, s.mix, err = newPartitioned("service-hotkey", h, rng, s.Partitioner, s.Mix, s.Shards, s.KeyRange, s.InitialSize, s.BatchKeys); err != nil {
+		return err
 	}
-	if s.part, err = shard.NewPartitioner(kind, s.shards, uint64(s.keyRange)); err != nil {
-		return fmt.Errorf("service-hotkey: %w", err)
-	}
-	s.cum = make([]float64, s.hotSpan)
+	s.cum = make([]float64, min(s.HotSpan, s.KeyRange))
 	total := 0.0
 	for i := range s.cum {
-		total += 1 / math.Pow(float64(i+1), theta)
+		total += 1 / math.Pow(float64(i+1), s.Theta)
 		s.cum[i] = total
 	}
-	s.sets = make([]*RBSet, s.shards)
-	for i := range s.sets {
-		set, err := NewRBSet(h)
-		if err != nil {
-			return fmt.Errorf("service-hotkey: shard %d store: %w", i, err)
-		}
-		s.sets[i] = set
-	}
-	fences, err := h.Alloc(s.shards)
-	if err != nil {
-		return fmt.Errorf("service-hotkey: fences: %w", err)
-	}
-	s.fences = fences
-	s.ops.Store(0)
-	s.hotOps.Store(0)
-	s.uniformOps.Store(0)
-	s.headMoves.Store(0)
-	s.ownerSwitches.Store(0)
-	s.scanTotal.Store(0)
-	s.scanFencedShards.Store(0)
-	s.crossBatches.Store(0)
 	s.lastOwner.Store(-1)
-	seq := NewBareRunner(seqAlg(), h, 1)
-	for i := 0; i < initial; i++ {
-		k := uint64(rng.Intn(s.keyRange))
-		o := s.part.Owner(k)
-		seq.Atomic(0, func(tx tm.Txn) { s.sets[o].Insert(tx, 0, k, k) })
-	}
 	return nil
 }
 
-// fence returns shard i's fence word.
-func (s *ServiceHotKey) fence(i int) tm.Addr { return s.fences + tm.Addr(i) }
-
 // head returns the Zipf window head at global operation count n.
 func (s *ServiceHotKey) head(n uint64) uint64 {
-	moves := n / uint64(s.moveEvery)
-	return (moves * uint64(s.headStep)) % uint64(s.keyRange)
+	moves := n / uint64(s.MoveEvery)
+	return (moves * uint64(max(s.KeyRange/7, 1))) % uint64(s.KeyRange)
 }
 
-// zipfRank draws one rank in [0, hotSpan) from the precomputed table.
+// zipfRank draws one rank in [0, HotSpan) from the precomputed table.
 func (s *ServiceHotKey) zipfRank(rng *Rand) int {
 	u := rng.Float64() * s.cum[len(s.cum)-1]
 	lo, hi := 0, len(s.cum)-1
@@ -260,146 +137,39 @@ func (s *ServiceHotKey) Metrics() map[string]uint64 {
 // the operation stream is identical across partitioners.
 func (s *ServiceHotKey) Op(r Runner, self int, rng *Rand) {
 	n := s.ops.Add(1)
-	if s.batchEvery > 0 && n%uint64(s.batchEvery) == 0 {
-		s.crossBatch(r, self, rng, n)
+	if s.BatchEvery > 0 && n%uint64(s.BatchEvery) == 0 {
+		if crossPut(r, self, rng, s.kv, n, s.BatchKeys, s.KeyRange) {
+			s.crossBatches.Add(1)
+		}
 		return
 	}
-	if n%uint64(s.moveEvery) == 0 {
+	if n%uint64(s.MoveEvery) == 0 {
 		s.headMoves.Add(1)
 	}
 	var k uint64
-	hot := rng.Float64() < s.hotFrac
+	hot := rng.Float64() < s.HotFrac
 	if hot {
 		rank := s.zipfRank(rng)
-		k = (s.head(n) + uint64(rank)) % uint64(s.keyRange)
+		k = (s.head(n) + uint64(rank)) % uint64(s.KeyRange)
 		s.hotOps.Add(1)
 	} else {
-		k = uint64(rng.Intn(s.keyRange))
+		k = uint64(rng.Intn(s.KeyRange))
 		s.uniformOps.Add(1)
 	}
 	p := rng.Float64()
 	if hot {
-		o := int64(s.part.Owner(k))
+		o := int64(s.kv.place.Load().part.Owner(k))
 		if prev := s.lastOwner.Swap(o); prev >= 0 && prev != o {
 			s.ownerSwitches.Add(1)
 		}
 	}
-	switch {
-	case p < s.mix.Get:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) { set.Get(tx, k) })
-	case p < s.mix.Get+s.mix.Put:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) { set.Insert(tx, self, k, n) })
-	case p < s.mix.Get+s.mix.Put+s.mix.Del:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) { set.Delete(tx, self, k) })
-	case p < s.mix.Get+s.mix.Put+s.mix.Del+s.mix.CAS:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) {
-			if v, ok := set.Get(tx, k); ok {
-				set.Insert(tx, self, k, v+1)
-			}
-		})
-	default:
-		s.scan(r, self, k, k+uint64(s.span))
+	if p < s.mix.Get+s.mix.Put+s.mix.Del+s.mix.CAS {
+		s.kv.retried(r, self, k, pointOp(s.mix, p, self, k, n))
+		return
 	}
-}
-
-// pointOp runs one single-key operation on the owning shard under its
-// fence, requeue-retrying like the serve workers do.
-func (s *ServiceHotKey) pointOp(r Runner, self int, k uint64, body func(tx tm.Txn, set *RBSet)) {
-	owner := s.part.Owner(k)
-	set, fence := s.sets[owner], s.fence(owner)
-	for try := 0; try < 1000; try++ {
-		fenced := false
-		r.Atomic(self, func(tx tm.Txn) {
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			body(tx, set)
-		})
-		if !fenced {
-			return
-		}
-	}
-}
-
-// scan runs one range scan through the fence protocol when it spans
-// shards, or as a plain fenced transaction when localized.
-func (s *ServiceHotKey) scan(r Runner, self int, lo, hi uint64) {
-	parts := s.part.OwnersInRange(lo, hi)
 	s.scanTotal.Add(1)
-	if len(parts) == 1 {
-		s.pointOp(r, self, lo, func(tx tm.Txn, set *RBSet) {
-			set.AscendRange(tx, lo, hi, func(_, _ uint64) bool { return true })
-		})
-		return
-	}
-	s.scanFencedShards.Add(uint64(len(parts)))
-	token := uint64(self) + 1
-	for try := 0; try < 1000; try++ {
-		if !s.acquireFences(r, self, parts, token) {
-			continue
-		}
-		for _, p := range parts {
-			set, fence := s.sets[p], s.fence(p)
-			r.Atomic(self, func(tx tm.Txn) {
-				set.AscendRange(tx, lo, hi, func(_, _ uint64) bool { return true })
-				tx.Store(fence, 0)
-			})
-		}
-		return
-	}
-}
-
-// acquireFences claims every participant's fence in ascending shard
-// order, releasing everything taken so far on any failure (abort-all).
-func (s *ServiceHotKey) acquireFences(r Runner, self int, parts []int, token uint64) bool {
-	acquired := 0
-	for _, p := range parts {
-		fence := s.fence(p)
-		var got bool
-		r.Atomic(self, func(tx tm.Txn) {
-			got = false
-			if tx.Load(fence) == 0 {
-				tx.Store(fence, token)
-				got = true
-			}
-		})
-		if !got {
-			for _, q := range parts[:acquired] {
-				fq := s.fence(q)
-				r.Atomic(self, func(tx tm.Txn) { tx.Store(fq, 0) })
-			}
-			return false
-		}
-		acquired++
-	}
-	return true
-}
-
-// crossBatch runs one cross-shard batch put through the commit protocol.
-func (s *ServiceHotKey) crossBatch(r Runner, self int, rng *Rand, n uint64) {
-	keys := make([]uint64, s.batchKeys)
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(s.keyRange))
-	}
-	parts := s.part.Participants(keys)
-	s.crossBatches.Add(1)
-	token := uint64(self) + 1
-	for try := 0; try < 1000; try++ {
-		if !s.acquireFences(r, self, parts, token) {
-			continue
-		}
-		for _, p := range parts {
-			set, fence := s.sets[p], s.fence(p)
-			r.Atomic(self, func(tx tm.Txn) {
-				for _, k := range keys {
-					if s.part.Owner(k) == p {
-						set.Insert(tx, self, k, n)
-					}
-				}
-				tx.Store(fence, 0)
-			})
-		}
-		return
+	if parts := scan(r, self, s.kv, n, k, k+uint64(s.Span)); len(parts) > 1 {
+		s.scanFencedShards.Add(uint64(len(parts)))
 	}
 }
 
@@ -407,25 +177,8 @@ func (s *ServiceHotKey) crossBatch(r Runner, self int, rng *Rand, n uint64) {
 // shard the active partitioner owns it with, and no fence may be left
 // held.
 func (s *ServiceHotKey) Verify(h *tm.Heap) error {
-	seq := NewBareRunner(seqAlg(), h, 1)
-	var err error
-	for i, set := range s.sets {
-		seq.Atomic(0, func(tx tm.Txn) {
-			if tx.Load(s.fence(i)) != 0 {
-				err = fmt.Errorf("service-hotkey: shard %d fence left held", i)
-				return
-			}
-			set.AscendRange(tx, 0, ^uint64(0), func(k, _ uint64) bool {
-				if o := s.part.Owner(k); o != i {
-					err = fmt.Errorf("service-hotkey: key %d found on shard %d but owned by %d", k, i, o)
-					return false
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.kv.verify(h); err != nil {
+		return fmt.Errorf("service-hotkey: %w", err)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/shard"
 	"repro/internal/tm"
@@ -32,472 +31,86 @@ import (
 // (wall-clock automerge, HTTP admin surface, real goroutines, crash
 // rollback) is exercised by the serve tests and the merge e2e job.
 type ServiceMerge struct {
-	// Label overrides the workload name (default "service-merge").
-	Label string
-	// Shards is the initial shard count (default 4).
+	// Shards is the initial shard count.
 	Shards int
 	// MinShards is the shard-count floor; each merge shrinks the fleet
-	// by one until it is reached (default 2).
+	// by one until it is reached.
 	MinShards int
-	// KeyRange bounds the keys and is the range partitioner's universe
-	// (default 1 << 14).
+	// KeyRange bounds the keys and is the range partitioner's universe.
 	KeyRange int
 	// InitialSize pre-populates the stores uniformly over the whole key
-	// range (default KeyRange/2) — so the high spans hold real keys for
-	// the merges to migrate even though traffic abandons them.
+	// range (0 = KeyRange/2) — so the high spans hold real keys for the
+	// merges to migrate even though traffic abandons them.
 	InitialSize int
 	// HotTenth is the per-mille probability that an operation draws its
 	// key from the hot span [0, KeyRange/8); the rest of the non-probe
 	// traffic is uniform over the lower half [0, KeyRange/2). The top
 	// shard therefore carries strictly less routed load than every
-	// survivor and PlanMergeColdest keeps electing it (default 600).
+	// survivor and PlanMergeColdest keeps electing it.
 	HotTenth int
 	// ProbeTenth is the per-mille probability that an operation probes
 	// the window [KeyRange/2, 3*KeyRange/4) — the spans the merges move.
 	// Probes issued between a flip and the next replica refresh are the
-	// ops that bounce (default 30).
+	// ops that bounce.
 	ProbeTenth int
 	// MergeEvery is the merge cadence in operations: every MergeEvery-th
-	// operation attempts one plan-and-migrate step (default 1500).
+	// operation attempts one plan-and-migrate step.
 	MergeEvery int
 	// RefreshEvery is the client placement-replica refresh cadence in
-	// operations (default 64).
+	// operations.
 	RefreshEvery int
-	// MigrateBatch is the fenced copy/delete batch width in keys
-	// (default 64).
+	// MigrateBatch is the fenced copy/delete batch width in keys.
 	MigrateBatch int
 	// CrossEvery makes every CrossEvery-th operation a cross-shard batch
-	// put, showing the merge composes with the 2PC fences (default 16).
+	// put, showing the merge composes with the 2PC fences.
 	CrossEvery int
-	// BatchKeys is the cross-shard batch width (default 4).
+	// BatchKeys is the cross-shard batch width.
 	BatchKeys int
 
-	sets  []*RBSet // Shards stores; retired ones stay allocated but empty
-	words tm.Addr  // 4 per shard: fence token, fence epoch, heartbeat, placement epoch
-	ops   atomic.Uint64
-
-	place   atomic.Pointer[mergePlace]
-	replica atomic.Pointer[mergePlace]
-	routed  []atomic.Uint64
-
-	merges      atomic.Uint64
-	mergeSkips  atomic.Uint64
-	mergeBlocks atomic.Uint64
-	retired     atomic.Uint64
-	migrated    atomic.Uint64
-	bounces     atomic.Uint64
-	replans     atomic.Uint64
-	batches     atomic.Uint64
-	committed   atomic.Uint64
-	blocked     atomic.Uint64
-	fencedSkip  atomic.Uint64
-
-	// Resolved by Setup so Op stays cheap on the hot path.
-	shards, minShards, keyRange            int
-	hotTenth, probeTenth                   int
-	mergeEvery, refreshEvery, migrateBatch int
-	crossEvery, batchKeys                  int
-}
-
-// mergePlace is one epoch-stamped placement: what serve's shard.Epoched
-// publishes, as a plain immutable value.
-type mergePlace struct {
-	part  *shard.RangePartitioner
-	epoch uint64
+	mover
 }
 
 // Name implements Workload.
-func (s *ServiceMerge) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "service-merge"
-}
+func (s *ServiceMerge) Name() string { return "service-merge" }
 
-func (s *ServiceMerge) params() (shards, minShards, keyRange, initial, hotTenth, probeTenth, mergeEvery, refreshEvery, migrateBatch, crossEvery, batchKeys int) {
-	shards = s.Shards
-	if shards <= 0 {
-		shards = 4
-	}
-	minShards = s.MinShards
-	if minShards <= 0 {
-		minShards = 2
-	}
-	if minShards > shards {
-		minShards = shards
-	}
-	keyRange = s.KeyRange
-	if keyRange <= 0 {
-		keyRange = 1 << 14
-	}
-	initial = s.InitialSize
-	if initial <= 0 {
-		initial = keyRange / 2
-	}
-	hotTenth = s.HotTenth
-	if hotTenth <= 0 {
-		hotTenth = 600
-	}
-	probeTenth = s.ProbeTenth
-	if probeTenth <= 0 {
-		probeTenth = 30
-	}
-	mergeEvery = s.MergeEvery
-	if mergeEvery <= 0 {
-		mergeEvery = 1500
-	}
-	refreshEvery = s.RefreshEvery
-	if refreshEvery <= 0 {
-		refreshEvery = 64
-	}
-	migrateBatch = s.MigrateBatch
-	if migrateBatch <= 0 {
-		migrateBatch = 64
-	}
-	crossEvery = s.CrossEvery
-	if crossEvery <= 0 {
-		crossEvery = 16
-	}
-	batchKeys = s.BatchKeys
-	if batchKeys <= 0 {
-		batchKeys = 4
-	}
-	return
-}
-
-// Setup implements Workload.
+// Setup implements Workload: one store per initial shard; a retired
+// donor's store stays allocated but empty.
 func (s *ServiceMerge) Setup(h *tm.Heap, rng *Rand) error {
-	var initial int
-	s.shards, s.minShards, s.keyRange, initial, s.hotTenth, s.probeTenth,
-		s.mergeEvery, s.refreshEvery, s.migrateBatch, s.crossEvery, s.batchKeys = s.params()
-	s.sets = make([]*RBSet, s.shards)
-	for i := range s.sets {
-		set, err := NewRBSet(h)
-		if err != nil {
-			return fmt.Errorf("merge: shard %d store: %w", i, err)
-		}
-		s.sets[i] = set
-	}
-	words, err := h.Alloc(4 * s.shards)
-	if err != nil {
-		return fmt.Errorf("merge: fence words: %w", err)
-	}
-	s.words = words
-	p := &mergePlace{part: shard.NewRange(s.shards, uint64(s.keyRange)), epoch: 0}
-	s.place.Store(p)
-	s.replica.Store(p)
-	s.routed = make([]atomic.Uint64, s.shards)
-	s.ops.Store(0)
-	for _, c := range []*atomic.Uint64{&s.merges, &s.mergeSkips, &s.mergeBlocks, &s.retired, &s.migrated,
-		&s.bounces, &s.replans, &s.batches, &s.committed, &s.blocked, &s.fencedSkip} {
-		c.Store(0)
-	}
-	seq := NewBareRunner(seqAlg(), h, 1)
-	for i := 0; i < initial; i++ {
-		k := uint64(rng.Intn(s.keyRange))
-		o := p.part.Owner(k)
-		seq.Atomic(0, func(tx tm.Txn) { s.sets[o].Insert(tx, 0, k, k) })
-	}
-	return nil
+	s.mover = mover{moveEvery: s.MergeEvery, refreshEvery: s.RefreshEvery, migrateBatch: s.MigrateBatch,
+		crossEvery: s.CrossEvery, batchKeys: s.BatchKeys, draw: s.key,
+		plan: func(p *shard.RangePartitioner, load []uint64) (svcMove, bool) {
+			if p.Shards() <= s.MinShards {
+				return svcMove{}, false
+			}
+			plan, ok := p.PlanMergeColdest(load)
+			return svcMove{plan.Donor, plan.Recipient, plan.MovedLo, plan.MovedHi, plan.Merged}, ok
+		}}
+	return s.setup("merge", h, rng, s.Shards, s.Shards, s.KeyRange, s.InitialSize)
 }
-
-// Fence word addresses of shard i: token, fence epoch, heartbeat, and
-// the placement-epoch word — the store-side witness a stale-routed
-// operation bounces off after the shard retires.
-func (s *ServiceMerge) fence(i int) tm.Addr  { return s.words + tm.Addr(4*i) }
-func (s *ServiceMerge) fepoch(i int) tm.Addr { return s.words + tm.Addr(4*i) + 1 }
-func (s *ServiceMerge) beat(i int) tm.Addr   { return s.words + tm.Addr(4*i) + 2 }
-func (s *ServiceMerge) placew(i int) tm.Addr { return s.words + tm.Addr(4*i) + 3 }
 
 // key draws a key: hot low span, a probe into the merge-moved window, or
 // uniform over the lower half — never the top quarter, so the top shard
 // stays the strict coldest and every scheduled merge elects it.
 func (s *ServiceMerge) key(rng *Rand) uint64 {
 	p := rng.Intn(1000)
-	if p < s.hotTenth {
-		return uint64(rng.Intn(s.keyRange / 8))
+	if p < s.HotTenth {
+		return uint64(rng.Intn(s.KeyRange / 8))
 	}
-	if p < s.hotTenth+s.probeTenth {
-		return uint64(s.keyRange/2 + rng.Intn(s.keyRange/4))
+	if p < s.HotTenth+s.ProbeTenth {
+		return uint64(s.KeyRange/2 + rng.Intn(s.KeyRange/4))
 	}
-	return uint64(rng.Intn(s.keyRange / 2))
+	return uint64(rng.Intn(s.KeyRange / 2))
 }
 
-// Op implements Workload: refresh the placement replica on its cadence,
-// run one merge step on its cadence, else a cross-shard batch or a
-// single-key operation routed through the (possibly stale) replica.
-func (s *ServiceMerge) Op(r Runner, self int, rng *Rand) {
-	n := s.ops.Add(1)
-	if n%uint64(s.refreshEvery) == 0 {
-		live := s.place.Load()
-		if rep := s.replica.Load(); rep.epoch != live.epoch {
-			// The rebuilt replica has fewer spans than the cached one — the
-			// client-side shrink the loadgen bugfix pins.
-			s.replica.Store(live)
-			s.replans.Add(1)
-		}
-	}
-	if n%uint64(s.mergeEvery) == 0 {
-		s.mergeStep(r, self, n)
-		return
-	}
-	if n%uint64(s.crossEvery) == 0 {
-		s.crossBatch(r, self, rng, n)
-		return
-	}
-	s.singleKey(r, self, rng, n)
-}
-
-// singleKey routes one point operation through the client replica. A
-// replica built before a flip can route a probe key at the retired
-// donor; its placement-epoch word has advanced past the replica's
-// epoch, so the operation bounces — nothing applied — and retries
-// against the authoritative placement, exactly the serve retired-shard
-// drainer contract.
-func (s *ServiceMerge) singleKey(r Runner, self int, rng *Rand, n uint64) {
-	k := s.key(rng)
-	mix := serviceMixes["mixed"]
-	p := rng.Float64()
-	plan := s.replica.Load()
-	for {
-		o := plan.part.Owner(k)
-		set, fence, placew := s.sets[o], s.fence(o), s.placew(o)
-		var fenced, moved bool
-		r.Atomic(self, func(tx tm.Txn) {
-			fenced, moved = false, false
-			if tx.Load(placew) > plan.epoch {
-				moved = true
-				return
-			}
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			switch {
-			case p < mix.Get:
-				set.Get(tx, k)
-			case p < mix.Get+mix.Put:
-				set.Insert(tx, self, k, n)
-			case p < mix.Get+mix.Put+mix.Del:
-				set.Delete(tx, self, k)
-			default:
-				if v, ok := set.Get(tx, k); ok {
-					set.Insert(tx, self, k, v+1)
-				}
-			}
-		})
-		if moved {
-			// Stale route: the shard retired (or shed the span) since the
-			// replica was built. Re-route against the live placement.
-			s.bounces.Add(1)
-			plan = s.place.Load()
-			continue
-		}
-		if fenced {
-			s.fencedSkip.Add(1)
-		} else {
-			s.routed[o].Add(1)
-		}
-		return
-	}
-}
-
-// crossBatch runs one cross-shard batch put against the authoritative
-// placement: ordered fenced acquire, apply per participant, release.
-func (s *ServiceMerge) crossBatch(r Runner, self int, rng *Rand, n uint64) {
-	live := s.place.Load()
-	keys := make([]uint64, s.batchKeys)
-	for i := range keys {
-		keys[i] = s.key(rng)
-	}
-	parts := live.part.Participants(keys)
-	token := n // unique and nonzero
-	epochs := make(map[int]uint64, len(parts))
-	acquired := 0
-	for _, p := range parts {
-		fw, ew, bw := s.fence(p), s.fepoch(p), s.beat(p)
-		var got bool
-		var e uint64
-		r.Atomic(self, func(tx tm.Txn) {
-			got = false
-			if tx.Load(fw) != 0 {
-				return
-			}
-			e = tx.Load(ew) + 1
-			tx.Store(fw, token)
-			tx.Store(ew, e)
-			tx.Store(bw, n)
-			got = true
-		})
-		if !got {
-			break
-		}
-		epochs[p] = e
-		acquired++
-	}
-	if acquired < len(parts) {
-		for _, p := range parts[:acquired] {
-			s.release(r, self, p, token, epochs[p])
-		}
-		s.blocked.Add(1)
-		return
-	}
-	s.batches.Add(1)
-	for _, p := range parts {
-		set, fw, ew := s.sets[p], s.fence(p), s.fepoch(p)
-		e := epochs[p]
-		r.Atomic(self, func(tx tm.Txn) {
-			if tx.Load(fw) != token || tx.Load(ew) != e {
-				return
-			}
-			for _, k := range keys {
-				if live.part.Owner(k) == p {
-					set.Insert(tx, self, k, n)
-				}
-			}
-			tx.Store(fw, 0)
-		})
-		s.routed[p].Add(1)
-	}
-	s.committed.Add(1)
-}
-
-// release frees shard p's fence iff still held by (token, epoch).
-func (s *ServiceMerge) release(r Runner, self int, p int, token, epoch uint64) {
-	fw, ew := s.fence(p), s.fepoch(p)
-	r.Atomic(self, func(tx tm.Txn) {
-		if tx.Load(fw) == token && tx.Load(ew) == epoch {
-			tx.Store(fw, 0)
-		}
-	})
-}
-
-// mergeStep is one live shrink: plan PlanMergeColdest from the routed-op
-// load signal, fence the retiring donor, copy its span into the live
-// recipient in batches, install the shrunken placement, bump the donor's
-// placement-epoch word, delete the moved keys off the donor, release,
-// retire. A no-op plan (ok=false) is counted and skipped, never
-// installed — the PlanMergeColdest-caller contract.
-func (s *ServiceMerge) mergeStep(r Runner, self int, n uint64) {
-	live := s.place.Load()
-	if live.part.Shards() <= s.minShards {
-		s.mergeSkips.Add(1)
-		return
-	}
-	load := make([]uint64, live.part.Shards())
-	for i := range load {
-		load[i] = s.routed[i].Load()
-	}
-	plan, ok := live.part.PlanMergeColdest(load)
-	if !ok {
-		s.mergeSkips.Add(1)
-		return
-	}
-	donor, recip := plan.Donor, plan.Recipient
-	token := n
-	fw, ew, bw := s.fence(donor), s.fepoch(donor), s.beat(donor)
-	var got bool
-	r.Atomic(self, func(tx tm.Txn) {
-		got = false
-		if tx.Load(fw) != 0 {
-			return
-		}
-		tx.Store(fw, token)
-		tx.Store(ew, tx.Load(ew)+1)
-		tx.Store(bw, n)
-		got = true
-	})
-	if !got {
-		s.mergeBlocks.Add(1)
-		return
-	}
-
-	// Copy the moved span donor -> recipient in fenced batches. The
-	// recipient is live — it keeps serving its own keys throughout — but
-	// the donor's fence keeps writers off the moved span, so no copied
-	// key can go stale between batch boundaries.
-	src, dst := s.sets[donor], s.sets[recip]
-	var moved uint64
-	cursor, done := plan.MovedLo, false
-	for !done {
-		var batch int
-		r.Atomic(self, func(tx tm.Txn) {
-			ks := make([]uint64, 0, s.migrateBatch)
-			vs := make([]uint64, 0, s.migrateBatch)
-			src.AscendRange(tx, cursor, plan.MovedHi, func(k, v uint64) bool {
-				ks = append(ks, k)
-				vs = append(vs, v)
-				return len(ks) < s.migrateBatch
-			})
-			for i, k := range ks {
-				dst.Insert(tx, self, k, vs[i])
-			}
-			tx.Store(bw, n)
-			if len(ks) < s.migrateBatch || ks[len(ks)-1] == plan.MovedHi {
-				done = true
-			} else {
-				cursor = ks[len(ks)-1] + 1
-			}
-			batch = len(ks)
-		})
-		moved += uint64(batch)
-	}
-
-	// Flip: publish the shrunken placement, then raise the retiring
-	// donor's placement-epoch word so stale-routed operations bounce,
-	// then retire the moved keys from the donor — the store must end
-	// empty, the twin of the serve drain-and-retire.
-	newEpoch := live.epoch + 1
-	s.place.Store(&mergePlace{part: plan.Merged, epoch: newEpoch})
-	r.Atomic(self, func(tx tm.Txn) {
-		tx.Store(s.placew(donor), newEpoch)
-		tx.Store(bw, n)
-	})
-	cursor, done = plan.MovedLo, false
-	for !done {
-		r.Atomic(self, func(tx tm.Txn) {
-			ks := make([]uint64, 0, s.migrateBatch)
-			src.AscendRange(tx, cursor, plan.MovedHi, func(k, _ uint64) bool {
-				ks = append(ks, k)
-				return len(ks) < s.migrateBatch
-			})
-			for _, k := range ks {
-				src.Delete(tx, self, k)
-			}
-			tx.Store(bw, n)
-			if len(ks) < s.migrateBatch {
-				done = true
-			} else {
-				cursor = ks[len(ks)-1] + 1
-			}
-		})
-	}
-	r.Atomic(self, func(tx tm.Txn) {
-		if tx.Load(fw) == token {
-			tx.Store(fw, 0)
-		}
-	})
-	s.merges.Add(1)
-	s.retired.Add(1)
-	s.migrated.Add(moved)
-}
-
-// Metrics implements Metered.
+// Metrics implements Metered. Every installed merge retires one shard.
 func (s *ServiceMerge) Metrics() map[string]uint64 {
-	return map[string]uint64{
-		"merges_installed": s.merges.Load(),
-		"merges_skipped":   s.mergeSkips.Load(),
-		"merges_blocked":   s.mergeBlocks.Load(),
-		"shards_retired":   s.retired.Load(),
-		"shards_final":     uint64(s.place.Load().part.Shards()),
-		"keys_migrated":    s.migrated.Load(),
-		"placement_epoch":  s.place.Load().epoch,
-		"moved_bounces":    s.bounces.Load(),
-		"replica_replans":  s.replans.Load(),
-		"cross_batches":    s.batches.Load(),
-		"cross_committed":  s.committed.Load(),
-		"batch_blocked":    s.blocked.Load(),
-		"fenced_skips":     s.fencedSkip.Load(),
-	}
+	out := s.metrics()
+	out["merges_installed"] = s.moves.Load()
+	out["merges_skipped"] = s.skips.Load()
+	out["merges_blocked"] = s.blocks.Load()
+	out["shards_retired"] = s.moves.Load()
+	out["shards_final"] = uint64(s.kv.place.Load().part.Shards())
+	return out
 }
 
 // Verify implements Verifier: every fence free, every key on the shard
@@ -505,30 +118,8 @@ func (s *ServiceMerge) Metrics() map[string]uint64 {
 // left on a retired shard is exactly the lost-key bug the merge protocol
 // exists to prevent.
 func (s *ServiceMerge) Verify(h *tm.Heap) error {
-	live := s.place.Load()
-	seq := NewBareRunner(seqAlg(), h, 1)
-	var err error
-	for i, set := range s.sets {
-		seq.Atomic(0, func(tx tm.Txn) {
-			if v := tx.Load(s.fence(i)); v != 0 {
-				err = fmt.Errorf("merge: shard %d fence left held by %d", i, v)
-				return
-			}
-			set.AscendRange(tx, 0, ^uint64(0), func(k, _ uint64) bool {
-				if i >= live.part.Shards() {
-					err = fmt.Errorf("merge: key %d on retired shard %d (fleet is %d wide)", k, i, live.part.Shards())
-					return false
-				}
-				if o := live.part.Owner(k); o != i {
-					err = fmt.Errorf("merge: key %d found on shard %d but owned by %d at epoch %d", k, i, o, live.epoch)
-					return false
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.kv.verify(h); err != nil {
+		return fmt.Errorf("merge: %w", err)
 	}
 	return nil
 }

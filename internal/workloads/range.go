@@ -24,139 +24,69 @@ import (
 // validates routing, fencing, determinism and the fence-count ordering —
 // the per-shard tuners are exercised by the live daemon.
 type ServiceRange struct {
-	// Label overrides the workload name (default "service-range").
-	Label string
 	// Partitioner is the placement policy: shard.KindHash or
-	// shard.KindRange (the default).
+	// shard.KindRange.
 	Partitioner string
-	// Shards is the number of key-space shards (default 4).
+	// Shards is the number of key-space shards.
 	Shards int
 	// KeyRange bounds the keys and sizes the range partitioner's
-	// universe (default 1 << 12).
+	// universe.
 	KeyRange int
-	// InitialSize pre-populates the stores (default KeyRange/2).
+	// InitialSize pre-populates the stores (0 = KeyRange/2).
 	InitialSize int
-	// Span is the width of a range scan (default 64).
+	// Span is the width of a range scan.
 	Span int
-	// Mix is the operation mix name (default "scan-heavy").
+	// Mix is the operation mix name.
 	Mix string
 	// BatchEvery makes every Nth operation a cross-shard batch put
 	// through the fence protocol — the writes the scans race against
-	// (default 32; negative disables).
+	// (0 disables).
 	BatchEvery int
-	// BatchKeys is the batch width (default 4).
+	// BatchKeys is the batch width.
 	BatchKeys int
 
-	part   shard.Partitioner
-	sets   []*RBSet
-	fences tm.Addr // Shards consecutive fence words, one per shard
-	ops    atomic.Uint64
+	kv  *svcShards
+	ops atomic.Uint64
+	mix ServiceOpMix
 
 	// Scan-locality counters (see Metrics).
 	scanTotal, scanLocal, scanCross atomic.Uint64
 	scanFencedShards, crossBatches  atomic.Uint64
-
-	// Resolved by Setup so Op stays cheap on the hot path.
-	shards, keyRange, span, batchEvery, batchKeys int
-	mix                                           ServiceOpMix
 }
 
 // Name implements Workload.
-func (s *ServiceRange) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "service-range"
-}
+func (s *ServiceRange) Name() string { return "service-range" }
 
-func (s *ServiceRange) params() (kind string, shards, keyRange, initial, span, batchEvery, batchKeys int, mix ServiceOpMix, err error) {
-	kind = s.Partitioner
-	if kind == "" {
-		kind = shard.KindRange
-	}
-	shards = s.Shards
-	if shards <= 0 {
-		shards = 4
-	}
-	keyRange = s.KeyRange
-	if keyRange <= 0 {
-		keyRange = 1 << 12
-	}
-	initial = s.InitialSize
-	if initial <= 0 {
-		initial = keyRange / 2
-	}
-	span = s.Span
-	if span <= 0 {
-		span = 64
-	}
-	batchEvery = s.BatchEvery
-	if batchEvery < 0 {
-		batchEvery = 0
-	} else if batchEvery == 0 {
-		batchEvery = 32
-	}
-	batchKeys = s.BatchKeys
-	if batchKeys <= 0 {
-		batchKeys = 4
-	}
-	name := s.Mix
-	if name == "" {
-		name = "scan-heavy"
-	}
-	mix, err = ServiceMixByName(name)
-	if err != nil {
-		return
-	}
-	mix = mix.Normalize()
-	return
-}
-
-// Setup implements Workload: it builds the partitioner, one store and
-// one fence word per shard, and pre-populates each store with the keys
-// it owns. The pre-population key stream is partitioner-independent;
-// only placement differs.
+// Setup implements Workload: it builds the partitioner and the kernel
+// store, and pre-populates each shard with the keys it owns. The
+// pre-population key stream is partitioner-independent; only placement
+// differs.
 func (s *ServiceRange) Setup(h *tm.Heap, rng *Rand) error {
-	var kind string
-	var initial int
 	var err error
-	kind, s.shards, s.keyRange, initial, s.span, s.batchEvery, s.batchKeys, s.mix, err = s.params()
-	if err != nil {
-		return fmt.Errorf("service-range: %w", err)
-	}
-	if s.part, err = shard.NewPartitioner(kind, s.shards, uint64(s.keyRange)); err != nil {
-		return fmt.Errorf("service-range: %w", err)
-	}
-	s.sets = make([]*RBSet, s.shards)
-	for i := range s.sets {
-		set, err := NewRBSet(h)
-		if err != nil {
-			return fmt.Errorf("service-range: shard %d store: %w", i, err)
-		}
-		s.sets[i] = set
-	}
-	fences, err := h.Alloc(s.shards)
-	if err != nil {
-		return fmt.Errorf("service-range: fences: %w", err)
-	}
-	s.fences = fences
-	s.ops.Store(0)
-	s.scanTotal.Store(0)
-	s.scanLocal.Store(0)
-	s.scanCross.Store(0)
-	s.scanFencedShards.Store(0)
-	s.crossBatches.Store(0)
-	seq := NewBareRunner(seqAlg(), h, 1)
-	for i := 0; i < initial; i++ {
-		k := uint64(rng.Intn(s.keyRange))
-		o := s.part.Owner(k)
-		seq.Atomic(0, func(tx tm.Txn) { s.sets[o].Insert(tx, 0, k, k) })
-	}
-	return nil
+	s.kv, s.mix, err = newPartitioned("service-range", h, rng, s.Partitioner, s.Mix, s.Shards, s.KeyRange, s.InitialSize, s.BatchKeys)
+	return err
 }
 
-// fence returns shard i's fence word.
-func (s *ServiceRange) fence(i int) tm.Addr { return s.fences + tm.Addr(i) }
+// newPartitioned is the Setup shared by the partitioner A/B twins: the
+// named mix, normalized, and the kernel store over the named partitioner.
+func newPartitioned(twin string, h *tm.Heap, rng *Rand, kind, mixName string, shards, keyRange, initial, batchKeys int) (*svcShards, ServiceOpMix, error) {
+	if err := positive(twin, shards, keyRange, batchKeys); err != nil {
+		return nil, ServiceOpMix{}, err
+	}
+	mix, err := ServiceMixByName(mixName)
+	if err != nil {
+		return nil, mix, fmt.Errorf("%s: %w", twin, err)
+	}
+	part, err := shard.NewPartitioner(kind, shards, uint64(keyRange))
+	if err != nil {
+		return nil, mix, fmt.Errorf("%s: %w", twin, err)
+	}
+	kv, err := newSvcShards(h, rng, shards, part, keyRange, initial)
+	if err != nil {
+		return nil, mix, fmt.Errorf("%s: %w", twin, err)
+	}
+	return kv, mix.Normalize(), nil
+}
 
 // Metrics implements Metered: the scan-locality and fence observables
 // the partitioner A/B compares. scan_fenced_shards totals the shards
@@ -177,165 +107,59 @@ func (s *ServiceRange) Metrics() map[string]uint64 {
 // the operation stream is identical across partitioners.
 func (s *ServiceRange) Op(r Runner, self int, rng *Rand) {
 	n := s.ops.Add(1)
-	if s.batchEvery > 0 && n%uint64(s.batchEvery) == 0 {
-		s.crossBatch(r, self, rng, n)
+	if s.BatchEvery > 0 && n%uint64(s.BatchEvery) == 0 {
+		if crossPut(r, self, rng, s.kv, n, s.BatchKeys, s.KeyRange) {
+			s.crossBatches.Add(1)
+		}
 		return
 	}
-	k := uint64(rng.Intn(s.keyRange))
-	p := rng.Float64()
-	switch {
-	case p < s.mix.Get:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) { set.Get(tx, k) })
-	case p < s.mix.Get+s.mix.Put:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) { set.Insert(tx, self, k, n) })
-	case p < s.mix.Get+s.mix.Put+s.mix.Del:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) { set.Delete(tx, self, k) })
-	case p < s.mix.Get+s.mix.Put+s.mix.Del+s.mix.CAS:
-		s.pointOp(r, self, k, func(tx tm.Txn, set *RBSet) {
-			if v, ok := set.Get(tx, k); ok {
-				set.Insert(tx, self, k, v+1)
-			}
-		})
-	default:
-		s.scan(r, self, k, k+uint64(s.span))
+	k := uint64(rng.Intn(s.KeyRange))
+	if p := rng.Float64(); p < s.mix.Get+s.mix.Put+s.mix.Del+s.mix.CAS {
+		s.kv.retried(r, self, k, pointOp(s.mix, p, self, k, n))
+		return
 	}
-}
-
-// pointOp runs one single-key operation on the owning shard under its
-// fence.
-func (s *ServiceRange) pointOp(r Runner, self int, k uint64, body func(tx tm.Txn, set *RBSet)) {
-	s.fencedOp(r, self, s.part.Owner(k), body)
-}
-
-// fencedOp runs body against one shard's store under that shard's
-// fence, requeue-retrying like the serve workers do (the fence is never
-// contended in deterministic serial mode, so the first attempt runs).
-func (s *ServiceRange) fencedOp(r Runner, self, owner int, body func(tx tm.Txn, set *RBSet)) {
-	set, fence := s.sets[owner], s.fence(owner)
-	for try := 0; try < 1000; try++ {
-		fenced := false
-		r.Atomic(self, func(tx tm.Txn) {
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			body(tx, set)
-		})
-		if !fenced {
-			return
-		}
-	}
-}
-
-// scan runs one range scan [lo, hi]: a plain shard transaction when the
-// partitioner localizes the interval to one shard, the fence protocol
-// (acquire all spans' owners in order, scan+release each) otherwise —
-// exactly the serve layer's /kv/range shape.
-func (s *ServiceRange) scan(r Runner, self int, lo, hi uint64) {
-	parts := s.part.OwnersInRange(lo, hi)
+	parts := scan(r, self, s.kv, n, k, k+uint64(s.Span))
 	s.scanTotal.Add(1)
 	if len(parts) == 1 {
 		s.scanLocal.Add(1)
-		s.fencedOp(r, self, parts[0], func(tx tm.Txn, set *RBSet) {
-			set.AscendRange(tx, lo, hi, func(_, _ uint64) bool { return true })
-		})
 		return
 	}
 	s.scanCross.Add(1)
 	s.scanFencedShards.Add(uint64(len(parts)))
-	token := uint64(self) + 1
-	for try := 0; try < 1000; try++ {
-		if !s.acquireFences(r, self, parts, token) {
-			continue
-		}
-		for _, p := range parts {
-			set, fence := s.sets[p], s.fence(p)
-			r.Atomic(self, func(tx tm.Txn) {
-				set.AscendRange(tx, lo, hi, func(_, _ uint64) bool { return true })
-				tx.Store(fence, 0)
-			})
-		}
-		return
-	}
 }
 
-// acquireFences claims every participant's fence in ascending shard
-// order, releasing everything taken so far on any failure (abort-all).
-func (s *ServiceRange) acquireFences(r Runner, self int, parts []int, token uint64) bool {
-	acquired := 0
-	for _, p := range parts {
-		fence := s.fence(p)
-		var got bool
-		r.Atomic(self, func(tx tm.Txn) {
-			got = false
-			if tx.Load(fence) == 0 {
-				tx.Store(fence, token)
-				got = true
-			}
-		})
-		if !got {
-			for _, q := range parts[:acquired] {
-				fq := s.fence(q)
-				r.Atomic(self, func(tx tm.Txn) { tx.Store(fq, 0) })
-			}
-			return false
-		}
-		acquired++
+// scan runs one range scan [lo, hi] the way serve's /kv/range does: a
+// plain fenced shard transaction when the partitioner localizes the
+// interval to one shard, the cross-shard commit (acquire every owner in
+// order, scan and release each) otherwise. It returns the owner set.
+func scan(r Runner, self int, kv *svcShards, n, lo, hi uint64) []int {
+	parts := kv.place.Load().part.OwnersInRange(lo, hi)
+	body := scanBody(lo, hi)
+	if len(parts) == 1 {
+		kv.retried(r, self, lo, body)
+	} else {
+		kv.crossRetry(r, self, parts, n, func(tx tm.Txn, set *RBSet, _ int) { body(tx, set) })
 	}
-	return true
+	return parts
 }
 
-// crossBatch runs one cross-shard batch put through the commit protocol
-// — the writes concurrent scans must never observe half of.
-func (s *ServiceRange) crossBatch(r Runner, self int, rng *Rand, n uint64) {
-	keys := make([]uint64, s.batchKeys)
+// crossPut draws a batch of keys and puts n at each through the
+// cross-shard commit, reporting whether it committed.
+func crossPut(r Runner, self int, rng *Rand, kv *svcShards, n uint64, batchKeys, keyRange int) bool {
+	keys := make([]uint64, batchKeys)
 	for i := range keys {
-		keys[i] = uint64(rng.Intn(s.keyRange))
+		keys[i] = uint64(rng.Intn(keyRange))
 	}
-	parts := s.part.Participants(keys)
-	s.crossBatches.Add(1)
-	token := uint64(self) + 1
-	for try := 0; try < 1000; try++ {
-		if !s.acquireFences(r, self, parts, token) {
-			continue
-		}
-		for _, p := range parts {
-			set, fence := s.sets[p], s.fence(p)
-			r.Atomic(self, func(tx tm.Txn) {
-				for _, k := range keys {
-					if s.part.Owner(k) == p {
-						set.Insert(tx, self, k, n)
-					}
-				}
-				tx.Store(fence, 0)
-			})
-		}
-		return
-	}
+	part := kv.place.Load().part
+	return kv.crossRetry(r, self, part.Participants(keys), n, putOwned(part, keys, self, n))
 }
 
 // Verify implements Verifier: every key must live in the store of the
 // shard the active partitioner owns it with, and no fence may be left
 // held.
 func (s *ServiceRange) Verify(h *tm.Heap) error {
-	seq := NewBareRunner(seqAlg(), h, 1)
-	var err error
-	for i, set := range s.sets {
-		seq.Atomic(0, func(tx tm.Txn) {
-			if tx.Load(s.fence(i)) != 0 {
-				err = fmt.Errorf("service-range: shard %d fence left held", i)
-				return
-			}
-			set.AscendRange(tx, 0, ^uint64(0), func(k, _ uint64) bool {
-				if o := s.part.Owner(k); o != i {
-					err = fmt.Errorf("service-range: key %d found on shard %d but owned by %d", k, i, o)
-					return false
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.kv.verify(h); err != nil {
+		return fmt.Errorf("service-range: %w", err)
 	}
 	return nil
 }

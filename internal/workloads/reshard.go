@@ -31,481 +31,215 @@ import (
 // reshard (wall-clock autosplit, HTTP admin surface, real goroutines)
 // is exercised by the serve tests and the reshard e2e job.
 type ServiceReshard struct {
-	// Label overrides the workload name (default "service-reshard").
-	Label string
-	// Shards is the initial shard count (default 2).
+	// Shards is the initial shard count.
 	Shards int
 	// MaxShards is the shard-count ceiling; each split grows the fleet
-	// by one until it is reached (default 4).
+	// by one until it is reached.
 	MaxShards int
-	// KeyRange bounds the keys and is the range partitioner's universe
-	// (default 1 << 14).
+	// KeyRange bounds the keys and is the range partitioner's universe.
 	KeyRange int
-	// InitialSize pre-populates the stores (default KeyRange/2).
+	// InitialSize pre-populates the stores (0 = KeyRange/2).
 	InitialSize int
 	// HotTenth is the per-mille probability that an operation draws its
 	// key from the hot span [0, KeyRange/8) instead of uniformly, so
 	// the low shard stays the heaviest and SplitHeaviest keeps cutting
-	// it (default 600, i.e. 60%).
+	// it.
 	HotTenth int
 	// SplitEvery is the split cadence in operations: every
-	// SplitEvery-th operation attempts one plan-and-migrate step
-	// (default 1500).
+	// SplitEvery-th operation attempts one plan-and-migrate step.
 	SplitEvery int
 	// RefreshEvery is the client placement-replica refresh cadence in
 	// operations: between a flip and the next refresh, single-key
-	// operations route through the stale replica and must bounce
-	// (default 64).
+	// operations route through the stale replica and must bounce.
 	RefreshEvery int
-	// MigrateBatch is the fenced copy/delete batch width in keys
-	// (default 64).
+	// MigrateBatch is the fenced copy/delete batch width in keys.
 	MigrateBatch int
 	// CrossEvery makes every CrossEvery-th operation a cross-shard
-	// batch put, showing migration composes with the 2PC fences
-	// (default 16).
+	// batch put, showing migration composes with the 2PC fences.
 	CrossEvery int
-	// BatchKeys is the cross-shard batch width (default 4).
+	// BatchKeys is the cross-shard batch width.
 	BatchKeys int
 
-	sets  []*RBSet // MaxShards stores, pre-built so splits alloc nothing
-	words tm.Addr  // 4 per shard: fence token, fence epoch, heartbeat, placement epoch
-	ops   atomic.Uint64
-
-	// place is the authoritative epoch-stamped placement; replica is the
-	// client-side copy, refreshed only every RefreshEvery ops — the
-	// stale replica whose misroutes the bounce path must absorb.
-	place   atomic.Pointer[reshardPlace]
-	replica atomic.Pointer[reshardPlace]
-	routed  []atomic.Uint64 // per-shard routed-op load signal
-
-	splits       atomic.Uint64
-	splitSkips   atomic.Uint64
-	splitBlocked atomic.Uint64
-	migrated     atomic.Uint64
-	bounces      atomic.Uint64
-	replans      atomic.Uint64
-	batches      atomic.Uint64
-	committed    atomic.Uint64
-	blocked      atomic.Uint64
-	fencedSkip   atomic.Uint64
-
-	// Resolved by Setup so Op stays cheap on the hot path.
-	shards, maxShards, keyRange, hotTenth  int
-	splitEvery, refreshEvery, migrateBatch int
-	crossEvery, batchKeys                  int
+	mover
 }
 
-// reshardPlace is one epoch-stamped placement: what serve's
-// shard.Epoched publishes, as a plain immutable value.
-type reshardPlace struct {
-	part  *shard.RangePartitioner
-	epoch uint64
+// mover is the part of ServiceReshard and ServiceMerge that differs only
+// in names: the kernel store, the client's stale placement replica, the
+// per-shard routed-op load signal the planners read, and the operation
+// schedule around the span moves. Each twin supplies its key draw and
+// its planner.
+type mover struct {
+	kv *svcShards
+	// replica is the client-side copy of the placement, refreshed only
+	// every refreshEvery ops — the stale replica whose misroutes the
+	// bounce path must absorb.
+	replica atomic.Pointer[svcPlace]
+	routed  []atomic.Uint64
+	ops     atomic.Uint64
+
+	moves, skips, blocks, migrated        atomic.Uint64
+	bounces, replans, fencedSkip          atomic.Uint64
+	batches, committed, blocked           atomic.Uint64
+	moveEvery, refreshEvery, migrateBatch int
+	crossEvery, batchKeys                 int
+	draw                                  func(*Rand) uint64
+	plan                                  func(*shard.RangePartitioner, []uint64) (svcMove, bool)
 }
 
 // Name implements Workload.
-func (s *ServiceReshard) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "service-reshard"
-}
+func (s *ServiceReshard) Name() string { return "service-reshard" }
 
-func (s *ServiceReshard) params() (shards, maxShards, keyRange, initial, hotTenth, splitEvery, refreshEvery, migrateBatch, crossEvery, batchKeys int) {
-	shards = s.Shards
-	if shards <= 0 {
-		shards = 2
-	}
-	maxShards = s.MaxShards
-	if maxShards <= 0 {
-		maxShards = 4
-	}
-	if maxShards < shards {
-		maxShards = shards
-	}
-	keyRange = s.KeyRange
-	if keyRange <= 0 {
-		keyRange = 1 << 14
-	}
-	initial = s.InitialSize
-	if initial <= 0 {
-		initial = keyRange / 2
-	}
-	hotTenth = s.HotTenth
-	if hotTenth <= 0 {
-		hotTenth = 600
-	}
-	splitEvery = s.SplitEvery
-	if splitEvery <= 0 {
-		splitEvery = 1500
-	}
-	refreshEvery = s.RefreshEvery
-	if refreshEvery <= 0 {
-		refreshEvery = 64
-	}
-	migrateBatch = s.MigrateBatch
-	if migrateBatch <= 0 {
-		migrateBatch = 64
-	}
-	crossEvery = s.CrossEvery
-	if crossEvery <= 0 {
-		crossEvery = 16
-	}
-	batchKeys = s.BatchKeys
-	if batchKeys <= 0 {
-		batchKeys = 4
-	}
-	return
-}
-
-// Setup implements Workload.
+// Setup implements Workload: MaxShards stores are pre-built, so splits
+// allocate nothing.
 func (s *ServiceReshard) Setup(h *tm.Heap, rng *Rand) error {
-	var initial int
-	s.shards, s.maxShards, s.keyRange, initial, s.hotTenth,
-		s.splitEvery, s.refreshEvery, s.migrateBatch, s.crossEvery, s.batchKeys = s.params()
-	s.sets = make([]*RBSet, s.maxShards)
-	for i := range s.sets {
-		set, err := NewRBSet(h)
-		if err != nil {
-			return fmt.Errorf("reshard: shard %d store: %w", i, err)
-		}
-		s.sets[i] = set
+	s.mover = mover{moveEvery: s.SplitEvery, refreshEvery: s.RefreshEvery, migrateBatch: s.MigrateBatch,
+		crossEvery: s.CrossEvery, batchKeys: s.BatchKeys, draw: s.key,
+		plan: func(p *shard.RangePartitioner, load []uint64) (svcMove, bool) {
+			if p.Shards() >= s.MaxShards {
+				return svcMove{}, false
+			}
+			plan, ok := p.PlanSplitHeaviest(load)
+			return svcMove{plan.Donor, plan.NewShard, plan.MovedLo, plan.MovedHi, plan.Grown}, ok
+		}}
+	return s.setup("reshard", h, rng, max(s.MaxShards, s.Shards), s.Shards, s.KeyRange, s.InitialSize)
+}
+
+// setup validates the schedule and builds the kernel store over a range
+// placement of shards shards, with stores pre-built stores.
+func (m *mover) setup(twin string, h *tm.Heap, rng *Rand, stores, shards, keyRange, initial int) error {
+	if err := positive(twin, shards, keyRange, m.moveEvery, m.refreshEvery, m.migrateBatch, m.crossEvery, m.batchKeys); err != nil {
+		return err
 	}
-	words, err := h.Alloc(4 * s.maxShards)
+	kv, err := newSvcShards(h, rng, stores, shard.NewRange(shards, uint64(keyRange)), keyRange, initial)
 	if err != nil {
-		return fmt.Errorf("reshard: fence words: %w", err)
+		return fmt.Errorf("%s: %w", twin, err)
 	}
-	s.words = words
-	p := &reshardPlace{part: shard.NewRange(s.shards, uint64(s.keyRange)), epoch: 0}
-	s.place.Store(p)
-	s.replica.Store(p)
-	s.routed = make([]atomic.Uint64, s.maxShards)
-	s.ops.Store(0)
-	for _, c := range []*atomic.Uint64{&s.splits, &s.splitSkips, &s.splitBlocked, &s.migrated,
-		&s.bounces, &s.replans, &s.batches, &s.committed, &s.blocked, &s.fencedSkip} {
-		c.Store(0)
-	}
-	seq := NewBareRunner(seqAlg(), h, 1)
-	for i := 0; i < initial; i++ {
-		k := uint64(rng.Intn(s.keyRange))
-		o := p.part.Owner(k)
-		seq.Atomic(0, func(tx tm.Txn) { s.sets[o].Insert(tx, 0, k, k) })
-	}
+	m.kv = kv
+	m.replica.Store(kv.place.Load())
+	m.routed = make([]atomic.Uint64, stores)
 	return nil
 }
 
-// Fence word addresses of shard i: token, fence epoch, heartbeat, and
-// the placement-epoch word — the store-side witness a stale-routed
-// operation bounces off (serve's heap word 7 analogue).
-func (s *ServiceReshard) fence(i int) tm.Addr  { return s.words + tm.Addr(4*i) }
-func (s *ServiceReshard) fepoch(i int) tm.Addr { return s.words + tm.Addr(4*i) + 1 }
-func (s *ServiceReshard) beat(i int) tm.Addr   { return s.words + tm.Addr(4*i) + 2 }
-func (s *ServiceReshard) placew(i int) tm.Addr { return s.words + tm.Addr(4*i) + 3 }
-
 // key draws a key, hot-span-skewed so the low shard stays heaviest.
 func (s *ServiceReshard) key(rng *Rand) uint64 {
-	if rng.Intn(1000) < s.hotTenth {
-		return uint64(rng.Intn(s.keyRange / 8))
+	if rng.Intn(1000) < s.HotTenth {
+		return uint64(rng.Intn(s.KeyRange / 8))
 	}
-	return uint64(rng.Intn(s.keyRange))
+	return uint64(rng.Intn(s.KeyRange))
 }
 
 // Op implements Workload: refresh the placement replica on its cadence,
-// run one split step on its cadence, else a cross-shard batch or a
+// run one span move on its cadence, else a cross-shard batch or a
 // single-key operation routed through the (possibly stale) replica.
-func (s *ServiceReshard) Op(r Runner, self int, rng *Rand) {
-	n := s.ops.Add(1)
-	if n%uint64(s.refreshEvery) == 0 {
-		live := s.place.Load()
-		if rep := s.replica.Load(); rep.epoch != live.epoch {
-			s.replica.Store(live)
-			s.replans.Add(1)
+func (m *mover) Op(r Runner, self int, rng *Rand) {
+	n := m.ops.Add(1)
+	if n%uint64(m.refreshEvery) == 0 {
+		if live := m.kv.place.Load(); m.replica.Load().epoch != live.epoch {
+			m.replica.Store(live)
+			m.replans.Add(1)
 		}
 	}
-	if n%uint64(s.splitEvery) == 0 {
-		s.splitStep(r, self, n)
-		return
+	switch {
+	case n%uint64(m.moveEvery) == 0:
+		m.move(r, self, n)
+	case n%uint64(m.crossEvery) == 0:
+		m.crossBatch(r, self, rng, n)
+	default:
+		m.singleKey(r, self, rng, n)
 	}
-	if n%uint64(s.crossEvery) == 0 {
-		s.crossBatch(r, self, rng, n)
-		return
-	}
-	s.singleKey(r, self, rng, n)
 }
 
-// singleKey routes one point operation through the client replica. If
-// the executing shard's placement-epoch word has advanced past the
-// replica's epoch the operation bounces — nothing applied — and retries
-// against the authoritative placement, exactly the serve submitRouted
-// loop.
-func (s *ServiceReshard) singleKey(r Runner, self int, rng *Rand, n uint64) {
-	k := s.key(rng)
-	mix := serviceMixes["mixed"]
+// singleKey routes one point operation through the client replica; a
+// stale route bounces off the shard's placement-epoch word — nothing
+// applied — and retries against the authoritative placement, exactly the
+// serve submitRouted loop.
+func (m *mover) singleKey(r Runner, self int, rng *Rand, n uint64) {
+	k := m.draw(rng)
 	p := rng.Float64()
-	plan := s.replica.Load()
-	for {
-		o := plan.part.Owner(k)
-		set, fence, placew := s.sets[o], s.fence(o), s.placew(o)
-		var fenced, moved bool
-		r.Atomic(self, func(tx tm.Txn) {
-			fenced, moved = false, false
-			if tx.Load(placew) > plan.epoch {
-				moved = true
-				return
-			}
-			if fenced = tx.Load(fence) != 0; fenced {
-				return
-			}
-			switch {
-			case p < mix.Get:
-				set.Get(tx, k)
-			case p < mix.Get+mix.Put:
-				set.Insert(tx, self, k, n)
-			case p < mix.Get+mix.Put+mix.Del:
-				set.Delete(tx, self, k)
-			default:
-				if v, ok := set.Get(tx, k); ok {
-					set.Insert(tx, self, k, v+1)
-				}
-			}
-		})
-		if moved {
-			// Stale route: the shard has shed a span since the replica
-			// was built. Re-route against the live placement.
-			s.bounces.Add(1)
-			plan = s.place.Load()
-			continue
-		}
-		if fenced {
-			s.fencedSkip.Add(1)
-		} else {
-			s.routed[o].Add(1)
-		}
-		return
+	o, fenced, bounces := m.kv.routed(r, self, k, m.replica.Load(), pointOp(serviceMixes["mixed"], p, self, k, n))
+	m.bounces.Add(bounces)
+	if fenced {
+		m.fencedSkip.Add(1)
+	} else {
+		m.routed[o].Add(1)
 	}
 }
 
 // crossBatch runs one cross-shard batch put against the authoritative
-// placement: ordered fenced acquire, apply per participant, release —
-// the chaos workload's protocol without its fault schedule.
-func (s *ServiceReshard) crossBatch(r Runner, self int, rng *Rand, n uint64) {
-	live := s.place.Load()
-	keys := make([]uint64, s.batchKeys)
+// placement: ordered fenced acquire, apply per participant, release. A
+// blocked acquire skips the batch.
+func (m *mover) crossBatch(r Runner, self int, rng *Rand, n uint64) {
+	live := m.kv.place.Load()
+	keys := make([]uint64, m.batchKeys)
 	for i := range keys {
-		keys[i] = s.key(rng)
+		keys[i] = m.draw(rng)
 	}
-	parts := live.part.Participants(keys)
-	token := n // unique and nonzero
-	epochs := make(map[int]uint64, len(parts))
-	acquired := 0
-	for _, p := range parts {
-		fw, ew, bw := s.fence(p), s.fepoch(p), s.beat(p)
-		var got bool
-		var e uint64
-		r.Atomic(self, func(tx tm.Txn) {
-			got = false
-			if tx.Load(fw) != 0 {
-				return
-			}
-			e = tx.Load(ew) + 1
-			tx.Store(fw, token)
-			tx.Store(ew, e)
-			tx.Store(bw, n)
-			got = true
-		})
-		if !got {
-			break
-		}
-		epochs[p] = e
-		acquired++
-	}
-	if acquired < len(parts) {
-		for _, p := range parts[:acquired] {
-			s.release(r, self, p, token, epochs[p])
-		}
-		s.blocked.Add(1)
-		return
-	}
-	s.batches.Add(1)
-	for _, p := range parts {
-		set, fw, ew := s.sets[p], s.fence(p), s.fepoch(p)
-		e := epochs[p]
-		r.Atomic(self, func(tx tm.Txn) {
-			if tx.Load(fw) != token || tx.Load(ew) != e {
-				return
-			}
-			for _, k := range keys {
-				if live.part.Owner(k) == p {
-					set.Insert(tx, self, k, n)
-				}
-			}
-			tx.Store(fw, 0)
-		})
-		s.routed[p].Add(1)
-	}
-	s.committed.Add(1)
-}
-
-// release frees shard p's fence iff still held by (token, epoch).
-func (s *ServiceReshard) release(r Runner, self int, p int, token, epoch uint64) {
-	fw, ew := s.fence(p), s.fepoch(p)
-	r.Atomic(self, func(tx tm.Txn) {
-		if tx.Load(fw) == token && tx.Load(ew) == epoch {
-			tx.Store(fw, 0)
-		}
-	})
-}
-
-// splitStep is one live reshard: plan SplitHeaviest from the routed-op
-// load signal, fence the donor, copy the moved span in batches, install
-// the grown placement, bump the donor's placement-epoch word, delete
-// the moved keys, release. A no-op plan (ok=false) is counted and
-// skipped, never installed — the SplitHeaviest-caller contract.
-func (s *ServiceReshard) splitStep(r Runner, self int, n uint64) {
-	live := s.place.Load()
-	if live.part.Shards() >= s.maxShards {
-		s.splitSkips.Add(1)
-		return
-	}
-	load := make([]uint64, live.part.Shards())
-	for i := range load {
-		load[i] = s.routed[i].Load()
-	}
-	plan, ok := live.part.PlanSplitHeaviest(load)
+	h, ok := m.kv.acquire(r, self, live.part.Participants(keys), n, n, live.epoch)
 	if !ok {
-		s.splitSkips.Add(1)
+		m.blocked.Add(1)
 		return
 	}
-	donor, recip := plan.Donor, plan.NewShard
-	token := n
-	fw, ew, bw := s.fence(donor), s.fepoch(donor), s.beat(donor)
-	var got bool
-	r.Atomic(self, func(tx tm.Txn) {
-		got = false
-		if tx.Load(fw) != 0 {
-			return
-		}
-		tx.Store(fw, token)
-		tx.Store(ew, tx.Load(ew)+1)
-		tx.Store(bw, n)
-		got = true
-	})
-	if !got {
-		s.splitBlocked.Add(1)
-		return
+	m.batches.Add(1)
+	m.kv.commit(r, self, h, putOwned(live.part, keys, self, n))
+	for _, p := range h.parts {
+		m.routed[p].Add(1)
 	}
+	m.committed.Add(1)
+}
 
-	// Copy the moved span donor -> recipient in fenced batches; the
-	// fence keeps writers off the donor so no copied key can go stale
-	// between batch boundaries.
-	src, dst := s.sets[donor], s.sets[recip]
-	var moved uint64
-	cursor, done := plan.MovedLo, false
-	for !done {
-		var batch int
-		r.Atomic(self, func(tx tm.Txn) {
-			ks := make([]uint64, 0, s.migrateBatch)
-			vs := make([]uint64, 0, s.migrateBatch)
-			src.AscendRange(tx, cursor, plan.MovedHi, func(k, v uint64) bool {
-				ks = append(ks, k)
-				vs = append(vs, v)
-				return len(ks) < s.migrateBatch
-			})
-			for i, k := range ks {
-				dst.Insert(tx, self, k, vs[i])
-			}
-			tx.Store(bw, n)
-			if len(ks) < s.migrateBatch || ks[len(ks)-1] == plan.MovedHi {
-				done = true
-			} else {
-				cursor = ks[len(ks)-1] + 1
-			}
-			batch = len(ks)
-		})
-		moved += uint64(batch)
-	}
-
-	// Flip: publish the grown placement, then raise the donor's
-	// placement-epoch word so stale-routed operations bounce, then
-	// retire the moved keys from the donor.
-	newEpoch := live.epoch + 1
-	s.place.Store(&reshardPlace{part: plan.Grown, epoch: newEpoch})
-	r.Atomic(self, func(tx tm.Txn) {
-		tx.Store(s.placew(donor), newEpoch)
-		tx.Store(bw, n)
-	})
-	cursor, done = plan.MovedLo, false
-	for !done {
-		r.Atomic(self, func(tx tm.Txn) {
-			ks := make([]uint64, 0, s.migrateBatch)
-			src.AscendRange(tx, cursor, plan.MovedHi, func(k, _ uint64) bool {
-				ks = append(ks, k)
-				return len(ks) < s.migrateBatch
-			})
-			for _, k := range ks {
-				src.Delete(tx, self, k)
-			}
-			tx.Store(bw, n)
-			if len(ks) < s.migrateBatch {
-				done = true
-			} else {
-				cursor = ks[len(ks)-1] + 1
-			}
-		})
-	}
-	r.Atomic(self, func(tx tm.Txn) {
-		if tx.Load(fw) == token {
-			tx.Store(fw, 0)
+// move is one live span move planned from the routed-op load signal. A
+// no-op plan is counted and skipped, never installed — the planners'
+// caller contract.
+func (m *mover) move(r Runner, self int, n uint64) {
+	moved, outcome := m.kv.moveSpan(r, self, n, m.migrateBatch, func(live *svcPlace) (svcMove, bool) {
+		p := live.part.(*shard.RangePartitioner)
+		load := make([]uint64, p.Shards())
+		for i := range load {
+			load[i] = m.routed[i].Load()
 		}
+		return m.plan(p, load)
 	})
-	s.splits.Add(1)
-	s.migrated.Add(moved)
+	switch outcome {
+	case moveSkipped:
+		m.skips.Add(1)
+	case moveBlocked:
+		m.blocks.Add(1)
+	default:
+		m.moves.Add(1)
+		m.migrated.Add(moved)
+	}
+}
+
+// metrics returns the counters both twins report, under their shared
+// names.
+func (m *mover) metrics() map[string]uint64 {
+	return map[string]uint64{
+		"keys_migrated":   m.migrated.Load(),
+		"placement_epoch": m.kv.place.Load().epoch,
+		"moved_bounces":   m.bounces.Load(),
+		"replica_replans": m.replans.Load(),
+		"cross_batches":   m.batches.Load(),
+		"cross_committed": m.committed.Load(),
+		"batch_blocked":   m.blocked.Load(),
+		"fenced_skips":    m.fencedSkip.Load(),
+	}
 }
 
 // Metrics implements Metered.
 func (s *ServiceReshard) Metrics() map[string]uint64 {
-	return map[string]uint64{
-		"splits_installed": s.splits.Load(),
-		"splits_skipped":   s.splitSkips.Load(),
-		"splits_blocked":   s.splitBlocked.Load(),
-		"keys_migrated":    s.migrated.Load(),
-		"placement_epoch":  s.place.Load().epoch,
-		"moved_bounces":    s.bounces.Load(),
-		"replica_replans":  s.replans.Load(),
-		"cross_batches":    s.batches.Load(),
-		"cross_committed":  s.committed.Load(),
-		"batch_blocked":    s.blocked.Load(),
-		"fenced_skips":     s.fencedSkip.Load(),
-	}
+	out := s.metrics()
+	out["splits_installed"] = s.moves.Load()
+	out["splits_skipped"] = s.skips.Load()
+	out["splits_blocked"] = s.blocks.Load()
+	return out
 }
 
 // Verify implements Verifier: every fence free, every key on the shard
 // the final placement owns it on, spare stores empty. The replica's
 // catch-up (replica_replans) is pinned by the scenario goldens.
 func (s *ServiceReshard) Verify(h *tm.Heap) error {
-	live := s.place.Load()
-	seq := NewBareRunner(seqAlg(), h, 1)
-	var err error
-	for i, set := range s.sets {
-		seq.Atomic(0, func(tx tm.Txn) {
-			if v := tx.Load(s.fence(i)); v != 0 {
-				err = fmt.Errorf("reshard: shard %d fence left held by %d", i, v)
-				return
-			}
-			set.AscendRange(tx, 0, ^uint64(0), func(k, _ uint64) bool {
-				if i >= live.part.Shards() {
-					err = fmt.Errorf("reshard: key %d on spare shard %d (fleet is %d wide)", k, i, live.part.Shards())
-					return false
-				}
-				if o := live.part.Owner(k); o != i {
-					err = fmt.Errorf("reshard: key %d found on shard %d but owned by %d at epoch %d", k, i, o, live.epoch)
-					return false
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.kv.verify(h); err != nil {
+		return fmt.Errorf("reshard: %w", err)
 	}
 	return nil
 }

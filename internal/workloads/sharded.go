@@ -25,119 +25,50 @@ import (
 // fencing and determinism — the per-shard *tuners* are exercised by the
 // live daemon, not this workload.
 type ServiceSharded struct {
-	// Label overrides the workload name (default "service-sharded").
-	Label string
-	// Shards is the number of key-space shards (default 4).
+	// Shards is the number of key-space shards.
 	Shards int
-	// KeyRange bounds the keys (default 1 << 14).
+	// KeyRange bounds the keys.
 	KeyRange int
-	// InitialSize pre-populates the stores (default KeyRange/2).
+	// InitialSize pre-populates the stores (0 = KeyRange/2).
 	InitialSize int
-	// Span is the width of a per-shard range scan (default 128).
+	// Span is the width of a per-shard range scan.
 	Span int
 	// Skew in [0,1] is the probability an operation uses the
-	// shard-correlated mix instead of the uniform "mixed" mix
-	// (default 0.8).
+	// shard-correlated mix instead of the uniform "mixed" mix.
 	Skew float64
 	// BatchEvery makes every Nth operation a cross-shard batch put
-	// through the fence protocol (default 64; 0 disables batches).
+	// through the fence protocol (0 disables batches).
 	BatchEvery int
-	// BatchKeys is the batch width (default 4).
+	// BatchKeys is the batch width.
 	BatchKeys int
 
-	ring   *shard.Ring
-	sets   []*RBSet
-	fences tm.Addr // Shards consecutive fence words, one per shard
-	ops    atomic.Uint64
-
-	// Resolved by Setup so Op stays cheap on the hot path.
-	shards, keyRange, span, batchEvery, batchKeys int
-	skew                                          float64
+	kv  *svcShards
+	ops atomic.Uint64
 }
 
 // Name implements Workload.
-func (s *ServiceSharded) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "service-sharded"
-}
+func (s *ServiceSharded) Name() string { return "service-sharded" }
 
-func (s *ServiceSharded) params() (shards, keyRange, initial, span, batchEvery, batchKeys int, skew float64) {
-	shards = s.Shards
-	if shards <= 0 {
-		shards = 4
-	}
-	keyRange = s.KeyRange
-	if keyRange <= 0 {
-		keyRange = 1 << 14
-	}
-	initial = s.InitialSize
-	if initial <= 0 {
-		initial = keyRange / 2
-	}
-	span = s.Span
-	if span <= 0 {
-		span = 128
-	}
-	batchEvery = s.BatchEvery
-	if batchEvery < 0 {
-		batchEvery = 0
-	} else if batchEvery == 0 {
-		batchEvery = 64
-	}
-	batchKeys = s.BatchKeys
-	if batchKeys <= 0 {
-		batchKeys = 4
-	}
-	skew = s.Skew
-	if skew < 0 {
-		skew = 0
-	}
-	if skew > 1 {
-		skew = 1
-	}
-	return
-}
-
-// Setup implements Workload: it builds one store and one fence word per
-// shard and pre-populates each store with the keys it owns.
+// Setup implements Workload: it builds the kernel store over the
+// consistent-hash ring and pre-populates each shard with the keys it owns.
 func (s *ServiceSharded) Setup(h *tm.Heap, rng *Rand) error {
-	var initial int
-	s.shards, s.keyRange, initial, s.span, s.batchEvery, s.batchKeys, s.skew = s.params()
-	s.ring = shard.New(s.shards)
-	s.sets = make([]*RBSet, s.shards)
-	for i := range s.sets {
-		set, err := NewRBSet(h)
-		if err != nil {
-			return fmt.Errorf("sharded: shard %d store: %w", i, err)
-		}
-		s.sets[i] = set
+	if err := positive("sharded", s.Shards, s.KeyRange, s.BatchKeys); err != nil {
+		return err
 	}
-	fences, err := h.Alloc(s.shards)
+	kv, err := newSvcShards(h, rng, s.Shards, shard.New(s.Shards), s.KeyRange, s.InitialSize)
 	if err != nil {
-		return fmt.Errorf("sharded: fences: %w", err)
+		return fmt.Errorf("sharded: %w", err)
 	}
-	s.fences = fences
-	s.ops.Store(0)
-	seq := NewBareRunner(seqAlg(), h, 1)
-	for i := 0; i < initial; i++ {
-		k := uint64(rng.Intn(s.keyRange))
-		o := s.ring.Owner(k)
-		seq.Atomic(0, func(tx tm.Txn) { s.sets[o].Insert(tx, 0, k, k) })
-	}
+	s.kv = kv
 	return nil
 }
-
-// fence returns shard i's fence word.
-func (s *ServiceSharded) fence(i int) tm.Addr { return s.fences + tm.Addr(i) }
 
 // mixFor picks the operation mix for a key owned by shard o: under skew,
 // the lower half of the shards is write-heavy and the upper half
 // read-heavy — the per-shard divergence the sharded daemon's tuners see.
 func (s *ServiceSharded) mixFor(o int, rng *Rand) ServiceOpMix {
-	if rng.Float64() < s.skew {
-		if o < s.shards/2 {
+	if rng.Float64() < s.Skew {
+		if o < s.Shards/2 {
 			return serviceMixes["write-heavy"]
 		}
 		return serviceMixes["read-heavy"]
@@ -145,150 +76,30 @@ func (s *ServiceSharded) mixFor(o int, rng *Rand) ServiceOpMix {
 	return serviceMixes["mixed"]
 }
 
-// Op implements Workload: either one single-key operation on the owning
-// shard (under its fence) or, every BatchEvery-th call, a cross-shard
-// batch put through the two-phase fence protocol.
+// Op implements Workload: either one single-key operation or scan on the
+// owning shard (under its fence) or, every BatchEvery-th call, a
+// cross-shard batch put through the two-phase fence protocol.
 func (s *ServiceSharded) Op(r Runner, self int, rng *Rand) {
 	n := s.ops.Add(1)
-	if s.batchEvery > 0 && n%uint64(s.batchEvery) == 0 {
-		s.crossBatch(r, self, rng, n)
+	if s.BatchEvery > 0 && n%uint64(s.BatchEvery) == 0 {
+		crossPut(r, self, rng, s.kv, n, s.BatchKeys, s.KeyRange)
 		return
 	}
-	k := uint64(rng.Intn(s.keyRange))
-	o := s.ring.Owner(k)
-	mix := s.mixFor(o, rng)
-	set, fence := s.sets[o], s.fence(o)
-	p := rng.Float64()
-	// Fenced single-shard operations retry like the serve workers requeue;
-	// in deterministic (serial) mode the fence is never contended and the
-	// first attempt always executes.
-	for try := 0; try < 1000; try++ {
-		fenced := false
-		switch {
-		case p < mix.Get:
-			r.Atomic(self, func(tx tm.Txn) {
-				if fenced = tx.Load(fence) != 0; fenced {
-					return
-				}
-				set.Get(tx, k)
-			})
-		case p < mix.Get+mix.Put:
-			r.Atomic(self, func(tx tm.Txn) {
-				if fenced = tx.Load(fence) != 0; fenced {
-					return
-				}
-				set.Insert(tx, self, k, n)
-			})
-		case p < mix.Get+mix.Put+mix.Del:
-			r.Atomic(self, func(tx tm.Txn) {
-				if fenced = tx.Load(fence) != 0; fenced {
-					return
-				}
-				set.Delete(tx, self, k)
-			})
-		case p < mix.Get+mix.Put+mix.Del+mix.CAS:
-			r.Atomic(self, func(tx tm.Txn) {
-				if fenced = tx.Load(fence) != 0; fenced {
-					return
-				}
-				if v, ok := set.Get(tx, k); ok {
-					set.Insert(tx, self, k, v+1)
-				}
-			})
-		default:
-			hi := k + uint64(s.span)
-			r.Atomic(self, func(tx tm.Txn) {
-				if fenced = tx.Load(fence) != 0; fenced {
-					return
-				}
-				cnt := 0
-				set.AscendRange(tx, k, hi, func(_, _ uint64) bool {
-					cnt++
-					return true
-				})
-			})
-		}
-		if !fenced {
-			return
-		}
+	k := uint64(rng.Intn(s.KeyRange))
+	mix := s.mixFor(s.kv.place.Load().part.Owner(k), rng)
+	body := scanBody(k, k+uint64(s.Span))
+	if p := rng.Float64(); p < mix.Get+mix.Put+mix.Del+mix.CAS {
+		body = pointOp(mix, p, self, k, n)
 	}
-}
-
-// crossBatch runs one cross-shard batch put through the commit protocol:
-// fences are acquired in ascending shard order, any acquisition failure
-// releases everything taken so far (abort-all) and retries, and each
-// shard's writes are applied and its fence released in one transaction.
-func (s *ServiceSharded) crossBatch(r Runner, self int, rng *Rand, n uint64) {
-	keys := make([]uint64, s.batchKeys)
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(s.keyRange))
-	}
-	parts := s.ring.Participants(keys)
-	token := uint64(self) + 1
-	for try := 0; try < 1000; try++ {
-		acquired := 0
-		ok := true
-		for _, p := range parts {
-			fence := s.fence(p)
-			var got bool
-			r.Atomic(self, func(tx tm.Txn) {
-				got = false
-				if tx.Load(fence) == 0 {
-					tx.Store(fence, token)
-					got = true
-				}
-			})
-			if !got {
-				ok = false
-				break
-			}
-			acquired++
-		}
-		if !ok {
-			for _, p := range parts[:acquired] {
-				fence := s.fence(p)
-				r.Atomic(self, func(tx tm.Txn) { tx.Store(fence, 0) })
-			}
-			continue
-		}
-		for _, p := range parts {
-			set, fence := s.sets[p], s.fence(p)
-			r.Atomic(self, func(tx tm.Txn) {
-				for _, k := range keys {
-					if s.ring.Owner(k) == p {
-						set.Insert(tx, self, k, n)
-					}
-				}
-				tx.Store(fence, 0)
-			})
-		}
-		return
-	}
+	s.kv.retried(r, self, k, body)
 }
 
 // Verify implements Verifier: every key must live in the store of the
 // shard that owns it (the routing invariant the consistent-hash ring
 // promises) and no fence may be left held.
 func (s *ServiceSharded) Verify(h *tm.Heap) error {
-	seq := NewBareRunner(seqAlg(), h, 1)
-	var err error
-	for i, set := range s.sets {
-		seq.Atomic(0, func(tx tm.Txn) {
-			if tx.Load(s.fence(i)) != 0 {
-				err = fmt.Errorf("sharded: shard %d fence left held", i)
-				return
-			}
-			set.AscendRange(tx, 0, ^uint64(0), func(k, _ uint64) bool {
-				if o := s.ring.Owner(k); o != i {
-					err = fmt.Errorf("sharded: key %d found on shard %d but owned by %d", k, i, o)
-					return false
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.kv.verify(h); err != nil {
+		return fmt.Errorf("sharded: %w", err)
 	}
 	return nil
 }

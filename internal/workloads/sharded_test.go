@@ -2,37 +2,11 @@ package workloads
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/polytm"
 	"repro/internal/tm"
 )
-
-// TestServiceShardedConcurrent drives the sharded workload on real
-// goroutines so the in-workload fence protocol (ordered acquire,
-// abort-all, apply+release) runs under genuine contention, then checks
-// the routing invariant and fence cleanliness via Verify. The -race CI
-// run of this package makes it a data-race probe too.
-func TestServiceShardedConcurrent(t *testing.T) {
-	wl := &ServiceSharded{Shards: 4, KeyRange: 1 << 10, Span: 32, BatchEvery: 8, BatchKeys: 6}
-	pool := polytm.New(1<<20, 4, config.Config{Alg: config.TL2, Threads: 4})
-	if err := wl.Setup(pool.Heap(), NewRand(7)); err != nil {
-		t.Fatalf("Setup: %v", err)
-	}
-	d := &Driver{Workload: wl, Runner: pool, MaxThreads: 4, Seed: 7}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(150 * time.Millisecond)
-	d.Stop()
-	if d.Ops() == 0 {
-		t.Fatal("no operations completed")
-	}
-	if err := wl.Verify(pool.Heap()); err != nil {
-		t.Fatalf("post-run invariant: %v", err)
-	}
-}
 
 // TestServiceShardedRoutingInvariant checks the serial path too: after a
 // deterministic run every key sits on its owning shard (Verify) and the
@@ -50,7 +24,7 @@ func TestServiceShardedRoutingInvariant(t *testing.T) {
 	}
 	seq := NewBareRunner(seqAlg(), pool.Heap(), 1)
 	total := 0
-	for i, set := range wl.sets {
+	for i, set := range wl.kv.sets {
 		n := 0
 		seq.Atomic(0, func(tx tm.Txn) { n = set.Size(tx) })
 		if n == 0 {
