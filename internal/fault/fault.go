@@ -46,10 +46,10 @@ const (
 	// every participant's fence stays held until the failure detector
 	// recovers it. Arrival unit: one prepared cross-shard batch.
 	CoordCrash Point = "coord-crash"
-	// ShardStall pauses a shard's queue workers, freezing its progress
-	// while its admission queue keeps filling — the signature the
-	// per-shard circuit breaker trips on. Arrival unit: one worker
-	// dequeue on the shard.
+	// ShardStall freezes whoever holds one of a shard's slots, stopping
+	// its progress while the shard's line of waiting requests keeps
+	// growing — the signature the per-shard circuit breaker trips on.
+	// Arrival unit: one execution on the shard.
 	ShardStall Point = "shard-stall"
 	// OpDelay adds an artificial latency spike to one data operation.
 	// Arrival unit: one executed operation.

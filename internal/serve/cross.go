@@ -30,10 +30,10 @@
 // first and last apply unobservable: the protocol's linearization point
 // sits between the last acquire and the first apply.
 //
-// Control steps execute under the shard's own worker slots — on the
-// coordinator's goroutine when a slot is free, through the shard's
-// priority lane otherwise — so they obey the same graceful-drain protocol
-// as data operations. See docs/sharding.md for the state diagram.
+// Control steps execute under the shard's own worker slots on the
+// coordinator's goroutine — waiting in the shard's line, ahead of its data
+// operations, when no slot is free — so they obey the same graceful-drain
+// protocol as data operations. See docs/sharding.md for the state diagram.
 package serve
 
 import (
@@ -222,8 +222,8 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 		}
 		// A placement flip while we were backing off (a merge retiring a
 		// participant, say) means the batch may be stale: bounce it back
-		// for recomputation instead of spinning the retry budget against a
-		// retired shard's drainer.
+		// for recomputation instead of spending the retry budget on a
+		// retired shard's not-applied answers.
 		if s.place.Epoch() != routedEpoch {
 			s.releaseParts(rec)
 			return response{}, 0, true
@@ -334,12 +334,12 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 		http.StatusServiceUnavailable, false
 }
 
-// ctl runs step as one control-step transaction on shard ss and returns
-// its result: on the caller's goroutine when a slot token is free, through
-// the priority lane otherwise. Control steps skip the closed-check on
-// purpose: Close waits for in-flight coordinators (registered in inflight)
-// before stopping the shards, so a coordinator must be able to finish its
-// protocol — fence releases included — after shutdown begins.
+// ctl runs step as one control-step transaction on shard ss, on the
+// caller's goroutine, and returns its result. Control steps skip the
+// closed-check on purpose: Close waits for in-flight coordinators
+// (registered in inflight) before stopping the shards, so a coordinator
+// must be able to finish its protocol — fence releases included — after
+// shutdown begins.
 func (s *Server) ctl(ss *shardState, step func(tx proteustm.Txn, slot int) response) response {
 	return s.runCtl(ss, &request{ctl: true, step: step})
 }
@@ -351,21 +351,12 @@ func (s *Server) guarded(ss *shardState, h FenceHold, release bool, step func(tx
 	return s.runCtl(ss, &request{ctl: true, hold: h, releases: release, step: step})
 }
 
-// runCtl runs control step req on shard ss and waits for its answer, so
-// the caller may reuse req once it has returned.
+// runCtl runs control step req on shard ss. A stopped shard answers with
+// stopAnswer: a retiring one not-applied (the coordinator re-routes off the
+// flipped epoch); only real shutdown is an error.
 func (s *Server) runCtl(ss *shardState, req *request) response {
-	if resp, ok := ss.run(req, false); ok {
-		return resp
-	}
-	req.done = make(chan response, 1)
-	select {
-	case ss.prio <- req:
-	case <-ss.stop:
-		// A retiring shard answers not-applied (the coordinator re-routes
-		// off the flipped epoch); only real shutdown is an error.
-		return ss.stopAnswer(req)
-	}
-	return <-req.done
+	resp, _ := ss.run(req, nil)
+	return resp
 }
 
 // partSig is the signature part p of req publishes in its shard's fence
@@ -417,18 +408,6 @@ func (s *Server) releaseParts(rec *crossRec) {
 	rec.resetParts()
 }
 
-// failRemaining handles a control-step failure inside phase 2 — only
-// reachable during process shutdown (the lane rejects steps once the
-// shard's stop channel closes, and Close waits for in-flight coordinators
-// before closing it). Even then the coordinator must not strand fences:
-// the remaining participants' fences are released best-effort before the
-// error propagates, so a shard can never be wedged for writes by a dead
-// batch.
-func (s *Server) failRemaining(rec *crossRec, r response) response {
-	s.releaseParts(rec)
-	return r
-}
-
 // superseded is the phase-2 outcome when a guarded apply observed a
 // foreign (token, epoch): the failure detector declared this coordinator
 // dead mid-protocol and recovered its fences. Reads cannot be salvaged
@@ -471,7 +450,11 @@ func (s *Server) applyAll(rec *crossRec, req *request) response {
 		rec.ctlReq = request{ctl: true, kind: stepApply, part: p, hold: h, releases: true}
 		r := s.runCtl(fleet[p.shard], &rec.ctlReq)
 		if r.Err != "" {
-			return s.failRemaining(rec, r)
+			// A full heap, or a shard that stopped. Even then the coordinator
+			// must not strand fences: the remaining ones are released before
+			// the error propagates.
+			s.releaseParts(rec)
+			return r
 		}
 		if !r.Applied {
 			return s.superseded(rec)

@@ -11,10 +11,11 @@ import (
 )
 
 // TestCancellationStormNeverExecutes pins the deadline/cancellation gate
-// deterministically: with the queue workers stopped, a queue full of
-// operations whose clients hang up (and a second queue full of operations
-// whose deadlines pass) must all be dropped at dequeue — answered
-// 499/504, counted shed_deadline, and never executed against the store.
+// deterministically: with no slot token circulating, a line full of
+// operations whose clients hang up must leave it at once — answered 499
+// and counted shed_deadline as they leave — and a second line full of
+// operations whose deadlines pass must be dropped when they reach a slot —
+// answered 504; none is ever executed against the store.
 func TestCancellationStormNeverExecutes(t *testing.T) {
 	const n = 16
 	s, err := newServer(Options{Workers: 2, QueueDepth: 64, HeapWords: 1 << 18, Deadline: 5 * time.Millisecond})
@@ -36,16 +37,19 @@ func TestCancellationStormNeverExecutes(t *testing.T) {
 	}
 	waitQueueLen(t, s.fleet()[0], n)
 	cancel()
-	wg.Wait() // every submitter came back 499 before any worker ran
+	wg.Wait() // every submitter came back 499 before any token circulated
 	for i := 0; i < n; i++ {
 		if code := <-codes; code != 499 {
 			t.Fatalf("canceled submission = HTTP %d, want 499", code)
 		}
 	}
+	if got, left := s.shedDeadline.Load(), s.fleet()[0].waiting.Load(); got != n || left != 0 {
+		t.Fatalf("after the hang-ups shed_deadline = %d and %d still in line, want %d and 0", got, left, n)
+	}
 
 	// Storm B: n more puts whose server-default deadline (5 ms) passes
-	// while they sit in the queue. These submitters stay parked on the
-	// reply channel, so they must be answered 504 by the drop path.
+	// while they wait in line. These submitters stay in line, so they must
+	// be answered 504 by the drop path once a slot reaches them.
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -54,10 +58,10 @@ func TestCancellationStormNeverExecutes(t *testing.T) {
 			codes <- code
 		}(i)
 	}
-	waitQueueLen(t, s.fleet()[0], 2*n)
+	waitQueueLen(t, s.fleet()[0], n)
 	time.Sleep(10 * time.Millisecond) // let every storm-B deadline lapse
 
-	s.startWorkers()
+	s.startServing()
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if code := <-codes; code != http.StatusGatewayTimeout {
@@ -68,7 +72,7 @@ func TestCancellationStormNeverExecutes(t *testing.T) {
 	// The gate's books: every stormed op was dropped, none executed.
 	waitShedDeadline(t, s, 2*n)
 	if got := s.totalServed(); got != 0 {
-		t.Fatalf("served %d operations, want 0 — an expired queued op executed", got)
+		t.Fatalf("served %d operations, want 0 — an op that expired in line executed", got)
 	}
 	for i := 0; i < 2*n; i++ {
 		k := uint64(1000 + i)
@@ -92,13 +96,13 @@ func TestCancellationStormNeverExecutes(t *testing.T) {
 	}
 }
 
-// waitQueueLen polls until shard ss's admission queue holds want requests.
-func waitQueueLen(t *testing.T, ss *shardState, want int) {
+// waitQueueLen polls until want requests wait in shard ss's line.
+func waitQueueLen(t *testing.T, ss *shardState, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for len(ss.queue) < want {
+	for ss.waiting.Load() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue stuck at %d of %d", len(ss.queue), want)
+			t.Fatalf("line stuck at %d of %d", ss.waiting.Load(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -3,14 +3,17 @@ package serve
 // Battery for the leased-slot executor and the wake-on-release wait: slot
 // tokens are conserved through reconfiguration storms, a fenced operation
 // waits holding no token, a wait spins before it blocks (one spinner a
-// shard, never behind backlog, never on one P), a wake-up that never comes
-// costs at most the wait's bound, and a retired shard executes nothing.
+// shard, never behind backlog, never on one P), the shard's line serves in
+// arrival order with control steps first and bounces when the shard
+// retires, a wake-up that never comes costs at most the wait's bound, and a
+// retired shard executes nothing.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,9 +345,43 @@ func TestSpinForSlot(t *testing.T) {
 	})
 }
 
-// TestNoSlotSpinBehindBacklog: with requests waiting in either lane a
-// slot-less submitter joins the queue without spinning, even for a token
-// that is free — those requests were there first.
+// takeTokens leases every circulating slot token of ss, as if each were
+// executing, and returns them.
+func takeTokens(ss *shardState) []int {
+	var ids []int
+	for len(ss.tokens) > 0 {
+		ids = append(ids, <-ss.tokens)
+	}
+	return ids
+}
+
+// waitParked polls until n goroutines are blocked in a shard's line — in
+// lease's blocking select, which the waiting gauge alone cannot tell: it
+// counts a request just before it blocks.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, ".(*shardState).lease(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests parked in line", parked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestNoSlotSpinBehindBacklog: with a request waiting in line a slot-less
+// submitter joins the line without spinning, even for a token that is free
+// — the waiter was there first — and the line serves in arrival order.
 func TestNoSlotSpinBehindBacklog(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s, err := newServer(Options{Workers: 2, QueueDepth: 4, HeapWords: 1 << 18})
@@ -352,52 +389,161 @@ func TestNoSlotSpinBehindBacklog(t *testing.T) {
 		t.Fatalf("newServer: %v", err)
 	}
 	ss := s.fleet()[0]
-	ss.unpark() // tokens circulate, but no queue worker takes them
+	ss.unpark() // tokens circulate, but nothing leases them yet
 	if !ss.spinForSlot() {
-		t.Fatal("free token, empty lanes: the spin should see the token")
+		t.Fatal("free token, empty line: the spin should see the token")
 	}
-	for _, lane := range []chan *request{ss.queue, ss.prio} {
-		lane <- &request{}
-		if ss.spinForSlot() {
-			t.Fatal("spun for a slot with a request waiting in a lane")
-		}
-		<-lane
+	ss.waiting.Add(1)
+	if ss.spinForSlot() {
+		t.Fatal("spun for a slot with a request waiting in line")
 	}
-	var leased []int // every circulating token is out, as if executing
-	for len(ss.tokens) > 0 {
-		leased = append(leased, <-ss.tokens)
-	}
+	ss.waiting.Add(-1)
+	leased := takeTokens(ss)
 
-	// A queues (after its spin: the lanes were empty), B finds A waiting and
-	// queues behind it at once.
+	// A waits in line (after its spin: the line was empty), B finds A
+	// waiting and joins behind it at once. Both put key 7, so B's Existed
+	// and the value left behind tell the order they ran in.
 	var wg sync.WaitGroup
-	for i, key := range []uint64{11, 22} {
+	existed := make([]bool, 2)
+	for i, val := range []uint64{11, 22} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, code := s.submit(ss, &request{op: opPut, key: key, val: 1}); code != http.StatusOK {
-				t.Errorf("queued put %d = HTTP %d", key, code)
+			resp, code := s.submit(ss, &request{op: opPut, key: 7, val: val})
+			if code != http.StatusOK {
+				t.Errorf("put %d = HTTP %d", val, code)
 			}
+			existed[i] = resp.Existed
 		}()
-		waitQueueLen(t, ss, i+1)
+		waitParked(t, i+1)
 	}
-	for _, key := range []uint64{11, 22} {
-		req := <-ss.queue
-		if req.key != key {
-			t.Fatalf("queue order: got the put of key %d where %d was due", req.key, key)
-		}
-		req.done <- response{}
-	}
+	ss.release(leased[0]) // one slot: A and B run on it in turn
 	wg.Wait()
+	if existed[0] || !existed[1] {
+		t.Fatalf("line order: existed A=%v B=%v, want A first (false, true)", existed[0], existed[1])
+	}
+	if resp, _ := s.submit(ss, &request{op: opGet, key: 7}); resp.Val != 22 {
+		t.Fatalf("key 7 = %d after the line drained, want B's 22", resp.Val)
+	}
 	if got := s.leaseSpins.Load(); got != 0 {
 		t.Fatalf("ops.lease_spins = %d with no token ever freed", got)
+	}
+	for _, id := range leased[1:] {
+		ss.tokens <- id
+	}
+	s.startServing()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestControlStepJumpsTheLine: a returned slot goes to a control step
+// waiting in line before a data operation that was there first — the
+// priority that keeps fence releases from queuing behind data operations.
+func TestControlStepJumpsTheLine(t *testing.T) {
+	s, err := newServer(Options{Workers: 2, QueueDepth: 4, HeapWords: 1 << 18})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	ss := s.fleet()[0]
+	ss.unpark()
+	leased := takeTokens(ss)
+
+	data := make(chan int, 1)
+	go func() {
+		_, code := s.submit(ss, &request{op: opPut, key: 1, val: 1})
+		data <- code
+	}()
+	waitParked(t, 1)
+	// The step records what it sees when it runs: the data operation still
+	// in line, its put not applied.
+	var dataWaiting, dataApplied bool
+	ctl := make(chan response, 1)
+	go func() {
+		ctl <- s.ctl(ss, func(tx proteustm.Txn, _ int) response {
+			_, dataApplied = ss.store.Get(tx, 1)
+			dataWaiting = ss.waiting.Load() == 1 && len(data) == 0
+			return response{Applied: true}
+		})
+	}()
+	waitParked(t, 2)
+
+	ss.release(leased[0])
+	select {
+	case r := <-ctl:
+		if !r.Applied || r.Err != "" {
+			t.Fatalf("control step = %+v, want applied", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the returned slot did not reach the control step")
+	}
+	if !dataWaiting || dataApplied {
+		t.Fatalf("when the control step ran: data operation waiting=%v applied=%v, want true, false", dataWaiting, dataApplied)
+	}
+	if code := <-data; code != http.StatusOK {
+		t.Fatalf("data operation = HTTP %d after the control step", code)
+	}
+	if st := s.StatusSnapshot(); st.Ops.Queued != 2 || st.Ops.Direct != 0 {
+		t.Fatalf("ops.queued=%d ops.direct=%d, want 2 and 0", st.Ops.Queued, st.Ops.Direct)
+	}
+	for _, id := range leased[1:] {
+		ss.tokens <- id
+	}
+	s.startServing()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestRetiringShardBouncesItsLine: the requests waiting in the line of a
+// shard that retires leave it on the closed stop with stopAnswer's bounce —
+// the data operation re-routes (moved), the control step reports
+// not-applied without an error — and neither executes.
+func TestRetiringShardBouncesItsLine(t *testing.T) {
+	s, err := newServer(Options{Workers: 2, QueueDepth: 4, HeapWords: 1 << 18})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	ss := s.fleet()[0]
+	ss.unpark()
+	leased := takeTokens(ss)
+
+	data := make(chan response, 1)
+	go func() {
+		resp, _ := s.submit(ss, &request{op: opPut, key: 1, val: 1})
+		data <- resp
+	}()
+	waitParked(t, 1)
+	var stepRan atomic.Bool
+	ctl := make(chan response, 1)
+	go func() {
+		ctl <- s.ctl(ss, func(proteustm.Txn, int) response {
+			stepRan.Store(true)
+			return response{Applied: true}
+		})
+	}()
+	waitParked(t, 2)
+
+	ss.retiring.Store(true)
+	close(ss.stop)
+	if r := <-data; !r.moved || r.Err != "" {
+		t.Fatalf("data operation in a retiring shard's line = %+v, want a moved bounce", r)
+	}
+	if r := <-ctl; r.Applied || r.Err != "" {
+		t.Fatalf("control step in a retiring shard's line = %+v, want not-applied without an error", r)
+	}
+	if stepRan.Load() || s.totalServed() != 0 {
+		t.Fatalf("step ran=%v served=%d on a retiring shard, want neither", stepRan.Load(), s.totalServed())
+	}
+	if n := ss.waiting.Load(); n != 0 {
+		t.Fatalf("%d requests still counted in line", n)
 	}
 	for _, id := range leased {
 		ss.tokens <- id
 	}
-	s.startWorkers()
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	ss.quiesce()
+	if err := ss.sys.Close(); err != nil {
+		t.Fatalf("closing the shard's system: %v", err)
 	}
 }
 
@@ -475,7 +621,7 @@ func TestMissedWakeupDegradesToPolling(t *testing.T) {
 
 // TestCanceledAtAdmissionTakesNoQueueSlot: an operation whose client is
 // already gone is answered 499 and counted before admission — it never
-// occupies the queue (here nothing serves it, so it would sit forever).
+// takes a place in line (here nothing serves it, so it would wait forever).
 func TestCanceledAtAdmissionTakesNoQueueSlot(t *testing.T) {
 	s, err := newServer(Options{Workers: 2, QueueDepth: 4, HeapWords: 1 << 18})
 	if err != nil {
@@ -487,19 +633,19 @@ func TestCanceledAtAdmissionTakesNoQueueSlot(t *testing.T) {
 	if _, code := s.submit(ss, &request{op: opPut, key: 1, val: 1, ctx: dead}); code != 499 {
 		t.Fatalf("dead-on-arrival put = HTTP %d, want 499", code)
 	}
-	if len(ss.queue) != 0 || s.shedDeadline.Load() != 1 || ss.routed.Load() != 0 {
-		t.Fatalf("queue_len=%d shed_deadline=%d ops_routed=%d, want 0, 1, 0", len(ss.queue), s.shedDeadline.Load(), ss.routed.Load())
+	if ss.waiting.Load() != 0 || s.shedDeadline.Load() != 1 || ss.routed.Load() != 0 {
+		t.Fatalf("queue_len=%d shed_deadline=%d ops_routed=%d, want 0, 1, 0", ss.waiting.Load(), s.shedDeadline.Load(), ss.routed.Load())
 	}
 
-	// A live operation on the unstarted server goes through the queue; once
-	// the shard serves, the same operation runs directly.
+	// A live operation on the unstarted server waits in line; once the
+	// shard serves, the same operation runs directly.
 	parked := make(chan int, 1)
 	go func() {
 		_, code := s.submit(ss, &request{op: opPut, key: 2, val: 2})
 		parked <- code
 	}()
 	waitQueueLen(t, ss, 1)
-	s.startWorkers()
+	s.startServing()
 	if code := <-parked; code != http.StatusOK {
 		t.Fatalf("queued put = HTTP %d", code)
 	}

@@ -286,7 +286,7 @@ func (g *crossReg) completeIfDone(rec *crossRec) bool {
 
 // Circuit-breaker states. The breaker is driven by the detector's
 // progress watchdog, not by response codes: a shard is sick when it has
-// queued work but executes nothing across BreakerStallTicks consecutive
+// requests in line but executes nothing across BreakerStallTicks consecutive
 // detector ticks — a stalled worker pool or a wedged fence — and healthy
 // again the moment an operation completes.
 const (
@@ -385,7 +385,7 @@ func (f *fenceSus) watch(token, epoch, beat uint64, now time.Time, deadline time
 // (a) recovers fences held past Options.FenceDeadline — the hold must be
 // the same (token, epoch) across the whole deadline AND carry a stale
 // heartbeat, so a busy protocol reacquiring the fence never trips it —
-// and (b) trips the circuit breaker when the shard has queued work but
+// and (b) trips the circuit breaker when the shard has requests in line but
 // made no progress for BreakerStallTicks consecutive ticks. The scavenger
 // iterates the fence table, one suspicion cell per entry, so each
 // orphaned hold is recovered independently.
@@ -428,7 +428,8 @@ func (ss *shardState) detector() {
 		executed := ss.executed.Load()
 		progressed := executed != lastExecuted
 		lastExecuted = executed
-		if progressed || len(ss.queue) == 0 {
+		waiting := ss.waiting.Load()
+		if progressed || waiting == 0 {
 			stallTicks = 0
 			if ss.breakerState.CompareAndSwap(breakerOpen, breakerClosed) {
 				s.opts.Logf("serve: shard %d circuit breaker closed (progress resumed)", ss.idx)
@@ -438,37 +439,9 @@ func (ss *shardState) detector() {
 			if ss.breakerState.CompareAndSwap(breakerClosed, breakerOpen) {
 				s.breakerOpenTotal.Add(1)
 				s.opts.Logf("serve: shard %d circuit breaker open (no progress for %d ticks, queue=%d)",
-					ss.idx, stallTicks, len(ss.queue))
+					ss.idx, stallTicks, waiting)
 			}
 		}
-	}
-}
-
-// ctlRecover runs one recovery control step on shard target on behalf of
-// shard own's detector, waiting for the result but never past either
-// shard's shutdown: a detector must not deadlock Close. A step that times
-// out this way may still execute on a worker later; all its effects are
-// epoch-guarded and it books its own completion (request.then), so
-// the detector simply retries on the next tick.
-func (s *Server) ctlRecover(own, target *shardState, req *request) (response, bool) {
-	if resp, ok := target.run(req, false); ok {
-		return resp, true
-	}
-	req.done = make(chan response, 1)
-	select {
-	case target.prio <- req:
-	case <-target.stop:
-		return response{}, false
-	case <-own.stop:
-		return response{}, false
-	}
-	select {
-	case resp := <-req.done:
-		return resp, true
-	case <-target.stop:
-		return response{}, false
-	case <-own.stop:
-		return response{}, false
 	}
 }
 
@@ -487,7 +460,10 @@ func (s *Server) fenceRecoveryEta() time.Duration {
 // aborts — across all its shards, so one detector firing heals every
 // participant. A token the registry has never seen is a span move's (or a
 // fence wedged from outside the protocol): its partial copy is rolled back
-// and the hold released.
+// and the hold released. Each recovery step runs on the detector's
+// goroutine, waiting in the target shard's line but never past the
+// detector's own shard's stop (a detector must not deadlock Close); a step
+// that did not run is retried on the next tick.
 func (s *Server) recoverOrphan(ss *shardState, h FenceHold) {
 	rec, rollForward, known := s.reg.claim(h.Token)
 	if rec == nil {
@@ -502,7 +478,7 @@ func (s *Server) recoverOrphan(ss *shardState, h FenceHold) {
 		if !s.rollbackMove(h.Token) {
 			return
 		}
-		if r, ok := s.ctlRecover(ss, ss, &request{ctl: true, hold: h, releases: true}); ok && r.Applied {
+		if r, ok := ss.run(&request{ctl: true, hold: h, releases: true}, ss.stop); ok && r.Applied {
 			s.fenceRecovered.Add(1)
 			s.fenceAborted.Add(1)
 			s.opts.Logf("serve: shard %d fence recovery: released unregistered token %d (epoch %d)", ss.idx, h.Token, h.Epoch)
@@ -525,12 +501,13 @@ func (s *Server) recoverOrphan(ss *shardState, h FenceHold) {
 		}
 		// Only a decided batch rolls forward, and only writes are decided, so
 		// the apply below never reaches the coordinator's read buffers.
-		req := &request{ctl: true, hold: ph, releases: true,
-			then: func() { rec.markReleased(p, true) }}
+		req := &request{ctl: true, hold: ph, releases: true}
 		if rollForward {
 			req.kind, req.part = stepApply, p
 		}
-		s.ctlRecover(ss, fleet[p.shard], req)
+		if r, ok := fleet[p.shard].run(req, ss.stop); ok && r.Applied {
+			rec.markReleased(p, true)
+		}
 	}
 	if s.reg.completeIfDone(rec) {
 		s.fenceRecovered.Add(1)

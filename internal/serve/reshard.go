@@ -243,7 +243,7 @@ func (s *Server) spareShard(idx int) (*shardState, error) {
 	}
 	grown := append(fleet[:len(fleet):len(fleet)], recip)
 	s.fleetPtr.Store(&grown)
-	s.startShardWorkers(recip)
+	s.startShard(recip)
 	return recip, nil
 }
 
@@ -570,13 +570,13 @@ func (s *Server) rollbackMove(token uint64) bool {
 // reaper is reclaiming). The caller holds reshardMu. The shard leaves
 // the fleet first, so no new router can reach it; then every slot token
 // is collected — leases fail once stop is closed, so from there no
-// request can execute on it — its queue workers and failure detector stop
-// for good (the same drain contract Close uses: ss.wg covers every
-// per-shard goroutine) and its ProteusTM system — tuner included — is
-// closed. A lightweight drainer keeps answering
-// stragglers that loaded the fleet before the truncation: data
-// operations bounce for re-routing, control steps report not-applied so
-// their coordinator re-routes off the flipped epoch.
+// request can execute on it — its failure detector stops for good (the
+// same drain contract Close uses) and its ProteusTM system — tuner
+// included — is closed. Stragglers that loaded the fleet before the
+// truncation, waiting in its line or arriving later, fail their lease on
+// the closed stop and get stopAnswer's bounce: data operations re-route,
+// control steps report not-applied so their coordinator re-routes off the
+// flipped epoch.
 func (s *Server) retireShard(ss *shardState) {
 	if !ss.retiring.CompareAndSwap(false, true) {
 		return
@@ -592,8 +592,6 @@ func (s *Server) retireShard(ss *shardState) {
 	copy(shrunk, fleet)
 	s.fleetPtr.Store(&shrunk)
 	close(ss.stop)
-	s.drainersWG.Add(1)
-	go s.retiredDrainer(ss)
 	ss.quiesce()
 	ss.wg.Wait()
 	ss.sys.OnReconfigure(nil)
@@ -601,25 +599,6 @@ func (s *Server) retireShard(ss *shardState) {
 	ss.sys.Close() //nolint:errcheck // retiring; a late tuner error changes nothing
 	ss.retired.Store(true)
 	s.shardsRetired.Add(1)
-}
-
-// retiredDrainer answers requests that raced into a retired shard's
-// lanes: its slot tokens and workers are gone, but a sender holding the
-// pre-truncation fleet may still deliver (the channels are buffered, so sends never
-// block — this loop exists so the sender's reply always arrives). It
-// lives until Close, when no new sender can exist.
-func (s *Server) retiredDrainer(ss *shardState) {
-	defer s.drainersWG.Done()
-	for {
-		select {
-		case req := <-ss.prio:
-			req.done <- ss.stopAnswer(req)
-		case req := <-ss.queue:
-			req.done <- ss.stopAnswer(req)
-		case <-s.stopDrainers:
-			return
-		}
-	}
 }
 
 // retireSpares retires every spare shard — fleet entries above the

@@ -211,16 +211,16 @@ func TestConcurrentSmoke(t *testing.T) {
 	}
 }
 
-// TestAdmissionOverflow checks the 429 path: with no workers draining the
-// queue, QueueDepth admissions are accepted and the next is rejected
+// TestAdmissionOverflow checks the 429 path: with no slot token
+// circulating, QueueDepth admissions wait in line and the next is rejected
 // immediately rather than stalling.
 func TestAdmissionOverflow(t *testing.T) {
 	s, err := newServer(Options{Workers: 2, QueueDepth: 4, HeapWords: 1 << 18})
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}
-	// Fill the queue from goroutines: submit blocks until a worker
-	// replies, so park each submission's reply in its own goroutine.
+	// Fill the line from goroutines: submit blocks until a slot reaches
+	// it, so park each submission in its own goroutine.
 	var wg sync.WaitGroup
 	codes := make(chan int, 4)
 	for i := 0; i < 4; i++ {
@@ -232,9 +232,9 @@ func TestAdmissionOverflow(t *testing.T) {
 		}(i)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for len(s.fleet()[0].queue) < 4 {
+	for s.fleet()[0].waiting.Load() < 4 {
 		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
+			t.Fatal("line never filled")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -254,8 +254,8 @@ func TestAdmissionOverflow(t *testing.T) {
 	if got := s.rejected.Load(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
-	// Start the workers; the four parked submissions must all complete.
-	s.startWorkers()
+	// Start serving; the four parked submissions must all complete.
+	s.startServing()
 	wg.Wait()
 	for i := 0; i < 4; i++ {
 		if code := <-codes; code != http.StatusOK {

@@ -79,9 +79,9 @@ const (
 	spinYieldEvery = 512
 )
 
-// request is one admitted operation: it runs under a leased worker slot,
-// on its submitter's goroutine when a slot is free and on a queue worker
-// otherwise.
+// request is one admitted operation: it runs under a leased worker slot on
+// its submitter's goroutine, which waits in the shard's line when no slot is
+// free.
 type request struct {
 	op        opKind
 	key, val  uint64
@@ -91,18 +91,16 @@ type request struct {
 	keys, vals []uint64
 	// ctl marks a control step of the cross-shard machinery (fence
 	// acquire, apply+release, release, migration batch): it bypasses the op
-	// switch and the served counters and, when no slot is free, waits on
-	// the shard's priority lane. The step is one transaction on the shard
+	// switch and the served counters and, when no slot is free, takes the
+	// next returned slot ahead of the data operations waiting in the shard's
+	// line (see shardState.release). The step is one transaction on the shard
 	// running step (nil: nothing). With hold set (a non-zero token) it is a
 	// guarded step: a no-op unless hold is still the current holder of its
 	// fence entry — the failure detector may have recovered it, and
 	// possibly handed the entry to a new holder under a new epoch — and
 	// releases then frees hold in the same transaction, after which the
-	// shard wakes the operations waiting for a release. then, if set, runs
-	// after a guarded step that found its hold current has committed, on
-	// the goroutine that ran it, so a step whose submitter stopped waiting
-	// (ctlRecover) still books its effect. An acquire must not set
-	// releases: a coordinator's own acquire would end its wait for the
+	// shard wakes the operations waiting for a release. An acquire must not
+	// set releases: a coordinator's own acquire would end its wait for the
 	// release of the fence that refused it.
 	//
 	// kind selects the transaction of the two control steps a coordinator
@@ -116,10 +114,9 @@ type request struct {
 	kind     stepKind
 	step     func(tx proteustm.Txn, slot int) response
 	hold     FenceHold
-	then     func()
 	part     *crossPart
-	// accepted is stamped when the request is admitted, before it is
-	// enqueued, so queue-wait is measured from acceptance.
+	// accepted is stamped when the request is admitted, before it looks
+	// for a slot, so queue-wait is measured from acceptance.
 	accepted time.Time
 	// ctx is the client's request context: an operation whose client hung
 	// up is dropped, never executed. Nil means no cancellation source
@@ -139,9 +136,6 @@ type request struct {
 	// has advanced past it bounces the operation back for re-routing
 	// instead of executing against possibly-migrated state.
 	routingEpoch uint64
-	// done carries the reply of a request that went through a lane; a
-	// directly executed request never allocates it.
-	done chan response
 }
 
 // stepKind selects what a control step's transaction does (request.kind).
@@ -155,7 +149,7 @@ const (
 
 // expired reports whether the request must not execute: its deadline has
 // passed or its client's context is done. process calls it immediately
-// before execution, so an expired queued op is dropped rather than run
+// before execution, so an op that expired in line is dropped rather than run
 // against a store nobody is waiting on. A request without a deadline does
 // not read the clock.
 func (r *request) expired() bool {
@@ -221,8 +215,9 @@ type Options struct {
 	// Workers is the number of ProteusTM worker slots per shard — the
 	// ceiling of each shard's tuned parallelism degree (default 8).
 	Workers int
-	// QueueDepth bounds each shard's admission queue; a full queue rejects
-	// with HTTP 429 instead of stalling (default 1024).
+	// QueueDepth bounds each shard's line of requests waiting for a slot:
+	// a data operation that finds QueueDepth waiters is rejected with HTTP
+	// 429 instead of stalling (default 1024). Control steps are exempt.
 	QueueDepth int
 	// AutoTune starts one RecTM adapter thread per shard (monitor →
 	// explore → install) over that shard's live traffic.
@@ -239,9 +234,6 @@ type Options struct {
 	Preload int
 	// MaxScanSpan clamps /kv/range spans (default 4096).
 	MaxScanSpan uint64
-	// MaxBatchKeys clamps the key count of /kv/mput and /kv/mget
-	// (default 128).
-	MaxBatchKeys int
 	// CrossRetries bounds fence-acquisition attempts of one cross-shard
 	// operation before it fails with 503 (default 64).
 	CrossRetries int
@@ -249,25 +241,13 @@ type Options struct {
 	// SLO machinery). With AutoTune it switches every shard's tuner to
 	// the ThroughputUnderSLO KPI, fed by the server's accept→reply
 	// latency reservoir; with or without AutoTune it arms latency-based
-	// load shedding (see ShedBudget).
+	// load shedding (see shedBudget).
 	SLOP99 time.Duration
 	// Deadline is the default per-operation deadline, measured from
-	// admission: a queued op older than this is dropped with 504 and
+	// admission: an op older than this at execution is dropped with 504 and
 	// counted shed_deadline, never executed (0 disables). Clients can
 	// tighten it per request with the deadline_ms query parameter.
 	Deadline time.Duration
-	// ShedBudget is the fraction of SLOP99 the observed queue-wait p99
-	// may consume before new admissions are shed with 429 (counted
-	// shed_latency). Shedding engages only while the target shard's
-	// queue is actually building (≥ 1/8 occupied), so a stale reservoir
-	// window cannot keep shedding an idle server. Default 0.5.
-	ShedBudget float64
-	// LatencyWindow is the size of each sliding latency reservoir behind
-	// /statusz percentiles (default 8192).
-	LatencyWindow int
-	// TimelineTail bounds the number of timeline points /statusz returns
-	// per shard (default 64, newest last; 0 keeps the default).
-	TimelineTail int
 	// Fault, when set, arms the deterministic fault-injection substrate
 	// (chaos testing): the injector decides at named points whether to
 	// crash a cross-shard coordinator, stall it mid-acquire, pause a
@@ -284,7 +264,7 @@ type Options struct {
 	// FenceDeadline/4).
 	DetectInterval time.Duration
 	// BreakerStallTicks is how many consecutive detector ticks a shard
-	// may spend with queued work and zero executed operations before its
+	// may spend with requests in line and zero executed operations before its
 	// circuit breaker opens (default 3).
 	BreakerStallTicks int
 	// BreakerCooldown is how long an open breaker sheds (503 +
@@ -323,6 +303,24 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// Fixed limits no deployment has needed to change.
+const (
+	// maxBatchKeys clamps the key count of /kv/mput and /kv/mget.
+	maxBatchKeys = 128
+	// shedBudget is the fraction of Options.SLOP99 the observed queue-wait
+	// p99 may consume before new admissions are shed with 429 (counted
+	// shed_latency). Shedding engages only while the target shard's line is
+	// actually building (≥ 1/8 of QueueDepth waiting), so a stale reservoir
+	// window cannot keep shedding an idle server.
+	shedBudget = 0.5
+	// latencyWindow is the size of each sliding latency reservoir behind
+	// /statusz percentiles.
+	latencyWindow = 8192
+	// timelineTail bounds the number of timeline points /statusz returns
+	// per shard, newest last.
+	timelineTail = 64
+)
+
 func (o *Options) setDefaults() {
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -345,20 +343,8 @@ func (o *Options) setDefaults() {
 	if o.MaxScanSpan == 0 {
 		o.MaxScanSpan = 4096
 	}
-	if o.MaxBatchKeys <= 0 {
-		o.MaxBatchKeys = 128
-	}
 	if o.CrossRetries <= 0 {
 		o.CrossRetries = 64
-	}
-	if o.ShedBudget <= 0 {
-		o.ShedBudget = 0.5
-	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = 8192
-	}
-	if o.TimelineTail <= 0 {
-		o.TimelineTail = 64
 	}
 	if o.FenceDeadline == 0 {
 		o.FenceDeadline = time.Second
@@ -393,8 +379,7 @@ func (o *Options) setDefaults() {
 }
 
 // shardState is one shard of the serving layer: an independent ProteusTM
-// system with its own store, admission queue, priority lane for
-// cross-shard control steps, slot tokens, queue workers and
+// system with its own store, slot tokens, line of waiting requests and
 // graceful-drain state.
 type shardState struct {
 	idx   int
@@ -402,24 +387,27 @@ type shardState struct {
 	sys   *proteustm.System
 	store *Store
 
-	// queue and prio hold the requests that found no free slot token;
-	// prio carries cross-shard commit control steps, and the queue workers
-	// drain it before the admission queue so a held fence is always
-	// released even when the queue is saturated.
-	queue chan *request
-	prio  chan *request
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	// stop closes when the shard stops serving (Close, retire); wg covers
+	// its failure detector.
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	// The shard owns exactly Options.Workers slot tokens, one per PolyTM
 	// thread slot; whoever executes a request holds one for the duration.
 	// Tokens with an id inside the installed parallelism degree circulate
 	// in tokens; the rest sit in parked (a shrink withdraws a token when
 	// its next lessee sees id >= active, a growth re-injects parked ones).
-	// Every token starts parked; startShardWorkers puts them into
-	// circulation. tokenMu guards parked and quiescing, which routes every
-	// token to the collector once quiesce has begun.
+	// Every token starts parked; startShard puts them into circulation.
+	// tokenMu guards parked and quiescing, which routes every token to the
+	// collector once quiesce has begun.
+	//
+	// A request that finds no token free waits in the shard's line: blocked
+	// on tokens, which hands each token to its longest waiter, and — a
+	// control step — on ctlLine, to which every returned token is offered
+	// first (see release). waiting counts the requests in line.
 	tokens    chan int
+	ctlLine   chan int
+	waiting   atomic.Int64
 	workers   []*proteustm.Worker
 	tokenMu   sync.Mutex
 	parked    []int
@@ -440,7 +428,7 @@ type shardState struct {
 	relSpinner  atomic.Bool
 	slotSpinner atomic.Bool
 
-	// routed counts data operations admitted to this shard's queue — the
+	// routed counts data operations admitted to this shard — the
 	// per-shard load counter /statusz exposes (ops_routed) and the range
 	// partitioner's SplitHeaviest rebalance step consumes.
 	routed atomic.Uint64
@@ -459,14 +447,14 @@ type shardState struct {
 	// drainMu implements the graceful-drain protocol: every operation
 	// executes under RLock; the reconfigure hook takes the write lock
 	// before the pool gates any thread, so a shrink waits for in-flight
-	// operations and no queued request is ever handed to a slot that is
+	// operations and no waiting request is ever handed a slot that is
 	// about to park. active mirrors the installed parallelism degree.
 	drainMu sync.RWMutex
 	active  atomic.Int64
 
 	// retiring flips when a merge (or the spare reaper) starts retiring
 	// this shard for good: stragglers are answered with a re-route bounce
-	// instead of an error. retired flips once its workers have stopped and
+	// instead of an error. retired flips once its slots are collected and
 	// its system is closed.
 	retiring atomic.Bool
 	retired  atomic.Bool
@@ -487,16 +475,14 @@ type Server struct {
 	mux      *http.ServeMux
 	start    time.Time
 
-	// inflight counts submissions between admission and reply; Close
-	// waits on it after setting closed, so no submitter can be stranded
-	// between the closed-check and its enqueue when the workers stop, and
-	// no cross-shard coordinator can be cut off mid-protocol.
+	// inflight counts submissions between admission and reply, those
+	// waiting in a shard's line included; Close waits on it after setting
+	// closed, so no submitter can be stranded in line when the shards stop,
+	// and no cross-shard coordinator can be cut off mid-protocol.
 	inflight sync.WaitGroup
 	closed   atomic.Bool
 
-	// crossSem bounds concurrent cross-shard coordinators; its capacity
-	// also sizes each shard's priority lane, so control submissions never
-	// block a coordinator indefinitely.
+	// crossSem bounds concurrent cross-shard coordinators.
 	crossSem  chan struct{}
 	nextToken atomic.Uint64
 
@@ -520,8 +506,8 @@ type Server struct {
 	jitterState    atomic.Uint64
 
 	// directOps counts requests (data operations and control steps) that
-	// ran on their submitter's goroutine, queuedOps those that went
-	// through a lane to a queue worker. fenceWaits counts waits for a
+	// found a slot at once or within the spin, queuedOps those that ran
+	// after waiting in the shard's line. fenceWaits counts waits for a
 	// fence release (fenced operations and aborted coordinators),
 	// fenceWaitTimeouts those that ran out their bound unwoken, and
 	// fenceWaitNs their measured total.
@@ -578,14 +564,9 @@ type Server struct {
 	migMu     sync.Mutex
 	activeMig *migRecord
 
-	// stopDrainers ends the retired-shard drainer goroutines at Close;
-	// drainersWG waits them out.
-	stopDrainers chan struct{}
-	drainersWG   sync.WaitGroup
-
-	// shedDeadline counts queued ops dropped unexecuted because their
-	// deadline passed or their client hung up; shedLatency counts
-	// admissions rejected because queue-wait p99 crossed the SLO budget.
+	// shedDeadline counts ops dropped unexecuted because their deadline
+	// passed or their client hung up; shedLatency counts admissions
+	// rejected because queue-wait p99 crossed the SLO budget.
 	shedDeadline atomic.Uint64
 	shedLatency  atomic.Uint64
 
@@ -612,13 +593,11 @@ type Server struct {
 	svc       *metrics.Reservoir
 }
 
-// crossSlots is the coordinator concurrency bound (and priority-lane
-// capacity).
+// crossSlots is the coordinator concurrency bound.
 const crossSlots = 32
 
 // New opens one ProteusTM system per shard, builds the stores (optionally
-// preloading them), puts each shard's slot tokens into circulation and
-// starts its queue workers. The
+// preloading them) and puts each shard's slot tokens into circulation. The
 // returned Server is ready to serve; wire it into an http.Server as its
 // Handler.
 func New(opts Options) (*Server, error) {
@@ -626,12 +605,13 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.startWorkers()
+	s.startServing()
 	return s, nil
 }
 
-// newServer builds a Server without starting its queue workers (tests use
-// the split to exercise admission-queue overflow deterministically).
+// newServer builds a Server whose slot tokens are not yet circulating, so
+// every request waits in line (tests use the split to fill a shard's line
+// deterministically).
 func newServer(opts Options) (*Server, error) {
 	opts.setDefaults()
 	part, err := shard.NewPartitioner(opts.Partitioner, opts.Shards, opts.KeyUniverse)
@@ -639,15 +619,14 @@ func newServer(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
-		opts:         opts,
-		place:        shard.NewEpoched(part),
-		start:        time.Now(),
-		crossSem:     make(chan struct{}, crossSlots),
-		reg:          newCrossReg(),
-		stopDrainers: make(chan struct{}),
-		lat:          metrics.NewReservoir(opts.LatencyWindow),
-		queueWait:    metrics.NewReservoir(opts.LatencyWindow),
-		svc:          metrics.NewReservoir(opts.LatencyWindow),
+		opts:      opts,
+		place:     shard.NewEpoched(part),
+		start:     time.Now(),
+		crossSem:  make(chan struct{}, crossSlots),
+		reg:       newCrossReg(),
+		lat:       metrics.NewReservoir(latencyWindow),
+		queueWait: metrics.NewReservoir(latencyWindow),
+		svc:       metrics.NewReservoir(latencyWindow),
 	}
 	s.jitterState.Store(opts.Seed | 1)
 	// Shards share nothing until they serve (own heap, own seed), so each is
@@ -705,10 +684,9 @@ func (s *Server) newShard(i int) (*shardState, error) {
 	ss := &shardState{
 		idx:     i,
 		srv:     s,
-		queue:   make(chan *request, opts.QueueDepth),
-		prio:    make(chan *request, crossSlots),
 		stop:    make(chan struct{}),
 		tokens:  make(chan int, opts.Workers),
+		ctlLine: make(chan int),
 		workers: make([]*proteustm.Worker, opts.Workers),
 		parked:  make([]int, opts.Workers),
 		relCh:   make(chan struct{}),
@@ -760,13 +738,13 @@ func (s *Server) newShard(i int) (*shardState, error) {
 	return ss, nil
 }
 
-// startWorkers starts every shard serving (see startShardWorkers) and
-// launches the background maintenance loop. The loop runs whenever the placement is
+// startServing starts every shard serving (see startShard) and launches
+// the background maintenance loop. The loop runs whenever the placement is
 // resharding-capable even with both triggers disabled: the spare-shard
 // reaper must retire spares stranded by manual migrations too.
-func (s *Server) startWorkers() {
+func (s *Server) startServing() {
 	for _, ss := range s.fleet() {
-		s.startShardWorkers(ss)
+		s.startShard(ss)
 	}
 	if s.opts.AutosplitShare > 0 || s.opts.AutomergeShare > 0 || s.part().Kind() == shard.KindRange {
 		s.maintStop = make(chan struct{})
@@ -775,18 +753,13 @@ func (s *Server) startWorkers() {
 	}
 }
 
-// startShardWorkers puts one shard's slot tokens into circulation and
-// launches its queue workers and failure detector (unless detection is
-// disabled) — the per-shard half of startWorkers, reused when a live
-// reshard grows the fleet. Tokens start circulating here, not in newShard,
-// so a server built with newServer alone (and no tuner to grow its
-// degree) executes nothing.
-func (s *Server) startShardWorkers(ss *shardState) {
+// startShard puts one shard's slot tokens into circulation and launches
+// its failure detector (unless detection is disabled) — the per-shard half
+// of startServing, reused when a live reshard grows the fleet. Tokens start
+// circulating here, not in newShard, so a server built with newServer
+// alone (and no tuner to grow its degree) executes nothing.
+func (s *Server) startShard(ss *shardState) {
 	ss.unpark()
-	for i := 0; i < s.opts.Workers; i++ {
-		ss.wg.Add(1)
-		go ss.worker()
-	}
 	if s.opts.FenceDeadline > 0 {
 		ss.wg.Add(1)
 		go ss.detector()
@@ -889,28 +862,36 @@ func (ss *shardState) park(id int) {
 }
 
 // lease takes a circulating slot token, withdrawing the ones a shrink has
-// retired on the way. With wait it blocks until a token or the shard's
-// stop; without, it fails when no token is free. A lease always fails
-// once stop is closed (a lessee that raced the close still runs: quiesce
-// waits for its token).
-func (ss *shardState) lease(wait bool) (int, bool) {
+// retired on the way. Without wait it fails when no token is free; with
+// wait the caller stands in the shard's line until a token reaches it —
+// through tokens in arrival order or, for a control step, through ctlLine
+// ahead of them — or cancel fires. A lease always fails once stop is
+// closed (a lessee that raced the close still runs: quiesce waits for its
+// token).
+func (ss *shardState) lease(wait, ctl bool, cancel <-chan struct{}) (int, bool) {
+	var jump chan int // nil, never ready: data operations take their turn
+	if ctl {
+		jump = ss.ctlLine
+	}
 	for {
+		select {
+		case <-ss.stop:
+			return 0, false
+		default:
+		}
 		var id int
-		if wait {
-			select {
-			case id = <-ss.tokens:
-			case <-ss.stop:
+		select {
+		case id = <-ss.tokens:
+		default:
+			if !wait {
 				return 0, false
-			}
-		} else {
-			select {
-			case <-ss.stop:
-				return 0, false
-			default:
 			}
 			select {
 			case id = <-ss.tokens:
-			default:
+			case id = <-jump:
+			case <-ss.stop:
+				return 0, false
+			case <-cancel:
 				return 0, false
 			}
 		}
@@ -921,34 +902,79 @@ func (ss *shardState) lease(wait bool) (int, bool) {
 	}
 }
 
-// run executes req under a leased slot on the calling goroutine: the
-// direct path (wait=false, the submitter itself; ok=false when no slot is
-// free) and the queued path (wait=true, a queue worker; ok=false when the
-// shard stopped). A slot a shrink retired between lease and execution is
-// handed back and another leased.
-func (ss *shardState) run(req *request, wait bool) (resp response, ok bool) {
+// release returns a slot token: to a control step waiting in line if
+// there is one, else to the circulating tokens (and so to the longest
+// waiting data operation). The send to tokens never blocks: the channel
+// holds all the shard's tokens.
+func (ss *shardState) release(slot int) {
+	select {
+	case ss.ctlLine <- slot:
+	default:
+		ss.tokens <- slot
+	}
+}
+
+// run executes req under a leased slot on the calling goroutine. A
+// request that finds no slot free spins for one (spinForSlot) and then
+// waits in the shard's line. It leaves the line unexecuted — ok=false,
+// resp its answer — when the line already holds QueueDepth waiters (data
+// operations only: 429), when cancel fires (see leftLine) or when the shard
+// stops (stopAnswer). A slot a shrink retired between lease and execution
+// is handed back and another leased.
+func (ss *shardState) run(req *request, cancel <-chan struct{}) (response, bool) {
+	s := ss.srv
+	waited := false
 	for {
-		slot, leased := ss.lease(wait)
-		if !leased && !wait && ss.spinForSlot() {
-			if slot, leased = ss.lease(false); leased {
-				ss.srv.leaseSpins.Add(1)
+		slot, leased := ss.lease(false, req.ctl, nil)
+		if !leased && !waited && ss.spinForSlot() {
+			if slot, leased = ss.lease(false, req.ctl, nil); leased {
+				s.leaseSpins.Add(1)
 			}
 		}
 		if !leased {
-			return response{}, false
+			if n := ss.waiting.Add(1); !req.ctl && n > int64(s.opts.QueueDepth) {
+				ss.waiting.Add(-1)
+				s.rejected.Add(1)
+				return response{Err: "admission queue full", code: http.StatusTooManyRequests}, false
+			}
+			slot, leased = ss.lease(true, req.ctl, cancel)
+			ss.waiting.Add(-1)
+			if !leased {
+				return ss.leftLine(req), false
+			}
+			waited = true
 		}
 		resp, ran := ss.process(slot, req)
-		ss.tokens <- slot
+		ss.release(slot)
 		if ran {
-			if wait {
-				ss.srv.queuedOps.Add(1)
+			if waited {
+				s.queuedOps.Add(1)
 			} else {
-				ss.srv.directOps.Add(1)
+				s.directOps.Add(1)
 			}
 			return resp, true
 		}
-		ss.srv.requeued.Add(1)
+		s.requeued.Add(1)
 	}
+}
+
+// leftLine is the answer of a request that left the shard's line without
+// a slot: stopAnswer's once the shard stopped, and otherwise — its cancel
+// fired — not-applied for a control step and 499 for a data operation,
+// whose client hung up and which is counted shed_deadline as it leaves.
+// The 499 mirrors the de-facto "client closed request" status — nobody is
+// left to read it.
+func (ss *shardState) leftLine(req *request) response {
+	select {
+	case <-ss.stop:
+		return ss.stopAnswer(req)
+	default:
+	}
+	if req.ctl {
+		return response{}
+	}
+	ss.srv.shedDeadline.Add(1)
+	return response{Err: "client canceled", code: 499}
 }
 
 // spin polls ready until spinBudget after t0 (now, as the caller read it)
@@ -976,10 +1002,10 @@ func spin(gate *atomic.Bool, t0 time.Time, ready func() bool) bool {
 
 // spinForSlot is the spin of a submitter that found no free slot token: it
 // reports that a token was seen free within the budget (the caller still has
-// to lease it). With requests waiting in either lane it does not run — they
-// were here first, and the token goes to a queue worker.
+// to lease it). With requests waiting in line it does not run — they were
+// here first, and the next token goes to them.
 func (ss *shardState) spinForSlot() bool {
-	if len(ss.queue) > 0 || len(ss.prio) > 0 {
+	if ss.waiting.Load() > 0 {
 		return false
 	}
 	return spin(&ss.slotSpinner, time.Now(), func() bool { return len(ss.tokens) > 0 })
@@ -998,37 +1024,9 @@ func (ss *shardState) quiesce() {
 	}
 }
 
-// worker is one of the shard's queue workers: it serves the requests that
-// found no free slot at submission, leasing a token per request. The
-// priority lane is drained before the admission queue so cross-shard
-// commit control steps (fence release in particular) are never starved
-// by a backlog of data operations.
-func (ss *shardState) worker() {
-	defer ss.wg.Done()
-	for {
-		var req *request
-		select {
-		case req = <-ss.prio:
-		default:
-			select {
-			case <-ss.stop:
-				return
-			case req = <-ss.prio:
-			case req = <-ss.queue:
-			}
-		}
-		resp, ok := ss.run(req, true)
-		if !ok {
-			resp = ss.stopAnswer(req)
-		}
-		req.done <- resp
-	}
-}
-
 // process is the shard's one execution body: it runs req on the leased
-// slot and returns its response, from whichever goroutine holds the
-// token. ran=false means a shrink retired the slot before anything
-// executed.
+// slot and returns its response. ran=false means a shrink retired the slot
+// before anything executed.
 func (ss *shardState) process(slot int, req *request) (resp response, ran bool) {
 	s := ss.srv
 	// Fault-injection hooks (nil injector: one pointer compare). A fired
@@ -1313,9 +1311,6 @@ func (ss *shardState) runCtlStep(req *request, w *proteustm.Worker, slot int) (r
 			}
 		}
 	})
-	if guarded && resp.Applied && req.then != nil {
-		req.then()
-	}
 	return resp
 }
 
@@ -1369,22 +1364,22 @@ func (s *Server) shedForLatency(ss *shardState) bool {
 	if s.opts.SLOP99 <= 0 {
 		return false
 	}
-	if len(ss.queue) < max(1, cap(ss.queue)/8) {
+	if ss.waiting.Load() < int64(max(1, s.opts.QueueDepth/8)) {
 		return false
 	}
-	budgetMs := s.opts.ShedBudget * float64(s.opts.SLOP99) / float64(time.Millisecond)
+	budgetMs := shedBudget * float64(s.opts.SLOP99) / float64(time.Millisecond)
 	return s.queueWaitP99() > budgetMs
 }
 
-// submit admits one request to shard ss and executes it: on the calling
-// goroutine when a slot token is free, through the admission queue
-// otherwise — where a full queue, like a queue-wait p99 over the SLO
-// budget, rejects immediately (the 429 paths) rather than stalling the
-// client. An operation a cross-shard fence covers comes back unexecuted;
-// the submitter, holding no slot, waits for the fence's release and
-// retries. The inflight registration precedes the closed-check, so Close
-// cannot observe an empty system while a submitter is between its check
-// and its execution.
+// submit admits one request to shard ss and executes it on the calling
+// goroutine, which waits in the shard's line when no slot token is free —
+// where a full line, like a queue-wait p99 over the SLO budget, rejects
+// immediately (the 429 paths) rather than stalling the client. An
+// operation a cross-shard fence covers comes back unexecuted; the
+// submitter, holding no slot, waits for the fence's release and retries.
+// The inflight registration precedes the closed-check, so Close cannot
+// observe an empty system while a submitter is between its check and its
+// execution.
 func (s *Server) submit(ss *shardState, req *request) (response, int) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -1395,16 +1390,16 @@ func (s *Server) submit(ss *shardState, req *request) (response, int) {
 	if req.ctx != nil {
 		if req.ctx.Err() != nil {
 			// Nobody is waiting for the answer: drop the op before it can
-			// take a slot or a queue place.
+			// take a slot or a place in line.
 			s.shedDeadline.Add(1)
 			return response{Err: "client canceled"}, 499
 		}
 		cancel = req.ctx.Done()
 	}
 	if ra := ss.breakerRetryAfter(); ra > 0 {
-		// The shard's circuit breaker is open: it has queued work it is
-		// not executing. Shed with a Retry-After instead of feeding the
-		// dead queue.
+		// The shard's circuit breaker is open: it has requests in line it
+		// is not executing. Shed with a Retry-After instead of lengthening
+		// the line.
 		s.breakerShed.Add(1)
 		return response{Err: "shard circuit breaker open",
 				code: http.StatusServiceUnavailable, retryAfter: ra},
@@ -1419,32 +1414,15 @@ func (s *Server) submit(ss *shardState, req *request) (response, int) {
 		// Read before the attempt: a release that lands between a fenced
 		// attempt and the wait below must not be slept through.
 		gen := ss.relGen.Load()
-		resp, direct := ss.run(req, false)
-		if !direct {
-			if req.done == nil {
-				req.done = make(chan response, 1)
-			}
-			select {
-			case ss.queue <- req:
-			default:
-				s.rejected.Add(1)
-				return response{Err: "admission queue full"}, http.StatusTooManyRequests
-			}
+		resp, ran := ss.run(req, cancel)
+		if !ran && resp.code == http.StatusTooManyRequests {
+			return resp, resp.code // the line was full: never admitted
 		}
 		if pass == 0 {
 			ss.routed.Add(1)
 		}
-		if !direct {
-			select {
-			case resp = <-req.done:
-			case <-cancel:
-				// The client hung up while the op was queued. Return at
-				// once; the worker that eventually dequeues the op sees the
-				// dead context and drops it (counted shed_deadline). The
-				// 499 mirrors the de-facto "client closed request" status
-				// — nobody is left to read it.
-				return response{Err: "client canceled"}, 499
-			}
+		if !ran && resp.code != 0 {
+			return resp, resp.code // the client hung up in line
 		}
 		if resp.fenced {
 			s.fenced.Add(1)
@@ -1466,11 +1444,11 @@ func (s *Server) submit(ss *shardState, req *request) (response, int) {
 	}
 }
 
-// Close drains the admission queues, stops the workers and shuts every
-// shard's ProteusTM system down. In-flight and queued requests — and
-// in-flight cross-shard commits — all complete; new submissions are
-// rejected with 503. Shards drain one at a time so the shutdown log
-// attributes progress per shard.
+// Close drains the shards' lines, stops the shards and shuts every shard's
+// ProteusTM system down. In-flight and waiting requests — and in-flight
+// cross-shard commits — all complete; new submissions are rejected with
+// 503. Shards drain one at a time so the shutdown log attributes progress
+// per shard.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -1486,7 +1464,7 @@ func (s *Server) Close() error {
 	s.reshardMu.Unlock() //nolint:staticcheck // barrier: wait out a live migration
 	// Every submission that passed the closed-check has registered in
 	// inflight, and the shards are still serving, so waiting here both
-	// drains the queues and guarantees every admitted request (including
+	// drains the lines and guarantees every admitted request (including
 	// every cross-shard coordinator) got its reply before the shards stop.
 	s.inflight.Wait()
 	var firstErr error
@@ -1500,11 +1478,6 @@ func (s *Server) Close() error {
 			firstErr = err
 		}
 	}
-	// Retired-shard drainers outlive their shards (stragglers holding a
-	// pre-truncation fleet may deliver long after the retire); they only
-	// stop once no new sender can exist.
-	close(s.stopDrainers)
-	s.drainersWG.Wait()
 	s.opts.Logf("serve: drained and stopped (shards=%d served=%d rejected=%d cross=%d)",
 		len(s.fleet()), s.totalServed(), s.rejected.Load(), s.crossOps.Load())
 	return firstErr
@@ -1692,8 +1665,8 @@ func (s *Server) batchHandler(op opKind) http.HandlerFunc {
 			writeJSON(w, http.StatusBadRequest, response{Err: "parameter \"keys\": at least one key required"})
 			return
 		}
-		if len(keys) > s.opts.MaxBatchKeys {
-			writeJSON(w, http.StatusBadRequest, response{Err: fmt.Sprintf("batch of %d keys exceeds limit %d", len(keys), s.opts.MaxBatchKeys)})
+		if len(keys) > maxBatchKeys {
+			writeJSON(w, http.StatusBadRequest, response{Err: fmt.Sprintf("batch of %d keys exceeds limit %d", len(keys), maxBatchKeys)})
 			return
 		}
 		req := &request{op: op, keys: keys, ctx: r.Context()}

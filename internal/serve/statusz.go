@@ -22,7 +22,7 @@ type Status struct {
 	Latency LatencyStatus `json:"latency_ms"`
 	// QueueWait is accept→execution-start; Service is the execution
 	// alone. Latency (above) is accept→reply. Separating them tells a
-	// saturated admission queue apart from a slow store.
+	// saturated shard's line apart from a slow store.
 	QueueWait LatencyStatus `json:"queue_wait_ms"`
 	Service   LatencyStatus `json:"service_ms"`
 	// Shards is the per-shard breakdown: one entry per key-space shard,
@@ -135,18 +135,19 @@ type OpsStatus struct {
 	// a fenced operation's retries plus slots a shrink retired between
 	// lease and execution.
 	Requeued uint64 `json:"requeued"`
-	// Direct counts requests (data operations and control steps) executed
-	// on their submitter's goroutine under a leased slot; Queued those
-	// that found no free slot and went through a lane to a queue worker.
-	// LeaseSpins counts the direct ones whose slot came free while the
-	// submitter spun for it (without the spin they would have queued).
+	// Direct counts requests (data operations and control steps) that
+	// found a free slot at once or within the spin; Queued those that ran
+	// after waiting in the shard's line. Both run on their submitter's
+	// goroutine. LeaseSpins counts the direct ones whose slot came free
+	// while the submitter spun for it (without the spin they would have
+	// waited in line).
 	Direct     uint64 `json:"direct"`
 	Queued     uint64 `json:"queued"`
 	LeaseSpins uint64 `json:"lease_spins"`
 	HookFires  uint64 `json:"reconfigure_hook_fires"`
 	Drains     uint64 `json:"drains"`
-	// ShedDeadline counts queued ops dropped unexecuted (deadline passed
-	// or client hung up); ShedLatency counts admissions rejected because
+	// ShedDeadline counts ops dropped unexecuted (deadline passed or
+	// client hung up); ShedLatency counts admissions rejected because
 	// queue-wait p99 crossed the SLO budget — the two tail-latency shed
 	// paths beside the queue-depth Rejected.
 	ShedDeadline uint64 `json:"shed_deadline"`
@@ -306,7 +307,7 @@ func (s *Server) StatusSnapshot() Status {
 		exploring = exploring || shExploring
 		act := int(ss.active.Load())
 		activeWorkers += act
-		qn := len(ss.queue)
+		qn := int(ss.waiting.Load())
 		queueLen += qn
 		held := ss.sys.Load(ss.store.FenceOccWord())
 		fenceKeysHeld += held
@@ -336,8 +337,8 @@ func (s *Server) StatusSnapshot() Status {
 			})
 		}
 		tl := ss.sys.Timeline()
-		if tail := s.opts.TimelineTail; len(tl) > tail {
-			tl = tl[len(tl)-tail:]
+		if len(tl) > timelineTail {
+			tl = tl[len(tl)-timelineTail:]
 		}
 		for _, p := range tl {
 			timeline = append(timeline, TimelineStatus{

@@ -1,7 +1,7 @@
 // Package serve implements proteusd's serving layer: one or more
 // transactional heaps exposed as a concurrent key-value / data-structure
 // service over HTTP+JSON, executed as ProteusTM atomic blocks on pools of
-// bound worker slots behind bounded admission queues, with a /statusz
+// bound worker slots behind bounded lines of waiting requests, with a /statusz
 // endpoint surfacing each shard's auto-tuner timeline, installed
 // configuration, abort rates and serving metrics plus a fleet rollup.
 //
