@@ -12,9 +12,9 @@
 //	    [--autotune=true] [--sample-period 100ms] [--seed 42]
 //	    [--heap-words 4194304] [--preload 8192]
 //	    [--slo-p99 0] [--deadline 0] [--fault ""]
-//	    [--fence-deadline 1s] [--breaker-cooldown 1s]
-//	    [--autosplit 0] [--autosplit-max 8] [--autosplit-interval 2s]
-//	    [--automerge 0] [--automerge-min 0] [--spare-grace 30s]
+//	    [--fence-deadline 1s]
+//	    [--autosplit 0] [--autosplit-max 8]
+//	    [--automerge 0] [--automerge-min 0]
 //
 // --slo-p99 sets a tail-latency target: the per-shard tuners switch from
 // raw throughput to throughput-under-SLO (configurations that blow the
@@ -39,8 +39,8 @@
 // like "coord-crash@after=3;every=5;count=6,shard-stall:1@count=1;stall=1200ms"
 // (see internal/fault): injected coordinator crashes strand fences that
 // the per-shard failure detector recovers within --fence-deadline, and
-// stalled shards trip a circuit breaker that sheds with 503+Retry-After
-// until --breaker-cooldown elapses and progress resumes. Recovery
+// stalled shards trip a circuit breaker that sheds with 503+Retry-After,
+// a second at a time, until progress resumes. Recovery
 // counters appear under /statusz ops.* and fault fire counts under
 // ops.faults.
 //
@@ -58,7 +58,7 @@
 // donor's placement-epoch word and re-route). --autosplit=S arms the
 // same step as a background trigger: when the hottest shard carries more
 // than fraction S of routed operations, the daemon splits it, up to
-// --autosplit-max shards, checking every --autosplit-interval.
+// --autosplit-max shards, checking every 2s.
 // Observables: server.partitioner_epoch, server.resharding,
 // server.span_starts/span_owners, ops.reshards, ops.keys_migrated,
 // ops.moved_bounces. The deque stays pinned to shard 0 and its reserved
@@ -72,8 +72,8 @@
 // arms the symmetric background trigger: when the top shard's share of
 // the last interval's routed operations falls below S (or the fleet goes
 // idle), the daemon merges it away, down to --automerge-min shards,
-// checking every --autosplit-interval. Spare shards left by rolled-back
-// migrations are reaped after --spare-grace. Observables: ops.merges,
+// checking every 2s. Spare shards left by rolled-back migrations are
+// reaped after 30s idle. Observables: ops.merges,
 // ops.shards_retired, server.spare_shards, ops.range_conservative.
 //
 // Endpoints (all parameters are uint64 query parameters; keys/vals are
@@ -132,13 +132,10 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-op queueing budget; expired ops are dropped with 504 (0 = none; ?deadline_ms= tightens per request)")
 	faultSpec := flag.String("fault", "", "deterministic fault-injection spec, e.g. coord-crash@after=3;every=5;count=6 (see internal/fault; empty = no injection)")
 	fenceDeadline := flag.Duration("fence-deadline", 0, "age past which a heartbeat-stale cross-shard fence is declared orphaned and recovered (0 = 1s default)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "minimum time a stalled shard's circuit breaker sheds before admitting probes (0 = 1s default)")
 	autosplit := flag.Float64("autosplit", 0, "hottest-shard ops_routed share above which the daemon splits it live (range partitioner only; 0 = manual /admin/reshard only)")
 	autosplitMax := flag.Int("autosplit-max", 0, "shard-count ceiling for --autosplit (0 = 8 default)")
-	autosplitInterval := flag.Duration("autosplit-interval", 0, "how often --autosplit/--automerge check the load signal (0 = 2s default)")
 	automerge := flag.Float64("automerge", 0, "top-shard share of per-interval routed ops below which the daemon merges it away live (range partitioner only; 0 = manual /admin/reshard only)")
 	automergeMin := flag.Int("automerge-min", 0, "shard-count floor for --automerge (0 = the boot shard count)")
-	spareGrace := flag.Duration("spare-grace", 0, "idle time after which a spare shard left by a rolled-back migration is retired (0 = 30s default)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "proteusd: ", log.LstdFlags|log.Lmicroseconds)
@@ -167,13 +164,10 @@ func main() {
 		Deadline:           *deadline,
 		Fault:              injector,
 		FenceDeadline:      *fenceDeadline,
-		BreakerCooldown:    *breakerCooldown,
 		AutosplitShare:     *autosplit,
 		AutosplitMaxShards: *autosplitMax,
-		AutosplitInterval:  *autosplitInterval,
 		AutomergeShare:     *automerge,
 		AutomergeMinShards: *automergeMin,
-		SpareGrace:         *spareGrace,
 		Logf:               logger.Printf,
 	})
 	if err != nil {

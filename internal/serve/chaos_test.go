@@ -117,9 +117,8 @@ func testCoordinatorCrashRecovery(t *testing.T) {
 	const crashes = 3
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Seed: 42,
-		FenceDeadline:  80 * time.Millisecond,
-		DetectInterval: 20 * time.Millisecond,
-		Fault:          mustFault(t, "coord-crash@every=1;count=3", 42),
+		FenceDeadline: 80 * time.Millisecond,
+		Fault:         mustFault(t, "coord-crash@every=1;count=3", 42),
 	})
 	keys := keysOnDistinctShards(t, s, 3)
 
@@ -195,10 +194,9 @@ func testChaosLinearizability(t *testing.T) {
 	const opsPerClient = 4
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, HeapWords: 1 << 16, Seed: 7,
-		CrossRetries:   512, // ride out fences held across a recovery window
-		FenceDeadline:  100 * time.Millisecond,
-		DetectInterval: 25 * time.Millisecond,
-		Fault:          mustFault(t, "coord-crash@every=3;count=4", 9),
+		CrossRetries:  512, // ride out fences held across a recovery window
+		FenceDeadline: 100 * time.Millisecond,
+		Fault:         mustFault(t, "coord-crash@every=3;count=4", 9),
 	})
 	keys := keysOnDistinctShards(t, s, 3)
 	base := time.Now()
@@ -319,6 +317,65 @@ func TestFenceEpochLateReleaseIsNoOp(t *testing.T) {
 	}
 }
 
+// TestDetectorWaitsOutTheWholeDeadline pins both conditions of the orphan
+// rule at their boundaries by ticking the detector at chosen instants: a
+// hold is recovered only once the same (token, epoch) has been observed
+// across the whole deadline AND its heartbeat is a whole deadline old. The
+// 5s deadline keeps the detectors' own ticks, at real time, from ripening
+// a cell while the test runs.
+func TestDetectorWaitsOutTheWholeDeadline(t *testing.T) {
+	const d = 5 * time.Second
+	s := newTestServer(t, Options{Shards: 2, Workers: 2, FenceDeadline: d})
+
+	// A hold whose heartbeat was renewed at t0+d/2: continuity holds from
+	// t0+d on, but the hold is live until its beat is a deadline old.
+	ss := s.fleet()[1]
+	acq := s.ctlAcquire(ss, 101, SigAll)
+	if !acq.Applied {
+		t.Fatalf("acquire failed: %+v", acq)
+	}
+	t0 := time.Now()
+	ss.detect(t0)
+	beat := t0.Add(d / 2)
+	_, _, beatW := ss.store.FenceSlotWordsOf(acq.hold.Slot)
+	ss.sys.Store(beatW, uint64(beat.UnixNano()))
+	for _, at := range []time.Time{t0.Add(d), beat.Add(d - 1)} {
+		ss.detect(at)
+		if h := holderOf(ss, acq.hold.Slot); h != acq.hold {
+			t.Fatalf("hold recovered at t0+%v with a heartbeat at t0+%v: entry = %+v", at.Sub(t0), d/2, h)
+		}
+	}
+	ss.detect(beat.Add(d))
+	if fenceHeld(ss) || s.fenceAborted.Load() != 1 {
+		t.Fatalf("hold not recovered once its heartbeat was a deadline old: held=%v fence_aborted=%d",
+			fenceHeld(ss), s.fenceAborted.Load())
+	}
+
+	// A wedged hold (no heartbeat: continuity alone guards it) replaced by
+	// another token between ticks starts a cell of its own: its deadline
+	// runs from t1, the first tick that saw the new token.
+	ss = s.fleet()[0]
+	wedgeFence(ss, 201)
+	u0 := time.Now()
+	ss.detect(u0)
+	wedgeFence(ss, 202)
+	ss.detect(u0.Add(d / 2))
+	ss.detMu.Lock()
+	t1 := ss.sus[0].since
+	ss.detMu.Unlock()
+	if !t1.After(u0) {
+		t.Fatalf("token 202 inherited token 201's cell: watched since %v, 201 seen at %v", t1, u0)
+	}
+	ss.detect(t1.Add(d - 1))
+	if h := holderOf(ss, 0); h.Token != 202 {
+		t.Fatalf("wedge recovered a nanosecond before its deadline: entry = %+v", h)
+	}
+	ss.detect(t1.Add(d))
+	if fenceHeld(ss) || s.fenceAborted.Load() != 2 {
+		t.Fatalf("wedge not recovered at its deadline: held=%v fence_aborted=%d", fenceHeld(ss), s.fenceAborted.Load())
+	}
+}
+
 // TestDoubleRecoveryIdempotence pins the counted-once edge: recovering
 // the same orphaned batch twice rolls its writes forward exactly once
 // and bumps the recovery counters exactly once.
@@ -386,11 +443,8 @@ func TestBreakerOpensAndCloses(t *testing.T) {
 func testBreakerOpensAndCloses(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 2, Workers: 1, Seed: 3,
-		FenceDeadline:     5 * time.Second, // detector on, fence recovery out of play
-		DetectInterval:    10 * time.Millisecond,
-		BreakerStallTicks: 2,
-		BreakerCooldown:   3 * time.Second,
-		Fault:             mustFault(t, "shard-stall:0@every=1;count=1;stall=1200ms", 3),
+		FenceDeadline: 5 * time.Second, // detector on, fence recovery out of play
+		Fault:         mustFault(t, "shard-stall:0@every=1;count=1;stall=1200ms", 3),
 	})
 	var k uint64
 	for s.part().Owner(k) != 0 {
@@ -399,7 +453,8 @@ func testBreakerOpensAndCloses(t *testing.T) {
 	ss := s.fleet()[0]
 
 	// The first dequeue on shard 0 arms the 1.2s stall; the rest of the
-	// puts sit in the queue, so the detector sees queued work with zero
+	// puts sit in the queue, so the detector — ticked by hand below, far
+	// more often than its own 1.25s period — sees queued work with zero
 	// executions and opens the breaker.
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -424,6 +479,7 @@ func testBreakerOpensAndCloses(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	waitUntil(t, 5*time.Second, "breaker open", func() bool {
+		ss.detect(time.Now())
 		return s.breakerOpenTotal.Load() > 0
 	})
 	if h := s.Health(); h.Healthy {
@@ -441,7 +497,8 @@ func testBreakerOpensAndCloses(t *testing.T) {
 	// observes progress and closes the breaker.
 	wg.Wait()
 	waitUntil(t, 5*time.Second, "breaker close", func() bool {
-		return ss.breakerState.Load() == breakerClosed
+		ss.detect(time.Now())
+		return ss.breakerUntil.Load() == 0
 	})
 	if h := s.Health(); !h.Healthy {
 		t.Fatalf("health not ready after breaker closed: %+v", h)
@@ -466,8 +523,7 @@ func TestTornWriteAfterAcquireStallRecovery(t *testing.T) {
 func testTornWriteAfterAcquireStallRecovery(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Seed: 11,
-		FenceDeadline:  60 * time.Millisecond,
-		DetectInterval: 15 * time.Millisecond,
+		FenceDeadline: 60 * time.Millisecond,
 		// Arrival 1 = before first acquire; fire on arrival 2 so the
 		// coordinator stalls holding shard A's fence, well past the
 		// detection deadline.
@@ -524,9 +580,8 @@ func TestStalledCoordinatorsNeverSplitABatch(t *testing.T) {
 	const coordinators, rounds = 8, 20
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Seed: 5,
-		FenceDeadline:  40 * time.Millisecond,
-		DetectInterval: 10 * time.Millisecond,
-		Fault:          mustFault(t, "fence-acquire-stall@after=2;every=9;count=30;stall=120ms", 5),
+		FenceDeadline: 40 * time.Millisecond,
+		Fault:         mustFault(t, "fence-acquire-stall@after=2;every=9;count=30;stall=120ms", 5),
 	})
 	var byShard [3][]uint64
 	for k := uint64(0); len(byShard[0]) < coordinators || len(byShard[1]) < coordinators || len(byShard[2]) < coordinators; k++ {

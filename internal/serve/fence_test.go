@@ -337,7 +337,7 @@ func testFenceHeldVisible(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 2, Workers: 2,
 		Fault:         mustFault(t, "fence-acquire-stall@after=1;count=1;stall=300ms", 1),
-		FenceDeadline: 60 * time.Millisecond, DetectInterval: 10 * time.Millisecond,
+		FenceDeadline: 60 * time.Millisecond,
 	})
 	// view reads the three surfaces for shard i. They are read one after
 	// the other, so while a hold comes or goes they may differ for an

@@ -196,10 +196,8 @@ func TestMergeAdminSurface(t *testing.T) {
 func TestSpareReaper(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Partitioner: shard.KindRange, Preload: 1024,
-		Fault:             mustFault(t, "reshard-donor-crash@count=1", 1),
-		FenceDeadline:     60 * time.Millisecond,
-		SpareGrace:        50 * time.Millisecond,
-		AutosplitInterval: 20 * time.Millisecond,
+		Fault:         mustFault(t, "reshard-donor-crash@count=1", 1),
+		FenceDeadline: 60 * time.Millisecond,
 	})
 	s.fleet()[0].routed.Add(10_000)
 
@@ -218,10 +216,22 @@ func TestSpareReaper(t *testing.T) {
 	}
 
 	waitUntil(t, 5*time.Second, "fence recovery after migrator crash", func() bool { return fencesFree(s) })
-	// The spare leaves the fleet first and is counted once it has stopped.
-	waitUntil(t, 5*time.Second, "spare reaper to retire the idle spare", func() bool {
-		return len(s.fleet()) == 3 && s.shardsRetired.Load() >= 1
-	})
+	// The spare's grace runs from t0, the first maintenance tick that saw
+	// it (this one, or the loop's own if it got there first). It is kept
+	// a nanosecond short of the grace and retired at it; the spare leaves
+	// the fleet first and is counted once it has stopped.
+	s.maintain(time.Now())
+	s.maintMu.Lock()
+	t0 := s.spareSince
+	s.maintMu.Unlock()
+	s.maintain(t0.Add(spareGrace - 1))
+	if n := len(s.fleet()); n != 4 {
+		t.Fatalf("fleet = %d a nanosecond before the spare's grace ran out, want 4", n)
+	}
+	s.maintain(t0.Add(spareGrace))
+	if n, retired := len(s.fleet()), s.shardsRetired.Load(); n != 3 || retired < 1 {
+		t.Fatalf("after the spare's grace: fleet = %d shards_retired = %d, want 3 and >= 1", n, retired)
+	}
 
 	st := s.StatusSnapshot()
 	if st.Server.SpareShards != 0 {
@@ -247,14 +257,17 @@ func TestSpareReaper(t *testing.T) {
 func TestAutomerge(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 4, Workers: 2, Partitioner: shard.KindRange, Preload: 1024,
-		AutomergeShare: 0.1, AutomergeMinShards: 3, AutosplitInterval: 20 * time.Millisecond,
+		AutomergeShare: 0.1, AutomergeMinShards: 3,
 	})
-	waitUntil(t, 5*time.Second, "automerge to retire the idle top shard", func() bool { return s.part().Shards() == 3 })
+	s.maintain(time.Now())
+	if got := s.part().Shards(); got != 3 {
+		t.Fatalf("automerge left %d shards after an idle tick, want the top shard retired (3)", got)
+	}
 	if got := s.place.Epoch(); got != 1 {
 		t.Fatalf("placement epoch after automerge = %d, want 1", got)
 	}
 	// The floor holds even though the fleet stays idle.
-	time.Sleep(100 * time.Millisecond)
+	s.maintain(time.Now())
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("automerge undershot the floor: %d shards", got)
 	}

@@ -284,14 +284,16 @@ func (g *crossReg) completeIfDone(rec *crossRec) bool {
 
 // ---- per-shard failure detector + circuit breaker ----
 
-// Circuit-breaker states. The breaker is driven by the detector's
-// progress watchdog, not by response codes: a shard is sick when it has
-// requests in line but executes nothing across BreakerStallTicks consecutive
-// detector ticks — a stalled worker pool or a wedged fence — and healthy
-// again the moment an operation completes.
+// The circuit breaker is driven by the detector's progress watchdog, not by
+// response codes: a shard is sick when it has requests in line but executes
+// nothing across breakerStallTicks consecutive detector ticks — a stalled
+// worker pool or a wedged fence — and healthy again the moment an operation
+// completes. Its one word, shardState.breakerUntil, is the whole state: 0
+// closed, a future instant open, a past instant half-open. An open breaker
+// sheds for breakerCooldown.
 const (
-	breakerClosed int32 = iota
-	breakerOpen
+	breakerStallTicks = 3
+	breakerCooldown   = time.Second
 )
 
 // breakerRetryAfter returns how long a new admission should stay away,
@@ -299,10 +301,11 @@ const (
 // admits probes (half-open); the detector closes it on progress or
 // re-arms the cooldown if the stall persists.
 func (ss *shardState) breakerRetryAfter() time.Duration {
-	if ss.breakerState.Load() != breakerOpen {
+	until := ss.breakerUntil.Load()
+	if until == 0 {
 		return 0
 	}
-	if d := time.Duration(ss.breakerUntil.Load() - time.Now().UnixNano()); d > 0 {
+	if d := time.Duration(until - time.Now().UnixNano()); d > 0 {
 		return d
 	}
 	return 0
@@ -310,10 +313,10 @@ func (ss *shardState) breakerRetryAfter() time.Duration {
 
 // breakerName renders the breaker state for /statusz and /healthz.
 func (ss *shardState) breakerName(now time.Time) string {
-	if ss.breakerState.Load() != breakerOpen {
+	switch until := ss.breakerUntil.Load(); {
+	case until == 0:
 		return "closed"
-	}
-	if ss.breakerUntil.Load() > now.UnixNano() {
+	case until > now.UnixNano():
 		return "open"
 	}
 	return "half-open"
@@ -381,66 +384,68 @@ func (f *fenceSus) watch(token, epoch, beat uint64, now time.Time, deadline time
 	return false
 }
 
-// detector is shard ss's failure detector: a scavenger goroutine that
-// (a) recovers fences held past Options.FenceDeadline — the hold must be
-// the same (token, epoch) across the whole deadline AND carry a stale
-// heartbeat, so a busy protocol reacquiring the fence never trips it —
-// and (b) trips the circuit breaker when the shard has requests in line but
-// made no progress for BreakerStallTicks consecutive ticks. The scavenger
-// iterates the fence table, one suspicion cell per entry, so each
-// orphaned hold is recovered independently.
+// detector is shard ss's failure detector goroutine: a ticker that runs
+// detect at each tick's instant, every FenceDeadline/4.
 func (ss *shardState) detector() {
 	defer ss.wg.Done()
-	s := ss.srv
-	deadline, cooldown := s.opts.FenceDeadline, s.opts.BreakerCooldown
-	tick := time.NewTicker(s.opts.DetectInterval)
+	tick := time.NewTicker(ss.srv.opts.FenceDeadline / 4)
 	defer tick.Stop()
-	var sus [FenceSlots]fenceSus
-	lastExecuted := ss.executed.Load()
-	stallTicks := 0
 	for {
 		select {
 		case <-ss.stop:
 			return
-		case <-tick.C:
+		case now := <-tick.C:
+			ss.detect(now)
 		}
-		now := time.Now()
+	}
+}
 
-		// Orphaned-fence scavenging. With nothing held the cells keep what
-		// they last saw: epochs never repeat, so a stale cell cannot match
-		// a later hold.
-		if ss.sys.Load(ss.store.FenceOccWord()) != 0 {
-			for i := range sus {
-				tokenW, epochW, beatW := ss.store.FenceSlotWordsOf(i)
-				h := FenceHold{Slot: i, Token: ss.sys.Load(tokenW)}
-				var beat uint64
-				if h.Token != 0 {
-					h.Epoch = ss.sys.Load(epochW)
-					beat = ss.sys.Load(beatW)
-				}
-				if sus[i].watch(h.Token, h.Epoch, beat, now, deadline) {
-					s.recoverOrphan(ss, h)
-				}
+// detect is one tick of shard ss's failure detector at instant now. It
+// (a) recovers fences held past Options.FenceDeadline — the hold must be
+// the same (token, epoch) across the whole deadline AND carry a stale
+// heartbeat, so a busy protocol reacquiring the fence never trips it —
+// and (b) trips the circuit breaker when the shard has requests in line but
+// made no progress for breakerStallTicks consecutive ticks. The scavenger
+// iterates the fence table, one suspicion cell per entry, so each
+// orphaned hold is recovered independently.
+func (ss *shardState) detect(now time.Time) {
+	ss.detMu.Lock()
+	defer ss.detMu.Unlock()
+	s := ss.srv
+
+	// Orphaned-fence scavenging. With nothing held the cells keep what
+	// they last saw: epochs never repeat, so a stale cell cannot match
+	// a later hold.
+	if ss.sys.Load(ss.store.FenceOccWord()) != 0 {
+		for i := range ss.sus {
+			tokenW, epochW, beatW := ss.store.FenceSlotWordsOf(i)
+			h := FenceHold{Slot: i, Token: ss.sys.Load(tokenW)}
+			var beat uint64
+			if h.Token != 0 {
+				h.Epoch = ss.sys.Load(epochW)
+				beat = ss.sys.Load(beatW)
+			}
+			if ss.sus[i].watch(h.Token, h.Epoch, beat, now, s.opts.FenceDeadline) {
+				s.recoverOrphan(ss, h)
 			}
 		}
+	}
 
-		// Progress watchdog → circuit breaker.
-		executed := ss.executed.Load()
-		progressed := executed != lastExecuted
-		lastExecuted = executed
-		waiting := ss.waiting.Load()
-		if progressed || waiting == 0 {
-			stallTicks = 0
-			if ss.breakerState.CompareAndSwap(breakerOpen, breakerClosed) {
-				s.opts.Logf("serve: shard %d circuit breaker closed (progress resumed)", ss.idx)
-			}
-		} else if stallTicks++; stallTicks >= s.opts.BreakerStallTicks {
-			ss.breakerUntil.Store(now.Add(cooldown).UnixNano())
-			if ss.breakerState.CompareAndSwap(breakerClosed, breakerOpen) {
-				s.breakerOpenTotal.Add(1)
-				s.opts.Logf("serve: shard %d circuit breaker open (no progress for %d ticks, queue=%d)",
-					ss.idx, stallTicks, waiting)
-			}
+	// Progress watchdog → circuit breaker.
+	executed := ss.executed.Load()
+	progressed := executed != ss.lastExecuted
+	ss.lastExecuted = executed
+	waiting := ss.waiting.Load()
+	if progressed || waiting == 0 {
+		ss.stallTicks = 0
+		if ss.breakerUntil.Swap(0) != 0 {
+			s.opts.Logf("serve: shard %d circuit breaker closed (progress resumed)", ss.idx)
+		}
+	} else if ss.stallTicks++; ss.stallTicks >= breakerStallTicks {
+		if ss.breakerUntil.Swap(now.Add(breakerCooldown).UnixNano()) == 0 {
+			s.breakerOpenTotal.Add(1)
+			s.opts.Logf("serve: shard %d circuit breaker open (no progress for %d ticks, queue=%d)",
+				ss.idx, ss.stallTicks, waiting)
 		}
 	}
 }
@@ -451,7 +456,7 @@ func (s *Server) fenceRecoveryEta() time.Duration {
 	if s.opts.FenceDeadline <= 0 {
 		return time.Second
 	}
-	return s.opts.FenceDeadline + s.opts.DetectInterval
+	return s.opts.FenceDeadline + s.opts.FenceDeadline/4
 }
 
 // recoverOrphan recovers the batch holding h on shard ss's fence past the

@@ -72,6 +72,16 @@ const migrateBatch = 256
 // autosplit trigger trusts the load signal enough to split on it.
 const autosplitMinRouted = 1024
 
+// maintainEvery is the maintenance loop's period (autosplit, automerge and
+// the spare reaper); spareGrace is how long a spare shard — one left behind
+// by a rolled-back migration — may idle before the reaper retires it,
+// stopping its workers and tuner for good. Until then the next split
+// reuses it.
+const (
+	maintainEvery = 2 * time.Second
+	spareGrace    = 30 * time.Second
+)
+
 // reshardResult is the JSON reply of POST /admin/reshard (and the
 // autosplit/automerge triggers' log source). Applied=false with a Reason
 // is the explicit no-op: nothing worth moving, no degenerate plan
@@ -622,15 +632,31 @@ func (s *Server) retireSpares() int {
 }
 
 // maintenanceLoop is the background trigger behind --autosplit and
-// --automerge, and the spare-shard reaper. Each tick it:
+// --automerge, and the spare-shard reaper: a ticker that runs maintain at
+// each tick's instant, every maintainEvery, until Close.
+func (s *Server) maintenanceLoop() {
+	defer s.maintWG.Done()
+	t := time.NewTicker(maintainEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.maintStop:
+			return
+		case now := <-t.C:
+			s.maintain(now)
+		}
+	}
+}
+
+// maintain is one maintenance tick at instant now. It:
 //
-//   - reaps spare shards that have idled past Options.SpareGrace (a
-//     rolled-back migration leaves its recipient as a spare; the next
-//     split reuses it, but with autosplit capped or disabled it would
-//     otherwise burn a worker pool and a tuner forever);
-//   - runs the autosplit trigger on the cumulative routed counters, as
-//     before: hottest shard's share above AutosplitShare with enough
-//     total traffic to trust, and room under AutosplitMaxShards;
+//   - reaps spare shards that have idled past spareGrace (a rolled-back
+//     migration leaves its recipient as a spare; the next split reuses
+//     it, but with autosplit capped or disabled it would otherwise burn a
+//     worker pool and a tuner forever);
+//   - runs the autosplit trigger on the cumulative routed counters:
+//     hottest shard's share above AutosplitShare with enough total
+//     traffic to trust, and room under AutosplitMaxShards;
 //   - runs the automerge trigger on the per-tick routed deltas: when the
 //     top shard's share of the last interval's traffic falls below
 //     AutomergeShare — or the whole fleet went idle — and the placement
@@ -640,94 +666,78 @@ func (s *Server) retireSpares() int {
 //
 // A plan either planner declines is an explicit logged no-op — never a
 // degenerate install.
-func (s *Server) maintenanceLoop() {
-	defer s.maintWG.Done()
-	t := time.NewTicker(s.opts.AutosplitInterval)
-	defer t.Stop()
-	var prevRouted []uint64
-	var spareSince time.Time
-	for {
-		select {
-		case <-s.maintStop:
-			return
-		case <-t.C:
-		}
-		if s.closed.Load() {
-			return
-		}
-		part, _ := s.place.Load()
-		if part.Kind() != shard.KindRange {
-			if s.opts.AutosplitShare > 0 || s.opts.AutomergeShare > 0 {
-				s.opts.Logf("serve: autosplit/automerge disabled: requires the range partitioner (have %q)", part.Kind())
-			}
-			return
-		}
+func (s *Server) maintain(now time.Time) {
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	if s.closed.Load() {
+		return
+	}
+	part, _ := s.place.Load()
 
-		// Spare reaper: a spare must idle through a full grace period
-		// before it is retired, so a migration that is about to reuse it
-		// (or a rollback being retried) isn't racing its own recipient.
-		if len(s.fleet()) > part.Shards() {
-			if spareSince.IsZero() {
-				spareSince = time.Now()
-			} else if time.Since(spareSince) >= s.opts.SpareGrace && s.reshardMu.TryLock() {
-				n := s.retireSpares()
-				s.reshardMu.Unlock()
-				if n > 0 {
-					s.opts.Logf("serve: spare reaper: retired %d idle spare shard(s) after %v grace", n, s.opts.SpareGrace)
-				}
-				spareSince = time.Time{}
+	// Spare reaper: a spare must idle through a full grace period
+	// before it is retired, so a migration that is about to reuse it
+	// (or a rollback being retried) isn't racing its own recipient.
+	if len(s.fleet()) > part.Shards() {
+		if s.spareSince.IsZero() {
+			s.spareSince = now
+		} else if now.Sub(s.spareSince) >= spareGrace && s.reshardMu.TryLock() {
+			n := s.retireSpares()
+			s.reshardMu.Unlock()
+			if n > 0 {
+				s.opts.Logf("serve: spare reaper: retired %d idle spare shard(s) after %v grace", n, spareGrace)
 			}
-		} else {
-			spareSince = time.Time{}
+			s.spareSince = time.Time{}
 		}
+	} else {
+		s.spareSince = time.Time{}
+	}
 
-		fleet := s.fleet()
-		routed := make([]uint64, part.Shards())
-		var total, hottest uint64
-		for i := 0; i < len(routed) && i < len(fleet); i++ {
-			routed[i] = fleet[i].routed.Load()
-			total += routed[i]
-			if routed[i] > hottest {
-				hottest = routed[i]
-			}
+	fleet := s.fleet()
+	routed := make([]uint64, part.Shards())
+	var total, hottest uint64
+	for i := 0; i < len(routed) && i < len(fleet); i++ {
+		routed[i] = fleet[i].routed.Load()
+		total += routed[i]
+		if routed[i] > hottest {
+			hottest = routed[i]
 		}
-		delta := make([]uint64, len(routed))
-		var totalDelta uint64
-		for i, v := range routed {
-			d := v
-			if i < len(prevRouted) && v >= prevRouted[i] {
-				d = v - prevRouted[i]
-			}
-			delta[i] = d
-			totalDelta += d
+	}
+	delta := make([]uint64, len(routed))
+	var totalDelta uint64
+	for i, v := range routed {
+		d := v
+		if i < len(s.prevRouted) && v >= s.prevRouted[i] {
+			d = v - s.prevRouted[i]
 		}
-		prevRouted = routed
+		delta[i] = d
+		totalDelta += d
+	}
+	s.prevRouted = routed
 
-		if s.opts.AutosplitShare > 0 && part.Shards() < s.opts.AutosplitMaxShards &&
-			total >= autosplitMinRouted && float64(hottest)/float64(total) > s.opts.AutosplitShare {
-			res, _ := s.Reshard()
+	if s.opts.AutosplitShare > 0 && part.Shards() < s.opts.AutosplitMaxShards &&
+		total >= autosplitMinRouted && float64(hottest)/float64(total) > s.opts.AutosplitShare {
+		res, _ := s.Reshard()
+		switch {
+		case res.Applied:
+			s.opts.Logf("serve: autosplit: shard %d split at placement epoch %d (%d keys migrated, hottest share %.2f)",
+				res.Donor, res.Epoch, res.KeysMigrated, float64(hottest)/float64(total))
+		case res.Err != "":
+			s.opts.Logf("serve: autosplit attempt failed: %s", res.Err)
+		}
+		return // never split and merge on the same tick
+	}
+
+	if s.opts.AutomergeShare > 0 && part.Shards() > s.opts.AutomergeMinShards {
+		top := part.Shards() - 1
+		idle := totalDelta == 0
+		if idle || float64(delta[top])/float64(totalDelta) < s.opts.AutomergeShare {
+			res, _ := s.reshardMerge(delta)
 			switch {
 			case res.Applied:
-				s.opts.Logf("serve: autosplit: shard %d split at placement epoch %d (%d keys migrated, hottest share %.2f)",
-					res.Donor, res.Epoch, res.KeysMigrated, float64(hottest)/float64(total))
+				s.opts.Logf("serve: automerge: shard %d merged into %d at placement epoch %d (%d keys migrated, idle=%v)",
+					res.Donor, res.Recipient, res.Epoch, res.KeysMigrated, idle)
 			case res.Err != "":
-				s.opts.Logf("serve: autosplit attempt failed: %s", res.Err)
-			}
-			continue // never split and merge on the same tick
-		}
-
-		if s.opts.AutomergeShare > 0 && part.Shards() > s.opts.AutomergeMinShards {
-			top := part.Shards() - 1
-			idle := totalDelta == 0
-			if idle || float64(delta[top])/float64(totalDelta) < s.opts.AutomergeShare {
-				res, _ := s.reshardMerge(delta)
-				switch {
-				case res.Applied:
-					s.opts.Logf("serve: automerge: shard %d merged into %d at placement epoch %d (%d keys migrated, idle=%v)",
-						res.Donor, res.Recipient, res.Epoch, res.KeysMigrated, idle)
-				case res.Err != "":
-					s.opts.Logf("serve: automerge attempt failed: %s", res.Err)
-				}
+				s.opts.Logf("serve: automerge attempt failed: %s", res.Err)
 			}
 		}
 	}

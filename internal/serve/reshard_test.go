@@ -229,15 +229,18 @@ func TestReshardPreservesDeque(t *testing.T) {
 func TestAutosplit(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 2, Workers: 2, Partitioner: shard.KindRange, Preload: 1024,
-		AutosplitShare: 0.6, AutosplitMaxShards: 3, AutosplitInterval: 20 * time.Millisecond,
+		AutosplitShare: 0.6, AutosplitMaxShards: 3,
 	})
 	s.fleet()[0].routed.Add(10_000)
-	waitUntil(t, 5*time.Second, "autosplit to install a split", func() bool { return s.part().Shards() == 3 })
+	s.maintain(time.Now())
+	if got := s.part().Shards(); got != 3 {
+		t.Fatalf("autosplit left %d shards after a hot tick, want a split (3)", got)
+	}
 	if got := s.place.Epoch(); got != 1 {
 		t.Fatalf("placement epoch after autosplit = %d, want 1", got)
 	}
 	// The ceiling holds even though shard 0's share is still dominant.
-	time.Sleep(100 * time.Millisecond)
+	s.maintain(time.Now())
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("autosplit overshot the ceiling: %d shards", got)
 	}

@@ -258,18 +258,9 @@ type Options struct {
 	// (token, epoch) acquisition before the failure detector declares
 	// the coordinator dead and recovers the fence — rolling the batch
 	// forward if its decision was recorded, aborting it otherwise
-	// (default 1s; negative disables detection entirely).
+	// (default 1s; negative disables detection entirely). Each shard's
+	// detector ticks every FenceDeadline/4.
 	FenceDeadline time.Duration
-	// DetectInterval is the failure detector's tick (default
-	// FenceDeadline/4).
-	DetectInterval time.Duration
-	// BreakerStallTicks is how many consecutive detector ticks a shard
-	// may spend with requests in line and zero executed operations before its
-	// circuit breaker opens (default 3).
-	BreakerStallTicks int
-	// BreakerCooldown is how long an open breaker sheds (503 +
-	// Retry-After) before admitting probes again (default 1s).
-	BreakerCooldown time.Duration
 	// AutosplitShare arms the background autosplit trigger (range
 	// partitioner only): when the hottest shard's share of routed
 	// operations exceeds this fraction — and at least autosplitMinRouted
@@ -279,9 +270,6 @@ type Options struct {
 	AutosplitShare float64
 	// AutosplitMaxShards caps autosplit growth (default 8).
 	AutosplitMaxShards int
-	// AutosplitInterval is the trigger's poll period (default 2s), shared
-	// by the automerge trigger and the spare-shard reaper.
-	AutosplitInterval time.Duration
 	// AutomergeShare arms the background automerge trigger, the shrink
 	// counterpart of AutosplitShare: when the fleet's top shard's share of
 	// the operations routed during the last poll interval falls below this
@@ -293,11 +281,6 @@ type Options struct {
 	// AutomergeMinShards is the floor automerge never shrinks below
 	// (default: the boot shard count).
 	AutomergeMinShards int
-	// SpareGrace is how long a spare shard — one left behind by a
-	// rolled-back migration — may idle before the background reaper
-	// retires it, stopping its workers and tuner for good (default 30s).
-	// Until then the next split reuses it.
-	SpareGrace time.Duration
 	// Logf, when set, receives operational log lines (reconfigurations,
 	// drains, shutdown).
 	Logf func(format string, args ...any)
@@ -349,29 +332,11 @@ func (o *Options) setDefaults() {
 	if o.FenceDeadline == 0 {
 		o.FenceDeadline = time.Second
 	}
-	if o.DetectInterval <= 0 {
-		o.DetectInterval = o.FenceDeadline / 4
-		if o.DetectInterval <= 0 {
-			o.DetectInterval = 250 * time.Millisecond
-		}
-	}
-	if o.BreakerStallTicks <= 0 {
-		o.BreakerStallTicks = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = time.Second
-	}
 	if o.AutosplitMaxShards <= 0 {
 		o.AutosplitMaxShards = 8
 	}
-	if o.AutosplitInterval <= 0 {
-		o.AutosplitInterval = 2 * time.Second
-	}
 	if o.AutomergeMinShards <= 0 {
 		o.AutomergeMinShards = o.Shards
-	}
-	if o.SpareGrace <= 0 {
-		o.SpareGrace = 30 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -437,12 +402,19 @@ type shardState struct {
 	// requeues excluded) — the progress signal the failure detector's
 	// watchdog samples to drive the circuit breaker.
 	executed atomic.Uint64
-	// breakerState/breakerUntil implement the per-shard circuit breaker
-	// (see recovery.go); stallUntil is the injected-stall horizon of
-	// fault.ShardStall.
-	breakerState atomic.Int32
+	// breakerUntil is the per-shard circuit breaker (see recovery.go);
+	// stallUntil is the injected-stall horizon of fault.ShardStall.
 	breakerUntil atomic.Int64
 	stallUntil   atomic.Int64
+
+	// detMu serializes detect, whichever goroutine calls it, and guards the
+	// failure detector's state between ticks: one suspicion cell per fence
+	// table entry, the executed count the last tick saw and the run of
+	// ticks that saw no progress.
+	detMu        sync.Mutex
+	sus          [FenceSlots]fenceSus
+	lastExecuted uint64
+	stallTicks   int
 
 	// drainMu implements the graceful-drain protocol: every operation
 	// executes under RLock; the reconfigure hook takes the write lock
@@ -544,7 +516,9 @@ type Server struct {
 	// rangeConservative counts hash-ring scans whose owner set fell back
 	// to every shard (see shard.RangeEnumCap). maintStop/maintWG manage
 	// the background maintenance loop (autosplit, automerge, spare
-	// reaper).
+	// reaper); maintMu serializes maintain and guards its state between
+	// ticks: the routed counters the last tick saw and since when the
+	// fleet has carried a spare.
 	reshardMu         sync.Mutex
 	resharding        atomic.Bool
 	reshards          atomic.Uint64
@@ -555,6 +529,9 @@ type Server struct {
 	rangeConservative atomic.Uint64
 	maintStop         chan struct{}
 	maintWG           sync.WaitGroup
+	maintMu           sync.Mutex
+	prevRouted        []uint64
+	spareSince        time.Time
 
 	// migMu guards activeMig, the record of the in-flight span move. The
 	// move's install batches, its placement flip and the rollback path
@@ -738,19 +715,24 @@ func (s *Server) newShard(i int) (*shardState, error) {
 	return ss, nil
 }
 
-// startServing starts every shard serving (see startShard) and launches
-// the background maintenance loop. The loop runs whenever the placement is
-// resharding-capable even with both triggers disabled: the spare-shard
-// reaper must retire spares stranded by manual migrations too.
+// startServing starts every shard serving (see startShard) and, for the
+// range partitioner, launches the background maintenance loop. The loop
+// runs even with both triggers disabled: the spare-shard reaper must
+// retire spares stranded by manual migrations too. The partitioner kind
+// never changes, so a hash-partitioned server never needs the loop.
 func (s *Server) startServing() {
 	for _, ss := range s.fleet() {
 		s.startShard(ss)
 	}
-	if s.opts.AutosplitShare > 0 || s.opts.AutomergeShare > 0 || s.part().Kind() == shard.KindRange {
-		s.maintStop = make(chan struct{})
-		s.maintWG.Add(1)
-		go s.maintenanceLoop()
+	if kind := s.part().Kind(); kind != shard.KindRange {
+		if s.opts.AutosplitShare > 0 || s.opts.AutomergeShare > 0 {
+			s.opts.Logf("serve: autosplit/automerge disabled: requires the range partitioner (have %q)", kind)
+		}
+		return
 	}
+	s.maintStop = make(chan struct{})
+	s.maintWG.Add(1)
+	go s.maintenanceLoop()
 }
 
 // startShard puts one shard's slot tokens into circulation and launches

@@ -67,7 +67,7 @@ type ServerStatus struct {
 	Resharding bool `json:"resharding"`
 	// SpareShards counts fleet entries above the placement's top shard:
 	// shards a rolled-back migration left behind. The next split reuses
-	// them; the reaper retires them after Options.SpareGrace.
+	// them; the reaper retires them after spareGrace (30s).
 	SpareShards int `json:"spare_shards"`
 	// SpanStarts/SpanOwners are the range partitioner's live span table
 	// (start key of each span, ascending, and its owning shard) — after a
