@@ -6,11 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cf"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/htm"
-	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/tm"
 	"repro/internal/workloads"
@@ -156,7 +154,7 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 	// Build the runtime first so application state lives in its heap. The
 	// training UM is synthetic: the application is completely absent from
 	// the training set, as in §6.4.
-	train := syntheticTrainingFor(cfgs, 60, 0xF16)
+	train := perfmodel.SyntheticTraining(cfgs, 60, 0xF16)
 	rt, err := core.New(core.Options{
 		HeapWords:       1 << 23,
 		MaxThreads:      maxThreads,
@@ -266,18 +264,6 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 		out.Explorations = append(out.Explorations, expl)
 	}
 	return out, nil
-}
-
-// syntheticTrainingFor builds a training UM over the live configuration
-// space from the analytic model with a local-machine-like profile.
-func syntheticTrainingFor(cfgs []config.Config, n int, seed uint64) *cf.Matrix {
-	prof := machine.Profile{
-		Name: "local", Cores: 8, HWThreads: 8, Sockets: 1, HasHTM: true,
-		ThreadCounts: []int{1, 2, 4, 8}, StaticPower: 18, PowerPerThread: 6.5,
-	}
-	gen := &perfmodel.Generator{Machine: prof, Seed: seed}
-	ws := gen.Workloads(n)
-	return gen.Matrix(ws, cfgs, perfmodel.Throughput)
 }
 
 func argMax(xs []float64) int {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/perfmodel"
 	"repro/internal/workloads"
 )
 
@@ -41,7 +42,7 @@ func Fig9(scale Scale) (Fig9Result, error) {
 
 	app := &workloads.TPCC{Warehouses: 4, Districts: 8, Customers: 128, Items: 1 << 12}
 	cfgs := fig8Configs(maxThreads)
-	train := syntheticTrainingFor(cfgs, 60, 0xF19)
+	train := perfmodel.SyntheticTraining(cfgs, 60, 0xF19)
 	rt, err := core.New(core.Options{
 		HeapWords:       1 << 22,
 		MaxThreads:      maxThreads,

@@ -27,6 +27,7 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/cf"
 	"repro/internal/config"
@@ -448,6 +449,37 @@ func (g *Generator) Matrix(ws []Workload, cfgs []config.Config, kind KPIKind) *c
 		}
 	}
 	return m
+}
+
+// SyntheticTraining builds a training Utility Matrix for the given
+// configuration space from the analytic model — the substitute for
+// profiling a base set of applications offline (`proteusbench sweep`
+// produces the measured alternative). The modeled machine is derived from
+// the space itself: one core per thread of its largest configuration, and
+// the space's thread counts.
+func SyntheticTraining(cfgs []config.Config, numWorkloads int, seed uint64) *cf.Matrix {
+	threadSet := map[int]bool{}
+	maxThreads := 1
+	for _, c := range cfgs {
+		threadSet[c.Threads] = true
+		maxThreads = max(maxThreads, c.Threads)
+	}
+	threads := make([]int, 0, len(threadSet))
+	for t := range threadSet {
+		threads = append(threads, t)
+	}
+	sort.Ints(threads)
+	gen := &Generator{Machine: machine.Profile{
+		Name:           "local",
+		Cores:          maxThreads,
+		HWThreads:      maxThreads,
+		Sockets:        1,
+		HasHTM:         true,
+		ThreadCounts:   threads,
+		StaticPower:    18,
+		PowerPerThread: 6.5,
+	}, Seed: seed}
+	return gen.Matrix(gen.Workloads(numWorkloads), cfgs, Throughput)
 }
 
 // kpiNoise returns the deterministic multiplicative measurement noise for a

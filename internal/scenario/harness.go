@@ -2,13 +2,11 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cf"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/polytm"
 	"repro/internal/tm"
@@ -477,7 +475,7 @@ func runAutoTuned(s Scenario, spec RunSpec) (*Result, error) {
 	}
 	train := spec.TrainKPI
 	if train == nil {
-		train = SyntheticTraining(space, 60, spec.Seed)
+		train = perfmodel.SyntheticTraining(space, 60, spec.Seed)
 	}
 	vclock := core.NewVirtualClock(time.Time{})
 	rt, err := core.New(core.Options{
@@ -666,37 +664,4 @@ func runAutoTunedTimed(s Scenario, spec RunSpec, wl workloads.Workload, rt *core
 	res.finish(ops, total, elapsed.Seconds(), final)
 	captureMetrics(wl, res)
 	return nil
-}
-
-// SyntheticTraining builds a training Utility Matrix for the given
-// configuration space from the analytic performance model — the substitute
-// for profiling a base set of applications offline (`proteusbench sweep`
-// produces the measured alternative).
-func SyntheticTraining(cfgs []config.Config, numWorkloads int, seed uint64) *cf.Matrix {
-	threadSet := map[int]bool{}
-	maxThreads := 1
-	for _, c := range cfgs {
-		threadSet[c.Threads] = true
-		if c.Threads > maxThreads {
-			maxThreads = c.Threads
-		}
-	}
-	threads := make([]int, 0, len(threadSet))
-	for t := range threadSet {
-		threads = append(threads, t)
-	}
-	sort.Ints(threads)
-	prof := machine.Profile{
-		Name:           "local",
-		Cores:          maxThreads,
-		HWThreads:      maxThreads,
-		Sockets:        1,
-		HasHTM:         true,
-		ThreadCounts:   threads,
-		StaticPower:    18,
-		PowerPerThread: 6.5,
-	}
-	gen := &perfmodel.Generator{Machine: prof, Seed: seed}
-	ws := gen.Workloads(numWorkloads)
-	return gen.Matrix(ws, cfgs, perfmodel.Throughput)
 }

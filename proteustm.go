@@ -38,7 +38,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/scenario"
+	"repro/internal/perfmodel"
 	"repro/internal/tm"
 )
 
@@ -356,7 +356,7 @@ func DefaultConfigs(maxThreads int) []Config { return config.DefaultSpace(maxThr
 // configuration space from the analytic performance model (the substitute
 // for profiling a base set of applications offline). The modeled machine
 // is derived from the configuration space itself — see
-// scenario.SyntheticTraining, which this delegates to.
+// perfmodel.SyntheticTraining, which this delegates to.
 func SyntheticTraining(cfgs []Config, workloads int, seed uint64) *cf.Matrix {
-	return scenario.SyntheticTraining(cfgs, workloads, seed)
+	return perfmodel.SyntheticTraining(cfgs, workloads, seed)
 }
