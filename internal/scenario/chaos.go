@@ -1,4 +1,4 @@
-package workloads
+package scenario
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/shard"
+	"repro/internal/stm"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // ServiceChaos is the deterministic twin of proteusd's self-healing
@@ -84,11 +86,11 @@ type chaosRec struct {
 // chaosWedge marks the token of a fence seized from outside the protocol.
 const chaosWedge = uint64(1) << 63
 
-// Name implements Workload.
+// Name implements workloads.Workload.
 func (s *ServiceChaos) Name() string { return "service-chaos" }
 
-// Setup implements Workload.
-func (s *ServiceChaos) Setup(h *tm.Heap, rng *Rand) error {
+// Setup implements workloads.Workload.
+func (s *ServiceChaos) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	if s.FaultKind != "crash" && s.FaultKind != "stall" {
 		return fmt.Errorf("chaos: unknown fault kind %q (want crash or stall)", s.FaultKind)
 	}
@@ -104,10 +106,10 @@ func (s *ServiceChaos) Setup(h *tm.Heap, rng *Rand) error {
 	return nil
 }
 
-// Op implements Workload: run the failure detector, then either one
+// Op implements workloads.Workload: run the failure detector, then either one
 // cross-shard batch put (every CrossEvery-th call, possibly faulted) or
 // one single-key operation on the owning shard under its fence.
-func (s *ServiceChaos) Op(r Runner, self int, rng *Rand) {
+func (s *ServiceChaos) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	n := s.ops.Add(1)
 	if s.outstanding.Load() > 0 {
 		s.detect(r, self, n)
@@ -121,7 +123,7 @@ func (s *ServiceChaos) Op(r Runner, self int, rng *Rand) {
 	// An orphaned fence persists until the detector's deadline, so a
 	// fenced operation is skipped (and counted), not spun on — the
 	// workload analogue of the serve worker's requeue.
-	if _, fenced, _ := s.kv.routed(r, self, k, s.kv.place.Load(), pointOp(serviceMixes["mixed"], p, self, k, n)); fenced {
+	if _, fenced, _ := s.kv.routed(r, self, k, s.kv.place.Load(), pointOp(namedMix("mixed"), p, self, k, n)); fenced {
 		s.fencedSkip.Add(1)
 	}
 }
@@ -129,7 +131,7 @@ func (s *ServiceChaos) Op(r Runner, self int, rng *Rand) {
 // crossBatch runs one cross-shard batch put: ordered epoch-bumping
 // acquire with heartbeat, then either the injected fault or the normal
 // guarded apply+release.
-func (s *ServiceChaos) crossBatch(r Runner, self int, rng *Rand, n uint64) {
+func (s *ServiceChaos) crossBatch(r workloads.Runner, self int, rng *workloads.Rand, n uint64) {
 	keys := make([]uint64, s.BatchKeys)
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(s.KeyRange))
@@ -180,7 +182,7 @@ func (s *ServiceChaos) faultInjected(b uint64) bool {
 // applied if it is a foreign wedge. A live coordinator's hold is left
 // alone: on real goroutines one can be preempted past the deadline, and
 // unlike serve the twin knows it is alive.
-func (s *ServiceChaos) detect(r Runner, self int, n uint64) {
+func (s *ServiceChaos) detect(r workloads.Runner, self int, n uint64) {
 	for i := 0; i < s.Shards; i++ {
 		var token, epoch, beat uint64
 		r.Atomic(self, func(tx tm.Txn) {
@@ -209,7 +211,7 @@ func (s *ServiceChaos) detect(r Runner, self int, n uint64) {
 	}
 }
 
-// Metrics implements Metered.
+// Metrics implements workloads.Metered.
 func (s *ServiceChaos) Metrics() map[string]uint64 {
 	return map[string]uint64{
 		"crashes_injected":     s.crashes.Load(),
@@ -224,12 +226,12 @@ func (s *ServiceChaos) Metrics() map[string]uint64 {
 	}
 }
 
-// Verify implements Verifier: a final recovery sweep (anything still
+// Verify implements workloads.Verifier: a final recovery sweep (anything still
 // orphaned at drain — only possible when the run ends inside a deadline
 // window — is recovered regardless of age), then every fence must be
 // free, the registry empty, and every key on the shard that owns it.
 func (s *ServiceChaos) Verify(h *tm.Heap) error {
-	s.detect(NewBareRunner(seqAlg(), h, 1), 0, s.ops.Load()+uint64(s.DeadlineOps))
+	s.detect(workloads.NewBareRunner(&stm.GlobalLock{}, h, 1), 0, s.ops.Load()+uint64(s.DeadlineOps))
 	s.mu.Lock()
 	pending := len(s.recs)
 	s.mu.Unlock()

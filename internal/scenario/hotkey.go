@@ -1,4 +1,4 @@
-package workloads
+package scenario
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // ServiceHotKey is the hostile-traffic twin of a cache stampede: most
@@ -55,7 +56,7 @@ type ServiceHotKey struct {
 
 	kv  *svcShards
 	ops atomic.Uint64
-	mix ServiceOpMix
+	mix workloads.ServiceOpMix
 
 	// cum is the precomputed cumulative Zipf weight table over the
 	// window's ranks; sampling is one Float64 draw plus a binary search,
@@ -69,13 +70,13 @@ type ServiceHotKey struct {
 	lastOwner                      atomic.Int64
 }
 
-// Name implements Workload.
+// Name implements workloads.Workload.
 func (s *ServiceHotKey) Name() string { return "service-hotkey" }
 
-// Setup implements Workload: it builds the partitioner, the kernel store
+// Setup implements workloads.Workload: it builds the partitioner, the kernel store
 // and the cumulative Zipf table, and pre-populates each shard with the
 // keys it owns.
-func (s *ServiceHotKey) Setup(h *tm.Heap, rng *Rand) error {
+func (s *ServiceHotKey) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	if err := positive("service-hotkey", s.HotSpan, s.MoveEvery); err != nil {
 		return err
 	}
@@ -100,7 +101,7 @@ func (s *ServiceHotKey) head(n uint64) uint64 {
 }
 
 // zipfRank draws one rank in [0, HotSpan) from the precomputed table.
-func (s *ServiceHotKey) zipfRank(rng *Rand) int {
+func (s *ServiceHotKey) zipfRank(rng *workloads.Rand) int {
 	u := rng.Float64() * s.cum[len(s.cum)-1]
 	lo, hi := 0, len(s.cum)-1
 	for lo < hi {
@@ -114,7 +115,7 @@ func (s *ServiceHotKey) zipfRank(rng *Rand) int {
 	return lo
 }
 
-// Metrics implements Metered. owner_switches counts consecutive hot-key
+// Metrics implements workloads.Metered. owner_switches counts consecutive hot-key
 // operations that landed on different shards — the dilution observable
 // the partitioner A/B compares: hashing scatters the contiguous Zipf
 // window (many switches), range placement keeps the hot spot on the
@@ -131,11 +132,11 @@ func (s *ServiceHotKey) Metrics() map[string]uint64 {
 	}
 }
 
-// Op implements Workload: one service request whose key is Zipf-drawn
+// Op implements workloads.Workload: one service request whose key is Zipf-drawn
 // from the moving window with probability HotFrac, uniform otherwise.
 // Every rng draw happens before any partitioner-dependent branching, so
 // the operation stream is identical across partitioners.
-func (s *ServiceHotKey) Op(r Runner, self int, rng *Rand) {
+func (s *ServiceHotKey) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	n := s.ops.Add(1)
 	if s.BatchEvery > 0 && n%uint64(s.BatchEvery) == 0 {
 		if crossPut(r, self, rng, s.kv, n, s.BatchKeys, s.KeyRange) {
@@ -173,7 +174,7 @@ func (s *ServiceHotKey) Op(r Runner, self int, rng *Rand) {
 	}
 }
 
-// Verify implements Verifier: every key must live in the store of the
+// Verify implements workloads.Verifier: every key must live in the store of the
 // shard the active partitioner owns it with, and no fence may be left
 // held.
 func (s *ServiceHotKey) Verify(h *tm.Heap) error {

@@ -1,10 +1,11 @@
-package workloads
+package scenario
 
 import (
 	"fmt"
 
 	"repro/internal/shard"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // ServiceMerge is the deterministic twin of proteusd's live merge (the
@@ -70,12 +71,12 @@ type ServiceMerge struct {
 	mover
 }
 
-// Name implements Workload.
+// Name implements workloads.Workload.
 func (s *ServiceMerge) Name() string { return "service-merge" }
 
-// Setup implements Workload: one store per initial shard; a retired
+// Setup implements workloads.Workload: one store per initial shard; a retired
 // donor's store stays allocated but empty.
-func (s *ServiceMerge) Setup(h *tm.Heap, rng *Rand) error {
+func (s *ServiceMerge) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	s.mover = mover{moveEvery: s.MergeEvery, refreshEvery: s.RefreshEvery, migrateBatch: s.MigrateBatch,
 		crossEvery: s.CrossEvery, batchKeys: s.BatchKeys, draw: s.key,
 		plan: func(p *shard.RangePartitioner, load []uint64) (svcMove, bool) {
@@ -91,7 +92,7 @@ func (s *ServiceMerge) Setup(h *tm.Heap, rng *Rand) error {
 // key draws a key: hot low span, a probe into the merge-moved window, or
 // uniform over the lower half — never the top quarter, so the top shard
 // stays the strict coldest and every scheduled merge elects it.
-func (s *ServiceMerge) key(rng *Rand) uint64 {
+func (s *ServiceMerge) key(rng *workloads.Rand) uint64 {
 	p := rng.Intn(1000)
 	if p < s.HotTenth {
 		return uint64(rng.Intn(s.KeyRange / 8))
@@ -102,7 +103,7 @@ func (s *ServiceMerge) key(rng *Rand) uint64 {
 	return uint64(rng.Intn(s.KeyRange / 2))
 }
 
-// Metrics implements Metered. Every installed merge retires one shard.
+// Metrics implements workloads.Metered. Every installed merge retires one shard.
 func (s *ServiceMerge) Metrics() map[string]uint64 {
 	out := s.metrics()
 	out["merges_installed"] = s.moves.Load()
@@ -113,7 +114,7 @@ func (s *ServiceMerge) Metrics() map[string]uint64 {
 	return out
 }
 
-// Verify implements Verifier: every fence free, every key on the shard
+// Verify implements workloads.Verifier: every fence free, every key on the shard
 // the final placement owns it on, and every retired store empty — a key
 // left on a retired shard is exactly the lost-key bug the merge protocol
 // exists to prevent.

@@ -1,4 +1,4 @@
-package workloads
+package scenario
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/shard"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // ServiceRange is the partitioner A/B workload: the deterministic twin
@@ -47,21 +48,21 @@ type ServiceRange struct {
 
 	kv  *svcShards
 	ops atomic.Uint64
-	mix ServiceOpMix
+	mix workloads.ServiceOpMix
 
 	// Scan-locality counters (see Metrics).
 	scanTotal, scanLocal, scanCross atomic.Uint64
 	scanFencedShards, crossBatches  atomic.Uint64
 }
 
-// Name implements Workload.
+// Name implements workloads.Workload.
 func (s *ServiceRange) Name() string { return "service-range" }
 
-// Setup implements Workload: it builds the partitioner and the kernel
+// Setup implements workloads.Workload: it builds the partitioner and the kernel
 // store, and pre-populates each shard with the keys it owns. The
 // pre-population key stream is partitioner-independent; only placement
 // differs.
-func (s *ServiceRange) Setup(h *tm.Heap, rng *Rand) error {
+func (s *ServiceRange) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	var err error
 	s.kv, s.mix, err = newPartitioned("service-range", h, rng, s.Partitioner, s.Mix, s.Shards, s.KeyRange, s.InitialSize, s.BatchKeys)
 	return err
@@ -69,11 +70,11 @@ func (s *ServiceRange) Setup(h *tm.Heap, rng *Rand) error {
 
 // newPartitioned is the Setup shared by the partitioner A/B twins: the
 // named mix, normalized, and the kernel store over the named partitioner.
-func newPartitioned(twin string, h *tm.Heap, rng *Rand, kind, mixName string, shards, keyRange, initial, batchKeys int) (*svcShards, ServiceOpMix, error) {
+func newPartitioned(twin string, h *tm.Heap, rng *workloads.Rand, kind, mixName string, shards, keyRange, initial, batchKeys int) (*svcShards, workloads.ServiceOpMix, error) {
 	if err := positive(twin, shards, keyRange, batchKeys); err != nil {
-		return nil, ServiceOpMix{}, err
+		return nil, workloads.ServiceOpMix{}, err
 	}
-	mix, err := ServiceMixByName(mixName)
+	mix, err := workloads.ServiceMixByName(mixName)
 	if err != nil {
 		return nil, mix, fmt.Errorf("%s: %w", twin, err)
 	}
@@ -88,7 +89,7 @@ func newPartitioned(twin string, h *tm.Heap, rng *Rand, kind, mixName string, sh
 	return kv, mix.Normalize(), nil
 }
 
-// Metrics implements Metered: the scan-locality and fence observables
+// Metrics implements workloads.Metered: the scan-locality and fence observables
 // the partitioner A/B compares. scan_fenced_shards totals the shards
 // fenced by multi-shard scans — the number the range partitioner must
 // hold strictly below hashing for the scan-heavy mix.
@@ -102,10 +103,10 @@ func (s *ServiceRange) Metrics() map[string]uint64 {
 	}
 }
 
-// Op implements Workload: one service request drawn from the fixed mix.
+// Op implements workloads.Workload: one service request drawn from the fixed mix.
 // Every rng draw happens before any partitioner-dependent branching, so
 // the operation stream is identical across partitioners.
-func (s *ServiceRange) Op(r Runner, self int, rng *Rand) {
+func (s *ServiceRange) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	n := s.ops.Add(1)
 	if s.BatchEvery > 0 && n%uint64(s.BatchEvery) == 0 {
 		if crossPut(r, self, rng, s.kv, n, s.BatchKeys, s.KeyRange) {
@@ -132,20 +133,20 @@ func (s *ServiceRange) Op(r Runner, self int, rng *Rand) {
 // plain fenced shard transaction when the partitioner localizes the
 // interval to one shard, the cross-shard commit (acquire every owner in
 // order, scan and release each) otherwise. It returns the owner set.
-func scan(r Runner, self int, kv *svcShards, n, lo, hi uint64) []int {
+func scan(r workloads.Runner, self int, kv *svcShards, n, lo, hi uint64) []int {
 	parts := kv.place.Load().part.OwnersInRange(lo, hi)
 	body := scanBody(lo, hi)
 	if len(parts) == 1 {
 		kv.retried(r, self, lo, body)
 	} else {
-		kv.crossRetry(r, self, parts, n, func(tx tm.Txn, set *RBSet, _ int) { body(tx, set) })
+		kv.crossRetry(r, self, parts, n, func(tx tm.Txn, set *workloads.RBSet, _ int) { body(tx, set) })
 	}
 	return parts
 }
 
 // crossPut draws a batch of keys and puts n at each through the
 // cross-shard commit, reporting whether it committed.
-func crossPut(r Runner, self int, rng *Rand, kv *svcShards, n uint64, batchKeys, keyRange int) bool {
+func crossPut(r workloads.Runner, self int, rng *workloads.Rand, kv *svcShards, n uint64, batchKeys, keyRange int) bool {
 	keys := make([]uint64, batchKeys)
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(keyRange))
@@ -154,7 +155,7 @@ func crossPut(r Runner, self int, rng *Rand, kv *svcShards, n uint64, batchKeys,
 	return kv.crossRetry(r, self, part.Participants(keys), n, putOwned(part, keys, self, n))
 }
 
-// Verify implements Verifier: every key must live in the store of the
+// Verify implements workloads.Verifier: every key must live in the store of the
 // shard the active partitioner owns it with, and no fence may be left
 // held.
 func (s *ServiceRange) Verify(h *tm.Heap) error {

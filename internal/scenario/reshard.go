@@ -1,4 +1,4 @@
-package workloads
+package scenario
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/shard"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // ServiceReshard is the deterministic twin of proteusd's live
@@ -82,16 +83,16 @@ type mover struct {
 	batches, committed, blocked           atomic.Uint64
 	moveEvery, refreshEvery, migrateBatch int
 	crossEvery, batchKeys                 int
-	draw                                  func(*Rand) uint64
+	draw                                  func(*workloads.Rand) uint64
 	plan                                  func(*shard.RangePartitioner, []uint64) (svcMove, bool)
 }
 
-// Name implements Workload.
+// Name implements workloads.Workload.
 func (s *ServiceReshard) Name() string { return "service-reshard" }
 
-// Setup implements Workload: MaxShards stores are pre-built, so splits
+// Setup implements workloads.Workload: MaxShards stores are pre-built, so splits
 // allocate nothing.
-func (s *ServiceReshard) Setup(h *tm.Heap, rng *Rand) error {
+func (s *ServiceReshard) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	s.mover = mover{moveEvery: s.SplitEvery, refreshEvery: s.RefreshEvery, migrateBatch: s.MigrateBatch,
 		crossEvery: s.CrossEvery, batchKeys: s.BatchKeys, draw: s.key,
 		plan: func(p *shard.RangePartitioner, load []uint64) (svcMove, bool) {
@@ -106,7 +107,7 @@ func (s *ServiceReshard) Setup(h *tm.Heap, rng *Rand) error {
 
 // setup validates the schedule and builds the kernel store over a range
 // placement of shards shards, with stores pre-built stores.
-func (m *mover) setup(twin string, h *tm.Heap, rng *Rand, stores, shards, keyRange, initial int) error {
+func (m *mover) setup(twin string, h *tm.Heap, rng *workloads.Rand, stores, shards, keyRange, initial int) error {
 	if err := positive(twin, shards, keyRange, m.moveEvery, m.refreshEvery, m.migrateBatch, m.crossEvery, m.batchKeys); err != nil {
 		return err
 	}
@@ -121,17 +122,17 @@ func (m *mover) setup(twin string, h *tm.Heap, rng *Rand, stores, shards, keyRan
 }
 
 // key draws a key, hot-span-skewed so the low shard stays heaviest.
-func (s *ServiceReshard) key(rng *Rand) uint64 {
+func (s *ServiceReshard) key(rng *workloads.Rand) uint64 {
 	if rng.Intn(1000) < s.HotTenth {
 		return uint64(rng.Intn(s.KeyRange / 8))
 	}
 	return uint64(rng.Intn(s.KeyRange))
 }
 
-// Op implements Workload: refresh the placement replica on its cadence,
+// Op implements workloads.Workload: refresh the placement replica on its cadence,
 // run one span move on its cadence, else a cross-shard batch or a
 // single-key operation routed through the (possibly stale) replica.
-func (m *mover) Op(r Runner, self int, rng *Rand) {
+func (m *mover) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	n := m.ops.Add(1)
 	if n%uint64(m.refreshEvery) == 0 {
 		if live := m.kv.place.Load(); m.replica.Load().epoch != live.epoch {
@@ -153,10 +154,10 @@ func (m *mover) Op(r Runner, self int, rng *Rand) {
 // stale route bounces off the shard's placement-epoch word — nothing
 // applied — and retries against the authoritative placement, exactly the
 // serve submitRouted loop.
-func (m *mover) singleKey(r Runner, self int, rng *Rand, n uint64) {
+func (m *mover) singleKey(r workloads.Runner, self int, rng *workloads.Rand, n uint64) {
 	k := m.draw(rng)
 	p := rng.Float64()
-	o, fenced, bounces := m.kv.routed(r, self, k, m.replica.Load(), pointOp(serviceMixes["mixed"], p, self, k, n))
+	o, fenced, bounces := m.kv.routed(r, self, k, m.replica.Load(), pointOp(namedMix("mixed"), p, self, k, n))
 	m.bounces.Add(bounces)
 	if fenced {
 		m.fencedSkip.Add(1)
@@ -168,7 +169,7 @@ func (m *mover) singleKey(r Runner, self int, rng *Rand, n uint64) {
 // crossBatch runs one cross-shard batch put against the authoritative
 // placement: ordered fenced acquire, apply per participant, release. A
 // blocked acquire skips the batch.
-func (m *mover) crossBatch(r Runner, self int, rng *Rand, n uint64) {
+func (m *mover) crossBatch(r workloads.Runner, self int, rng *workloads.Rand, n uint64) {
 	live := m.kv.place.Load()
 	keys := make([]uint64, m.batchKeys)
 	for i := range keys {
@@ -190,7 +191,7 @@ func (m *mover) crossBatch(r Runner, self int, rng *Rand, n uint64) {
 // move is one live span move planned from the routed-op load signal. A
 // no-op plan is counted and skipped, never installed — the planners'
 // caller contract.
-func (m *mover) move(r Runner, self int, n uint64) {
+func (m *mover) move(r workloads.Runner, self int, n uint64) {
 	moved, outcome := m.kv.moveSpan(r, self, n, m.migrateBatch, func(live *svcPlace) (svcMove, bool) {
 		p := live.part.(*shard.RangePartitioner)
 		load := make([]uint64, p.Shards())
@@ -225,7 +226,7 @@ func (m *mover) metrics() map[string]uint64 {
 	}
 }
 
-// Metrics implements Metered.
+// Metrics implements workloads.Metered.
 func (s *ServiceReshard) Metrics() map[string]uint64 {
 	out := s.metrics()
 	out["splits_installed"] = s.moves.Load()
@@ -234,7 +235,7 @@ func (s *ServiceReshard) Metrics() map[string]uint64 {
 	return out
 }
 
-// Verify implements Verifier: every fence free, every key on the shard
+// Verify implements workloads.Verifier: every fence free, every key on the shard
 // the final placement owns it on, spare stores empty. The replica's
 // catch-up (replica_replans) is pinned by the scenario goldens.
 func (s *ServiceReshard) Verify(h *tm.Heap) error {

@@ -14,7 +14,7 @@ import (
 //     pins one mix for sweep rows; `service-slo` pins one mix for the SLO
 //     tuning A/B; `service-diurnal` drives the change monitor with an
 //     offered-rate curve.
-//   - The protocol twins run on one kernel (internal/workloads/svcshard.go,
+//   - The protocol twins run on one kernel (svcshard.go,
 //     docs/architecture.md): `service-sharded` exercises consistent-hash
 //     routing and the cross-shard 2PC; `service-range` and
 //     `service-hotkey` A/B the hash vs. order-preserving partitioner under
@@ -132,7 +132,7 @@ func init() {
 		Description: "sharded KV: consistent-hash routing, skewed vs. uniform per-shard mixes, cross-shard 2PC batches",
 		Params:      []Param{shShards, shKeyRange, shInitial, shSpan, shSkew, shBatchEvery, shBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceSharded{
+			return &ServiceSharded{
 				Shards:      v.Int(shShards),
 				KeyRange:    v.Int(shKeyRange),
 				InitialSize: v.Int(shInitial),
@@ -149,7 +149,7 @@ func init() {
 		Description: "self-healing 2PC under injected faults: coordinator crashes roll forward, foreign wedges abort, recovery counts in metrics",
 		Params:      []Param{chShards, chKeyRange, chInitial, chCrossEvery, chBatchKeys, chFault, chFaultEvery, chFaultCount, chDeadlineOps},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceChaos{
+			return &ServiceChaos{
 				Shards:      v.Int(chShards),
 				KeyRange:    v.Int(chKeyRange),
 				InitialSize: v.Int(chInitial),
@@ -168,7 +168,7 @@ func init() {
 		Description: "live resharding: SplitHeaviest plans installed under skewed load — fenced span migration, epoch'd placement flips, stale-replica bounces in metrics",
 		Params:      []Param{rsShards, rsMaxShards, rsKeyRange, rsInitial, rsHotTenth, rsSplitEvery, rsRefreshEvery, rsMigrateBatch, rsCrossEvery, rsBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceReshard{
+			return &ServiceReshard{
 				Shards:       v.Int(rsShards),
 				MaxShards:    v.Int(rsMaxShards),
 				KeyRange:     v.Int(rsKeyRange),
@@ -188,7 +188,7 @@ func init() {
 		Description: "live merge/shrink: PlanMergeColdest retires cooled top shards — fenced copy into the live recipient, shrinking placement flips, retired-shard bounces in metrics",
 		Params:      []Param{msShards, msMinShards, msKeyRange, msInitial, msHotTenth, msProbeTenth, msMergeEvery, msRefreshEvery, msMigrateBatch, msCrossEvery, msBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceMerge{
+			return &ServiceMerge{
 				Shards:       v.Int(msShards),
 				MinShards:    v.Int(msMinShards),
 				KeyRange:     v.Int(msKeyRange),
@@ -209,7 +209,7 @@ func init() {
 		Description: "partitioner A/B: identical scan-heavy op stream under hash or range placement, fence counts in metrics",
 		Params:      []Param{rgPartitioner, rgShards, rgKeyRange, rgInitial, rgSpan, rgMix, rgBatchEvery, rgBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceRange{
+			return &ServiceRange{
 				Partitioner: v.Str(rgPartitioner),
 				Shards:      v.Int(rgShards),
 				KeyRange:    v.Int(rgKeyRange),
@@ -227,7 +227,7 @@ func init() {
 		Description: "hostile hot-key traffic: sliding Zipf window over hash or range placement, locality counters in metrics",
 		Params:      []Param{hkPartitioner, hkShards, hkKeyRange, hkInitial, hkHotSpan, hkHotFrac, hkTheta, hkMoveEvery, hkSpan, hkMix, hkBatchEvery, hkBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceHotKey{
+			return &ServiceHotKey{
 				Partitioner: v.Str(hkPartitioner),
 				Shards:      v.Int(hkShards),
 				KeyRange:    v.Int(hkKeyRange),

@@ -1,4 +1,4 @@
-package workloads
+package scenario
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/shard"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // ServiceSharded is the deterministic twin of proteusd's sharded serving
@@ -46,12 +47,12 @@ type ServiceSharded struct {
 	ops atomic.Uint64
 }
 
-// Name implements Workload.
+// Name implements workloads.Workload.
 func (s *ServiceSharded) Name() string { return "service-sharded" }
 
-// Setup implements Workload: it builds the kernel store over the
+// Setup implements workloads.Workload: it builds the kernel store over the
 // consistent-hash ring and pre-populates each shard with the keys it owns.
-func (s *ServiceSharded) Setup(h *tm.Heap, rng *Rand) error {
+func (s *ServiceSharded) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	if err := positive("sharded", s.Shards, s.KeyRange, s.BatchKeys); err != nil {
 		return err
 	}
@@ -66,20 +67,20 @@ func (s *ServiceSharded) Setup(h *tm.Heap, rng *Rand) error {
 // mixFor picks the operation mix for a key owned by shard o: under skew,
 // the lower half of the shards is write-heavy and the upper half
 // read-heavy — the per-shard divergence the sharded daemon's tuners see.
-func (s *ServiceSharded) mixFor(o int, rng *Rand) ServiceOpMix {
+func (s *ServiceSharded) mixFor(o int, rng *workloads.Rand) workloads.ServiceOpMix {
 	if rng.Float64() < s.Skew {
 		if o < s.Shards/2 {
-			return serviceMixes["write-heavy"]
+			return namedMix("write-heavy")
 		}
-		return serviceMixes["read-heavy"]
+		return namedMix("read-heavy")
 	}
-	return serviceMixes["mixed"]
+	return namedMix("mixed")
 }
 
-// Op implements Workload: either one single-key operation or scan on the
+// Op implements workloads.Workload: either one single-key operation or scan on the
 // owning shard (under its fence) or, every BatchEvery-th call, a
 // cross-shard batch put through the two-phase fence protocol.
-func (s *ServiceSharded) Op(r Runner, self int, rng *Rand) {
+func (s *ServiceSharded) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	n := s.ops.Add(1)
 	if s.BatchEvery > 0 && n%uint64(s.BatchEvery) == 0 {
 		crossPut(r, self, rng, s.kv, n, s.BatchKeys, s.KeyRange)
@@ -94,7 +95,7 @@ func (s *ServiceSharded) Op(r Runner, self int, rng *Rand) {
 	s.kv.retried(r, self, k, body)
 }
 
-// Verify implements Verifier: every key must live in the store of the
+// Verify implements workloads.Verifier: every key must live in the store of the
 // shard that owns it (the routing invariant the consistent-hash ring
 // promises) and no fence may be left held.
 func (s *ServiceSharded) Verify(h *tm.Heap) error {

@@ -1,4 +1,4 @@
-package workloads
+package scenario
 
 import (
 	"fmt"
@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/shard"
+	"repro/internal/stm"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // svcShards is the protocol kernel of the service twins: an in-heap model
-// of internal/serve's sharded store, one RBSet per shard plus a uniform
+// of internal/serve's sharded store, one workloads.RBSet per shard plus a uniform
 // four-word fence layout, with one function per serve mechanism — the
 // fenced local operation, the stale-route bounce, the two-phase
 // cross-shard commit and the fenced span move. Every twin keeps only its
@@ -19,14 +21,14 @@ import (
 // keeps:
 //
 //   - a transaction body only assigns results it resets on entry, because
-//     a Runner re-runs the body of an aborted attempt;
+//     a workloads.Runner re-runs the body of an aborted attempt;
 //   - a cross-shard acquire refuses a shard that has shed a span since the
 //     batch was routed (serve re-pins the placement epoch after acquire);
 //   - one span move runs at a time (serve's reshardMu).
 //
 // docs/architecture.md maps each function to its serve counterpart.
 type svcShards struct {
-	sets  []*RBSet
+	sets  []*workloads.RBSet
 	words tm.Addr // svcWords per store, laid out by the word constants
 	place atomic.Pointer[svcPlace]
 	// moveMu admits one span move at a time, so flips publish placements
@@ -58,10 +60,10 @@ const svcTries = 1000
 // twin pre-builds its spares), their fence words and placement part at
 // epoch 0, then inserts initial keys drawn from [0, keyRange) into their
 // owners' stores (initial <= 0 means keyRange/2).
-func newSvcShards(h *tm.Heap, rng *Rand, stores int, part shard.Partitioner, keyRange, initial int) (*svcShards, error) {
-	s := &svcShards{sets: make([]*RBSet, stores)}
+func newSvcShards(h *tm.Heap, rng *workloads.Rand, stores int, part shard.Partitioner, keyRange, initial int) (*svcShards, error) {
+	s := &svcShards{sets: make([]*workloads.RBSet, stores)}
 	for i := range s.sets {
-		set, err := NewRBSet(h)
+		set, err := workloads.NewRBSet(h)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d store: %w", i, err)
 		}
@@ -76,7 +78,7 @@ func newSvcShards(h *tm.Heap, rng *Rand, stores int, part shard.Partitioner, key
 	if initial <= 0 {
 		initial = keyRange / 2
 	}
-	seq := NewBareRunner(seqAlg(), h, 1)
+	seq := workloads.NewBareRunner(&stm.GlobalLock{}, h, 1)
 	for i := 0; i < initial; i++ {
 		k := uint64(rng.Intn(keyRange))
 		o := part.Owner(k)
@@ -92,7 +94,7 @@ func (s *svcShards) word(i, w int) tm.Addr { return s.words + tm.Addr(svcWords*i
 // shed a span since placement epoch epoch (moved: the route is stale) or
 // o's fence is held (fenced: the caller retries or skips). Nothing is
 // applied in either case — serve's execute path.
-func (s *svcShards) local(r Runner, self, o int, epoch uint64, body func(tm.Txn, *RBSet)) (fenced, moved bool) {
+func (s *svcShards) local(r workloads.Runner, self, o int, epoch uint64, body func(tm.Txn, *workloads.RBSet)) (fenced, moved bool) {
 	set := s.sets[o]
 	r.Atomic(self, func(tx tm.Txn) {
 		fenced, moved = false, false
@@ -110,7 +112,7 @@ func (s *svcShards) local(r Runner, self, o int, epoch uint64, body func(tm.Txn,
 // routed is serve's submitRouted: run body on k's owner under plan and,
 // when the route is stale, re-route under the live placement. It returns
 // the owner that answered and how many times the operation bounced.
-func (s *svcShards) routed(r Runner, self int, k uint64, plan *svcPlace, body func(tm.Txn, *RBSet)) (o int, fenced bool, bounces uint64) {
+func (s *svcShards) routed(r workloads.Runner, self int, k uint64, plan *svcPlace, body func(tm.Txn, *workloads.RBSet)) (o int, fenced bool, bounces uint64) {
 	for {
 		o = plan.part.Owner(k)
 		f, moved := s.local(r, self, o, plan.epoch, body)
@@ -124,7 +126,7 @@ func (s *svcShards) routed(r Runner, self int, k uint64, plan *svcPlace, body fu
 
 // retried runs body on k's owner, retrying while the owner is fenced the
 // way a serve worker requeues a fenced request.
-func (s *svcShards) retried(r Runner, self int, k uint64, body func(tm.Txn, *RBSet)) {
+func (s *svcShards) retried(r workloads.Runner, self int, k uint64, body func(tm.Txn, *workloads.RBSet)) {
 	for try := 0; try < svcTries; try++ {
 		if _, fenced, _ := s.routed(r, self, k, s.place.Load(), body); !fenced {
 			return
@@ -145,7 +147,7 @@ type svcHold struct {
 // heartbeat beat. A shard whose fence is held, or that has shed a span
 // since placement epoch epoch, refuses; acquire then releases everything
 // it claimed (abort-all) and reports false.
-func (s *svcShards) acquire(r Runner, self int, parts []int, token, beat, epoch uint64) (*svcHold, bool) {
+func (s *svcShards) acquire(r workloads.Runner, self int, parts []int, token, beat, epoch uint64) (*svcHold, bool) {
 	h := &svcHold{token: token, parts: parts, epochs: make([]uint64, 0, len(parts))}
 	for _, p := range parts {
 		var e uint64
@@ -174,7 +176,7 @@ func (s *svcShards) acquire(r Runner, self int, parts []int, token, beat, epoch 
 // transaction, iff (token, epoch) still holds the fence; it reports
 // whether it did. With a nil body it is serve's releaseParts for one
 // shard, otherwise crossPart.apply plus the release.
-func (s *svcShards) guarded(r Runner, self, p int, token, epoch uint64, body func(tm.Txn, *RBSet)) (held bool) {
+func (s *svcShards) guarded(r workloads.Runner, self, p int, token, epoch uint64, body func(tm.Txn, *workloads.RBSet)) (held bool) {
 	set := s.sets[p]
 	r.Atomic(self, func(tx tm.Txn) {
 		if held = tx.Load(s.word(p, fenceToken)) == token && tx.Load(s.word(p, fenceEpoch)) == epoch; !held {
@@ -191,16 +193,16 @@ func (s *svcShards) guarded(r Runner, self, p int, token, epoch uint64, body fun
 // commit is phase 2: every part of h applies apply and releases its fence
 // in one guarded transaction; a part recovery already superseded is
 // skipped.
-func (s *svcShards) commit(r Runner, self int, h *svcHold, apply func(tx tm.Txn, set *RBSet, p int)) {
+func (s *svcShards) commit(r workloads.Runner, self int, h *svcHold, apply func(tx tm.Txn, set *workloads.RBSet, p int)) {
 	for i, p := range h.parts {
-		s.guarded(r, self, p, h.token, h.epochs[i], func(tx tm.Txn, set *RBSet) { apply(tx, set, p) })
+		s.guarded(r, self, p, h.token, h.epochs[i], func(tx tm.Txn, set *workloads.RBSet) { apply(tx, set, p) })
 	}
 }
 
 // crossRetry runs the whole commit for parts under the live placement,
 // retrying an abort-all like serve's CrossRetries; it reports whether the
 // operation committed.
-func (s *svcShards) crossRetry(r Runner, self int, parts []int, token uint64, apply func(tx tm.Txn, set *RBSet, p int)) bool {
+func (s *svcShards) crossRetry(r workloads.Runner, self int, parts []int, token uint64, apply func(tx tm.Txn, set *workloads.RBSet, p int)) bool {
 	for try := 0; try < svcTries; try++ {
 		if h, ok := s.acquire(r, self, parts, token, token, s.place.Load().epoch); ok {
 			s.commit(r, self, h, apply)
@@ -212,8 +214,8 @@ func (s *svcShards) crossRetry(r Runner, self int, parts []int, token uint64, ap
 
 // putOwned is the multi-put apply: write val at each of keys that part
 // places on shard p.
-func putOwned(part shard.Partitioner, keys []uint64, self int, val uint64) func(tm.Txn, *RBSet, int) {
-	return func(tx tm.Txn, set *RBSet, p int) {
+func putOwned(part shard.Partitioner, keys []uint64, self int, val uint64) func(tm.Txn, *workloads.RBSet, int) {
+	return func(tx tm.Txn, set *workloads.RBSet, p int) {
 		for _, k := range keys {
 			if part.Owner(k) == p {
 				set.Insert(tx, self, k, val)
@@ -225,16 +227,16 @@ func putOwned(part shard.Partitioner, keys []uint64, self int, val uint64) func(
 // pointOp is the single-key body the mix draw p selects: get, put of val,
 // delete, or — for the rest of the mix — a CAS increment. A twin that
 // serves scans peels the range share off before calling it.
-func pointOp(mix ServiceOpMix, p float64, self int, k, val uint64) func(tm.Txn, *RBSet) {
+func pointOp(mix workloads.ServiceOpMix, p float64, self int, k, val uint64) func(tm.Txn, *workloads.RBSet) {
 	switch {
 	case p < mix.Get:
-		return func(tx tm.Txn, set *RBSet) { set.Get(tx, k) }
+		return func(tx tm.Txn, set *workloads.RBSet) { set.Get(tx, k) }
 	case p < mix.Get+mix.Put:
-		return func(tx tm.Txn, set *RBSet) { set.Insert(tx, self, k, val) }
+		return func(tx tm.Txn, set *workloads.RBSet) { set.Insert(tx, self, k, val) }
 	case p < mix.Get+mix.Put+mix.Del:
-		return func(tx tm.Txn, set *RBSet) { set.Delete(tx, self, k) }
+		return func(tx tm.Txn, set *workloads.RBSet) { set.Delete(tx, self, k) }
 	}
-	return func(tx tm.Txn, set *RBSet) {
+	return func(tx tm.Txn, set *workloads.RBSet) {
 		if v, ok := set.Get(tx, k); ok {
 			set.Insert(tx, self, k, v+1)
 		}
@@ -242,8 +244,10 @@ func pointOp(mix ServiceOpMix, p float64, self int, k, val uint64) func(tm.Txn, 
 }
 
 // scanBody reads [lo, hi] off a store.
-func scanBody(lo, hi uint64) func(tm.Txn, *RBSet) {
-	return func(tx tm.Txn, set *RBSet) { set.AscendRange(tx, lo, hi, func(_, _ uint64) bool { return true }) }
+func scanBody(lo, hi uint64) func(tm.Txn, *workloads.RBSet) {
+	return func(tx tm.Txn, set *workloads.RBSet) {
+		set.AscendRange(tx, lo, hi, func(_, _ uint64) bool { return true })
+	}
 }
 
 // svcMove is one planned span move: the keys of [lo, hi] leave donor for
@@ -266,7 +270,7 @@ const (
 // keys, flip the placement, bump the donor's placement epoch, delete the
 // span off the donor and release. Every step stamps the donor's heartbeat
 // with n. It returns the number of keys copied and the outcome.
-func (s *svcShards) moveSpan(r Runner, self int, n uint64, batch int, plan func(live *svcPlace) (svcMove, bool)) (moved uint64, outcome int) {
+func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, plan func(live *svcPlace) (svcMove, bool)) (moved uint64, outcome int) {
 	if !s.moveMu.TryLock() {
 		return 0, moveBlocked
 	}
@@ -325,7 +329,7 @@ func (s *svcShards) moveSpan(r Runner, self int, n uint64, batch int, plan func(
 // spanBatch reads up to max pairs of [lo, hi] off set in key order. When
 // the batch is full and short of hi, more is set and next is the cursor of
 // the following batch — Store.ExportSpan's contract.
-func spanBatch(tx tm.Txn, set *RBSet, lo, hi uint64, max int) (keys, vals []uint64, next uint64, more bool) {
+func spanBatch(tx tm.Txn, set *workloads.RBSet, lo, hi uint64, max int) (keys, vals []uint64, next uint64, more bool) {
 	keys, vals = make([]uint64, 0, max), make([]uint64, 0, max)
 	set.AscendRange(tx, lo, hi, func(k, v uint64) bool {
 		keys = append(keys, k)
@@ -343,7 +347,7 @@ func spanBatch(tx tm.Txn, set *RBSet, lo, hi uint64, max int) (keys, vals []uint
 // placement's width (a spare, or a retired donor) empty.
 func (s *svcShards) verify(h *tm.Heap) error {
 	live := s.place.Load()
-	seq := NewBareRunner(seqAlg(), h, 1)
+	seq := workloads.NewBareRunner(&stm.GlobalLock{}, h, 1)
 	var err error
 	for i, set := range s.sets {
 		seq.Atomic(0, func(tx tm.Txn) {
@@ -377,4 +381,13 @@ func positive(twin string, vals ...int) error {
 		}
 	}
 	return nil
+}
+
+// namedMix returns a built-in service mix the twins pin by name.
+func namedMix(name string) workloads.ServiceOpMix {
+	m, err := workloads.ServiceMixByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

@@ -1,4 +1,4 @@
-package workloads_test
+package scenario
 
 import (
 	"testing"
@@ -6,16 +6,16 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/polytm"
-	"repro/internal/scenario"
+	"repro/internal/stm"
 	"repro/internal/tm"
 	"repro/internal/workloads"
 )
 
 // twin builds a service twin the way the scenario registry does: its
 // parameter defaults overridden by params.
-func twin(t *testing.T, name string, params scenario.Values) workloads.Workload {
+func twin(t *testing.T, name string, params Values) workloads.Workload {
 	t.Helper()
-	s, ok := scenario.Lookup(name)
+	s, ok := Lookup(name)
 	if !ok {
 		t.Fatalf("scenario %s not registered", name)
 	}
@@ -39,15 +39,15 @@ func twin(t *testing.T, name string, params scenario.Values) workloads.Workload 
 func TestServiceTwinsConcurrent(t *testing.T) {
 	for _, tc := range []struct {
 		leg, name string
-		params    scenario.Values
+		params    Values
 	}{
-		{"sharded", "service-sharded", scenario.Values{"keyrange": "1024", "span": "32", "batchevery": "8", "batchkeys": "6"}},
-		{"range", "service-range", scenario.Values{"partitioner": "hash"}},
-		{"hotkey", "service-hotkey", scenario.Values{"mix": "scan"}},
-		{"chaos-crash", "service-chaos", scenario.Values{"fault": "crash", "faultevery": "2"}},
-		{"chaos-stall", "service-chaos", scenario.Values{"fault": "stall", "faultevery": "2"}},
-		{"reshard", "service-reshard", scenario.Values{"splitevery": "500"}},
-		{"merge", "service-merge", scenario.Values{"mergeevery": "500"}},
+		{"sharded", "service-sharded", Values{"keyrange": "1024", "span": "32", "batchevery": "8", "batchkeys": "6"}},
+		{"range", "service-range", Values{"partitioner": "hash"}},
+		{"hotkey", "service-hotkey", Values{"mix": "scan"}},
+		{"chaos-crash", "service-chaos", Values{"fault": "crash", "faultevery": "2"}},
+		{"chaos-stall", "service-chaos", Values{"fault": "stall", "faultevery": "2"}},
+		{"reshard", "service-reshard", Values{"splitevery": "500"}},
+		{"merge", "service-merge", Values{"mergeevery": "500"}},
 	} {
 		t.Run(tc.leg, func(t *testing.T) {
 			wl := twin(t, tc.name, tc.params)
@@ -145,5 +145,34 @@ func TestSpanMoveSurvivesAbortedAttempts(t *testing.T) {
 					discarded["keys_migrated"], discarded["placement_epoch"], plain["keys_migrated"], plain["placement_epoch"])
 			}
 		})
+	}
+}
+
+// TestServiceShardedRoutingInvariant checks the serial path too: after a
+// deterministic run every key sits on its owning shard (Verify) and the
+// per-shard stores are non-trivially populated.
+func TestServiceShardedRoutingInvariant(t *testing.T) {
+	wl := &ServiceSharded{Shards: 3, KeyRange: 512, BatchEvery: 4, BatchKeys: 5}
+	pool := polytm.New(1<<20, 2, config.Config{Alg: config.NOrec, Threads: 2})
+	if err := wl.Setup(pool.Heap(), workloads.NewRand(3)); err != nil {
+		t.Fatalf("Setup: %v", err)
+	}
+	sd := workloads.NewSerialDriver(wl, pool, 2, 3)
+	sd.Run(2000)
+	if err := wl.Verify(pool.Heap()); err != nil {
+		t.Fatalf("post-run invariant: %v", err)
+	}
+	seq := workloads.NewBareRunner(&stm.GlobalLock{}, pool.Heap(), 1)
+	total := 0
+	for i, set := range wl.kv.sets {
+		n := 0
+		seq.Atomic(0, func(tx tm.Txn) { n = set.Size(tx) })
+		if n == 0 {
+			t.Errorf("shard %d store is empty after 2000 ops", i)
+		}
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("all shard stores empty")
 	}
 }
