@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/stm"
 	"repro/internal/tm"
@@ -79,8 +80,7 @@ type ServiceChaos struct {
 // needs to finish it without its coordinator.
 type chaosRec struct {
 	hold *svcHold
-	keys []uint64
-	val  uint64
+	put  mput
 }
 
 // chaosWedge marks the token of a fence seized from outside the protocol.
@@ -123,7 +123,7 @@ func (s *ServiceChaos) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	// An orphaned fence persists until the detector's deadline, so a
 	// fenced operation is skipped (and counted), not spun on — the
 	// workload analogue of the serve worker's requeue.
-	if _, fenced, _ := s.kv.routed(r, self, k, s.kv.place.Load(), pointOp(namedMix("mixed"), p, self, k, n)); fenced {
+	if _, fenced, _ := s.kv.routed(r, self, s.kv.place.Load(), pointOp(namedMix("mixed"), p, self, k, n)); fenced {
 		s.fencedSkip.Add(1)
 	}
 }
@@ -136,12 +136,12 @@ func (s *ServiceChaos) crossBatch(r workloads.Runner, self int, rng *workloads.R
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(s.KeyRange))
 	}
-	part := s.kv.place.Load().part
-	h, ok := s.kv.acquire(r, self, part.Participants(keys), n, n, 0)
+	put := mput{part: s.kv.place.Load().part, keys: keys, self: self, val: n}
+	h, ok := s.kv.acquire(r, self, put.part.Participants(keys), put.sig, n, n, 0)
 	if !ok {
-		// A participant's fence is orphaned by an outstanding fault: the
-		// acquire aborted all, and the detector clears the orphan at its
-		// deadline, not mid-batch.
+		// An orphaned hold of an outstanding fault intersects the batch's
+		// signature on a participant: the acquire aborted all, and the
+		// detector clears the orphan at its deadline, not mid-batch.
 		s.blocked.Add(1)
 		return
 	}
@@ -151,19 +151,19 @@ func (s *ServiceChaos) crossBatch(r workloads.Runner, self int, rng *workloads.R
 		// decided, so its record stays behind for the detector to roll
 		// forward; its fences stay held.
 		s.mu.Lock()
-		s.recs[n] = &chaosRec{hold: h, keys: keys, val: n}
+		s.recs[n] = &chaosRec{hold: h, put: put}
 		s.mu.Unlock()
 		s.crashes.Add(1)
 		s.outstanding.Add(1)
 		return
 	}
-	s.kv.commit(r, self, h, putOwned(part, keys, self, n))
+	s.kv.commit(r, self, h, put.apply)
 	s.committed.Add(1)
 
 	if s.FaultKind == "stall" && s.faultInjected(b) {
-		// Foreign wedge: seize one shard's fence from outside the
+		// Foreign wedge: seize one whole shard's fence from outside the
 		// protocol. No decision record exists, so recovery must abort it.
-		if _, ok := s.kv.acquire(r, self, []int{int(n) % s.Shards}, chaosWedge|n, n, 0); ok {
+		if _, ok := s.kv.acquire(r, self, []int{int(n) % s.Shards}, wholeShard, chaosWedge|n, n, 0); ok {
 			s.stalls.Add(1)
 			s.outstanding.Add(1)
 		}
@@ -176,38 +176,43 @@ func (s *ServiceChaos) faultInjected(b uint64) bool {
 	return b%uint64(s.FaultEvery) == 0 && s.crashes.Load()+s.stalls.Load() < uint64(s.FaultCount)
 }
 
-// detect is the failure-detector step: a fence whose heartbeat is
+// detect is the failure-detector step: a fence entry whose heartbeat is
 // DeadlineOps operations old is recovered — the whole batch rolled
 // forward if its decision was recorded, the hold released with nothing
 // applied if it is a foreign wedge. A live coordinator's hold is left
 // alone: on real goroutines one can be preempted past the deadline, and
 // unlike serve the twin knows it is alive.
 func (s *ServiceChaos) detect(r workloads.Runner, self int, n uint64) {
-	for i := 0; i < s.Shards; i++ {
-		var token, epoch, beat uint64
+	for i, st := range s.kv.stores {
+		var orphans []serve.FenceHold
 		r.Atomic(self, func(tx tm.Txn) {
-			token, epoch, beat = tx.Load(s.kv.word(i, fenceToken)), tx.Load(s.kv.word(i, fenceEpoch)), tx.Load(s.kv.word(i, fenceBeat))
+			orphans = orphans[:0]
+			for j := 0; j < serve.FenceSlots; j++ {
+				token, epoch, beat := st.FenceSlotWordsOf(j)
+				if t := tx.Load(token); t != 0 && n-tx.Load(beat) >= uint64(s.DeadlineOps) {
+					orphans = append(orphans, serve.FenceHold{Slot: j, Token: t, Epoch: tx.Load(epoch)})
+				}
+			}
 		})
-		if token == 0 || n-beat < uint64(s.DeadlineOps) {
-			continue
+		for _, o := range orphans {
+			s.mu.Lock()
+			rec := s.recs[o.Token]
+			delete(s.recs, o.Token) // claim-once
+			s.mu.Unlock()
+			switch {
+			case rec != nil:
+				// Decided batch: roll every participant forward on the
+				// dead coordinator's behalf, each under its hold's guard.
+				s.kv.commit(r, self, rec.hold, rec.put.apply)
+				s.rolledFwd.Add(1)
+			case o.Token&chaosWedge != 0 && s.kv.guarded(r, self, i, o, true, nil):
+				s.abortedRec.Add(1)
+			default:
+				continue
+			}
+			s.recovered.Add(1)
+			s.outstanding.Add(-1)
 		}
-		s.mu.Lock()
-		rec := s.recs[token]
-		delete(s.recs, token) // claim-once
-		s.mu.Unlock()
-		switch {
-		case rec != nil:
-			// Decided batch: roll every participant forward on the dead
-			// coordinator's behalf, each under its (token, epoch) guard.
-			s.kv.commit(r, self, rec.hold, putOwned(s.kv.place.Load().part, rec.keys, self, rec.val))
-			s.rolledFwd.Add(1)
-		case token&chaosWedge != 0 && s.kv.guarded(r, self, i, token, epoch, nil):
-			s.abortedRec.Add(1)
-		default:
-			continue
-		}
-		s.recovered.Add(1)
-		s.outstanding.Add(-1)
 	}
 }
 

@@ -165,7 +165,7 @@ func (s *ServiceHotKey) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 		}
 	}
 	if p < s.mix.Get+s.mix.Put+s.mix.Del+s.mix.CAS {
-		s.kv.retried(r, self, k, pointOp(s.mix, p, self, k, n))
+		s.kv.retried(r, self, pointOp(s.mix, p, self, k, n))
 		return
 	}
 	s.scanTotal.Add(1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/tm"
 	"repro/internal/workloads"
@@ -116,7 +117,7 @@ func (s *ServiceRange) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	}
 	k := uint64(rng.Intn(s.KeyRange))
 	if p := rng.Float64(); p < s.mix.Get+s.mix.Put+s.mix.Del+s.mix.CAS {
-		s.kv.retried(r, self, k, pointOp(s.mix, p, self, k, n))
+		s.kv.retried(r, self, pointOp(s.mix, p, self, k, n))
 		return
 	}
 	parts := scan(r, self, s.kv, n, k, k+uint64(s.Span))
@@ -135,11 +136,11 @@ func (s *ServiceRange) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 // order, scan and release each) otherwise. It returns the owner set.
 func scan(r workloads.Runner, self int, kv *svcShards, n, lo, hi uint64) []int {
 	parts := kv.place.Load().part.OwnersInRange(lo, hi)
-	body := scanBody(lo, hi)
+	op := scanOp(lo, hi)
 	if len(parts) == 1 {
-		kv.retried(r, self, lo, body)
+		kv.retried(r, self, op)
 	} else {
-		kv.crossRetry(r, self, parts, n, func(tx tm.Txn, set *workloads.RBSet, _ int) { body(tx, set) })
+		kv.crossRetry(r, self, parts, wholeShard, n, func(tx tm.Txn, st *serve.Store, _ int) { op.body(tx, st) })
 	}
 	return parts
 }
@@ -151,8 +152,8 @@ func crossPut(r workloads.Runner, self int, rng *workloads.Rand, kv *svcShards, 
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(keyRange))
 	}
-	part := kv.place.Load().part
-	return kv.crossRetry(r, self, part.Participants(keys), n, putOwned(part, keys, self, n))
+	m := mput{part: kv.place.Load().part, keys: keys, self: self, val: n}
+	return kv.crossRetry(r, self, m.part.Participants(keys), m.sig, n, m.apply)
 }
 
 // Verify implements workloads.Verifier: every key must live in the store of the

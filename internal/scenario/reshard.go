@@ -157,7 +157,7 @@ func (m *mover) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 func (m *mover) singleKey(r workloads.Runner, self int, rng *workloads.Rand, n uint64) {
 	k := m.draw(rng)
 	p := rng.Float64()
-	o, fenced, bounces := m.kv.routed(r, self, k, m.replica.Load(), pointOp(namedMix("mixed"), p, self, k, n))
+	o, fenced, bounces := m.kv.routed(r, self, m.replica.Load(), pointOp(namedMix("mixed"), p, self, k, n))
 	m.bounces.Add(bounces)
 	if fenced {
 		m.fencedSkip.Add(1)
@@ -175,13 +175,14 @@ func (m *mover) crossBatch(r workloads.Runner, self int, rng *workloads.Rand, n 
 	for i := range keys {
 		keys[i] = m.draw(rng)
 	}
-	h, ok := m.kv.acquire(r, self, live.part.Participants(keys), n, n, live.epoch)
+	put := mput{part: live.part, keys: keys, self: self, val: n}
+	h, ok := m.kv.acquire(r, self, live.part.Participants(keys), put.sig, n, n, live.epoch)
 	if !ok {
 		m.blocked.Add(1)
 		return
 	}
 	m.batches.Add(1)
-	m.kv.commit(r, self, h, putOwned(live.part, keys, self, n))
+	m.kv.commit(r, self, h, put.apply)
 	for _, p := range h.parts {
 		m.routed[p].Add(1)
 	}

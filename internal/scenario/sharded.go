@@ -11,9 +11,9 @@ import (
 
 // ServiceSharded is the deterministic twin of proteusd's sharded serving
 // layer (internal/serve with Options.Shards > 1): the key space is
-// partitioned across per-shard red-black-tree stores by the same
-// consistent-hash ring the server routes with, single-key operations run
-// against the owning shard's store under that shard's commit fence, and a
+// partitioned across per-shard serve.Stores by the same consistent-hash
+// ring the server routes with, single-key operations run against the
+// owning shard's store under that shard's fence table, and a
 // periodic cross-shard batch put exercises the two-phase fence protocol
 // (ordered acquire, abort-all on failure, apply+release per shard).
 //
@@ -88,11 +88,11 @@ func (s *ServiceSharded) Op(r workloads.Runner, self int, rng *workloads.Rand) {
 	}
 	k := uint64(rng.Intn(s.KeyRange))
 	mix := s.mixFor(s.kv.place.Load().part.Owner(k), rng)
-	body := scanBody(k, k+uint64(s.Span))
+	op := scanOp(k, k+uint64(s.Span))
 	if p := rng.Float64(); p < mix.Get+mix.Put+mix.Del+mix.CAS {
-		body = pointOp(mix, p, self, k, n)
+		op = pointOp(mix, p, self, k, n)
 	}
-	s.kv.retried(r, self, k, body)
+	s.kv.retried(r, self, op)
 }
 
 // Verify implements workloads.Verifier: every key must live in the store of the

@@ -2,24 +2,30 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/stm"
 	"repro/internal/tm"
 	"repro/internal/workloads"
 )
 
-// svcShards is the protocol kernel of the service twins: an in-heap model
-// of internal/serve's sharded store, one workloads.RBSet per shard plus a uniform
-// four-word fence layout, with one function per serve mechanism — the
-// fenced local operation, the stale-route bounce, the two-phase
-// cross-shard commit and the fenced span move. Every twin keeps only its
-// op stream, its schedule and its metric names; the protocol lives here
-// once, so the twins model one fence and agree with serve on the rules it
-// keeps:
+// svcShards is the protocol kernel of the service twins: one serve.Store
+// per shard on the harness heap, driven through the Store methods serve
+// itself calls, with one function per serve mechanism — the fenced local
+// operation, the stale-route bounce, the two-phase cross-shard commit and
+// the fenced span move. Every twin keeps only its op stream, its schedule
+// and its metric names; the data plane, the fence table and the placement
+// word are serve's own, so the twins keep serve's rules:
 //
+//   - a local operation checks its key against the fence table, a scan
+//     checks for any hold (serve's opFenced);
+//   - a cross-shard batch publishes the signature of its keys on each
+//     participant, a scan, span move or wedge the whole shard (serve's
+//     partSig, serve.SigAll);
 //   - a transaction body only assigns results it resets on entry, because
 //     a workloads.Runner re-runs the body of an aborted attempt;
 //   - a cross-shard acquire refuses a shard that has shed a span since the
@@ -28,22 +34,12 @@ import (
 //
 // docs/architecture.md maps each function to its serve counterpart.
 type svcShards struct {
-	sets  []*workloads.RBSet
-	words tm.Addr // svcWords per store, laid out by the word constants
-	place atomic.Pointer[svcPlace]
+	stores []*serve.Store
+	place  atomic.Pointer[svcPlace]
 	// moveMu admits one span move at a time, so flips publish placements
 	// in epoch order.
 	moveMu sync.Mutex
 }
-
-// The per-shard words.
-const (
-	fenceToken = iota // holder's token, 0 when free
-	fenceEpoch        // bumped by every acquisition: the guard of apply and release
-	fenceBeat         // holder's heartbeat, an operation number
-	placeEpoch        // placement epoch at which this shard last shed a span
-	svcWords
-)
 
 // svcPlace is one epoch-stamped placement: what serve's shard.Epoched
 // publishes, as a plain immutable value.
@@ -56,24 +52,19 @@ type svcPlace struct {
 // maxFenceTries; a serial run never retries.
 const svcTries = 1000
 
-// newSvcShards builds stores RBSets (at least part's width; a resharding
-// twin pre-builds its spares), their fence words and placement part at
-// epoch 0, then inserts initial keys drawn from [0, keyRange) into their
-// owners' stores (initial <= 0 means keyRange/2).
+// newSvcShards builds stores Stores (at least part's width; a resharding
+// twin pre-builds its spares) and placement part at epoch 0, then inserts
+// initial keys drawn from [0, keyRange) into their owners' stores
+// (initial <= 0 means keyRange/2).
 func newSvcShards(h *tm.Heap, rng *workloads.Rand, stores int, part shard.Partitioner, keyRange, initial int) (*svcShards, error) {
-	s := &svcShards{sets: make([]*workloads.RBSet, stores)}
-	for i := range s.sets {
-		set, err := workloads.NewRBSet(h)
+	s := &svcShards{stores: make([]*serve.Store, stores)}
+	for i := range s.stores {
+		st, err := serve.NewStore(h)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d store: %w", i, err)
 		}
-		s.sets[i] = set
+		s.stores[i] = st
 	}
-	words, err := h.Alloc(svcWords * stores)
-	if err != nil {
-		return nil, fmt.Errorf("fence words: %w", err)
-	}
-	s.words = words
 	s.place.Store(&svcPlace{part: part})
 	if initial <= 0 {
 		initial = keyRange / 2
@@ -81,41 +72,51 @@ func newSvcShards(h *tm.Heap, rng *workloads.Rand, stores int, part shard.Partit
 	seq := workloads.NewBareRunner(&stm.GlobalLock{}, h, 1)
 	for i := 0; i < initial; i++ {
 		k := uint64(rng.Intn(keyRange))
-		o := part.Owner(k)
-		seq.Atomic(0, func(tx tm.Txn) { s.sets[o].Insert(tx, 0, k, k) })
+		st := s.stores[part.Owner(k)]
+		seq.Atomic(0, func(tx tm.Txn) { st.Put(tx, 0, k, k) })
 	}
 	return s, nil
 }
 
-// word returns shard i's word w.
-func (s *svcShards) word(i, w int) tm.Addr { return s.words + tm.Addr(svcWords*i+w) }
+// svcOp is one local operation: its body and the key that routes it and
+// that its fence check covers. A scan's check covers the whole shard.
+type svcOp struct {
+	key  uint64
+	scan bool
+	body func(tm.Txn, *serve.Store)
+}
 
-// local runs body on shard o's store in one transaction, unless o has
-// shed a span since placement epoch epoch (moved: the route is stale) or
-// o's fence is held (fenced: the caller retries or skips). Nothing is
-// applied in either case — serve's execute path.
-func (s *svcShards) local(r workloads.Runner, self, o int, epoch uint64, body func(tm.Txn, *workloads.RBSet)) (fenced, moved bool) {
-	set := s.sets[o]
+// local runs op on shard o's store in one transaction, unless o has shed
+// a span since placement epoch epoch (moved: the route is stale) or a
+// held fence covers op (fenced: the caller retries or skips). Nothing is
+// applied in either case — serve's applyOp.
+func (s *svcShards) local(r workloads.Runner, self, o int, epoch uint64, op svcOp) (fenced, moved bool) {
+	st := s.stores[o]
 	r.Atomic(self, func(tx tm.Txn) {
 		fenced, moved = false, false
-		if moved = tx.Load(s.word(o, placeEpoch)) > epoch; moved {
+		if moved = st.PlacementStale(tx, epoch); moved {
 			return
 		}
-		if fenced = tx.Load(s.word(o, fenceToken)) != 0; fenced {
-			return
+		if op.scan {
+			fenced = st.FencedAny(tx)
+		} else {
+			fenced = st.FencedKey(tx, op.key)
 		}
-		body(tx, set)
+		if !fenced {
+			op.body(tx, st)
+		}
 	})
 	return fenced, moved
 }
 
-// routed is serve's submitRouted: run body on k's owner under plan and,
-// when the route is stale, re-route under the live placement. It returns
-// the owner that answered and how many times the operation bounced.
-func (s *svcShards) routed(r workloads.Runner, self int, k uint64, plan *svcPlace, body func(tm.Txn, *workloads.RBSet)) (o int, fenced bool, bounces uint64) {
+// routed is serve's submitRouted: run op on its key's owner under plan
+// and, when the route is stale, re-route under the live placement. It
+// returns the owner that answered and how many times the operation
+// bounced.
+func (s *svcShards) routed(r workloads.Runner, self int, plan *svcPlace, op svcOp) (o int, fenced bool, bounces uint64) {
 	for {
-		o = plan.part.Owner(k)
-		f, moved := s.local(r, self, o, plan.epoch, body)
+		o = plan.part.Owner(op.key)
+		f, moved := s.local(r, self, o, plan.epoch, op)
 		if !moved {
 			return o, f, bounces
 		}
@@ -124,68 +125,73 @@ func (s *svcShards) routed(r workloads.Runner, self int, k uint64, plan *svcPlac
 	}
 }
 
-// retried runs body on k's owner, retrying while the owner is fenced the
-// way a serve worker requeues a fenced request.
-func (s *svcShards) retried(r workloads.Runner, self int, k uint64, body func(tm.Txn, *workloads.RBSet)) {
+// retried runs op on its key's owner, retrying while a fence covers it
+// the way a serve request waits out a fenced attempt.
+func (s *svcShards) retried(r workloads.Runner, self int, op svcOp) {
 	for try := 0; try < svcTries; try++ {
-		if _, fenced, _ := s.routed(r, self, k, s.place.Load(), body); !fenced {
+		if _, fenced, _ := s.routed(r, self, s.place.Load(), op); !fenced {
 			return
 		}
 	}
 }
 
-// svcHold is an acquired fence set: the participants in ascending order,
-// the holder's token and the fence epoch each acquisition installed.
+// svcHold is an acquired fence set: the participants in ascending order
+// and the hold on each.
 type svcHold struct {
-	token  uint64
-	parts  []int
-	epochs []uint64
+	parts []int
+	holds []serve.FenceHold
 }
 
+// wholeShard is the signature of a hold that cannot enumerate its keys —
+// a scan, a span move, a wedge — on every participant.
+func wholeShard(int) uint64 { return serve.SigAll }
+
 // acquire is phase 1 of the cross-shard commit (serve's acquireStep):
-// claim the fences of parts in ascending order for token, stamping the
-// heartbeat beat. A shard whose fence is held, or that has shed a span
-// since placement epoch epoch, refuses; acquire then releases everything
-// it claimed (abort-all) and reports false.
-func (s *svcShards) acquire(r workloads.Runner, self int, parts []int, token, beat, epoch uint64) (*svcHold, bool) {
-	h := &svcHold{token: token, parts: parts, epochs: make([]uint64, 0, len(parts))}
+// claim a fence entry on each of parts in ascending order for token,
+// publishing sig(p) and stamping the heartbeat beat. A shard whose table
+// holds an intersecting signature, or that has shed a span since placement
+// epoch epoch, refuses; acquire then releases everything it claimed
+// (abort-all) and reports false.
+func (s *svcShards) acquire(r workloads.Runner, self int, parts []int, sig func(p int) uint64, token, beat, epoch uint64) (*svcHold, bool) {
+	h := &svcHold{parts: parts, holds: make([]serve.FenceHold, 0, len(parts))}
 	for _, p := range parts {
-		var e uint64
+		st, sp := s.stores[p], sig(p)
+		var fh serve.FenceHold
+		var ok bool
 		r.Atomic(self, func(tx tm.Txn) {
-			e = 0
-			if tx.Load(s.word(p, placeEpoch)) > epoch || tx.Load(s.word(p, fenceToken)) != 0 {
-				return
+			fh, ok = serve.FenceHold{}, false
+			if !st.PlacementStale(tx, epoch) {
+				fh, ok = st.AcquireFence(tx, token, beat, sp)
 			}
-			e = tx.Load(s.word(p, fenceEpoch)) + 1
-			tx.Store(s.word(p, fenceToken), token)
-			tx.Store(s.word(p, fenceEpoch), e)
-			tx.Store(s.word(p, fenceBeat), beat)
 		})
-		if e == 0 {
-			for i, e := range h.epochs {
-				s.guarded(r, self, h.parts[i], token, e, nil)
+		if !ok {
+			for i, held := range h.holds {
+				s.guarded(r, self, h.parts[i], held, true, nil)
 			}
 			return nil, false
 		}
-		h.epochs = append(h.epochs, e)
+		h.holds = append(h.holds, fh)
 	}
 	return h, true
 }
 
-// guarded runs body on shard p's store and releases p's fence in one
-// transaction, iff (token, epoch) still holds the fence; it reports
-// whether it did. With a nil body it is serve's releaseParts for one
-// shard, otherwise crossPart.apply plus the release.
-func (s *svcShards) guarded(r workloads.Runner, self, p int, token, epoch uint64, body func(tm.Txn, *workloads.RBSet)) (held bool) {
-	set := s.sets[p]
+// guarded runs body on shard p's store, and releases h when release is
+// set, in one transaction, iff h still holds its fence entry; it reports
+// whether it did — serve's guarded. With a nil body and release it is
+// serve's releaseParts for one shard; with a body and release it is
+// crossPart.apply plus the release.
+func (s *svcShards) guarded(r workloads.Runner, self, p int, h serve.FenceHold, release bool, body func(tm.Txn, *serve.Store)) (held bool) {
+	st := s.stores[p]
 	r.Atomic(self, func(tx tm.Txn) {
-		if held = tx.Load(s.word(p, fenceToken)) == token && tx.Load(s.word(p, fenceEpoch)) == epoch; !held {
+		if held = st.HoldsFence(tx, h); !held {
 			return
 		}
 		if body != nil {
-			body(tx, set)
+			body(tx, st)
 		}
-		tx.Store(s.word(p, fenceToken), 0)
+		if release {
+			st.ReleaseFence(tx, h)
+		}
 	})
 	return held
 }
@@ -193,18 +199,18 @@ func (s *svcShards) guarded(r workloads.Runner, self, p int, token, epoch uint64
 // commit is phase 2: every part of h applies apply and releases its fence
 // in one guarded transaction; a part recovery already superseded is
 // skipped.
-func (s *svcShards) commit(r workloads.Runner, self int, h *svcHold, apply func(tx tm.Txn, set *workloads.RBSet, p int)) {
+func (s *svcShards) commit(r workloads.Runner, self int, h *svcHold, apply func(tx tm.Txn, st *serve.Store, p int)) {
 	for i, p := range h.parts {
-		s.guarded(r, self, p, h.token, h.epochs[i], func(tx tm.Txn, set *workloads.RBSet) { apply(tx, set, p) })
+		s.guarded(r, self, p, h.holds[i], true, func(tx tm.Txn, st *serve.Store) { apply(tx, st, p) })
 	}
 }
 
 // crossRetry runs the whole commit for parts under the live placement,
 // retrying an abort-all like serve's CrossRetries; it reports whether the
 // operation committed.
-func (s *svcShards) crossRetry(r workloads.Runner, self int, parts []int, token uint64, apply func(tx tm.Txn, set *workloads.RBSet, p int)) bool {
+func (s *svcShards) crossRetry(r workloads.Runner, self int, parts []int, sig func(int) uint64, token uint64, apply func(tx tm.Txn, st *serve.Store, p int)) bool {
 	for try := 0; try < svcTries; try++ {
-		if h, ok := s.acquire(r, self, parts, token, token, s.place.Load().epoch); ok {
+		if h, ok := s.acquire(r, self, parts, sig, token, token, s.place.Load().epoch); ok {
 			s.commit(r, self, h, apply)
 			return true
 		}
@@ -212,42 +218,60 @@ func (s *svcShards) crossRetry(r workloads.Runner, self int, parts []int, token 
 	return false
 }
 
-// putOwned is the multi-put apply: write val at each of keys that part
-// places on shard p.
-func putOwned(part shard.Partitioner, keys []uint64, self int, val uint64) func(tm.Txn, *workloads.RBSet, int) {
-	return func(tx tm.Txn, set *workloads.RBSet, p int) {
-		for _, k := range keys {
-			if part.Owner(k) == p {
-				set.Insert(tx, self, k, val)
+// mput is a multi-put of val at keys under placement part, by worker
+// slot self.
+type mput struct {
+	part shard.Partitioner
+	keys []uint64
+	self int
+	val  uint64
+}
+
+// sig is serve's partSig: the signature of the keys placed on p.
+func (m mput) sig(p int) uint64 {
+	var owned []uint64
+	for _, k := range m.keys {
+		if m.part.Owner(k) == p {
+			owned = append(owned, k)
+		}
+	}
+	return serve.KeyFenceSig(owned)
+}
+
+// apply writes val at the keys placed on p.
+func (m mput) apply(tx tm.Txn, st *serve.Store, p int) {
+	for _, k := range m.keys {
+		if m.part.Owner(k) == p {
+			st.Put(tx, m.self, k, m.val)
+		}
+	}
+}
+
+// pointOp is the single-key operation the mix draw p selects: get, put of
+// val, delete, or — for the rest of the mix — a CAS increment. A twin
+// that serves scans peels the range share off before calling it.
+func pointOp(mix workloads.ServiceOpMix, p float64, self int, k, val uint64) svcOp {
+	op := svcOp{key: k}
+	switch {
+	case p < mix.Get:
+		op.body = func(tx tm.Txn, st *serve.Store) { st.Get(tx, k) }
+	case p < mix.Get+mix.Put:
+		op.body = func(tx tm.Txn, st *serve.Store) { st.Put(tx, self, k, val) }
+	case p < mix.Get+mix.Put+mix.Del:
+		op.body = func(tx tm.Txn, st *serve.Store) { st.Delete(tx, self, k) }
+	default:
+		op.body = func(tx tm.Txn, st *serve.Store) {
+			if v, ok := st.Get(tx, k); ok {
+				st.CAS(tx, self, k, v, v+1)
 			}
 		}
 	}
+	return op
 }
 
-// pointOp is the single-key body the mix draw p selects: get, put of val,
-// delete, or — for the rest of the mix — a CAS increment. A twin that
-// serves scans peels the range share off before calling it.
-func pointOp(mix workloads.ServiceOpMix, p float64, self int, k, val uint64) func(tm.Txn, *workloads.RBSet) {
-	switch {
-	case p < mix.Get:
-		return func(tx tm.Txn, set *workloads.RBSet) { set.Get(tx, k) }
-	case p < mix.Get+mix.Put:
-		return func(tx tm.Txn, set *workloads.RBSet) { set.Insert(tx, self, k, val) }
-	case p < mix.Get+mix.Put+mix.Del:
-		return func(tx tm.Txn, set *workloads.RBSet) { set.Delete(tx, self, k) }
-	}
-	return func(tx tm.Txn, set *workloads.RBSet) {
-		if v, ok := set.Get(tx, k); ok {
-			set.Insert(tx, self, k, v+1)
-		}
-	}
-}
-
-// scanBody reads [lo, hi] off a store.
-func scanBody(lo, hi uint64) func(tm.Txn, *workloads.RBSet) {
-	return func(tx tm.Txn, set *workloads.RBSet) {
-		set.AscendRange(tx, lo, hi, func(_, _ uint64) bool { return true })
-	}
+// scanOp reads [lo, hi] off the store that owns lo.
+func scanOp(lo, hi uint64) svcOp {
+	return svcOp{key: lo, scan: true, body: func(tx tm.Txn, st *serve.Store) { st.Range(tx, lo, hi) }}
 }
 
 // svcMove is one planned span move: the keys of [lo, hi] leave donor for
@@ -266,10 +290,11 @@ const (
 )
 
 // moveSpan is serve's moveSpan: plan a move against the live placement,
-// fence the donor, copy the span to the recipient in batches of batch
-// keys, flip the placement, bump the donor's placement epoch, delete the
-// span off the donor and release. Every step stamps the donor's heartbeat
-// with n. It returns the number of keys copied and the outcome.
+// fence the whole donor, copy the span to the recipient in batches of
+// batch keys, flip the placement, bump the donor's placement epoch, delete
+// the span off the donor and release. Every step runs under the hold and
+// stamps its heartbeat with n. It returns the number of keys copied and
+// the outcome.
 func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, plan func(live *svcPlace) (svcMove, bool)) (moved uint64, outcome int) {
 	if !s.moveMu.TryLock() {
 		return 0, moveBlocked
@@ -280,23 +305,26 @@ func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, 
 	if !ok {
 		return 0, moveSkipped
 	}
-	h, ok := s.acquire(r, self, []int{m.donor}, n, n, live.epoch)
+	h, ok := s.acquire(r, self, []int{m.donor}, wholeShard, n, n, live.epoch)
 	if !ok {
 		return 0, moveBlocked
 	}
-	src, dst, beat := s.sets[m.donor], s.sets[m.recip], s.word(m.donor, fenceBeat)
+	hold, dst := h.holds[0], s.stores[m.recip]
+	step := func(body func(tx tm.Txn, src *serve.Store)) {
+		s.guarded(r, self, m.donor, hold, false, func(tx tm.Txn, src *serve.Store) {
+			body(tx, src)
+			src.StampFence(tx, hold, n)
+		})
+	}
 	// Copy: the donor's fence keeps writers off the span, so no copied key
 	// can go stale between batches.
 	for lo, more := m.lo, true; more; {
 		var next uint64
 		var got int
-		r.Atomic(self, func(tx tm.Txn) {
+		step(func(tx tm.Txn, src *serve.Store) {
 			var ks, vs []uint64
-			ks, vs, next, more = spanBatch(tx, src, lo, m.hi, batch)
-			for i, k := range ks {
-				dst.Insert(tx, self, k, vs[i])
-			}
-			tx.Store(beat, n)
+			ks, vs, next, more = src.ExportSpan(tx, lo, m.hi, batch)
+			dst.InstallPairs(tx, self, ks, vs)
 			got = len(ks)
 		})
 		moved += uint64(got)
@@ -306,40 +334,12 @@ func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, 
 	// then retire the span from the donor, all under the fence.
 	epoch := live.epoch + 1
 	s.place.Store(&svcPlace{part: m.next, epoch: epoch})
-	r.Atomic(self, func(tx tm.Txn) {
-		tx.Store(s.word(m.donor, placeEpoch), epoch)
-		tx.Store(beat, n)
-	})
-	for lo, more := m.lo, true; more; {
-		var next uint64
-		r.Atomic(self, func(tx tm.Txn) {
-			var ks []uint64
-			ks, _, next, more = spanBatch(tx, src, lo, m.hi, batch)
-			for _, k := range ks {
-				src.Delete(tx, self, k)
-			}
-			tx.Store(beat, n)
-		})
-		lo = next
+	step(func(tx tm.Txn, src *serve.Store) { src.BumpPlacement(tx, epoch) })
+	for more := true; more; {
+		step(func(tx tm.Txn, src *serve.Store) { _, more = src.DeleteSpan(tx, self, m.lo, m.hi, batch) })
 	}
-	s.guarded(r, self, m.donor, h.token, h.epochs[0], nil)
+	s.guarded(r, self, m.donor, hold, true, nil)
 	return moved, moveInstalled
-}
-
-// spanBatch reads up to max pairs of [lo, hi] off set in key order. When
-// the batch is full and short of hi, more is set and next is the cursor of
-// the following batch — Store.ExportSpan's contract.
-func spanBatch(tx tm.Txn, set *workloads.RBSet, lo, hi uint64, max int) (keys, vals []uint64, next uint64, more bool) {
-	keys, vals = make([]uint64, 0, max), make([]uint64, 0, max)
-	set.AscendRange(tx, lo, hi, func(k, v uint64) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return len(keys) < max
-	})
-	if last := len(keys) - 1; len(keys) == max && keys[last] != hi {
-		next, more = keys[last]+1, true
-	}
-	return keys, vals, next, more
 }
 
 // verify is the routing invariant: every fence free, every key on the
@@ -349,20 +349,23 @@ func (s *svcShards) verify(h *tm.Heap) error {
 	live := s.place.Load()
 	seq := workloads.NewBareRunner(&stm.GlobalLock{}, h, 1)
 	var err error
-	for i, set := range s.sets {
+	for i, st := range s.stores {
 		seq.Atomic(0, func(tx tm.Txn) {
-			if v := tx.Load(s.word(i, fenceToken)); v != 0 {
-				err = fmt.Errorf("shard %d fence left held by %d", i, v)
+			if st.FencedAny(tx) {
+				err = fmt.Errorf("shard %d fence left held", i)
 				return
 			}
-			set.AscendRange(tx, 0, ^uint64(0), func(k, _ uint64) bool {
+			keys, _, _, _ := st.ExportSpan(tx, 0, math.MaxUint64, math.MaxInt)
+			for _, k := range keys {
 				if i >= live.part.Shards() {
 					err = fmt.Errorf("key %d on shard %d, outside the %d-shard placement", k, i, live.part.Shards())
 				} else if o := live.part.Owner(k); o != i {
 					err = fmt.Errorf("key %d found on shard %d but owned by %d at epoch %d", k, i, o, live.epoch)
 				}
-				return err == nil
-			})
+				if err != nil {
+					return
+				}
+			}
 		})
 		if err != nil {
 			return err

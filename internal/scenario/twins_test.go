@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/polytm"
+	"repro/internal/serve"
 	"repro/internal/stm"
 	"repro/internal/tm"
 	"repro/internal/workloads"
@@ -163,10 +165,10 @@ func TestServiceShardedRoutingInvariant(t *testing.T) {
 		t.Fatalf("post-run invariant: %v", err)
 	}
 	seq := workloads.NewBareRunner(&stm.GlobalLock{}, pool.Heap(), 1)
-	total := 0
-	for i, set := range wl.kv.sets {
-		n := 0
-		seq.Atomic(0, func(tx tm.Txn) { n = set.Size(tx) })
+	total := uint64(0)
+	for i, st := range wl.kv.stores {
+		var n uint64
+		seq.Atomic(0, func(tx tm.Txn) { n, _ = st.Range(tx, 0, math.MaxUint64) })
 		if n == 0 {
 			t.Errorf("shard %d store is empty after 2000 ops", i)
 		}
@@ -174,5 +176,66 @@ func TestServiceShardedRoutingInvariant(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("all shard stores empty")
+	}
+}
+
+// TestBatchFenceCoversOnlyItsKeys holds a cross-shard batch's fences in
+// the sharded twin: a local operation on a key outside the batch's
+// signature runs, one on a batch key comes back fenced with nothing
+// applied, and after the commit both run.
+func TestBatchFenceCoversOnlyItsKeys(t *testing.T) {
+	wl := &ServiceSharded{Shards: 4, KeyRange: 1024, BatchKeys: 4}
+	pool := polytm.New(1<<20, 1, config.Config{Alg: config.TL2, Threads: 1})
+	if err := wl.Setup(pool.Heap(), workloads.NewRand(5)); err != nil {
+		t.Fatalf("Setup: %v", err)
+	}
+	kv := wl.kv
+	place := kv.place.Load()
+	batch := mput{part: place.part, keys: []uint64{1, 2, 3, 4}, val: 77}
+	parts := place.part.Participants(batch.keys)
+	if len(parts) < 2 {
+		t.Fatalf("batch %v lands on %v, want a cross-shard batch", batch.keys, parts)
+	}
+	h, ok := kv.acquire(pool, 0, parts, batch.sig, 9, 9, place.epoch)
+	if !ok {
+		t.Fatal("acquire refused on an idle store")
+	}
+	// A key on the first participant whose signature bit no batch key
+	// there shares.
+	p := parts[0]
+	var free uint64
+	for k := uint64(5); ; k++ {
+		if place.part.Owner(k) == p && serve.KeyFenceSig([]uint64{k})&batch.sig(p) == 0 {
+			free = k
+			break
+		}
+	}
+	var batchKey uint64
+	for _, k := range batch.keys {
+		if place.part.Owner(k) == p {
+			batchKey = k
+		}
+	}
+	put := func(k uint64) (fenced bool) {
+		fenced, _ = kv.local(pool, 0, p, place.epoch, pointOp(namedMix("mixed"), 0.6, 0, k, 99))
+		return fenced
+	}
+	if put(free) {
+		t.Errorf("put of key %d, outside the batch's signature, was fenced", free)
+	}
+	if !put(batchKey) {
+		t.Errorf("put of batch key %d ran under the batch's fence", batchKey)
+	}
+	kv.commit(pool, 0, h, batch.apply)
+	if put(batchKey) {
+		t.Errorf("put of batch key %d fenced after the commit released", batchKey)
+	}
+	var got uint64
+	pool.Atomic(0, func(tx tm.Txn) { got, _ = kv.stores[p].Get(tx, free) })
+	if got != 99 {
+		t.Errorf("key %d = %d after its unfenced put, want 99", free, got)
+	}
+	if err := wl.Verify(pool.Heap()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -95,7 +95,6 @@ const (
 // pointer lives in a heap word so the whole structure is TM-managed.
 // Deleted nodes are recycled through a NodePool.
 type RBSet struct {
-	h    *tm.Heap
 	root tm.Addr // heap word holding the root node address
 	pool *NodePool
 }
@@ -110,13 +109,8 @@ func NewRBSet(h *tm.Heap) (*RBSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RBSet{h: h, root: root, pool: pool}, nil
+	return &RBSet{root: root, pool: pool}, nil
 }
-
-// Room reports whether the heap still has space for n fresh nodes. Nodes on
-// the free lists are not counted, so false can be pessimistic — but true is
-// a promise, as long as nobody else allocates in between.
-func (s *RBSet) Room(n int) bool { return s.h.Words()-s.h.Allocated() >= n*rbNodeWords }
 
 // Contains reports whether key k is present.
 func (s *RBSet) Contains(tx tm.Txn, k uint64) bool {
@@ -489,16 +483,4 @@ func (s *RBSet) ascendFrom(tx tm.Txn, n tm.Addr, lo, hi uint64, visit func(k, v 
 		return s.ascendFrom(tx, tm.Addr(tx.Load(n+rbRight)), lo, hi, visit)
 	}
 	return true
-}
-
-// Size counts keys (read-only transaction helper).
-func (s *RBSet) Size(tx tm.Txn) int {
-	return s.sizeFrom(tx, tm.Addr(tx.Load(s.root)))
-}
-
-func (s *RBSet) sizeFrom(tx tm.Txn, n tm.Addr) int {
-	if n == tm.NilAddr {
-		return 0
-	}
-	return 1 + s.sizeFrom(tx, tm.Addr(tx.Load(n+rbLeft))) + s.sizeFrom(tx, tm.Addr(tx.Load(n+rbRight)))
 }
