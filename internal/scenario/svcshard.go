@@ -228,14 +228,13 @@ type mput struct {
 }
 
 // sig is serve's partSig: the signature of the keys placed on p.
-func (m mput) sig(p int) uint64 {
-	var owned []uint64
-	for _, k := range m.keys {
+func (m mput) sig(p int) (sig uint64) {
+	for i, k := range m.keys {
 		if m.part.Owner(k) == p {
-			owned = append(owned, k)
+			sig |= serve.KeyFenceSig(m.keys[i : i+1])
 		}
 	}
-	return serve.KeyFenceSig(owned)
+	return sig
 }
 
 // apply writes val at the keys placed on p.
