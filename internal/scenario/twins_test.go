@@ -200,40 +200,41 @@ func TestBatchFenceCoversOnlyItsKeys(t *testing.T) {
 	if !ok {
 		t.Fatal("acquire refused on an idle store")
 	}
-	// A key on the first participant whose signature bit no batch key
-	// there shares.
+	// A batch key on the first participant, and a key there whose
+	// signature bit no batch key there shares.
 	p := parts[0]
-	var free uint64
-	for k := uint64(5); ; k++ {
-		if place.part.Owner(k) == p && serve.KeyFenceSig([]uint64{k})&batch.sig(p) == 0 {
-			free = k
-			break
-		}
-	}
-	var batchKey uint64
+	var batchKey, free uint64
+	var owned []uint64
 	for _, k := range batch.keys {
 		if place.part.Owner(k) == p {
-			batchKey = k
+			batchKey, owned = k, append(owned, k)
 		}
+	}
+	for k := uint64(5); free == 0 && k < 1024; k++ {
+		if place.part.Owner(k) == p && serve.KeyFenceSig([]uint64{k})&serve.KeyFenceSig(owned) == 0 {
+			free = k
+		}
+	}
+	if free == 0 {
+		t.Fatalf("no key below 1024 on shard %d outside the signature of %v", p, owned)
 	}
 	put := func(k uint64) (fenced bool) {
 		fenced, _ = kv.local(pool, 0, p, place.epoch, pointOp(namedMix("mixed"), 0.6, 0, k, 99))
 		return fenced
 	}
-	if put(free) {
+	get := func(k uint64) (v uint64) {
+		pool.Atomic(0, func(tx tm.Txn) { v, _ = kv.stores[p].Get(tx, k) })
+		return v
+	}
+	if put(free) || get(free) != 99 {
 		t.Errorf("put of key %d, outside the batch's signature, was fenced", free)
 	}
-	if !put(batchKey) {
+	if !put(batchKey) || get(batchKey) == 99 {
 		t.Errorf("put of batch key %d ran under the batch's fence", batchKey)
 	}
 	kv.commit(pool, 0, h, batch.apply)
-	if put(batchKey) {
-		t.Errorf("put of batch key %d fenced after the commit released", batchKey)
-	}
-	var got uint64
-	pool.Atomic(0, func(tx tm.Txn) { got, _ = kv.stores[p].Get(tx, free) })
-	if got != 99 {
-		t.Errorf("key %d = %d after its unfenced put, want 99", free, got)
+	if get(batchKey) != 77 || put(batchKey) || get(batchKey) != 99 {
+		t.Errorf("batch key %d: the commit did not apply and release", batchKey)
 	}
 	if err := wl.Verify(pool.Heap()); err != nil {
 		t.Fatal(err)
