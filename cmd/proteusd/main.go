@@ -121,7 +121,7 @@ func main() {
 	partitioner := flag.String("partitioner", "hash", "placement policy: hash (uniform) or range (order-preserving, scan-localizing)")
 	keyUniverse := flag.Uint64("key-universe", 16384, "working key range the range partitioner pre-splits evenly (ignored by hash)")
 	workers := flag.Int("workers", 8, "worker slots per shard (ceiling of the tuned parallelism degree)")
-	queue := flag.Int("queue", 1024, "admission queue depth per shard (overflow returns HTTP 429)")
+	queue := flag.Int("queue", 1024, "bound on each shard's line of requests waiting for a slot (a request that finds it full returns HTTP 429)")
 	autotune := flag.Bool("autotune", true, "run one RecTM adapter thread per shard over live traffic")
 	samplePeriod := flag.Duration("sample-period", 100*time.Millisecond, "monitor KPI sampling period")
 	seed := flag.Uint64("seed", 42, "tuning machinery seed")

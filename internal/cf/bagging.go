@@ -22,6 +22,11 @@ type Bagging struct {
 	// knn is set when every learner is a KNN with the same similarity and
 	// overlap rule, so one set of similarities per query serves them all.
 	knn bool
+	// top is the length of the list of most similar rows the KNN learners
+	// take their neighbours from: 4·K of the learner with the largest K,
+	// room for each to find its own K there unless its sample misses most
+	// of them.
+	top int
 }
 
 // Fit trains the ensemble on the rating matrix. Learners do not get copies of
@@ -64,6 +69,12 @@ func (b *Bagging) Fit(train *Matrix) {
 		b.models[i] = m
 	}
 	b.knn = sameQuery(b.models)
+	if b.knn {
+		b.top = 0
+		for _, m := range b.models {
+			b.top = max(b.top, 4*m.(*KNN).size())
+		}
+	}
 }
 
 // sameQuery reports whether every learner is a KNN ranking training rows by
@@ -105,51 +116,59 @@ func (b *Bagging) PredictFull(active []float64) []float64 {
 }
 
 // dist aggregates every learner's row for the active row. KNN learners share
-// the query: the active row's known indices and its similarity to each
-// distinct training row are computed once, and each learner only selects its
-// neighbours among its own rows.
+// the query: the active row's known indices, its similarity to each distinct
+// training row and the most similar of those rows are computed once, and each
+// learner takes its neighbours from that list, scanning its own rows only
+// when the list cannot decide (see KNN.fromTop).
 func (b *Bagging) dist(active []float64, full bool) (mean, variance []float64) {
 	cols := len(active)
-	// mean and variance accumulate the sum and the sum of squares first.
 	out := make([]float64, 2*cols)
 	mean, variance = out[:cols:cols], out[cols:]
 	q := newQuery(active)
 	defer q.release()
 	q.counts = resize(q.counts, cols)
-	clear(q.counts)
+	// mean and variance accumulate the sum and the sum of squares first, as
+	// sum and sq: the reslices spare the loops below their bounds checks.
+	sum, sq, counts := mean[:cols], variance[:cols], q.counts[:cols]
+	clear(counts)
 	if b.knn {
 		first := b.models[0].(*KNN)
 		q.similarities(first.Sim, first.MinOverlap, first.train)
+		q.rank(b.top)
 		q.pred = resize(q.pred, cols)
 	}
 	for _, m := range b.models {
 		pred := q.pred
 		if b.knn {
-			m.(*KNN).fill(pred, q, full)
+			k := m.(*KNN)
+			if !k.fromTop(q) {
+				k.nearest(q)
+			}
+			k.fill(pred, q, full)
 		} else if fp, ok := m.(FullPredictor); ok && full {
 			pred = fp.PredictFull(active)
 		} else {
 			pred = m.Predict(active)
 		}
-		for i, v := range pred {
+		for i, v := range pred[:cols] {
 			if IsMissing(v) || math.IsInf(v, 0) {
 				continue
 			}
-			mean[i] += v
-			variance[i] += v * v
-			q.counts[i]++
+			sum[i] += v
+			sq[i] += v * v
+			counts[i]++
 		}
 	}
-	for i := 0; i < cols; i++ {
-		if q.counts[i] == 0 {
-			mean[i], variance[i] = Missing, Missing
+	for i, c := range counts {
+		if c == 0 {
+			sum[i], sq[i] = Missing, Missing
 			continue
 		}
-		n := float64(q.counts[i])
-		mean[i] /= n
-		variance[i] = variance[i]/n - mean[i]*mean[i]
-		if variance[i] < 0 {
-			variance[i] = 0
+		n := float64(c)
+		sum[i] /= n
+		sq[i] = sq[i]/n - sum[i]*sum[i]
+		if sq[i] < 0 {
+			sq[i] = 0
 		}
 	}
 	return mean, variance

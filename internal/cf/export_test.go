@@ -76,3 +76,58 @@ func rowSimilarity(s Similarity, a, b []float64) (float64, int) {
 	}
 	return 0, 0
 }
+
+// branchCounts tallies, learner by learner, how Bagging.dist selects
+// neighbours and which fill a learner runs, so a test can assert that every
+// branch of the kernel ran.
+type branchCounts struct {
+	fromTop  int // the top list decided the neighbours
+	tie      int // fallback to nearest: the top list met a tie
+	cut      int // fallback to nearest: the top list ran out short of K
+	straddle int // fromTop took fewer copies of a row than the sample holds
+	bigK     int // fromTop decided, with K above the number of rows
+	dense    int // dense fill
+	sparse   int // per-cell fill
+}
+
+// count replays the neighbour selection dist makes for active, calling the
+// same rank and fromTop, and tallies the outcome of every learner.
+func (c *branchCounts) count(b *Bagging, active []float64) {
+	for _, m := range b.models {
+		if m.(*KNN).dense {
+			c.dense++
+		} else {
+			c.sparse++
+		}
+	}
+	if !b.knn {
+		return
+	}
+	first := b.models[0].(*KNN)
+	q := newQuery(active)
+	defer q.release()
+	q.similarities(first.Sim, first.MinOverlap, first.train)
+	q.rank(b.top)
+	for _, m := range b.models {
+		k := m.(*KNN)
+		switch {
+		case q.topTie:
+			c.tie++
+		case !k.fromTop(q):
+			c.cut++
+		default:
+			c.fromTop++
+			if k.size() > k.train.Rows {
+				c.bigK++
+			}
+			taken := 0
+			for _, t := range q.top {
+				n := int(k.mult[t.row])
+				if taken < k.size() && taken+n > k.size() {
+					c.straddle++
+				}
+				taken += n
+			}
+		}
+	}
+}

@@ -113,19 +113,35 @@ func randomRow(rng *rand.Rand, cols int, missing float64) []float64 {
 	return row
 }
 
-// randomMatrix draws a training matrix in which every third row repeats an
-// earlier one.
-func randomMatrix(rng *rand.Rand) *Matrix {
+// randomMatrix draws a training matrix. A dense one has no missing entry. A
+// continuous one scales every entry by a random factor, so similarities
+// rarely tie; in any other, every third row repeats an earlier one.
+func randomMatrix(rng *rand.Rand, dense, continuous bool) *Matrix {
 	rows, cols := 4+rng.Intn(30), 2+rng.Intn(24)
 	m := &Matrix{Rows: rows, Cols: cols}
 	for u := 0; u < rows; u++ {
-		if u%3 == 2 {
+		if u%3 == 2 && !continuous {
 			m.Data = append(m.Data, append([]float64(nil), m.Data[rng.Intn(u)]...))
-		} else {
-			m.Data = append(m.Data, randomRow(rng, cols, 0.2*rng.Float64()))
+			continue
 		}
+		missing := 0.2 * rng.Float64()
+		if dense {
+			missing = 0
+		}
+		row := randomRow(rng, cols, missing)
+		if continuous {
+			scale(rng, row)
+		}
+		m.Data = append(m.Data, row)
 	}
 	return m
+}
+
+// scale multiplies every entry of row by a random factor in [0, 1).
+func scale(rng *rand.Rand, row []float64) {
+	for i := range row {
+		row[i] *= rng.Float64()
+	}
 }
 
 func sameBits(a, b []float64) bool {
@@ -150,9 +166,7 @@ func TestKnownSimilarityMatchesDense(t *testing.T) {
 		cols := 1 + rng.Intn(40)
 		a, b := randomRow(rng, cols, rng.Float64()), randomRow(rng, cols, rng.Float64())
 		if n%2 == 0 { // continuous values too, not only ties
-			for i := range a {
-				a[i] *= rng.Float64()
-			}
+			scale(rng, a)
 		}
 		for _, s := range similarities {
 			want, wantN := rowSimilarity(s, a, b)
@@ -166,15 +180,26 @@ func TestKnownSimilarityMatchesDense(t *testing.T) {
 
 // TestPredictMatchesReference: the sparse, shared-similarity kernel returns
 // the reference kernel's predictions bit for bit — plain KNN and bagged, every
-// similarity (and ensembles mixing them), MinOverlap 1 and 3, centred or not,
-// on matrices with repeated rows and tied similarities.
+// similarity (and ensembles mixing them or their K), MinOverlap 1 and 3,
+// centred or not, on sparse and dense matrices, with tied similarities (small
+// integer ratings, repeated rows) and without (continuous ratings), and K
+// from 1 to above the number of rows. Every way an ensemble selects
+// neighbours and fills a row must have run.
 func TestPredictMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for n := 0; n < 400; n++ {
-		train := randomMatrix(rng)
+	var branches branchCounts
+	for n := 0; n < 1600; n++ {
+		dense, continuous := n%4 == 1 || n%4 == 2, n%4 >= 2
+		train := randomMatrix(rng, dense, continuous)
 		active := randomRow(rng, train.Cols, 0.3+0.7*rng.Float64())
+		if continuous {
+			scale(rng, active)
+		}
+		// K = 1 is drawn twice as often: a sample misses its 4-row top
+		// list more often than any other K's, which is what drives the
+		// exhaustion fallback.
 		proto := KNN{
-			K:          []int{1, 3, 10, 0}[rng.Intn(4)],
+			K:          []int{1, 1, 2, 3, 10, 0, 40}[rng.Intn(7)],
 			Sim:        similarities[rng.Intn(3)],
 			MeanCenter: rng.Intn(2) == 0,
 			MinOverlap: []int{1, 3}[rng.Intn(2)],
@@ -182,16 +207,20 @@ func TestPredictMatchesReference(t *testing.T) {
 		knn := proto
 		knn.Fit(train)
 		// One ensemble in four mixes similarities, so its learners cannot
-		// share a query.
-		mixed := rng.Intn(4) == 0
-		bag := &Bagging{Learners: 1 + rng.Intn(6), Seed: rng.Uint64(), New: func(i int) Predictor {
+		// share a query; one in four gives each learner its own K.
+		mixed, ks := rng.Intn(4) == 0, rng.Intn(4) == 0
+		bag := &Bagging{Learners: 1 + rng.Intn(10), Seed: rng.Uint64(), New: func(i int) Predictor {
 			k := proto
 			if mixed {
 				k.Sim = similarities[i%3]
 			}
+			if ks {
+				k.K += i
+			}
 			return &k
 		}}
 		bag.Fit(train)
+		branches.count(bag, active)
 		for _, full := range []bool{false, true} {
 			got := knn.predict(active, full)
 			if want := refKNN(&proto, train, active, full); !sameBits(got, want) {
@@ -203,5 +232,59 @@ func TestPredictMatchesReference(t *testing.T) {
 				t.Fatalf("case %d bagged %+v full=%v active=%v:\n got %v / %v\nwant %v / %v", n, proto, full, active, mean, variance, wantMean, wantVar)
 			}
 		}
+	}
+	t.Logf("learners: %+v", branches)
+	for name, c := range map[string]int{
+		"fromTop": branches.fromTop, "tie fallback": branches.tie, "exhaustion fallback": branches.cut,
+		"straddling row": branches.straddle, "K above rows": branches.bigK,
+		"dense fill": branches.dense, "sparse fill": branches.sparse,
+	} {
+		if c == 0 {
+			t.Errorf("no learner took the %s branch", name)
+		}
+	}
+}
+
+// TestFromTopMatchesNearest: whenever the shared top list says it decides a
+// learner's neighbours, they are the ones nearest selects, in the same order —
+// on similarities drawn from a few values, so that ties fall inside the list,
+// at its cut and outside it, and on row samples with repeats in any order.
+func TestFromTopMatchesNearest(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	decided, fellBack := 0, 0
+	for n := 0; n < 20000; n++ {
+		rows := 1 + rng.Intn(40)
+		q := &query{sims: make([]float64, rows)}
+		levels := 1 + rng.Intn(3*rows)
+		for u := range q.sims {
+			if rng.Intn(4) > 0 { // a quarter of the rows are no neighbour
+				q.sims[u] = float64(1+rng.Intn(levels)) / float64(levels)
+			}
+		}
+		k := &KNN{K: rng.Intn(12)}
+		sample := make([]int, 1+rng.Intn(2*rows))
+		for r := range sample {
+			sample[r] = rng.Intn(rows)
+		}
+		k.fit(&Matrix{Rows: rows, Data: make([][]float64, rows)}, sample)
+		q.rank(1 + rng.Intn(4*k.size()))
+		if !k.fromTop(q) {
+			fellBack++
+			continue
+		}
+		decided++
+		got := append([]neighbour(nil), q.nb...)
+		k.nearest(q)
+		if len(got) != len(q.nb) {
+			t.Fatalf("case %d: fromTop took %v, nearest %v", n, got, q.nb)
+		}
+		for i := range got {
+			if got[i] != q.nb[i] {
+				t.Fatalf("case %d: fromTop took %v, nearest %v", n, got, q.nb)
+			}
+		}
+	}
+	if decided == 0 || fellBack == 0 {
+		t.Errorf("top list decided %d samples and fell back on %d: both must happen", decided, fellBack)
 	}
 }

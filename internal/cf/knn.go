@@ -55,6 +55,8 @@ type Predictor interface {
 // A prediction costs what the active row knows, not what the matrix holds:
 // similarities are summed over the active row's known columns only, and the
 // K best rows are kept by bounded insertion instead of sorting all of them.
+// On a training matrix with no missing entry, the weighted average skips the
+// per-cell missing test and sums one denominator for every column.
 type KNN struct {
 	// K is the neighbourhood size.
 	K int
@@ -71,8 +73,12 @@ type KNN struct {
 	// rows is the multiset of training rows this learner may pick
 	// neighbours from: every row once, or a Bagging bootstrap sample.
 	rows []int
+	// mult counts the occurrences of every training row in rows.
+	mult []int32
 	// means holds the mean of every training row (MeanCenter only).
 	means []float64
+	// dense is set when no training entry is missing.
+	dense bool
 }
 
 // Name implements Predictor.
@@ -95,6 +101,11 @@ func (k *KNN) Fit(train *Matrix) {
 
 func (k *KNN) fit(train *Matrix, rows []int) {
 	k.train, k.rows, k.means = train, rows, nil
+	k.dense = train.Density() == 1
+	k.mult = make([]int32, train.Rows)
+	for _, u := range rows {
+		k.mult[u]++
+	}
 	if k.MeanCenter {
 		k.means = make([]float64, train.Rows)
 		for u, row := range train.Data {
@@ -125,6 +136,7 @@ func (k *KNN) predict(active []float64, full bool) []float64 {
 	}
 	q := newQuery(active)
 	q.similarities(k.Sim, k.MinOverlap, k.train)
+	k.nearest(q)
 	k.fill(out, q, full)
 	q.release()
 	return out
@@ -144,6 +156,11 @@ type query struct {
 	den    []float64 // per column: Σ |sim| over the same
 	pred   []float64 // Bagging: the current learner's row
 	counts []int     // Bagging: learners that predicted each column
+
+	// Bagging: the most similar distinct rows, and whether they can
+	// decide every learner's neighbours (see rank).
+	top            []neighbour
+	topTie, topCut bool
 }
 
 type neighbour struct {
@@ -201,14 +218,80 @@ func (q *query) similarities(s Similarity, minOverlap int, train *Matrix) {
 	}
 }
 
+// size returns the neighbourhood size K (10 when unset).
+func (k *KNN) size() int {
+	if k.K <= 0 {
+		return 10
+	}
+	return k.K
+}
+
+// rank keeps in q.top the m most similar rows of q.sims, by similarity
+// descending, for every learner of an ensemble to take its neighbours from.
+// It sets q.topCut when rows of positive similarity were left out, and
+// q.topTie, abandoning the list, when it meets two equal similarities among
+// the rows it keeps or between the last one kept and one left out: the
+// order of equals is each learner's own.
+func (q *query) rank(m int) {
+	top := q.top[:0]
+	q.topTie, q.topCut = false, false
+	for u, sim := range q.sims {
+		if sim == 0 {
+			continue
+		}
+		if len(top) < m {
+			top = append(top, neighbour{})
+		} else {
+			q.topCut = true
+			if sim <= top[m-1].sim {
+				if sim == top[m-1].sim {
+					q.topTie = true
+					break
+				}
+				continue
+			}
+		}
+		j := len(top) - 1
+		for ; j > 0 && top[j-1].sim < sim; j-- {
+			top[j] = top[j-1]
+		}
+		if j > 0 && top[j-1].sim == sim {
+			q.topTie = true
+			break
+		}
+		top[j] = neighbour{sim, u}
+	}
+	q.top = top
+}
+
+// fromTop selects the learner's K most similar rows into q.nb by walking
+// q.top, taking each row as many times as the learner's sample holds it. It
+// reports whether that is the selection nearest makes: not when q.top has a
+// tie, nor when it runs out short of K having left rows out.
+func (k *KNN) fromTop(q *query) bool {
+	if q.topTie {
+		return false
+	}
+	kk := k.size()
+	nb := q.nb[:0]
+	for _, t := range q.top {
+		for c := k.mult[t.row]; c > 0; c-- {
+			if len(nb) == kk {
+				q.nb = nb
+				return true
+			}
+			nb = append(nb, t)
+		}
+	}
+	q.nb = nb
+	return len(nb) == kk || !q.topCut
+}
+
 // nearest selects the learner's K most similar rows from q.sims into q.nb,
 // by similarity descending and, among equals, position in the learner's row
 // set ascending.
 func (k *KNN) nearest(q *query) {
-	kk := k.K
-	if kk <= 0 {
-		kk = 10
-	}
+	kk := k.size()
 	nb := q.nb[:0]
 	for _, u := range k.rows {
 		sim := q.sims[u]
@@ -229,24 +312,36 @@ func (k *KNN) nearest(q *query) {
 
 // fill writes the learner's row for the query into out: known entries are
 // echoed unless full, every other column is the similarity-weighted average
-// of the nearest rows that rated it (Missing when none did). q.sims must be
-// current for the learner's matrix and similarity.
+// of the neighbours in q.nb that rated it (Missing when none did).
 func (k *KNN) fill(out []float64, q *query, full bool) {
-	k.nearest(q)
 	cols := len(q.active)
 	q.num, q.den = resize(q.num, cols), resize(q.den, cols)
-	num, den := q.num[:cols], q.den[:cols] // the reslice spares the loop below its bounds checks
+	// The reslices spare the loops below their bounds checks.
+	out, num, den := out[:cols], q.num[:cols], q.den[:cols]
 	clear(num)
-	clear(den)
 	// Neighbour by neighbour, so each training row is read front to back;
-	// every column still sums its neighbours in rank order.
+	// every column still sums its neighbours in rank order. On a dense
+	// matrix every column has the same neighbours, hence the same
+	// denominator, summed once in the same order.
+	shared := 0.0
+	if !k.dense {
+		clear(den)
+	}
 	for _, nb := range q.nb {
 		mean := 0.0 // v - 0 is v, bit for bit
 		if k.MeanCenter {
 			mean = k.means[nb.row]
 		}
 		abs := math.Abs(nb.sim)
-		for i, v := range k.train.Data[nb.row][:cols] {
+		row := k.train.Data[nb.row][:cols]
+		if k.dense {
+			for i, v := range row {
+				num[i] += nb.sim * (v - mean)
+			}
+			shared += abs
+			continue
+		}
+		for i, v := range row {
 			if IsMissing(v) {
 				continue
 			}
@@ -254,16 +349,34 @@ func (k *KNN) fill(out []float64, q *query, full bool) {
 			den[i] += abs
 		}
 	}
-	for i, a := range q.active {
-		switch {
-		case !full && !IsMissing(a):
-			out[i] = a
-		case den[i] == 0:
+	switch {
+	case !k.dense:
+		for i, d := range den {
+			switch {
+			case d == 0:
+				out[i] = Missing
+			case k.MeanCenter:
+				out[i] = num[i]/d + q.mean
+			default:
+				out[i] = num[i] / d
+			}
+		}
+	case shared == 0:
+		for i := range out {
 			out[i] = Missing
-		case k.MeanCenter:
-			out[i] = num[i]/den[i] + q.mean
-		default:
-			out[i] = num[i] / den[i]
+		}
+	case k.MeanCenter:
+		for i, v := range num {
+			out[i] = v/shared + q.mean
+		}
+	default:
+		for i, v := range num {
+			out[i] = v / shared
+		}
+	}
+	if !full {
+		for _, i := range q.known {
+			out[i] = q.active[i]
 		}
 	}
 }

@@ -81,12 +81,19 @@ type Options struct {
 // PickNext applies the acquisition policy over unexplored configurations
 // (NaN entries of row), returning the chosen column and its EI value (EI is
 // reported for the stop rule regardless of policy). It returns -1 when
-// everything predictable has been explored.
+// everything predictable has been explored. Under the EI policy a column
+// whose EI bound (eiBound) is below the best EI so far, or below the EI of
+// the column with the highest bound, is passed over without computing its
+// EI: it could not have won, so the answer is the same.
 func PickNext(row, mean, variance []float64, incumbent float64, policy Policy, rng *uint64) (int, float64) {
 	bestScore := math.Inf(-1)
 	bestEI := 0.0
 	next := -1
 	nUnexplored := 0
+	floor := math.Inf(-1)
+	if policy == EI {
+		floor = eiFloor(row, mean, variance, incumbent)
+	}
 	for i := range row {
 		if !math.IsNaN(row[i]) {
 			continue
@@ -99,7 +106,11 @@ func PickNext(row, mean, variance []float64, incumbent float64, policy Policy, r
 		if math.IsNaN(va) || va < 0 {
 			va = 0
 		}
-		ei := ExpectedImprovement(mu, math.Sqrt(va), incumbent)
+		sigma := math.Sqrt(va)
+		if policy == EI && sigma > 0 && eiBound(mu, sigma, incumbent) < max(bestScore, floor) {
+			continue
+		}
+		ei := ExpectedImprovement(mu, sigma, incumbent)
 		var score float64
 		switch policy {
 		case EI:
@@ -166,6 +177,40 @@ func ExpectedImprovement(mu, sigma, best float64) float64 {
 	u := (mu - best) / sigma
 	return sigma * (u*stdNormCDF(u) + stdNormPDF(u))
 }
+
+// eiFloor returns the EI of the candidate column with the highest eiBound: the
+// column PickNext's EI policy picks has at least that much. It returns -Inf
+// when no candidate has a positive variance.
+func eiFloor(row, mean, variance []float64, incumbent float64) float64 {
+	top, arg := math.Inf(-1), -1
+	for i := range row {
+		if !math.IsNaN(row[i]) || math.IsNaN(mean[i]) || !(variance[i] > 0) {
+			continue
+		}
+		if b := eiBound(mean[i], math.Sqrt(variance[i]), incumbent); b > top {
+			top, arg = b, i
+		}
+	}
+	if arg < 0 {
+		return math.Inf(-1)
+	}
+	return ExpectedImprovement(mean[arg], math.Sqrt(variance[arg]), incumbent)
+}
+
+// eiBound bounds ExpectedImprovement(mu, sigma, best) from above for
+// sigma > 0, at the cost of one division and no exp or erfc. With
+// u = (mu − best)/σ, EI/σ ≤ u⁺ + φ(|u|)/(1+u²) by the Mills-ratio bound
+// Q(t) ≥ t·φ(t)/(1+t²), and φ(t) ≤ φ(0)/(1+t²/2) because e^x ≥ 1+x; the
+// factor 1+1e-9 covers the rounding of both sides. A NaN u gives a NaN bound,
+// which no comparison passes over.
+func eiBound(mu, sigma, best float64) float64 {
+	u := (mu - best) / sigma
+	u2 := u * u
+	return sigma * (max(u, 0) + stdNormPDF0/((1+u2)*(1+u2/2))) * (1 + 1e-9)
+}
+
+// stdNormPDF0 is φ(0).
+const stdNormPDF0 = 1 / (math.Sqrt2 * math.SqrtPi)
 
 func stdNormPDF(x float64) float64 {
 	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)

@@ -2,6 +2,7 @@ package smbo_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -131,5 +132,159 @@ func TestRandomPolicyCoverage(t *testing.T) {
 	}
 	if len(picks) != n || len(seen) != n {
 		t.Errorf("Random explored %v: want each of the %d columns once", picks, n)
+	}
+}
+
+// unprunedPickNext is PickNext as it was before EI pruning, kept as the
+// oracle: it computes the EI of every candidate column.
+func unprunedPickNext(row, mean, variance []float64, incumbent float64, policy smbo.Policy, rng *uint64) (int, float64) {
+	bestScore := math.Inf(-1)
+	bestEI := 0.0
+	next := -1
+	nUnexplored := 0
+	for i := range row {
+		if !math.IsNaN(row[i]) {
+			continue
+		}
+		nUnexplored++
+		mu, va := mean[i], variance[i]
+		if math.IsNaN(mu) {
+			continue
+		}
+		if math.IsNaN(va) || va < 0 {
+			va = 0
+		}
+		ei := smbo.ExpectedImprovement(mu, math.Sqrt(va), incumbent)
+		var score float64
+		switch policy {
+		case smbo.EI:
+			score = ei
+		case smbo.Greedy:
+			score = mu
+		case smbo.Variance:
+			if mu != 0 {
+				score = va / math.Abs(mu)
+			} else {
+				score = va
+			}
+		case smbo.Random:
+			score = smbo.Xorshift01(rng)
+		}
+		if score > bestScore {
+			bestScore, next, bestEI = score, i, ei
+		}
+	}
+	if next < 0 && nUnexplored > 0 {
+		for i := range row {
+			if math.IsNaN(row[i]) {
+				return i, math.Inf(1)
+			}
+		}
+	}
+	return next, bestEI
+}
+
+// TestPickNextMatchesUnpruned: pruning by the EI bound changes nothing — the
+// same column, the same EI bits and the same generator state as computing
+// every EI, under every policy, on random surrogates with zero, negative and
+// NaN variances, means up to 40 σ from the incumbent, repeated columns (equal
+// EIs) and incumbents of −Inf and 0.
+func TestPickNextMatchesUnpruned(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pruned, byFloor := 0, 0
+	for n := 0; n < 20000; n++ {
+		cols := 1 + rng.Intn(60)
+		row, mean, variance := make([]float64, cols), make([]float64, cols), make([]float64, cols)
+		incumbent := []float64{math.Inf(-1), 0, rng.NormFloat64()}[rng.Intn(3)]
+		for i := range row {
+			row[i] = math.NaN()
+			if rng.Intn(4) == 0 {
+				row[i] = rng.NormFloat64()
+			}
+			sigma := math.Exp(4 * rng.NormFloat64())
+			variance[i] = sigma * sigma
+			switch rng.Intn(10) {
+			case 0:
+				variance[i] = 0
+			case 1:
+				variance[i] = -variance[i]
+			case 2:
+				variance[i] = math.NaN()
+			}
+			base := incumbent
+			if math.IsInf(base, 0) {
+				base = 0
+			}
+			mean[i] = base + 40*(2*rng.Float64()-1)*sigma
+			switch rng.Intn(10) {
+			case 0:
+				mean[i] = math.NaN()
+			case 1:
+				mean[i] = math.Round(mean[i])
+			}
+			if i > 0 && rng.Intn(4) == 0 { // a repeat of an earlier column
+				j := rng.Intn(i)
+				mean[i], variance[i] = mean[j], variance[j]
+			}
+		}
+		for _, policy := range []smbo.Policy{smbo.EI, smbo.Greedy, smbo.Variance, smbo.Random} {
+			seed := rng.Uint64() | 1
+			gotRNG, wantRNG := seed, seed
+			got, gotEI := smbo.PickNext(row, mean, variance, incumbent, policy, &gotRNG)
+			want, wantEI := unprunedPickNext(row, mean, variance, incumbent, policy, &wantRNG)
+			if got != want || math.Float64bits(gotEI) != math.Float64bits(wantEI) || gotRNG != wantRNG {
+				t.Fatalf("case %d %v incumbent %v row %v mean %v variance %v: got (%d, %v), want (%d, %v)",
+					n, policy, incumbent, row, mean, variance, got, gotEI, want, wantEI)
+			}
+		}
+		p, f := countPruned(row, mean, variance, incumbent)
+		pruned, byFloor = pruned+p, byFloor+f
+	}
+	t.Logf("%d columns pruned, %d of them by the floor alone", pruned, byFloor)
+	if byFloor == 0 || pruned == byFloor {
+		t.Error("the test does not reach both pruning rules")
+	}
+}
+
+// countPruned counts the columns PickNext's EI policy passes over without
+// computing their EI, and among them those that only the floor (the EI of the
+// column with the highest bound) rules out.
+func countPruned(row, mean, variance []float64, incumbent float64) (pruned, byFloor int) {
+	best, floor := math.Inf(-1), smbo.EIFloor(row, mean, variance, incumbent)
+	for i := range row {
+		va := variance[i]
+		if !math.IsNaN(row[i]) || math.IsNaN(mean[i]) {
+			continue
+		}
+		if math.IsNaN(va) || va < 0 {
+			va = 0
+		}
+		sigma := math.Sqrt(va)
+		if bound := smbo.EIBound(mean[i], sigma, incumbent); sigma > 0 && bound < max(best, floor) {
+			pruned++
+			if bound >= best {
+				byFloor++
+			}
+			continue
+		}
+		best = max(best, smbo.ExpectedImprovement(mean[i], sigma, incumbent))
+	}
+	return pruned, byFloor
+}
+
+// TestEIBound: the EI never exceeds the bound PickNext prunes by, over a dense
+// grid of u = (μ − best)/σ from −40 to 40 at scales of σ and best far apart.
+func TestEIBound(t *testing.T) {
+	for _, sigma := range []float64{1e-6, 0.01, 1, 3.7, 1e4} {
+		for _, best := range []float64{0, -2.5, 1, 1e3} {
+			for k := -40000; k <= 40000; k++ {
+				u := float64(k) / 1e3
+				mu := best + u*sigma
+				ei, bound := smbo.ExpectedImprovement(mu, sigma, best), smbo.EIBound(mu, sigma, best)
+				if !(ei <= bound) {
+					t.Fatalf("σ=%v best=%v u=%v: EI %v above the bound %v", sigma, best, u, ei, bound)
+				}
+			}
+		}
 	}
 }
