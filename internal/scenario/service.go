@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/workloads"
 )
@@ -9,7 +10,8 @@ import (
 // Service family: proteusd's key-value traffic shapes and serving
 // mechanisms, replayed in-process.
 //
-//   - `service-kv` is the deterministic twin of the `proteusbench loadgen`
+//   - The single-store scenarios are one-shard runs of the same kernel
+//     (svcstream.go): `service-kv` replays the `proteusbench loadgen`
 //     phase-shift session documented in docs/serving.md; `service-steady`
 //     pins one mix for sweep rows; `service-slo` pins one mix for the SLO
 //     tuning A/B; `service-diurnal` drives the change monitor with an
@@ -118,12 +120,12 @@ func init() {
 		Description: "proteusd KV traffic: read-heavy → write-heavy → scan phase shift",
 		Params:      []Param{svcKeyRange, svcInitial, svcSpan, svcPhaseOps},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceKV{
-				KeyRange:    v.Int(svcKeyRange),
-				InitialSize: v.Int(svcInitial),
-				Span:        v.Int(svcSpan),
-				PhaseOps:    uint64(v.Int(svcPhaseOps)),
-			}, nil
+			s, err := newStream("service-kv", v.Int(svcKeyRange), v.Int(svcInitial), v.Int(svcSpan), v.Int(svcPhaseOps),
+				"read-heavy", "write-heavy", "scan")
+			if err != nil {
+				return nil, err
+			}
+			return s, nil
 		},
 	})
 	Register(Scenario{
@@ -249,16 +251,19 @@ func init() {
 		Description: "diurnal offered-rate curve with a sub-band ripple: the monitor dwell/hysteresis churn trap",
 		Params:      []Param{diKeyRange, diInitial, diSpan, diMix, diPeriodOps, diRateBusy, diRateIdle, diRipple},
 		Make: func(v Values) (workloads.Workload, error) {
-			return &workloads.ServiceDiurnal{
-				KeyRange:    v.Int(diKeyRange),
-				InitialSize: v.Int(diInitial),
-				Span:        v.Int(diSpan),
-				Mix:         v.Str(diMix),
-				PeriodOps:   v.Int(diPeriodOps),
-				RateBusy:    v.Float(diRateBusy),
-				RateIdle:    v.Float(diRateIdle),
-				RipplePct:   v.Float(diRipple),
-			}, nil
+			if err := positive("service-diurnal", v.Int(diPeriodOps)); err != nil {
+				return nil, err
+			}
+			if v.Float(diRateBusy) <= 0 || v.Float(diRateIdle) <= 0 {
+				return nil, fmt.Errorf("service-diurnal: offered rates must be positive")
+			}
+			s, err := newStream("service-diurnal", v.Int(diKeyRange), v.Int(diInitial), v.Int(diSpan), math.MaxInt, v.Str(diMix))
+			if err != nil {
+				return nil, err
+			}
+			s.opVals = true
+			return &svcDiurnal{svcStream: s, period: uint64(v.Int(diPeriodOps)),
+				busy: v.Float(diRateBusy), idle: v.Float(diRateIdle), ripple: v.Float(diRipple)}, nil
 		},
 	})
 	Register(Scenario{
@@ -267,17 +272,11 @@ func init() {
 		Description: "SLO-tuning A/B stream: one pinned mix scored under the serving model (capacity vs. throughput-under-SLO)",
 		Params:      []Param{sloKeyRange, sloInitial, sloSpan, sloMix},
 		Make: func(v Values) (workloads.Workload, error) {
-			mix, err := workloads.ServiceMixByName(v.Str(sloMix))
+			s, err := newStream("service-slo", v.Int(sloKeyRange), v.Int(sloInitial), v.Int(sloSpan), math.MaxInt, v.Str(sloMix))
 			if err != nil {
-				return nil, fmt.Errorf("service-slo: %w", err)
+				return nil, err
 			}
-			return &workloads.ServiceKV{
-				Label:       "service-slo",
-				KeyRange:    v.Int(sloKeyRange),
-				InitialSize: v.Int(sloInitial),
-				Span:        v.Int(sloSpan),
-				Phases:      []workloads.ServicePhase{{Mix: mix, Ops: 1 << 62}},
-			}, nil
+			return s, nil
 		},
 	})
 	Register(Scenario{
@@ -286,17 +285,11 @@ func init() {
 		Description: "proteusd KV traffic pinned to one mix (no phase shift)",
 		Params:      []Param{svcKeyRange, svcInitial, svcSpan, svcMix},
 		Make: func(v Values) (workloads.Workload, error) {
-			mix, err := workloads.ServiceMixByName(v.Str(svcMix))
+			s, err := newStream("service-steady", v.Int(svcKeyRange), v.Int(svcInitial), v.Int(svcSpan), math.MaxInt, v.Str(svcMix))
 			if err != nil {
-				return nil, fmt.Errorf("service-steady: %w", err)
+				return nil, err
 			}
-			return &workloads.ServiceKV{
-				Label:       "service-steady",
-				KeyRange:    v.Int(svcKeyRange),
-				InitialSize: v.Int(svcInitial),
-				Span:        v.Int(svcSpan),
-				Phases:      []workloads.ServicePhase{{Mix: mix, Ops: 1 << 62}},
-			}, nil
+			return s, nil
 		},
 	})
 }

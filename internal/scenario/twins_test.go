@@ -32,10 +32,10 @@ func twin(t *testing.T, name string, params Values) workloads.Workload {
 	return wl
 }
 
-// TestServiceTwinsConcurrent drives every protocol twin on real
-// goroutines, so the fence protocol, the 2PC, the failure detector and
-// the span moves run under genuine contention, then checks each twin's
-// invariant via Verify. A run must also stop within a bounded wall time:
+// TestServiceTwinsConcurrent drives every protocol twin, and the
+// single-store streams, on real goroutines, so the fence protocol, the
+// 2PC, the failure detector, the span moves and the stores run under
+// genuine contention, then checks each workload's invariant via Verify. A run must also stop within a bounded wall time:
 // a livelocked twin fails the test instead of hanging it. CI runs it under
 // -race, which makes it a data-race probe too.
 func TestServiceTwinsConcurrent(t *testing.T) {
@@ -50,6 +50,8 @@ func TestServiceTwinsConcurrent(t *testing.T) {
 		{"chaos-stall", "service-chaos", Values{"fault": "stall", "faultevery": "2"}},
 		{"reshard", "service-reshard", Values{"splitevery": "500"}},
 		{"merge", "service-merge", Values{"mergeevery": "500"}},
+		{"kv", "service-kv", Values{"phaseops": "500"}},
+		{"diurnal", "service-diurnal", nil},
 	} {
 		t.Run(tc.leg, func(t *testing.T) {
 			wl := twin(t, tc.name, tc.params)

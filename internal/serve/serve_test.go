@@ -213,7 +213,7 @@ func TestConcurrentSmoke(t *testing.T) {
 
 // TestAdmissionOverflow checks the 429 path: with no slot token
 // circulating, QueueDepth admissions wait in line and the next is rejected
-// immediately rather than stalling.
+// immediately, with "shard line full", rather than stalling.
 func TestAdmissionOverflow(t *testing.T) {
 	s, err := newServer(Options{Workers: 2, QueueDepth: 4, HeapWords: 1 << 18})
 	if err != nil {
@@ -238,15 +238,19 @@ func TestAdmissionOverflow(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	done := make(chan int, 1)
+	type overflow struct {
+		resp response
+		code int
+	}
+	done := make(chan overflow, 1)
 	go func() {
-		_, code := s.submit(s.fleet()[0], &request{op: opGet, key: 99})
-		done <- code
+		resp, code := s.submit(s.fleet()[0], &request{op: opGet, key: 99})
+		done <- overflow{resp, code}
 	}()
 	select {
-	case code := <-done:
-		if code != http.StatusTooManyRequests {
-			t.Fatalf("overflow submit = HTTP %d, want 429", code)
+	case got := <-done:
+		if got.code != http.StatusTooManyRequests || got.resp.Err != "shard line full" {
+			t.Fatalf("overflow submit = HTTP %d %q, want 429 \"shard line full\"", got.code, got.resp.Err)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("overflow submit stalled instead of returning 429")

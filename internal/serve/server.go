@@ -917,7 +917,7 @@ func (ss *shardState) run(req *request, cancel <-chan struct{}) (response, bool)
 			if n := ss.waiting.Add(1); !req.ctl && n > int64(s.opts.QueueDepth) {
 				ss.waiting.Add(-1)
 				s.rejected.Add(1)
-				return response{Err: "admission queue full", code: http.StatusTooManyRequests}, false
+				return response{Err: "shard line full", code: http.StatusTooManyRequests}, false
 			}
 			slot, leased = ss.lease(true, req.ctl, cancel)
 			ss.waiting.Add(-1)

@@ -72,15 +72,27 @@ type Op struct {
 // linearization has produced so far. Absent key = not found.
 type kvState map[uint64]uint64
 
+// chosenSet is the set of operations a candidate linearization has
+// placed: bit i%64 of word i/64 is operation i.
+type chosenSet []uint64
+
+func (c chosenSet) has(i int) bool { return c[i/64]&(1<<(i%64)) != 0 }
+
+// flip adds operation i to the set, or takes it out.
+func (c chosenSet) flip(i int) { c[i/64] ^= 1 << (i % 64) }
+
 // digest canonically encodes (chosen-set, state) for the memo table.
-func (st kvState) digest(mask uint64) string {
+func (st kvState) digest(chosen chosenSet) string {
 	keys := make([]uint64, 0, len(st))
 	for k := range st {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%x:", mask)
+	for _, w := range chosen {
+		fmt.Fprintf(&b, "%x,", w)
+	}
+	b.WriteByte(':')
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%x=%x;", k, st[k])
 	}
@@ -200,22 +212,17 @@ func unstep(st kvState, undo []kvUndo) {
 // indexes into history) and whether one exists.
 //
 // The search is Wing–Gong style DFS with memoization on (chosen-set,
-// state), exponential in the worst case — intended for the small
-// histories (tens of operations) the correctness battery records, not for
+// state), exponential in the worst case in the operations that overlap
+// — intended for the histories the correctness battery records, not for
 // production checking.
 func Linearize(history []Op) ([]int, bool) {
 	n := len(history)
 	if n == 0 {
 		return nil, true
 	}
-	if n > 64 {
-		// The chosen-set is a uint64 bitmask; the battery never records
-		// histories this large.
-		panic("shard: Linearize supports at most 64 operations")
-	}
 	st := kvState{}
 	order := make([]int, 0, n)
-	var mask uint64
+	chosen := make(chosenSet, (n+63)/64)
 	failed := map[string]bool{}
 
 	var dfs func() bool
@@ -223,19 +230,19 @@ func Linearize(history []Op) ([]int, bool) {
 		if len(order) == n {
 			return true
 		}
-		key := st.digest(mask)
+		key := st.digest(chosen)
 		if failed[key] {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
+			if chosen.has(i) {
 				continue
 			}
 			// i is schedulable only if every operation that completed
 			// before i was invoked has already been placed.
 			ok := true
 			for j := 0; j < n; j++ {
-				if mask&(1<<uint(j)) == 0 && j != i && history[j].Return < history[i].Invoke {
+				if !chosen.has(j) && j != i && history[j].Return < history[i].Invoke {
 					ok = false
 					break
 				}
@@ -248,13 +255,13 @@ func Linearize(history []Op) ([]int, bool) {
 				unstep(st, undo)
 				continue
 			}
-			mask |= 1 << uint(i)
+			chosen.flip(i)
 			order = append(order, i)
 			if dfs() {
 				return true
 			}
 			order = order[:len(order)-1]
-			mask &^= 1 << uint(i)
+			chosen.flip(i)
 			unstep(st, undo)
 		}
 		failed[key] = true

@@ -187,3 +187,30 @@ func TestLinearizeEmptyAndWitnessOrder(t *testing.T) {
 		seen[i] = true
 	}
 }
+
+// TestLinearizeBeyond64Ops checks a sequential history of more than 64
+// operations, one word of the chosen-set past the first: the legal
+// history is accepted, and the same history with its last read wrong is
+// rejected.
+func TestLinearizeBeyond64Ops(t *testing.T) {
+	var b histBuilder
+	model := map[uint64]uint64{}
+	for i := uint64(0); i < 100; i++ {
+		k := i % 7
+		v, found := model[k]
+		if i%2 == 0 {
+			b.add(put(k, i, found))
+			model[k] = i
+		} else {
+			b.add(get(k, v, found))
+		}
+	}
+	if order, ok := Linearize(b.ops); !ok || len(order) != len(b.ops) {
+		t.Fatalf("legal %d-op sequential history rejected (witness %d ops)", len(b.ops), len(order))
+	}
+	last := &b.ops[len(b.ops)-1]
+	last.Vals = []uint64{last.Vals[0] + 1}
+	if _, ok := Linearize(b.ops); ok {
+		t.Fatalf("%d-op history whose last read is wrong accepted", len(b.ops))
+	}
+}

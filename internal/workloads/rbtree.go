@@ -91,9 +91,10 @@ const (
 	rbBlack = 1
 )
 
-// RBSet is a red-black-tree map with transactional operations. The root
-// pointer lives in a heap word so the whole structure is TM-managed.
-// Deleted nodes are recycled through a NodePool.
+// RBSet is a red-black-tree map with transactional operations: the store
+// of the rbtree application. The root pointer lives in a heap word so the
+// whole structure is TM-managed. Deleted nodes are recycled through a
+// NodePool.
 type RBSet struct {
 	root tm.Addr // heap word holding the root node address
 	pool *NodePool
@@ -453,34 +454,4 @@ func (s *RBSet) deleteFixup(tx tm.Txn, x, xParent tm.Addr) {
 		break
 	}
 	s.setColor(tx, x, rbBlack)
-}
-
-// AscendRange visits every key in [lo, hi] in ascending order, calling
-// visit for each; visiting stops early when visit returns false. The whole
-// scan runs inside the caller's transaction, so its read set grows with
-// the span — the "scan" service phase uses exactly that to shift the
-// workload's TM-capacity profile.
-func (s *RBSet) AscendRange(tx tm.Txn, lo, hi uint64, visit func(k, v uint64) bool) {
-	s.ascendFrom(tx, tm.Addr(tx.Load(s.root)), lo, hi, visit)
-}
-
-func (s *RBSet) ascendFrom(tx tm.Txn, n tm.Addr, lo, hi uint64, visit func(k, v uint64) bool) bool {
-	if n == tm.NilAddr {
-		return true
-	}
-	k := tx.Load(n + rbKey)
-	if k > lo {
-		if !s.ascendFrom(tx, tm.Addr(tx.Load(n+rbLeft)), lo, hi, visit) {
-			return false
-		}
-	}
-	if k >= lo && k <= hi {
-		if !visit(k, tx.Load(n+rbVal)) {
-			return false
-		}
-	}
-	if k < hi {
-		return s.ascendFrom(tx, tm.Addr(tx.Load(n+rbRight)), lo, hi, visit)
-	}
-	return true
 }

@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
-
-	"repro/internal/tm"
 )
 
 // ServiceOpMix is one traffic mix of the proteusd serving layer: the
 // fractions of get/put/delete/cas/range operations a client population
 // issues against the key-value store. The same mixes parameterize the
-// `proteusbench loadgen` phases (over HTTP) and the `service` scenario
-// family (in-process, deterministic), so a loadgen session against the
-// daemon and a `proteusbench run --scenario service-kv` record exercise
-// the same transactional behaviour.
+// `proteusbench loadgen` phases, sent over HTTP to the daemon, and the
+// `service` scenario family, run in process. Both reach the same store,
+// serve.Store: the daemon keeps one per shard, and the single-store
+// scenarios (service-kv, -steady, -slo, -diurnal) run one shard's Store
+// in process, with no wire, admission or line in front of it.
 type ServiceOpMix struct {
 	// Name labels the mix in phase specs and reports.
 	Name string
@@ -75,145 +73,3 @@ func ServiceMixNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ServicePhase is one segment of a phased service trace: a mix and how
-// many operations it lasts.
-type ServicePhase struct {
-	// Mix is the operation mix during the phase.
-	Mix ServiceOpMix
-	// Ops is the phase length in operations (the last phase runs until
-	// the budget is exhausted regardless).
-	Ops uint64
-}
-
-// ServiceKV replays proteusd's key-value traffic shape as a closed
-// workload: a red-black-tree store exercised through a sequence of
-// operation-mix phases that shift at fixed operation counts. It is the
-// in-process, deterministic twin of a `proteusbench loadgen` session —
-// the workload behind the `service-kv` scenario.
-type ServiceKV struct {
-	// Label overrides the workload name (default "service-kv"); the
-	// registry uses it to distinguish the phased and steady scenarios.
-	Label string
-	// KeyRange bounds the keys (default 1 << 14).
-	KeyRange int
-	// InitialSize pre-populates the store (default KeyRange/2).
-	InitialSize int
-	// Span is the width of a range scan (default 256).
-	Span int
-	// Phases is the phase schedule; empty means the canonical
-	// read-heavy → write-heavy → scan shift at thirds of PhaseOps each.
-	Phases []ServicePhase
-	// PhaseOps is the default per-phase length used when Phases is empty
-	// (default 7000, ≈ a third of the harness's default 20000-op budget).
-	PhaseOps uint64
-
-	set *RBSet
-	ops atomic.Uint64
-
-	// Resolved by Setup so Op stays allocation-free on the hot path.
-	keyRange, span int
-	phases         []ServicePhase
-}
-
-// Name implements Workload.
-func (s *ServiceKV) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "service-kv"
-}
-
-func (s *ServiceKV) params() (keyRange, initial, span int, phases []ServicePhase) {
-	keyRange = s.KeyRange
-	if keyRange <= 0 {
-		keyRange = 1 << 14
-	}
-	initial = s.InitialSize
-	if initial <= 0 {
-		initial = keyRange / 2
-	}
-	span = s.Span
-	if span <= 0 {
-		span = 256
-	}
-	phases = s.Phases
-	if len(phases) == 0 {
-		per := s.PhaseOps
-		if per == 0 {
-			per = 7000
-		}
-		phases = []ServicePhase{
-			{Mix: serviceMixes["read-heavy"], Ops: per},
-			{Mix: serviceMixes["write-heavy"], Ops: per},
-			{Mix: serviceMixes["scan"], Ops: per},
-		}
-	}
-	return
-}
-
-// Setup implements Workload.
-func (s *ServiceKV) Setup(h *tm.Heap, rng *Rand) error {
-	var initial int
-	s.keyRange, initial, s.span, s.phases = s.params()
-	set, err := NewRBSet(h)
-	if err != nil {
-		return err
-	}
-	s.set = set
-	s.ops.Store(0)
-	seq := NewBareRunner(seqAlg(), h, 1)
-	for i := 0; i < initial; i++ {
-		k := uint64(rng.Intn(s.keyRange))
-		seq.Atomic(0, func(tx tm.Txn) { s.set.Insert(tx, 0, k, k) })
-	}
-	return nil
-}
-
-// phase returns the mix in force at global operation count n.
-func (s *ServiceKV) phase(n uint64) ServiceOpMix {
-	for _, p := range s.phases {
-		if n < p.Ops {
-			return p.Mix
-		}
-		n -= p.Ops
-	}
-	return s.phases[len(s.phases)-1].Mix
-}
-
-// Op implements Workload: one service request under the mix the global
-// operation counter selects. The counter is shared across worker slots so
-// the phase schedule tracks total served traffic, exactly like wall-clock
-// phases of a loadgen session track total offered traffic.
-func (s *ServiceKV) Op(r Runner, self int, rng *Rand) {
-	mix := s.phase(s.ops.Add(1) - 1)
-	k := uint64(rng.Intn(s.keyRange))
-	p := rng.Float64()
-	switch {
-	case p < mix.Get:
-		r.Atomic(self, func(tx tm.Txn) { s.set.Get(tx, k) })
-	case p < mix.Get+mix.Put:
-		r.Atomic(self, func(tx tm.Txn) { s.set.Insert(tx, self, k, k) })
-	case p < mix.Get+mix.Put+mix.Del:
-		r.Atomic(self, func(tx tm.Txn) { s.set.Delete(tx, self, k) })
-	case p < mix.Get+mix.Put+mix.Del+mix.CAS:
-		// Read-modify-write: bump the value if the key is present.
-		r.Atomic(self, func(tx tm.Txn) {
-			if v, ok := s.set.Get(tx, k); ok {
-				s.set.Insert(tx, self, k, v+1)
-			}
-		})
-	default:
-		hi := k + uint64(s.span)
-		r.Atomic(self, func(tx tm.Txn) {
-			n := 0
-			s.set.AscendRange(tx, k, hi, func(_, _ uint64) bool {
-				n++
-				return true
-			})
-		})
-	}
-}
-
-// Set exposes the underlying store (for validation in tests).
-func (s *ServiceKV) Set() *RBSet { return s.set }
