@@ -36,7 +36,7 @@ func benchServer(b *testing.B) (*Server, [2][]uint64) {
 }
 
 // BenchSubmit is the body of internal/bench's Serve/submit/* rows: one
-// operation per iteration through submit/submitCross, in process with no
+// operation per iteration through submitRouted, in process with no
 // HTTP or JSON, from a single caller against the two-shard, two-worker,
 // hash-partitioned server the repo benchmark's kv workloads run against.
 // kind is "get", "put", "mput4x2" or "mget4x2" (four keys, two on each shard,
@@ -56,12 +56,12 @@ func BenchSubmit(b *testing.B, kind string) {
 		case "put":
 			return s.submitRouted(&request{op: opPut, key: uint64(i % benchKeys), val: uint64(i)})
 		case "mput4x2":
-			return s.submitCross(&request{op: opMPut, keys: fourKeys(i), vals: []uint64{1, 2, 3, 4}})
+			return s.submitRouted(&request{op: opMPut, keys: fourKeys(i), vals: []uint64{1, 2, 3, 4}})
 		case "mget4x2":
-			return s.submitCross(&request{op: opMGet, keys: fourKeys(i)})
+			return s.submitRouted(&request{op: opMGet, keys: fourKeys(i)})
 		case "range256x2":
 			lo := uint64(i % (benchKeys - 256))
-			return s.submitCross(&request{op: opRange, lo: lo, hi: lo + 255})
+			return s.submitRouted(&request{op: opRange, lo: lo, hi: lo + 255})
 		}
 		panic(fmt.Sprintf("serve: unknown BenchSubmit kind %q", kind))
 	}
@@ -103,14 +103,14 @@ func BenchContended(b *testing.B) {
 				case roll < 40:
 					_, code = s.submitRouted(&request{op: opPut, key: own(next(2)), val: uint64(i)})
 				case roll < 65:
-					_, code = s.submitCross(&request{op: opMPut,
+					_, code = s.submitRouted(&request{op: opMPut,
 						keys: []uint64{own(0), own(0), own(1), own(1)}, vals: []uint64{1, 2, 3, 4}})
 				case roll < 85:
-					_, code = s.submitCross(&request{op: opMGet, keys: []uint64{
+					_, code = s.submitRouted(&request{op: opMGet, keys: []uint64{
 						uint64(next(benchKeys)), uint64(next(benchKeys)), uint64(next(benchKeys)), uint64(next(benchKeys))}})
 				default:
 					lo := uint64(next(benchKeys - 256))
-					_, code = s.submitCross(&request{op: opRange, lo: lo, hi: lo + 255})
+					_, code = s.submitRouted(&request{op: opRange, lo: lo, hi: lo + 255})
 				}
 				if code != http.StatusOK {
 					failed.Add(1)

@@ -61,10 +61,6 @@ func regSize(s *Server) int {
 	return len(s.reg.recs)
 }
 
-// underKeyedFences runs a battery as its "key" subtest, named for the
-// fence signature every cross-shard commit publishes: its part's key bits.
-func underKeyedFences(t *testing.T, battery func(t *testing.T)) { t.Run("key", battery) }
-
 // fenceHeld reports whether any entry of ss's fence table is held.
 func fenceHeld(ss *shardState) bool { return ss.sys.Load(ss.store.FenceOccWord()) != 0 }
 
@@ -110,10 +106,6 @@ func unwedgeFence(ss *shardState) {
 // the deadline, the decided writes roll forward exactly once, and
 // ops.fence_recovered matches the injected crash count exactly.
 func TestCoordinatorCrashRecovery(t *testing.T) {
-	underKeyedFences(t, testCoordinatorCrashRecovery)
-}
-
-func testCoordinatorCrashRecovery(t *testing.T) {
 	const crashes = 3
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Seed: 42,
@@ -125,7 +117,7 @@ func testCoordinatorCrashRecovery(t *testing.T) {
 	var lastVals []uint64
 	for round := 0; round < crashes; round++ {
 		vals := []uint64{uint64(round)*10 + 1, uint64(round)*10 + 2, uint64(round)*10 + 3}
-		resp, code := s.submitCross(&request{op: opMPut, keys: keys, vals: vals})
+		resp, code := s.submitRouted(&request{op: opMPut, keys: keys, vals: vals})
 		if code != http.StatusServiceUnavailable || !strings.Contains(resp.Err, "crashed") {
 			t.Fatalf("round %d: crashed mput = %d %+v, want 503 with crash error", round, code, resp)
 		}
@@ -160,7 +152,7 @@ func testCoordinatorCrashRecovery(t *testing.T) {
 
 	// The injector's count is exhausted, so this batch commits normally —
 	// and must observe the last crashed batch's rolled-forward writes.
-	resp, code := s.submitCross(&request{op: opMGet, keys: keys})
+	resp, code := s.submitRouted(&request{op: opMGet, keys: keys})
 	if code != http.StatusOK {
 		t.Fatalf("post-recovery mget = %d %+v", code, resp)
 	}
@@ -186,10 +178,6 @@ func testCoordinatorCrashRecovery(t *testing.T) {
 // every crashed-but-decided write included, its window extended to
 // recovery — still admits a sequential witness. Run under -race in CI.
 func TestChaosLinearizability(t *testing.T) {
-	underKeyedFences(t, testChaosLinearizability)
-}
-
-func testChaosLinearizability(t *testing.T) {
 	const clients = 3
 	const opsPerClient = 4
 	s := newTestServer(t, Options{
@@ -216,7 +204,7 @@ func testChaosLinearizability(t *testing.T) {
 					op.Kind = shard.OpMPut
 					op.Keys = append([]uint64{}, keys...)
 					op.Args = []uint64{v, v, v}
-					resp, code := s.submitCross(&request{op: opMPut, keys: op.Keys, vals: op.Args})
+					resp, code := s.submitRouted(&request{op: opMPut, keys: op.Keys, vals: op.Args})
 					op.Return = int64(time.Since(base))
 					switch {
 					case code == http.StatusOK:
@@ -234,7 +222,7 @@ func testChaosLinearizability(t *testing.T) {
 				} else {
 					op.Kind = shard.OpMGet
 					op.Keys = append([]uint64{}, keys...)
-					resp, code := s.submitCross(&request{op: opMGet, keys: op.Keys})
+					resp, code := s.submitRouted(&request{op: opMGet, keys: op.Keys})
 					op.Return = int64(time.Since(base))
 					if code == http.StatusOK {
 						op.Vals, op.Oks = resp.Vals, resp.Present
@@ -386,7 +374,7 @@ func TestDoubleRecoveryIdempotence(t *testing.T) {
 	})
 	keys := keysOnDistinctShards(t, s, 3)
 	vals := []uint64{10, 20, 30}
-	resp, code := s.submitCross(&request{op: opMPut, keys: keys, vals: vals})
+	resp, code := s.submitRouted(&request{op: opMPut, keys: keys, vals: vals})
 	if code != http.StatusServiceUnavailable || !strings.Contains(resp.Err, "crashed") {
 		t.Fatalf("crashed mput = %d %+v", code, resp)
 	}
@@ -421,7 +409,7 @@ func TestDoubleRecoveryIdempotence(t *testing.T) {
 	}
 
 	// The rolled-forward writes are present, once.
-	resp, code = s.submitCross(&request{op: opMGet, keys: keys})
+	resp, code = s.submitRouted(&request{op: opMGet, keys: keys})
 	if code != http.StatusOK {
 		t.Fatalf("mget = %d %+v", code, resp)
 	}
@@ -437,10 +425,6 @@ func TestDoubleRecoveryIdempotence(t *testing.T) {
 // progress opens it, new admissions shed 503 with a Retry-After hint and
 // /healthz goes not-ready, and resumed progress closes it again.
 func TestBreakerOpensAndCloses(t *testing.T) {
-	underKeyedFences(t, testBreakerOpensAndCloses)
-}
-
-func testBreakerOpensAndCloses(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 2, Workers: 1, Seed: 3,
 		FenceDeadline: 5 * time.Second, // detector on, fence recovery out of play
@@ -517,10 +501,6 @@ func testBreakerOpensAndCloses(t *testing.T) {
 // on resuming, re-validate its parts before deciding — it must never
 // apply the non-recovered subset and report 200 for a partial write.
 func TestTornWriteAfterAcquireStallRecovery(t *testing.T) {
-	underKeyedFences(t, testTornWriteAfterAcquireStallRecovery)
-}
-
-func testTornWriteAfterAcquireStallRecovery(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Seed: 11,
 		FenceDeadline: 60 * time.Millisecond,
@@ -532,11 +512,11 @@ func testTornWriteAfterAcquireStallRecovery(t *testing.T) {
 	keys := keysOnDistinctShards(t, s, 3)
 	vals := []uint64{111, 222, 333}
 
-	resp, code := s.submitCross(&request{op: opMPut, keys: keys, vals: vals})
+	resp, code := s.submitRouted(&request{op: opMPut, keys: keys, vals: vals})
 	t.Logf("mput resp=%+v code=%d aborted=%d recovered=%d", resp, code,
 		s.fenceAborted.Load(), s.fenceRecovered.Load())
 
-	got, gcode := s.submitCross(&request{op: opMGet, keys: keys})
+	got, gcode := s.submitRouted(&request{op: opMGet, keys: keys})
 	if gcode != http.StatusOK {
 		t.Fatalf("mget = %d %+v", gcode, got)
 	}
@@ -598,11 +578,11 @@ func TestStalledCoordinatorsNeverSplitABatch(t *testing.T) {
 			var last uint64 // the value every key holds; 0 = absent
 			for i := 1; i <= rounds; i++ {
 				v := uint64(c*1000 + i)
-				_, code := s.submitCross(&request{op: opMPut, keys: keys, vals: []uint64{v, v, v}})
+				_, code := s.submitRouted(&request{op: opMPut, keys: keys, vals: []uint64{v, v, v}})
 				var got response
 				for try := 0; ; try++ { // a read may itself be superseded by a recovery
 					var gcode int
-					if got, gcode = s.submitCross(&request{op: opMGet, keys: keys}); gcode == http.StatusOK {
+					if got, gcode = s.submitRouted(&request{op: opMGet, keys: keys}); gcode == http.StatusOK {
 						break
 					}
 					if try == 50 {

@@ -42,7 +42,6 @@ import (
 
 	proteustm "repro"
 	"repro/internal/fault"
-	"repro/internal/shard"
 )
 
 // Backoff constants of the acquire-phase abort-retry loop: attempt n
@@ -81,95 +80,22 @@ func (s *Server) crossWait(ss *shardState, gen uint64, attempt int) (timedOut bo
 	return timedOut
 }
 
-// submitCross admits one multi-key operation. The participant set is
-// computed from one atomically-loaded (placement, epoch) pair, and the
-// epoch rides along: if a live reshard flips the placement before the
-// operation executes, the shard (fast path) or the post-acquire epoch
-// re-check (protocol path) bounces it back here to recompute under the
-// current placement. Single-participant operations take the fast path:
-// one ordinary admission-queue request on the owning shard, atomic by
-// construction. Everything else runs the two-phase commit protocol
-// above.
-func (s *Server) submitCross(req *request) (response, int) {
+// crossProtocol runs the two-phase commit over the shards in owners (see
+// crossReg.register), which were computed under the placement of
+// req.routingEpoch. It answers moved — with every fence released and
+// nothing applied — when a live reshard installed a newer placement after
+// routing: the participant set may be stale, and submitRouted recomputes
+// it. The check sits with every fence held, and any migration that moves
+// this batch's keys must first take their current owner's fence (a
+// participant's), so a batch that passes the check cannot lose a key to a
+// flip before it applies. Like submit, it registers in inflight before its
+// closed-check, so Close waits for the coordinator to finish.
+func (s *Server) crossProtocol(req *request, owners []int) (response, int) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	if s.closed.Load() {
 		return response{Err: "server shutting down"}, http.StatusServiceUnavailable
 	}
-	for try := 0; ; try++ {
-		part, epoch := s.place.Load()
-		req.routingEpoch = epoch
-		// owners: the owning shard of every key of a batch — one Owner call
-		// per key, grouped into parts only if the batch turns out to span
-		// shards — or the participants of a scan.
-		var buf [inlineKeys]int
-		owners := buf[:0]
-		if req.op == opRange {
-			// Fence only the shards whose key spans intersect the scan. The
-			// partitioner's owner set is exact for the range partitioner and
-			// for narrow hashed scans, conservative (every shard) for wide
-			// hashed ones — never fewer than the shards that could hold a key
-			// in [lo, hi], which is what keeps the snapshot atomic.
-			owners = part.OwnersInRange(req.lo, req.hi)
-			if part.Kind() == shard.KindHash && part.Shards() > 1 && req.hi-req.lo >= shard.RangeEnumCap {
-				// The hash partitioner gave up enumerating: the owner set is
-				// the conservative all-shards fallback, and this scan fences
-				// the entire fleet. Counted so the over-fencing is visible
-				// (ops.range_conservative in /statusz).
-				s.rangeConservative.Add(1)
-			}
-			if len(owners) == 1 {
-				s.rangeLocal.Add(1)
-			} else {
-				s.rangeCross.Add(1)
-				s.rangeFencedShards.Add(uint64(len(owners)))
-			}
-		} else {
-			for _, k := range req.keys {
-				owners = append(owners, part.Owner(k))
-			}
-		}
-		single := len(owners) > 0
-		for _, o := range owners {
-			single = single && o == owners[0]
-		}
-		var resp response
-		var code int
-		var flipped bool
-		if fleet := s.fleet(); single && owners[0] < len(fleet) {
-			// Fast path: the whole operation lives on one shard; the shard's
-			// own transaction makes it atomic, and the fence check inside
-			// execute keeps it ordered against concurrent cross-shard commits.
-			resp, code = s.submit(fleet[owners[0]], req)
-			flipped = resp.moved
-		} else if single {
-			// The single owner was merged away between the placement and
-			// fleet loads: re-route under the fresh placement.
-			flipped = true
-		} else {
-			resp, code, flipped = s.crossProtocol(req, owners, epoch)
-		}
-		if !flipped {
-			return resp, code
-		}
-		if try >= movedRetries {
-			return response{Err: "placement moved during retries"}, http.StatusServiceUnavailable
-		}
-		s.movedBounces.Add(1)
-	}
-}
-
-// crossProtocol runs the two-phase commit over the shards in owners (see
-// crossReg.register), which were computed under the placement of
-// routedEpoch. It reports flipped=true —
-// with every fence released and nothing applied — when a live reshard
-// installed a newer placement after the fences were acquired: the
-// participant set may be stale, and the caller recomputes it. The check
-// sits with every fence held, and any migration that moves this batch's
-// keys must first take their current owner's fence (a participant's), so
-// a batch that passes the check cannot lose a key to a flip before it
-// applies.
-func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (response, int, bool) {
 	// A sick participant fails the whole batch before any fence is
 	// taken: shed to the breaker's Retry-After instead of letting the
 	// protocol discover the stall the slow way. A participant the fleet
@@ -178,25 +104,24 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 	for _, o := range owners {
 		fleet := s.fleet()
 		if o >= len(fleet) {
-			return response{}, 0, true
+			return response{moved: true}, 0
 		}
 		if ra := fleet[o].breakerRetryAfter(); ra > 0 {
 			s.breakerShed.Add(1)
 			return response{Err: "participant shard circuit breaker open",
 					code: http.StatusServiceUnavailable, retryAfter: ra},
-				http.StatusServiceUnavailable, false
+				http.StatusServiceUnavailable
 		}
 	}
 
 	s.armDeadline(req)
-	accepted := req.accepted
 	// Coordinator slots are bounded admission, same contract as the data
 	// queues: overflow rejects immediately (429), never stalls a handler.
 	select {
 	case s.crossSem <- struct{}{}:
 	default:
 		s.rejected.Add(1)
-		return response{Err: "cross-shard coordinator slots full"}, http.StatusTooManyRequests, false
+		return response{Err: "cross-shard coordinator slots full"}, http.StatusTooManyRequests
 	}
 	defer func() { <-s.crossSem }()
 	token := s.nextToken.Add(1)
@@ -218,15 +143,15 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 		// is dropped before it claims any fence.
 		if req.expired() {
 			s.shedDeadline.Add(1)
-			return response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}, http.StatusGatewayTimeout, false
+			return response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}, http.StatusGatewayTimeout
 		}
 		// A placement flip while we were backing off (a merge retiring a
 		// participant, say) means the batch may be stale: bounce it back
 		// for recomputation instead of spending the retry budget on a
 		// retired shard's not-applied answers.
-		if s.place.Epoch() != routedEpoch {
+		if s.place.Epoch() != req.routingEpoch {
 			s.releaseParts(rec)
-			return response{}, 0, true
+			return response{moved: true}, 0
 		}
 		// blocker is the shard whose fence refused this attempt, blockGen
 		// its release generation read before the refused acquire.
@@ -244,7 +169,7 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 			if p.shard >= len(fleet) {
 				// Participant merged away mid-protocol: recompute the batch.
 				s.releaseParts(rec)
-				return response{}, 0, true
+				return response{moved: true}, 0
 			}
 			if req.op == opMPut && !fleet[p.shard].store.kv.Room(len(p.idx)) {
 				// Refuse the batch while nothing is decided rather than let
@@ -253,13 +178,13 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 				// can still take the room, and the apply then answers 507
 				// with the batch applied in part.
 				s.releaseParts(rec)
-				return heapFull, heapFull.code, false
+				return heapFull, heapFull.code
 			}
 			gen := fleet[p.shard].relGen.Load()
 			r := s.runCtl(fleet[p.shard], acquireStep(&rec.ctlReq, token, partSig(req, p)))
 			if r.Err != "" {
 				s.releaseParts(rec)
-				return r, http.StatusServiceUnavailable, false
+				return r, http.StatusServiceUnavailable
 			}
 			if !r.Applied {
 				blocker, blockGen = fleet[p.shard], gen
@@ -287,9 +212,9 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 		// fence — one of ours — so an epoch still equal to the routing
 		// epoch proves the participant set is current, and a newer epoch
 		// sends the batch back to be recomputed before anything applies.
-		if s.place.Epoch() != routedEpoch {
+		if s.place.Epoch() != req.routingEpoch {
 			s.releaseParts(rec)
-			return response{}, 0, true
+			return response{moved: true}, 0
 		}
 		// Prepared: every fence held. Writes record their decision now —
 		// from here recovery rolls the batch forward instead of aborting.
@@ -297,7 +222,7 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 		// while we were stalled mid-acquire: nothing may be applied.
 		if req.op == opMPut && !rec.decide() {
 			resp := s.superseded(rec)
-			return resp, resp.code, false
+			return resp, resp.code
 		}
 		if _, fire := s.opts.Fault.Fire(fault.CoordCrash, -1); fire {
 			// Injected coordinator crash between prepare and apply: the
@@ -309,7 +234,7 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 			s.crossCrashes.Add(1)
 			return response{Err: "cross-shard coordinator crashed (injected fault); fence recovery pending",
 					code: http.StatusServiceUnavailable, retryAfter: s.fenceRecoveryEta()},
-				http.StatusServiceUnavailable, false
+				http.StatusServiceUnavailable
 		}
 		resp := s.applyAll(rec, req)
 		if resp.Err != "" {
@@ -317,12 +242,12 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 			if resp.code != 0 {
 				code = resp.code
 			}
-			return resp, code, false
+			return resp, code
 		}
 		s.crossOps.Add(1)
 		s.served[req.op].Add(1)
-		s.lat.Observe(msBetween(accepted, time.Now()))
-		return resp, http.StatusOK, false
+		s.lat.Observe(msBetween(req.accepted, time.Now()))
+		return resp, http.StatusOK
 	}
 	// Exhausting the retry budget on a sharded server almost always means
 	// the batch kept colliding with an orphaned fence (the capped backoff
@@ -331,7 +256,7 @@ func (s *Server) crossProtocol(req *request, owners []int, routedEpoch uint64) (
 	// a dead-end error.
 	return response{Err: "cross-shard commit: fence contention exhausted retries",
 			code: http.StatusServiceUnavailable, retryAfter: s.fenceRecoveryEta()},
-		http.StatusServiceUnavailable, false
+		http.StatusServiceUnavailable
 }
 
 // ctl runs step as one control-step transaction on shard ss, on the

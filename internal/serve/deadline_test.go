@@ -155,23 +155,23 @@ func TestSlowClientStormLinearizable(t *testing.T) {
 				case 0:
 					op.Kind = shard.OpPut
 					op.Keys, op.Args = []uint64{k}, []uint64{v}
-					resp, code = s.submit(s.shardFor(&request{op: opPut, key: k}), &request{op: opPut, key: k, val: v})
+					resp, code = s.submitRouted(&request{op: opPut, key: k, val: v})
 					op.Oks = []bool{resp.Existed}
 				case 1:
 					op.Kind = shard.OpCAS
 					old := uint64(c*1000 + i)
 					op.Keys, op.Args = []uint64{k}, []uint64{old, v}
-					resp, code = s.submit(s.shardFor(&request{op: opCAS, key: k}), &request{op: opCAS, key: k, old: old, newv: v})
+					resp, code = s.submitRouted(&request{op: opCAS, key: k, old: old, newv: v})
 					op.Vals, op.Oks = []uint64{resp.Val}, []bool{resp.Applied}
 				case 2:
 					op.Kind = shard.OpMPut
 					op.Keys = append([]uint64{}, keys[:3]...)
 					op.Args = []uint64{v, v, v}
-					resp, code = s.submitCross(&request{op: opMPut, keys: op.Keys, vals: op.Args})
+					resp, code = s.submitRouted(&request{op: opMPut, keys: op.Keys, vals: op.Args})
 				default:
 					op.Kind = shard.OpMGet
 					op.Keys = append([]uint64{}, keys...)
-					resp, code = s.submitCross(&request{op: opMGet, keys: op.Keys})
+					resp, code = s.submitRouted(&request{op: opMGet, keys: op.Keys})
 					op.Vals, op.Oks = resp.Vals, resp.Present
 				}
 				op.Return = int64(time.Since(base))
@@ -191,11 +191,11 @@ func TestSlowClientStormLinearizable(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := &request{op: opPut, key: uint64(5000 + i), val: 1, ctx: dead}
-			if _, code := s.submit(s.shardFor(req), req); code != 499 {
+			if _, code := s.submitRouted(req); code != 499 {
 				t.Errorf("dead writer %d = HTTP %d, want 499", i, code)
 			}
 			slow := &request{op: opGet, key: keys[i%len(keys)], budget: time.Microsecond}
-			if _, code := s.submit(s.shardFor(slow), slow); code != http.StatusOK && code != http.StatusGatewayTimeout {
+			if _, code := s.submitRouted(slow); code != http.StatusOK && code != http.StatusGatewayTimeout {
 				t.Errorf("slow reader %d = HTTP %d, want 200 or 504", i, code)
 			}
 		}(i)
@@ -209,7 +209,7 @@ func TestSlowClientStormLinearizable(t *testing.T) {
 	waitShedDeadline(t, s, deadWriters)
 	for i := 0; i < deadWriters; i++ {
 		req := &request{op: opGet, key: uint64(5000 + i)}
-		resp, code := s.submit(s.shardFor(req), req)
+		resp, code := s.submitRouted(req)
 		if code != http.StatusOK {
 			t.Fatalf("get key %d = HTTP %d", 5000+i, code)
 		}

@@ -244,7 +244,7 @@ func expectWholeShardHold(t *testing.T, acquire func(s *Server, victim *shardSta
 		k++
 	}
 	hold := acquire(s, victim, k)
-	if _, code := s.submitCross(&request{op: opMPut, keys: keys, vals: []uint64{1, 2}}); code != http.StatusServiceUnavailable {
+	if _, code := s.submitRouted(&request{op: opMPut, keys: keys, vals: []uint64{1, 2}}); code != http.StatusServiceUnavailable {
 		t.Fatalf("mput against a held shard = %d, want 503 after abort-all", code)
 	}
 	if got := s.crossAborts.Load(); got != 2 {
@@ -305,20 +305,20 @@ func TestKeyedFenceConflictSerializes(t *testing.T) {
 	if !acq.Applied {
 		t.Fatalf("keyed acquire = %+v", acq)
 	}
-	if _, code := s.submitCross(&request{op: opMPut, keys: held, vals: []uint64{1, 2}}); code != http.StatusServiceUnavailable {
+	if _, code := s.submitRouted(&request{op: opMPut, keys: held, vals: []uint64{1, 2}}); code != http.StatusServiceUnavailable {
 		t.Fatalf("intersecting mput = %d, want 503 after abort-all", code)
 	}
 	if got := s.crossAborts.Load(); got != 2 {
 		t.Fatalf("cross_aborts = %d after the intersecting batch, want 2", got)
 	}
-	if resp, code := s.submitCross(&request{op: opMPut, keys: []uint64{on[0][1], on[1][1]}, vals: []uint64{3, 4}}); code != http.StatusOK || !resp.Applied {
+	if resp, code := s.submitRouted(&request{op: opMPut, keys: []uint64{on[0][1], on[1][1]}, vals: []uint64{3, 4}}); code != http.StatusOK || !resp.Applied {
 		t.Fatalf("disjoint mput beside a keyed hold = %d %+v", code, resp)
 	}
 	if got := s.crossAborts.Load(); got != 2 {
 		t.Fatalf("cross_aborts = %d after the disjoint batch, want still 2", got)
 	}
 	s.guarded(s.fleet()[0], acq.hold, true, nil)
-	if resp, code := s.submitCross(&request{op: opMPut, keys: held, vals: []uint64{1, 2}}); code != http.StatusOK || !resp.Applied {
+	if resp, code := s.submitRouted(&request{op: opMPut, keys: held, vals: []uint64{1, 2}}); code != http.StatusOK || !resp.Applied {
 		t.Fatalf("intersecting mput after the release = %d %+v", code, resp)
 	}
 }
@@ -330,10 +330,6 @@ func TestKeyedFenceConflictSerializes(t *testing.T) {
 // fence_held (and, past the deadline, fence_stale) and
 // ops.fence_keys_held agree, and all clear after recovery.
 func TestFenceHeldVisibleUnderBothPolicies(t *testing.T) {
-	underKeyedFences(t, testFenceHeldVisible)
-}
-
-func testFenceHeldVisible(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 2, Workers: 2,
 		Fault:         mustFault(t, "fence-acquire-stall@after=1;count=1;stall=300ms", 1),
@@ -368,7 +364,7 @@ func testFenceHeldVisible(t *testing.T) {
 	first := s.part().Participants(keys)[0]
 	done := make(chan int, 1)
 	go func() {
-		_, code := s.submitCross(&request{op: opMPut, keys: keys, vals: []uint64{1, 2}})
+		_, code := s.submitRouted(&request{op: opMPut, keys: keys, vals: []uint64{1, 2}})
 		done <- code
 	}()
 	waitUntil(t, 5*time.Second, "the stalled coordinator's first fence to show on every surface", func() bool {

@@ -54,33 +54,33 @@ func FuzzCrossShardLinearizable(f *testing.F) {
 					case 0:
 						op.Kind = shard.OpPut
 						op.Keys, op.Args = []uint64{k}, []uint64{v}
-						resp, code = s.submit(s.shardFor(&request{op: opPut, key: k}), &request{op: opPut, key: k, val: v})
+						resp, code = s.submitRouted(&request{op: opPut, key: k, val: v})
 						op.Oks = []bool{resp.Existed}
 					case 1:
 						op.Kind = shard.OpGet
 						op.Keys = []uint64{k}
-						resp, code = s.submit(s.shardFor(&request{op: opGet, key: k}), &request{op: opGet, key: k})
+						resp, code = s.submitRouted(&request{op: opGet, key: k})
 						op.Vals, op.Oks = []uint64{resp.Val}, []bool{resp.Found}
 					case 2:
 						op.Kind = shard.OpDel
 						op.Keys = []uint64{k}
-						resp, code = s.submit(s.shardFor(&request{op: opDel, key: k}), &request{op: opDel, key: k})
+						resp, code = s.submitRouted(&request{op: opDel, key: k})
 						op.Oks = []bool{resp.Applied}
 					case 3:
 						old := uint64(b) // sometimes matches a prior write
 						op.Kind = shard.OpCAS
 						op.Keys, op.Args = []uint64{k}, []uint64{old, v}
-						resp, code = s.submit(s.shardFor(&request{op: opCAS, key: k}), &request{op: opCAS, key: k, old: old, newv: v})
+						resp, code = s.submitRouted(&request{op: opCAS, key: k, old: old, newv: v})
 						op.Vals, op.Oks = []uint64{resp.Val}, []bool{resp.Applied}
 					case 4:
 						op.Kind = shard.OpMPut
 						op.Keys = append([]uint64{}, keys[:3]...)
 						op.Args = []uint64{v, v, v}
-						resp, code = s.submitCross(&request{op: opMPut, keys: op.Keys, vals: op.Args})
+						resp, code = s.submitRouted(&request{op: opMPut, keys: op.Keys, vals: op.Args})
 					default:
 						op.Kind = shard.OpMGet
 						op.Keys = append([]uint64{}, keys[:3]...)
-						resp, code = s.submitCross(&request{op: opMGet, keys: op.Keys})
+						resp, code = s.submitRouted(&request{op: opMGet, keys: op.Keys})
 						op.Vals, op.Oks = resp.Vals, resp.Present
 					}
 					op.Return = int64(time.Since(base))

@@ -598,7 +598,7 @@ func TestMissedWakeupDegradesToPolling(t *testing.T) {
 
 	// A coordinator meets the same wedge: it aborts, waits on the blocking
 	// shard twice (CrossRetries 3) and gives up.
-	if _, code := s.submitCross(&request{op: opMPut, keys: keys, vals: []uint64{1, 2}}); code != http.StatusServiceUnavailable {
+	if _, code := s.submitRouted(&request{op: opMPut, keys: keys, vals: []uint64{1, 2}}); code != http.StatusServiceUnavailable {
 		t.Fatalf("mput against a wedged fence = %d, want 503", code)
 	}
 	st := s.StatusSnapshot()
@@ -751,7 +751,7 @@ func TestCoordinatorStormExhaustsNoRetries(t *testing.T) {
 			defer storm.Done()
 			for i := next.Add(1); i <= batches; i = next.Add(1) {
 				a, b := byShard[0], byShard[1]
-				book(s.submitCross(&request{op: opMPut,
+				book(s.submitRouted(&request{op: opMPut,
 					keys: []uint64{a[int(i)%len(a)], b[(int(i)+c)%len(b)]}, vals: []uint64{uint64(i), uint64(i)}}))
 			}
 		}(c)

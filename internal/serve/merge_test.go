@@ -86,7 +86,7 @@ func TestReshardMergeShrinksFleet(t *testing.T) {
 	}
 	// The recipient holds the span exactly once: a scan over the whole
 	// preload counts each key exactly once — no lost and no torn keys.
-	resp, code := s.submitCross(&request{op: opRange, lo: 0, hi: 16383})
+	resp, code := s.submitRouted(&request{op: opRange, lo: 0, hi: 16383})
 	if code != http.StatusOK || resp.Count != 16384 {
 		t.Fatalf("post-merge full scan = %d %+v, want count 16384", code, resp)
 	}
@@ -118,13 +118,13 @@ func TestReshardMergeShrinksFleet(t *testing.T) {
 	if res2.KeysMigrated != 8192 {
 		t.Fatalf("second merge keys_migrated = %d, want 8192", res2.KeysMigrated)
 	}
-	if resp, code := s.submit(s.shardFor(&request{op: opRPush, val: 77}), &request{op: opRPush, val: 77}); code != http.StatusOK || !resp.Applied {
+	if resp, code := s.submitRouted(&request{op: opRPush, val: 77}); code != http.StatusOK || !resp.Applied {
 		t.Fatalf("rpush after two merges = %d %+v", code, resp)
 	}
-	if resp, code := s.submit(s.shardFor(&request{op: opLPop}), &request{op: opLPop}); code != http.StatusOK || !resp.Found || resp.Val != 77 {
+	if resp, code := s.submitRouted(&request{op: opLPop}); code != http.StatusOK || !resp.Found || resp.Val != 77 {
 		t.Fatalf("lpop after two merges = %d %+v", code, resp)
 	}
-	resp, code = s.submitCross(&request{op: opRange, lo: 0, hi: 16383})
+	resp, code = s.submitRouted(&request{op: opRange, lo: 0, hi: 16383})
 	if code != http.StatusOK || resp.Count != 16384 {
 		t.Fatalf("full scan after two merges = %d %+v, want count 16384", code, resp)
 	}
@@ -294,9 +294,7 @@ func TestMergeLinearizability(t *testing.T) {
 		{"donor-crash", "reshard-donor-crash@count=1"},
 		{"install-crash", "reshard-install-crash@count=1"},
 	} {
-		t.Run(leg.name, func(t *testing.T) {
-			underKeyedFences(t, func(t *testing.T) { testMergeLinearizability(t, leg.fault) })
-		})
+		t.Run(leg.name, func(t *testing.T) { testMergeLinearizability(t, leg.fault) })
 	}
 }
 
@@ -348,11 +346,11 @@ func testMergeLinearizability(t *testing.T, faultSpec string) {
 					op.Kind = shard.OpMPut
 					op.Keys = append([]uint64{}, keys[2:]...)
 					op.Args = []uint64{v, v, v}
-					resp, code = s.submitCross(&request{op: opMPut, keys: op.Keys, vals: op.Args})
+					resp, code = s.submitRouted(&request{op: opMPut, keys: op.Keys, vals: op.Args})
 				default:
 					op.Kind = shard.OpRange
 					op.Keys = []uint64{0, 14000}
-					resp, code = s.submitCross(&request{op: opRange, lo: 0, hi: 14000})
+					resp, code = s.submitRouted(&request{op: opRange, lo: 0, hi: 14000})
 					op.Vals = []uint64{resp.Count, resp.Sum}
 				}
 				op.Return = int64(time.Since(base))

@@ -166,18 +166,18 @@ func TestRangeLinearizability(t *testing.T) {
 								op.Kind = shard.OpMPut
 								op.Keys = append([]uint64{}, batchKeys...)
 								op.Args = []uint64{v, v, v}
-								resp, code = s.submitCross(&request{op: opMPut, keys: op.Keys, vals: op.Args})
+								resp, code = s.submitRouted(&request{op: opMPut, keys: op.Keys, vals: op.Args})
 							case 1:
 								k := batchKeys[next(3)]
 								v := uint64(c*100 + round*10 + i + 1)
 								op.Kind = shard.OpPut
 								op.Keys, op.Args = []uint64{k}, []uint64{v}
-								resp, code = s.submit(s.shardFor(&request{op: opPut, key: k}), &request{op: opPut, key: k, val: v})
+								resp, code = s.submitRouted(&request{op: opPut, key: k, val: v})
 								op.Oks = []bool{resp.Existed}
 							default:
 								op.Kind = shard.OpRange
 								op.Keys = []uint64{0, 14}
-								resp, code = s.submitCross(&request{op: opRange, lo: 0, hi: 14})
+								resp, code = s.submitRouted(&request{op: opRange, lo: 0, hi: 14})
 								op.Vals = []uint64{resp.Count, resp.Sum}
 							}
 							op.Return = int64(time.Since(base))

@@ -18,6 +18,126 @@ import (
 	"repro/internal/shard"
 )
 
+// TestRerouteKeepsFirstAdmission pins submitRouted's re-route. A request
+// waiting in its owner's line when the placement flips under it — here from
+// the range partitioner to hashing, so keys change owners — bounces exactly
+// once, is answered under the live placement, and keeps the admission
+// instant and deadline it got first. Legs: a point op and a single-shard
+// mput (bounced by the shard's epoch gate), a cross-shard mput and a
+// cross-shard scan (bounced by the protocol's post-acquire epoch re-check).
+func TestRerouteKeepsFirstAdmission(t *testing.T) {
+	const universe = 1024
+	before, after := shard.NewRange(2, universe), shard.New(2)
+	// moving returns n keys owned by shard from before the flip and by
+	// shard to after it.
+	moving := func(n, from, to int) []uint64 {
+		var keys []uint64
+		for k := uint64(0); len(keys) < n && k < universe; k++ {
+			if before.Owner(k) == from && after.Owner(k) == to {
+				keys = append(keys, k)
+			}
+		}
+		if len(keys) < n {
+			t.Fatalf("found %d keys moving from shard %d to %d, want %d", len(keys), from, to, n)
+		}
+		return keys
+	}
+	const lo, hi = 500, 531 // straddles the range partitioner's cut at 512
+	for _, leg := range []struct {
+		name string
+		req  *request
+	}{
+		{"point", &request{op: opPut, key: moving(1, 0, 1)[0], val: 1 << 40}},
+		{"mput-single", &request{op: opMPut, keys: moving(2, 0, 1), vals: []uint64{1 << 40, 1<<40 + 1}}},
+		{"mput-cross", &request{op: opMPut, keys: append(moving(1, 0, 1), moving(1, 1, 0)...), vals: []uint64{1 << 40, 1<<40 + 1}}},
+		{"range", &request{op: opRange, lo: lo, hi: hi}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			s, err := newServer(Options{Shards: 2, Partitioner: shard.KindRange, KeyUniverse: universe,
+				Workers: 2, HeapWords: 1 << 18, Preload: universe, Deadline: time.Minute})
+			if err != nil {
+				t.Fatalf("newServer: %v", err)
+			}
+			req := leg.req
+			type answer struct {
+				resp response
+				code int
+			}
+			done := make(chan answer, 1)
+			go func() {
+				resp, code := s.submitRouted(req)
+				done <- answer{resp, code}
+			}()
+			// No slot token circulates yet: the request (or its first fence
+			// acquisition) waits in line, already stamped.
+			deadline := time.Now().Add(2 * time.Second)
+			for s.fleet()[0].waiting.Load()+s.fleet()[1].waiting.Load() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the request never reached a line")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			accepted, due := req.accepted, req.deadline
+			if accepted.IsZero() {
+				t.Fatal("request waits in line unstamped")
+			}
+			epoch := s.place.Install(after)
+			for _, ss := range s.fleet() {
+				ss.sys.Store(ss.store.PlacementWord(), epoch)
+			}
+			s.startServing()
+			t.Cleanup(func() {
+				if err := s.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			got := <-done
+			if got.code != http.StatusOK {
+				t.Fatalf("HTTP %d %+v", got.code, got.resp)
+			}
+			if n := s.movedBounces.Load(); n != 1 {
+				t.Fatalf("moved_bounces = %d, want 1", n)
+			}
+			if req.routingEpoch != epoch {
+				t.Fatalf("answered under placement epoch %d, want the live %d", req.routingEpoch, epoch)
+			}
+			if !req.accepted.Equal(accepted) || !req.deadline.Equal(due) {
+				t.Fatalf("bounce re-stamped the request: accepted %v → %v, deadline %v → %v",
+					accepted, req.accepted, due, req.deadline)
+			}
+			// get reads key k on shard o under the live placement.
+			get := func(o int, k uint64) uint64 {
+				resp, code := s.submit(s.fleet()[o], &request{op: opGet, key: k, routingEpoch: epoch})
+				if code != http.StatusOK || !resp.Found {
+					t.Fatalf("get %d on shard %d = HTTP %d %+v", k, o, code, resp)
+				}
+				return resp.Val
+			}
+			switch req.op {
+			case opRange:
+				if want := uint64(hi - lo + 1); got.resp.Count != want || got.resp.Sum != (lo+hi)*want/2 {
+					t.Fatalf("scan [%d, %d] = count %d sum %d, want %d and %d", lo, hi, got.resp.Count, got.resp.Sum, want, (lo+hi)*want/2)
+				}
+			default:
+				keys, vals := req.keys, req.vals
+				if req.op == opPut {
+					keys, vals = []uint64{req.key}, []uint64{req.val}
+				}
+				// Each write landed on its owner after the flip; the owner
+				// before it still holds the preloaded value.
+				for i, k := range keys {
+					if v := get(after.Owner(k), k); v != vals[i] {
+						t.Fatalf("key %d on its live owner = %d, want %d", k, v, vals[i])
+					}
+					if v := get(before.Owner(k), k); v != k {
+						t.Fatalf("key %d on its former owner = %d, want the preloaded %d", k, v, k)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestClampPlanForDeque pins the deque guard's three arms: a moved span
 // reaching into the reserved window is trimmed (the window stays with the
 // donor via a tail span), a span entirely inside it is rejected, and a
@@ -153,7 +273,7 @@ func TestReshardMigratesSpan(t *testing.T) {
 	}
 	// The donor must have dropped the moved span: a range scan over the
 	// whole preload counts each key exactly once.
-	resp, code := s.submitCross(&request{op: opRange, lo: 0, hi: 8191})
+	resp, code := s.submitRouted(&request{op: opRange, lo: 0, hi: 8191})
 	if code != http.StatusOK || resp.Count != 8192 {
 		t.Fatalf("post-reshard full scan = %d %+v, want count 8192", code, resp)
 	}
@@ -181,10 +301,10 @@ func TestReshardMigratesSpan(t *testing.T) {
 	if code != http.StatusOK || !res2.Applied || res2.Epoch != 2 {
 		t.Fatalf("second reshard = %d %+v", code, res2)
 	}
-	if resp, code := s.submit(s.shardFor(&request{op: opRPush, val: 77}), &request{op: opRPush, val: 77}); code != http.StatusOK || !resp.Applied {
+	if resp, code := s.submitRouted(&request{op: opRPush, val: 77}); code != http.StatusOK || !resp.Applied {
 		t.Fatalf("rpush after two reshards = %d %+v", code, resp)
 	}
-	if resp, code := s.submit(s.shardFor(&request{op: opLPop}), &request{op: opLPop}); code != http.StatusOK || !resp.Found || resp.Val != 77 {
+	if resp, code := s.submitRouted(&request{op: opLPop}); code != http.StatusOK || !resp.Found || resp.Val != 77 {
 		t.Fatalf("lpop after two reshards = %d %+v", code, resp)
 	}
 }
@@ -196,7 +316,7 @@ func TestReshardMigratesSpan(t *testing.T) {
 func TestReshardPreservesDeque(t *testing.T) {
 	s := newTestServer(t, Options{Shards: 1, Workers: 2, Partitioner: shard.KindRange, Preload: 256})
 	for _, v := range []uint64{11, 22, 33} {
-		if resp, code := s.submit(s.shardFor(&request{op: opRPush, val: v}), &request{op: opRPush, val: v}); code != http.StatusOK || !resp.Applied {
+		if resp, code := s.submitRouted(&request{op: opRPush, val: v}); code != http.StatusOK || !resp.Applied {
 			t.Fatalf("rpush(%d) = %d %+v", v, code, resp)
 		}
 	}
@@ -212,11 +332,11 @@ func TestReshardPreservesDeque(t *testing.T) {
 	if got := s.part().Owner(DequeReservedLo); got != dequeHome {
 		t.Fatalf("deque-reserved window owned by shard %d after reshard, want %d", got, dequeHome)
 	}
-	if resp, code := s.submit(s.shardFor(&request{op: opLLen}), &request{op: opLLen}); code != http.StatusOK || resp.Len != 3 {
+	if resp, code := s.submitRouted(&request{op: opLLen}); code != http.StatusOK || resp.Len != 3 {
 		t.Fatalf("deque len after reshard = %d %+v, want 3", code, resp)
 	}
 	for _, want := range []uint64{11, 22, 33} {
-		resp, code := s.submit(s.shardFor(&request{op: opLPop}), &request{op: opLPop})
+		resp, code := s.submitRouted(&request{op: opLPop})
 		if code != http.StatusOK || !resp.Found || resp.Val != want {
 			t.Fatalf("lpop after reshard = %d %+v, want %d", code, resp, want)
 		}
@@ -283,7 +403,7 @@ func TestCrashedSplitRollsBackItsCopy(t *testing.T) {
 			})
 			census := func(when string) {
 				t.Helper()
-				resp, code := s.submitCross(&request{op: opRange, lo: 0, hi: ^uint64(0)})
+				resp, code := s.submitRouted(&request{op: opRange, lo: 0, hi: ^uint64(0)})
 				if code != http.StatusOK || resp.Count != preload || resp.Sum != preload*(preload-1)/2 {
 					t.Fatalf("%s: full scan = %d count %d sum %d, want %d keys summing to %d",
 						when, code, resp.Count, resp.Sum, preload, preload*(preload-1)/2)
@@ -367,7 +487,7 @@ func TestSplitBehindCrashedMergeFinishesItsRollback(t *testing.T) {
 	if !fencesFree(s) {
 		t.Fatal("merge donor still fenced after recovery")
 	}
-	if resp, code := s.submitCross(&request{op: opRange, lo: 0, hi: ^uint64(0)}); code != http.StatusOK || resp.Count != preload {
+	if resp, code := s.submitRouted(&request{op: opRange, lo: 0, hi: ^uint64(0)}); code != http.StatusOK || resp.Count != preload {
 		t.Fatalf("full scan = %d count %d, want %d", code, resp.Count, preload)
 	}
 }
@@ -385,9 +505,7 @@ func TestReshardLinearizability(t *testing.T) {
 		{"donor-crash", "reshard-donor-crash@count=1"},
 		{"install-crash", "reshard-install-crash@count=1"},
 	} {
-		t.Run(leg.name, func(t *testing.T) {
-			underKeyedFences(t, func(t *testing.T) { testReshardLinearizability(t, leg.fault) })
-		})
+		t.Run(leg.name, func(t *testing.T) { testReshardLinearizability(t, leg.fault) })
 	}
 }
 
@@ -438,11 +556,11 @@ func testReshardLinearizability(t *testing.T, faultSpec string) {
 					op.Kind = shard.OpMPut
 					op.Keys = append([]uint64{}, keys[:3]...)
 					op.Args = []uint64{v, v, v}
-					resp, code = s.submitCross(&request{op: opMPut, keys: op.Keys, vals: op.Args})
+					resp, code = s.submitRouted(&request{op: opMPut, keys: op.Keys, vals: op.Args})
 				default:
 					op.Kind = shard.OpRange
 					op.Keys = []uint64{0, 12000}
-					resp, code = s.submitCross(&request{op: opRange, lo: 0, hi: 12000})
+					resp, code = s.submitRouted(&request{op: opRange, lo: 0, hi: 12000})
 					op.Vals = []uint64{resp.Count, resp.Sum}
 				}
 				op.Return = int64(time.Since(base))

@@ -533,7 +533,7 @@ func TestCrossShardAbortAll(t *testing.T) {
 
 	vals := []uint64{1, 2, 3, 4}
 	req := &request{op: opMPut, keys: keys, vals: vals}
-	resp, code := s.submitCross(req)
+	resp, code := s.submitRouted(req)
 	if code != http.StatusServiceUnavailable || resp.Err == "" {
 		t.Fatalf("mput against a wedged fence = %d %+v, want 503", code, resp)
 	}
@@ -563,11 +563,11 @@ func TestCrossShardAbortAll(t *testing.T) {
 
 	// Clear the wedge: the same batch must now commit everywhere.
 	unwedgeFence(victim)
-	resp, code = s.submitCross(&request{op: opMPut, keys: keys, vals: vals})
+	resp, code = s.submitRouted(&request{op: opMPut, keys: keys, vals: vals})
 	if code != http.StatusOK || !resp.Applied {
 		t.Fatalf("mput after clearing fence = %d %+v", code, resp)
 	}
-	resp, code = s.submitCross(&request{op: opMGet, keys: keys})
+	resp, code = s.submitRouted(&request{op: opMGet, keys: keys})
 	if code != http.StatusOK {
 		t.Fatalf("mget = %d %+v", code, resp)
 	}
@@ -595,10 +595,6 @@ func (lr *linRecorder) record(op shard.Op) {
 // every committed operation's invocation/response window recorded, must
 // admit a sequential witness. Run under -race in CI.
 func TestLinearizability(t *testing.T) {
-	underKeyedFences(t, testLinearizability)
-}
-
-func testLinearizability(t *testing.T) {
 	const rounds = 4
 	const clients = 3
 	const opsPerClient = 4
@@ -625,28 +621,28 @@ func testLinearizability(t *testing.T) {
 					case 0:
 						op.Kind = shard.OpPut
 						op.Keys, op.Args = []uint64{k}, []uint64{v}
-						resp, code = s.submit(s.shardFor(&request{op: opPut, key: k}), &request{op: opPut, key: k, val: v})
+						resp, code = s.submitRouted(&request{op: opPut, key: k, val: v})
 						op.Oks = []bool{resp.Existed}
 					case 1:
 						op.Kind = shard.OpDel
 						op.Keys = []uint64{k}
-						resp, code = s.submit(s.shardFor(&request{op: opDel, key: k}), &request{op: opDel, key: k})
+						resp, code = s.submitRouted(&request{op: opDel, key: k})
 						op.Oks = []bool{resp.Applied}
 					case 2:
 						old := uint64(c*1000 + round*100 + i) // sometimes matches a prior write
 						op.Kind = shard.OpCAS
 						op.Keys, op.Args = []uint64{k}, []uint64{old, v}
-						resp, code = s.submit(s.shardFor(&request{op: opCAS, key: k}), &request{op: opCAS, key: k, old: old, newv: v})
+						resp, code = s.submitRouted(&request{op: opCAS, key: k, old: old, newv: v})
 						op.Vals, op.Oks = []uint64{resp.Val}, []bool{resp.Applied}
 					case 3:
 						op.Kind = shard.OpMPut
 						op.Keys = append([]uint64{}, keys[:3]...)
 						op.Args = []uint64{v, v, v}
-						resp, code = s.submitCross(&request{op: opMPut, keys: op.Keys, vals: op.Args})
+						resp, code = s.submitRouted(&request{op: opMPut, keys: op.Keys, vals: op.Args})
 					default:
 						op.Kind = shard.OpMGet
 						op.Keys = append([]uint64{}, keys...)
-						resp, code = s.submitCross(&request{op: opMGet, keys: op.Keys})
+						resp, code = s.submitRouted(&request{op: opMGet, keys: op.Keys})
 						op.Vals, op.Oks = resp.Vals, resp.Present
 					}
 					op.Return = int64(time.Since(base))
@@ -726,9 +722,9 @@ func TestConcurrentCrossShardStress(t *testing.T) {
 				vals := []uint64{uint64(c), uint64(c), uint64(c)}
 				var code int
 				if i%2 == 0 {
-					_, code = s.submitCross(&request{op: opMPut, keys: keys, vals: vals})
+					_, code = s.submitRouted(&request{op: opMPut, keys: keys, vals: vals})
 				} else {
-					_, code = s.submitCross(&request{op: opMGet, keys: keys})
+					_, code = s.submitRouted(&request{op: opMGet, keys: keys})
 				}
 				if code != http.StatusOK {
 					fails.Add(1)

@@ -115,8 +115,9 @@ type request struct {
 	step     func(tx proteustm.Txn, slot int) response
 	hold     FenceHold
 	part     *crossPart
-	// accepted is stamped when the request is admitted, before it looks
-	// for a slot, so queue-wait is measured from acceptance.
+	// accepted is stamped when the request is first admitted, before it
+	// looks for a slot, so queue-wait is measured from acceptance; a
+	// re-routed request keeps it.
 	accepted time.Time
 	// ctx is the client's request context: an operation whose client hung
 	// up is dropped, never executed. Nil means no cancellation source
@@ -132,7 +133,7 @@ type request struct {
 	// fenceTries counts retries caused by an observed fence.
 	fenceTries int
 	// routingEpoch is the placement epoch the request was routed under
-	// (stamped by shardFor / submitCross). A shard whose placement epoch
+	// (stamped by submitRouted). A shard whose placement epoch
 	// has advanced past it bounces the operation back for re-routing
 	// instead of executing against possibly-migrated state.
 	routingEpoch uint64
@@ -1315,7 +1316,12 @@ func (ss *shardState) execute(w *proteustm.Worker, slot int, req *request) respo
 // armDeadline stamps the admission instant and derives the effective
 // deadline: the tighter of the server default (Options.Deadline) and the
 // request's own budget (the wire's deadline_ms), anchored at acceptance.
+// Only the first admission stamps: a request that bounced back for
+// re-routing keeps its admission instant and its deadline.
 func (s *Server) armDeadline(req *request) {
+	if !req.accepted.IsZero() {
+		return
+	}
 	req.accepted = time.Now()
 	budget := s.opts.Deadline
 	if req.budget > 0 && (budget == 0 || req.budget < budget) {
@@ -1497,45 +1503,69 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// shardFor routes a request to the shard owning its key under the
-// current placement, stamping the placement epoch into the request so a
-// concurrent flip is detectable at execution time. Single-key operations
-// go to the key's owner; deque operations live on shard dequeHome (the
-// deque is not partitioned — see docs/sharding.md). A nil result means
-// the loaded placement named a shard a concurrent merge already retired
-// (the fleet was read after the truncation): the caller must re-route.
-func (s *Server) shardFor(req *request) *shardState {
-	p, epoch := s.place.Load()
-	req.routingEpoch = epoch
-	fleet := s.fleet()
-	switch req.op {
-	case opGet, opPut, opDel, opCAS:
-		if o := p.Owner(req.key); o < len(fleet) {
-			return fleet[o]
-		}
-		return nil
-	default:
-		return fleet[dequeHome]
-	}
-}
-
 // movedRetries bounds how many times a bounced operation re-routes: one
 // flip needs one bounce, the slack covers back-to-back splits.
 const movedRetries = 8
 
-// submitRouted admits req to its key's owner, re-routing when a live
-// reshard flipped the placement between routing and execution (the
-// shard bounces the op back with resp.moved, having executed nothing).
+// submitRouted admits one data operation and re-routes it when a live
+// reshard flips the placement under it. Each try loads one (placement,
+// epoch) pair, stamps the epoch into req and computes the owner set from
+// it: a key's owner, the deque's home shard dequeHome (the deque is not
+// partitioned — see docs/sharding.md), every key's owner of a batch, or
+// the shards a scan's interval maps onto. A request with one owner runs
+// there through submit, atomic by the shard's own transaction; one with
+// several runs the two-phase commit (crossProtocol). Either answers
+// moved, having executed nothing, when the placement flipped after
+// routing: the shard through its epoch gate, the protocol through its
+// epoch re-check with every fence held.
 func (s *Server) submitRouted(req *request) (response, int) {
 	for try := 0; ; try++ {
+		part, epoch := s.place.Load()
+		req.routingEpoch = epoch
+		var buf [inlineKeys]int
+		owners := buf[:0]
+		switch req.op {
+		case opGet, opPut, opDel, opCAS:
+			owners = append(owners, part.Owner(req.key))
+		case opMPut, opMGet:
+			for _, k := range req.keys {
+				owners = append(owners, part.Owner(k))
+			}
+		case opRange:
+			// Fence only the shards whose key spans intersect the scan. The
+			// partitioner's owner set is exact for the range partitioner and
+			// for narrow hashed scans, conservative (every shard) for wide
+			// hashed ones — never fewer than the shards that could hold a key
+			// in [lo, hi], which is what keeps the snapshot atomic.
+			owners = part.OwnersInRange(req.lo, req.hi)
+			if part.Kind() == shard.KindHash && part.Shards() > 1 && req.hi-req.lo >= shard.RangeEnumCap {
+				// The hash partitioner gave up enumerating: this scan fences
+				// the entire fleet (ops.range_conservative in /statusz).
+				s.rangeConservative.Add(1)
+			}
+			if len(owners) == 1 {
+				s.rangeLocal.Add(1)
+			} else {
+				s.rangeCross.Add(1)
+				s.rangeFencedShards.Add(uint64(len(owners)))
+			}
+		default:
+			owners = append(owners, dequeHome)
+		}
+		single := len(owners) > 0
+		for _, o := range owners {
+			single = single && o == owners[0]
+		}
 		var resp response
 		var code int
-		if ss := s.shardFor(req); ss != nil {
-			resp, code = s.submit(ss, req)
+		if fleet := s.fleet(); single && owners[0] < len(fleet) {
+			resp, code = s.submit(fleet[owners[0]], req)
+		} else if single {
+			// The owner the placement named was merged away between the
+			// placement and fleet loads: re-route under the fresh placement.
+			resp.moved = true
 		} else {
-			// The owner the stale placement named was retired between the
-			// placement and fleet loads: bounce as if the shard said moved.
-			resp = response{moved: true}
+			resp, code = s.crossProtocol(req, owners)
 		}
 		if !resp.moved {
 			return resp, code
@@ -1611,7 +1641,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if ok := parseDeadline(w, q, req); !ok {
 		return
 	}
-	resp, code := s.submitCross(req)
+	resp, code := s.submitRouted(req)
 	writeResp(w, code, resp)
 }
 
@@ -1667,7 +1697,7 @@ func (s *Server) batchHandler(op opKind) http.HandlerFunc {
 			}
 			req.vals = vals
 		}
-		resp, code := s.submitCross(req)
+		resp, code := s.submitRouted(req)
 		writeResp(w, code, resp)
 	}
 }

@@ -156,21 +156,17 @@ func BindCached(alg Algorithm, c *Ctx) Txn {
 }
 
 // Run executes fn as an atomic block under alg, retrying until it commits.
-// It is the engine beneath every public Atomic entry point. Before each
-// attempt Run invokes c.BeginHook if set; PolyTM uses the hook to implement
-// the thread-gating protocol of Algorithm 1 in the paper, so a thread stuck
-// in a retry storm still observes reconfiguration requests. A panic raised
-// by fn itself (anything but a retry) aborts the attempt like a conflict
-// would — encounter locks, speculative marks and the global lock are
-// released — and then continues up the caller's stack.
+// It is the fixed-algorithm loop of the workloads and benchmarks; PolyTM's
+// Pool.Atomic runs its own loop around Attempt and passes every attempt
+// through its thread gate. A panic raised by fn itself (anything but a
+// retry) aborts the attempt like a conflict would — encounter locks,
+// speculative marks and the global lock are released — and then continues
+// up the caller's stack.
 func Run(alg Algorithm, c *Ctx, fn func(Txn)) {
 	tx := BindCached(alg, c)
 	c.Attempts = 0
 	c.TxnID++
 	for {
-		if c.BeginHook != nil {
-			c.BeginHook()
-		}
 		alg.Begin(c)
 		code, ok, foreign := attempt(alg, tx, c, fn)
 		if ok {
@@ -263,10 +259,6 @@ type Ctx struct {
 	// Stats accumulates commit/abort counters; PolyTM's monitor reads
 	// them with atomic snapshots.
 	Stats Stats
-
-	// BeginHook, when non-nil, runs before every transaction attempt.
-	// PolyTM installs the Algorithm-1 gate here.
-	BeginHook func()
 
 	// Priority is the contention-management priority (incremented by
 	// SwissTM's greedy manager as a transaction keeps losing).
