@@ -61,6 +61,10 @@ func regSize(s *Server) int {
 	return len(s.reg.recs)
 }
 
+// underKeyedFences runs a battery as its "key" subtest, named for the
+// fence signature every cross-shard commit publishes: its part's key bits.
+func underKeyedFences(t *testing.T, battery func(t *testing.T)) { t.Run("key", battery) }
+
 // fenceHeld reports whether any entry of ss's fence table is held.
 func fenceHeld(ss *shardState) bool { return ss.sys.Load(ss.store.FenceOccWord()) != 0 }
 
@@ -106,6 +110,10 @@ func unwedgeFence(ss *shardState) {
 // the deadline, the decided writes roll forward exactly once, and
 // ops.fence_recovered matches the injected crash count exactly.
 func TestCoordinatorCrashRecovery(t *testing.T) {
+	underKeyedFences(t, testCoordinatorCrashRecovery)
+}
+
+func testCoordinatorCrashRecovery(t *testing.T) {
 	const crashes = 3
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Seed: 42,
@@ -178,6 +186,10 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 // every crashed-but-decided write included, its window extended to
 // recovery — still admits a sequential witness. Run under -race in CI.
 func TestChaosLinearizability(t *testing.T) {
+	underKeyedFences(t, testChaosLinearizability)
+}
+
+func testChaosLinearizability(t *testing.T) {
 	const clients = 3
 	const opsPerClient = 4
 	s := newTestServer(t, Options{
@@ -425,6 +437,10 @@ func TestDoubleRecoveryIdempotence(t *testing.T) {
 // progress opens it, new admissions shed 503 with a Retry-After hint and
 // /healthz goes not-ready, and resumed progress closes it again.
 func TestBreakerOpensAndCloses(t *testing.T) {
+	underKeyedFences(t, testBreakerOpensAndCloses)
+}
+
+func testBreakerOpensAndCloses(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 2, Workers: 1, Seed: 3,
 		FenceDeadline: 5 * time.Second, // detector on, fence recovery out of play
@@ -501,6 +517,10 @@ func TestBreakerOpensAndCloses(t *testing.T) {
 // on resuming, re-validate its parts before deciding — it must never
 // apply the non-recovered subset and report 200 for a partial write.
 func TestTornWriteAfterAcquireStallRecovery(t *testing.T) {
+	underKeyedFences(t, testTornWriteAfterAcquireStallRecovery)
+}
+
+func testTornWriteAfterAcquireStallRecovery(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 3, Workers: 2, Seed: 11,
 		FenceDeadline: 60 * time.Millisecond,

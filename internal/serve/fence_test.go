@@ -330,6 +330,10 @@ func TestKeyedFenceConflictSerializes(t *testing.T) {
 // fence_held (and, past the deadline, fence_stale) and
 // ops.fence_keys_held agree, and all clear after recovery.
 func TestFenceHeldVisibleUnderBothPolicies(t *testing.T) {
+	underKeyedFences(t, testFenceHeldVisible)
+}
+
+func testFenceHeldVisible(t *testing.T) {
 	s := newTestServer(t, Options{
 		Shards: 2, Workers: 2,
 		Fault:         mustFault(t, "fence-acquire-stall@after=1;count=1;stall=300ms", 1),

@@ -294,7 +294,9 @@ func TestMergeLinearizability(t *testing.T) {
 		{"donor-crash", "reshard-donor-crash@count=1"},
 		{"install-crash", "reshard-install-crash@count=1"},
 	} {
-		t.Run(leg.name, func(t *testing.T) { testMergeLinearizability(t, leg.fault) })
+		t.Run(leg.name, func(t *testing.T) {
+			underKeyedFences(t, func(t *testing.T) { testMergeLinearizability(t, leg.fault) })
+		})
 	}
 }
 

@@ -505,7 +505,9 @@ func TestReshardLinearizability(t *testing.T) {
 		{"donor-crash", "reshard-donor-crash@count=1"},
 		{"install-crash", "reshard-install-crash@count=1"},
 	} {
-		t.Run(leg.name, func(t *testing.T) { testReshardLinearizability(t, leg.fault) })
+		t.Run(leg.name, func(t *testing.T) {
+			underKeyedFences(t, func(t *testing.T) { testReshardLinearizability(t, leg.fault) })
+		})
 	}
 }
 

@@ -595,6 +595,10 @@ func (lr *linRecorder) record(op shard.Op) {
 // every committed operation's invocation/response window recorded, must
 // admit a sequential witness. Run under -race in CI.
 func TestLinearizability(t *testing.T) {
+	underKeyedFences(t, testLinearizability)
+}
+
+func testLinearizability(t *testing.T) {
 	const rounds = 4
 	const clients = 3
 	const opsPerClient = 4
