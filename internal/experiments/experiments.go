@@ -16,8 +16,6 @@ import (
 	"repro/internal/cf"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
-	"repro/internal/polytm"
-	"repro/internal/workloads"
 )
 
 // Scale selects the experiment size: Quick for CI-speed smoke runs, Full
@@ -79,16 +77,6 @@ func splitRows(m *cf.Matrix, ws []perfmodel.Workload, trainFrac float64) (train,
 		}
 	}
 	return train, test, trainW, testW
-}
-
-// stopDriver re-opens the pool's thread gate to full parallelism before
-// joining the driver's workers: a worker parked by a low-thread
-// configuration can only observe the stop flag once its slot is re-enabled.
-func stopDriver(d *workloads.Driver, pool *polytm.Pool, maxThreads int) {
-	cfg := pool.Config()
-	cfg.Threads = maxThreads
-	pool.Reconfigure(cfg) //nolint:errcheck // cfg derived from a valid one
-	d.Stop()
 }
 
 // header prints a section banner.

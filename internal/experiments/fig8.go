@@ -176,18 +176,12 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 	if err := driver.Start(); err != nil {
 		return out, err
 	}
-	defer stopDriver(driver, rt.Pool, maxThreads)
+	defer driver.Stop()
 
 	// --- Ground truth: measure every configuration in every phase. Two
 	// windows are averaged per point: the per-phase optimum is a max over
 	// dozens of noisy estimates and would otherwise be biased upward,
 	// inflating every DFO.
-	measure := func() float64 {
-		before := driver.Ops()
-		start := time.Now()
-		time.Sleep(2 * window)
-		return float64(driver.Ops()-before) / time.Since(start).Seconds()
-	}
 	for phase := range app.phases {
 		app.cur.Store(int32(phase))
 		row := make([]float64, len(cfgs))
@@ -196,7 +190,7 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 				return out, err
 			}
 			time.Sleep(window / 3) // settle
-			row[i] = measure()
+			row[i] = driver.MeasureThroughput(2 * window)
 		}
 		out.Truth = append(out.Truth, row)
 		// Sequential baseline.
@@ -204,7 +198,7 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 			return out, err
 		}
 		time.Sleep(window / 3)
-		out.SeqThroughput = append(out.SeqThroughput, measure())
+		out.SeqThroughput = append(out.SeqThroughput, driver.MeasureThroughput(2*window))
 	}
 	for _, row := range out.Truth {
 		out.OptIdx = append(out.OptIdx, argMax(row))

@@ -64,7 +64,7 @@ func Fig9(scale Scale) (Fig9Result, error) {
 	if err := driver.Start(); err != nil {
 		return res, err
 	}
-	defer stopDriver(driver, rt.Pool, maxThreads)
+	defer driver.Stop()
 
 	interference := []*workloads.Interference{
 		nil,
@@ -78,12 +78,6 @@ func Fig9(scale Scale) (Fig9Result, error) {
 	for _, i := range fixed {
 		res.FixedNames = append(res.FixedNames, cfgs[i].String())
 	}
-	measure := func() float64 {
-		before := driver.Ops()
-		start := time.Now()
-		time.Sleep(window)
-		return float64(driver.Ops()-before) / time.Since(start).Seconds()
-	}
 	res.FixedKPI = make([][]float64, len(fixed))
 	for _, inf := range interference {
 		if inf != nil {
@@ -94,7 +88,7 @@ func Fig9(scale Scale) (Fig9Result, error) {
 				return res, err
 			}
 			time.Sleep(window / 3)
-			res.FixedKPI[fi] = append(res.FixedKPI[fi], measure())
+			res.FixedKPI[fi] = append(res.FixedKPI[fi], driver.MeasureThroughput(window))
 		}
 		if inf != nil {
 			inf.Stop()

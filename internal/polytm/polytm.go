@@ -236,6 +236,20 @@ func (p *Pool) blocked(t int) bool {
 	return atomic.LoadUint64(&p.slots[t].state)&blockBit != 0
 }
 
+// OpenGate re-enables every parked worker slot and leaves the installed
+// configuration as it is. A driver calls it when it stops its workers: a
+// worker parked by a low-thread configuration sees its stop flag only once
+// its slot is open. The next Reconfigure parks the surplus slots again.
+func (p *Pool) OpenGate() {
+	p.cfgMu.Lock()
+	defer p.cfgMu.Unlock()
+	for t := range p.slots {
+		if p.blocked(t) {
+			p.clearBlock(t)
+		}
+	}
+}
+
 // Reconfigure atomically installs cfg, using the cheapest safe protocol for
 // the delta (§4):
 //

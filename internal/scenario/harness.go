@@ -223,28 +223,35 @@ func Run(spec RunSpec) ([]Result, error) {
 	if err := s.Validate(spec.Params); err != nil {
 		return nil, err
 	}
-	if spec.AutoTune {
-		res, err := runAutoTuned(s, spec)
-		if err != nil {
-			return nil, err
-		}
-		return []Result{*res}, nil
-	}
-	if len(spec.Configs) == 0 {
-		spec.Configs = []config.Config{DefaultConfig(spec.MaxThreads)}
+	configs := spec.Configs
+	switch {
+	case spec.AutoTune:
+		// One record; run starts it from the tuner's reference
+		// configuration.
+		configs = []config.Config{{}}
+	case len(configs) == 0:
+		configs = []config.Config{DefaultConfig(spec.MaxThreads)}
 	}
 	var out []Result
-	for _, cfg := range spec.Configs {
-		if cfg.Threads > spec.MaxThreads {
-			return nil, fmt.Errorf("scenario: config %s needs more threads than --threads=%d", cfg, spec.MaxThreads)
+	for _, cfg := range configs {
+		if err := fitsThreads(cfg, spec.MaxThreads); err != nil {
+			return nil, err
 		}
-		res, err := runFixed(s, spec, cfg)
+		res, err := run(s, spec, cfg)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, *res)
 	}
 	return out, nil
+}
+
+// fitsThreads refuses a configuration the pool cannot install.
+func fitsThreads(cfg config.Config, maxThreads int) error {
+	if cfg.Threads > maxThreads {
+		return fmt.Errorf("scenario: config %s needs more threads than --threads=%d", cfg, maxThreads)
+	}
+	return nil
 }
 
 // DefaultConfig is the fixed configuration a run falls back to when none
@@ -322,46 +329,150 @@ func virtualSec(st tm.Stats, opCost time.Duration) float64 {
 	return float64(st.Commits+st.Aborts) * opCost.Seconds()
 }
 
-// runFixed measures one fixed configuration.
-func runFixed(s Scenario, spec RunSpec, cfg config.Config) (*Result, error) {
+// run measures one record. A fixed run pins cfg on a fresh pool; an
+// auto-tuned run builds the tuner on a virtual clock and starts from its
+// reference configuration. Both then run the same loop, one Sample per
+// window of SampleEvery operations. Only the tuner explores, raises alarms
+// and scores windows with the serving model and SLO attainment.
+func run(s Scenario, spec RunSpec, cfg config.Config) (*Result, error) {
+	vclock := core.NewVirtualClock(time.Time{})
+	var rt *core.Runtime
+	var pool *polytm.Pool
+	if spec.AutoTune {
+		var err error
+		if rt, err = newTuner(spec, vclock); err != nil {
+			return nil, err
+		}
+		pool = rt.Pool
+		cfg = pool.Config()
+	} else {
+		pool = polytm.New(spec.HeapWords, spec.MaxThreads, cfg)
+	}
 	res := baseResult(s, spec, cfg)
 	wl, err := s.Make(spec.Params)
 	if err != nil {
 		return nil, err
 	}
-	pool := polytm.New(spec.HeapWords, spec.MaxThreads, cfg)
 	if err := wl.Setup(pool.Heap(), workloads.NewRand(spec.Seed)); err != nil {
 		return nil, fmt.Errorf("scenario %s: setup: %w", s.Name, err)
 	}
 	res.Trace = append(res.Trace, TraceEntry{Ops: 0, Config: cfg.String(), Event: "initial"})
 
 	if spec.Mode() == Timed {
-		return res, runFixedTimed(s, spec, cfg, wl, pool, res)
+		return res, runTimed(s, spec, wl, pool, rt, res)
 	}
 
 	setupStats := pool.SnapshotStats() // exclude setup transactions
 	sd := workloads.NewSerialDriver(wl, pool, spec.MaxThreads, spec.Seed)
 	sd.SetSlots(cfg.Threads)
 	last := setupStats
+	phase := 0
+
+	rated, _ := wl.(workloads.Rated)
+	serving := rt != nil && (spec.SLOOfferedRate > 0 || rated != nil)
+	attain := rt != nil && spec.SLOOfferedRate > 0 && spec.SLOTargetMs > 0
+	steadyWins, steadyMet := 0, 0
+
+	// window runs n operations and returns the window's stats.
+	window := func(n uint64) tm.Stats {
+		sd.Run(n)
+		cur := pool.SnapshotStats()
+		win := cur.Sub(last)
+		last = cur
+		vclock.Advance(time.Duration(win.Commits+win.Aborts) * spec.OpCost)
+		return win
+	}
+	// kpiOf scores one window under the active KPI model: the plain
+	// commit rate, the delivered rate of a Rated (open-loop) workload
+	// capped at the configuration's modeled capacity, or the serving
+	// model's capacity / throughput-under-SLO.
+	kpiOf := func(win tm.Stats, cfg config.Config) (kpi, p99 float64) {
+		if !serving {
+			return windowKPI(win, spec.OpCost), 0
+		}
+		capacity, svcSec := servingCapacity(win, spec.OpCost, cfg.Threads)
+		if rated != nil {
+			if r := rated.OfferedRate(sd.Ops()); capacity >= r {
+				return r, 0
+			}
+			return capacity, 0
+		}
+		p99 = servingP99(svcSec, capacity, spec.SLOOfferedRate)
+		kpi = capacity
+		if spec.SLOTune && spec.SLOTargetMs > 0 {
+			kpi = core.SLOPenalizedKPI(capacity, p99, spec.SLOTargetMs)
+		}
+		return kpi, p99
+	}
+	// steady scores a non-exploring window for SLO attainment.
+	steady := func(p99 float64) {
+		if !attain {
+			return
+		}
+		steadyWins++
+		if p99 <= spec.SLOTargetMs {
+			steadyMet++
+		}
+	}
+	// measure profiles one candidate configuration for ExploreSync.
+	measure := func(cfg config.Config) float64 {
+		if err := pool.Reconfigure(cfg); err != nil {
+			return 0
+		}
+		sd.SetSlots(cfg.Threads)
+		win := window(spec.SampleEvery)
+		kpi, p99 := kpiOf(win, cfg)
+		res.Trace = append(res.Trace, TraceEntry{Ops: sd.Ops(), Config: cfg.String(), Event: "explore", Phase: phase})
+		res.Samples = append(res.Samples, Sample{
+			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
+			KPI: kpi, P99Ms: p99, Config: cfg.String(), Exploring: true,
+		})
+		return kpi
+	}
+	// explore runs one optimization phase and re-anchors the monitor.
+	explore := func() {
+		phase++
+		rt.ExploreSync(measure)
+		installed := pool.Config()
+		sd.SetSlots(installed.Threads)
+		res.Trace = append(res.Trace, TraceEntry{Ops: sd.Ops(), Config: installed.String(), Event: "install", Phase: phase})
+		win := window(spec.SampleEvery)
+		level, p99 := kpiOf(win, installed)
+		rt.ResetMonitor(level)
+		steady(p99)
+		res.Samples = append(res.Samples, Sample{
+			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
+			KPI: level, P99Ms: p99, Config: installed.String(),
+		})
+	}
+
+	if rt != nil {
+		explore() // the startup optimization phase (§6.4)
+	}
 	for sd.Ops() < spec.Ops {
 		n := spec.SampleEvery
 		if rem := spec.Ops - sd.Ops(); rem < n {
 			n = rem
 		}
-		sd.Run(n)
-		cur := pool.SnapshotStats()
-		win := cur.Sub(last)
-		last = cur
+		win := window(n)
+		installed := pool.Config()
+		kpi, p99 := kpiOf(win, installed)
+		alarm := rt != nil && rt.Observe(kpi)
+		steady(p99)
 		res.Samples = append(res.Samples, Sample{
-			Ops:     sd.Ops(),
-			Commits: win.Commits,
-			Aborts:  win.Aborts,
-			KPI:     windowKPI(win, spec.OpCost),
-			Config:  cfg.String(),
+			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
+			KPI: kpi, P99Ms: p99, Config: installed.String(), Alarm: alarm,
 		})
+		if alarm {
+			explore()
+		}
 	}
 	total := pool.SnapshotStats().Sub(setupStats)
-	res.finish(sd.Ops(), total, virtualSec(total, spec.OpCost), cfg)
+	res.Phases = phase
+	if attain && steadyWins > 0 {
+		res.SLOAttainment = float64(steadyMet) / float64(steadyWins)
+	}
+	res.finish(sd.Ops(), total, virtualSec(total, spec.OpCost), pool.Config())
 	res.HeapDigest = fmt.Sprintf("%016x", pool.Heap().Digest())
 	captureMetrics(wl, res)
 	if err := verifyWorkload(wl, pool.Heap()); err != nil {
@@ -430,11 +541,12 @@ func servingP99(svcSec, capacity, rate float64) float64 {
 	return 1000 * svcSec * (1 + 4.6*q)
 }
 
-// runFixedTimed measures one fixed configuration on real goroutines.
-func runFixedTimed(s Scenario, spec RunSpec, cfg config.Config, wl workloads.Workload, pool *polytm.Pool, res *Result) error {
-	var antagonist *workloads.Interference
+// runTimed measures a record on real goroutines for spec.Duration. A nil
+// rt is a fixed configuration; otherwise the tuner's adapter thread runs
+// beside the workers and its timeline becomes the record's samples.
+func runTimed(s Scenario, spec RunSpec, wl workloads.Workload, pool *polytm.Pool, rt *core.Runtime, res *Result) error {
 	if s.Antagonist != nil {
-		antagonist = s.Antagonist(spec.Params)
+		antagonist := s.Antagonist(spec.Params)
 		antagonist.Start()
 		defer antagonist.Stop()
 	}
@@ -443,25 +555,33 @@ func runFixedTimed(s Scenario, spec RunSpec, cfg config.Config, wl workloads.Wor
 	if err := d.Start(); err != nil {
 		return err
 	}
+	if rt != nil {
+		rt.Start()
+	}
 	start := time.Now()
 	time.Sleep(spec.Duration)
 	elapsed := time.Since(start)
 	ops := d.Ops()
-	total := pool.SnapshotStats().Sub(setupStats)
-	// Re-open the thread gate so parked workers can observe the stop flag.
-	full := cfg
-	full.Threads = spec.MaxThreads
-	if err := pool.Reconfigure(full); err != nil {
-		return err
+	if rt != nil {
+		rt.Stop()
+		for _, p := range rt.Timeline() {
+			res.Samples = append(res.Samples, Sample{
+				AtSec: p.At.Seconds(), KPI: p.KPI,
+				Config: p.Config.String(), Exploring: p.Exploring,
+			})
+		}
+		res.Phases = rt.Phases()
 	}
+	total := pool.SnapshotStats().Sub(setupStats)
 	d.Stop()
-	res.finish(ops, total, elapsed.Seconds(), cfg)
+	res.finish(ops, total, elapsed.Seconds(), pool.Config())
 	captureMetrics(wl, res)
 	return verifyWorkload(wl, pool.Heap())
 }
 
-// runAutoTuned runs the full monitor → explore → install loop.
-func runAutoTuned(s Scenario, spec RunSpec) (*Result, error) {
+// newTuner builds the monitor → explore → install runtime over the
+// tuning space, timed by clock.
+func newTuner(spec RunSpec, clock core.Clock) (*core.Runtime, error) {
 	space := spec.Space
 	if len(space) == 0 {
 		space = config.DefaultSpace(spec.MaxThreads)
@@ -477,191 +597,16 @@ func runAutoTuned(s Scenario, spec RunSpec) (*Result, error) {
 	if train == nil {
 		train = perfmodel.SyntheticTraining(space, 60, spec.Seed)
 	}
-	vclock := core.NewVirtualClock(time.Time{})
-	rt, err := core.New(core.Options{
+	return core.New(core.Options{
 		HeapWords:       spec.HeapWords,
 		MaxThreads:      spec.MaxThreads,
 		Configs:         space,
 		TrainKPI:        train,
 		KPI:             core.Throughput,
 		Seed:            spec.Seed,
-		Clock:           vclock,
+		Clock:           clock,
 		MonitorMinDwell: spec.MonitorMinDwell,
 		MonitorBand:     spec.MonitorBand,
 		Epsilon:         spec.ExploreEpsilon,
 	})
-	if err != nil {
-		return nil, err
-	}
-	initial := rt.Pool.Config()
-	res := baseResult(s, spec, initial)
-	wl, err := s.Make(spec.Params)
-	if err != nil {
-		return nil, err
-	}
-	if err := wl.Setup(rt.Heap(), workloads.NewRand(spec.Seed)); err != nil {
-		return nil, fmt.Errorf("scenario %s: setup: %w", s.Name, err)
-	}
-	res.Trace = append(res.Trace, TraceEntry{Ops: 0, Config: initial.String(), Event: "initial"})
-
-	if spec.Mode() == Timed {
-		return res, runAutoTunedTimed(s, spec, wl, rt, res)
-	}
-
-	setupStats := rt.Pool.SnapshotStats()
-	sd := workloads.NewSerialDriver(wl, rt.Pool, spec.MaxThreads, spec.Seed)
-	sd.SetSlots(initial.Threads)
-	last := setupStats
-	phase := 0
-
-	rated, _ := wl.(workloads.Rated)
-	serving := spec.SLOOfferedRate > 0 || rated != nil
-	attain := spec.SLOOfferedRate > 0 && spec.SLOTargetMs > 0
-	steadyWins, steadyMet := 0, 0
-
-	// window runs n operations and returns the window's stats.
-	window := func(n uint64) tm.Stats {
-		sd.Run(n)
-		cur := rt.Pool.SnapshotStats()
-		win := cur.Sub(last)
-		last = cur
-		vclock.Advance(time.Duration(win.Commits+win.Aborts) * spec.OpCost)
-		return win
-	}
-	// kpiOf scores one window under the active KPI model: the plain
-	// commit rate, the delivered rate of a Rated (open-loop) workload
-	// capped at the configuration's modeled capacity, or the serving
-	// model's capacity / throughput-under-SLO.
-	kpiOf := func(win tm.Stats, cfg config.Config) (kpi, p99 float64) {
-		if !serving {
-			return windowKPI(win, spec.OpCost), 0
-		}
-		capacity, svcSec := servingCapacity(win, spec.OpCost, cfg.Threads)
-		if rated != nil {
-			if r := rated.OfferedRate(sd.Ops()); capacity >= r {
-				return r, 0
-			}
-			return capacity, 0
-		}
-		p99 = servingP99(svcSec, capacity, spec.SLOOfferedRate)
-		kpi = capacity
-		if spec.SLOTune && spec.SLOTargetMs > 0 {
-			kpi = core.SLOPenalizedKPI(capacity, p99, spec.SLOTargetMs)
-		}
-		return kpi, p99
-	}
-	// steady scores a non-exploring window for SLO attainment.
-	steady := func(p99 float64) {
-		if !attain {
-			return
-		}
-		steadyWins++
-		if p99 <= spec.SLOTargetMs {
-			steadyMet++
-		}
-	}
-	// measure profiles one candidate configuration for ExploreSync.
-	measure := func(cfg config.Config) float64 {
-		if err := rt.Pool.Reconfigure(cfg); err != nil {
-			return 0
-		}
-		sd.SetSlots(cfg.Threads)
-		win := window(spec.SampleEvery)
-		kpi, p99 := kpiOf(win, cfg)
-		res.Trace = append(res.Trace, TraceEntry{Ops: sd.Ops(), Config: cfg.String(), Event: "explore", Phase: phase})
-		res.Samples = append(res.Samples, Sample{
-			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
-			KPI: kpi, P99Ms: p99, Config: cfg.String(), Exploring: true,
-		})
-		return kpi
-	}
-	// explore runs one optimization phase and re-anchors the monitor.
-	explore := func() {
-		phase++
-		rt.ExploreSync(measure)
-		installed := rt.Pool.Config()
-		sd.SetSlots(installed.Threads)
-		res.Trace = append(res.Trace, TraceEntry{Ops: sd.Ops(), Config: installed.String(), Event: "install", Phase: phase})
-		win := window(spec.SampleEvery)
-		level, p99 := kpiOf(win, installed)
-		rt.ResetMonitor(level)
-		steady(p99)
-		res.Samples = append(res.Samples, Sample{
-			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
-			KPI: level, P99Ms: p99, Config: installed.String(),
-		})
-	}
-
-	explore() // the startup optimization phase (§6.4)
-	for sd.Ops() < spec.Ops {
-		n := spec.SampleEvery
-		if rem := spec.Ops - sd.Ops(); rem < n {
-			n = rem
-		}
-		win := window(n)
-		kpi, p99 := kpiOf(win, rt.Pool.Config())
-		alarm := rt.Observe(kpi)
-		steady(p99)
-		res.Samples = append(res.Samples, Sample{
-			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
-			KPI: kpi, P99Ms: p99, Config: rt.Pool.Config().String(), Alarm: alarm,
-		})
-		if alarm {
-			explore()
-		}
-	}
-	total := rt.Pool.SnapshotStats().Sub(setupStats)
-	res.Phases = phase
-	if attain && steadyWins > 0 {
-		res.SLOAttainment = float64(steadyMet) / float64(steadyWins)
-	}
-	res.finish(sd.Ops(), total, virtualSec(total, spec.OpCost), rt.Pool.Config())
-	res.HeapDigest = fmt.Sprintf("%016x", rt.Heap().Digest())
-	captureMetrics(wl, res)
-	if err := verifyWorkload(wl, rt.Heap()); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runAutoTunedTimed runs the wall-clock adapter thread under real load.
-func runAutoTunedTimed(s Scenario, spec RunSpec, wl workloads.Workload, rt *core.Runtime, res *Result) error {
-	var antagonist *workloads.Interference
-	if s.Antagonist != nil {
-		antagonist = s.Antagonist(spec.Params)
-		antagonist.Start()
-		defer antagonist.Stop()
-	}
-	d := &workloads.Driver{Workload: wl, Runner: rt.Pool, MaxThreads: spec.MaxThreads, Seed: spec.Seed}
-	setupStats := rt.Pool.SnapshotStats()
-	if err := d.Start(); err != nil {
-		return err
-	}
-	rt.Start()
-	start := time.Now()
-	time.Sleep(spec.Duration)
-	elapsed := time.Since(start)
-	ops := d.Ops()
-	rt.Stop()
-	total := rt.Pool.SnapshotStats().Sub(setupStats)
-	final := rt.Pool.Config()
-	full := final
-	full.Threads = spec.MaxThreads
-	if err := rt.Pool.Reconfigure(full); err != nil {
-		return err
-	}
-	d.Stop()
-	if err := verifyWorkload(wl, rt.Heap()); err != nil {
-		return err
-	}
-	for _, p := range rt.Timeline() {
-		res.Samples = append(res.Samples, Sample{
-			AtSec: p.At.Seconds(), KPI: p.KPI,
-			Config: p.Config.String(), Exploring: p.Exploring,
-		})
-	}
-	res.Phases = rt.Phases()
-	res.finish(ops, total, elapsed.Seconds(), final)
-	captureMetrics(wl, res)
-	return nil
 }

@@ -137,29 +137,72 @@ func TestAutoTunedRunIsDeterministic(t *testing.T) {
 	}
 }
 
+// timedBound is how long a timed run may take before it counts as hung: a
+// worker parked behind a closed thread gate never sees its stop flag, so a
+// lost gate re-open shows up as a run that does not return.
+const timedBound = 30 * time.Second
+
+// withinBound runs fn and fails the test if it has not returned within
+// timedBound.
+func withinBound(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(timedBound):
+		t.Fatalf("did not return within %s", timedBound)
+	}
+}
+
 // TestTimedRunProducesRealThroughput smoke-tests timed mode (short
-// window; values are wall-clock so only sanity is checked).
+// window; values are wall-clock so only sanity is checked): at full
+// threads, with a worker parked for the whole run, with the tuner's adapter
+// thread, and beside an antagonist.
 func TestTimedRunProducesRealThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed mode sleeps")
 	}
-	res, err := Run(RunSpec{
-		Scenario:   "hashmap",
-		Params:     Values{"buckets": "128", "keyrange": "1024"},
-		Seed:       3,
-		MaxThreads: 2,
-		HeapWords:  1 << 20,
-		Duration:   50 * time.Millisecond,
-		Configs:    []config.Config{{Alg: config.NOrec, Threads: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Mode != Timed {
-		t.Fatalf("mode = %s", res[0].Mode)
-	}
-	if res[0].Ops == 0 || res[0].Throughput == 0 {
-		t.Errorf("timed run measured nothing: %+v", res[0])
+	hashmap := Values{"buckets": "128", "keyrange": "1024"}
+	for _, tc := range []struct {
+		name, scenario string
+		params         Values
+		configs        []config.Config
+		autoTune       bool
+	}{
+		{"max-threads", "hashmap", hashmap, []config.Config{{Alg: config.NOrec, Threads: 2}}, false},
+		{"below-max-threads", "hashmap", hashmap, []config.Config{{Alg: config.NOrec, Threads: 1}}, false},
+		{"autotune", "hashmap", hashmap, nil, true},
+		{"antagonist", "interference", Values{"stressors": "1", "keyrange": "1024"}, []config.Config{{Alg: config.TL2, Threads: 1}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var res []Result
+			var err error
+			withinBound(t, func() {
+				res, err = Run(RunSpec{
+					Scenario:   tc.scenario,
+					Params:     tc.params,
+					Seed:       3,
+					MaxThreads: 2,
+					HeapWords:  1 << 20,
+					Duration:   50 * time.Millisecond,
+					Configs:    tc.configs,
+					AutoTune:   tc.autoTune,
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].Mode != Timed {
+				t.Fatalf("records = %+v", res)
+			}
+			if res[0].Ops == 0 || res[0].Throughput == 0 {
+				t.Errorf("timed run measured nothing: %+v", res[0])
+			}
+		})
 	}
 }
 

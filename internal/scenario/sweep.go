@@ -150,6 +150,9 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 	spec.setDefaults()
 	labels := make([]string, len(spec.Space))
 	for i, c := range spec.Space {
+		if err := fitsThreads(c, spec.MaxThreads); err != nil {
+			return nil, err
+		}
 		labels[i] = c.String()
 	}
 	for _, name := range spec.Scenarios {
@@ -236,6 +239,7 @@ func sweepRow(spec SweepSpec, name string, row int, labels []string, res *SweepR
 		if err := d.Start(); err != nil {
 			return err
 		}
+		defer d.Stop()
 	} else {
 		sd = workloads.NewSerialDriver(wl, pool, spec.MaxThreads, spec.Seed)
 	}
@@ -274,15 +278,6 @@ func sweepRow(spec SweepSpec, name string, row int, labels []string, res *SweepR
 				return err
 			}
 		}
-	}
-	if timed {
-		// Re-open the gate so every worker can observe the stop flag.
-		full := pool.Config()
-		full.Threads = spec.MaxThreads
-		if err := pool.Reconfigure(full); err != nil {
-			return err
-		}
-		d.Stop()
 	}
 	return nil
 }

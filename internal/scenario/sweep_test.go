@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cf"
 	"repro/internal/config"
@@ -138,5 +141,58 @@ func TestSweepDeterministicFresh(t *testing.T) {
 				t.Fatalf("cell (%d,%d): %v != %v", r, c, a.UM.Data[r][c], b.UM.Data[r][c])
 			}
 		}
+	}
+}
+
+// TestTimedSweepEndsBelowMaxThreads sweeps a row whose last column parks
+// a worker, so the row's driver stops with a slot gated.
+func TestTimedSweepEndsBelowMaxThreads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timed mode sleeps")
+	}
+	spec := tinySweepSpec("")
+	spec.Scenarios = spec.Scenarios[:1]
+	spec.Space = []config.Config{{Alg: config.TL2, Threads: 2}, {Alg: config.NOrec, Threads: 1}}
+	spec.Window = 20 * time.Millisecond
+	var res *SweepResult
+	var err error
+	withinBound(t, func() { res, err = Sweep(spec) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, v := range res.UM.Data[0] {
+		if cf.IsMissing(v) || v <= 0 {
+			t.Errorf("cell %s = %v, want a positive commit rate", res.Labels[c], v)
+		}
+	}
+}
+
+// TestSweepRefusesTooWideColumn: a column wider than MaxThreads is refused
+// with Run's message before any cell is measured, and no worker outlives
+// the sweep.
+func TestSweepRefusesTooWideColumn(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "um.journal")
+	spec := tinySweepSpec(journal)
+	spec.Scenarios = spec.Scenarios[:1]
+	spec.Space = []config.Config{{Alg: config.TL2, Threads: 2}, {Alg: config.NOrec, Threads: 4}}
+	spec.Window = 10 * time.Millisecond
+	before := runtime.NumGoroutine()
+	res, err := Sweep(spec)
+	const want = "scenario: config NOrec:4t needs more threads than --threads=2"
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+	if res != nil {
+		t.Errorf("result = %+v, want nil", res)
+	}
+	if data, err := os.ReadFile(journal); err == nil && strings.Contains(string(data), `"row"`) {
+		t.Errorf("a cell was measured before the refusal:\n%s", data)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the sweep, %d before", n, before)
 	}
 }

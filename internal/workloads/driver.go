@@ -61,12 +61,20 @@ func (d *Driver) Start() error {
 	return nil
 }
 
-// Stop terminates the workers and waits for them.
+// gated is a Runner that parks worker slots: PolyTM's thread gate.
+type gated interface{ OpenGate() }
+
+// Stop terminates the workers and waits for them. A gated Runner has every
+// slot re-opened first, so a worker its configuration parked can observe
+// the stop flag.
 func (d *Driver) Stop() {
 	if !d.started {
 		return
 	}
 	d.stop.Store(true)
+	if g, ok := d.Runner.(gated); ok {
+		g.OpenGate()
+	}
 	d.wg.Wait()
 	d.started = false
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/polytm"
 	"repro/internal/stm"
 	"repro/internal/tm"
 	"repro/internal/workloads"
@@ -41,6 +43,41 @@ func TestDriverLifecycle(t *testing.T) {
 	bad := &workloads.Driver{Workload: wl, Runner: d.Runner, MaxThreads: 0}
 	if err := bad.Start(); err == nil {
 		t.Error("MaxThreads=0 must fail")
+	}
+}
+
+// TestDriverStopOpensGate: a pool at 1 of 4 threads parks three workers
+// for the whole run; Stop must re-open their slots so they see the stop
+// flag, and leave the installed configuration as it was.
+func TestDriverStopOpensGate(t *testing.T) {
+	cfg := config.Config{Alg: config.TL2, Threads: 1}
+	pool := polytm.New(1<<16, 4, cfg)
+	wl := &workloads.HashMap{Buckets: 64, KeyRange: 256, InitialSize: 32}
+	if err := wl.Setup(pool.Heap(), workloads.NewRand(4)); err != nil {
+		t.Fatal(err)
+	}
+	d := &workloads.Driver{Workload: wl, Runner: pool, MaxThreads: 4, Seed: 5}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if x := d.MeasureThroughput(20 * time.Millisecond); x <= 0 {
+		t.Errorf("throughput = %f, want positive", x)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		d.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return: a parked worker never saw the stop flag")
+	}
+	if d.Ops() == 0 {
+		t.Error("no operations recorded")
+	}
+	if got := pool.Config(); got != cfg {
+		t.Errorf("installed config = %s after Stop, want %s", got, cfg)
 	}
 }
 
