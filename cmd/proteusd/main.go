@@ -51,7 +51,7 @@
 // ops.cross_aborts.
 //
 // A range-partitioned daemon resharding live: POST /admin/reshard plans a
-// SplitHeaviest step from the live per-shard ops_routed counters, grows
+// PlanSplitHeaviest step from the live per-shard ops_routed counters, grows
 // the fleet by one shard, migrates the moved span under the donor's
 // fence, and flips the placement epoch — no restart, no dropped
 // requests (operations routed under the old placement bounce off the

@@ -170,6 +170,7 @@ type Runtime struct {
 	exploring  atomic.Bool
 	reoptimize chan struct{}
 	stop       chan struct{}
+	stopped    atomic.Bool // set by Stop before it closes stop
 	done       sync.WaitGroup
 
 	lastStats tm.Stats
@@ -257,6 +258,7 @@ func (rt *Runtime) Start() {
 
 // Stop terminates the adapter thread.
 func (rt *Runtime) Stop() {
+	rt.stopped.Store(true)
 	close(rt.stop)
 	rt.done.Wait()
 }
@@ -377,7 +379,12 @@ func (rt *Runtime) explore(reason string, measure func(config.Config) float64) r
 			Seed:            seed,
 		})
 	}
-	if res.Best >= 0 {
+	switch {
+	case rt.stopped.Load():
+		// Stop cut the phase's windows short: its scores are not
+		// measurements, so go back to the configuration it started from.
+		rt.Pool.Reconfigure(before) //nolint:errcheck // it was installed
+	case res.Best >= 0:
 		rt.Pool.Reconfigure(rt.cfgs[res.Best]) //nolint:errcheck // validated configs
 	}
 	rt.recordReconfig(before, rt.Pool.Config(), reason, phase)
@@ -389,29 +396,34 @@ func (rt *Runtime) explore(reason string, measure func(config.Config) float64) r
 func (rt *Runtime) optimizePhase(reason string) {
 	rt.explore(reason, rt.profileConfig)
 	// Re-anchor the detector on the installed configuration's level.
-	settle := rt.measureWindowAfter(rt.opts.SettleTime)
-	rt.cus.Reset(settle)
-	rt.record(settle, false)
+	if settle, ok := rt.measureWindowAfter(rt.opts.SettleTime); ok {
+		rt.cus.Reset(settle)
+		rt.record(settle, false)
+	}
 }
 
 // profileConfig installs cfg, lets the system settle, and measures one KPI
-// window.
+// window. After Stop it installs nothing, and a window Stop cut short
+// scores 0 and is not recorded.
 func (rt *Runtime) profileConfig(cfg config.Config) float64 {
-	if err := rt.Pool.Reconfigure(cfg); err != nil {
+	if rt.stopped.Load() || rt.Pool.Reconfigure(cfg) != nil {
 		return 0
 	}
-	kpi := rt.measureWindowAfter(rt.opts.SettleTime)
+	kpi, ok := rt.measureWindowAfter(rt.opts.SettleTime)
+	if !ok {
+		return 0
+	}
 	rt.record(kpi, true)
 	return kpi
 }
 
 // measureWindowAfter waits the settle time, resets the window, and measures
-// one sampling period.
-func (rt *Runtime) measureWindowAfter(settle time.Duration) float64 {
+// one sampling period. It reports false when Stop has cut the window short.
+func (rt *Runtime) measureWindowAfter(settle time.Duration) (float64, bool) {
 	rt.sleep(settle)
 	rt.resetWindow()
 	rt.sleep(rt.opts.SamplePeriod)
-	return rt.measureWindow()
+	return rt.measureWindow(), !rt.stopped.Load()
 }
 
 func (rt *Runtime) sleep(d time.Duration) {

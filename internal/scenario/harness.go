@@ -330,17 +330,22 @@ func virtualSec(st tm.Stats, opCost time.Duration) float64 {
 }
 
 // run measures one record. A fixed run pins cfg on a fresh pool; an
-// auto-tuned run builds the tuner on a virtual clock and starts from its
-// reference configuration. Both then run the same loop, one Sample per
-// window of SampleEvery operations. Only the tuner explores, raises alarms
-// and scores windows with the serving model and SLO attainment.
+// auto-tuned run builds the tuner — on a virtual clock, or on the wall
+// clock in timed mode — and starts from its reference configuration.
+// Both then run the same loop, one Sample per window of SampleEvery
+// operations. Only the tuner explores, raises alarms and scores windows
+// with the serving model and SLO attainment.
 func run(s Scenario, spec RunSpec, cfg config.Config) (*Result, error) {
 	vclock := core.NewVirtualClock(time.Time{})
 	var rt *core.Runtime
 	var pool *polytm.Pool
 	if spec.AutoTune {
+		clock := core.Clock(vclock)
+		if spec.Mode() == Timed {
+			clock = core.RealTime()
+		}
 		var err error
-		if rt, err = newTuner(spec, vclock); err != nil {
+		if rt, err = newTuner(spec, clock); err != nil {
 			return nil, err
 		}
 		pool = rt.Pool

@@ -172,11 +172,14 @@ func TestTimedRunProducesRealThroughput(t *testing.T) {
 		params         Values
 		configs        []config.Config
 		autoTune       bool
+		duration       time.Duration
 	}{
-		{"max-threads", "hashmap", hashmap, []config.Config{{Alg: config.NOrec, Threads: 2}}, false},
-		{"below-max-threads", "hashmap", hashmap, []config.Config{{Alg: config.NOrec, Threads: 1}}, false},
-		{"autotune", "hashmap", hashmap, nil, true},
-		{"antagonist", "interference", Values{"stressors": "1", "keyrange": "1024"}, []config.Config{{Alg: config.TL2, Threads: 1}}, false},
+		{"max-threads", "hashmap", hashmap, []config.Config{{Alg: config.NOrec, Threads: 2}}, false, 50 * time.Millisecond},
+		{"below-max-threads", "hashmap", hashmap, []config.Config{{Alg: config.NOrec, Threads: 1}}, false, 50 * time.Millisecond},
+		// Long enough for the tuner's first windows: the default sample
+		// period is 100 ms, each after a 50 ms settle.
+		{"autotune", "hashmap", hashmap, nil, true, time.Second},
+		{"antagonist", "interference", Values{"stressors": "1", "keyrange": "1024"}, []config.Config{{Alg: config.TL2, Threads: 1}}, false, 50 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res []Result
@@ -188,7 +191,7 @@ func TestTimedRunProducesRealThroughput(t *testing.T) {
 					Seed:       3,
 					MaxThreads: 2,
 					HeapWords:  1 << 20,
-					Duration:   50 * time.Millisecond,
+					Duration:   tc.duration,
 					Configs:    tc.configs,
 					AutoTune:   tc.autoTune,
 				})
@@ -201,6 +204,21 @@ func TestTimedRunProducesRealThroughput(t *testing.T) {
 			}
 			if res[0].Ops == 0 || res[0].Throughput == 0 {
 				t.Errorf("timed run measured nothing: %+v", res[0])
+			}
+			if !tc.autoTune {
+				return
+			}
+			// The tuner samples on the wall clock: real windows, each with
+			// commits, none stamped past the run's end.
+			samples := res[0].Samples
+			if len(samples) == 0 {
+				t.Fatal("timed tuned run recorded no sample")
+			}
+			const samplePeriod = 100 * time.Millisecond
+			for _, sm := range samples {
+				if sm.KPI <= 0 || sm.AtSec > (tc.duration+samplePeriod).Seconds() {
+					t.Errorf("sample %+v: want kpi > 0 and at_sec <= %v", sm, tc.duration+samplePeriod)
+				}
 			}
 		})
 	}

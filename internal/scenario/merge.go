@@ -79,12 +79,11 @@ func (s *ServiceMerge) Name() string { return "service-merge" }
 func (s *ServiceMerge) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	s.mover = mover{moveEvery: s.MergeEvery, refreshEvery: s.RefreshEvery, migrateBatch: s.MigrateBatch,
 		crossEvery: s.CrossEvery, batchKeys: s.BatchKeys, draw: s.key,
-		plan: func(p *shard.RangePartitioner, load []uint64) (svcMove, bool) {
+		plan: func(p *shard.RangePartitioner, load []uint64) (shard.MovePlan, bool) {
 			if p.Shards() <= s.MinShards {
-				return svcMove{}, false
+				return shard.MovePlan{}, false
 			}
-			plan, ok := p.PlanMergeColdest(load)
-			return svcMove{plan.Donor, plan.Recipient, plan.MovedLo, plan.MovedHi, plan.Merged}, ok
+			return p.PlanMergeColdest(load)
 		}}
 	return s.setup("merge", h, rng, s.Shards, s.Shards, s.KeyRange, s.InitialSize)
 }

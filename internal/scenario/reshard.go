@@ -11,7 +11,7 @@ import (
 
 // ServiceReshard is the deterministic twin of proteusd's live
 // split-and-migrate (internal/serve POST /admin/reshard): a
-// range-partitioned store under skewed traffic that plans SplitHeaviest
+// range-partitioned store under skewed traffic that plans PlanSplitHeaviest
 // steps from per-shard routed-operation counters, migrates each moved
 // span under the donor's fence, and flips an epoch-stamped placement —
 // while clients keep routing through a deliberately stale placement
@@ -43,7 +43,7 @@ type ServiceReshard struct {
 	InitialSize int
 	// HotTenth is the per-mille probability that an operation draws its
 	// key from the hot span [0, KeyRange/8) instead of uniformly, so
-	// the low shard stays the heaviest and SplitHeaviest keeps cutting
+	// the low shard stays the heaviest and PlanSplitHeaviest keeps cutting
 	// it.
 	HotTenth int
 	// SplitEvery is the split cadence in operations: every
@@ -84,7 +84,7 @@ type mover struct {
 	moveEvery, refreshEvery, migrateBatch int
 	crossEvery, batchKeys                 int
 	draw                                  func(*workloads.Rand) uint64
-	plan                                  func(*shard.RangePartitioner, []uint64) (svcMove, bool)
+	plan                                  func(*shard.RangePartitioner, []uint64) (shard.MovePlan, bool)
 }
 
 // Name implements workloads.Workload.
@@ -95,12 +95,11 @@ func (s *ServiceReshard) Name() string { return "service-reshard" }
 func (s *ServiceReshard) Setup(h *tm.Heap, rng *workloads.Rand) error {
 	s.mover = mover{moveEvery: s.SplitEvery, refreshEvery: s.RefreshEvery, migrateBatch: s.MigrateBatch,
 		crossEvery: s.CrossEvery, batchKeys: s.BatchKeys, draw: s.key,
-		plan: func(p *shard.RangePartitioner, load []uint64) (svcMove, bool) {
+		plan: func(p *shard.RangePartitioner, load []uint64) (shard.MovePlan, bool) {
 			if p.Shards() >= s.MaxShards {
-				return svcMove{}, false
+				return shard.MovePlan{}, false
 			}
-			plan, ok := p.PlanSplitHeaviest(load)
-			return svcMove{plan.Donor, plan.NewShard, plan.MovedLo, plan.MovedHi, plan.Grown}, ok
+			return p.PlanSplitHeaviest(load)
 		}}
 	return s.setup("reshard", h, rng, max(s.MaxShards, s.Shards), s.Shards, s.KeyRange, s.InitialSize)
 }
@@ -193,7 +192,7 @@ func (m *mover) crossBatch(r workloads.Runner, self int, rng *workloads.Rand, n 
 // no-op plan is counted and skipped, never installed — the planners'
 // caller contract.
 func (m *mover) move(r workloads.Runner, self int, n uint64) {
-	moved, outcome := m.kv.moveSpan(r, self, n, m.migrateBatch, func(live *svcPlace) (svcMove, bool) {
+	moved, outcome := m.kv.moveSpan(r, self, n, m.migrateBatch, func(live *svcPlace) (shard.MovePlan, bool) {
 		p := live.part.(*shard.RangePartitioner)
 		load := make([]uint64, p.Shards())
 		for i := range load {

@@ -10,7 +10,7 @@ import (
 
 // reshardSpec is the pinned parameterization of the service-reshard
 // golden: splits fire at operations 1500 and 3000, so a 4000-op run
-// installs exactly two SplitHeaviest plans (2 -> 4 shards, placement
+// installs exactly two PlanSplitHeaviest plans (2 -> 4 shards, placement
 // epoch 2) and ends with a long post-flip tail in which the client
 // replica has re-synced and traffic routes bounce-free under the final
 // placement.

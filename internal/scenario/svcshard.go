@@ -273,14 +273,6 @@ func scanOp(lo, hi uint64) svcOp {
 	return svcOp{key: lo, scan: true, body: func(tx tm.Txn, st *serve.Store) { st.Range(tx, lo, hi) }}
 }
 
-// svcMove is one planned span move: the keys of [lo, hi] leave donor for
-// recip, and next becomes the placement.
-type svcMove struct {
-	donor, recip int
-	lo, hi       uint64
-	next         shard.Partitioner
-}
-
 // The outcomes of moveSpan.
 const (
 	moveInstalled = iota
@@ -294,7 +286,7 @@ const (
 // the span off the donor and release. Every step runs under the hold and
 // stamps its heartbeat with n. It returns the number of keys copied and
 // the outcome.
-func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, plan func(live *svcPlace) (svcMove, bool)) (moved uint64, outcome int) {
+func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, plan func(live *svcPlace) (shard.MovePlan, bool)) (moved uint64, outcome int) {
 	if !s.moveMu.TryLock() {
 		return 0, moveBlocked
 	}
@@ -304,25 +296,25 @@ func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, 
 	if !ok {
 		return 0, moveSkipped
 	}
-	h, ok := s.acquire(r, self, []int{m.donor}, wholeShard, n, n, live.epoch)
+	h, ok := s.acquire(r, self, []int{m.Donor}, wholeShard, n, n, live.epoch)
 	if !ok {
 		return 0, moveBlocked
 	}
-	hold, dst := h.holds[0], s.stores[m.recip]
+	hold, dst := h.holds[0], s.stores[m.Recipient]
 	step := func(body func(tx tm.Txn, src *serve.Store)) {
-		s.guarded(r, self, m.donor, hold, false, func(tx tm.Txn, src *serve.Store) {
+		s.guarded(r, self, m.Donor, hold, false, func(tx tm.Txn, src *serve.Store) {
 			body(tx, src)
 			src.StampFence(tx, hold, n)
 		})
 	}
 	// Copy: the donor's fence keeps writers off the span, so no copied key
 	// can go stale between batches.
-	for lo, more := m.lo, true; more; {
+	for lo, more := m.MovedLo, true; more; {
 		var next uint64
 		var got int
 		step(func(tx tm.Txn, src *serve.Store) {
 			var ks, vs []uint64
-			ks, vs, next, more = src.ExportSpan(tx, lo, m.hi, batch)
+			ks, vs, next, more = src.ExportSpan(tx, lo, m.MovedHi, batch)
 			dst.InstallPairs(tx, self, ks, vs)
 			got = len(ks)
 		})
@@ -332,12 +324,12 @@ func (s *svcShards) moveSpan(r workloads.Runner, self int, n uint64, batch int, 
 	// Flip, then bump the donor's placement epoch so stale routes bounce,
 	// then retire the span from the donor, all under the fence.
 	epoch := live.epoch + 1
-	s.place.Store(&svcPlace{part: m.next, epoch: epoch})
+	s.place.Store(&svcPlace{part: m.Next, epoch: epoch})
 	step(func(tx tm.Txn, src *serve.Store) { src.BumpPlacement(tx, epoch) })
 	for more := true; more; {
-		step(func(tx tm.Txn, src *serve.Store) { _, more = src.DeleteSpan(tx, self, m.lo, m.hi, batch) })
+		step(func(tx tm.Txn, src *serve.Store) { _, more = src.DeleteSpan(tx, self, m.MovedLo, m.MovedHi, batch) })
 	}
-	s.guarded(r, self, m.donor, hold, true, nil)
+	s.guarded(r, self, m.Donor, hold, true, nil)
 	return moved, moveInstalled
 }
 

@@ -1,4 +1,4 @@
-// Live resharding: installing a shard.SplitHeaviest plan under load.
+// Live resharding: installing a shard.MovePlan under load.
 //
 // The migration is a fenced protocol step, not a redeploy:
 //
@@ -119,37 +119,45 @@ func (s *Server) handleReshard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, reshardResult{Err: fmt.Sprintf("parsing request body: %v", err)})
 		return
 	}
-	var res reshardResult
-	var code int
 	switch body.Plan {
 	case "", "split":
-		res, code = s.Reshard()
+		body.Plan = "split"
 	case "merge":
-		res, code = s.ReshardMerge()
 	default:
 		writeJSON(w, http.StatusBadRequest,
 			reshardResult{Err: fmt.Sprintf("unknown plan %q (want %q or %q)", body.Plan, "split", "merge")})
 		return
 	}
+	res, code := s.reshard(body.Plan, nil)
 	writeJSON(w, code, res)
 }
 
-// Reshard computes a SplitHeaviest plan from the live per-shard routed
-// counters and installs it: grow the fleet by one shard, migrate the
-// moved span under the donor's fence, flip the placement epoch. One
-// reshard runs at a time (409 when busy); a plan the planner cannot
-// produce (zero load, un-splittable span) is an explicit no-op, and a
-// plan that would move deque-reserved keys is clamped or rejected.
-func (s *Server) Reshard() (reshardResult, int) {
+// Reshard splits the heaviest shard live: a new shard takes the upper
+// half of its widest span.
+func (s *Server) Reshard() (reshardResult, int) { return s.reshard("split", nil) }
+
+// ReshardMerge merges the top shard, when it is the coldest, into its
+// neighbour live and retires it.
+func (s *Server) ReshardMerge() (reshardResult, int) { return s.reshard("merge", nil) }
+
+// reshard is one placement step, plan "split" or "merge", planned from
+// load (nil reads the cumulative routed counters; the automerge trigger
+// passes its per-interval deltas). One step runs at a time (409 when
+// busy); a plan the planner declines is an explicit 200 no-op. A split
+// clamps its plan around the deque-reserved window and grows a spare
+// recipient; a merge retires spares first so its donor is the fleet's
+// top shard, and retires the donor once the placement no longer names it.
+func (s *Server) reshard(plan string, load []uint64) (reshardResult, int) {
+	split := plan == "split"
 	// Registering in inflight keeps Close from tearing shards down under
 	// a live migration (it waits for us like any other submission).
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	if s.closed.Load() {
-		return reshardResult{Plan: "split", Err: "server shutting down"}, http.StatusServiceUnavailable
+		return reshardResult{Plan: plan, Err: "server shutting down"}, http.StatusServiceUnavailable
 	}
 	if !s.reshardMu.TryLock() {
-		return reshardResult{Plan: "split", Err: "a reshard is already in progress"}, http.StatusConflict
+		return reshardResult{Plan: plan, Err: "a reshard is already in progress"}, http.StatusConflict
 	}
 	defer s.reshardMu.Unlock()
 	s.resharding.Store(true)
@@ -158,48 +166,82 @@ func (s *Server) Reshard() (reshardResult, int) {
 	part, _ := s.place.Load()
 	rp, ok := part.(*shard.RangePartitioner)
 	if !ok {
-		return reshardResult{Plan: "split", Err: fmt.Sprintf("resharding requires the range partitioner (have %q)", part.Kind())},
+		return reshardResult{Plan: plan, Err: fmt.Sprintf("resharding requires the range partitioner (have %q)", part.Kind())},
 			http.StatusBadRequest
 	}
-	fleet := s.fleet()
-	load := make([]uint64, part.Shards())
-	for i := range load {
-		load[i] = fleet[i].routed.Load()
+	if !split {
+		// Spares sit above the placement's top shard; retire them first so
+		// the fleet's top entry is the plan's donor.
+		s.retireSpares()
 	}
-	plan, ok := rp.PlanSplitHeaviest(load)
+	fleet := s.fleet()
+	if load == nil {
+		load = make([]uint64, part.Shards())
+		for i := range load {
+			load[i] = fleet[i].routed.Load()
+		}
+	}
+	m := spanMove{kind: "reshard", what: "migration"}
+	if split {
+		m.MovePlan, ok = rp.PlanSplitHeaviest(load)
+	} else {
+		m.kind, m.what = "merge", "merge"
+		m.MovePlan, ok = rp.PlanMergeColdest(load)
+	}
 	if !ok {
-		s.opts.Logf("serve: reshard no-op: zero load or heaviest span too narrow to split (shards=%d)", part.Shards())
-		return reshardResult{Plan: "split", Reason: "no splittable span (zero load or heaviest span too narrow)",
+		if split {
+			s.opts.Logf("serve: reshard no-op: zero load or heaviest span too narrow to split (shards=%d)", part.Shards())
+			return reshardResult{Plan: plan, Reason: "no splittable span (zero load or heaviest span too narrow)",
+				Shards: part.Shards()}, http.StatusOK
+		}
+		s.opts.Logf("serve: merge no-op: single shard or top shard not coldest (shards=%d)", part.Shards())
+		return reshardResult{Plan: plan, Reason: "no mergeable span (single shard or top shard not coldest)",
 			Shards: part.Shards()}, http.StatusOK
 	}
-	plan, err := clampPlanForDeque(plan)
-	if err != nil {
-		return reshardResult{Plan: "split", Err: err.Error(), Donor: plan.Donor, NewShard: plan.NewShard,
-			Shards: part.Shards()}, http.StatusBadRequest
-	}
 
-	recip, err := s.spareShard(plan.NewShard)
+	var err error
+	if split {
+		if m.MovePlan, err = clampPlanForDeque(m.MovePlan); err != nil {
+			return reshardResult{Plan: plan, Err: err.Error(), Donor: m.Donor, NewShard: m.Recipient,
+				Shards: part.Shards()}, http.StatusBadRequest
+		}
+		err = s.spareShard(m.Recipient)
+	} else if m.Donor != len(fleet)-1 {
+		err = fmt.Errorf("merge donor %d is not the fleet's top shard (%d)", m.Donor, len(fleet)-1)
+	}
 	var moved, newEpoch uint64
 	if err == nil {
-		moved, newEpoch, err = s.moveSpan(spanMove{kind: "reshard", what: "migration",
-			donor: s.fleet()[plan.Donor], recip: recip, lo: plan.MovedLo, hi: plan.MovedHi, next: plan.Grown})
+		moved, newEpoch, err = s.moveSpan(m)
 	}
 	res := reshardResult{
-		Plan: "split", Donor: plan.Donor, NewShard: plan.NewShard,
-		MovedLo: plan.MovedLo, MovedHi: plan.MovedHi,
+		Plan: plan, Donor: m.Donor, MovedLo: m.MovedLo, MovedHi: m.MovedHi,
 		KeysMigrated: moved, Shards: s.part().Shards(),
+	}
+	if split {
+		res.NewShard = m.Recipient
+	} else {
+		res.Recipient = m.Recipient
 	}
 	if err != nil {
 		res.Err = err.Error()
-		s.opts.Logf("serve: reshard failed: %v", err)
+		s.opts.Logf("serve: %s failed: %v", m.kind, err)
 		return res, http.StatusServiceUnavailable
 	}
-	s.reshards.Add(1)
 	s.keysMigrated.Add(moved)
 	res.Applied = true
 	res.Epoch = newEpoch
-	s.opts.Logf("serve: reshard installed: shard %d split, span [%d, %d] -> shard %d, %d keys migrated, placement epoch %d",
-		plan.Donor, plan.MovedLo, plan.MovedHi, plan.NewShard, moved, newEpoch)
+	if split {
+		s.reshards.Add(1)
+		s.opts.Logf("serve: reshard installed: shard %d split, span [%d, %d] -> shard %d, %d keys migrated, placement epoch %d",
+			m.Donor, m.MovedLo, m.MovedHi, m.Recipient, moved, newEpoch)
+		return res, http.StatusOK
+	}
+	// The placement no longer names the donor: drain and retire it so
+	// its workers, detector and tuner stop for good.
+	s.retireShard(s.fleet()[m.Donor])
+	s.merges.Add(1)
+	s.opts.Logf("serve: merge installed: shard %d's span [%d, %d] -> shard %d, %d keys migrated, placement epoch %d, donor retired",
+		m.Donor, m.MovedLo, m.MovedHi, m.Recipient, moved, newEpoch)
 	return res, http.StatusOK
 }
 
@@ -209,7 +251,7 @@ func (s *Server) Reshard() (reshardResult, int) {
 // span), and a span entirely inside the window is rejected outright.
 // Without the clamp every top-span split would be illegal — the top
 // span's moved interval always runs to 2^64-1.
-func clampPlanForDeque(plan shard.SplitPlan) (shard.SplitPlan, error) {
+func clampPlanForDeque(plan shard.MovePlan) (shard.MovePlan, error) {
 	if plan.MovedLo >= DequeReservedLo {
 		return plan, fmt.Errorf("reshard plan rejected: moved span [%d, %d] lies inside the deque-reserved window [%d, 2^64-1]",
 			plan.MovedLo, plan.MovedHi, uint64(DequeReservedLo))
@@ -217,54 +259,52 @@ func clampPlanForDeque(plan shard.SplitPlan) (shard.SplitPlan, error) {
 	if plan.MovedHi < DequeReservedLo {
 		return plan, nil
 	}
-	starts, owners := plan.Grown.Spans()
-	// The moved span starts at MovedLo and is owned by NewShard; reaching
+	starts, owners := plan.Next.Spans()
+	// The moved span starts at MovedLo and is owned by Recipient; reaching
 	// past DequeReservedLo it must be the table's last span (no boundary
 	// is ever created above DequeReservedLo).
 	j := len(starts) - 1
-	if starts[j] != plan.MovedLo || owners[j] != plan.NewShard {
+	if starts[j] != plan.MovedLo || owners[j] != plan.Recipient {
 		return plan, fmt.Errorf("reshard plan rejected: moved span [%d, %d] overlaps the deque-reserved window mid-table",
 			plan.MovedLo, plan.MovedHi)
 	}
 	starts = append(starts, DequeReservedLo)
 	owners = append(owners, plan.Donor)
-	grown, err := shard.NewRangeFromSpans(starts, owners, plan.Grown.Universe())
+	grown, err := shard.NewRangeFromSpans(starts, owners, plan.Next.Universe())
 	if err != nil {
 		return plan, fmt.Errorf("reshard plan rejected: clamping around the deque-reserved window: %v", err)
 	}
 	plan.MovedHi = DequeReservedLo - 1
-	plan.Grown = grown
+	plan.Next = grown
 	return plan, nil
 }
 
-// spareShard returns the fleet's shard idx for a split to fill: the spare
-// a rolled-back attempt left behind (empty again — the rollback cleared
-// its copy), or a new shard, published in the fleet before any placement
-// can name it: readers load the placement first, so once the flip lands,
-// index idx is guaranteed present.
-func (s *Server) spareShard(idx int) (*shardState, error) {
+// spareShard makes sure the fleet has shard idx for a split to fill: the
+// spare a rolled-back attempt left behind (empty again — the rollback
+// cleared its copy), or a new shard, published in the fleet before any
+// placement can name it: readers load the placement first, so once the
+// flip lands, index idx is guaranteed present.
+func (s *Server) spareShard(idx int) error {
 	fleet := s.fleet()
 	if idx < len(fleet) {
-		return fleet[idx], nil
+		return nil
 	}
 	recip, err := s.newShard(idx)
 	if err != nil {
-		return nil, fmt.Errorf("building shard %d: %w", idx, err)
+		return fmt.Errorf("building shard %d: %w", idx, err)
 	}
 	grown := append(fleet[:len(fleet):len(fleet)], recip)
 	s.fleetPtr.Store(&grown)
 	s.startShard(recip)
-	return recip, nil
+	return nil
 }
 
-// spanMove is one span migration: the keys of [lo, hi] leave donor for
-// recip and the placement next takes effect. kind ("reshard" or "merge")
+// spanMove is one span migration: the plan's keys leave its donor for its
+// recipient and its placement takes effect. kind ("reshard" or "merge")
 // and what ("migration" or "merge") name the move in error texts.
 type spanMove struct {
-	kind, what   string
-	donor, recip *shardState
-	lo, hi       uint64
-	next         shard.Partitioner
+	kind, what string
+	shard.MovePlan
 }
 
 // migRecord identifies the in-flight span move so that whoever finds it
@@ -286,7 +326,8 @@ type migRecord struct {
 // fence. It returns the migrated pair count and the installed placement
 // epoch.
 func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error) {
-	donor, recip := m.donor, m.recip
+	fleet := s.fleet()
+	donor, recip := fleet[m.Donor], fleet[m.Recipient]
 	// reshardMu admits one move at a time, so a record still live here is
 	// a dead move's, its donor still fenced: finish its rollback rather
 	// than overwrite the record the detector would have found it by.
@@ -306,7 +347,7 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 	// deletes the partial copy from the recipient before releasing the
 	// fence.
 	s.migMu.Lock()
-	s.activeMig = &migRecord{token: token, recipient: recip.idx, lo: m.lo, hi: m.hi}
+	s.activeMig = &migRecord{token: token, recipient: recip.idx, lo: m.MovedLo, hi: m.MovedHi}
 	s.migMu.Unlock()
 	// abort undoes a move that failed before its flip.
 	abort := func(format string, args ...any) (uint64, uint64, error) {
@@ -319,7 +360,7 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 	// under the fence-hold guard — if the failure detector recovered the
 	// fence, this move is dead and must stop — and re-stamps the holder
 	// heartbeat so a long copy is never mistaken for an orphan.
-	lo := m.lo
+	lo := m.MovedLo
 	for {
 		if _, fire := s.opts.Fault.Fire(fault.ReshardDonorCrash, donor.idx); fire {
 			// Injected migrator crash mid-copy: abandon with the fence held
@@ -330,7 +371,7 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 		var next uint64
 		var resume bool
 		r := s.guarded(donor, hold, false, func(tx proteustm.Txn, _ int) response {
-			keys, vals, next, resume = donor.store.ExportSpan(tx, lo, m.hi, migrateBatch)
+			keys, vals, next, resume = donor.store.ExportSpan(tx, lo, m.MovedHi, migrateBatch)
 			donor.store.StampFence(tx, hold, uint64(time.Now().UnixNano()))
 			return response{}
 		})
@@ -388,7 +429,7 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 		s.migMu.Unlock()
 		return 0, 0, fmt.Errorf("%s rolled back by fence recovery before the flip", m.kind)
 	}
-	newEpoch = s.place.Install(m.next)
+	newEpoch = s.place.Install(m.Next)
 	s.activeMig = nil
 	s.migMu.Unlock()
 
@@ -403,7 +444,7 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 	for more := true; more; {
 		r := s.guarded(donor, hold, false, func(tx proteustm.Txn, slot int) response {
 			donor.store.BumpPlacement(tx, newEpoch)
-			_, more = donor.store.DeleteSpan(tx, slot, m.lo, m.hi, migrateBatch)
+			_, more = donor.store.DeleteSpan(tx, slot, m.MovedLo, m.MovedHi, migrateBatch)
 			donor.store.StampFence(tx, hold, uint64(time.Now().UnixNano()))
 			return response{}
 		})
@@ -450,88 +491,6 @@ func (s *Server) acquireMigrationFence(donor *shardState, token uint64) (FenceHo
 			spent++
 		}
 	}
-}
-
-// ReshardMerge computes a PlanMergeColdest plan from the live per-shard
-// routed counters and installs it: fence the retiring donor (always the
-// fleet's top shard), copy its span into the adjacent recipient, flip
-// the placement epoch one shard smaller, then drain and retire the
-// donor so its workers and tuner actually stop. It shares the split
-// path's single-migration lock (409 when busy) and no-op contract: a
-// plan the planner declines (single shard, top shard not coldest) is an
-// explicit 200 no-op.
-func (s *Server) ReshardMerge() (reshardResult, int) {
-	return s.reshardMerge(nil)
-}
-
-// reshardMerge is ReshardMerge with an optional load-vector override:
-// the automerge trigger passes its per-interval routed deltas, the admin
-// endpoint passes nil to read the cumulative counters.
-func (s *Server) reshardMerge(load []uint64) (reshardResult, int) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	if s.closed.Load() {
-		return reshardResult{Plan: "merge", Err: "server shutting down"}, http.StatusServiceUnavailable
-	}
-	if !s.reshardMu.TryLock() {
-		return reshardResult{Plan: "merge", Err: "a reshard is already in progress"}, http.StatusConflict
-	}
-	defer s.reshardMu.Unlock()
-	s.resharding.Store(true)
-	defer s.resharding.Store(false)
-
-	part, _ := s.place.Load()
-	rp, ok := part.(*shard.RangePartitioner)
-	if !ok {
-		return reshardResult{Plan: "merge", Err: fmt.Sprintf("resharding requires the range partitioner (have %q)", part.Kind())},
-			http.StatusBadRequest
-	}
-	// Spares sit above the placement's top shard; retire them first so
-	// the fleet's top entry is the plan's donor.
-	s.retireSpares()
-	fleet := s.fleet()
-	if load == nil {
-		load = make([]uint64, part.Shards())
-		for i := range load {
-			load[i] = fleet[i].routed.Load()
-		}
-	}
-	plan, ok := rp.PlanMergeColdest(load)
-	if !ok {
-		s.opts.Logf("serve: merge no-op: single shard or top shard not coldest (shards=%d)", part.Shards())
-		return reshardResult{Plan: "merge", Reason: "no mergeable span (single shard or top shard not coldest)",
-			Shards: part.Shards()}, http.StatusOK
-	}
-
-	var moved, newEpoch uint64
-	var err error
-	if plan.Donor != len(fleet)-1 {
-		err = fmt.Errorf("merge donor %d is not the fleet's top shard (%d)", plan.Donor, len(fleet)-1)
-	} else {
-		moved, newEpoch, err = s.moveSpan(spanMove{kind: "merge", what: "merge",
-			donor: fleet[plan.Donor], recip: fleet[plan.Recipient], lo: plan.MovedLo, hi: plan.MovedHi, next: plan.Merged})
-	}
-	res := reshardResult{
-		Plan: "merge", Donor: plan.Donor, Recipient: plan.Recipient,
-		MovedLo: plan.MovedLo, MovedHi: plan.MovedHi,
-		KeysMigrated: moved, Shards: s.part().Shards(),
-	}
-	if err != nil {
-		res.Err = err.Error()
-		s.opts.Logf("serve: merge failed: %v", err)
-		return res, http.StatusServiceUnavailable
-	}
-	// The placement no longer names the donor: drain and retire it so
-	// its workers, detector and tuner stop for good.
-	s.retireShard(s.fleet()[plan.Donor])
-	s.merges.Add(1)
-	s.keysMigrated.Add(moved)
-	res.Applied = true
-	res.Epoch = newEpoch
-	res.Shards = s.part().Shards()
-	s.opts.Logf("serve: merge installed: shard %d's span [%d, %d] -> shard %d, %d keys migrated, placement epoch %d, donor retired",
-		plan.Donor, plan.MovedLo, plan.MovedHi, plan.Recipient, moved, newEpoch)
-	return res, http.StatusOK
 }
 
 // rollbackMove clears a dead span move's partial copy from the recipient
@@ -716,7 +675,7 @@ func (s *Server) maintain(now time.Time) {
 
 	if s.opts.AutosplitShare > 0 && part.Shards() < s.opts.AutosplitMaxShards &&
 		total >= autosplitMinRouted && float64(hottest)/float64(total) > s.opts.AutosplitShare {
-		res, _ := s.Reshard()
+		res, _ := s.reshard("split", nil)
 		switch {
 		case res.Applied:
 			s.opts.Logf("serve: autosplit: shard %d split at placement epoch %d (%d keys migrated, hottest share %.2f)",
@@ -731,7 +690,7 @@ func (s *Server) maintain(now time.Time) {
 		top := part.Shards() - 1
 		idle := totalDelta == 0
 		if idle || float64(delta[top])/float64(totalDelta) < s.opts.AutomergeShare {
-			res, _ := s.reshardMerge(delta)
+			res, _ := s.reshard("merge", delta)
 			switch {
 			case res.Applied:
 				s.opts.Logf("serve: automerge: shard %d merged into %d at placement epoch %d (%d keys migrated, idle=%v)",

@@ -7,6 +7,7 @@ package serve
 // crashes.
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -161,19 +162,19 @@ func TestClampPlanForDeque(t *testing.T) {
 	if clamped.MovedHi != DequeReservedLo-1 {
 		t.Fatalf("clamped MovedHi = %d, want %d", clamped.MovedHi, uint64(DequeReservedLo-1))
 	}
-	if got := clamped.Grown.Owner(DequeReservedLo); got != plan.Donor {
+	if got := clamped.Next.Owner(DequeReservedLo); got != plan.Donor {
 		t.Fatalf("reserved-window bottom owned by shard %d after clamp, want donor %d", got, plan.Donor)
 	}
-	if got := clamped.Grown.Owner(^uint64(0)); got != plan.Donor {
+	if got := clamped.Next.Owner(^uint64(0)); got != plan.Donor {
 		t.Fatalf("reserved-window top owned by shard %d after clamp, want donor %d", got, plan.Donor)
 	}
-	if got := clamped.Grown.Owner(clamped.MovedLo); got != plan.NewShard {
-		t.Fatalf("moved span owned by shard %d after clamp, want %d", got, plan.NewShard)
+	if got := clamped.Next.Owner(clamped.MovedLo); got != plan.Recipient {
+		t.Fatalf("moved span owned by shard %d after clamp, want %d", got, plan.Recipient)
 	}
 
 	// A plan entirely inside the reserved window must be rejected, not
 	// clamped into a degenerate span.
-	inside := shard.SplitPlan{Donor: 0, NewShard: 1, MovedLo: DequeReservedLo + 1, MovedHi: ^uint64(0)}
+	inside := shard.MovePlan{Donor: 0, Recipient: 1, MovedLo: DequeReservedLo + 1, MovedHi: ^uint64(0)}
 	if _, err := clampPlanForDeque(inside); err == nil {
 		t.Fatal("plan inside the deque-reserved window was not rejected")
 	}
@@ -188,7 +189,7 @@ func TestClampPlanForDeque(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clamp rejected a below-window plan: %v", err)
 	}
-	if got.MovedLo != below.MovedLo || got.MovedHi != below.MovedHi || got.Grown != below.Grown {
+	if got.MovedLo != below.MovedLo || got.MovedHi != below.MovedHi || got.Next != below.Next {
 		t.Fatalf("below-window plan was altered: %+v -> %+v", below, got)
 	}
 }
@@ -216,7 +217,7 @@ func TestReshardAdminSurface(t *testing.T) {
 	}
 
 	// Zero load: the planner declines and the server reports the no-op
-	// instead of installing a degenerate plan (satellite: SplitHeaviest
+	// instead of installing a degenerate plan (satellite: PlanSplitHeaviest
 	// callers must handle ok=false).
 	res, code = s.Reshard()
 	if code != http.StatusOK || res.Applied || res.Reason == "" {
@@ -227,6 +228,76 @@ func TestReshardAdminSurface(t *testing.T) {
 	}
 	if got := s.place.Epoch(); got != 0 {
 		t.Fatalf("no-op reshard moved the placement epoch to %d", got)
+	}
+}
+
+// TestReshardReplies pins the whole /admin/reshard reply — every field
+// of reshardResult and the status code — for each outcome of both plan
+// directions on a preloaded 2-shard range server: applied (a top-span
+// split clamped around the deque window too), the planner's explicit
+// no-op, a hash server (400) and a reshard already in progress
+// (409).
+func TestReshardReplies(t *testing.T) {
+	const busy = "a reshard is already in progress"
+	noRange := `resharding requires the range partitioner (have "hash")`
+	for _, tc := range []struct {
+		name, plan string
+		hash, held bool
+		heat       []uint64 // routed ops added per shard before the call
+		code       int
+		want       reshardResult
+	}{
+		{name: "split-applied", plan: "split", heat: []uint64{10_000, 0}, code: http.StatusOK,
+			want: reshardResult{Plan: "split", Applied: true, Epoch: 1, Donor: 0, NewShard: 2,
+				MovedLo: 4096, MovedHi: 8191, KeysMigrated: 4096, Shards: 3}},
+		{name: "split-top-clamped", plan: "split", heat: []uint64{0, 10_000}, code: http.StatusOK,
+			want: reshardResult{Plan: "split", Applied: true, Epoch: 1, Donor: 1, NewShard: 2,
+				MovedLo: 12288, MovedHi: DequeReservedLo - 1, KeysMigrated: 4096, Shards: 3}},
+		{name: "merge-applied", plan: "merge", heat: []uint64{10_000, 0}, code: http.StatusOK,
+			want: reshardResult{Plan: "merge", Applied: true, Epoch: 1, Donor: 1, Recipient: 0,
+				MovedLo: 8192, MovedHi: ^uint64(0), KeysMigrated: 8192, Shards: 1}},
+		{name: "split-zero-load", plan: "split", code: http.StatusOK,
+			want: reshardResult{Plan: "split", Reason: "no splittable span (zero load or heaviest span too narrow)", Shards: 2}},
+		{name: "merge-hot-top", plan: "merge", heat: []uint64{0, 10_000}, code: http.StatusOK,
+			want: reshardResult{Plan: "merge", Reason: "no mergeable span (single shard or top shard not coldest)", Shards: 2}},
+		{name: "split-hash", plan: "split", hash: true, code: http.StatusBadRequest,
+			want: reshardResult{Plan: "split", Err: noRange}},
+		{name: "merge-hash", plan: "merge", hash: true, code: http.StatusBadRequest,
+			want: reshardResult{Plan: "merge", Err: noRange}},
+		{name: "split-busy", plan: "split", held: true, code: http.StatusConflict,
+			want: reshardResult{Plan: "split", Err: busy}},
+		{name: "merge-busy", plan: "merge", held: true, code: http.StatusConflict,
+			want: reshardResult{Plan: "merge", Err: busy}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Shards: 2, Workers: 2, Partitioner: shard.KindRange, Preload: 16384}
+			if tc.hash {
+				opts.Partitioner = shard.KindHash
+			}
+			s := newTestServer(t, opts)
+			for i, n := range tc.heat {
+				s.fleet()[i].routed.Add(n)
+			}
+			if tc.held {
+				s.reshardMu.Lock()
+				defer s.reshardMu.Unlock()
+			}
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+"/admin/reshard", "application/json",
+				strings.NewReader(`{"plan":"`+tc.plan+`"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var got reshardResult
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.code || got != tc.want {
+				t.Fatalf("POST /admin/reshard %s = %d %+v, want %d %+v", tc.plan, resp.StatusCode, got, tc.code, tc.want)
+			}
+		})
 	}
 }
 

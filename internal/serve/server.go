@@ -266,7 +266,7 @@ type Options struct {
 	// partitioner only): when the hottest shard's share of routed
 	// operations exceeds this fraction — and at least autosplitMinRouted
 	// operations have been routed since the last split, and the fleet is
-	// below AutosplitMaxShards — the server installs a SplitHeaviest plan
+	// below AutosplitMaxShards — the server installs a PlanSplitHeaviest plan
 	// live, exactly as POST /admin/reshard would. 0 disables.
 	AutosplitShare float64
 	// AutosplitMaxShards caps autosplit growth (default 8).
@@ -396,7 +396,7 @@ type shardState struct {
 
 	// routed counts data operations admitted to this shard — the
 	// per-shard load counter /statusz exposes (ops_routed) and the range
-	// partitioner's SplitHeaviest rebalance step consumes.
+	// partitioner's PlanSplitHeaviest rebalance step consumes.
 	routed atomic.Uint64
 
 	// executed counts data operations this shard completed (fenced

@@ -120,7 +120,7 @@ type ShardStatus struct {
 	Breaker    string `json:"breaker"`
 	// OpsRouted counts data operations admitted to this shard — the
 	// per-shard load signal a split-heaviest rebalance plan
-	// (shard.RangePartitioner.SplitHeaviest) consumes.
+	// (shard.RangePartitioner.PlanSplitHeaviest) consumes.
 	OpsRouted uint64   `json:"ops_routed"`
 	TM        TMStatus `json:"tm"`
 }

@@ -53,32 +53,35 @@ func (e *Epoched) Install(p Partitioner) uint64 {
 	}
 }
 
-// SplitPlan is one executable rebalance step: cut the donor's widest
-// span at its midpoint and hand the upper half — keys in [MovedLo,
-// MovedHi], inclusive — to NewShard. Grown is the placement to install
-// once the span's keys have migrated.
-type SplitPlan struct {
-	// Donor is the heaviest shard, the one losing the span's upper half.
+// MovePlan is one executable placement step, a split or a merge: the
+// keys of [MovedLo, MovedHi] leave Donor for Recipient, and Next is the
+// placement to install once they have been copied.
+type MovePlan struct {
+	// Donor is the shard losing the moved keys: the heaviest shard of a
+	// split, the retiring top shard of a merge.
 	Donor int
-	// NewShard is the recipient: always the current shard count, so
-	// installing the plan grows the fleet by exactly one.
-	NewShard int
+	// Recipient is the shard gaining them: a split's new shard (always
+	// the current shard count, so installing Next grows the fleet by
+	// exactly one), or the merge donor's left-adjacent neighbour.
+	Recipient int
 	// MovedLo and MovedHi bound the migrating keys, inclusive on both
-	// ends (MovedHi is ^uint64(0) when the split span is the key space's
+	// ends (MovedHi is ^uint64(0) when the moved span is the key space's
 	// top span).
 	MovedLo, MovedHi uint64
-	// Grown is the post-split placement.
-	Grown *RangePartitioner
+	// Next is the placement after the move: one shard more after a split,
+	// one fewer after a merge.
+	Next *RangePartitioner
 }
 
-// PlanSplitHeaviest is SplitHeaviest as an executable migration plan:
-// the same deterministic heaviest-shard/widest-span/midpoint-cut
-// decision, plus the moved key interval a migrator must copy before the
-// plan is installed. It reports ok=false exactly when SplitHeaviest
-// would — all-zero or empty load, or no span of the heaviest shard wide
-// enough to cut — and callers must treat that as an explicit no-op, not
-// install a degenerate split.
-func (p *RangePartitioner) PlanSplitHeaviest(load []uint64) (SplitPlan, bool) {
+// PlanSplitHeaviest is the rebalance step: given per-shard load counters
+// (e.g. the ops_routed column of /statusz, one entry per shard), it
+// plans cutting the heaviest shard's widest span at its midpoint and
+// handing the upper half to the new shard N. Ties break toward the
+// lowest shard index and lowest start key, keeping the step
+// deterministic for a given counter vector. It reports ok=false — an
+// explicit no-op callers must not install — on an all-zero or empty
+// load, or when no span of the heaviest shard is wide enough to cut.
+func (p *RangePartitioner) PlanSplitHeaviest(load []uint64) (MovePlan, bool) {
 	heaviest, best := -1, uint64(0)
 	for s := 0; s < p.n && s < len(load); s++ {
 		if heaviest == -1 || load[s] > best {
@@ -86,29 +89,17 @@ func (p *RangePartitioner) PlanSplitHeaviest(load []uint64) (SplitPlan, bool) {
 		}
 	}
 	if heaviest < 0 || best == 0 {
-		return SplitPlan{}, false
+		return MovePlan{}, false
 	}
 	i := p.widest(heaviest)
 	if i < 0 {
-		return SplitPlan{}, false
+		return MovePlan{}, false
 	}
 	grown, ok := p.split(i, p.n)
 	if !ok {
-		return SplitPlan{}, false
+		return MovePlan{}, false
 	}
-	// The new span is grown's span i+1: [mid, next start) as an
-	// inclusive interval, running to the top of the key space when the
-	// cut span was the last one.
-	movedLo := grown.starts[i+1]
-	movedHi := ^uint64(0)
-	if i+2 < len(grown.starts) {
-		movedHi = grown.starts[i+2] - 1
-	}
-	return SplitPlan{
-		Donor:    heaviest,
-		NewShard: p.n,
-		MovedLo:  movedLo,
-		MovedHi:  movedHi,
-		Grown:    grown,
-	}, true
+	// The new span is grown's span i+1, from the cut's midpoint.
+	lo, hi := grown.spanKeys(i + 1)
+	return MovePlan{Donor: heaviest, Recipient: p.n, MovedLo: lo, MovedHi: hi, Next: grown}, true
 }

@@ -31,32 +31,37 @@ func TestPlanSplitHeaviestMatchesSplitHeaviest(t *testing.T) {
 	if !ok {
 		t.Fatal("PlanSplitHeaviest = ok=false on splittable load")
 	}
-	grown, split, ok2 := p.SplitHeaviest(load)
-	if !ok2 || split != plan.Donor {
-		t.Fatalf("SplitHeaviest donor %d vs plan donor %d", split, plan.Donor)
+	// Shard 1 is the heaviest: its span [1<<20, 2<<20) is cut at the
+	// midpoint and the new shard 3 takes the upper half.
+	grown, err := NewRangeFromSpans([]uint64{0, 1 << 20, 3 << 19, 2 << 20}, []int{0, 1, 3, 2}, 3<<20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if plan.NewShard != p.Shards() {
-		t.Fatalf("plan.NewShard = %d, want %d", plan.NewShard, p.Shards())
+	if plan.Donor != 1 {
+		t.Fatalf("plan donor %d, want the heaviest shard 1", plan.Donor)
 	}
-	if plan.Grown.Shards() != p.Shards()+1 {
-		t.Fatalf("grown shards = %d, want %d", plan.Grown.Shards(), p.Shards()+1)
+	if plan.Recipient != p.Shards() {
+		t.Fatalf("plan.Recipient = %d, want %d", plan.Recipient, p.Shards())
 	}
-	// The plan's grown placement must agree with SplitHeaviest's on every
-	// boundary.
-	ps, po := plan.Grown.Spans()
+	if plan.Next.Shards() != p.Shards()+1 {
+		t.Fatalf("grown shards = %d, want %d", plan.Next.Shards(), p.Shards()+1)
+	}
+	// The plan's grown placement must agree with the expected span table
+	// on every boundary.
+	ps, po := plan.Next.Spans()
 	gs, go_ := grown.Spans()
 	if len(ps) != len(gs) {
 		t.Fatalf("span count %d vs %d", len(ps), len(gs))
 	}
 	for i := range ps {
 		if ps[i] != gs[i] || po[i] != go_[i] {
-			t.Fatalf("span %d: plan (%d,%d) vs SplitHeaviest (%d,%d)", i, ps[i], po[i], gs[i], go_[i])
+			t.Fatalf("span %d: plan (%d,%d) vs expected (%d,%d)", i, ps[i], po[i], gs[i], go_[i])
 		}
 	}
 }
 
 // TestPlanSplitHeaviestMovedSpan pins the moved interval: every key in
-// [MovedLo, MovedHi] is owned by NewShard under Grown, and the keys just
+// [MovedLo, MovedHi] is owned by Recipient under Next, and the keys just
 // outside it keep their old owner.
 func TestPlanSplitHeaviestMovedSpan(t *testing.T) {
 	for _, tc := range []struct {
@@ -79,8 +84,8 @@ func TestPlanSplitHeaviestMovedSpan(t *testing.T) {
 				t.Fatalf("inverted moved span [%d, %d]", plan.MovedLo, plan.MovedHi)
 			}
 			for _, k := range []uint64{plan.MovedLo, plan.MovedHi, plan.MovedLo + (plan.MovedHi-plan.MovedLo)/2} {
-				if o := plan.Grown.Owner(k); o != plan.NewShard {
-					t.Fatalf("key %d in moved span owned by %d, want new shard %d", k, o, plan.NewShard)
+				if o := plan.Next.Owner(k); o != plan.Recipient {
+					t.Fatalf("key %d in moved span owned by %d, want new shard %d", k, o, plan.Recipient)
 				}
 				if o := p.Owner(k); o != plan.Donor {
 					t.Fatalf("key %d was owned by %d, want donor %d", k, o, plan.Donor)
@@ -88,13 +93,13 @@ func TestPlanSplitHeaviestMovedSpan(t *testing.T) {
 			}
 			if plan.MovedLo > 0 {
 				k := plan.MovedLo - 1
-				if plan.Grown.Owner(k) != p.Owner(k) {
+				if plan.Next.Owner(k) != p.Owner(k) {
 					t.Fatalf("key %d below moved span changed owner", k)
 				}
 			}
 			if plan.MovedHi < ^uint64(0) {
 				k := plan.MovedHi + 1
-				if plan.Grown.Owner(k) != p.Owner(k) {
+				if plan.Next.Owner(k) != p.Owner(k) {
 					t.Fatalf("key %d above moved span changed owner", k)
 				}
 			}

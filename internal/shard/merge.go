@@ -1,27 +1,5 @@
 package shard
 
-// MergePlan is one executable shrink step: the inverse of SplitPlan. The
-// donor — always the top shard, index n-1 — hands its whole span, keys
-// in [MovedLo, MovedHi] inclusive, to the Recipient owning the
-// left-adjacent span, and Merged is the n-1-shard placement to install
-// once those keys have been copied. Pinning the donor to the top index
-// is what lets the executor retire the donor by truncating the fleet
-// slice: no surviving shard is renumbered, so in-flight work and
-// recovery records keyed by shard index stay valid across the flip.
-type MergePlan struct {
-	// Donor is the retiring shard: always the current top index n-1.
-	Donor int
-	// Recipient is the shard owning the span immediately below the
-	// donor's — the one whose span extends to cover the moved keys.
-	Recipient int
-	// MovedLo and MovedHi bound the migrating keys, inclusive on both
-	// ends (MovedHi is ^uint64(0) when the donor owned the key space's
-	// top span).
-	MovedLo, MovedHi uint64
-	// Merged is the post-merge placement, one shard fewer.
-	Merged *RangePartitioner
-}
-
 // PlanMergeColdest is the shrink counterpart of PlanSplitHeaviest: given
 // per-shard load counters (the ops_routed column of /statusz), it plans
 // merging the top shard's span into its left-adjacent neighbour — but
@@ -37,11 +15,15 @@ type MergePlan struct {
 //     span is the first span (no left-adjacent recipient) — states the
 //     NewRange/split evolution never produces, rejected defensively.
 //
-// Callers must treat ok=false as "do nothing", exactly like the split
-// contract: never install a degenerate merge.
-func (p *RangePartitioner) PlanMergeColdest(load []uint64) (MergePlan, bool) {
+// The donor is always the top shard, index n-1: that is what lets the
+// executor retire it by truncating the fleet slice, so no surviving shard
+// is renumbered and in-flight work and recovery records keyed by shard
+// index stay valid across the flip. Callers must treat ok=false as "do
+// nothing", exactly like the split contract: never install a degenerate
+// merge.
+func (p *RangePartitioner) PlanMergeColdest(load []uint64) (MovePlan, bool) {
 	if p.n < 2 {
-		return MergePlan{}, false
+		return MovePlan{}, false
 	}
 	donor := p.n - 1
 	loadOf := func(s int) uint64 {
@@ -53,7 +35,7 @@ func (p *RangePartitioner) PlanMergeColdest(load []uint64) (MergePlan, bool) {
 	donorLoad := loadOf(donor)
 	for s := 0; s < donor; s++ {
 		if loadOf(s) < donorLoad {
-			return MergePlan{}, false
+			return MovePlan{}, false
 		}
 	}
 	span := -1
@@ -62,29 +44,19 @@ func (p *RangePartitioner) PlanMergeColdest(load []uint64) (MergePlan, bool) {
 			continue
 		}
 		if span >= 0 {
-			return MergePlan{}, false // donor owns more than one span
+			return MovePlan{}, false // donor owns more than one span
 		}
 		span = i
 	}
 	if span <= 0 {
-		return MergePlan{}, false // no span, or no left-adjacent recipient
-	}
-	movedLo := p.starts[span]
-	movedHi := ^uint64(0)
-	if span+1 < len(p.starts) {
-		movedHi = p.starts[span+1] - 1
+		return MovePlan{}, false // no span, or no left-adjacent recipient
 	}
 	merged, err := p.removeSpan(span)
 	if err != nil {
-		return MergePlan{}, false
+		return MovePlan{}, false
 	}
-	return MergePlan{
-		Donor:     donor,
-		Recipient: p.owners[span-1],
-		MovedLo:   movedLo,
-		MovedHi:   movedHi,
-		Merged:    merged,
-	}, true
+	lo, hi := p.spanKeys(span)
+	return MovePlan{Donor: donor, Recipient: p.owners[span-1], MovedLo: lo, MovedHi: hi, Next: merged}, true
 }
 
 // removeSpan returns a copy with span i deleted: span i-1 silently
@@ -111,5 +83,5 @@ func (p *RangePartitioner) Shrink() *RangePartitioner {
 	if !ok {
 		return p
 	}
-	return plan.Merged
+	return plan.Next
 }

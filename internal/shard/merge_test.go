@@ -12,7 +12,7 @@ func TestPlanMergeColdestInvertsSplit(t *testing.T) {
 		t.Fatal("split plan failed")
 	}
 	// After the flash crowd passes the new top shard is the coldest.
-	merge, ok := split.Grown.PlanMergeColdest([]uint64{5, 5, 5, 5, 0})
+	merge, ok := split.Next.PlanMergeColdest([]uint64{5, 5, 5, 5, 0})
 	if !ok {
 		t.Fatal("merge plan failed on cold top shard")
 	}
@@ -23,7 +23,7 @@ func TestPlanMergeColdestInvertsSplit(t *testing.T) {
 		t.Fatalf("merge moved [%d,%d], want the split's [%d,%d]",
 			merge.MovedLo, merge.MovedHi, split.MovedLo, split.MovedHi)
 	}
-	ms, mo := merge.Merged.Spans()
+	ms, mo := merge.Next.Spans()
 	ps, po := p.Spans()
 	if len(ms) != len(ps) {
 		t.Fatalf("merged span count %d, want original %d", len(ms), len(ps))
@@ -54,18 +54,18 @@ func TestPlanMergeColdestMovedSpan(t *testing.T) {
 		if o := p.Owner(k); o != plan.Donor {
 			t.Fatalf("key %d owned by %d pre-merge, want donor %d", k, o, plan.Donor)
 		}
-		if o := plan.Merged.Owner(k); o != plan.Recipient {
+		if o := plan.Next.Owner(k); o != plan.Recipient {
 			t.Fatalf("key %d owned by %d post-merge, want recipient %d", k, o, plan.Recipient)
 		}
 	}
 	if plan.MovedLo > 0 {
 		k := plan.MovedLo - 1
-		if plan.Merged.Owner(k) != p.Owner(k) {
+		if plan.Next.Owner(k) != p.Owner(k) {
 			t.Fatalf("key %d below moved span changed owner", k)
 		}
 	}
-	if plan.Merged.Shards() != p.Shards()-1 {
-		t.Fatalf("merged shards = %d, want %d", plan.Merged.Shards(), p.Shards()-1)
+	if plan.Next.Shards() != p.Shards()-1 {
+		t.Fatalf("merged shards = %d, want %d", plan.Next.Shards(), p.Shards()-1)
 	}
 }
 

@@ -89,7 +89,7 @@ func collectOwners(seen []bool, cnt int) []int {
 // property that localizes `/kv/range` scans, which hashing destroys.
 //
 // A RangePartitioner is immutable and safe for concurrent use; Grow and
-// SplitHeaviest return new partitioners rather than mutating.
+// the planners return new partitioners rather than mutating.
 type RangePartitioner struct {
 	n int
 	// universe is the practical key range the even pre-split covers (and
@@ -235,6 +235,16 @@ func (p *RangePartitioner) OwnersInRange(lo, hi uint64) []int {
 	return collectOwners(seen, cnt)
 }
 
+// spanKeys returns span i's keys as an inclusive interval: hi is 2^64-1
+// for the last span.
+func (p *RangePartitioner) spanKeys(i int) (lo, hi uint64) {
+	hi = ^uint64(0)
+	if i+1 < len(p.starts) {
+		hi = p.starts[i+1] - 1
+	}
+	return p.starts[i], hi
+}
+
 // clippedWidth is span i's width intersected with the universe — the
 // weight split decisions use, so growth subdivides spans that carry real
 // keys instead of the astronomically wide (and practically empty) tail
@@ -310,32 +320,4 @@ func (p *RangePartitioner) Grow() *RangePartitioner {
 	}
 	grown, _ := p.split(i, p.n)
 	return grown
-}
-
-// SplitHeaviest is the rebalance step: given per-shard load counters
-// (e.g. the ops_routed column of /statusz, one entry per shard), it cuts
-// the heaviest shard's widest span at its midpoint and hands the upper
-// half to the new shard N. Ties break toward the lowest shard index and
-// lowest start key, keeping the step deterministic for a given counter
-// vector. It reports the shard that was split, or ok=false when no span
-// of the heaviest shard is wide enough to cut.
-func (p *RangePartitioner) SplitHeaviest(load []uint64) (grown *RangePartitioner, split int, ok bool) {
-	heaviest, best := -1, uint64(0)
-	for s := 0; s < p.n && s < len(load); s++ {
-		if heaviest == -1 || load[s] > best {
-			heaviest, best = s, load[s]
-		}
-	}
-	if heaviest < 0 {
-		return p, -1, false
-	}
-	i := p.widest(heaviest)
-	if i < 0 {
-		return p, -1, false
-	}
-	grown, ok = p.split(i, p.n)
-	if !ok {
-		return p, -1, false
-	}
-	return grown, heaviest, true
 }

@@ -108,9 +108,10 @@ func TestRangeSplitHeaviest(t *testing.T) {
 	const universe = 1 << 12
 	p := NewRange(4, universe)
 	load := []uint64{10, 900, 20, 30} // shard 1 is hot
-	grown, split, ok := p.SplitHeaviest(load)
+	plan, ok := p.PlanSplitHeaviest(load)
+	grown, split := plan.Next, plan.Donor
 	if !ok || split != 1 {
-		t.Fatalf("SplitHeaviest = (split=%d, ok=%v), want shard 1", split, ok)
+		t.Fatalf("PlanSplitHeaviest = (split=%d, ok=%v), want shard 1", split, ok)
 	}
 	if grown.Shards() != 5 {
 		t.Fatalf("grown shards = %d, want 5", grown.Shards())
@@ -129,7 +130,8 @@ func TestRangeSplitHeaviest(t *testing.T) {
 		}
 	}
 	// Determinism: the same counters produce the same plan.
-	again, split2, ok2 := p.SplitHeaviest(load)
+	plan2, ok2 := p.PlanSplitHeaviest(load)
+	again, split2 := plan2.Next, plan2.Donor
 	if !ok2 || split2 != split {
 		t.Fatalf("rebalance not deterministic: split %d vs %d", split, split2)
 	}
@@ -140,8 +142,8 @@ func TestRangeSplitHeaviest(t *testing.T) {
 			t.Fatalf("rebalance plans differ at span %d", i)
 		}
 	}
-	if _, _, ok := p.SplitHeaviest(nil); ok {
-		t.Fatal("SplitHeaviest with no counters reported ok")
+	if _, ok := p.PlanSplitHeaviest(nil); ok {
+		t.Fatal("PlanSplitHeaviest with no counters reported ok")
 	}
 }
 
