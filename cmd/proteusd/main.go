@@ -57,7 +57,8 @@
 // requests (operations routed under the old placement bounce off the
 // donor's placement-epoch word and re-route). --autosplit=S arms the
 // same step as a background trigger: when the hottest shard carries more
-// than fraction S of routed operations, the daemon splits it, up to
+// than fraction S of the operations routed since the last split, the
+// daemon splits it, up to
 // --autosplit-max shards, checking every 2s.
 // Observables: server.partitioner_epoch, server.resharding,
 // server.span_starts/span_owners, ops.reshards, ops.keys_migrated,
@@ -132,7 +133,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-op queueing budget; expired ops are dropped with 504 (0 = none; ?deadline_ms= tightens per request)")
 	faultSpec := flag.String("fault", "", "deterministic fault-injection spec, e.g. coord-crash@after=3;every=5;count=6 (see internal/fault; empty = no injection)")
 	fenceDeadline := flag.Duration("fence-deadline", 0, "age past which a heartbeat-stale cross-shard fence is declared orphaned and recovered (0 = 1s default)")
-	autosplit := flag.Float64("autosplit", 0, "hottest-shard ops_routed share above which the daemon splits it live (range partitioner only; 0 = manual /admin/reshard only)")
+	autosplit := flag.Float64("autosplit", 0, "hottest shard's share of the operations routed since the last split above which the daemon splits it live (range partitioner only; 0 = manual /admin/reshard only)")
 	autosplitMax := flag.Int("autosplit-max", 0, "shard-count ceiling for --autosplit (0 = 8 default)")
 	automerge := flag.Float64("automerge", 0, "top-shard share of per-interval routed ops below which the daemon merges it away live (range partitioner only; 0 = manual /admin/reshard only)")
 	automergeMin := flag.Int("automerge-min", 0, "shard-count floor for --automerge (0 = the boot shard count)")

@@ -5,32 +5,24 @@ import (
 	"time"
 )
 
-// Clock abstracts the runtime's time source so experiments can be replayed
-// deterministically. The adapter thread measures KPI windows against
-// Clock.Now; under a VirtualClock those windows are driven by the harness
-// advancing time, not by the wall clock, so a fixed seed yields the same
-// KPI stream — and hence the same CUSUM alarms and exploration traces — on
-// every run (the "virtual time" option of the scenario harness).
+// Clock is the runtime's time source: it stamps the wall-clock window
+// source's windows and the timeline. Under a VirtualClock the source's
+// settle and sample waits advance the clock instead of blocking.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// Sleep blocks for d of this clock's time. A VirtualClock returns
-	// immediately after advancing itself.
-	Sleep(d time.Duration)
 }
 
 // realClock is the wall clock.
 type realClock struct{}
 
-func (realClock) Now() time.Time        { return time.Now() }
-func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
+func (realClock) Now() time.Time { return time.Now() }
 
 // RealTime returns the wall clock (the default Clock).
 func RealTime() Clock { return realClock{} }
 
 // VirtualClock is a manually advanced clock: Now returns a logical time
-// that moves only through Advance or Sleep. Concurrency-safe, though the
-// deterministic harness drives it from a single goroutine.
+// that moves only through Advance or Sleep. Concurrency-safe.
 type VirtualClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -49,8 +41,7 @@ func (c *VirtualClock) Now() time.Time {
 	return c.now
 }
 
-// Sleep implements Clock by advancing the virtual time and returning
-// immediately.
+// Sleep advances the virtual time by d and returns immediately.
 func (c *VirtualClock) Sleep(d time.Duration) { c.Advance(d) }
 
 // Advance moves the virtual time forward by d (negative d is ignored).

@@ -98,23 +98,21 @@ type Options struct {
 	// band: 0 keeps the monitor default, positive sets the band, negative
 	// disables the gate.
 	MonitorBand float64
-	// SamplePeriod is the Monitor's KPI sampling period (default 100 ms;
-	// the paper uses 1 s).
+	// SamplePeriod is the length of the adapter thread's KPI windows
+	// (default 100 ms; the paper uses 1 s). A window that follows a
+	// reconfiguration first lets the system settle for half a period.
 	SamplePeriod time.Duration
-	// SettleTime is the wait after a reconfiguration before measuring
-	// (default SamplePeriod/2).
-	SettleTime time.Duration
 	// Epsilon is the SMBO stopping threshold (default 0.01).
 	Epsilon float64
 	// MaxExplorations bounds each exploration phase (default 10).
 	MaxExplorations int
 	// Seed drives randomized components.
 	Seed uint64
-	// Clock is the time source for KPI windows and settle waits (default
-	// the wall clock). Supply a *VirtualClock to replay the adaptation
-	// loop deterministically; in that mode drive the runtime through the
-	// synchronous API (Observe, ExploreSync, ResetMonitor) instead of
-	// Start, whose sampling ticker is inherently wall-clock.
+	// Clock is the time source of the adapter thread's windows and of the
+	// timeline and reconfiguration-log stamps (default the wall clock).
+	// Under a *VirtualClock the settle and sample waits advance the clock
+	// instead of blocking. A deterministic replay needs no clock: it runs
+	// the loop with a window source of its own (see Run).
 	Clock Clock
 }
 
@@ -131,14 +129,14 @@ type TimelinePoint struct {
 // Serving layers surface this log so operators can see the adapter react
 // to workload shifts.
 type ReconfigEvent struct {
-	// At is the event time relative to Start (zero-based for runtimes
-	// driven synchronously before Start).
+	// At is the event time relative to Start (to New for a loop run
+	// without Start).
 	At time.Duration
 	// From and To are the configurations before and after the phase; a
 	// phase may re-install the incumbent (From == To).
 	From, To config.Config
-	// Reason is "startup", "monitor-alarm", "forced" or "sync"
-	// (synchronous harness-driven exploration).
+	// Reason is "startup", "monitor-alarm" or "forced", with the error
+	// appended when the recommender could not be trained.
 	Reason string
 	// Phase is the 1-based optimization-phase number.
 	Phase int
@@ -203,9 +201,6 @@ func New(opts Options) (*Runtime, error) {
 	if opts.SamplePeriod <= 0 {
 		opts.SamplePeriod = 100 * time.Millisecond
 	}
-	if opts.SettleTime <= 0 {
-		opts.SettleTime = opts.SamplePeriod / 2
-	}
 	if opts.Epsilon == 0 {
 		opts.Epsilon = 0.01
 	}
@@ -234,6 +229,7 @@ func New(opts Options) (*Runtime, error) {
 		opts:       opts,
 		cfgs:       opts.Configs,
 		clock:      opts.Clock,
+		started:    opts.Clock.Now(),
 		cus:        cus,
 		reoptimize: make(chan struct{}, 1),
 		stop:       make(chan struct{}),
@@ -246,25 +242,31 @@ func (rt *Runtime) Heap() *tm.Heap { return rt.Pool.Heap() }
 // Atomic executes an atomic block on worker slot self.
 func (rt *Runtime) Atomic(self int, fn func(tm.Txn)) { rt.Pool.Atomic(self, fn) }
 
-// Start launches the adapter thread: an immediate optimization phase
-// followed by steady-state monitoring.
-func (rt *Runtime) Start() {
+// Start launches the adapter thread: Run on the wall-clock source.
+func (rt *Runtime) Start() { rt.StartOn(rt.WallClock()) }
+
+// StartOn launches the adapter thread on src, which is usually the
+// wall-clock source or a wrapper around it.
+func (rt *Runtime) StartOn(src WindowSource) {
 	rt.started = rt.clock.Now()
-	rt.lastStats = rt.Pool.SnapshotStats()
-	rt.lastTime = rt.started
 	rt.done.Add(1)
-	go rt.adapterLoop()
+	go func() {
+		defer rt.done.Done()
+		rt.Run(src)
+	}()
 }
 
-// Stop terminates the adapter thread.
+// Stop ends the wall-clock source's windows, which ends every loop
+// running on it, and waits for the adapter thread.
 func (rt *Runtime) Stop() {
 	rt.stopped.Store(true)
 	close(rt.stop)
 	rt.done.Wait()
 }
 
-// ForceReoptimize triggers a new exploration phase (used by tests; the
-// Monitor triggers it autonomously in production).
+// ForceReoptimize asks the loop for a new exploration phase before its
+// next steady window (used by tests; the Monitor triggers phases
+// autonomously in production).
 func (rt *Runtime) ForceReoptimize() {
 	select {
 	case rt.reoptimize <- struct{}{}:
@@ -290,17 +292,6 @@ func (rt *Runtime) Reconfigurations() []ReconfigEvent {
 	return out
 }
 
-// recordReconfig appends one optimization-phase event.
-func (rt *Runtime) recordReconfig(from, to config.Config, reason string, phase int) {
-	at := time.Duration(0)
-	if !rt.started.IsZero() {
-		at = rt.clock.Now().Sub(rt.started)
-	}
-	rt.mu.Lock()
-	rt.reconfigs = append(rt.reconfigs, ReconfigEvent{At: at, From: from, To: to, Reason: reason, Phase: phase})
-	rt.mu.Unlock()
-}
-
 // Phases returns the number of optimization phases run so far.
 func (rt *Runtime) Phases() int {
 	rt.mu.Lock()
@@ -311,32 +302,126 @@ func (rt *Runtime) Phases() int {
 // Exploring reports whether an exploration phase is in progress.
 func (rt *Runtime) Exploring() bool { return rt.exploring.Load() }
 
-// adapterLoop is the adapter thread (§4): optimize, then monitor.
-func (rt *Runtime) adapterLoop() {
-	defer rt.done.Done()
-	rt.optimizePhase("startup")
-	ticker := time.NewTicker(rt.opts.SamplePeriod)
-	defer ticker.Stop()
+// Configs returns the tuned configuration space (the UM columns).
+func (rt *Runtime) Configs() []config.Config { return rt.cfgs }
+
+// WindowKind says what the loop will do with a KPI window.
+type WindowKind int
+
+const (
+	// Steady windows feed the change monitor.
+	Steady WindowKind = iota
+	// Explore windows profile a candidate the phase has just installed.
+	Explore
+	// Install windows re-anchor the monitor on the configuration a phase
+	// has just installed.
+	Install
+)
+
+// A WindowSource measures the loop's KPI windows, each in the
+// configuration installed when the loop asks for it.
+type WindowSource interface {
+	// Measure measures one window of the given kind; phase is the 1-based
+	// optimization phase of an Explore or Install window. It reports
+	// false when there is none: the run is over, or Stop cut it short.
+	Measure(kind WindowKind, phase int) (kpi float64, ok bool)
+	// Alarm says that the steady window just measured raised a change
+	// alarm. The alarm's phase follows.
+	Alarm()
+}
+
+// Run is the adaptation loop (§4, §6.4) on the calling goroutine: a
+// startup phase, then steady windows fed to the monitor, with one phase
+// per monitor alarm or per ForceReoptimize. It returns when src has no
+// steady window left. The adapter thread runs it on the wall-clock
+// source; a harness runs it on a source of its own, so the whole
+// adaptation trace is a function of what that source measures.
+func (rt *Runtime) Run(src WindowSource) {
+	rt.phase("startup", src)
 	for {
 		select {
-		case <-rt.stop:
-			return
 		case <-rt.reoptimize:
-			rt.optimizePhase("forced")
-		case <-ticker.C:
-			kpi := rt.measureWindow()
-			rt.record(kpi, false)
-			if rt.cus.Observe(kpi) {
-				rt.optimizePhase("monitor-alarm")
-			}
+			rt.phase("forced", src)
+			continue
+		default:
+		}
+		kpi, ok := src.Measure(Steady, 0)
+		if !ok {
+			return
+		}
+		rt.record(kpi, false)
+		if rt.cus.Observe(kpi) {
+			src.Alarm()
+			rt.phase("monitor-alarm", src)
 		}
 	}
 }
 
-// recommender returns the trained recommender, training it on first use.
-// An auto-tuned runtime gets here on its adapter goroutine, a harness-driven
-// one on the goroutine that calls ExploreSync; either way the application
-// keeps running in the reference configuration meanwhile.
+// phase runs one optimization phase on src's windows: the recommender
+// picks candidates by Expected Improvement, each is installed and
+// profiled on an Explore window, and the best explored configuration is
+// installed and re-anchors the monitor on an Install window. A phase
+// whose Explore window was cut short installs nothing: its scores are not
+// measurements, so it goes back to the configuration it started from and
+// asks for no further window. A runtime whose model cannot be trained
+// keeps its configuration. Either way the phase is logged with the reason.
+func (rt *Runtime) phase(reason string, src WindowSource) {
+	rt.exploring.Store(true)
+	rt.mu.Lock()
+	rt.phases++
+	phase := rt.phases
+	seed := rt.opts.Seed + uint64(rt.phases)*0x9E3779B97F4A7C15
+	rt.mu.Unlock()
+	before := rt.Pool.Config()
+
+	cut := false
+	res := rectm.OptResult{Best: -1}
+	rec, err := rt.recommender()
+	if err != nil {
+		reason += ": " + err.Error()
+	} else {
+		res = rec.Optimize(func(i int) float64 {
+			if cut || rt.Pool.Reconfigure(rt.cfgs[i]) != nil {
+				return 0
+			}
+			kpi, ok := src.Measure(Explore, phase)
+			if !ok {
+				cut = true
+				return 0
+			}
+			rt.record(kpi, true)
+			return kpi
+		}, nil, smbo.Options{
+			Policy:          smbo.EI,
+			Stop:            smbo.StopCautious,
+			Epsilon:         rt.opts.Epsilon,
+			MaxExplorations: rt.opts.MaxExplorations,
+			Seed:            seed,
+		})
+	}
+	switch {
+	case cut:
+		rt.Pool.Reconfigure(before) //nolint:errcheck // it was installed
+	case res.Best >= 0:
+		rt.Pool.Reconfigure(rt.cfgs[res.Best]) //nolint:errcheck // validated configs
+	}
+	at := rt.clock.Now().Sub(rt.started)
+	rt.mu.Lock()
+	rt.reconfigs = append(rt.reconfigs, ReconfigEvent{At: at, From: before, To: rt.Pool.Config(), Reason: reason, Phase: phase})
+	rt.mu.Unlock()
+	rt.exploring.Store(false)
+	if cut {
+		return
+	}
+	if level, ok := src.Measure(Install, phase); ok {
+		rt.cus.Reset(level)
+		rt.record(level, false)
+	}
+}
+
+// recommender returns the trained recommender, training it on first use —
+// on the goroutine of whichever loop runs the first phase, while the
+// application keeps running in the reference configuration.
 func (rt *Runtime) recommender() (*rectm.Recommender, error) {
 	rt.recOnce.Do(func() {
 		trainings.Add(1)
@@ -350,97 +435,50 @@ func (rt *Runtime) recommender() (*rectm.Recommender, error) {
 // prove that a runtime nobody tunes never trains.
 var trainings atomic.Int64
 
-// explore runs one exploration phase: the recommender picks candidate
-// configurations by Expected Improvement, measure profiles each, and the
-// best explored configuration is installed. A runtime whose model cannot be
-// trained keeps its configuration; the phase is logged with the reason.
-func (rt *Runtime) explore(reason string, measure func(config.Config) float64) rectm.OptResult {
-	rt.exploring.Store(true)
-	defer rt.exploring.Store(false)
+// record appends a timeline point.
+func (rt *Runtime) record(kpi float64, exploring bool) {
+	at := rt.clock.Now().Sub(rt.started)
 	rt.mu.Lock()
-	rt.phases++
-	phase := rt.phases
-	seed := rt.opts.Seed + uint64(rt.phases)*0x9E3779B97F4A7C15
-	rt.mu.Unlock()
-	before := rt.Pool.Config()
-
-	res := rectm.OptResult{Best: -1}
-	rec, err := rt.recommender()
-	if err != nil {
-		reason += ": " + err.Error()
-	} else {
-		res = rec.Optimize(func(i int) float64 {
-			return measure(rt.cfgs[i])
-		}, nil, smbo.Options{
-			Policy:          smbo.EI,
-			Stop:            smbo.StopCautious,
-			Epsilon:         rt.opts.Epsilon,
-			MaxExplorations: rt.opts.MaxExplorations,
-			Seed:            seed,
-		})
-	}
-	switch {
-	case rt.stopped.Load():
-		// Stop cut the phase's windows short: its scores are not
-		// measurements, so go back to the configuration it started from.
-		rt.Pool.Reconfigure(before) //nolint:errcheck // it was installed
-	case res.Best >= 0:
-		rt.Pool.Reconfigure(rt.cfgs[res.Best]) //nolint:errcheck // validated configs
-	}
-	rt.recordReconfig(before, rt.Pool.Config(), reason, phase)
-	return res
+	defer rt.mu.Unlock()
+	rt.timeline = append(rt.timeline, TimelinePoint{
+		At:        at,
+		KPI:       kpi,
+		Config:    rt.Pool.Config(),
+		Exploring: exploring,
+	})
 }
 
-// optimizePhase runs one SMBO exploration on live KPI windows and installs
-// the winner.
-func (rt *Runtime) optimizePhase(reason string) {
-	rt.explore(reason, rt.profileConfig)
-	// Re-anchor the detector on the installed configuration's level.
-	if settle, ok := rt.measureWindowAfter(rt.opts.SettleTime); ok {
-		rt.cus.Reset(settle)
-		rt.record(settle, false)
-	}
-}
+// WallClock returns the adapter thread's window source. A window after a
+// reconfiguration (Explore, Install) waits half a sample period for the
+// system to settle and starts afresh; a steady window runs on from the
+// last one. Each measures one SamplePeriod of the runtime's clock and is
+// scored by the KPI. After Stop it reports no window.
+func (rt *Runtime) WallClock() WindowSource { return wallClock{rt} }
 
-// profileConfig installs cfg, lets the system settle, and measures one KPI
-// window. After Stop it installs nothing, and a window Stop cut short
-// scores 0 and is not recorded.
-func (rt *Runtime) profileConfig(cfg config.Config) float64 {
-	if rt.stopped.Load() || rt.Pool.Reconfigure(cfg) != nil {
-		return 0
-	}
-	kpi, ok := rt.measureWindowAfter(rt.opts.SettleTime)
-	if !ok {
-		return 0
-	}
-	rt.record(kpi, true)
-	return kpi
-}
+type wallClock struct{ rt *Runtime }
 
-// measureWindowAfter waits the settle time, resets the window, and measures
-// one sampling period. It reports false when Stop has cut the window short.
-func (rt *Runtime) measureWindowAfter(settle time.Duration) (float64, bool) {
-	rt.sleep(settle)
-	rt.resetWindow()
+func (w wallClock) Measure(kind WindowKind, _ int) (float64, bool) {
+	rt := w.rt
+	if kind != Steady {
+		rt.sleep(rt.opts.SamplePeriod / 2)
+		rt.lastStats = rt.Pool.SnapshotStats()
+		rt.lastTime = rt.clock.Now()
+	}
 	rt.sleep(rt.opts.SamplePeriod)
 	return rt.measureWindow(), !rt.stopped.Load()
 }
 
+func (wallClock) Alarm() {}
+
 func (rt *Runtime) sleep(d time.Duration) {
-	if _, virtual := rt.clock.(*VirtualClock); virtual {
-		rt.clock.Sleep(d)
+	if vc, virtual := rt.clock.(*VirtualClock); virtual {
+		vc.Advance(d)
 		return
 	}
 	select {
 	case <-time.After(d):
 	case <-rt.stop:
 	}
-}
-
-// resetWindow re-anchors the stats window.
-func (rt *Runtime) resetWindow() {
-	rt.lastStats = rt.Pool.SnapshotStats()
-	rt.lastTime = rt.clock.Now()
 }
 
 // measureWindow computes the KPI over the stats window since the last call.
@@ -472,47 +510,4 @@ func (rt *Runtime) measureWindow() float64 {
 	default:
 		return tput
 	}
-}
-
-// record appends a timeline point.
-func (rt *Runtime) record(kpi float64, exploring bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.timeline = append(rt.timeline, TimelinePoint{
-		At:        rt.clock.Now().Sub(rt.started),
-		KPI:       kpi,
-		Config:    rt.Pool.Config(),
-		Exploring: exploring,
-	})
-}
-
-// --- Synchronous (virtual-time) driving ------------------------------------------
-//
-// The adapter thread above is wall-clock driven: KPI windows are real time
-// and exploration happens on a background goroutine, so two runs of the
-// same program never produce the same trace. The methods below expose the
-// same monitor → explore → install loop synchronously, letting a harness
-// (internal/scenario) interleave operation execution, virtual-time KPI
-// measurement, and exploration on one goroutine — which makes the whole
-// adaptation trace a deterministic function of the seed.
-
-// Observe feeds one steady-state KPI sample to the CUSUM monitor and
-// reports whether it raised a change alarm (at which point the caller
-// should run ExploreSync).
-func (rt *Runtime) Observe(kpi float64) bool { return rt.cus.Observe(kpi) }
-
-// ResetMonitor re-anchors the change detector at the given KPI level, as
-// the adapter thread does after installing a new configuration.
-func (rt *Runtime) ResetMonitor(level float64) { rt.cus.Reset(level) }
-
-// Configs returns the tuned configuration space (the UM columns).
-func (rt *Runtime) Configs() []config.Config { return rt.cfgs }
-
-// ExploreSync runs one exploration phase synchronously: measure profiles
-// each candidate configuration (installing it, running the workload, and
-// returning the KPI — all on the calling goroutine). Seeding matches the
-// adapter thread's optimizePhase, so a fixed Options.Seed yields an
-// identical exploration sequence.
-func (rt *Runtime) ExploreSync(measure func(config.Config) float64) rectm.OptResult {
-	return rt.explore("sync", measure)
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,7 +51,6 @@ func TestRuntimeOptimizesAndReacts(t *testing.T) {
 		TrainKPI:        trainFor(cfgs),
 		KPI:             core.Throughput,
 		SamplePeriod:    40 * time.Millisecond,
-		SettleTime:      20 * time.Millisecond,
 		MaxExplorations: 5,
 		Seed:            5,
 	})
@@ -145,9 +145,55 @@ func TestVirtualClock(t *testing.T) {
 	}
 }
 
-// TestExploreSyncIsDeterministic drives the synchronous exploration API
-// with a pure measure function twice and requires identical explored
-// sequences and installed winners.
+// windowFunc is a test window source: measure answers the loop's windows
+// and alarms counts the alarms the loop reports.
+type windowFunc struct {
+	measure func(kind core.WindowKind, phase int) (float64, bool)
+	alarms  int
+}
+
+func (f *windowFunc) Measure(kind core.WindowKind, phase int) (float64, bool) {
+	return f.measure(kind, phase)
+}
+func (f *windowFunc) Alarm() { f.alarms++ }
+
+// explorePhases runs the loop on rt for n phases, the startup phase and
+// then forced ones, and returns each phase's result as the recommender
+// reports it: the configurations explored, and the one installed with its
+// score (Best -1 when the phase explored nothing). Explore windows score
+// the installed configuration with kpi; Install windows measure nothing,
+// so the monitor is left alone, and the loop gets no steady window.
+func explorePhases(rt *core.Runtime, n int, kpi func(config.Config) float64) []rectm.OptResult {
+	var out []rectm.OptResult
+	last := 0
+	rt.Run(&windowFunc{measure: func(kind core.WindowKind, phase int) (float64, bool) {
+		if kind == core.Steady {
+			return 0, false
+		}
+		if phase != last {
+			last = phase
+			out = append(out, rectm.OptResult{Best: -1})
+		}
+		r := &out[len(out)-1]
+		i := slices.Index(rt.Configs(), rt.Pool.Config())
+		if kind == core.Explore {
+			r.Explored = append(r.Explored, i)
+			return kpi(rt.Pool.Config()), true
+		}
+		if len(r.Explored) > 0 {
+			r.Best, r.BestKPI = i, kpi(rt.Pool.Config())
+		}
+		if n--; n > 0 {
+			rt.ForceReoptimize()
+		}
+		return 0, false
+	}})
+	return out
+}
+
+// TestExploreSyncIsDeterministic drives the loop's exploration with a
+// pure measure function twice and requires identical explored sequences
+// and installed winners.
 func TestExploreSyncIsDeterministic(t *testing.T) {
 	cfgs := testConfigs()
 	train := trainFor(cfgs)
@@ -159,16 +205,18 @@ func TestExploreSyncIsDeterministic(t *testing.T) {
 	run := func() ([]config.Config, config.Config) {
 		rt, err := core.New(core.Options{
 			HeapWords: 1 << 12, Configs: cfgs, TrainKPI: train, Seed: 11,
-			Clock: core.NewVirtualClock(time.Time{}),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := explorePhases(rt, 1, kpiOf)
+		if len(res) != 1 {
+			t.Fatalf("%d phases, want 1", len(res))
+		}
 		var explored []config.Config
-		rt.ExploreSync(func(c config.Config) float64 {
-			explored = append(explored, c)
-			return kpiOf(c)
-		})
+		for _, i := range res[0].Explored {
+			explored = append(explored, cfgs[i])
+		}
 		return explored, rt.Pool.Config()
 	}
 	e1, w1 := run()
@@ -197,16 +245,24 @@ func TestExploreSyncIsDeterministic(t *testing.T) {
 	if w1 != best {
 		t.Fatalf("installed %v, but best explored was %v", w1, best)
 	}
-	// Observe/ResetMonitor round-trip: a stable stream raises no alarm.
+	// The monitor, re-anchored by the Install window: a stable stream of
+	// steady windows raises no alarm.
 	rt, err := core.New(core.Options{HeapWords: 1 << 12, Configs: cfgs, TrainKPI: train, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.ResetMonitor(100)
-	for i := 0; i < 50; i++ {
-		if rt.Observe(100) {
-			t.Fatal("alarm on a flat KPI stream")
+	steady := 0
+	flat := &windowFunc{measure: func(kind core.WindowKind, _ int) (float64, bool) {
+		if kind == core.Steady {
+			if steady++; steady > 50 {
+				return 0, false
+			}
 		}
+		return 100, true
+	}}
+	rt.Run(flat)
+	if flat.alarms != 0 || rt.Phases() != 1 {
+		t.Fatalf("flat KPI stream: %d alarm(s), %d phases", flat.alarms, rt.Phases())
 	}
 	if len(rt.Configs()) != len(cfgs) {
 		t.Fatalf("Configs() returned %d entries", len(rt.Configs()))
@@ -261,7 +317,6 @@ func TestFirstExploreMatchesEagerTraining(t *testing.T) {
 	before := core.Trainings()
 	rt, err := core.New(core.Options{
 		HeapWords: 1 << 12, Configs: cfgs, TrainKPI: train, Seed: seed,
-		Clock: core.NewVirtualClock(time.Time{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +331,12 @@ func TestFirstExploreMatchesEagerTraining(t *testing.T) {
 	if got, want := rt.Pool.Config(), cfgs[rec.RefCol()]; got != want {
 		t.Fatalf("booted in %v, the eager recommender's reference is %v", got, want)
 	}
+	results := explorePhases(rt, 2, kpiOf)
+	if len(results) != 2 {
+		t.Fatalf("%d phases, want 2", len(results))
+	}
 	for phase := uint64(1); phase <= 2; phase++ {
-		got := rt.ExploreSync(kpiOf)
+		got := results[phase-1]
 		want := rec.Optimize(func(i int) float64 { return kpiOf(cfgs[i]) }, nil, smbo.Options{
 			Policy: smbo.EI, Stop: smbo.StopCautious, Epsilon: 0.01, MaxExplorations: 10,
 			Seed: seed + phase*0x9E3779B97F4A7C15,
@@ -292,14 +351,14 @@ func TestFirstExploreMatchesEagerTraining(t *testing.T) {
 }
 
 // TestFirstBuildRaces starts the adapter (whose startup phase trains the
-// recommender) and immediately races ForceReoptimize, ExploreSync from other
+// recommender) and immediately races ForceReoptimize, loops run from other
 // goroutines and Stop against that first build. Run under -race.
 func TestFirstBuildRaces(t *testing.T) {
 	cfgs := testConfigs()
 	before := core.Trainings()
 	rt, err := core.New(core.Options{
 		HeapWords: 1 << 12, MaxThreads: 4, Configs: cfgs, TrainKPI: trainFor(cfgs), Seed: 5,
-		SamplePeriod: 2 * time.Millisecond, SettleTime: time.Millisecond, MaxExplorations: 3,
+		SamplePeriod: 2 * time.Millisecond, MaxExplorations: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,8 +370,8 @@ func TestFirstBuildRaces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rt.ForceReoptimize()
-			if res := rt.ExploreSync(func(c config.Config) float64 { return float64(c.Threads) }); res.Best < 0 {
-				t.Error("ExploreSync racing the first build recommended nothing")
+			if res := explorePhases(rt, 1, func(c config.Config) float64 { return float64(c.Threads) }); len(res) == 0 || res[0].Best < 0 {
+				t.Error("a loop racing the first build recommended nothing")
 			}
 		}()
 	}
@@ -333,13 +392,12 @@ func TestUntrainableModelKeepsServing(t *testing.T) {
 	cfgs := testConfigs()
 	one := trainFor(cfgs)
 	one.Rows, one.Data = 1, one.Data[:1]
-	rt, err := core.New(core.Options{HeapWords: 1 << 12, Configs: cfgs, TrainKPI: one, Seed: 3,
-		Clock: core.NewVirtualClock(time.Time{})})
+	rt, err := core.New(core.Options{HeapWords: 1 << 12, Configs: cfgs, TrainKPI: one, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	boot := rt.Pool.Config()
-	if res := rt.ExploreSync(func(config.Config) float64 { return 1 }); res.Best != -1 || len(res.Explored) != 0 {
+	if res := explorePhases(rt, 1, func(config.Config) float64 { return 1 }); len(res) != 1 || res[0].Best != -1 || len(res[0].Explored) != 0 {
 		t.Fatalf("explored %+v without a model", res)
 	}
 	ev := rt.Reconfigurations()

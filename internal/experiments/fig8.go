@@ -162,7 +162,6 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 		TrainKPI:        train,
 		KPI:             core.Throughput,
 		SamplePeriod:    window,
-		SettleTime:      window / 2,
 		MaxExplorations: 8,
 		Seed:            99,
 	})

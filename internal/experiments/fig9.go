@@ -50,7 +50,6 @@ func Fig9(scale Scale) (Fig9Result, error) {
 		TrainKPI:        train,
 		KPI:             core.Throughput,
 		SamplePeriod:    window,
-		SettleTime:      window / 2,
 		MaxExplorations: 6,
 		Seed:            7,
 	})

@@ -330,22 +330,18 @@ func virtualSec(st tm.Stats, opCost time.Duration) float64 {
 }
 
 // run measures one record. A fixed run pins cfg on a fresh pool; an
-// auto-tuned run builds the tuner — on a virtual clock, or on the wall
-// clock in timed mode — and starts from its reference configuration.
-// Both then run the same loop, one Sample per window of SampleEvery
-// operations. Only the tuner explores, raises alarms and scores windows
-// with the serving model and SLO attainment.
+// auto-tuned run builds the tuner and starts from its reference
+// configuration. In deterministic mode both measure windows of
+// SampleEvery operations (see windows): a fixed run measures steady
+// windows until the budget is spent, a tuned one runs the tuner's loop on
+// them. Only the tuner explores, raises alarms and scores windows with the
+// serving model and SLO attainment.
 func run(s Scenario, spec RunSpec, cfg config.Config) (*Result, error) {
-	vclock := core.NewVirtualClock(time.Time{})
 	var rt *core.Runtime
 	var pool *polytm.Pool
 	if spec.AutoTune {
-		clock := core.Clock(vclock)
-		if spec.Mode() == Timed {
-			clock = core.RealTime()
-		}
 		var err error
-		if rt, err = newTuner(spec, clock); err != nil {
+		if rt, err = newTuner(spec); err != nil {
 			return nil, err
 		}
 		pool = rt.Pool
@@ -368,122 +364,123 @@ func run(s Scenario, spec RunSpec, cfg config.Config) (*Result, error) {
 	}
 
 	setupStats := pool.SnapshotStats() // exclude setup transactions
-	sd := workloads.NewSerialDriver(wl, pool, spec.MaxThreads, spec.Seed)
-	sd.SetSlots(cfg.Threads)
-	last := setupStats
-	phase := 0
-
 	rated, _ := wl.(workloads.Rated)
-	serving := rt != nil && (spec.SLOOfferedRate > 0 || rated != nil)
-	attain := rt != nil && spec.SLOOfferedRate > 0 && spec.SLOTargetMs > 0
-	steadyWins, steadyMet := 0, 0
-
-	// window runs n operations and returns the window's stats.
-	window := func(n uint64) tm.Stats {
-		sd.Run(n)
-		cur := pool.SnapshotStats()
-		win := cur.Sub(last)
-		last = cur
-		vclock.Advance(time.Duration(win.Commits+win.Aborts) * spec.OpCost)
-		return win
+	w := &windows{
+		pool: pool, res: res, spec: spec, last: setupStats, rated: rated,
+		sd:      workloads.NewSerialDriver(wl, pool, spec.MaxThreads, spec.Seed),
+		serving: rt != nil && (spec.SLOOfferedRate > 0 || rated != nil),
+		attain:  rt != nil && spec.SLOOfferedRate > 0 && spec.SLOTargetMs > 0,
 	}
-	// kpiOf scores one window under the active KPI model: the plain
-	// commit rate, the delivered rate of a Rated (open-loop) workload
-	// capped at the configuration's modeled capacity, or the serving
-	// model's capacity / throughput-under-SLO.
-	kpiOf := func(win tm.Stats, cfg config.Config) (kpi, p99 float64) {
-		if !serving {
-			return windowKPI(win, spec.OpCost), 0
-		}
-		capacity, svcSec := servingCapacity(win, spec.OpCost, cfg.Threads)
-		if rated != nil {
-			if r := rated.OfferedRate(sd.Ops()); capacity >= r {
-				return r, 0
-			}
-			return capacity, 0
-		}
-		p99 = servingP99(svcSec, capacity, spec.SLOOfferedRate)
-		kpi = capacity
-		if spec.SLOTune && spec.SLOTargetMs > 0 {
-			kpi = core.SLOPenalizedKPI(capacity, p99, spec.SLOTargetMs)
-		}
-		return kpi, p99
-	}
-	// steady scores a non-exploring window for SLO attainment.
-	steady := func(p99 float64) {
-		if !attain {
-			return
-		}
-		steadyWins++
-		if p99 <= spec.SLOTargetMs {
-			steadyMet++
-		}
-	}
-	// measure profiles one candidate configuration for ExploreSync.
-	measure := func(cfg config.Config) float64 {
-		if err := pool.Reconfigure(cfg); err != nil {
-			return 0
-		}
-		sd.SetSlots(cfg.Threads)
-		win := window(spec.SampleEvery)
-		kpi, p99 := kpiOf(win, cfg)
-		res.Trace = append(res.Trace, TraceEntry{Ops: sd.Ops(), Config: cfg.String(), Event: "explore", Phase: phase})
-		res.Samples = append(res.Samples, Sample{
-			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
-			KPI: kpi, P99Ms: p99, Config: cfg.String(), Exploring: true,
-		})
-		return kpi
-	}
-	// explore runs one optimization phase and re-anchors the monitor.
-	explore := func() {
-		phase++
-		rt.ExploreSync(measure)
-		installed := pool.Config()
-		sd.SetSlots(installed.Threads)
-		res.Trace = append(res.Trace, TraceEntry{Ops: sd.Ops(), Config: installed.String(), Event: "install", Phase: phase})
-		win := window(spec.SampleEvery)
-		level, p99 := kpiOf(win, installed)
-		rt.ResetMonitor(level)
-		steady(p99)
-		res.Samples = append(res.Samples, Sample{
-			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
-			KPI: level, P99Ms: p99, Config: installed.String(),
-		})
-	}
-
 	if rt != nil {
-		explore() // the startup optimization phase (§6.4)
-	}
-	for sd.Ops() < spec.Ops {
-		n := spec.SampleEvery
-		if rem := spec.Ops - sd.Ops(); rem < n {
-			n = rem
-		}
-		win := window(n)
-		installed := pool.Config()
-		kpi, p99 := kpiOf(win, installed)
-		alarm := rt != nil && rt.Observe(kpi)
-		steady(p99)
-		res.Samples = append(res.Samples, Sample{
-			Ops: sd.Ops(), Commits: win.Commits, Aborts: win.Aborts,
-			KPI: kpi, P99Ms: p99, Config: installed.String(), Alarm: alarm,
-		})
-		if alarm {
-			explore()
+		rt.Run(w)
+		res.Phases = rt.Phases()
+	} else {
+		for _, ok := w.Measure(core.Steady, 0); ok; _, ok = w.Measure(core.Steady, 0) {
 		}
 	}
 	total := pool.SnapshotStats().Sub(setupStats)
-	res.Phases = phase
-	if attain && steadyWins > 0 {
-		res.SLOAttainment = float64(steadyMet) / float64(steadyWins)
+	if w.steadyWins > 0 {
+		res.SLOAttainment = float64(w.steadyMet) / float64(w.steadyWins)
 	}
-	res.finish(sd.Ops(), total, virtualSec(total, spec.OpCost), pool.Config())
+	res.finish(w.sd.Ops(), total, virtualSec(total, spec.OpCost), pool.Config())
 	res.HeapDigest = fmt.Sprintf("%016x", pool.Heap().Digest())
 	captureMetrics(wl, res)
 	if err := verifyWorkload(wl, pool.Heap()); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// windows is a record's window source: every window it measures becomes a
+// sample, and an Explore or Install window a trace entry too. In
+// deterministic mode (wall nil) a window is SampleEvery operations on the
+// serial driver — a steady one no more than the budget has left, and none
+// once it is spent — scored by kpiOf. In timed mode it is the tuner's
+// wall-clock window, stamped with its time.
+type windows struct {
+	pool  *polytm.Pool
+	res   *Result
+	wall  core.WindowSource // timed mode
+	start time.Time         // timed mode
+
+	spec                  RunSpec
+	sd                    *workloads.SerialDriver
+	last                  tm.Stats
+	rated                 workloads.Rated
+	serving, attain       bool
+	steadyWins, steadyMet int
+}
+
+// Measure implements core.WindowSource.
+func (w *windows) Measure(kind core.WindowKind, phase int) (float64, bool) {
+	cfg := w.pool.Config()
+	var ops uint64 // the trace's operation count; zero in timed mode
+	if w.sd != nil {
+		if ops = w.sd.Ops(); kind == core.Steady && ops >= w.spec.Ops {
+			return 0, false
+		}
+	}
+	if kind == core.Install {
+		w.res.Trace = append(w.res.Trace, TraceEntry{Ops: ops, Config: cfg.String(), Event: "install", Phase: phase})
+	}
+	s := Sample{Config: cfg.String(), Exploring: kind == core.Explore}
+	if w.wall != nil {
+		var ok bool
+		if s.KPI, ok = w.wall.Measure(kind, phase); !ok {
+			return 0, false
+		}
+		s.AtSec = time.Since(w.start).Seconds()
+	} else {
+		n := w.spec.SampleEvery
+		if kind == core.Steady {
+			n = min(n, w.spec.Ops-ops)
+		}
+		w.sd.SetSlots(cfg.Threads)
+		w.sd.Run(n)
+		cur := w.pool.SnapshotStats()
+		win := cur.Sub(w.last)
+		w.last = cur
+		s.Ops, s.Commits, s.Aborts = w.sd.Ops(), win.Commits, win.Aborts
+		s.KPI, s.P99Ms = w.kpiOf(win, cfg)
+		if w.attain && !s.Exploring { // SLO attainment counts steady windows
+			w.steadyWins++
+			if s.P99Ms <= w.spec.SLOTargetMs {
+				w.steadyMet++
+			}
+		}
+	}
+	if s.Exploring {
+		w.res.Trace = append(w.res.Trace, TraceEntry{Ops: s.Ops, Config: s.Config, Event: "explore", Phase: phase})
+	}
+	w.res.Samples = append(w.res.Samples, s)
+	return s.KPI, true
+}
+
+// Alarm implements core.WindowSource: it flags the last sample.
+func (w *windows) Alarm() { w.res.Samples[len(w.res.Samples)-1].Alarm = true }
+
+// kpiOf scores one window under the active KPI model: the plain commit
+// rate, the delivered rate of a Rated (open-loop) workload capped at the
+// configuration's modeled capacity, or the serving model's capacity /
+// throughput-under-SLO.
+func (w *windows) kpiOf(win tm.Stats, cfg config.Config) (kpi, p99 float64) {
+	spec := w.spec
+	if !w.serving {
+		return windowKPI(win, spec.OpCost), 0
+	}
+	capacity, svcSec := servingCapacity(win, spec.OpCost, cfg.Threads)
+	if w.rated != nil {
+		if r := w.rated.OfferedRate(w.sd.Ops()); capacity >= r {
+			return r, 0
+		}
+		return capacity, 0
+	}
+	p99 = servingP99(svcSec, capacity, spec.SLOOfferedRate)
+	kpi = capacity
+	if spec.SLOTune && spec.SLOTargetMs > 0 {
+		kpi = core.SLOPenalizedKPI(capacity, p99, spec.SLOTargetMs)
+	}
+	return kpi, p99
 }
 
 // windowKPI is committed transactions per virtual second over one window.
@@ -548,7 +545,8 @@ func servingP99(svcSec, capacity, rate float64) float64 {
 
 // runTimed measures a record on real goroutines for spec.Duration. A nil
 // rt is a fixed configuration; otherwise the tuner's adapter thread runs
-// beside the workers and its timeline becomes the record's samples.
+// beside the workers on its wall-clock source, wrapped so that every
+// window it measures lands in the record.
 func runTimed(s Scenario, spec RunSpec, wl workloads.Workload, pool *polytm.Pool, rt *core.Runtime, res *Result) error {
 	if s.Antagonist != nil {
 		antagonist := s.Antagonist(spec.Params)
@@ -560,21 +558,15 @@ func runTimed(s Scenario, spec RunSpec, wl workloads.Workload, pool *polytm.Pool
 	if err := d.Start(); err != nil {
 		return err
 	}
-	if rt != nil {
-		rt.Start()
-	}
 	start := time.Now()
+	if rt != nil {
+		rt.StartOn(&windows{pool: pool, res: res, wall: rt.WallClock(), start: start})
+	}
 	time.Sleep(spec.Duration)
 	elapsed := time.Since(start)
 	ops := d.Ops()
 	if rt != nil {
 		rt.Stop()
-		for _, p := range rt.Timeline() {
-			res.Samples = append(res.Samples, Sample{
-				AtSec: p.At.Seconds(), KPI: p.KPI,
-				Config: p.Config.String(), Exploring: p.Exploring,
-			})
-		}
 		res.Phases = rt.Phases()
 	}
 	total := pool.SnapshotStats().Sub(setupStats)
@@ -585,8 +577,8 @@ func runTimed(s Scenario, spec RunSpec, wl workloads.Workload, pool *polytm.Pool
 }
 
 // newTuner builds the monitor → explore → install runtime over the
-// tuning space, timed by clock.
-func newTuner(spec RunSpec, clock core.Clock) (*core.Runtime, error) {
+// tuning space.
+func newTuner(spec RunSpec) (*core.Runtime, error) {
 	space := spec.Space
 	if len(space) == 0 {
 		space = config.DefaultSpace(spec.MaxThreads)
@@ -609,7 +601,6 @@ func newTuner(spec RunSpec, clock core.Clock) (*core.Runtime, error) {
 		TrainKPI:        train,
 		KPI:             core.Throughput,
 		Seed:            spec.Seed,
-		Clock:           clock,
 		MonitorMinDwell: spec.MonitorMinDwell,
 		MonitorBand:     spec.MonitorBand,
 		Epsilon:         spec.ExploreEpsilon,

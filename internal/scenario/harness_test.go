@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -221,6 +222,64 @@ func TestTimedRunProducesRealThroughput(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTimedTraceRecordsPhases: a timed auto-tuned record carries the
+// tuner's phases in the deterministic schema — an explore entry per
+// candidate profiled and an install entry per phase, each with its phase
+// number, and one exploring sample per explore entry, in the same order.
+// The tuning space is small so that the startup phase ends well inside the
+// run even while the recommender trains under load.
+func TestTimedTraceRecordsPhases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timed mode sleeps")
+	}
+	var res []Result
+	var err error
+	withinBound(t, func() {
+		res, err = Run(RunSpec{
+			Scenario:   "hashmap",
+			Params:     Values{"buckets": "128", "keyrange": "1024"},
+			Seed:       3,
+			MaxThreads: 2,
+			HeapWords:  1 << 20,
+			Duration:   3 * time.Second,
+			AutoTune:   true,
+			Space: []config.Config{
+				{Alg: config.NOrec, Threads: 1}, {Alg: config.NOrec, Threads: 2}, {Alg: config.TL2, Threads: 2},
+			},
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res[0]
+	var explored, exploring []string
+	installs := 0
+	for _, e := range r.Trace[1:] {
+		if e.Phase < 1 || e.Phase > r.Phases {
+			t.Errorf("trace entry %+v: phase outside 1..%d", e, r.Phases)
+		}
+		switch e.Event {
+		case "explore":
+			explored = append(explored, e.Config)
+		case "install":
+			installs++
+		default:
+			t.Errorf("trace entry %+v: unexpected event", e)
+		}
+	}
+	for _, sm := range r.Samples {
+		if sm.Exploring {
+			exploring = append(exploring, sm.Config)
+		}
+	}
+	if len(explored) == 0 || installs == 0 {
+		t.Fatalf("trace %+v: want explore and install entries", r.Trace)
+	}
+	if !slices.Equal(explored, exploring) {
+		t.Errorf("explore entries %v, exploring samples %v: want one sample per entry", explored, exploring)
 	}
 }
 

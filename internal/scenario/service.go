@@ -167,7 +167,7 @@ func init() {
 	Register(Scenario{
 		Name:        "service-reshard",
 		Family:      "service",
-		Description: "live resharding: SplitHeaviest plans installed under skewed load — fenced span migration, epoch'd placement flips, stale-replica bounces in metrics",
+		Description: "live resharding: PlanSplitHeaviest plans installed under skewed load — fenced span migration, epoch'd placement flips, stale-replica bounces in metrics",
 		Params:      []Param{rsShards, rsMaxShards, rsKeyRange, rsInitial, rsHotTenth, rsSplitEvery, rsRefreshEvery, rsMigrateBatch, rsCrossEvery, rsBatchKeys},
 		Make: func(v Values) (workloads.Workload, error) {
 			return &ServiceReshard{

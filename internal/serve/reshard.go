@@ -141,8 +141,9 @@ func (s *Server) Reshard() (reshardResult, int) { return s.reshard("split", nil)
 func (s *Server) ReshardMerge() (reshardResult, int) { return s.reshard("merge", nil) }
 
 // reshard is one placement step, plan "split" or "merge", planned from
-// load (nil reads the cumulative routed counters; the automerge trigger
-// passes its per-interval deltas). One step runs at a time (409 when
+// load (nil reads the cumulative routed counters; the autosplit trigger
+// passes the operations routed since the last split, the automerge
+// trigger its per-interval deltas). One step runs at a time (409 when
 // busy); a plan the planner declines is an explicit 200 no-op. A split
 // clamps its plan around the deque-reserved window and grows a spare
 // recipient; a merge retires spares first so its donor is the fleet's
@@ -231,6 +232,9 @@ func (s *Server) reshard(plan string, load []uint64) (reshardResult, int) {
 	res.Applied = true
 	res.Epoch = newEpoch
 	if split {
+		for _, ss := range s.fleet() {
+			ss.splitBase.Store(ss.routed.Load())
+		}
 		s.reshards.Add(1)
 		s.opts.Logf("serve: reshard installed: shard %d split, span [%d, %d] -> shard %d, %d keys migrated, placement epoch %d",
 			m.Donor, m.MovedLo, m.MovedHi, m.Recipient, moved, newEpoch)
@@ -613,9 +617,11 @@ func (s *Server) maintenanceLoop() {
 //     migration leaves its recipient as a spare; the next split reuses
 //     it, but with autosplit capped or disabled it would otherwise burn a
 //     worker pool and a tuner forever);
-//   - runs the autosplit trigger on the cumulative routed counters:
-//     hottest shard's share above AutosplitShare with enough total
-//     traffic to trust, and room under AutosplitMaxShards;
+//   - runs the autosplit trigger on the operations routed since the last
+//     installed split: hottest shard's share above AutosplitShare with
+//     enough total traffic to trust, and room under AutosplitMaxShards.
+//     Since the split, not cumulative, so a hotspot the split cooled is
+//     not split again for the load it carried before;
 //   - runs the automerge trigger on the per-tick routed deltas: when the
 //     top shard's share of the last interval's traffic falls below
 //     AutomergeShare — or the whole fleet went idle — and the placement
@@ -653,13 +659,13 @@ func (s *Server) maintain(now time.Time) {
 
 	fleet := s.fleet()
 	routed := make([]uint64, part.Shards())
+	sinceSplit := make([]uint64, len(routed))
 	var total, hottest uint64
 	for i := 0; i < len(routed) && i < len(fleet); i++ {
 		routed[i] = fleet[i].routed.Load()
-		total += routed[i]
-		if routed[i] > hottest {
-			hottest = routed[i]
-		}
+		sinceSplit[i] = routed[i] - min(routed[i], fleet[i].splitBase.Load())
+		total += sinceSplit[i]
+		hottest = max(hottest, sinceSplit[i])
 	}
 	delta := make([]uint64, len(routed))
 	var totalDelta uint64
@@ -675,7 +681,7 @@ func (s *Server) maintain(now time.Time) {
 
 	if s.opts.AutosplitShare > 0 && part.Shards() < s.opts.AutosplitMaxShards &&
 		total >= autosplitMinRouted && float64(hottest)/float64(total) > s.opts.AutosplitShare {
-		res, _ := s.reshard("split", nil)
+		res, _ := s.reshard("split", sinceSplit)
 		switch {
 		case res.Applied:
 			s.opts.Logf("serve: autosplit: shard %d split at placement epoch %d (%d keys migrated, hottest share %.2f)",

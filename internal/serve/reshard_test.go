@@ -430,7 +430,8 @@ func TestAutosplit(t *testing.T) {
 	if got := s.place.Epoch(); got != 1 {
 		t.Fatalf("placement epoch after autosplit = %d, want 1", got)
 	}
-	// The ceiling holds even though shard 0's share is still dominant.
+	// The ceiling holds even though shard 0's fresh load is still dominant.
+	s.fleet()[0].routed.Add(10_000)
 	s.maintain(time.Now())
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("autosplit overshot the ceiling: %d shards", got)
@@ -441,6 +442,37 @@ func TestAutosplit(t *testing.T) {
 		if code != http.StatusOK || !resp.Found || resp.Val != k {
 			t.Fatalf("post-autosplit get(%d) = %d %+v", k, code, resp)
 		}
+	}
+}
+
+// TestAutosplitJudgesLoadSinceLastSplit: once a split has cooled the
+// hotspot, even load must not split the fleet again. The trigger judges
+// the operations routed since the last split, not the cumulative counters
+// in which the old hotspot still dominates.
+func TestAutosplitJudgesLoadSinceLastSplit(t *testing.T) {
+	s := newTestServer(t, Options{
+		Shards: 2, Workers: 2, Partitioner: shard.KindRange, Preload: 1024,
+		AutosplitShare: 0.6, AutosplitMaxShards: 6,
+	})
+	s.fleet()[0].routed.Add(10_000)
+	s.maintain(time.Now())
+	if got := s.part().Shards(); got != 3 {
+		t.Fatalf("autosplit left %d shards after a hot tick, want a split (3)", got)
+	}
+	for tick := 0; tick < 3; tick++ {
+		for _, ss := range s.fleet() {
+			ss.routed.Add(600)
+		}
+		s.maintain(time.Now())
+		if got := s.part().Shards(); got != 3 {
+			t.Fatalf("tick %d of even load: %d shards, want 3 (the cooled hotspot was split again)", tick, got)
+		}
+	}
+	// A new hotspot still splits.
+	s.fleet()[1].routed.Add(10_000)
+	s.maintain(time.Now())
+	if got := s.part().Shards(); got != 4 {
+		t.Fatalf("autosplit left %d shards after a new hotspot, want 4", got)
 	}
 }
 

@@ -263,11 +263,11 @@ type Options struct {
 	// detector ticks every FenceDeadline/4.
 	FenceDeadline time.Duration
 	// AutosplitShare arms the background autosplit trigger (range
-	// partitioner only): when the hottest shard's share of routed
-	// operations exceeds this fraction — and at least autosplitMinRouted
-	// operations have been routed since the last split, and the fleet is
-	// below AutosplitMaxShards — the server installs a PlanSplitHeaviest plan
-	// live, exactly as POST /admin/reshard would. 0 disables.
+	// partitioner only): when the hottest shard's share of the operations
+	// routed since the last split exceeds this fraction — and at least
+	// autosplitMinRouted of them have been routed, and the fleet is below
+	// AutosplitMaxShards — the server installs a PlanSplitHeaviest plan
+	// over that load live, as POST /admin/reshard would. 0 disables.
 	AutosplitShare float64
 	// AutosplitMaxShards caps autosplit growth (default 8).
 	AutosplitMaxShards int
@@ -398,6 +398,9 @@ type shardState struct {
 	// per-shard load counter /statusz exposes (ops_routed) and the range
 	// partitioner's PlanSplitHeaviest rebalance step consumes.
 	routed atomic.Uint64
+	// splitBase is routed as of the last installed split: the autosplit
+	// trigger judges only the operations routed since.
+	splitBase atomic.Uint64
 
 	// executed counts data operations this shard completed (fenced
 	// requeues excluded) — the progress signal the failure detector's

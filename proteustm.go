@@ -83,7 +83,7 @@ type TimelinePoint = core.TimelinePoint
 
 // ReconfigEvent records one completed optimization phase: the
 // configuration installed, the one it replaced, the trigger ("startup",
-// "monitor-alarm", "forced" or "sync") and the 1-based phase number.
+// "monitor-alarm" or "forced") and the 1-based phase number.
 type ReconfigEvent = core.ReconfigEvent
 
 // Option configures Open.
