@@ -1,7 +1,5 @@
 package cf
 
-import "math"
-
 // Bagging is the bootstrap-aggregated ensemble of CF learners the Controller
 // uses as its probabilistic model (§5.2): k base predictors are trained on
 // random row subsets of the training matrix, and the per-configuration mean
@@ -115,61 +113,61 @@ func (b *Bagging) PredictFull(active []float64) []float64 {
 	return mean
 }
 
-// dist aggregates every learner's row for the active row. KNN learners share
-// the query: the active row's known indices, its similarity to each distinct
-// training row and the most similar of those rows are computed once, and each
-// learner takes its neighbours from that list, scanning its own rows only
-// when the list cannot decide (see KNN.fromTop).
+// dist aggregates every learner's predictions for the active row. KNN
+// learners share the query: the active row's known indices, its similarity
+// to each distinct training row and the most similar of those rows are
+// computed once, and each learner takes its neighbours from that list,
+// scanning its own rows only when the list cannot decide (see KNN.fromTop).
+// A KNN learner adds its predictions to the ensemble's moments from its last
+// neighbour pass (see KNN.fill); any other predictor returns a row, which is
+// added column by column.
 func (b *Bagging) dist(active []float64, full bool) (mean, variance []float64) {
 	cols := len(active)
 	out := make([]float64, 2*cols)
 	mean, variance = out[:cols:cols], out[cols:]
 	q := newQuery(active)
 	defer q.release()
-	q.counts = resize(q.counts, cols)
-	// mean and variance accumulate the sum and the sum of squares first, as
-	// sum and sq: the reslices spare the loops below their bounds checks.
-	sum, sq, counts := mean[:cols], variance[:cols], q.counts[:cols]
-	clear(counts)
+	q.acc = resize(q.acc, cols)
+	s := sink{acc: q.acc[:cols]}
+	clear(s.acc)
 	if b.knn {
 		first := b.models[0].(*KNN)
 		q.similarities(first.Sim, first.MinOverlap, first.train)
 		q.rank(b.top)
-		q.pred = resize(q.pred, cols)
 	}
 	for _, m := range b.models {
-		pred := q.pred
-		if b.knn {
-			k := m.(*KNN)
+		k, isKNN := m.(*KNN)
+		switch {
+		case b.knn:
 			if !k.fromTop(q) {
 				k.nearest(q)
 			}
-			k.fill(pred, q, full)
-		} else if fp, ok := m.(FullPredictor); ok && full {
-			pred = fp.PredictFull(active)
-		} else {
-			pred = m.Predict(active)
-		}
-		for i, v := range pred[:cols] {
-			if IsMissing(v) || math.IsInf(v, 0) {
-				continue
+		case isKNN:
+			q.similarities(k.Sim, k.MinOverlap, k.train)
+			k.nearest(q)
+		default:
+			var pred []float64
+			if fp, ok := m.(FullPredictor); ok && full {
+				pred = fp.PredictFull(active)
+			} else {
+				pred = m.Predict(active)
 			}
-			sum[i] += v
-			sq[i] += v * v
-			counts[i]++
-		}
-	}
-	for i, c := range counts {
-		if c == 0 {
-			sum[i], sq[i] = Missing, Missing
+			for i, v := range pred[:cols] {
+				s.put(i, v)
+			}
 			continue
 		}
-		n := float64(c)
-		sum[i] /= n
-		sq[i] = sq[i]/n - sum[i]*sum[i]
-		if sq[i] < 0 {
-			sq[i] = 0
+		k.fill(q, full, &s)
+	}
+	variance = variance[:cols]
+	for i, m := range s.acc {
+		if m.n == 0 {
+			mean[i], variance[i] = Missing, Missing
+			continue
 		}
+		n := float64(m.n)
+		mean[i] = m.sum / n
+		variance[i] = max(m.sq/n-mean[i]*mean[i], 0)
 	}
 	return mean, variance
 }

@@ -78,43 +78,49 @@ func rowSimilarity(s Similarity, a, b []float64) (float64, int) {
 }
 
 // branchCounts tallies, learner by learner, how Bagging.dist selects
-// neighbours and which fill a learner runs, so a test can assert that every
-// branch of the kernel ran.
+// neighbours and what its fused pass (KNN.fill into the ensemble's moments)
+// ran on, so a test can assert that every branch of the kernel ran.
 type branchCounts struct {
 	fromTop  int // the top list decided the neighbours
 	tie      int // fallback to nearest: the top list met a tie
 	cut      int // fallback to nearest: the top list ran out short of K
 	straddle int // fromTop took fewer copies of a row than the sample holds
 	bigK     int // fromTop decided, with K above the number of rows
-	dense    int // dense fill
-	sparse   int // per-cell fill
+	// fused counts the learners that ran the fused pass, by matrix
+	// (dense), MeanCenter and caller (PredictFull or PredictDist).
+	fused        map[fusedCase]int
+	noNeighbours int // a learner whose similarity sum is 0
+	infRow       int // a learner with a neighbour row holding ±Inf
 }
 
+type fusedCase struct{ dense, centred, full bool }
+
 // count replays the neighbour selection dist makes for active, calling the
-// same rank and fromTop, and tallies the outcome of every learner.
-func (c *branchCounts) count(b *Bagging, active []float64) {
-	for _, m := range b.models {
-		if m.(*KNN).dense {
-			c.dense++
-		} else {
-			c.sparse++
-		}
+// same similarities, rank, fromTop and nearest, and tallies the outcome of
+// every learner.
+func (c *branchCounts) count(b *Bagging, active []float64, full bool) {
+	if c.fused == nil {
+		c.fused = map[fusedCase]int{}
 	}
-	if !b.knn {
-		return
-	}
-	first := b.models[0].(*KNN)
 	q := newQuery(active)
 	defer q.release()
-	q.similarities(first.Sim, first.MinOverlap, first.train)
-	q.rank(b.top)
+	if b.knn {
+		first := b.models[0].(*KNN)
+		q.similarities(first.Sim, first.MinOverlap, first.train)
+		q.rank(b.top)
+	}
 	for _, m := range b.models {
 		k := m.(*KNN)
 		switch {
+		case !b.knn:
+			q.similarities(k.Sim, k.MinOverlap, k.train)
+			k.nearest(q)
 		case q.topTie:
 			c.tie++
+			k.nearest(q)
 		case !k.fromTop(q):
 			c.cut++
+			k.nearest(q)
 		default:
 			c.fromTop++
 			if k.size() > k.train.Rows {
@@ -129,5 +135,24 @@ func (c *branchCounts) count(b *Bagging, active []float64) {
 				taken += n
 			}
 		}
+		c.fused[fusedCase{k.dense, k.MeanCenter, full}]++
+		if len(q.nb) == 0 {
+			c.noNeighbours++
+		}
+		for _, nb := range q.nb {
+			if hasInf(k.train.Data[nb.row]) {
+				c.infRow++
+				break
+			}
+		}
 	}
+}
+
+func hasInf(row []float64) bool {
+	for _, v := range row {
+		if math.IsInf(v, 0) {
+			return true
+		}
+	}
+	return false
 }

@@ -179,18 +179,24 @@ func TestKnownSimilarityMatchesDense(t *testing.T) {
 }
 
 // TestPredictMatchesReference: the sparse, shared-similarity kernel returns
-// the reference kernel's predictions bit for bit — plain KNN and bagged, every
-// similarity (and ensembles mixing them or their K), MinOverlap 1 and 3,
-// centred or not, on sparse and dense matrices, with tied similarities (small
-// integer ratings, repeated rows) and without (continuous ratings), and K
-// from 1 to above the number of rows. Every way an ensemble selects
-// neighbours and fills a row must have run.
+// the reference kernel's predictions bit for bit — plain KNN and bagged
+// through PredictDist and PredictFull, every similarity (and ensembles mixing
+// them or their K), MinOverlap 1 and 3, centred or not, on sparse and dense
+// matrices, with tied similarities (small integer ratings, repeated rows) and
+// without (continuous ratings), on training rows holding ±Inf, and K from 1
+// to above the number of rows. Every way an ensemble selects neighbours must
+// have run, and its fused pass (each learner adding its predictions straight
+// to the ensemble's moments) on every kind of matrix and learner, from both
+// callers, for a learner without neighbours and on a neighbour holding ±Inf.
 func TestPredictMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var branches branchCounts
 	for n := 0; n < 1600; n++ {
 		dense, continuous := n%4 == 1 || n%4 == 2, n%4 >= 2
 		train := randomMatrix(rng, dense, continuous)
+		if n%5 == 0 { // an infinite rating, which no average can use
+			train.Data[rng.Intn(train.Rows)][rng.Intn(train.Cols)] = math.Inf(1 - 2*rng.Intn(2))
+		}
 		active := randomRow(rng, train.Cols, 0.3+0.7*rng.Float64())
 		if continuous {
 			scale(rng, active)
@@ -220,13 +226,17 @@ func TestPredictMatchesReference(t *testing.T) {
 			return &k
 		}}
 		bag.Fit(train)
-		branches.count(bag, active)
 		for _, full := range []bool{false, true} {
+			branches.count(bag, active, full)
 			got := knn.predict(active, full)
 			if want := refKNN(&proto, train, active, full); !sameBits(got, want) {
 				t.Fatalf("case %d %+v full=%v active=%v:\n got %v\nwant %v", n, proto, full, active, got, want)
 			}
-			mean, variance := bag.dist(active, full)
+			mean, variance := bag.PredictDist(active)
+			if full {
+				mean = bag.PredictFull(active)
+				_, variance = bag.dist(active, true)
+			}
 			wantMean, wantVar := refBagging(bag, train, active, full)
 			if !sameBits(mean, wantMean) || !sameBits(variance, wantVar) {
 				t.Fatalf("case %d bagged %+v full=%v active=%v:\n got %v / %v\nwant %v / %v", n, proto, full, active, mean, variance, wantMean, wantVar)
@@ -237,10 +247,19 @@ func TestPredictMatchesReference(t *testing.T) {
 	for name, c := range map[string]int{
 		"fromTop": branches.fromTop, "tie fallback": branches.tie, "exhaustion fallback": branches.cut,
 		"straddling row": branches.straddle, "K above rows": branches.bigK,
-		"dense fill": branches.dense, "sparse fill": branches.sparse,
+		"no-neighbour": branches.noNeighbours, "±Inf neighbour": branches.infRow,
 	} {
 		if c == 0 {
 			t.Errorf("no learner took the %s branch", name)
+		}
+	}
+	for _, dense := range []bool{false, true} {
+		for _, centred := range []bool{false, true} {
+			for _, full := range []bool{false, true} {
+				if c := (fusedCase{dense, centred, full}); branches.fused[c] == 0 {
+					t.Errorf("no learner ran the fused pass with %+v", c)
+				}
+			}
 		}
 	}
 }

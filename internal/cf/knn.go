@@ -137,7 +137,7 @@ func (k *KNN) predict(active []float64, full bool) []float64 {
 	q := newQuery(active)
 	q.similarities(k.Sim, k.MinOverlap, k.train)
 	k.nearest(q)
-	k.fill(out, q, full)
+	k.fill(q, full, &sink{row: out})
 	q.release()
 	return out
 }
@@ -154,8 +154,7 @@ type query struct {
 	nb     []neighbour
 	num    []float64 // per column: Σ sim·rating over the neighbours that rated it
 	den    []float64 // per column: Σ |sim| over the same
-	pred   []float64 // Bagging: the current learner's row
-	counts []int     // Bagging: learners that predicted each column
+	acc    []moments // Bagging: the moments of the learners' predictions, per column
 
 	// Bagging: the most similar distinct rows, and whether they can
 	// decide every learner's neighbours (see rank).
@@ -310,37 +309,76 @@ func (k *KNN) nearest(q *query) {
 	q.nb = nb
 }
 
-// fill writes the learner's row for the query into out: known entries are
-// echoed unless full, every other column is the similarity-weighted average
-// of the neighbours in q.nb that rated it (Missing when none did).
-func (k *KNN) fill(out []float64, q *query, full bool) {
+// sink receives, column by column, the predictions fill makes: KNN.predict
+// keeps the learner's row, Bagging.dist adds each prediction to the
+// ensemble's running moments.
+type sink struct {
+	row []float64 // the learner's row, or nil for an ensemble
+	acc []moments // ensemble: per column
+}
+
+// moments sums one column's predictions over an ensemble's learners.
+type moments struct {
+	sum, sq float64 // Σ prediction, Σ prediction²
+	n       int     // the learners that predicted the column
+}
+
+// add adds prediction p to m unless p is NaN or ±Inf, the predictions no
+// average can use: v-v is 0 for every finite v and NaN for those.
+func (m *moments) add(p float64) {
+	if p-p != 0 {
+		return
+	}
+	m.sum += p
+	m.sq += p * p
+	m.n++
+}
+
+// put hands the sink column i's prediction p.
+func (s *sink) put(i int, p float64) {
+	if s.row != nil {
+		s.row[i] = p
+	} else {
+		s.acc[i].add(p)
+	}
+}
+
+// fill hands the sink the learner's prediction for every column of the
+// query: the known entry unless full, otherwise the similarity-weighted
+// average of the neighbours in q.nb that rated the column (Missing when none
+// did). Neighbour by neighbour, so each training row is read front to back;
+// every column still sums its neighbours in rank order. The last neighbour's
+// pass (last) divides and hands each column to the sink as it goes: an
+// ensemble's learner adds its predictions to the ensemble's moments without
+// writing a row of its own. A row is overwritten at the known columns
+// afterwards; an ensemble cannot take a prediction back, so for it the pass
+// stops at each known column to hand over the entry instead.
+func (k *KNN) fill(q *query, full bool, s *sink) {
 	cols := len(q.active)
 	q.num, q.den = resize(q.num, cols), resize(q.den, cols)
 	// The reslices spare the loops below their bounds checks.
-	out, num, den := out[:cols], q.num[:cols], q.den[:cols]
+	num, den := q.num[:cols], q.den[:cols]
 	clear(num)
-	// Neighbour by neighbour, so each training row is read front to back;
-	// every column still sums its neighbours in rank order. On a dense
-	// matrix every column has the same neighbours, hence the same
-	// denominator, summed once in the same order.
-	shared := 0.0
 	if !k.dense {
 		clear(den)
 	}
+	// On a dense matrix every column has the same neighbours, hence the
+	// same denominator, summed once in the same order.
+	shared := 0.0
 	for _, nb := range q.nb {
-		mean := 0.0 // v - 0 is v, bit for bit
-		if k.MeanCenter {
-			mean = k.means[nb.row]
-		}
-		abs := math.Abs(nb.sim)
+		shared += math.Abs(nb.sim)
+	}
+	for j := 0; j < len(q.nb)-1; j++ {
+		nb := q.nb[j]
+		mean := k.mean(nb.row)
 		row := k.train.Data[nb.row][:cols]
 		if k.dense {
 			for i, v := range row {
 				num[i] += nb.sim * (v - mean)
 			}
-			shared += abs
 			continue
 		}
+		abs := math.Abs(nb.sim)
 		for i, v := range row {
 			if IsMissing(v) {
 				continue
@@ -349,35 +387,90 @@ func (k *KNN) fill(out []float64, q *query, full bool) {
 			den[i] += abs
 		}
 	}
-	switch {
-	case !k.dense:
-		for i, d := range den {
-			switch {
-			case d == 0:
-				out[i] = Missing
-			case k.MeanCenter:
-				out[i] = num[i]/d + q.mean
-			default:
-				out[i] = num[i] / d
+	if full || s.row != nil {
+		k.last(q, s, shared, 0, cols)
+		if !full {
+			for _, j := range q.known {
+				s.row[j] = q.active[j]
 			}
 		}
-	case shared == 0:
-		for i := range out {
-			out[i] = Missing
-		}
-	case k.MeanCenter:
-		for i, v := range num {
-			out[i] = v/shared + q.mean
-		}
-	default:
-		for i, v := range num {
-			out[i] = v / shared
-		}
+		return
 	}
-	if !full {
-		for _, i := range q.known {
-			out[i] = q.active[i]
+	lo := 0
+	for _, j := range q.known {
+		k.last(q, s, shared, lo, j)
+		s.put(j, q.active[j])
+		lo = j + 1
+	}
+	k.last(q, s, shared, lo, cols)
+}
+
+// mean is what MeanCenter subtracts from training row u's ratings: its mean,
+// or 0 (v - 0 is v, bit for bit).
+func (k *KNN) mean(u int) float64 {
+	if k.MeanCenter {
+		return k.means[u]
+	}
+	return 0
+}
+
+// last adds the last neighbour's term to columns [lo, hi) of the sums fill
+// accumulated, divides by the denominator — shared on a dense matrix, the
+// column's own otherwise — adds the active row's mean when centred, and hands
+// each prediction to the sink. A learner without neighbours (similarity sum
+// 0) predicts Missing everywhere.
+func (k *KNN) last(q *query, s *sink, shared float64, lo, hi int) {
+	if len(q.nb) == 0 {
+		if s.row != nil {
+			for i := lo; i < hi; i++ {
+				s.row[i] = Missing
+			}
 		}
+		return
+	}
+	nb := q.nb[len(q.nb)-1]
+	mean, abs := k.mean(nb.row), math.Abs(nb.sim)
+	centred, add := k.MeanCenter, q.mean
+	row := k.train.Data[nb.row][lo:hi]
+	num, den := q.num[lo:hi], q.den[lo:hi]
+	if k.dense {
+		// Two loops, not one through put: testing the sink per column
+		// cost the ensemble's query about a tenth of its time.
+		if s.row == nil {
+			acc := s.acc[lo:hi]
+			for i, v := range row {
+				p := (num[i] + nb.sim*(v-mean)) / shared
+				if centred {
+					p += add
+				}
+				acc[i].add(p)
+			}
+			return
+		}
+		out := s.row[lo:hi]
+		for i, v := range row {
+			p := (num[i] + nb.sim*(v-mean)) / shared
+			if centred {
+				p += add
+			}
+			out[i] = p
+		}
+		return
+	}
+	for i, v := range row {
+		n, d := num[i], den[i]
+		if !IsMissing(v) {
+			n += nb.sim * (v - mean)
+			d += abs
+		}
+		p := Missing
+		if d != 0 {
+			p = n / d
+			if centred {
+				p += add
+			}
+		}
+		s.put(lo+i, p)
 	}
 }
 

@@ -275,6 +275,56 @@ func TestOptimizeProfilesFailedSampleOnce(t *testing.T) {
 	}
 }
 
+// TestPredictDistAllocations: a surrogate query allocates exactly once, the
+// mean/variance pair PredictDist returns (PredictFull returns its first
+// half), on a dense and on a sparse training matrix, centred or not; every
+// other buffer of the bagged kernel is pooled. PickNext, which reads the
+// pair, allocates nothing.
+func TestPredictDistAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	_, truth, _ := buildTruth(t, 60, perfmodel.Throughput)
+	dense, test := splitRows(truth, 0.5)
+	sparse := dense.Clone()
+	for u, row := range sparse.Data {
+		for i := u % 7; i < len(row); i += 7 {
+			row[i] = cf.Missing
+		}
+	}
+	active := make([]float64, truth.Cols)
+	for i := range active {
+		active[i] = cf.Missing
+	}
+	for _, i := range []int{0, 7, 41, 90, 133} {
+		active[i] = test.Data[0][i] / test.Data[0][0]
+	}
+	for _, tc := range []struct {
+		name   string
+		train  *cf.Matrix
+		center bool
+	}{{"dense", dense, false}, {"sparse-centred", sparse, true}} {
+		bag := &cf.Bagging{Learners: 10, Seed: 3, New: func(int) cf.Predictor {
+			return &cf.KNN{K: 3, Sim: cf.Euclidean, MeanCenter: tc.center}
+		}}
+		bag.Fit(tc.train)
+		mean, variance := bag.PredictDist(active)
+		for name, f := range map[string]func(){
+			"PredictDist": func() { bag.PredictDist(active) },
+			"PredictFull": func() { bag.PredictFull(active) },
+		} {
+			if allocs := testing.AllocsPerRun(100, f); allocs != 1 {
+				t.Errorf("%s: one %s allocated %.0f times, want 1", tc.name, name, allocs)
+			}
+		}
+		rng := uint64(1)
+		pick := func() { smbo.PickNext(active, mean, variance, 1, smbo.EI, &rng) }
+		if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
+			t.Errorf("%s: one PickNext allocated %.0f times, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestOptimizeAllocations bounds what one optimization of typical length (the
 // reference, four explorations, the final check) allocates: its own rows, and
 // the mean/variance pair each surrogate query returns (the kernel's buffers

@@ -11,6 +11,7 @@ package smbo
 
 import (
 	"math"
+	"sync"
 )
 
 // Policy selects the acquisition function used to pick the next
@@ -84,15 +85,20 @@ type Options struct {
 // everything predictable has been explored. Under the EI policy a column
 // whose EI bound (eiBound) is below the best EI so far, or below the EI of
 // the column with the highest bound, is passed over without computing its
-// EI: it could not have won, so the answer is the same.
+// EI: it could not have won, so the answer is the same. Every candidate's σ
+// and bound are computed once, by the pass that finds that column (see
+// bounds.fill), and read back by the selection loop.
 func PickNext(row, mean, variance []float64, incumbent float64, policy Policy, rng *uint64) (int, float64) {
 	bestScore := math.Inf(-1)
 	bestEI := 0.0
 	next := -1
 	nUnexplored := 0
 	floor := math.Inf(-1)
+	var b *bounds
 	if policy == EI {
-		floor = eiFloor(row, mean, variance, incumbent)
+		b = boundsPool.Get().(*bounds)
+		defer boundsPool.Put(b)
+		floor = b.fill(row, mean, variance, incumbent)
 	}
 	for i := range row {
 		if !math.IsNaN(row[i]) {
@@ -103,12 +109,17 @@ func PickNext(row, mean, variance []float64, incumbent float64, policy Policy, r
 		if math.IsNaN(mu) {
 			continue
 		}
-		if math.IsNaN(va) || va < 0 {
-			va = 0
-		}
-		sigma := math.Sqrt(va)
-		if policy == EI && sigma > 0 && eiBound(mu, sigma, incumbent) < max(bestScore, floor) {
-			continue
+		var sigma float64
+		if b != nil {
+			sigma = b.sigma[i]
+			if sigma > 0 && b.bound[i] < max(bestScore, floor) {
+				continue
+			}
+		} else {
+			if math.IsNaN(va) || va < 0 {
+				va = 0
+			}
+			sigma = math.Sqrt(va)
 		}
 		ei := ExpectedImprovement(mu, sigma, incumbent)
 		var score float64
@@ -178,23 +189,45 @@ func ExpectedImprovement(mu, sigma, best float64) float64 {
 	return sigma * (u*stdNormCDF(u) + stdNormPDF(u))
 }
 
-// eiFloor returns the EI of the candidate column with the highest eiBound: the
+// bounds is the EI policy's scratch: per candidate column, σ and, when σ is
+// positive, the EI bound. PickNext takes one from boundsPool per call.
+type bounds struct {
+	sigma, bound []float64
+}
+
+var boundsPool = sync.Pool{New: func() any { return new(bounds) }}
+
+// fill stores every candidate column's σ — √variance when the variance is
+// positive, 0 otherwise — and, where σ is positive, its eiBound, and returns
+// the EI of the candidate with the highest bound (the first of equals): the
 // column PickNext's EI policy picks has at least that much. It returns -Inf
-// when no candidate has a positive variance.
-func eiFloor(row, mean, variance []float64, incumbent float64) float64 {
+// when no candidate has a positive variance. A candidate is an unexplored
+// column with a mean; other columns' entries are left as they were.
+func (b *bounds) fill(row, mean, variance []float64, incumbent float64) float64 {
+	if cap(b.sigma) < len(row) {
+		b.sigma, b.bound = make([]float64, len(row)), make([]float64, len(row))
+	}
+	b.sigma, b.bound = b.sigma[:len(row)], b.bound[:len(row)]
 	top, arg := math.Inf(-1), -1
 	for i := range row {
-		if !math.IsNaN(row[i]) || math.IsNaN(mean[i]) || !(variance[i] > 0) {
+		if !math.IsNaN(row[i]) || math.IsNaN(mean[i]) {
 			continue
 		}
-		if b := eiBound(mean[i], math.Sqrt(variance[i]), incumbent); b > top {
-			top, arg = b, i
+		if !(variance[i] > 0) {
+			b.sigma[i] = 0
+			continue
+		}
+		sigma := math.Sqrt(variance[i])
+		bound := eiBound(mean[i], sigma, incumbent)
+		b.sigma[i], b.bound[i] = sigma, bound
+		if bound > top {
+			top, arg = bound, i
 		}
 	}
 	if arg < 0 {
 		return math.Inf(-1)
 	}
-	return ExpectedImprovement(mean[arg], math.Sqrt(variance[arg]), incumbent)
+	return ExpectedImprovement(mean[arg], b.sigma[arg], incumbent)
 }
 
 // eiBound bounds ExpectedImprovement(mu, sigma, best) from above for

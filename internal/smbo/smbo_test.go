@@ -1,6 +1,7 @@
 package smbo_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,11 +188,15 @@ func unprunedPickNext(row, mean, variance []float64, incumbent float64, policy s
 // TestPickNextMatchesUnpruned: pruning by the EI bound changes nothing — the
 // same column, the same EI bits and the same generator state as computing
 // every EI, under every policy, on random surrogates with zero, negative and
-// NaN variances, means up to 40 σ from the incumbent, repeated columns (equal
-// EIs) and incumbents of −Inf and 0.
+// NaN variances, NaN means, means up to 40 σ from the incumbent, repeated
+// columns (equal EIs and equal bounds) and incumbents of −Inf and 0. The EI
+// policy computes each candidate's σ and bound once, in the pass that finds
+// the floor, and its selection loop reads them back: that pass must have met
+// every one of those kinds of candidate.
 func TestPickNextMatchesUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pruned, byFloor := 0, 0
+	var met boundCases
 	for n := 0; n < 20000; n++ {
 		cols := 1 + rng.Intn(60)
 		row, mean, variance := make([]float64, cols), make([]float64, cols), make([]float64, cols)
@@ -237,37 +242,91 @@ func TestPickNextMatchesUnpruned(t *testing.T) {
 					n, policy, incumbent, row, mean, variance, got, gotEI, want, wantEI)
 			}
 		}
-		p, f := countPruned(row, mean, variance, incumbent)
+		sigma, bound, floor := smbo.EIBounds(row, mean, variance, incumbent)
+		if err := met.count(row, mean, variance, incumbent, sigma, bound); err != "" {
+			t.Fatalf("case %d row %v mean %v variance %v: %s", n, row, mean, variance, err)
+		}
+		p, f := countPruned(row, mean, incumbent, sigma, bound, floor)
 		pruned, byFloor = pruned+p, byFloor+f
 	}
-	t.Logf("%d columns pruned, %d of them by the floor alone", pruned, byFloor)
+	t.Logf("%d columns pruned, %d of them by the floor alone; bound pass met %+v", pruned, byFloor, met)
 	if byFloor == 0 || pruned == byFloor {
 		t.Error("the test does not reach both pruning rules")
 	}
+	for name, c := range map[string]int{
+		"NaN mean": met.nanMean, "NaN variance": met.nanVar, "negative variance": met.negVar,
+		"zero variance": met.zeroVar, "equal bounds": met.equalBounds,
+	} {
+		if c == 0 {
+			t.Errorf("the bound pass met no candidate with %s", name)
+		}
+	}
 }
 
-// countPruned counts the columns PickNext's EI policy passes over without
-// computing their EI, and among them those that only the floor (the EI of the
-// column with the highest bound) rules out.
-func countPruned(row, mean, variance []float64, incumbent float64) (pruned, byFloor int) {
-	best, floor := math.Inf(-1), smbo.EIFloor(row, mean, variance, incumbent)
+// boundCases tallies the kinds of candidate column (unexplored) the EI
+// policy's bound pass met.
+type boundCases struct {
+	nanMean, nanVar, negVar, zeroVar int
+	equalBounds                      int // a positive σ whose bound equals an earlier candidate's
+}
+
+// count checks what the bound pass stored for every candidate — σ 0 for a
+// variance that is not positive, otherwise √variance and eiBound — and
+// tallies the candidate's kind. It returns a description of the first
+// mismatch, or "".
+func (c *boundCases) count(row, mean, variance []float64, incumbent float64, sigma, bound []float64) string {
+	seen := map[float64]bool{}
 	for i := range row {
-		va := variance[i]
+		switch va := variance[i]; {
+		case !math.IsNaN(row[i]):
+			continue
+		case math.IsNaN(mean[i]):
+			c.nanMean++
+			continue
+		case !(va > 0):
+			if sigma[i] != 0 {
+				return fmt.Sprintf("column %d: variance %v stored σ %v, want 0", i, va, sigma[i])
+			}
+			switch {
+			case math.IsNaN(va):
+				c.nanVar++
+			case va < 0:
+				c.negVar++
+			default:
+				c.zeroVar++
+			}
+			continue
+		}
+		s := math.Sqrt(variance[i])
+		b := smbo.EIBound(mean[i], s, incumbent)
+		if math.Float64bits(sigma[i]) != math.Float64bits(s) || math.Float64bits(bound[i]) != math.Float64bits(b) {
+			return fmt.Sprintf("column %d: stored σ %v bound %v, want %v and %v", i, sigma[i], bound[i], s, b)
+		}
+		if seen[b] {
+			c.equalBounds++
+		}
+		seen[b] = true
+	}
+	return ""
+}
+
+// countPruned counts, from what the bound pass stored, the columns PickNext's
+// EI policy passes over without computing their EI, and among them those that
+// only the floor (the EI of the column with the highest bound) rules out.
+func countPruned(row, mean []float64, incumbent float64, sigma, bound []float64, floor float64) (pruned, byFloor int) {
+	best := math.Inf(-1)
+	for i := range row {
 		if !math.IsNaN(row[i]) || math.IsNaN(mean[i]) {
 			continue
 		}
-		if math.IsNaN(va) || va < 0 {
-			va = 0
-		}
-		sigma := math.Sqrt(va)
-		if bound := smbo.EIBound(mean[i], sigma, incumbent); sigma > 0 && bound < max(best, floor) {
+		if sigma[i] > 0 && bound[i] < max(best, floor) {
 			pruned++
-			if bound >= best {
+			if bound[i] >= best {
 				byFloor++
 			}
 			continue
 		}
-		best = max(best, smbo.ExpectedImprovement(mean[i], sigma, incumbent))
+		best = max(best, smbo.ExpectedImprovement(mean[i], sigma[i], incumbent))
 	}
 	return pruned, byFloor
 }
