@@ -73,9 +73,9 @@
 // arms the symmetric background trigger: when the top shard's share of
 // the last interval's routed operations falls below S (or the fleet goes
 // idle), the daemon merges it away, down to --automerge-min shards,
-// checking every 2s. Spare shards left by rolled-back migrations are
-// reaped after 30s idle. Observables: ops.merges,
-// ops.shards_retired, server.spare_shards, ops.range_conservative.
+// checking every 2s. A split that fails before its flip retires its new
+// shard before it returns, so the fleet never outgrows the placement.
+// Observables: ops.merges, ops.shards_retired, ops.range_conservative.
 //
 // Endpoints (all parameters are uint64 query parameters; keys/vals are
 // comma-separated lists):

@@ -156,10 +156,11 @@ func buildSkewPlan(st *ServerStatus, keyRange uint64) *skewPlan {
 	}
 	// Size the plan from the partitioner actually built, not st.Shards:
 	// the daemon counts fleet entries, which disagrees with the span
-	// table around a live merge (spares linger above the placement's top
-	// shard, and the status snapshot can catch the fleet truncated one
-	// ahead of the placement it reports). Keying everything to the span
-	// table keeps pools[Owner(k)] in range whichever way they diverge.
+	// table around a live reshard (a split's recipient joins the fleet
+	// before the flip, and the status snapshot can catch a merge's fleet
+	// truncated one ahead of the placement it reports). Keying everything
+	// to the span table keeps pools[Owner(k)] in range whichever way they
+	// diverge.
 	shards = part.Shards()
 	plan := &skewPlan{epoch: st.PartitionerEpoch, shards: shards, pools: make([][]uint64, shards), hot: make([][]uint64, shards)}
 	full := 0

@@ -5,9 +5,9 @@ package serve
 // copy into the live recipient, flip the placement one shard smaller,
 // drain and retire the donor. Covers the admin surface (direction
 // selection, the split-vs-merge 409), full key preservation across a
-// shrink, the spare-shard reaper, the loadgen replica shrink, and the
-// centerpiece: linearizability of traffic racing a live merge under both
-// injected migrator crashes.
+// shrink, no spare shard left by a failed split, the loadgen replica
+// shrink, and the centerpiece: linearizability of traffic racing a live
+// merge under both injected migrator crashes.
 
 import (
 	"encoding/json"
@@ -92,7 +92,7 @@ func TestReshardMergeShrinksFleet(t *testing.T) {
 	}
 
 	st := s.StatusSnapshot()
-	if st.Server.Shards != 3 || st.Server.PartitionerEpoch != 1 || st.Server.Resharding || st.Server.SpareShards != 0 {
+	if st.Server.Shards != 3 || st.Server.PartitionerEpoch != 1 || st.Server.Resharding || s.part().Shards() != 3 {
 		t.Fatalf("statusz after merge: %+v", st.Server)
 	}
 	if len(st.Server.SpanStarts) != 3 || len(st.Server.SpanOwners) != 3 {
@@ -189,64 +189,75 @@ func TestMergeAdminSurface(t *testing.T) {
 	s.reshardMu.Unlock()
 }
 
-// TestSpareReaper pins the spare-shard leak fix: a rolled-back split
-// leaves its recipient as a spare (a full worker pool and tuner the
-// placement never names); the maintenance loop must retire it after the
-// grace period instead of leaking it forever.
+// TestSpareReaper pins that no spare survives a failed split: a split
+// that returns without flipping retires its recipient at once, so right
+// after the 503 the fleet is exactly the placement's width — no worker
+// pool, heap and tuner is left running that no placement names — and the
+// survivors serve the whole preload. One leg kills the migrator mid-copy
+// (the failure detector then rolls the move back and frees the donor's
+// fence, the recipient already gone); the other holds the donor's fence
+// by hand until the migrator runs out of acquisition attempts. With
+// nothing left to reap, a range server with neither trigger armed runs no
+// maintenance loop.
 func TestSpareReaper(t *testing.T) {
-	s := newTestServer(t, Options{
-		Shards: 3, Workers: 2, Partitioner: shard.KindRange, Preload: 1024,
-		Fault:         mustFault(t, "reshard-donor-crash@count=1", 1),
-		FenceDeadline: 60 * time.Millisecond,
-	})
-	s.fleet()[0].routed.Add(10_000)
+	const preload = 1024
+	for _, leg := range []struct{ name, fault, want string }{
+		{"donor-crash", "reshard-donor-crash@count=1", "injected fault"},
+		{"fence-held", "", "exhausted"},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			opts := Options{Shards: 3, Workers: 2, Partitioner: shard.KindRange, Preload: preload,
+				FenceDeadline: 60 * time.Millisecond}
+			if leg.fault != "" {
+				opts.Fault = mustFault(t, leg.fault, 1)
+			} else {
+				// No detector: the hand-held hold outlasts every attempt.
+				opts.FenceDeadline = -1
+			}
+			s := newTestServer(t, opts)
+			if s.maintStop != nil {
+				t.Fatal("a range server with neither autosplit nor automerge armed started a maintenance loop")
+			}
+			donor := s.fleet()[0]
+			donor.routed.Add(10_000)
+			var held FenceHold
+			if leg.fault == "" {
+				acq := s.ctlAcquire(donor, 7, SigAll)
+				if !acq.Applied {
+					t.Fatalf("holding the donor's fence: %+v", acq)
+				}
+				held = acq.hold
+			}
 
-	// The injected crash kills the migrator mid-copy: the fleet has grown
-	// to 4 but the placement still names 3 — the new shard is a spare.
-	res, code := s.Reshard()
-	if code != http.StatusServiceUnavailable || res.Applied || !strings.Contains(res.Err, "injected fault") {
-		t.Fatalf("faulted reshard = %d %+v, want 503 with the injected-fault error", code, res)
-	}
-	if len(s.fleet()) != 4 || s.part().Shards() != 3 {
-		t.Fatalf("after the crash: fleet=%d placement=%d, want a 4-shard fleet over a 3-shard placement",
-			len(s.fleet()), s.part().Shards())
-	}
-	if st := s.StatusSnapshot(); st.Server.SpareShards != 1 {
-		t.Fatalf("spare_shards = %d after the rolled-back split, want 1", st.Server.SpareShards)
-	}
+			res, code := s.Reshard()
+			if code != http.StatusServiceUnavailable || res.Applied || !strings.Contains(res.Err, leg.want) {
+				t.Fatalf("failed split = %d %+v, want 503 with %q in its error", code, res, leg.want)
+			}
+			if n, w := len(s.fleet()), s.part().Shards(); n != w || w != 3 {
+				t.Fatalf("after the failed split: fleet = %d over a %d-shard placement, want both 3", n, w)
+			}
+			if st := s.StatusSnapshot(); st.Server.Shards != 3 || st.Ops.ShardsRetired < 1 {
+				t.Fatalf("after the failed split: shards = %d shards_retired = %d, want 3 and >= 1",
+					st.Server.Shards, st.Ops.ShardsRetired)
+			}
 
-	waitUntil(t, 5*time.Second, "fence recovery after migrator crash", func() bool { return fencesFree(s) })
-	// The spare's grace runs from t0, the first maintenance tick that saw
-	// it (this one, or the loop's own if it got there first). It is kept
-	// a nanosecond short of the grace and retired at it; the spare leaves
-	// the fleet first and is counted once it has stopped.
-	s.maintain(time.Now())
-	s.maintMu.Lock()
-	t0 := s.spareSince
-	s.maintMu.Unlock()
-	s.maintain(t0.Add(spareGrace - 1))
-	if n := len(s.fleet()); n != 4 {
-		t.Fatalf("fleet = %d a nanosecond before the spare's grace ran out, want 4", n)
-	}
-	s.maintain(t0.Add(spareGrace))
-	if n, retired := len(s.fleet()), s.shardsRetired.Load(); n != 3 || retired < 1 {
-		t.Fatalf("after the spare's grace: fleet = %d shards_retired = %d, want 3 and >= 1", n, retired)
-	}
-
-	st := s.StatusSnapshot()
-	if st.Server.SpareShards != 0 {
-		t.Fatalf("spare_shards = %d after the reaper ran, want 0", st.Server.SpareShards)
-	}
-	if st.Ops.ShardsRetired < 1 {
-		t.Fatalf("shards_retired = %d after the reaper ran, want >= 1", st.Ops.ShardsRetired)
-	}
-	// The survivors still serve the whole preload; the rollback left no
-	// half-copied state observable.
-	for _, k := range []uint64{0, 500, 1023} {
-		resp, code := s.submitRouted(&request{op: opGet, key: k})
-		if code != http.StatusOK || !resp.Found || resp.Val != k {
-			t.Fatalf("post-reap get(%d) = %d %+v", k, code, resp)
-		}
+			if leg.fault != "" {
+				waitUntil(t, 5*time.Second, "fence recovery after migrator crash", func() bool { return fencesFree(s) })
+				if s.fenceRecovered.Load() < 1 {
+					t.Fatal("the donor's fence came free without a fence recovery")
+				}
+			} else if r := s.guarded(donor, held, true, nil); !r.Applied {
+				t.Fatalf("releasing the hand-held fence: %+v", r)
+			}
+			// The survivors still serve the whole preload; the failed move
+			// left no half-copied state observable.
+			for k := uint64(0); k < preload; k++ {
+				resp, code := s.submitRouted(&request{op: opGet, key: k})
+				if code != http.StatusOK || !resp.Found || resp.Val != k {
+					t.Fatalf("get(%d) after the failed split = %d %+v", k, code, resp)
+				}
+			}
+		})
 	}
 }
 
@@ -259,7 +270,7 @@ func TestAutomerge(t *testing.T) {
 		Shards: 4, Workers: 2, Partitioner: shard.KindRange, Preload: 1024,
 		AutomergeShare: 0.1, AutomergeMinShards: 3,
 	})
-	s.maintain(time.Now())
+	s.maintain()
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("automerge left %d shards after an idle tick, want the top shard retired (3)", got)
 	}
@@ -267,7 +278,7 @@ func TestAutomerge(t *testing.T) {
 		t.Fatalf("placement epoch after automerge = %d, want 1", got)
 	}
 	// The floor holds even though the fleet stays idle.
-	s.maintain(time.Now())
+	s.maintain()
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("automerge undershot the floor: %d shards", got)
 	}
@@ -426,7 +437,7 @@ func testMergeLinearizability(t *testing.T, faultSpec string) {
 		t.Fatal("resharding gauge still set after the merge completed")
 	}
 	st := s.StatusSnapshot()
-	if st.Server.Resharding || st.Server.PartitionerEpoch == 0 || st.Server.SpareShards != 0 {
+	if st.Server.Resharding || st.Server.PartitionerEpoch == 0 || st.Server.Shards != s.part().Shards() {
 		t.Fatalf("statusz after merge: %+v", st.Server)
 	}
 	for _, sh := range st.Shards {

@@ -29,14 +29,16 @@
 // the whole span). See docs/sharding.md for the crash matrix.
 //
 // A split and a merge are the same move (moveSpan) between different
-// ends: a split's recipient is a spare shard the prologue grows (or finds
-// left over from a rolled-back attempt) and its placement grows by one; a
-// merge's recipient is a live shard serving its own keys throughout, its
-// placement shrinks by one, and the epilogue drains and retires the donor
-// (always the fleet's top shard) for good. Because a recipient may be
-// live, copied duplicates must never become observable — a scan spanning
-// the boundary would double-count them — which is why the rollback
-// precedes the release.
+// ends: a split's recipient is a new shard the prologue grows the fleet by
+// and its placement grows by one; a merge's recipient is a live shard
+// serving its own keys throughout and its placement shrinks by one. The
+// epilogue is shared: whatever the fleet's top shard is — a split's
+// recipient, a merge's donor — it is drained and retired for good once the
+// step is over and the placement does not name it, so a split that never
+// flipped leaves no shard behind and the fleet is again exactly the
+// placement's width. Because a recipient may be live, copied duplicates
+// must never become observable — a scan spanning the boundary would
+// double-count them — which is why the rollback precedes the release.
 package serve
 
 import (
@@ -72,15 +74,9 @@ const migrateBatch = 256
 // autosplit trigger trusts the load signal enough to split on it.
 const autosplitMinRouted = 1024
 
-// maintainEvery is the maintenance loop's period (autosplit, automerge and
-// the spare reaper); spareGrace is how long a spare shard — one left behind
-// by a rolled-back migration — may idle before the reaper retires it,
-// stopping its workers and tuner for good. Until then the next split
-// reuses it.
-const (
-	maintainEvery = 2 * time.Second
-	spareGrace    = 30 * time.Second
-)
+// maintainEvery is the maintenance loop's period (autosplit and
+// automerge).
+const maintainEvery = 2 * time.Second
 
 // reshardResult is the JSON reply of POST /admin/reshard (and the
 // autosplit/automerge triggers' log source). Applied=false with a Reason
@@ -145,9 +141,11 @@ func (s *Server) ReshardMerge() (reshardResult, int) { return s.reshard("merge",
 // passes the operations routed since the last split, the automerge
 // trigger its per-interval deltas). One step runs at a time (409 when
 // busy); a plan the planner declines is an explicit 200 no-op. A split
-// clamps its plan around the deque-reserved window and grows a spare
-// recipient; a merge retires spares first so its donor is the fleet's
-// top shard, and retires the donor once the placement no longer names it.
+// clamps its plan around the deque-reserved window and grows the fleet by
+// its recipient; a merge's donor is the fleet's top shard. Either way the
+// step ends by retiring the fleet's top shard if the placement does not
+// name it: a merge's donor once it flipped, a split's recipient if it
+// never did.
 func (s *Server) reshard(plan string, load []uint64) (reshardResult, int) {
 	split := plan == "split"
 	// Registering in inflight keeps Close from tearing shards down under
@@ -169,11 +167,6 @@ func (s *Server) reshard(plan string, load []uint64) (reshardResult, int) {
 	if !ok {
 		return reshardResult{Plan: plan, Err: fmt.Sprintf("resharding requires the range partitioner (have %q)", part.Kind())},
 			http.StatusBadRequest
-	}
-	if !split {
-		// Spares sit above the placement's top shard; retire them first so
-		// the fleet's top entry is the plan's donor.
-		s.retireSpares()
 	}
 	fleet := s.fleet()
 	if load == nil {
@@ -206,13 +199,19 @@ func (s *Server) reshard(plan string, load []uint64) (reshardResult, int) {
 			return reshardResult{Plan: plan, Err: err.Error(), Donor: m.Donor, NewShard: m.Recipient,
 				Shards: part.Shards()}, http.StatusBadRequest
 		}
-		err = s.spareShard(m.Recipient)
-	} else if m.Donor != len(fleet)-1 {
-		err = fmt.Errorf("merge donor %d is not the fleet's top shard (%d)", m.Donor, len(fleet)-1)
+		err = s.growShard(m.Recipient)
 	}
 	var moved, newEpoch uint64
 	if err == nil {
 		moved, newEpoch, err = s.moveSpan(m)
+	}
+	// The placement no longer names the fleet's top shard after a merge
+	// flip or a split that failed before its flip (a crash included: the
+	// move's record stays for rollbackMove, which skips a recipient that
+	// has left the fleet). Drain and retire it so its workers, detector and
+	// tuner stop for good; a split that flipped has nothing to retire.
+	if len(s.fleet()) > s.part().Shards() {
+		s.retireShard()
 	}
 	res := reshardResult{
 		Plan: plan, Donor: m.Donor, MovedLo: m.MovedLo, MovedHi: m.MovedHi,
@@ -240,9 +239,6 @@ func (s *Server) reshard(plan string, load []uint64) (reshardResult, int) {
 			m.Donor, m.MovedLo, m.MovedHi, m.Recipient, moved, newEpoch)
 		return res, http.StatusOK
 	}
-	// The placement no longer names the donor: drain and retire it so
-	// its workers, detector and tuner stop for good.
-	s.retireShard(s.fleet()[m.Donor])
 	s.merges.Add(1)
 	s.opts.Logf("serve: merge installed: shard %d's span [%d, %d] -> shard %d, %d keys migrated, placement epoch %d, donor retired",
 		m.Donor, m.MovedLo, m.MovedHi, m.Recipient, moved, newEpoch)
@@ -283,16 +279,11 @@ func clampPlanForDeque(plan shard.MovePlan) (shard.MovePlan, error) {
 	return plan, nil
 }
 
-// spareShard makes sure the fleet has shard idx for a split to fill: the
-// spare a rolled-back attempt left behind (empty again — the rollback
-// cleared its copy), or a new shard, published in the fleet before any
-// placement can name it: readers load the placement first, so once the
-// flip lands, index idx is guaranteed present.
-func (s *Server) spareShard(idx int) error {
+// growShard grows the fleet by shard idx, its top, for a split to fill. It
+// is published before any placement can name it: readers load the
+// placement first, so once the flip lands, index idx is guaranteed present.
+func (s *Server) growShard(idx int) error {
 	fleet := s.fleet()
-	if idx < len(fleet) {
-		return nil
-	}
 	recip, err := s.newShard(idx)
 	if err != nil {
 		return fmt.Errorf("building shard %d: %w", idx, err)
@@ -514,10 +505,14 @@ func (s *Server) rollbackMove(token uint64) bool {
 	if rec == nil || rec.token != token {
 		return true
 	}
+	// A split's recipient that never flipped has left the fleet, copy and
+	// all (reshard retired it); only the record remains to clear.
+	done := "left the fleet with it"
 	if fleet := s.fleet(); rec.recipient < len(fleet) {
+		done = "cleared"
 		recip := fleet[rec.recipient]
 		// more starts false each round: a recipient retiring under us (a
-		// spare the reaper took) answers without running the step.
+		// failed split's) answers without running the step.
 		for {
 			var more bool
 			r := s.ctl(recip, func(tx proteustm.Txn, slot int) response {
@@ -533,70 +528,38 @@ func (s *Server) rollbackMove(token uint64) bool {
 		}
 	}
 	s.activeMig = nil
-	s.opts.Logf("serve: span-move rollback: cleared copied span [%d, %d] from recipient shard %d (token %d)",
-		rec.lo, rec.hi, rec.recipient, rec.token)
+	s.opts.Logf("serve: span-move rollback: copied span [%d, %d] on recipient shard %d %s (token %d)",
+		rec.lo, rec.hi, rec.recipient, done, rec.token)
 	return true
 }
 
-// retireShard drains and permanently stops the fleet's top shard after
-// the placement has stopped naming it (a merge flip, or a spare the
-// reaper is reclaiming). The caller holds reshardMu. The shard leaves
-// the fleet first, so no new router can reach it; then every slot token
-// is collected — leases fail once stop is closed, so from there no
-// request can execute on it — its failure detector stops for good (the
-// same drain contract Close uses) and its ProteusTM system — tuner
-// included — is closed. Stragglers that loaded the fleet before the
+// retireShard drains and permanently stops the fleet's top shard, which
+// the placement has stopped naming (a merge's donor after the flip, or a
+// split's recipient that never flipped). The caller holds reshardMu. The
+// shard leaves the fleet first, so no new router can reach it; then it is
+// drained the way Close drains every shard: once stop is closed no slot
+// can be leased, every slot token is collected — so nothing executes on
+// it any more — its failure detector stops and its ProteusTM system, tuner
+// included, is closed. Stragglers that loaded the fleet before the
 // truncation, waiting in its line or arriving later, fail their lease on
 // the closed stop and get stopAnswer's bounce: data operations re-route,
 // control steps report not-applied so their coordinator re-routes off the
 // flipped epoch.
-func (s *Server) retireShard(ss *shardState) {
-	if !ss.retiring.CompareAndSwap(false, true) {
-		return
-	}
+func (s *Server) retireShard() {
 	fleet := s.fleet()
-	if len(fleet) == 0 || fleet[len(fleet)-1] != ss {
-		// Retiring mid-fleet would renumber the survivors; every caller
-		// guarantees top-of-fleet, so this is unreachable.
-		s.opts.Logf("serve: BUG: retireShard on non-top shard %d", ss.idx)
-		return
-	}
+	ss := fleet[len(fleet)-1]
+	ss.retiring.Store(true)
 	shrunk := make([]*shardState, len(fleet)-1)
 	copy(shrunk, fleet)
 	s.fleetPtr.Store(&shrunk)
-	close(ss.stop)
-	ss.quiesce()
-	ss.wg.Wait()
-	ss.sys.OnReconfigure(nil)
-	s.opts.Logf("serve: shard %d retired (final config %s)", ss.idx, ss.sys.CurrentConfig())
-	ss.sys.Close() //nolint:errcheck // retiring; a late tuner error changes nothing
+	ss.drain("retired") //nolint:errcheck // retiring; a late tuner error changes nothing
 	ss.retired.Store(true)
 	s.shardsRetired.Add(1)
 }
 
-// retireSpares retires every spare shard — fleet entries above the
-// placement's top shard, left behind by rolled-back migrations — and
-// returns how many it retired. The caller holds reshardMu.
-func (s *Server) retireSpares() int {
-	n := 0
-	for {
-		part, _ := s.place.Load()
-		fleet := s.fleet()
-		if len(fleet) <= part.Shards() {
-			return n
-		}
-		s.retireShard(fleet[len(fleet)-1])
-		if len(s.fleet()) == len(fleet) {
-			// retireShard refused (already retiring); don't spin.
-			return n
-		}
-		n++
-	}
-}
-
 // maintenanceLoop is the background trigger behind --autosplit and
-// --automerge, and the spare-shard reaper: a ticker that runs maintain at
-// each tick's instant, every maintainEvery, until Close.
+// --automerge: a ticker that runs maintain every maintainEvery until
+// Close.
 func (s *Server) maintenanceLoop() {
 	defer s.maintWG.Done()
 	t := time.NewTicker(maintainEvery)
@@ -605,18 +568,14 @@ func (s *Server) maintenanceLoop() {
 		select {
 		case <-s.maintStop:
 			return
-		case now := <-t.C:
-			s.maintain(now)
+		case <-t.C:
+			s.maintain()
 		}
 	}
 }
 
-// maintain is one maintenance tick at instant now. It:
+// maintain is one maintenance tick. It:
 //
-//   - reaps spare shards that have idled past spareGrace (a rolled-back
-//     migration leaves its recipient as a spare; the next split reuses
-//     it, but with autosplit capped or disabled it would otherwise burn a
-//     worker pool and a tuner forever);
 //   - runs the autosplit trigger on the operations routed since the last
 //     installed split: hottest shard's share above AutosplitShare with
 //     enough total traffic to trust, and room under AutosplitMaxShards.
@@ -631,32 +590,13 @@ func (s *Server) maintenanceLoop() {
 //
 // A plan either planner declines is an explicit logged no-op — never a
 // degenerate install.
-func (s *Server) maintain(now time.Time) {
+func (s *Server) maintain() {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	if s.closed.Load() {
 		return
 	}
 	part, _ := s.place.Load()
-
-	// Spare reaper: a spare must idle through a full grace period
-	// before it is retired, so a migration that is about to reuse it
-	// (or a rollback being retried) isn't racing its own recipient.
-	if len(s.fleet()) > part.Shards() {
-		if s.spareSince.IsZero() {
-			s.spareSince = now
-		} else if now.Sub(s.spareSince) >= spareGrace && s.reshardMu.TryLock() {
-			n := s.retireSpares()
-			s.reshardMu.Unlock()
-			if n > 0 {
-				s.opts.Logf("serve: spare reaper: retired %d idle spare shard(s) after %v grace", n, spareGrace)
-			}
-			s.spareSince = time.Time{}
-		}
-	} else {
-		s.spareSince = time.Time{}
-	}
-
 	fleet := s.fleet()
 	routed := make([]uint64, part.Shards())
 	sinceSplit := make([]uint64, len(routed))

@@ -423,7 +423,7 @@ func TestAutosplit(t *testing.T) {
 		AutosplitShare: 0.6, AutosplitMaxShards: 3,
 	})
 	s.fleet()[0].routed.Add(10_000)
-	s.maintain(time.Now())
+	s.maintain()
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("autosplit left %d shards after a hot tick, want a split (3)", got)
 	}
@@ -432,7 +432,7 @@ func TestAutosplit(t *testing.T) {
 	}
 	// The ceiling holds even though shard 0's fresh load is still dominant.
 	s.fleet()[0].routed.Add(10_000)
-	s.maintain(time.Now())
+	s.maintain()
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("autosplit overshot the ceiling: %d shards", got)
 	}
@@ -455,7 +455,7 @@ func TestAutosplitJudgesLoadSinceLastSplit(t *testing.T) {
 		AutosplitShare: 0.6, AutosplitMaxShards: 6,
 	})
 	s.fleet()[0].routed.Add(10_000)
-	s.maintain(time.Now())
+	s.maintain()
 	if got := s.part().Shards(); got != 3 {
 		t.Fatalf("autosplit left %d shards after a hot tick, want a split (3)", got)
 	}
@@ -463,14 +463,14 @@ func TestAutosplitJudgesLoadSinceLastSplit(t *testing.T) {
 		for _, ss := range s.fleet() {
 			ss.routed.Add(600)
 		}
-		s.maintain(time.Now())
+		s.maintain()
 		if got := s.part().Shards(); got != 3 {
 			t.Fatalf("tick %d of even load: %d shards, want 3 (the cooled hotspot was split again)", tick, got)
 		}
 	}
 	// A new hotspot still splits.
 	s.fleet()[1].routed.Add(10_000)
-	s.maintain(time.Now())
+	s.maintain()
 	if got := s.part().Shards(); got != 4 {
 		t.Fatalf("autosplit left %d shards after a new hotspot, want 4", got)
 	}
@@ -486,11 +486,13 @@ func keysOn(s *Server, ss *shardState, lo, hi uint64) (count, sum uint64) {
 	return r.Count, r.Sum
 }
 
-// TestCrashedSplitRollsBackItsCopy pins the rollback rule a split shares
-// with a merge: fence recovery of a crashed split deletes the partial copy
-// from the spare before it releases the donor, so the spare is left with
-// zero keys — and a key census stays exact through split -> crash ->
-// recovery -> retry -> merge.
+// TestCrashedSplitRollsBackItsCopy pins what a crashed split leaves: its
+// recipient, partial copy and all, has left the fleet by the time the
+// reshard returns, while the move's record and the donor's orphaned fence
+// stay for fence recovery, which finds no recipient to clear and releases
+// the donor. A key census — the routed full scan and the keys the fleet
+// physically holds — stays exact through split -> crash -> recovery ->
+// retry -> merge.
 func TestCrashedSplitRollsBackItsCopy(t *testing.T) {
 	const preload = 8192
 	for _, leg := range []struct{ name, fault string }{
@@ -504,6 +506,17 @@ func TestCrashedSplitRollsBackItsCopy(t *testing.T) {
 				Shards: 4, Workers: 2, Partitioner: shard.KindRange, Preload: preload,
 				FenceDeadline: -1, Fault: mustFault(t, leg.fault, 1),
 			})
+			physical := func(when string) {
+				t.Helper()
+				var n uint64
+				for _, ss := range s.fleet() {
+					k, _ := keysOn(s, ss, 0, ^uint64(0))
+					n += k
+				}
+				if n != preload {
+					t.Fatalf("%s: the shards hold %d keys between them, want %d (a stray copy survives)", when, n, preload)
+				}
+			}
 			census := func(when string) {
 				t.Helper()
 				resp, code := s.submitRouted(&request{op: opRange, lo: 0, hi: ^uint64(0)})
@@ -511,34 +524,31 @@ func TestCrashedSplitRollsBackItsCopy(t *testing.T) {
 					t.Fatalf("%s: full scan = %d count %d sum %d, want %d keys summing to %d",
 						when, code, resp.Count, resp.Sum, preload, preload*(preload-1)/2)
 				}
-				var physical uint64
-				for _, ss := range s.fleet() {
-					n, _ := keysOn(s, ss, 0, ^uint64(0))
-					physical += n
-				}
-				if physical != preload {
-					t.Fatalf("%s: the shards hold %d keys between them, want %d (a stray copy survives)", when, physical, preload)
-				}
+				physical(when)
 			}
 			s.fleet()[0].routed.Add(10_000)
 			res, code := s.Reshard()
 			if code != http.StatusServiceUnavailable || !strings.Contains(res.Err, "injected fault") {
 				t.Fatalf("faulted reshard = %d %+v, want 503 with the injected-fault error", code, res)
 			}
-			donor, spare := s.fleet()[res.Donor], s.fleet()[res.NewShard]
-			if n, _ := keysOn(s, spare, res.MovedLo, res.MovedHi); n == 0 {
-				t.Fatal("the crash left no partial copy on the spare: nothing to roll back")
+			if n, w := len(s.fleet()), s.part().Shards(); n != w || res.NewShard != w {
+				t.Fatalf("after the crash: fleet = %d over a %d-shard placement, recipient %d; want the recipient gone",
+					n, w, res.NewShard)
 			}
+			// A routed scan is refused behind the donor's orphaned fence;
+			// the physical count reads the shards directly.
+			physical("after the crash")
+			donor := s.fleet()[res.Donor]
 			orphan := holderOf(donor, 0)
 			if orphan.Token == 0 {
 				t.Fatal("the crashed migrator left no fence held on the donor")
 			}
 			s.recoverOrphan(donor, orphan)
-			if n, _ := keysOn(s, spare, 0, ^uint64(0)); n != 0 {
-				t.Fatalf("spare holds %d keys after fence recovery, want 0", n)
-			}
-			if !fencesFree(s) {
-				t.Fatal("donor fence still held after recovery")
+			s.migMu.Lock()
+			rec := s.activeMig
+			s.migMu.Unlock()
+			if rec != nil || !fencesFree(s) {
+				t.Fatalf("after recovery: move record %+v, fences free %v; want the record cleared and the donor free", rec, fencesFree(s))
 			}
 			census("after recovery")
 
@@ -680,9 +690,9 @@ func testReshardLinearizability(t *testing.T, faultSpec string) {
 	}
 
 	// The split lands mid-traffic. In the crash legs the first attempt is
-	// killed by the injector and rolled back by the failure detector, and
-	// the retry — against the already-grown fleet, reusing the spare
-	// shard — must complete.
+	// killed by the injector, its recipient retired at once and its move
+	// rolled back by the failure detector, and the retry — growing a fresh
+	// recipient — must complete.
 	time.Sleep(5 * time.Millisecond)
 	res, code := s.Reshard()
 	if faultSpec == "" {

@@ -428,10 +428,10 @@ type shardState struct {
 	drainMu sync.RWMutex
 	active  atomic.Int64
 
-	// retiring flips when a merge (or the spare reaper) starts retiring
-	// this shard for good: stragglers are answered with a re-route bounce
-	// instead of an error. retired flips once its slots are collected and
-	// its system is closed.
+	// retiring flips when a reshard starts retiring this shard for good
+	// (a merge's donor, or a split's recipient that never flipped):
+	// stragglers are answered with a re-route bounce instead of an error.
+	// retired flips once its slots are collected and its system is closed.
 	retiring atomic.Bool
 	retired  atomic.Bool
 }
@@ -516,13 +516,13 @@ type Server struct {
 	// flips; keysMigrated totals the key-value pairs moved by either;
 	// movedBounces counts the operations bounced back for re-routing by a
 	// placement-epoch mismatch (see store.PlacementStale); shardsRetired
-	// counts donor/spare shards drained and stopped for good; and
-	// rangeConservative counts hash-ring scans whose owner set fell back
-	// to every shard (see shard.RangeEnumCap). maintStop/maintWG manage
-	// the background maintenance loop (autosplit, automerge, spare
-	// reaper); maintMu serializes maintain and guards its state between
-	// ticks: the routed counters the last tick saw and since when the
-	// fleet has carried a spare.
+	// counts shards drained and stopped for good (merge donors, and split
+	// recipients that never flipped); and rangeConservative counts
+	// hash-ring scans whose owner set fell back to every shard (see
+	// shard.RangeEnumCap). maintStop/maintWG manage the background
+	// maintenance loop (autosplit, automerge); maintMu serializes maintain
+	// and guards its state between ticks: the routed counters the last
+	// tick saw.
 	reshardMu         sync.Mutex
 	resharding        atomic.Bool
 	reshards          atomic.Uint64
@@ -535,7 +535,6 @@ type Server struct {
 	maintWG           sync.WaitGroup
 	maintMu           sync.Mutex
 	prevRouted        []uint64
-	spareSince        time.Time
 
 	// migMu guards activeMig, the record of the in-flight span move. The
 	// move's install batches, its placement flip and the rollback path
@@ -720,18 +719,18 @@ func (s *Server) newShard(i int) (*shardState, error) {
 }
 
 // startServing starts every shard serving (see startShard) and, for the
-// range partitioner, launches the background maintenance loop. The loop
-// runs even with both triggers disabled: the spare-shard reaper must
-// retire spares stranded by manual migrations too. The partitioner kind
-// never changes, so a hash-partitioned server never needs the loop.
+// range partitioner with autosplit or automerge armed, launches the
+// background maintenance loop. The partitioner kind and the triggers never
+// change, so a server that starts without the loop never needs it.
 func (s *Server) startServing() {
 	for _, ss := range s.fleet() {
 		s.startShard(ss)
 	}
+	if s.opts.AutosplitShare <= 0 && s.opts.AutomergeShare <= 0 {
+		return
+	}
 	if kind := s.part().Kind(); kind != shard.KindRange {
-		if s.opts.AutosplitShare > 0 || s.opts.AutomergeShare > 0 {
-			s.opts.Logf("serve: autosplit/automerge disabled: requires the range partitioner (have %q)", kind)
-		}
+		s.opts.Logf("serve: autosplit/automerge disabled: requires the range partitioner (have %q)", kind)
 		return
 	}
 	s.maintStop = make(chan struct{})
@@ -997,6 +996,19 @@ func (ss *shardState) spinForSlot() bool {
 	return spin(&ss.slotSpinner, time.Now(), func() bool { return len(ss.tokens) > 0 })
 }
 
+// drain stops shard ss for good, the one teardown Close and retireShard
+// share: close stop (no slot can be leased from here), collect every slot
+// token, wait out the failure detector, detach the tuner hook, log the
+// final config under what, and close the ProteusTM system.
+func (ss *shardState) drain(what string) error {
+	close(ss.stop)
+	ss.quiesce()
+	ss.wg.Wait()
+	ss.sys.OnReconfigure(nil)
+	ss.srv.opts.Logf("serve: shard %d %s (final config %s)", ss.idx, what, ss.sys.CurrentConfig())
+	return ss.sys.Close()
+}
+
 // quiesce collects every slot token after stop has closed, so it returns
 // only when no process call is running or can start on this shard.
 func (ss *shardState) quiesce() {
@@ -1132,12 +1144,12 @@ func msBetween(from, to time.Time) float64 {
 }
 
 // stopAnswer is the reply for a request caught by this shard's closed
-// stop channel. A retiring shard (merge donor or reaped spare) answers
-// with a bounce instead of an error: the placement has already flipped
-// away from it, so data operations re-route under the fresh placement
-// (moved) and control steps report not-applied, sending their
-// coordinator back through the placement-epoch re-check. A shard whose
-// whole server is shutting down keeps the hard error.
+// stop channel. A retiring shard (see retireShard) answers with a bounce
+// instead of an error: the placement no longer names it, so data
+// operations re-route under the fresh placement (moved) and control steps
+// report not-applied, sending their coordinator back through the
+// placement-epoch re-check. A shard whose whole server is shutting down
+// keeps the hard error.
 func (ss *shardState) stopAnswer(req *request) response {
 	if !ss.retiring.Load() {
 		return response{Err: "server shutting down"}
@@ -1444,9 +1456,9 @@ func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Stop the maintenance loop (autosplit/automerge/spare reaper) and
-	// wait out any in-flight migration before draining, so no reshard
-	// races the shard teardown below.
+	// Stop the maintenance loop (autosplit/automerge) and wait out any
+	// in-flight migration before draining, so no reshard races the shard
+	// teardown below.
 	if s.maintStop != nil {
 		close(s.maintStop)
 		s.maintWG.Wait()
@@ -1460,12 +1472,7 @@ func (s *Server) Close() error {
 	s.inflight.Wait()
 	var firstErr error
 	for _, ss := range s.fleet() {
-		close(ss.stop)
-		ss.quiesce()
-		ss.wg.Wait()
-		ss.sys.OnReconfigure(nil)
-		s.opts.Logf("serve: shard %d drained (final config %s)", ss.idx, ss.sys.CurrentConfig())
-		if err := ss.sys.Close(); err != nil && firstErr == nil {
+		if err := ss.drain("drained"); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

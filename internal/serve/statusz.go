@@ -65,10 +65,6 @@ type ServerStatus struct {
 	PartitionerEpoch uint64 `json:"partitioner_epoch"`
 	// Resharding is true while a migration (split or merge) is in flight.
 	Resharding bool `json:"resharding"`
-	// SpareShards counts fleet entries above the placement's top shard:
-	// shards a rolled-back migration left behind. The next split reuses
-	// them; the reaper retires them after spareGrace (30s).
-	SpareShards int `json:"spare_shards"`
 	// SpanStarts/SpanOwners are the range partitioner's live span table
 	// (start key of each span, ascending, and its owning shard) — after a
 	// reshard the placement is no longer derivable from Shards alone, so
@@ -202,10 +198,11 @@ type OpsStatus struct {
 	// flips; KeysMigrated totals the key-value pairs moved by either;
 	// MovedBounces counts operations that hit a donor's bumped
 	// placement-epoch word and were re-routed under the new placement.
-	// ShardsRetired counts donor and spare shards drained and stopped for
-	// good; RangeConservative counts hash-partitioner scans whose owner
-	// set fell back to every shard because the interval was wider than
-	// shard.RangeEnumCap (the over-fencing the range partitioner avoids).
+	// ShardsRetired counts shards drained and stopped for good: merge
+	// donors, and split recipients that never flipped; RangeConservative
+	// counts hash-partitioner scans whose owner set fell back to every
+	// shard because the interval was wider than shard.RangeEnumCap (the
+	// over-fencing the range partitioner avoids).
 	Reshards          uint64 `json:"reshards"`
 	Merges            uint64 `json:"merges"`
 	KeysMigrated      uint64 `json:"keys_migrated"`
@@ -385,7 +382,6 @@ func (s *Server) StatusSnapshot() Status {
 			FenceDeadlineMs:  float64(s.opts.FenceDeadline) / float64(time.Millisecond),
 			PartitionerEpoch: epoch,
 			Resharding:       s.resharding.Load(),
-			SpareShards:      max(0, len(fleetShards)-part.Shards()),
 			SpanStarts:       spanStarts,
 			SpanOwners:       spanOwners,
 		},
