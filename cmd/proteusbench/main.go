@@ -236,7 +236,7 @@ func cmdSweep(args []string) error {
 	heapWords := fs.Int("heap-words", 1<<22, "transactional heap size in 64-bit words")
 	seed := fs.Uint64("seed", 42, "deterministic seed")
 	ops := fs.Uint64("ops", 20000, "deterministic-mode ops per cell")
-	window := fs.Duration("window", 200*time.Millisecond, "wall-clock window per cell (0 = deterministic mode)")
+	window := fs.Duration("window", 200*time.Millisecond, "wall-clock window per cell: settles half a window, then measures one (0 = deterministic mode)")
 	journal := fs.String("journal", "", "resume journal path (default <out>.journal; \"none\" disables)")
 	if err := fs.Parse(args); err != nil {
 		return err

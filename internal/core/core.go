@@ -108,12 +108,6 @@ type Options struct {
 	MaxExplorations int
 	// Seed drives randomized components.
 	Seed uint64
-	// Clock is the time source of the adapter thread's windows and of the
-	// timeline and reconfiguration-log stamps (default the wall clock).
-	// Under a *VirtualClock the settle and sample waits advance the clock
-	// instead of blocking. A deterministic replay needs no clock: it runs
-	// the loop with a window source of its own (see Run).
-	Clock Clock
 }
 
 // TimelinePoint is one KPI observation, recorded for experiment plots.
@@ -158,7 +152,6 @@ type Runtime struct {
 	opts    Options
 	cfgs    []config.Config
 	cus     *monitor.CUSUM
-	clock   Clock
 	started time.Time
 
 	mu         sync.Mutex
@@ -168,11 +161,7 @@ type Runtime struct {
 	exploring  atomic.Bool
 	reoptimize chan struct{}
 	stop       chan struct{}
-	stopped    atomic.Bool // set by Stop before it closes stop
 	done       sync.WaitGroup
-
-	lastStats tm.Stats
-	lastTime  time.Time
 }
 
 // New builds the runtime: it fits the rating normalizer on the offline UM and
@@ -207,9 +196,6 @@ func New(opts Options) (*Runtime, error) {
 	if opts.MaxExplorations == 0 {
 		opts.MaxExplorations = 10
 	}
-	if opts.Clock == nil {
-		opts.Clock = RealTime()
-	}
 	prepared, err := rectm.Prepare(opts.TrainKPI, opts.KPI.HigherIsBetter(), rectm.Options{Seed: opts.Seed, Learners: 10})
 	if err != nil {
 		return nil, fmt.Errorf("core: training recommender: %w", err)
@@ -228,8 +214,7 @@ func New(opts Options) (*Runtime, error) {
 		prepared:   prepared,
 		opts:       opts,
 		cfgs:       opts.Configs,
-		clock:      opts.Clock,
-		started:    opts.Clock.Now(),
+		started:    time.Now(),
 		cus:        cus,
 		reoptimize: make(chan struct{}, 1),
 		stop:       make(chan struct{}),
@@ -248,7 +233,7 @@ func (rt *Runtime) Start() { rt.StartOn(rt.WallClock()) }
 // StartOn launches the adapter thread on src, which is usually the
 // wall-clock source or a wrapper around it.
 func (rt *Runtime) StartOn(src WindowSource) {
-	rt.started = rt.clock.Now()
+	rt.started = time.Now()
 	rt.done.Add(1)
 	go func() {
 		defer rt.done.Done()
@@ -259,7 +244,6 @@ func (rt *Runtime) StartOn(src WindowSource) {
 // Stop ends the wall-clock source's windows, which ends every loop
 // running on it, and waits for the adapter thread.
 func (rt *Runtime) Stop() {
-	rt.stopped.Store(true)
 	close(rt.stop)
 	rt.done.Wait()
 }
@@ -405,7 +389,7 @@ func (rt *Runtime) phase(reason string, src WindowSource) {
 	case res.Best >= 0:
 		rt.Pool.Reconfigure(rt.cfgs[res.Best]) //nolint:errcheck // validated configs
 	}
-	at := rt.clock.Now().Sub(rt.started)
+	at := time.Since(rt.started)
 	rt.mu.Lock()
 	rt.reconfigs = append(rt.reconfigs, ReconfigEvent{At: at, From: before, To: rt.Pool.Config(), Reason: reason, Phase: phase})
 	rt.mu.Unlock()
@@ -437,7 +421,7 @@ var trainings atomic.Int64
 
 // record appends a timeline point.
 func (rt *Runtime) record(kpi float64, exploring bool) {
-	at := rt.clock.Now().Sub(rt.started)
+	at := time.Since(rt.started)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.timeline = append(rt.timeline, TimelinePoint{
@@ -448,66 +432,32 @@ func (rt *Runtime) record(kpi float64, exploring bool) {
 	})
 }
 
-// WallClock returns the adapter thread's window source. A window after a
-// reconfiguration (Explore, Install) waits half a sample period for the
-// system to settle and starts afresh; a steady window runs on from the
-// last one. Each measures one SamplePeriod of the runtime's clock and is
-// scored by the KPI. After Stop it reports no window.
-func (rt *Runtime) WallClock() WindowSource { return wallClock{rt} }
-
-type wallClock struct{ rt *Runtime }
-
-func (w wallClock) Measure(kind WindowKind, _ int) (float64, bool) {
-	rt := w.rt
-	if kind != Steady {
-		rt.sleep(rt.opts.SamplePeriod / 2)
-		rt.lastStats = rt.Pool.SnapshotStats()
-		rt.lastTime = rt.clock.Now()
-	}
-	rt.sleep(rt.opts.SamplePeriod)
-	return rt.measureWindow(), !rt.stopped.Load()
+// WallClock returns a wall-clock window source over the runtime's pool
+// (see NewWallClock): SamplePeriod windows scored by the runtime's KPI,
+// ended by Stop.
+func (rt *Runtime) WallClock() WindowSource {
+	return NewWallClock(rt.Pool, rt.opts.SamplePeriod, rt.score, rt.stop)
 }
 
-func (wallClock) Alarm() {}
-
-func (rt *Runtime) sleep(d time.Duration) {
-	if vc, virtual := rt.clock.(*VirtualClock); virtual {
-		vc.Advance(d)
-		return
-	}
-	select {
-	case <-time.After(d):
-	case <-rt.stop:
-	}
-}
-
-// measureWindow computes the KPI over the stats window since the last call.
-func (rt *Runtime) measureWindow() float64 {
-	now := rt.clock.Now()
-	cur := rt.Pool.SnapshotStats()
-	win := cur.Sub(rt.lastStats)
-	elapsed := now.Sub(rt.lastTime)
-	rt.lastStats = cur
-	rt.lastTime = now
-	if elapsed <= 0 {
-		return 0
-	}
-	tput := float64(win.Commits) / elapsed.Seconds()
+// score is the runtime's KPI over one window.
+func (rt *Runtime) score(win tm.Stats, elapsed time.Duration) float64 {
 	switch rt.opts.KPI {
 	case ThroughputPerJoule:
-		s := energy.Sample{
+		if elapsed <= 0 {
+			return 0
+		}
+		return rt.opts.Energy.ThroughputPerJoule(energy.Sample{
 			Elapsed: elapsed,
 			Threads: rt.Pool.Config().Threads,
 			Commits: win.Commits,
 			Aborts:  win.Aborts,
-		}
-		return rt.opts.Energy.ThroughputPerJoule(s)
+		})
 	case ThroughputUnderSLO:
 		if rt.opts.LatencyP99 == nil {
-			return tput
+			return CommitRate(win, elapsed)
 		}
-		return SLOPenalizedKPI(tput, rt.opts.LatencyP99(), rt.opts.SLOTargetMs)
+		return SLOPenalizedKPI(CommitRate(win, elapsed), rt.opts.LatencyP99(), rt.opts.SLOTargetMs)
 	default:
-		return tput
+		return CommitRate(win, elapsed)
 	}
 }

@@ -16,9 +16,11 @@ import (
 	"repro/internal/htm"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
+	"repro/internal/polytm"
 	"repro/internal/rectm"
 	"repro/internal/smbo"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 func testConfigs() []config.Config {
@@ -129,19 +131,56 @@ func TestRuntimeOptimizesAndReacts(t *testing.T) {
 	}
 }
 
-// TestVirtualClock covers the manual clock used by the deterministic
-// harness.
-func TestVirtualClock(t *testing.T) {
-	base := time.Unix(100, 0)
-	c := core.NewVirtualClock(base)
-	if !c.Now().Equal(base) {
-		t.Fatalf("Now = %v, want %v", c.Now(), base)
+// TestWallClockWindows pins the wall-clock source's rules on a pool with
+// live workers: an Explore or Install window settles half a period and
+// then measures one, a Steady window measures one period, each scores the
+// commits it saw, and closing stop ends a window in progress and every
+// window after it.
+func TestWallClockWindows(t *testing.T) {
+	pool := polytm.New(1<<16, 2, config.Config{Alg: config.NOrec, Threads: 2})
+	wl := &workloads.RBTree{KeyRange: 256, UpdateRatio: 0.2}
+	if err := wl.Setup(pool.Heap(), workloads.NewRand(1)); err != nil {
+		t.Fatal(err)
 	}
-	c.Advance(2 * time.Second)
-	c.Sleep(time.Second)  // Sleep advances without blocking
-	c.Advance(-time.Hour) // negative advances are ignored
-	if got := c.Now().Sub(base); got != 3*time.Second {
-		t.Fatalf("advanced %v, want 3s", got)
+	d := &workloads.Driver{Workload: wl, Runner: pool, MaxThreads: 2, Seed: 1}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+
+	const period = 20 * time.Millisecond
+	src := core.NewWallClock(pool, period, core.CommitRate, nil)
+	for _, w := range []struct {
+		kind core.WindowKind
+		min  time.Duration
+	}{
+		{core.Explore, 3 * period / 2},
+		{core.Steady, period},
+		{core.Install, 3 * period / 2},
+		{core.Steady, period},
+	} {
+		start := time.Now()
+		kpi, ok := src.Measure(w.kind, 1)
+		took := time.Since(start)
+		if !ok || kpi <= 0 {
+			t.Errorf("window kind %d: kpi %v ok %v, want a positive commit rate", w.kind, kpi, ok)
+		}
+		if took < w.min {
+			t.Errorf("window kind %d took %v, want at least %v", w.kind, took, w.min)
+		}
+	}
+
+	stop := make(chan struct{})
+	long := core.NewWallClock(pool, 10*time.Second, core.CommitRate, stop)
+	time.AfterFunc(50*time.Millisecond, func() { close(stop) })
+	for _, kind := range []core.WindowKind{core.Explore, core.Steady} {
+		start := time.Now()
+		if _, ok := long.Measure(kind, 1); ok {
+			t.Errorf("window kind %d measured after stop closed", kind)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("window kind %d ran %v past stop", kind, took)
+		}
 	}
 }
 

@@ -11,9 +11,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
+	"time"
 
 	"repro/internal/cf"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 )
@@ -86,3 +89,46 @@ func header(w io.Writer, title string) {
 
 // pct formats a ratio as a percentage.
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
+
+// span is one live-run phase on the runtime's timeline clock: (from, to].
+type span struct{ from, to time.Duration }
+
+// liveRun starts rt's adapter thread and takes the system through phases
+// back to back, phaseDur each: enter(p) switches it into phase p and
+// returns what leaves the phase again. It stops the
+// adapter after the last phase and returns each phase's span; the last
+// one is open-ended.
+func liveRun(rt *core.Runtime, phases int, phaseDur time.Duration, enter func(p int) func()) []span {
+	rt.Start()
+	start := time.Now()
+	spans := make([]span, phases)
+	for p := range spans {
+		spans[p].from = time.Since(start)
+		if p > 0 {
+			spans[p-1].to = spans[p].from
+		}
+		leave := enter(p)
+		time.Sleep(phaseDur)
+		leave()
+	}
+	spans[phases-1].to = math.MaxInt64
+	rt.Stop()
+	return spans
+}
+
+// steadyMean is the mean KPI of the timeline's steady (non-exploring,
+// non-zero) points in (from, to]; zero when there is none.
+func steadyMean(timeline []core.TimelinePoint, from, to time.Duration) float64 {
+	sum, n := 0.0, 0
+	for _, pt := range timeline {
+		if pt.At <= from || pt.At > to || pt.Exploring || pt.KPI == 0 {
+			continue
+		}
+		sum += pt.KPI
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}

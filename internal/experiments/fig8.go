@@ -30,13 +30,15 @@ type Fig8App struct {
 	Name string
 	// Configs is the tuned space.
 	Configs []config.Config
-	// Truth[phase][config] is the measured throughput (ops/s).
+	// Truth[phase][config] is the measured throughput (committed
+	// transactions/s).
 	Truth [][]float64
 	// OptIdx[phase] is the per-phase optimal configuration.
 	OptIdx []int
 	// BFAIdx is the best fixed configuration on average.
 	BFAIdx int
-	// SeqThroughput[phase] is the sequential (GlobalLock:1t) baseline.
+	// SeqThroughput[phase] is the sequential (GlobalLock:1t) baseline
+	// (committed transactions/s).
 	SeqThroughput []float64
 	// ProteusKPI[phase] is ProteusTM's steady-state mean throughput in
 	// the phase; ProteusDFO the distance from the phase optimum;
@@ -177,27 +179,34 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 	}
 	defer driver.Stop()
 
-	// --- Ground truth: measure every configuration in every phase. Two
-	// windows are averaged per point: the per-phase optimum is a max over
-	// dozens of noisy estimates and would otherwise be biased upward,
-	// inflating every DFO.
+	// --- Ground truth: measure every configuration in every phase on the
+	// tuner's own window source. Two windows are averaged per point, an
+	// Explore window and the Steady one that runs on from it: the
+	// per-phase optimum is a max over dozens of noisy estimates and would
+	// otherwise be biased upward, inflating every DFO.
+	src := rt.WallClock()
+	measure := func(cfg config.Config) (float64, error) {
+		if err := rt.Pool.Reconfigure(cfg); err != nil {
+			return 0, err
+		}
+		explore, _ := src.Measure(core.Explore, 0)
+		steady, _ := src.Measure(core.Steady, 0)
+		return (explore + steady) / 2, nil
+	}
 	for phase := range app.phases {
 		app.cur.Store(int32(phase))
 		row := make([]float64, len(cfgs))
 		for i, cfg := range cfgs {
-			if err := rt.Pool.Reconfigure(cfg); err != nil {
+			if row[i], err = measure(cfg); err != nil {
 				return out, err
 			}
-			time.Sleep(window / 3) // settle
-			row[i] = driver.MeasureThroughput(2 * window)
 		}
 		out.Truth = append(out.Truth, row)
-		// Sequential baseline.
-		if err := rt.Pool.Reconfigure(config.Config{Alg: config.GlobalLock, Threads: 1}); err != nil {
+		seq, err := measure(config.Config{Alg: config.GlobalLock, Threads: 1})
+		if err != nil {
 			return out, err
 		}
-		time.Sleep(window / 3)
-		out.SeqThroughput = append(out.SeqThroughput, driver.MeasureThroughput(2*window))
+		out.SeqThroughput = append(out.SeqThroughput, seq)
 	}
 	for _, row := range out.Truth {
 		out.OptIdx = append(out.OptIdx, argMax(row))
@@ -207,37 +216,16 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 
 	// --- ProteusTM run: phases switch mid-flight; the Monitor must
 	// detect each change and re-optimize.
-	app.cur.Store(0)
-	rt.Start()
-	phaseMarks := make([]time.Duration, 0, len(app.phases))
-	runStart := time.Now()
-	for phase := range app.phases {
-		app.cur.Store(int32(phase))
-		phaseMarks = append(phaseMarks, time.Since(runStart))
-		time.Sleep(phaseDur)
-	}
-	rt.Stop()
+	spans := liveRun(rt, len(app.phases), phaseDur, func(p int) func() {
+		app.cur.Store(int32(p))
+		return func() {}
+	})
 	out.Timeline = rt.Timeline()
-
-	// Summarize steady-state KPI per phase (excluding exploration samples
-	// and the first settle window after each phase mark).
-	for phase := range app.phases {
-		lo := phaseMarks[phase]
-		hi := time.Duration(1<<62 - 1)
-		if phase+1 < len(phaseMarks) {
-			hi = phaseMarks[phase+1]
-		}
+	for phase, sp := range spans {
 		// Summarize only the post-adaptation tail of the phase: detection
 		// plus exploration consume the head (the dips visible in the
 		// paper's Fig. 8 timelines around each workload change).
-		var vals []float64
-		for _, pt := range out.Timeline {
-			if pt.At <= lo+phaseDur*11/20 || pt.At > hi || pt.Exploring || pt.KPI == 0 {
-				continue
-			}
-			vals = append(vals, pt.KPI)
-		}
-		mean := meanOf(vals)
+		mean := steadyMean(out.Timeline, sp.from+phaseDur*11/20, sp.to)
 		opt := out.Truth[phase][out.OptIdx[phase]]
 		dfo := 0.0
 		if opt > 0 {
@@ -250,7 +238,7 @@ func runFig8App(app *phased, maxThreads int, window, phaseDur time.Duration) (Fi
 		out.ProteusDFO = append(out.ProteusDFO, dfo)
 		expl := 0
 		for _, pt := range out.Timeline {
-			if pt.Exploring && pt.At > lo && pt.At <= hi {
+			if pt.Exploring && pt.At > sp.from && pt.At <= sp.to {
 				expl++
 			}
 		}
@@ -301,22 +289,11 @@ func crossDFO(truth [][]float64, optIdx []int) [][]float64 {
 	return out
 }
 
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Print renders Fig. 8's summary and Table 6.
 func (r Fig8Result) Print(w io.Writer) {
 	header(w, "Figure 8 / Table 6: online optimization of dynamic workloads (live run)")
 	for _, app := range r.Apps {
-		fmt.Fprintf(w, "\n%s — per-phase summary (throughput ops/s):\n", app.Name)
+		fmt.Fprintf(w, "\n%s — per-phase summary (committed transactions/s):\n", app.Name)
 		fmt.Fprintf(w, "%-8s%-22s%14s%14s%14s%12s%8s\n",
 			"phase", "optimal config", "optimal", "ProteusTM", "sequential", "DFO", "expl")
 		for p := range app.Truth {

@@ -19,7 +19,9 @@ type Fig9Result struct {
 	Phases []string
 	// ProteusKPI[phase] is ProteusTM's steady-state throughput.
 	ProteusKPI []float64
-	// FixedKPI[config][phase] is the throughput of static baselines.
+	// FixedKPI[config][phase] is the throughput of static baselines
+	// (committed transactions/s), each measured on one window of the
+	// tuner's wall-clock source.
 	FixedNames []string
 	FixedKPI   [][]float64
 	// Reoptimizations is the number of optimization phases the runtime
@@ -72,60 +74,40 @@ func Fig9(scale Scale) (Fig9Result, error) {
 		nil,
 	}
 
+	enter := func(p int) func() {
+		inf := interference[p]
+		if inf == nil {
+			return func() {}
+		}
+		inf.Start()
+		return inf.Stop
+	}
+
 	// Fixed baselines measured per phase: a subset of contrasting configs.
 	fixed := []int{3, 7, len(cfgs) - 1} // TL2:8t, Tiny:8t, HTM:8t-Half-8
 	for _, i := range fixed {
 		res.FixedNames = append(res.FixedNames, cfgs[i].String())
 	}
 	res.FixedKPI = make([][]float64, len(fixed))
-	for _, inf := range interference {
-		if inf != nil {
-			inf.Start()
-		}
+	src := rt.WallClock()
+	for p := range interference {
+		leave := enter(p)
 		for fi, ci := range fixed {
 			if err := rt.Pool.Reconfigure(cfgs[ci]); err != nil {
 				return res, err
 			}
-			time.Sleep(window / 3)
-			res.FixedKPI[fi] = append(res.FixedKPI[fi], driver.MeasureThroughput(window))
+			kpi, _ := src.Measure(core.Explore, 0)
+			res.FixedKPI[fi] = append(res.FixedKPI[fi], kpi)
 		}
-		if inf != nil {
-			inf.Stop()
-		}
+		leave()
 	}
 
 	// ProteusTM run across the same phase sequence.
-	rt.Start()
-	marks := make([]time.Duration, 0, len(interference))
-	runStart := time.Now()
-	for _, inf := range interference {
-		marks = append(marks, time.Since(runStart))
-		if inf != nil {
-			inf.Start()
-		}
-		time.Sleep(phaseDur)
-		if inf != nil {
-			inf.Stop()
-		}
-	}
-	rt.Stop()
+	spans := liveRun(rt, len(interference), phaseDur, enter)
 	res.Timeline = rt.Timeline()
 	res.Reoptimizations = rt.Phases()
-
-	for p := range interference {
-		lo := marks[p]
-		hi := time.Duration(1<<62 - 1)
-		if p+1 < len(marks) {
-			hi = marks[p+1]
-		}
-		var vals []float64
-		for _, pt := range res.Timeline {
-			if pt.At <= lo+phaseDur/4 || pt.At > hi || pt.Exploring || pt.KPI == 0 {
-				continue
-			}
-			vals = append(vals, pt.KPI)
-		}
-		res.ProteusKPI = append(res.ProteusKPI, meanOf(vals))
+	for _, sp := range spans {
+		res.ProteusKPI = append(res.ProteusKPI, steadyMean(res.Timeline, sp.from+phaseDur/4, sp.to))
 	}
 	return res, nil
 }

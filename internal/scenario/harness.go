@@ -363,14 +363,11 @@ func run(s Scenario, spec RunSpec, cfg config.Config) (*Result, error) {
 		return res, runTimed(s, spec, wl, pool, rt, res)
 	}
 
-	setupStats := pool.SnapshotStats() // exclude setup transactions
-	rated, _ := wl.(workloads.Rated)
-	w := &windows{
-		pool: pool, res: res, spec: spec, last: setupStats, rated: rated,
-		sd:      workloads.NewSerialDriver(wl, pool, spec.MaxThreads, spec.Seed),
-		serving: rt != nil && (spec.SLOOfferedRate > 0 || rated != nil),
-		attain:  rt != nil && spec.SLOOfferedRate > 0 && spec.SLOTargetMs > 0,
-	}
+	w := serialWindows(spec, wl, pool, res)
+	setupStats := w.last // exclude setup transactions
+	w.rated, _ = wl.(workloads.Rated)
+	w.serving = rt != nil && (spec.SLOOfferedRate > 0 || w.rated != nil)
+	w.attain = rt != nil && spec.SLOOfferedRate > 0 && spec.SLOTargetMs > 0
 	if rt != nil {
 		rt.Run(w)
 		res.Phases = rt.Phases()
@@ -409,6 +406,15 @@ type windows struct {
 	rated                 workloads.Rated
 	serving, attain       bool
 	steadyWins, steadyMet int
+}
+
+// serialWindows is the deterministic-mode source over pool: windows on a
+// serial driver of wl, counted from the pool's stats as they stand now
+// and scored by the plain commit rate until the caller turns the serving
+// model on.
+func serialWindows(spec RunSpec, wl workloads.Workload, pool *polytm.Pool, res *Result) *windows {
+	return &windows{pool: pool, res: res, spec: spec, last: pool.SnapshotStats(),
+		sd: workloads.NewSerialDriver(wl, pool, spec.MaxThreads, spec.Seed)}
 }
 
 // Measure implements core.WindowSource.

@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/cf"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/polytm"
-	"repro/internal/tm"
 	"repro/internal/workloads"
 )
 
@@ -42,8 +42,8 @@ type SweepSpec struct {
 	// OpCost is the deterministic-mode virtual cost per attempt
 	// (default 1µs).
 	OpCost time.Duration
-	// Window selects timed mode when positive: each cell measures real
-	// throughput for this wall-clock span.
+	// Window selects timed mode when positive: each cell settles half a
+	// window, then measures one, and scores its real commit rate.
 	Window time.Duration
 	// Journal, when non-empty, is a JSON-lines file recording each
 	// measured cell. A sweep finding an existing journal resumes: cells
@@ -214,8 +214,11 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 	return res, nil
 }
 
-// sweepRow sets the scenario up once and measures its missing cells,
-// reconfiguring between columns like RecTM's off-line profiling loop.
+// sweepRow sets the scenario up once and measures its missing cells as
+// one exploration, like RecTM's off-line profiling loop: each column is
+// installed and scored on one Explore window of the run harness's source —
+// Ops operations on the serial driver, or the wall-clock source's window
+// of length Window.
 func sweepRow(spec SweepSpec, name string, row int, labels []string, res *SweepResult, journal io.Writer) error {
 	s, _ := Lookup(name)
 	params := spec.Params[name]
@@ -231,20 +234,20 @@ func sweepRow(spec SweepSpec, name string, row int, labels []string, res *SweepR
 		return fmt.Errorf("setup: %w", err)
 	}
 
-	timed := spec.Mode() == Timed
-	var d *workloads.Driver
-	var sd *workloads.SerialDriver
-	if timed {
-		d = &workloads.Driver{Workload: wl, Runner: pool, MaxThreads: spec.MaxThreads, Seed: spec.Seed}
+	var src core.WindowSource
+	if spec.Mode() == Timed {
+		d := &workloads.Driver{Workload: wl, Runner: pool, MaxThreads: spec.MaxThreads, Seed: spec.Seed}
 		if err := d.Start(); err != nil {
 			return err
 		}
 		defer d.Stop()
+		src = core.NewWallClock(pool, spec.Window, core.CommitRate, nil)
 	} else {
-		sd = workloads.NewSerialDriver(wl, pool, spec.MaxThreads, spec.Seed)
+		// The windows' samples land in a record nobody reads: a row keeps
+		// only its cells.
+		src = serialWindows(RunSpec{MaxThreads: spec.MaxThreads, Seed: spec.Seed,
+			Ops: spec.Ops, SampleEvery: spec.Ops, OpCost: spec.OpCost}, wl, pool, &Result{})
 	}
-
-	var last tm.Stats
 	for col, cfg := range spec.Space {
 		if !cf.IsMissing(res.UM.Data[row][col]) {
 			continue
@@ -252,21 +255,7 @@ func sweepRow(spec SweepSpec, name string, row int, labels []string, res *SweepR
 		if err := pool.Reconfigure(cfg); err != nil {
 			return err
 		}
-		var value float64
-		if timed {
-			time.Sleep(spec.Window / 4) // settle
-			last = pool.SnapshotStats()
-			start := time.Now()
-			time.Sleep(spec.Window)
-			win := pool.SnapshotStats().Sub(last)
-			value = float64(win.Commits) / time.Since(start).Seconds()
-		} else {
-			sd.SetSlots(cfg.Threads)
-			last = pool.SnapshotStats()
-			sd.Run(spec.Ops)
-			win := pool.SnapshotStats().Sub(last)
-			value = windowKPI(win, spec.OpCost)
-		}
+		value, _ := src.Measure(core.Explore, 1)
 		res.UM.Data[row][col] = value
 		res.Measured++
 		if journal != nil {

@@ -144,6 +144,36 @@ func TestSweepDeterministicFresh(t *testing.T) {
 	}
 }
 
+// TestSweepCellIsARunWindow pins that the sweep and the run harness are
+// one instrument: a row's first deterministic cell is, bit for bit, the
+// first window of a fixed run of that scenario in that configuration with
+// one window of the same budget.
+func TestSweepCellIsARunWindow(t *testing.T) {
+	spec := tinySweepSpec("")
+	res, err := Sweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, name := range spec.Scenarios {
+		recs, err := Run(RunSpec{
+			Scenario:    name,
+			Params:      spec.Params[name],
+			Seed:        spec.Seed,
+			Configs:     []config.Config{spec.Space[0]},
+			MaxThreads:  spec.MaxThreads,
+			HeapWords:   spec.HeapWords,
+			Ops:         spec.Ops,
+			SampleEvery: spec.Ops,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.UM.Data[row][0], recs[0].Samples[0].KPI; got != want {
+			t.Errorf("%s: sweep cell %v, run window %v", name, got, want)
+		}
+	}
+}
+
 // TestTimedSweepEndsBelowMaxThreads sweeps a row whose last column parks
 // a worker, so the row's driver stops with a slot gated.
 func TestTimedSweepEndsBelowMaxThreads(t *testing.T) {
