@@ -218,9 +218,8 @@ func TestBaggingDist(t *testing.T) {
 	}
 }
 
-// TestSelectModelPicksReasonably runs model selection on a matrix where
-// rows are scaled copies — KNN-cosine should score near-perfectly.
-func TestSelectModelPicksReasonably(t *testing.T) {
+// scaledCopies is a matrix whose rows are scaled copies of one row.
+func scaledCopies() *cf.Matrix {
 	base := []float64{1, 3, 2, 5, 4, 6, 0.5, 7}
 	m := cf.NewMatrix(12, len(base))
 	for u := 0; u < 12; u++ {
@@ -229,6 +228,13 @@ func TestSelectModelPicksReasonably(t *testing.T) {
 			m.Data[u][i] = v * scale * (1 + 0.01*float64(i%3))
 		}
 	}
+	return m
+}
+
+// TestSelectModelPicksReasonably runs model selection on a matrix where
+// rows are scaled copies — KNN-cosine should score near-perfectly.
+func TestSelectModelPicksReasonably(t *testing.T) {
+	m := scaledCopies()
 	best, scored := cf.SelectModel(m, cf.DefaultCandidates(), 4, 12, 99)
 	if best.New == nil {
 		t.Fatal("no model selected")

@@ -156,3 +156,10 @@ func hasInf(row []float64) bool {
 	}
 	return false
 }
+
+// ScoreCandidatesForTest returns the candidates SelectModel draws, in the
+// order it draws them, scored as SelectModel scores them (abandon) or on
+// every fold, as though no earlier candidate had a score (T = +Inf).
+func ScoreCandidatesForTest(train *Matrix, cands []Candidate, folds, budget int, seed uint64, abandon bool) []Candidate {
+	return scoreCandidates(train, cands, folds, budget, seed, abandon)
+}

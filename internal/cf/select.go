@@ -55,14 +55,43 @@ func DefaultCandidates() []Candidate {
 // SelectModel performs random-search model selection with n-fold
 // cross-validation over the training matrix (§5.1: random search [4] plus
 // n-fold cross-validation). Up to budget candidates are drawn at random and
-// scored; the best-scoring candidate and the scored subset are returned.
+// scored; the best-scoring candidate and the scored subset are returned,
+// best first.
 //
 // Scoring hides a fraction of each validation row's known entries, predicts
 // them from the remainder, and accumulates the mean absolute percentage
-// error in rating space. Candidates are scored on up to GOMAXPROCS
+// error in rating space. A candidate whose error so far already bounds its
+// score above that of an earlier candidate cannot be selected, so it is
+// abandoned and scored +Inf; every other score, and the selection, is the
+// one scoring every fold gives. Candidates are scored on up to GOMAXPROCS
 // goroutines; everything random is drawn beforehand, in candidate order, so
 // the scores are the same on any number of them.
 func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint64) (best Candidate, scored []Candidate) {
+	scored = scoreCandidates(train, cands, folds, budget, seed, true)
+	bestScore := math.Inf(1)
+	for _, cand := range scored {
+		if cand.Score < bestScore {
+			bestScore = cand.Score
+			best = cand
+		}
+	}
+	sort.SliceStable(scored, func(a, b int) bool { return scored[a].Score < scored[b].Score })
+	return best, scored
+}
+
+// scoreCandidates cross-validates the random-search subset of cands and
+// returns it in the order drawn. With abandon set, candidate n is dropped
+// (Score +Inf) as soon as the lower bound on its score exceeds T_n, the
+// lowest score of the candidates before it that were not dropped; strictly,
+// so a tie keeps the first minimum. Without it every candidate runs every
+// fold.
+//
+// A worker can only stop a candidate against the earlier candidates that
+// have already finished, whose best score is never below T_n. The rule
+// itself is applied afterwards, in candidate order, to the running sums
+// each candidate recorded, so which candidates are dropped does not depend
+// on how the workers interleaved.
+func scoreCandidates(train *Matrix, cands []Candidate, folds, budget int, seed uint64, abandon bool) []Candidate {
 	if folds < 2 {
 		folds = 5
 	}
@@ -78,10 +107,17 @@ func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint6
 	}
 	idx = idx[:budget]
 
-	scored = make([]Candidate, len(idx))
 	perms := make([][]int, len(idx))
 	for n := range perms {
 		perms[n] = permutation(train.Rows, &rng)
+	}
+	hidden := hiddenCounts(train)
+	runs := make([][]partial, len(idx))
+	// finished holds the bits of each candidate's score once it has run
+	// every fold, +Inf before.
+	finished := make([]atomic.Uint64, len(idx))
+	for n := range finished {
+		finished[n].Store(math.Float64bits(math.Inf(1)))
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -90,22 +126,37 @@ func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint6
 		go func() {
 			defer wg.Done()
 			for n := int(next.Add(1)) - 1; n < len(idx); n = int(next.Add(1)) - 1 {
-				scored[n] = cands[idx[n]]
-				scored[n].Score = crossValidate(train, scored[n].New, folds, perms[n])
+				runs[n] = crossValidate(train, cands[idx[n]].New, folds, perms[n], hidden, func() float64 {
+					t := math.Inf(1)
+					for m := 0; abandon && m < n; m++ {
+						if s := math.Float64frombits(finished[m].Load()); s < t {
+							t = s
+						}
+					}
+					return t
+				})
+				if len(runs[n]) > folds {
+					finished[n].Store(math.Float64bits(runs[n][folds].score()))
+				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	bestScore := math.Inf(1)
-	for _, cand := range scored {
-		if cand.Score < bestScore {
-			bestScore = cand.Score
-			best = cand
+	scored := make([]Candidate, len(idx))
+	incumbent := math.Inf(1)
+	for n, run := range runs {
+		scored[n] = cands[idx[n]]
+		scored[n].Score = math.Inf(1)
+		if abandon && beaten(run, folds, incumbent) {
+			continue
+		}
+		scored[n].Score = run[folds].score()
+		if scored[n].Score < incumbent {
+			incumbent = scored[n].Score
 		}
 	}
-	sort.Slice(scored, func(a, b int) bool { return scored[a].Score < scored[b].Score })
-	return best, scored
+	return scored
 }
 
 // permutation draws a uniform shuffle of 0..n-1.
@@ -124,17 +175,78 @@ func permutation(n int, rng *uint64) []int {
 	return perm
 }
 
-// crossValidate scores a predictor constructor with n-fold CV over rows,
-// folds being consecutive runs of perm.
-func crossValidate(train *Matrix, newP func() Predictor, folds int, perm []int) float64 {
+// partial is a candidate's cross-validation after some of its folds: the
+// error sum and count so far, and how many errors the folds still to run
+// can add at most.
+type partial struct {
+	err       float64
+	cnt, rest int
+}
+
+// score is the mean error once every fold has run.
+func (p partial) score() float64 {
+	if p.cnt == 0 {
+		return math.Inf(1)
+	}
+	return p.err / float64(p.cnt)
+}
+
+// bound is a lower bound on the final score: errors are non-negative, so
+// the final sum is no smaller and the final count at most cnt+rest, and
+// rounding keeps both inequalities.
+func (p partial) bound() float64 { return p.err / float64(p.cnt+p.rest) }
+
+// hiddenCounts counts, row by row, the entries cross-validation hides and
+// can score: the first half of the known entries, unless the row has fewer
+// than two, skipping zero ratings.
+func hiddenCounts(train *Matrix) []int {
+	out := make([]int, train.Rows)
+	for u, row := range train.Data {
+		known := knownIndices(row)
+		if len(known) < 2 {
+			continue
+		}
+		for _, i := range known[:len(known)/2] {
+			if row[i] != 0 {
+				out[u]++
+			}
+		}
+	}
+	return out
+}
+
+// beaten reports whether a candidate's running sums show, before some fold
+// after the first, a score bound above t.
+func beaten(run []partial, folds int, t float64) bool {
+	for f := 1; f < len(run) && f < folds; f++ {
+		if run[f].bound() > t {
+			return true
+		}
+	}
+	return false
+}
+
+// crossValidate runs n-fold CV of a predictor constructor over rows, folds
+// being consecutive runs of perm, and returns the running sums before the
+// first fold and after each fold it ran. Before every fold after the first
+// it stops if the score's lower bound exceeds incumbent().
+func crossValidate(train *Matrix, newP func() Predictor, folds int, perm, hidden []int, incumbent func() float64) []partial {
 	n := train.Rows
-	totalErr, totalCnt := 0.0, 0
+	var p partial
+	for _, u := range perm {
+		p.rest += hidden[u]
+	}
+	sums := append(make([]partial, 0, folds+1), p)
 	for f := 0; f < folds; f++ {
+		if f > 0 && p.bound() > incumbent() {
+			break
+		}
 		lo, hi := f*n/folds, (f+1)*n/folds
 		val := perm[lo:hi]
 		inVal := make(map[int]bool, len(val))
 		for _, u := range val {
 			inVal[u] = true
+			p.rest -= hidden[u]
 		}
 		sub := &Matrix{Cols: train.Cols}
 		for u := 0; u < n; u++ {
@@ -143,40 +255,41 @@ func crossValidate(train *Matrix, newP func() Predictor, folds int, perm []int) 
 				sub.Rows++
 			}
 		}
-		if sub.Rows == 0 {
+		if sub.Rows > 0 {
+			p.add(train, newP, sub, val)
+		}
+		sums = append(sums, p)
+	}
+	return sums
+}
+
+// add fits a predictor on sub and adds its errors on the validation rows.
+func (p *partial) add(train *Matrix, newP func() Predictor, sub *Matrix, val []int) {
+	pr := newP()
+	pr.Fit(sub)
+	for _, u := range val {
+		row := train.Data[u]
+		known := knownIndices(row)
+		if len(known) < 2 {
 			continue
 		}
-		p := newP()
-		p.Fit(sub)
-		for _, u := range val {
-			row := train.Data[u]
-			known := knownIndices(row)
-			if len(known) < 2 {
+		// Hide half of the known entries.
+		visible := make([]float64, len(row))
+		for i := range visible {
+			visible[i] = Missing
+		}
+		for _, i := range known[len(known)/2:] {
+			visible[i] = row[i]
+		}
+		pred := pr.Predict(visible)
+		for _, i := range known[:len(known)/2] {
+			if IsMissing(pred[i]) || row[i] == 0 {
 				continue
 			}
-			// Hide half of the known entries.
-			hidden := known[:len(known)/2]
-			visible := make([]float64, len(row))
-			for i := range visible {
-				visible[i] = Missing
-			}
-			for _, i := range known[len(known)/2:] {
-				visible[i] = row[i]
-			}
-			pred := p.Predict(visible)
-			for _, i := range hidden {
-				if IsMissing(pred[i]) || row[i] == 0 {
-					continue
-				}
-				totalErr += math.Abs(row[i]-pred[i]) / math.Abs(row[i])
-				totalCnt++
-			}
+			p.err += math.Abs(row[i]-pred[i]) / math.Abs(row[i])
+			p.cnt++
 		}
 	}
-	if totalCnt == 0 {
-		return math.Inf(1)
-	}
-	return totalErr / float64(totalCnt)
 }
 
 func knownIndices(row []float64) []int {

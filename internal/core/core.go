@@ -308,6 +308,12 @@ type WindowSource interface {
 	// Measure measures one window of the given kind; phase is the 1-based
 	// optimization phase of an Explore or Install window. It reports
 	// false when there is none: the run is over, or Stop cut it short.
+	//
+	// A KPI of NaN or ±Inf is no measurement. The loop treats an Explore
+	// window with one as not-ok: it cuts the phase short and puts the
+	// phase's start configuration back. An Install window with one leaves
+	// the monitor's reference where it was, and a steady one the monitor
+	// ignores.
 	Measure(kind WindowKind, phase int) (kpi float64, ok bool)
 	// Alarm says that the steady window just measured raised a change
 	// alarm. The alarm's phase follows.
@@ -345,10 +351,11 @@ func (rt *Runtime) Run(src WindowSource) {
 // picks candidates by Expected Improvement, each is installed and
 // profiled on an Explore window, and the best explored configuration is
 // installed and re-anchors the monitor on an Install window. A phase
-// whose Explore window was cut short installs nothing: its scores are not
-// measurements, so it goes back to the configuration it started from and
-// asks for no further window. A runtime whose model cannot be trained
-// keeps its configuration. Either way the phase is logged with the reason.
+// whose Explore window was cut short or scored no measurement (NaN or
+// ±Inf) installs nothing: its scores are not measurements, so it goes back
+// to the configuration it started from and asks for no further window. A
+// runtime whose model cannot be trained keeps its configuration. Either
+// way the phase is logged with the reason.
 func (rt *Runtime) phase(reason string, src WindowSource) {
 	rt.exploring.Store(true)
 	rt.mu.Lock()
@@ -369,7 +376,7 @@ func (rt *Runtime) phase(reason string, src WindowSource) {
 				return 0
 			}
 			kpi, ok := src.Measure(Explore, phase)
-			if !ok {
+			if !ok || !finite(kpi) {
 				cut = true
 				return 0
 			}
@@ -397,11 +404,14 @@ func (rt *Runtime) phase(reason string, src WindowSource) {
 	if cut {
 		return
 	}
-	if level, ok := src.Measure(Install, phase); ok {
+	if level, ok := src.Measure(Install, phase); ok && finite(level) {
 		rt.cus.Reset(level)
 		rt.record(level, false)
 	}
 }
+
+// finite reports whether a KPI is a measurement: neither NaN nor ±Inf.
+func finite(kpi float64) bool { return !math.IsNaN(kpi) && !math.IsInf(kpi, 0) }
 
 // recommender returns the trained recommender, training it on first use —
 // on the goroutine of whichever loop runs the first phase, while the

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -442,5 +444,89 @@ func TestUntrainableModelKeepsServing(t *testing.T) {
 	ev := rt.Reconfigurations()
 	if len(ev) != 1 || ev[0].From != boot || ev[0].To != boot || !strings.Contains(ev[0].Reason, "no candidate") {
 		t.Fatalf("reconfiguration log = %+v", ev)
+	}
+}
+
+// TestNonFiniteExploreCutsPhase: an Explore window scoring NaN or ±Inf is no
+// measurement, so the phase ends there as if the window had been cut short —
+// no further window, nothing installed, the start configuration put back.
+func TestNonFiniteExploreCutsPhase(t *testing.T) {
+	cfgs := testConfigs()
+	train := trainFor(cfgs)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			rt, err := core.New(core.Options{HeapWords: 1 << 12, Configs: cfgs, TrainKPI: train, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			boot := rt.Pool.Config()
+			explores, installs := 0, 0
+			rt.Run(&windowFunc{measure: func(kind core.WindowKind, _ int) (float64, bool) {
+				switch kind {
+				case core.Explore:
+					if explores++; explores == 2 {
+						return bad, true
+					}
+					return float64(rt.Pool.Config().Threads), true
+				case core.Install:
+					installs++
+					return 1, true
+				}
+				return 0, false
+			}})
+			if explores != 2 || installs != 0 {
+				t.Fatalf("%d Explore and %d Install windows, want 2 and 0", explores, installs)
+			}
+			if got := rt.Pool.Config(); got != boot {
+				t.Fatalf("left in %v, the phase started in %v", got, boot)
+			}
+			if ev := rt.Reconfigurations(); len(ev) != 1 || ev[0].From != boot || ev[0].To != boot {
+				t.Fatalf("reconfiguration log = %+v", ev)
+			}
+			for _, p := range rt.Timeline() {
+				if math.IsNaN(p.KPI) || math.IsInf(p.KPI, 0) {
+					t.Fatalf("timeline recorded %v", p.KPI)
+				}
+			}
+		})
+	}
+}
+
+// TestNonFiniteInstallKeepsMonitor: an Install window scoring NaN or ±Inf
+// does not re-anchor the monitor on it. A monitor anchored on such a level
+// never alarms again; one left alone alarms when the steady KPI drops from
+// 100 to 10.
+func TestNonFiniteInstallKeepsMonitor(t *testing.T) {
+	cfgs := testConfigs()
+	train := trainFor(cfgs)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			rt, err := core.New(core.Options{HeapWords: 1 << 12, Configs: cfgs, TrainKPI: train, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			steady := 0
+			src := &windowFunc{}
+			src.measure = func(kind core.WindowKind, phase int) (float64, bool) {
+				switch {
+				case kind == core.Explore:
+					return float64(rt.Pool.Config().Threads), true
+				case kind == core.Install && phase == 1:
+					return bad, true
+				case kind == core.Install:
+					return 10, true
+				case src.alarms > 0 || steady >= 200:
+					return 0, false
+				}
+				if steady++; steady <= 20 {
+					return 100, true
+				}
+				return 10, true
+			}
+			rt.Run(src)
+			if src.alarms != 1 || rt.Phases() != 2 {
+				t.Fatalf("%d alarm(s), %d phases after %d steady windows; want the drop to raise 1 alarm and phase", src.alarms, rt.Phases(), steady)
+			}
+		})
 	}
 }

@@ -139,8 +139,10 @@ const selectModelGolden = "testdata/select_model.golden"
 
 // TestSelectModelGolden pins model selection on the same corpus (5 folds, the
 // default candidates, as tune-shift's set-up and every proteustm.Open run it):
-// every candidate's cross-validation score, bit for bit and in ranking order,
-// and the winner.
+// every candidate's cross-validation score on every fold, bit for bit and in
+// ranking order, and the winner. SelectModel itself abandons the candidates
+// that cannot win, so the test then checks that it selects the pinned winner
+// and that every score it kept is the pinned one.
 func TestSelectModelGolden(t *testing.T) {
 	if raceEnabled {
 		// TestModelSelectionPipeline and cf's tests run SelectModel's
@@ -154,11 +156,66 @@ func TestSelectModelGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratings, _ := cf.NormalizeMatrix(norm, goodness)
-	best, scored := cf.SelectModel(ratings, cf.DefaultCandidates(), 5, 0, 555)
+	cands := cf.DefaultCandidates()
+	full := make([]cf.Candidate, len(cands))
+	for i := range cands {
+		full[i] = exhaustiveScore(t, ratings, cands, i, 5, 555)
+	}
+	sort.SliceStable(full, func(a, b int) bool { return full[a].Score < full[b].Score })
+	line := func(c cf.Candidate) string { return fmt.Sprintf("%s %016x\n", c.Name, math.Float64bits(c.Score)) }
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "selected %s\n", best.Name)
-	for _, c := range scored {
-		fmt.Fprintf(&sb, "%s %016x\n", c.Name, math.Float64bits(c.Score))
+	fmt.Fprintf(&sb, "selected %s\n", full[0].Name)
+	for _, c := range full {
+		sb.WriteString(line(c))
 	}
 	checkGolden(t, selectModelGolden, sb.String())
+
+	best, scored := cf.SelectModel(ratings, cands, 5, 0, 555)
+	if best.Name != full[0].Name || best.Score != full[0].Score {
+		t.Errorf("SelectModel selected %s (%v), every fold scored selects %s (%v)", best.Name, best.Score, full[0].Name, full[0].Score)
+	}
+	// The kept scores, best first, are a subsequence of the full ranking.
+	rest, kept := full, 0
+	for _, c := range scored {
+		if math.IsInf(c.Score, 1) {
+			continue
+		}
+		kept++
+		for len(rest) > 0 && line(rest[0]) != line(c) {
+			rest = rest[1:]
+		}
+		if len(rest) == 0 {
+			t.Errorf("SelectModel kept %q, which no candidate scores on every fold", line(c))
+			break
+		}
+		rest = rest[1:]
+	}
+	t.Logf("SelectModel kept %d of %d candidates", kept, len(scored))
 }
+
+// exhaustiveScore scores cands[i] on every fold through SelectModel itself:
+// every other candidate predicts nothing and so scores +Inf, which leaves
+// cands[i] no incumbent to lose to.
+func exhaustiveScore(t *testing.T, ratings *cf.Matrix, cands []cf.Candidate, i, folds int, seed uint64) cf.Candidate {
+	t.Helper()
+	alone := make([]cf.Candidate, len(cands))
+	for j := range alone {
+		alone[j].New = func() cf.Predictor { return blank{} }
+	}
+	alone[i] = cands[i]
+	_, scored := cf.SelectModel(ratings, alone, folds, 0, seed)
+	for _, c := range scored {
+		if c.Name != "" {
+			return c
+		}
+	}
+	t.Fatalf("%s not scored", cands[i].Name)
+	return cf.Candidate{}
+}
+
+// blank is a predictor that predicts nothing: it echoes the known entries.
+type blank struct{}
+
+func (blank) Name() string                       { return "" }
+func (blank) Fit(*cf.Matrix)                     {}
+func (blank) Predict(active []float64) []float64 { return active }
