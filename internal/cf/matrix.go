@@ -68,17 +68,6 @@ func (m *Matrix) Clone() *Matrix {
 // Known reports whether entry (u, i) is present.
 func (m *Matrix) Known(u, i int) bool { return !IsMissing(m.Data[u][i]) }
 
-// KnownInRow returns the indices of the known entries of row u.
-func (m *Matrix) KnownInRow(u int) []int {
-	var idx []int
-	for i, v := range m.Data[u] {
-		if !IsMissing(v) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // Density returns the fraction of known entries.
 func (m *Matrix) Density() float64 {
 	known := 0
@@ -141,18 +130,6 @@ func (m *Matrix) ColMeans() []float64 {
 		}
 	}
 	return means
-}
-
-// ArgBest returns the index of the largest known entry of row, or -1 when
-// the row is entirely missing.
-func ArgBest(row []float64) int {
-	best, idx := math.Inf(-1), -1
-	for i, v := range row {
-		if !IsMissing(v) && v > best {
-			best, idx = v, i
-		}
-	}
-	return idx
 }
 
 // Goodness converts a KPI value to a higher-is-better goodness score.

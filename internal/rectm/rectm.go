@@ -217,12 +217,6 @@ func (r *Recommender) PredictKPI(rawKPI []float64) []float64 {
 	return out
 }
 
-// PredictRatings completes a rating row directly (rating space in, rating
-// space out).
-func (r *Recommender) PredictRatings(ratings []float64) []float64 {
-	return r.Ensemble.Predict(ratings)
-}
-
 // OptResult is the outcome of one online optimization (§6.3 protocol).
 type OptResult struct {
 	// Explored lists sampled configurations in order.

@@ -141,7 +141,7 @@ func (s *Server) crossProtocol(req *request, owners []int) (response, int) {
 		// coordinator never abandons a protocol round mid-flight (that
 		// would strand fences), but an expired or client-abandoned batch
 		// is dropped before it claims any fence.
-		if req.expired() {
+		if req.expired(s.clock) {
 			s.shedDeadline.Add(1)
 			return response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}, http.StatusGatewayTimeout
 		}
@@ -163,7 +163,7 @@ func (s *Server) crossProtocol(req *request, owners []int) (response, int) {
 			// coordinator sits on already-claimed fences, indistinguishable
 			// from a dead one — the window the epoch guards exist for.
 			if d, fire := s.opts.Fault.Fire(fault.FenceAcquireStall, -1); fire {
-				time.Sleep(d)
+				s.clock.Sleep(d)
 			}
 			fleet := s.fleet()
 			if p.shard >= len(fleet) {
@@ -181,7 +181,7 @@ func (s *Server) crossProtocol(req *request, owners []int) (response, int) {
 				return heapFull, heapFull.code
 			}
 			gen := fleet[p.shard].relGen.Load()
-			r := s.runCtl(fleet[p.shard], acquireStep(&rec.ctlReq, token, partSig(req, p)))
+			r := s.runCtl(fleet[p.shard], s.acquireStep(&rec.ctlReq, token, partSig(req, p)))
 			if r.Err != "" {
 				s.releaseParts(rec)
 				return r, http.StatusServiceUnavailable
@@ -246,7 +246,7 @@ func (s *Server) crossProtocol(req *request, owners []int) (response, int) {
 		}
 		s.crossOps.Add(1)
 		s.served[req.op].Add(1)
-		s.lat.Observe(msBetween(req.accepted, time.Now()))
+		s.lat.Observe(msBetween(req.accepted, s.clock.Now()))
 		return resp, http.StatusOK
 	}
 	// Exhausting the retry budget on a sharded server almost always means
@@ -299,16 +299,16 @@ func partSig(req *request, p *crossPart) uint64 {
 }
 
 // acquireStep makes req the CAS-with-fence acquisition of a fence entry
-// for token, publishing sig and stamping the heartbeat with the caller's
-// current wall clock; the step's response carries the claimed hold.
-func acquireStep(req *request, token, sig uint64) *request {
-	*req = request{ctl: true, kind: stepAcquire, key: token, val: uint64(time.Now().UnixNano()), lo: sig}
+// for token, publishing sig and stamping the heartbeat with the server's
+// clock; the step's response carries the claimed hold.
+func (s *Server) acquireStep(req *request, token, sig uint64) *request {
+	*req = request{ctl: true, kind: stepAcquire, key: token, val: uint64(s.clock.Now().UnixNano()), lo: sig}
 	return req
 }
 
 // ctlAcquire runs one acquisition (see acquireStep) on shard ss.
 func (s *Server) ctlAcquire(ss *shardState, token, sig uint64) response {
-	return s.runCtl(ss, acquireStep(new(request), token, sig))
+	return s.runCtl(ss, s.acquireStep(new(request), token, sig))
 }
 
 // releaseParts frees the fences of every acquired-but-unreleased part of

@@ -218,55 +218,44 @@ func TestAwaitRelease(t *testing.T) {
 	}
 }
 
-// eventually repeats try — a race the test must win against the spin budget,
-// which a descheduled test goroutine loses — until it reports success.
-func eventually(t *testing.T, what string, try func() bool) {
-	t.Helper()
-	for i := 0; i < 2000; i++ {
-		if try() {
-			return
-		}
-	}
-	t.Fatalf("never saw %s", what)
-}
-
 // TestSpinSeesReleaseWithoutParking: a release that lands while the waiter
 // spins ends the wait without the waiter ever registering for the wake-up —
 // no relWaiters entry, so the release does not even replace relCh — and the
-// wait is booked like any other.
+// wait is booked like any other. On a stepClock the release lands between
+// two of the spin's polls, whatever the scheduler does.
 func TestSpinSeesReleaseWithoutParking(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	s := newTestServer(t, Options{Shards: 2, Workers: 2})
+	clk := newStepClock()
+	s := newTestServerOn(t, Options{Shards: 2, Workers: 2, FenceDeadline: -1}, clk)
 	ss := s.fleet()[0]
-	eventually(t, "a release land inside the spin", func() bool {
-		ss.relMu.Lock()
-		ch := ss.relCh
-		ss.relMu.Unlock()
-		before := s.StatusSnapshot().Ops
-		gen := ss.relGen.Load()
-		done := make(chan bool, 1)
-		go func() { _, timedOut := ss.awaitRelease(gen, 10*time.Second); done <- timedOut }()
-		for !ss.relSpinner.Load() && ss.relWaiters.Load() == 0 {
+	ss.relMu.Lock()
+	ch := ss.relCh
+	ss.relMu.Unlock()
+	before := s.StatusSnapshot().Ops
+	gen := ss.relGen.Load()
+	clk.onRead = func() {
+		if ss.relSpinner.Load() && ss.relGen.Load() == gen {
+			ss.fenceReleased()
 		}
-		ss.fenceReleased()
-		if <-done {
-			t.Fatal("a released wait reported running into its bound")
-		}
-		after := s.StatusSnapshot().Ops
-		if after.FenceWaits != before.FenceWaits+1 || after.FenceWaitMs <= before.FenceWaitMs {
-			t.Fatalf("fence_waits %d -> %d, fence_wait_ms %v -> %v: the wait was not booked",
-				before.FenceWaits, after.FenceWaits, before.FenceWaitMs, after.FenceWaitMs)
-		}
-		if after.FenceWaitSpun == before.FenceWaitSpun {
-			return false // the spin ran out first and the waiter blocked
-		}
-		ss.relMu.Lock()
-		defer ss.relMu.Unlock()
-		if ss.relCh != ch || ss.relWaiters.Load() != 0 {
-			t.Fatalf("a wait that ended in its spin left relWaiters=%d, relCh replaced=%v", ss.relWaiters.Load(), ss.relCh != ch)
-		}
-		return true
-	})
+	}
+	_, timedOut := ss.awaitRelease(gen, 10*time.Second)
+	clk.onRead = nil
+	if timedOut {
+		t.Fatal("a released wait reported running into its bound")
+	}
+	after := s.StatusSnapshot().Ops
+	if after.FenceWaits != before.FenceWaits+1 || after.FenceWaitMs <= before.FenceWaitMs {
+		t.Fatalf("fence_waits %d -> %d, fence_wait_ms %v -> %v: the wait was not booked",
+			before.FenceWaits, after.FenceWaits, before.FenceWaitMs, after.FenceWaitMs)
+	}
+	if after.FenceWaitSpun != before.FenceWaitSpun+1 {
+		t.Fatalf("fence_wait_spun %d -> %d for a release that landed inside the spin", before.FenceWaitSpun, after.FenceWaitSpun)
+	}
+	ss.relMu.Lock()
+	defer ss.relMu.Unlock()
+	if ss.relCh != ch || ss.relWaiters.Load() != 0 {
+		t.Fatalf("a wait that ended in its spin left relWaiters=%d, relCh replaced=%v", ss.relWaiters.Load(), ss.relCh != ch)
+	}
 }
 
 // TestOneSpinnerPerWaitPoint: while one goroutine spins for a shard's
@@ -276,14 +265,14 @@ func TestOneSpinnerPerWaitPoint(t *testing.T) {
 	polled := false
 	var gate atomic.Bool
 	gate.Store(true)
-	if spin(&gate, time.Now(), func() bool { polled = true; return true }) || polled {
+	if spin(wallClock{}, &gate, time.Now(), func() bool { polled = true; return true }) || polled {
 		t.Fatal("spin ran behind a taken gate")
 	}
 	if !gate.Load() {
 		t.Fatal("a refused spinner released the gate it never held")
 	}
 	gate.Store(false)
-	if !spin(&gate, time.Now(), func() bool { return true }) || gate.Load() {
+	if !spin(wallClock{}, &gate, time.Now(), func() bool { return true }) || gate.Load() {
 		t.Fatal("spin with a free gate and a true condition: want true and the gate released")
 	}
 
@@ -314,35 +303,31 @@ func TestOneSpinnerPerWaitPoint(t *testing.T) {
 }
 
 // TestSpinForSlot: a submitter that finds the shard's slot taken gets it
-// without queueing when it comes back inside the spin budget.
+// without queueing when it comes back inside the spin budget. On a stepClock
+// the slot comes back between two of the spin's polls.
 func TestSpinForSlot(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	s := newTestServer(t, Options{Workers: 1, Preload: 8})
+	clk := newStepClock()
+	s := newTestServerOn(t, Options{Workers: 1, Preload: 8, FenceDeadline: -1}, clk)
 	ss := s.fleet()[0]
-	eventually(t, "a slot come free inside the spin", func() bool {
-		before := s.StatusSnapshot().Ops
-		slot := <-ss.tokens
-		done := make(chan int, 1)
-		go func() {
-			_, code := s.submit(ss, &request{op: opGet, key: 1})
-			done <- code
-		}()
-		for t0 := time.Now(); !ss.slotSpinner.Load() && time.Since(t0) < time.Millisecond; {
+	before := s.StatusSnapshot().Ops
+	slot := <-ss.tokens
+	var returned atomic.Bool
+	clk.onRead = func() {
+		if ss.slotSpinner.Load() && returned.CompareAndSwap(false, true) {
+			ss.tokens <- slot
 		}
-		ss.tokens <- slot
-		if code := <-done; code != http.StatusOK {
-			t.Fatalf("get = HTTP %d", code)
-		}
-		after := s.StatusSnapshot().Ops
-		if after.LeaseSpins == before.LeaseSpins {
-			return false // the spin ran out first and the operation queued
-		}
-		if after.Direct != before.Direct+1 || after.Queued != before.Queued {
-			t.Fatalf("direct %d -> %d, queued %d -> %d for an operation whose slot came free in its spin",
-				before.Direct, after.Direct, before.Queued, after.Queued)
-		}
-		return true
-	})
+	}
+	_, code := s.submit(ss, &request{op: opGet, key: 1})
+	clk.onRead = nil
+	if code != http.StatusOK {
+		t.Fatalf("get = HTTP %d", code)
+	}
+	after := s.StatusSnapshot().Ops
+	if after.LeaseSpins != before.LeaseSpins+1 || after.Direct != before.Direct+1 || after.Queued != before.Queued {
+		t.Fatalf("lease_spins %d -> %d, direct %d -> %d, queued %d -> %d for an operation whose slot came free in its spin",
+			before.LeaseSpins, after.LeaseSpins, before.Direct, after.Direct, before.Queued, after.Queued)
+	}
 }
 
 // takeTokens leases every circulating slot token of ss, as if each were
@@ -553,7 +538,7 @@ func TestNoSpinOnOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	polled := false
 	var gate atomic.Bool
-	if spin(&gate, time.Now(), func() bool { polled = true; return true }) || polled {
+	if spin(wallClock{}, &gate, time.Now(), func() bool { polled = true; return true }) || polled {
 		t.Fatal("spin ran on one P")
 	}
 	s := newTestServer(t, Options{Shards: 2, Workers: 2})

@@ -305,7 +305,7 @@ func (ss *shardState) breakerRetryAfter() time.Duration {
 	if until == 0 {
 		return 0
 	}
-	if d := time.Duration(until - time.Now().UnixNano()); d > 0 {
+	if d := time.Duration(until - ss.srv.clock.Now().UnixNano()); d > 0 {
 		return d
 	}
 	return 0
@@ -340,8 +340,8 @@ func (ss *shardState) sleepInjectedStall() {
 	if until == 0 {
 		return
 	}
-	if rem := time.Until(time.Unix(0, until)); rem > 0 {
-		time.Sleep(rem)
+	if rem := time.Duration(until - ss.srv.clock.Now().UnixNano()); rem > 0 {
+		ss.srv.clock.Sleep(rem)
 	}
 }
 
@@ -384,8 +384,9 @@ func (f *fenceSus) watch(token, epoch, beat uint64, now time.Time, deadline time
 	return false
 }
 
-// detector is shard ss's failure detector goroutine: a ticker that runs
-// detect at each tick's instant, every FenceDeadline/4.
+// detector is shard ss's failure detector goroutine: a wall-clock ticker
+// that runs detect every FenceDeadline/4, at the server clock's now — the
+// clock the heartbeats it judges were stamped on.
 func (ss *shardState) detector() {
 	defer ss.wg.Done()
 	tick := time.NewTicker(ss.srv.opts.FenceDeadline / 4)
@@ -394,8 +395,8 @@ func (ss *shardState) detector() {
 		select {
 		case <-ss.stop:
 			return
-		case now := <-tick.C:
-			ss.detect(now)
+		case <-tick.C:
+			ss.detect(ss.srv.clock.Now())
 		}
 	}
 }
@@ -551,7 +552,7 @@ type HealthStatus struct {
 
 // Health evaluates the readiness condition.
 func (s *Server) Health() HealthStatus {
-	now := time.Now()
+	now := s.clock.Now()
 	deadline := s.opts.FenceDeadline
 	if deadline <= 0 {
 		deadline = time.Second

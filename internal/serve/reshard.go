@@ -367,7 +367,7 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 		var resume bool
 		r := s.guarded(donor, hold, false, func(tx proteustm.Txn, _ int) response {
 			keys, vals, next, resume = donor.store.ExportSpan(tx, lo, m.MovedHi, migrateBatch)
-			donor.store.StampFence(tx, hold, uint64(time.Now().UnixNano()))
+			donor.store.StampFence(tx, hold, uint64(s.clock.Now().UnixNano()))
 			return response{}
 		})
 		if r.Err != "" {
@@ -440,7 +440,7 @@ func (s *Server) moveSpan(m spanMove) (moved uint64, newEpoch uint64, err error)
 		r := s.guarded(donor, hold, false, func(tx proteustm.Txn, slot int) response {
 			donor.store.BumpPlacement(tx, newEpoch)
 			_, more = donor.store.DeleteSpan(tx, slot, m.MovedLo, m.MovedHi, migrateBatch)
-			donor.store.StampFence(tx, hold, uint64(time.Now().UnixNano()))
+			donor.store.StampFence(tx, hold, uint64(s.clock.Now().UnixNano()))
 			return response{}
 		})
 		if r.Err != "" {

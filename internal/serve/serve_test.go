@@ -22,16 +22,25 @@ var update = os.Getenv("UPDATE_GOLDEN") != ""
 
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
+	return newTestServerOn(t, opts, wallClock{})
+}
+
+// newTestServerOn is newTestServer on clock clk, set before the server
+// starts serving.
+func newTestServerOn(t *testing.T, opts Options, clk clock) *Server {
+	t.Helper()
 	if opts.Workers == 0 {
 		opts.Workers = 4
 	}
 	if opts.HeapWords == 0 {
 		opts.HeapWords = 1 << 18
 	}
-	s, err := New(opts)
+	s, err := newServer(opts)
 	if err != nil {
-		t.Fatalf("serve.New: %v", err)
+		t.Fatalf("newServer: %v", err)
 	}
+	s.clock = clk
+	s.startServing()
 	t.Cleanup(func() {
 		if err := s.Close(); err != nil {
 			t.Errorf("Close: %v", err)

@@ -153,8 +153,8 @@ const (
 // before execution, so an op that expired in line is dropped rather than run
 // against a store nobody is waiting on. A request without a deadline does
 // not read the clock.
-func (r *request) expired() bool {
-	if !r.deadline.IsZero() && time.Now().After(r.deadline) {
+func (r *request) expired(clk clock) bool {
+	if !r.deadline.IsZero() && clk.Now().After(r.deadline) {
 		return true
 	}
 	return r.ctx != nil && r.ctx.Err() != nil
@@ -450,6 +450,9 @@ type Server struct {
 	fleetPtr atomic.Pointer[[]*shardState]
 	mux      *http.ServeMux
 	start    time.Time
+	// clock is the server's one source of time (see clock); tests set it
+	// before the server starts serving.
+	clock clock
 
 	// inflight counts submissions between admission and reply, those
 	// waiting in a shard's line included; Close waits on it after setting
@@ -601,13 +604,14 @@ func newServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		place:     shard.NewEpoched(part),
-		start:     time.Now(),
+		clock:     wallClock{},
 		crossSem:  make(chan struct{}, crossSlots),
 		reg:       newCrossReg(),
 		lat:       metrics.NewReservoir(latencyWindow),
 		queueWait: metrics.NewReservoir(latencyWindow),
 		svc:       metrics.NewReservoir(latencyWindow),
 	}
+	s.start = s.clock.Now()
 	s.jitterState.Store(opts.Seed | 1)
 	// Shards share nothing until they serve (own heap, own seed), so each is
 	// built and preloaded on its own goroutine; the result is the same bytes
@@ -962,12 +966,13 @@ func (ss *shardState) leftLine(req *request) response {
 	return response{Err: "client canceled", code: 499}
 }
 
-// spin polls ready until spinBudget after t0 (now, as the caller read it)
-// and reports whether it came true. It is the prefix of a blocking wait,
-// never the wait itself: it does not run on a single P (whoever would make
-// ready true needs that P), and only while gate — the wait point's one
-// spinner place — is free.
-func spin(gate *atomic.Bool, t0 time.Time, ready func() bool) bool {
+// spin polls ready until spinBudget after t0 (now on clk, as the caller
+// read it) and reports whether it came true. It is the prefix of a blocking
+// wait, never the wait itself: it does not run on a single P (whoever would
+// make ready true needs that P), and only while gate — the wait point's one
+// spinner place — is free. The refusal reads the real P count whatever clk
+// is; how it refuses under a harness's clock is left to that harness.
+func spin(clk clock, gate *atomic.Bool, t0 time.Time, ready func() bool) bool {
 	if runtime.GOMAXPROCS(0) == 1 || !gate.CompareAndSwap(false, true) {
 		return false
 	}
@@ -976,7 +981,7 @@ func spin(gate *atomic.Bool, t0 time.Time, ready func() bool) bool {
 		if ready() {
 			return true
 		}
-		if time.Since(t0) >= spinBudget {
+		if clk.Now().Sub(t0) >= spinBudget {
 			return false
 		}
 		if i%spinYieldEvery == 0 {
@@ -993,7 +998,8 @@ func (ss *shardState) spinForSlot() bool {
 	if ss.waiting.Load() > 0 {
 		return false
 	}
-	return spin(&ss.slotSpinner, time.Now(), func() bool { return len(ss.tokens) > 0 })
+	clk := ss.srv.clock
+	return spin(clk, &ss.slotSpinner, clk.Now(), func() bool { return len(ss.tokens) > 0 })
 }
 
 // drain stops shard ss for good, the one teardown Close and retireShard
@@ -1033,19 +1039,19 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 	// breaker trips on.
 	if inj := s.opts.Fault; inj != nil {
 		if d, ok := inj.Fire(fault.ShardStall, ss.idx); ok {
-			ss.extendStall(time.Now().Add(d))
+			ss.extendStall(s.clock.Now().Add(d))
 		}
 		ss.sleepInjectedStall()
 		if !req.ctl {
 			if d, ok := inj.Fire(fault.OpDelay, ss.idx); ok {
-				time.Sleep(d)
+				s.clock.Sleep(d)
 			}
 		}
 	}
 	// Deadline/cancellation gate: a data op whose client hung up or whose
 	// deadline passed is dropped here, never executed. Control steps are
 	// exempt — a fence release must always run.
-	if !req.ctl && req.expired() {
+	if !req.ctl && req.expired(s.clock) {
 		s.shedDeadline.Add(1)
 		return response{Err: "deadline exceeded", code: http.StatusGatewayTimeout}, true
 	}
@@ -1063,9 +1069,9 @@ func (ss *shardState) process(slot int, req *request) (resp response, ran bool) 
 		}
 		return resp, true
 	}
-	t0 := time.Now()
+	t0 := s.clock.Now()
 	resp = ss.execute(w, slot, req)
-	t1 := time.Now()
+	t1 := s.clock.Now()
 	ss.drainMu.RUnlock()
 	if !resp.fenced {
 		ss.account(req, resp, t0, t1)
@@ -1110,8 +1116,8 @@ func (ss *shardState) fenceReleased() {
 // never rests on the notification.
 func (ss *shardState) awaitRelease(gen uint64, bound time.Duration) (d time.Duration, timedOut bool) {
 	s := ss.srv
-	t0 := time.Now()
-	if spin(&ss.relSpinner, t0, func() bool { return ss.relGen.Load() != gen }) {
+	t0 := s.clock.Now()
+	if spin(s.clock, &ss.relSpinner, t0, func() bool { return ss.relGen.Load() != gen }) {
 		s.fenceWaitSpun.Add(1)
 	} else {
 		ss.relWaiters.Add(1)
@@ -1121,18 +1127,16 @@ func (ss *shardState) awaitRelease(gen uint64, bound time.Duration) (d time.Dura
 		// Registered before the generation check: a release that lands after
 		// the check sees the waiter and closes ch.
 		if ss.relGen.Load() == gen {
-			t := time.NewTimer(bound)
 			select {
 			case <-ch:
-				t.Stop()
-			case <-t.C:
+			case <-s.clock.After(bound):
 				timedOut = true
 				s.fenceWaitTimeouts.Add(1)
 			}
 		}
 		ss.relWaiters.Add(-1)
 	}
-	d = time.Since(t0)
+	d = s.clock.Now().Sub(t0)
 	s.fenceWaits.Add(1)
 	s.fenceWaitNs.Add(uint64(d))
 	return d, timedOut
@@ -1337,7 +1341,7 @@ func (s *Server) armDeadline(req *request) {
 	if !req.accepted.IsZero() {
 		return
 	}
-	req.accepted = time.Now()
+	req.accepted = s.clock.Now()
 	budget := s.opts.Deadline
 	if req.budget > 0 && (budget == 0 || req.budget < budget) {
 		budget = req.budget
@@ -1351,7 +1355,7 @@ func (s *Server) armDeadline(req *request) {
 // recomputed from the reservoir at most every 25 ms so the admission path
 // never pays a sort per request.
 func (s *Server) queueWaitP99() float64 {
-	now := time.Now().UnixNano()
+	now := s.clock.Now().UnixNano()
 	next := s.gateNext.Load()
 	if now >= next && s.gateNext.CompareAndSwap(next, now+(25*time.Millisecond).Nanoseconds()) {
 		s.gateP99Bits.Store(math.Float64bits(s.queueWait.Quantile(99)))
@@ -1436,7 +1440,7 @@ func (s *Server) submit(ss *shardState, req *request) (response, int) {
 			ss.awaitRelease(gen, fencedYield)
 			continue
 		}
-		s.lat.Observe(msBetween(req.accepted, time.Now()))
+		s.lat.Observe(msBetween(req.accepted, s.clock.Now()))
 		if resp.code != 0 {
 			return resp, resp.code
 		}

@@ -318,7 +318,7 @@ func (s *Server) StatusSnapshot() Status {
 			QueueLen:      qn,
 			FenceHeld:     held != 0,
 			FenceEpoch:    ss.sys.Load(ss.store.FenceEpochWord()),
-			Breaker:       ss.breakerName(time.Now()),
+			Breaker:       ss.breakerName(s.clock.Now()),
 			OpsRouted:     ss.routed.Load(),
 			TM:            tm,
 		}
@@ -369,7 +369,7 @@ func (s *Server) StatusSnapshot() Status {
 
 	return Status{
 		Server: ServerStatus{
-			UptimeSec:        time.Since(s.start).Seconds(),
+			UptimeSec:        s.clock.Now().Sub(s.start).Seconds(),
 			Shards:           len(fleetShards),
 			Partitioner:      part.Kind(),
 			KeyUniverse:      s.opts.KeyUniverse,
