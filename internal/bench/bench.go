@@ -17,7 +17,6 @@ import (
 	"repro/internal/htm"
 	"repro/internal/polytm"
 	"repro/internal/serve"
-	"repro/internal/stm"
 	"repro/internal/tm"
 )
 
@@ -25,24 +24,15 @@ import (
 // order the sub-benchmarks run.
 var AlgorithmNames = []string{"tl2", "tiny", "norec", "swiss", "htm", "gl"}
 
-// NewAlgorithm returns a fresh instance of the named TM backend. It panics
+// NewAlgorithm returns a fresh instance of the named TM backend, built by
+// PolyTM's one constructor with a budget of 5 and PolicyDecrease. It panics
 // on an unknown name (the suite is a fixed registry, not user input).
 func NewAlgorithm(name string) tm.Algorithm {
-	switch name {
-	case "tl2":
-		return stm.TL2{}
-	case "tiny":
-		return stm.TinySTM{}
-	case "norec":
-		return stm.NOrec{}
-	case "swiss":
-		return stm.SwissTM{}
-	case "htm":
-		return &htm.HTM{CM: htm.NewCM(5, htm.PolicyDecrease)}
-	case "gl":
-		return &stm.GlobalLock{}
+	id, err := config.ParseAlg(name)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	panic(fmt.Sprintf("bench: unknown algorithm %q", name))
+	return polytm.NewAlgorithm(id, htm.NewCM(5, htm.PolicyDecrease))
 }
 
 // CounterTx runs the counter micro-workload on one algorithm at the given
@@ -85,7 +75,7 @@ func reportAbortShare(b *testing.B, stats []tm.Stats) {
 	for _, st := range stats {
 		sum.Add(st)
 	}
-	b.ReportMetric(float64(sum.Aborts)/float64(max(sum.Aborts+sum.Commits, 1)), abortShareUnit)
+	b.ReportMetric(sum.AbortRate(), abortShareUnit)
 }
 
 // writeHeavySpan is the number of distinct words each write-heavy

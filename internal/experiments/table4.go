@@ -8,7 +8,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/htm"
 	"repro/internal/polytm"
-	"repro/internal/stm"
 	"repro/internal/tm"
 	"repro/internal/workloads"
 )
@@ -49,12 +48,11 @@ func Table4(scale Scale) (Table4Result, error) {
 		window = 80 * time.Millisecond
 	}
 
-	mix := func() []workloads.Workload {
-		return []workloads.Workload{
-			&workloads.HashMap{Buckets: 1 << 10, KeyRange: 1 << 13},
-			&workloads.RBTree{KeyRange: 1 << 12},
-			&workloads.Vacation{Relations: 1 << 11, Queries: 12},
-		}
+	// Each measurement builds its own instance, so sets up its own state.
+	mix := []func() workloads.Workload{
+		func() workloads.Workload { return &workloads.HashMap{Buckets: 1 << 10, KeyRange: 1 << 13} },
+		func() workloads.Workload { return &workloads.RBTree{KeyRange: 1 << 12} },
+		func() workloads.Workload { return &workloads.Vacation{Relations: 1 << 11, Queries: 12} },
 	}
 
 	for _, b := range backends {
@@ -63,7 +61,7 @@ func Table4(scale Scale) (Table4Result, error) {
 		for _, t := range threads {
 			var rel float64
 			n := 0
-			for _, wl := range mix() {
+			for _, wl := range mix {
 				bare, poly, err := measurePair(wl, b.alg, t, window)
 				if err != nil {
 					return res, fmt.Errorf("table4 %s/%dt: %w", b.label, t, err)
@@ -83,14 +81,12 @@ func Table4(scale Scale) (Table4Result, error) {
 	for _, t := range threads {
 		var rel float64
 		n := 0
-		for _, wl := range mix() {
-			cm := htm.NewCM(5, htm.PolicyDecrease)
-			fast, err := measureBare(wl, &htm.HTM{CM: cm}, t, window)
+		for _, wl := range mix {
+			fast, err := measureBare(wl, polytm.NewAlgorithm(config.HTM, htm.NewCM(5, htm.PolicyDecrease)), t, window)
 			if err != nil {
 				return res, err
 			}
-			cm2 := htm.NewCM(5, htm.PolicyDecrease)
-			slow, err := measureBare(wl, &htm.NaiveHTM{HTM: htm.HTM{CM: cm2}}, t, window)
+			slow, err := measureBare(wl, &htm.NaiveHTM{HTM: htm.HTM{CM: htm.NewCM(5, htm.PolicyDecrease)}}, t, window)
 			if err != nil {
 				return res, err
 			}
@@ -105,76 +101,28 @@ func Table4(scale Scale) (Table4Result, error) {
 
 // measurePair measures a workload bare and under PolyTM at the same
 // configuration, returning the two throughputs.
-func measurePair(wl workloads.Workload, alg config.AlgID, threads int, window time.Duration) (bare, poly float64, err error) {
+func measurePair(newWL func() workloads.Workload, alg config.AlgID, threads int, window time.Duration) (bare, poly float64, err error) {
 	cfg := config.Config{Alg: alg, Threads: threads, Budget: 5, Policy: htm.PolicyDecrease}
 
 	// Bare run.
-	hBare := tm.NewHeap(1<<21, threads)
-	bareAlg := bareAlgorithm(alg)
-	bare, err = workloads.RunFixed(cloneWorkload(wl), workloads.NewBareRunner(bareAlg, hBare, threads), hBare, threads, window, 5)
+	bare, err = measureBare(newWL, polytm.NewAlgorithm(alg, htm.NewCM(cfg.Budget, cfg.Policy)), threads, window)
 	if err != nil {
 		return 0, 0, err
 	}
 
 	// PolyTM run.
 	pool := polytm.New(1<<21, threads, cfg)
-	poly, err = workloads.RunFixed(cloneWorkload(wl), pool, pool.Heap(), threads, window, 5)
+	poly, err = workloads.RunFixed(newWL(), pool, pool.Heap(), threads, window, 5)
 	if err != nil {
 		return 0, 0, err
 	}
 	return bare, poly, nil
 }
 
-// measureBare measures a workload on one bare algorithm instance.
-func measureBare(wl workloads.Workload, alg tm.Algorithm, threads int, window time.Duration) (float64, error) {
+// measureBare measures a fresh workload on one bare algorithm instance.
+func measureBare(newWL func() workloads.Workload, alg tm.Algorithm, threads int, window time.Duration) (float64, error) {
 	h := tm.NewHeap(1<<21, threads)
-	return workloads.RunFixed(cloneWorkload(wl), workloads.NewBareRunner(alg, h, threads), h, threads, window, 5)
-}
-
-// bareAlgorithm instantiates a standalone algorithm matching the id.
-func bareAlgorithm(alg config.AlgID) tm.Algorithm {
-	switch alg {
-	case config.TL2:
-		return stm.TL2{}
-	case config.TinySTM:
-		return stm.TinySTM{}
-	case config.NOrec:
-		return stm.NOrec{}
-	case config.SwissTM:
-		return stm.SwissTM{}
-	case config.HTM:
-		return &htm.HTM{CM: htm.NewCM(5, htm.PolicyDecrease)}
-	case config.Hybrid:
-		hy := &htm.Hybrid{CM: htm.NewCM(5, htm.PolicyDecrease)}
-		hy.SetSlowPath(stm.NOrec{})
-		return hy
-	default:
-		return &stm.GlobalLock{}
-	}
-}
-
-// cloneWorkload returns a fresh instance of the workload's type so each
-// measurement sets up its own state.
-func cloneWorkload(wl workloads.Workload) workloads.Workload {
-	switch w := wl.(type) {
-	case *workloads.HashMap:
-		c := *w
-		return &c
-	case *workloads.RBTree:
-		c := *w
-		return &c
-	case *workloads.Vacation:
-		c := *w
-		return &c
-	case *workloads.TPCC:
-		c := *w
-		return &c
-	case *workloads.Memcached:
-		c := *w
-		return &c
-	default:
-		return wl
-	}
+	return workloads.RunFixed(newWL(), workloads.NewBareRunner(alg, h, threads), h, threads, window, 5)
 }
 
 // Print renders the table.

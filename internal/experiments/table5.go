@@ -30,17 +30,21 @@ func Table5(scale Scale) (Table5Result, error) {
 	}
 	res := Table5Result{Threads: threads}
 
-	apps := []workloads.Workload{
-		&workloads.TPCC{Warehouses: 2, Districts: 8, Customers: 128, Items: 1 << 12},
-		&workloads.Memcached{Buckets: 1 << 12, KeyRange: 1 << 14},
+	// Each measurement builds its own instance, so sets up its own state.
+	apps := []func() workloads.Workload{
+		func() workloads.Workload {
+			return &workloads.TPCC{Warehouses: 2, Districts: 8, Customers: 128, Items: 1 << 12}
+		},
+		func() workloads.Workload { return &workloads.Memcached{Buckets: 1 << 12, KeyRange: 1 << 14} },
 	}
-	for _, app := range apps {
-		res.Workloads = append(res.Workloads, app.Name())
+	for _, newApp := range apps {
+		name := newApp().Name()
+		res.Workloads = append(res.Workloads, name)
 		var row []float64
 		for _, t := range threads {
-			lat, err := measureSwitchLatency(cloneWorkload(app), t, switches)
+			lat, err := measureSwitchLatency(newApp(), t, switches)
 			if err != nil {
-				return res, fmt.Errorf("table5 %s/%dt: %w", app.Name(), t, err)
+				return res, fmt.Errorf("table5 %s/%dt: %w", name, t, err)
 			}
 			row = append(row, lat)
 		}

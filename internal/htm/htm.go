@@ -75,6 +75,38 @@ func (cm *CM) Get() (budget int, policy CapacityPolicy) {
 	return int(cm.budget.Load()), CapacityPolicy(cm.policy.Load())
 }
 
+// The §4.3 policy code, one copy for HTM and Hybrid. A nil *CM means a
+// budget of 5 and PolicyDecrease.
+
+// loadBudget gives transaction c.TxnID its retry budget at its first attempt;
+// later attempts keep what their aborts left of it.
+func (cm *CM) loadBudget(c *tm.Ctx) {
+	if st := &c.HTM; st.LastTxn != c.TxnID {
+		st.LastTxn = c.TxnID
+		st.Budget = 5
+		if cm != nil {
+			st.Budget = int(cm.budget.Load())
+		}
+	}
+}
+
+// charge takes an aborted hardware attempt off the retry budget: one for any
+// abort, or what the capacity policy says for a capacity abort.
+func (cm *CM) charge(st *tm.HTMState, reason tm.AbortCode) {
+	policy := PolicyDecrease
+	if reason == tm.AbortCapacity && cm != nil {
+		policy = CapacityPolicy(cm.policy.Load())
+	}
+	switch policy {
+	case PolicyGiveUp:
+		st.Budget = 0
+	case PolicyHalve:
+		st.Budget /= 2
+	default:
+		st.Budget--
+	}
+}
+
 // HTM is the simulated best-effort hardware TM. ReadCap and WriteCap bound
 // the speculative footprint in cache lines (stripes); the zero value of
 // either selects the Machine-A-like defaults.
@@ -92,8 +124,8 @@ const (
 	DefaultWriteCap = 448
 )
 
-func (h *HTM) caps() (int, int) {
-	r, w := h.ReadCap, h.WriteCap
+// caps resolves a backend's configured capacities; zero selects the default.
+func caps(r, w int) (int, int) {
 	if r == 0 {
 		r = DefaultReadCap
 	}
@@ -120,14 +152,7 @@ func (h *HTM) Begin(c *tm.Ctx) {
 		st.Slot = c.H.HTMAttach(c.ID)
 		st.WLines = make([]uint32, 0, 64)
 	}
-	if st.LastTxn != c.TxnID {
-		st.LastTxn = c.TxnID
-		b := 5
-		if h.CM != nil {
-			b, _ = h.CM.Get()
-		}
-		st.Budget = b
-	}
+	h.CM.loadBudget(c)
 	st.Reads = 0
 	st.WLines = st.WLines[:0]
 	if st.Budget <= 0 {
@@ -179,7 +204,7 @@ func (h *HTM) Load(c *tm.Ctx, a tm.Addr) uint64 {
 	}
 	s := heap.Stripe(a)
 	if mark, stamp := &st.Slot.Marks[s], uint32(st.Epoch); atomic.LoadUint32(mark) != stamp {
-		rcap, _ := h.caps()
+		rcap, _ := caps(h.ReadCap, h.WriteCap)
 		if st.Reads >= rcap {
 			h.cleanup(c)
 			c.Retry(tm.AbortCapacity)
@@ -205,7 +230,7 @@ func (h *HTM) Store(c *tm.Ctx, a tm.Addr, v uint64) {
 	if st.Fallback {
 		s := heap.Stripe(a)
 		h.evictWriter(c, s)
-		h.doomReaders(c, []uint32{s})
+		h.doomReaders(c, s)
 		c.WS.Put(a, v)
 		return
 	}
@@ -215,7 +240,7 @@ func (h *HTM) Store(c *tm.Ctx, a tm.Addr, v uint64) {
 			h.cleanup(c)
 			c.Retry(tm.AbortConflict)
 		}
-		_, wcap := h.caps()
+		_, wcap := caps(h.ReadCap, h.WriteCap)
 		if len(st.WLines) >= wcap {
 			h.cleanup(c)
 			c.Retry(tm.AbortCapacity)
@@ -225,7 +250,7 @@ func (h *HTM) Store(c *tm.Ctx, a tm.Addr, v uint64) {
 			c.Retry(tm.AbortConflict)
 		}
 		st.WLines = append(st.WLines, s)
-		h.doomReaders(c, st.WLines[len(st.WLines)-1:])
+		h.doomReaders(c, s)
 	}
 	c.WS.Put(a, v)
 	h.check(c)
@@ -254,9 +279,6 @@ func (h *HTM) Commit(c *tm.Ctx) bool {
 		}
 		return false
 	}
-	// Invalidate readers of written lines once more: anything that marked
-	// the line after our Store-time sweep must not commit a mixed view.
-	h.doomReaders(c, st.WLines)
 	stripes, stamp := st.Reads, uint32(st.Epoch)
 	for _, s := range st.WLines {
 		if atomic.LoadUint32(&st.Slot.Marks[s]) != stamp {
@@ -284,23 +306,7 @@ func (h *HTM) Abort(c *tm.Ctx) {
 	}
 	h.cleanup(c)
 	st.InTx = false
-	switch c.AbortReason {
-	case tm.AbortCapacity:
-		policy := PolicyDecrease
-		if h.CM != nil {
-			_, policy = h.CM.Get()
-		}
-		switch policy {
-		case PolicyGiveUp:
-			st.Budget = 0
-		case PolicyHalve:
-			st.Budget /= 2
-		default:
-			st.Budget--
-		}
-	default:
-		st.Budget--
-	}
+	h.CM.charge(st, c.AbortReason)
 }
 
 // check aborts the current hardware attempt if it has been doomed by a
@@ -342,6 +348,9 @@ func (h *HTM) cleanup(c *tm.Ctx) {
 // value escapes, and at commit, while the writer publishes only after its
 // sweeps. A doom that lands after attempt E is over names an epoch nothing
 // will have again, so Begin clears nothing and the next attempt is not killed.
+// The writer sweeps each line once, when it claims it, and not again at
+// commit: a reader that marks the line after that sweep loads writers[s] after
+// its mark, so it finds the claim and aborts itself (Dekker on mark/claim).
 //
 // Cur[t] is the line t writes at every Begin, so a writer avoids it: Seen[t]
 // (tm.HTMPeer, private to the writer's context) is the last Cur[t] it loaded.
@@ -359,8 +368,8 @@ func (h *HTM) cleanup(c *tm.Ctx) {
 // never a missed one.
 
 // doomReaders remotely aborts every speculative reader, other than c itself,
-// of the given stripes.
-func (h *HTM) doomReaders(c *tm.Ctx, stripes []uint32) {
+// of stripe s.
+func (h *HTM) doomReaders(c *tm.Ctx, s uint32) {
 	st := &c.HTM
 	if slots := c.H.HTMSlots(); len(slots) != st.Attached {
 		for _, sl := range slots[st.Attached:] {
@@ -372,20 +381,17 @@ func (h *HTM) doomReaders(c *tm.Ctx, stripes []uint32) {
 	}
 	for i := range st.Peers {
 		p := &st.Peers[i]
-		marks := p.Slot.Marks
-		for _, s := range stripes {
-			m := atomic.LoadUint32(&marks[s])
-			if m == 0 {
-				continue
-			}
-			if m < uint32(p.Seen) && p.Slot.Gen.Load() == p.Seen>>32 {
-				continue
-			}
-			cur := p.Slot.Cur.Load()
-			p.Seen = cur
-			if uint32(cur) == m {
-				p.Slot.DoomEpoch(cur)
-			}
+		m := atomic.LoadUint32(&p.Slot.Marks[s])
+		if m == 0 {
+			continue
+		}
+		if m < uint32(p.Seen) && p.Slot.Gen.Load() == p.Seen>>32 {
+			continue
+		}
+		cur := p.Slot.Cur.Load()
+		p.Seen = cur
+		if uint32(cur) == m {
+			p.Slot.DoomEpoch(cur)
 		}
 	}
 }

@@ -130,6 +130,37 @@ func TestHybridCoordinatesWithSequenceLock(t *testing.T) {
 	}
 }
 
+// TestHTMAndHybridChargeAlike: both backends run one copy of §4.3's policy
+// code, so one aborted hardware attempt leaves the same retry budget under
+// each — the policy's for a capacity abort, one less for a conflict abort —
+// and a nil contention manager means a budget of 5 and PolicyDecrease.
+func TestHTMAndHybridChargeAlike(t *testing.T) {
+	for _, tc := range []struct {
+		cm                 *htm.CM
+		capacity, conflict int
+	}{
+		{htm.NewCM(7, htm.PolicyGiveUp), 0, 6},
+		{htm.NewCM(7, htm.PolicyDecrease), 6, 6},
+		{htm.NewCM(7, htm.PolicyHalve), 3, 6},
+		{nil, 4, 4},
+	} {
+		hy := &htm.Hybrid{CM: tc.cm}
+		hy.SetSlowPath(stm.NOrec{})
+		for _, alg := range []tm.Algorithm{&htm.HTM{CM: tc.cm}, hy} {
+			for reason, want := range map[tm.AbortCode]int{tm.AbortCapacity: tc.capacity, tm.AbortConflict: tc.conflict} {
+				c := tm.NewCtx(0, tm.NewHeap(64, 1))
+				c.TxnID++
+				alg.Begin(c)
+				c.AbortReason = reason
+				alg.Abort(c)
+				if c.HTM.Budget != want {
+					t.Errorf("%s, cm %v, abort %v: budget %d, want %d", alg.Name(), tc.cm, reason, c.HTM.Budget, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPolicyStrings covers the stringers.
 func TestPolicyStrings(t *testing.T) {
 	want := map[htm.CapacityPolicy]string{

@@ -35,31 +35,13 @@ func (hy *Hybrid) SetSlowPath(sw tmNOrec) {
 	hy.sw = sw
 }
 
-func (hy *Hybrid) caps() (int, int) {
-	r, w := hy.ReadCap, hy.WriteCap
-	if r == 0 {
-		r = DefaultReadCap
-	}
-	if w == 0 {
-		w = DefaultWriteCap
-	}
-	return r, w
-}
-
 // Name implements tm.Algorithm.
 func (hy *Hybrid) Name() string { return "hybrid" }
 
 // Begin implements tm.Algorithm.
 func (hy *Hybrid) Begin(c *tm.Ctx) {
 	st := &c.HTM
-	if st.LastTxn != c.TxnID {
-		st.LastTxn = c.TxnID
-		b := 5
-		if hy.CM != nil {
-			b, _ = hy.CM.Get()
-		}
-		st.Budget = b
-	}
+	hy.CM.loadBudget(c)
 	if st.Budget <= 0 {
 		st.Fallback = true
 		c.Stats.IncFallbackRun()
@@ -94,7 +76,7 @@ func (hy *Hybrid) Load(c *tm.Ctx, a tm.Addr) uint64 {
 	if c.H.Clock() != st.SnapshotRV {
 		c.Retry(tm.AbortConflict)
 	}
-	rcap, _ := hy.caps()
+	rcap, _ := caps(hy.ReadCap, hy.WriteCap)
 	c.VRS.Add(a, v) // reuse the value read set purely as a footprint counter
 	if c.VRS.Len() > rcap {
 		c.Retry(tm.AbortCapacity)
@@ -109,7 +91,7 @@ func (hy *Hybrid) Store(c *tm.Ctx, a tm.Addr, v uint64) {
 		hy.sw.Store(c, a, v)
 		return
 	}
-	_, wcap := hy.caps()
+	_, wcap := caps(hy.ReadCap, hy.WriteCap)
 	c.WS.Put(a, v)
 	if c.WS.Len() > wcap {
 		c.Retry(tm.AbortCapacity)
@@ -160,21 +142,5 @@ func (hy *Hybrid) Abort(c *tm.Ctx) {
 		return
 	}
 	st.InTx = false
-	switch c.AbortReason {
-	case tm.AbortCapacity:
-		policy := PolicyDecrease
-		if hy.CM != nil {
-			_, policy = hy.CM.Get()
-		}
-		switch policy {
-		case PolicyGiveUp:
-			st.Budget = 0
-		case PolicyHalve:
-			st.Budget /= 2
-		default:
-			st.Budget--
-		}
-	default:
-		st.Budget--
-	}
+	hy.CM.charge(st, c.AbortReason)
 }

@@ -86,10 +86,10 @@ func TestHTMConflictBeyond64Slots(t *testing.T) {
 }
 
 // TestWriterClaimedThenReaderArrives: a reader that finds the line claimed
-// aborts itself and the writer commits. The doom the writer's commit sweep
-// then leaves names the reader's dead attempt E; attempt E+1 must not feel
-// it — the flag this replaced was cleared at Begin, so a doom landing after
-// Begin killed the wrong attempt.
+// aborts itself and the writer commits, sweeping no reader at commit, so the
+// reader's doom word is untouched. A doom that names the reader's dead attempt
+// E must not touch attempt E+1 — the flag this replaced was cleared at Begin,
+// so a doom landing after Begin killed the wrong attempt.
 func TestWriterClaimedThenReaderArrives(t *testing.T) {
 	h := tm.NewHeap(64, 2)
 	alg := newHTM()
@@ -108,8 +108,8 @@ func TestWriterClaimedThenReaderArrives(t *testing.T) {
 	}); !ok {
 		t.Fatalf("writer aborted (%v): the reader that backed off must not doom it", code)
 	}
-	if got := r.HTM.Slot.Doom.Load(); got != dead {
-		t.Fatalf("doom = %#x, want the dead attempt's epoch %#x (left by the commit sweep)", got, dead)
+	if got := r.HTM.Slot.Doom.Load(); got != 0 {
+		t.Fatalf("doom = %#x, want it untouched: the reader backed off before the commit", got)
 	}
 	var x, y uint64
 	if code, ok := attempt(alg, r, func(tx tm.Txn) {
@@ -121,6 +121,48 @@ func TestWriterClaimedThenReaderArrives(t *testing.T) {
 	}
 	if r.HTM.Epoch != dead+1 || x != 1 || y != 1 {
 		t.Fatalf("epoch %#x (want %#x), read x=%d y=%d (want 1 1)", r.HTM.Epoch, dead+1, x, y)
+	}
+}
+
+// TestReaderMarksBetweenClaims: the writer claims x, the reader marks y, the
+// writer claims y — its claim-time sweep dooms the reader — and the reader's
+// read of x finds the claim. The reader aborts without the new x beside the
+// old y, and the writer commits without a second sweep: its commit writes no
+// doom word.
+func TestReaderMarksBetweenClaims(t *testing.T) {
+	h := tm.NewHeap(64, 2)
+	alg := newHTM()
+	r, w := tm.NewCtx(0, h), tm.NewCtx(1, h)
+	var doomed uint64
+	if code, ok := attempt(alg, w, func(tx tm.Txn) {
+		tx.Store(wordX, 1)
+		r.TxnID++
+		alg.Begin(r)
+		if y := alg.Load(r, wordY); y != 0 {
+			t.Fatalf("reader got y = %d before any commit", y)
+		}
+		tx.Store(wordY, 1)
+		if doomed = r.HTM.Slot.Doom.Load(); doomed != r.HTM.Epoch {
+			t.Fatalf("doom = %#x after the claim of y, want the reader's epoch %#x", doomed, r.HTM.Epoch)
+		}
+		escaped := false
+		code, ok, _ := tm.Attempt(alg, r, func(rx tm.Txn) {
+			rx.Load(wordX)
+			escaped = true
+		})
+		if ok || escaped || code != tm.AbortConflict {
+			t.Fatalf("reader: ok=%v code=%v escaped=%v, want a conflict abort at the read of x", ok, code, escaped)
+		}
+		r.AbortReason = code
+		alg.Abort(r)
+	}); !ok {
+		t.Fatalf("writer aborted (%v): the reader that backed off must not doom it", code)
+	}
+	if got := r.HTM.Slot.Doom.Load(); got != doomed {
+		t.Fatalf("doom = %#x after the commit, want %#x from the claim of y", got, doomed)
+	}
+	if w.HTM.Slot.Doom.Load() != 0 {
+		t.Fatalf("writer doomed: %#x", w.HTM.Slot.Doom.Load())
 	}
 }
 

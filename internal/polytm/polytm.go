@@ -95,15 +95,9 @@ func NewWithHeap(h *tm.Heap, maxThreads int, cfg config.Config) *Pool {
 	for i := range p.ctxs {
 		p.ctxs[i] = tm.NewCtx(i, h)
 	}
-	hy := &htm.Hybrid{CM: p.cm}
-	hy.SetSlowPath(stm.NOrec{})
-	p.algs[config.TL2] = stm.TL2{}
-	p.algs[config.TinySTM] = stm.TinySTM{}
-	p.algs[config.NOrec] = stm.NOrec{}
-	p.algs[config.SwissTM] = stm.SwissTM{}
-	p.algs[config.HTM] = &htm.HTM{CM: p.cm}
-	p.algs[config.Hybrid] = hy
-	p.algs[config.GlobalLock] = &stm.GlobalLock{}
+	for id := range p.algs {
+		p.algs[id] = NewAlgorithm(config.AlgID(id), p.cm)
+	}
 	p.current = cfg
 	p.mode.Store(uint32(cfg.Alg))
 	// Park the slots beyond the configured parallelism degree.
@@ -111,6 +105,31 @@ func NewWithHeap(h *tm.Heap, maxThreads int, cfg config.Config) *Pool {
 		p.setBlock(t)
 	}
 	return p
+}
+
+// NewAlgorithm builds the backend of PolyTM's library for id, the one place
+// a backend is built. The HTM and Hybrid backends take their retry budget and
+// capacity policy from cm; a nil cm means a budget of 5 and PolicyDecrease.
+func NewAlgorithm(id config.AlgID, cm *htm.CM) tm.Algorithm {
+	switch id {
+	case config.TL2:
+		return stm.TL2{}
+	case config.TinySTM:
+		return stm.TinySTM{}
+	case config.NOrec:
+		return stm.NOrec{}
+	case config.SwissTM:
+		return stm.SwissTM{}
+	case config.HTM:
+		return &htm.HTM{CM: cm}
+	case config.Hybrid:
+		hy := &htm.Hybrid{CM: cm}
+		hy.SetSlowPath(stm.NOrec{})
+		return hy
+	case config.GlobalLock:
+		return &stm.GlobalLock{}
+	}
+	panic(fmt.Sprintf("polytm: unknown algorithm %d", id))
 }
 
 // Heap returns the pool's transactional heap.
@@ -128,9 +147,6 @@ func (p *Pool) Config() config.Config {
 
 // Ctx exposes the transaction context of slot t (for statistics snapshots).
 func (p *Pool) Ctx(t int) *tm.Ctx { return p.ctxs[t] }
-
-// Algorithm returns the backend instance registered for id.
-func (p *Pool) Algorithm(id config.AlgID) tm.Algorithm { return p.algs[id] }
 
 // SetReconfigureHook installs fn to run at the start of every Reconfigure,
 // before any thread is gated, with the outgoing and incoming configuration.

@@ -293,9 +293,7 @@ func (r *Result) finish(ops uint64, st tm.Stats, elapsedSec float64, final confi
 	r.Ops = ops
 	r.Commits = st.Commits
 	r.Aborts = st.Aborts
-	if att := st.Commits + st.Aborts; att > 0 {
-		r.AbortRate = float64(st.Aborts) / float64(att)
-	}
+	r.AbortRate = st.AbortRate()
 	r.ElapsedSec = elapsedSec
 	if elapsedSec > 0 {
 		r.Throughput = float64(ops) / elapsedSec

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/shard"
+	"repro/internal/tm"
 )
 
 // Status is the /statusz document. Field names are part of the operator
@@ -97,6 +98,21 @@ type TMStatus struct {
 	FallbackAborts   uint64   `json:"fallback_aborts"`
 	FallbackRuns     uint64   `json:"fallback_runs"`
 	PerWorkerCommits []uint64 `json:"per_worker_commits"`
+}
+
+// tmStatus reports summed statistics and the per-worker commit counts they
+// were summed from.
+func tmStatus(st tm.Stats, perWorkerCommits []uint64) TMStatus {
+	return TMStatus{
+		Commits:          st.Commits,
+		Aborts:           st.Aborts,
+		AbortRate:        st.AbortRate(),
+		ConflictAborts:   st.ConflictAborts,
+		CapacityAborts:   st.CapacityAborts,
+		FallbackAborts:   st.FallbackAborts,
+		FallbackRuns:     st.FallbackRuns,
+		PerWorkerCommits: perWorkerCommits,
+	}
 }
 
 // ShardStatus is one shard's slice of the fleet: its configuration and
@@ -260,7 +276,8 @@ func (s *Server) StatusSnapshot() Status {
 		spanStarts, spanOwners = rp.Spans()
 	}
 
-	var fleet TMStatus
+	var fleet tm.Stats
+	var fleetCommits []uint64
 	shards := make([]ShardStatus, len(fleetShards))
 	var reconfigs []ReconfigStatus
 	var timeline []TimelineStatus
@@ -272,29 +289,14 @@ func (s *Server) StatusSnapshot() Status {
 
 	for i, ss := range fleetShards {
 		perWorker := ss.sys.StatsPerWorker()
-		var tm TMStatus
+		var st tm.Stats
 		commits := make([]uint64, len(perWorker))
-		for j, st := range perWorker {
-			commits[j] = st.Commits
-			tm.Commits += st.Commits
-			tm.Aborts += st.Aborts
-			tm.ConflictAborts += st.ConflictAborts
-			tm.CapacityAborts += st.CapacityAborts
-			tm.FallbackAborts += st.FallbackAborts
-			tm.FallbackRuns += st.FallbackRuns
+		for j, w := range perWorker {
+			commits[j] = w.Commits
+			st.Add(w)
 		}
-		if att := tm.Commits + tm.Aborts; att > 0 {
-			tm.AbortRate = float64(tm.Aborts) / float64(att)
-		}
-		tm.PerWorkerCommits = commits
-
-		fleet.Commits += tm.Commits
-		fleet.Aborts += tm.Aborts
-		fleet.ConflictAborts += tm.ConflictAborts
-		fleet.CapacityAborts += tm.CapacityAborts
-		fleet.FallbackAborts += tm.FallbackAborts
-		fleet.FallbackRuns += tm.FallbackRuns
-		fleet.PerWorkerCommits = append(fleet.PerWorkerCommits, commits...)
+		fleet.Add(st)
+		fleetCommits = append(fleetCommits, commits...)
 
 		cfg := ss.sys.CurrentConfig().String()
 		configs[cfg] = true
@@ -320,7 +322,7 @@ func (s *Server) StatusSnapshot() Status {
 			FenceEpoch:    ss.sys.Load(ss.store.FenceEpochWord()),
 			Breaker:       ss.breakerName(s.clock.Now()),
 			OpsRouted:     ss.routed.Load(),
-			TM:            tm,
+			TM:            tmStatus(st, commits),
 		}
 
 		for _, e := range ss.sys.Reconfigurations() {
@@ -346,9 +348,6 @@ func (s *Server) StatusSnapshot() Status {
 				Exploring: p.Exploring,
 			})
 		}
-	}
-	if att := fleet.Commits + fleet.Aborts; att > 0 {
-		fleet.AbortRate = float64(fleet.Aborts) / float64(att)
 	}
 	sort.SliceStable(reconfigs, func(i, j int) bool { return reconfigs[i].AtSec < reconfigs[j].AtSec })
 	sort.SliceStable(timeline, func(i, j int) bool { return timeline[i].AtSec < timeline[j].AtSec })
@@ -392,7 +391,7 @@ func (s *Server) StatusSnapshot() Status {
 			Phases:    phases,
 			Exploring: exploring,
 		},
-		TM: fleet,
+		TM: tmStatus(fleet, fleetCommits),
 		Ops: OpsStatus{
 			Served:             served,
 			Total:              servedTotal,

@@ -411,6 +411,15 @@ func (s *Stats) Add(o Stats) {
 	s.Stripes += o.Stripes
 }
 
+// AbortRate returns aborted attempts over all attempts, aborts / (commits +
+// aborts), or 0 when there were none.
+func (s Stats) AbortRate() float64 {
+	if att := s.Commits + s.Aborts; att > 0 {
+		return float64(s.Aborts) / float64(att)
+	}
+	return 0
+}
+
 // Sub returns s minus o field-wise (use on snapshots to window counters).
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
