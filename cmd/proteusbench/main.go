@@ -294,7 +294,10 @@ func cmdBench(args []string) error {
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		return fmt.Errorf("bench: invalid --benchtime: %w", err)
 	}
-	rec := bench.RunSuite(*filter, os.Stderr)
+	rec, err := bench.RunSuite(*filter, os.Stderr)
+	if err != nil {
+		return fmt.Errorf("bench --filter: %w", err)
+	}
 	rec.BenchTime = *benchtime
 	rec.Note = *note
 	if *compare != "" {

@@ -41,17 +41,24 @@ type Record struct {
 }
 
 // RunSuite measures every suite case whose name contains filter (empty
-// matches all), reporting progress to progress (may be nil).
-func RunSuite(filter string, progress io.Writer) Record {
+// matches all), reporting progress to progress (may be nil). A filter that
+// matches no case is an error, and nothing is measured.
+func RunSuite(filter string, progress io.Writer) (Record, error) {
 	rec := Record{
 		Schema:   RecordSchema,
 		Go:       runtime.Version(),
 		MaxProcs: runtime.GOMAXPROCS(0),
 	}
+	var cases []Case
 	for _, cs := range Suite() {
-		if filter != "" && !strings.Contains(cs.Name, filter) {
-			continue
+		if strings.Contains(cs.Name, filter) {
+			cases = append(cases, cs)
 		}
+	}
+	if len(cases) == 0 {
+		return rec, fmt.Errorf("no benchmark name contains %q (the filter is a plain substring)", filter)
+	}
+	for _, cs := range cases {
 		r := testing.Benchmark(cs.Fn)
 		res := Result{
 			Name:        cs.Name,
@@ -67,7 +74,7 @@ func RunSuite(filter string, progress io.Writer) Record {
 				res.Name, res.Iters, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.AbortShare)
 		}
 	}
-	return rec
+	return rec, nil
 }
 
 // WriteFile persists the record as indented JSON.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ErrHeapExhausted is wrapped by the error of an Alloc the heap has no room
@@ -23,6 +24,10 @@ const StripeShift = 3
 // the benchmarks lives in heap words addressed by Addr; keeping TM metadata
 // out of application memory is the property that lets PolyTM switch the
 // algorithm underneath a live application (§4 of the paper).
+//
+// The words and every per-stripe table, read marks included, are views of
+// one arena (newArena), which on unix lives outside the Go heap: a run pays
+// resident memory for the pages it touches, not for the capacity.
 type Heap struct {
 	words []uint64
 
@@ -61,12 +66,17 @@ type Heap struct {
 	htmMu     sync.Mutex
 	htmList   []*HTMSlot
 	htmActive atomic.Uint32
+
+	// arena keeps the memory behind the views above mapped.
+	arena *arena
 }
 
 // NewHeap creates a heap with the given number of 64-bit words (rounded up
 // to at least 2^StripeShift) and an ownership-record table with one stripe
 // per cache line, capped at 2^20 stripes to bound metadata memory. maxThreads
 // is the number of thread slots: NewCtx accepts ids in [0, maxThreads).
+// Like make, it panics if the memory cannot be had; where the heap is mapped
+// that means its address space cannot be reserved.
 func NewHeap(words int, maxThreads int) *Heap {
 	if words < 1<<StripeShift {
 		words = 1 << StripeShift
@@ -78,23 +88,32 @@ func NewHeap(words int, maxThreads int) *Heap {
 	if nStripes < 1 {
 		nStripes = 1
 	}
+	// One arena for the words and every table, each region starting on a
+	// cache line. The read marks come last: a whole number of cache lines
+	// per slot, so that two slots never write the same line, and a table
+	// whose slot never runs a hardware attempt is never touched.
+	stride := max(nStripes, 64/4)
+	lines := func(n int) int { return (n + 7) &^ 7 }
+	a, mem := newArena(lines(words) + 3*lines(nStripes) + maxThreads*stride/2)
+	carve := func(n int) []uint64 {
+		s := mem[:n:n]
+		mem = mem[lines(n):]
+		return s
+	}
 	h := &Heap{
-		words:   make([]uint64, words),
-		orecs:   make([]uint64, nStripes),
-		rvers:   make([]uint64, nStripes),
-		writers: make([]uint64, nStripes),
+		words:   carve(words),
+		orecs:   carve(nStripes),
+		rvers:   carve(nStripes),
+		writers: carve(nStripes),
 		htm:     make([]HTMSlot, maxThreads),
 		htmList: make([]*HTMSlot, maxThreads),
 		mask:    uint32(nStripes - 1),
 		next:    1, // word 0 is NilAddr
+		arena:   a,
 	}
-	// One allocation for every slot's read-mark table: a table whose slot
-	// never runs a hardware attempt is never touched, so its pages stay
-	// unmapped. A whole number of cache lines each, so that two slots never
-	// write the same line.
-	stride := max(nStripes, 64/4)
-	marks := make([]uint32, maxThreads*stride)
+	marks := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(mem))), 2*len(mem))
 	for t := range h.htm {
+		h.htm[t].arena = a
 		h.htm[t].Marks = marks[t*stride:][:nStripes:nStripes]
 	}
 	return h
@@ -197,6 +216,11 @@ func (h *Heap) Digest() uint64 {
 	return hash
 }
 
+// arena is the handle of the memory behind a heap's words and tables. Its
+// finalizer, where newArena sets one, is the only release, and it runs once
+// neither the Heap nor any of its HTMSlots is reachable.
+type arena struct{ mem []byte }
+
 // --- Global version clock -------------------------------------------------
 
 // Clock returns the current value of the global version clock.
@@ -288,7 +312,10 @@ type HTMSlot struct {
 	// of the last attempt of the current generation that read the stripe,
 	// 0 if none did. Only the owner stores to it; everyone uses atomics.
 	Marks []uint32
-	_     [3]uint64
+	// arena keeps Marks mapped for as long as the slot is reachable: contexts
+	// and writers hold slots, not the heap.
+	arena *arena
+	_     [2]uint64
 }
 
 // DoomEpoch requests the remote abort of the slot's attempt e. It only ever
