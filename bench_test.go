@@ -226,6 +226,10 @@ func BenchmarkPolyTMDispatch(b *testing.B) { runSuitePrefix(b, "PolyTMDispatch")
 // one surrogate query, one whole optimization, and model selection.
 func BenchmarkTuner(b *testing.B) { runSuitePrefix(b, "Tuner") }
 
+// BenchmarkShard covers the key-to-shard lookup of both partitioners: the
+// hash ring's bucket index and the range partitioner's boundary search.
+func BenchmarkShard(b *testing.B) { runSuitePrefix(b, "Shard") }
+
 // BenchmarkServe covers the serve layer: building a server (empty and
 // preloaded), the in-process submit path — lease, transaction, reply, and
 // for mput4x2, mget4x2 and range256x2 the cross-shard commit — the same

@@ -17,6 +17,7 @@ import (
 	"repro/internal/htm"
 	"repro/internal/polytm"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/tm"
 )
 
@@ -197,6 +198,30 @@ func ThreadGateFA(b *testing.B) {
 	}
 }
 
+// ShardOwner measures one key-to-shard lookup of the named partitioner
+// ("hash": the ring's bucket index; "range": the binary search over span
+// boundaries) on the kv workloads' placement, two shards over a 131 072-key
+// universe, with the keys scattered across it. Routing a request, listing a
+// preload's keys and every key of Participants pay it once a key.
+func ShardOwner(b *testing.B, kind string) {
+	const universe = 1 << 17
+	part, err := shard.NewPartitioner(kind, 2, universe)
+	if err != nil {
+		b.Fatal(err)
+	}
+	owner := part.Owner
+	b.ReportAllocs()
+	b.ResetTimer()
+	acc := 0
+	for i := 0; i < b.N; i++ {
+		acc += owner(uint64(i) * 0x9E3779B97F4A7C15 % universe)
+	}
+	ownerSink = acc
+}
+
+// ownerSink keeps ShardOwner's lookups from being optimized away.
+var ownerSink int
+
 // Case is one named benchmark of the regression suite. Names mirror the
 // `go test -bench` hierarchy (e.g. "Algorithms/tl2/4t") so records can be
 // compared against test output with benchstat.
@@ -211,7 +236,8 @@ type Case struct {
 // the write-heavy workload at 1 and 4 threads, the PolyTM dispatch pair, the
 // public API path, the tuner's decision path
 // (surrogate query, one optimization, model selection), start-up (one pinned
-// System at 2 and 8 workers; one two-shard server, empty and preloaded), and
+// System at 2 and 8 workers), the two partitioners' key-to-shard lookup,
+// start-up of one two-shard server, empty and preloaded, and
 // the serve layer's get, put and four-key two-shard mput — through the
 // in-process submit path (which also has the two-shard mget and range scan)
 // and through ServeHTTP, so the difference is the HTTP shell's cost with
@@ -248,6 +274,12 @@ func Suite() []Case {
 		cases = append(cases, Case{
 			Name: fmt.Sprintf("System/Open/%dw", workers),
 			Fn:   func(b *testing.B) { SystemOpen(b, workers) },
+		})
+	}
+	for _, kind := range []string{shard.KindHash, shard.KindRange} {
+		cases = append(cases, Case{
+			Name: "Shard/Owner/" + kind,
+			Fn:   func(b *testing.B) { ShardOwner(b, kind) },
 		})
 	}
 	cases = append(cases,

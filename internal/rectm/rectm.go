@@ -44,6 +44,44 @@ type Recommender struct {
 	Selected string
 	// Cols is the number of configurations (columns).
 	Cols int
+
+	// prior is what the ensemble predicts for the row that knows only the
+	// reference configuration, rated exactly 1 (distillation divides a
+	// row by its reference): the first query of every Optimize that
+	// starts there. It is a constant of the fitted ensemble, so Train and
+	// Grow compute it where they fit it.
+	prior struct {
+		ref            int
+		mean, variance []float64
+	}
+}
+
+// fitPrior computes r.prior for the ensemble as now fitted.
+func (r *Recommender) fitPrior() {
+	ref := r.RefCol()
+	r.prior.ref, r.prior.mean, r.prior.variance = ref, nil, nil
+	if ref < 0 || ref >= r.Cols {
+		return
+	}
+	row := make([]float64, r.Cols)
+	for i := range row {
+		row[i] = cf.Missing
+	}
+	row[ref] = 1
+	r.prior.mean, r.prior.variance = r.Ensemble.PredictDist(row)
+}
+
+// isPriorRow reports whether ratings is the row r.prior was computed for.
+func (r *Recommender) isPriorRow(ratings []float64) bool {
+	if r.prior.mean == nil || ratings[r.prior.ref] != 1 {
+		return false
+	}
+	for i, v := range ratings {
+		if i != r.prior.ref && !cf.IsMissing(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // Prepared is the cheap half of Train: the normalizer fitted on the training
@@ -98,13 +136,15 @@ func (p *Prepared) Train() (*Recommender, error) {
 		Seed:     opts.Seed,
 	}
 	ens.Fit(p.ratings)
-	return &Recommender{
+	r := &Recommender{
 		HigherIsBetter: p.higherIsBetter,
 		Norm:           p.norm,
 		Ensemble:       ens,
 		Selected:       selected,
 		Cols:           p.ratings.Cols,
-	}, nil
+	}
+	r.fitPrior()
+	return r, nil
 }
 
 // Train builds a Recommender from a training KPI matrix: Prepare, then the
@@ -283,7 +323,11 @@ func (r *Recommender) Optimize(sample func(int) float64, initial []int, opts smb
 	var mean, variance []float64
 	current := false // mean and variance describe ratings as they are now
 	for steps := 0; steps < maxExpl; steps++ {
-		mean, variance = r.Ensemble.PredictDist(ratings)
+		if steps == 0 && r.isPriorRow(ratings) {
+			mean, variance = r.prior.mean, r.prior.variance
+		} else {
+			mean, variance = r.Ensemble.PredictDist(ratings)
+		}
 		current = true
 		incumbent := bestKnown(ratings)
 		// PickNext takes every NaN entry for a candidate: mask the
@@ -392,5 +436,6 @@ func (r *Recommender) Grow(trainKPI *cf.Matrix, rawKPI []float64) (*cf.Matrix, e
 	}
 	ratings, _ := cf.NormalizeMatrix(r.Norm, goodness)
 	r.Ensemble.Fit(ratings)
+	r.fitPrior()
 	return extended, nil
 }

@@ -1,6 +1,7 @@
 package rectm_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -351,5 +352,57 @@ func TestOptimizeAllocations(t *testing.T) {
 	t.Logf("%d explorations, %.0f allocations", explored, allocs)
 	if allocs > 16 {
 		t.Errorf("one Optimize (%d explorations) allocated %.0f times, want at most 16", explored, allocs)
+	}
+}
+
+// TestPriorIsAFreshPrediction: the prior Optimize's first query reads
+// instead of asking the ensemble equals, bit for bit, the ensemble's
+// PredictDist of the row that knows only the reference configuration,
+// rated 1 — after Train and after each Grow, which refits the ensemble and
+// may move the reference.
+func TestPriorIsAFreshPrediction(t *testing.T) {
+	_, truth, _ := buildTruth(t, 40, perfmodel.Throughput)
+	train, test := splitRows(truth, 0.5)
+	for _, pred := range []func() cf.Predictor{
+		func() cf.Predictor { return &cf.KNN{K: 5, Sim: cf.Euclidean} },
+		func() cf.Predictor { return &cf.MF{D: 4, LR: 0.02, Reg: 0.02, Epochs: 20} },
+	} {
+		rec, err := rectm.Train(train, true, rectm.Options{Predictor: pred, Learners: 4, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			t.Helper()
+			ref, mean, variance := rec.Prior()
+			if ref != rec.RefCol() || mean == nil {
+				t.Fatalf("%s %s: prior at column %d (%d entries), reference column %d", rec.Ensemble.Name(), stage, ref, len(mean), rec.RefCol())
+			}
+			row := make([]float64, rec.Cols)
+			for i := range row {
+				row[i] = cf.Missing
+			}
+			row[ref] = 1
+			wantMean, wantVar := rec.Ensemble.PredictDist(row)
+			for i := range row {
+				if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) || math.Float64bits(variance[i]) != math.Float64bits(wantVar[i]) {
+					t.Fatalf("%s %s: column %d: prior (%v, %v), fresh prediction (%v, %v)",
+						rec.Ensemble.Name(), stage, i, mean[i], variance[i], wantMean[i], wantVar[i])
+				}
+			}
+		}
+		check("after Train")
+		grown := train
+		for i := 0; i < 3; i++ {
+			row := append([]float64(nil), test.Data[i]...)
+			for j := i; j < len(row); j += 3 {
+				if j != rec.RefCol() {
+					row[j] = cf.Missing // a workload profiled in part
+				}
+			}
+			if grown, err = rec.Grow(grown, row); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("after Grow %d", i+1))
+		}
 	}
 }

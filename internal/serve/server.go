@@ -19,7 +19,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/shard"
+	"repro/internal/stm"
 	"repro/internal/tm"
+	"repro/internal/workloads"
 )
 
 // opKind identifies one service operation.
@@ -765,9 +767,19 @@ func (s *Server) Shards() int { return len(s.fleet()) }
 // ShardSystem exposes shard i's ProteusTM instance.
 func (s *Server) ShardSystem(i int) *proteustm.System { return s.fleet()[i].sys }
 
-// preloadKeys lists, per owning shard, the keys 0..n-1 a server preloads.
+// preloadKeys lists, per owning shard, the keys 0..n-1 a server preloads,
+// in ascending order. A first pass counts each shard's keys, so the lists
+// are cut from one array of n keys instead of growing one append at a time.
 func preloadKeys(part shard.Partitioner, n int) [][]uint64 {
-	byShard := make([][]uint64, part.Shards())
+	count := make([]int, part.Shards())
+	for k := 0; k < n; k++ {
+		count[part.Owner(uint64(k))]++
+	}
+	all := make([]uint64, n)
+	byShard := make([][]uint64, len(count))
+	for s, c := range count {
+		byShard[s], all = all[:0:c], all[c:]
+	}
 	for k := 0; k < n; k++ {
 		o := part.Owner(uint64(k))
 		byShard[o] = append(byShard[o], uint64(k))
@@ -775,20 +787,33 @@ func preloadKeys(part shard.Partitioner, n int) [][]uint64 {
 	return byShard
 }
 
-// preload inserts keys (value = key) into this shard's store in batched
-// setup transactions on slot 0 (always an active slot: the parallelism
-// degree is at least 1). It fails when the shard's heap cannot hold them.
+// preload inserts keys (value = key) into this shard's store in batches of
+// 64, each one transaction of a sequential global-lock runner on the
+// shard's heap, not of the shard's PolyTM workers. No request can reach the
+// shard before New publishes the fleet, so nothing else runs a transaction
+// on this heap and the batches need neither the worker gate nor
+// instrumented reads and writes; the store's bytes are the same either way.
+// The batches are set-up, not served traffic, so the shard's TM stats and
+// its tuner never see them. It fails when the shard's heap cannot hold the
+// keys (the global lock does not undo a batch's writes, which no one reads:
+// the server is not built).
 func (ss *shardState) preload(keys []uint64) error {
+	if len(keys) == 0 {
+		return nil
+	}
 	const batch = 64
-	w := ss.workers[0]
-	for base := 0; base < len(keys); base += batch {
-		chunk := keys[base:min(base+batch, len(keys))]
-		full := atomically(w, func(tx proteustm.Txn) {
+	seq := workloads.NewBareRunner(&stm.GlobalLock{}, ss.sys.Heap(), 1)
+	put := func(chunk []uint64) (full response) {
+		defer heapFullAnswer(&full)
+		seq.Atomic(0, func(tx tm.Txn) {
 			for _, k := range chunk {
 				ss.store.Put(tx, 0, k, k)
 			}
 		})
-		if full.Err != "" {
+		return
+	}
+	for base := 0; base < len(keys); base += batch {
+		if full := put(keys[base:min(base+batch, len(keys))]); full.Err != "" {
 			return fmt.Errorf("serve: preload of %d keys does not fit: the heap of shard %d (%d words) is full after %d of its %d keys",
 				ss.srv.opts.Preload, ss.idx, ss.srv.opts.HeapWords, base, len(keys))
 		}

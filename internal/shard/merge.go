@@ -72,16 +72,3 @@ func (p *RangePartitioner) removeSpan(i int) (*RangePartitioner, error) {
 	owners = append(append(owners, p.owners[:i]...), p.owners[i+1:]...)
 	return NewRangeFromSpans(starts, owners, p.universe)
 }
-
-// Shrink returns the N-1-shard partitioner: the top shard's span is
-// absorbed by its left-adjacent neighbour, the exact inverse of Grow's
-// widest-span midpoint cut. Like Grow it is total — when no merge is
-// possible (single shard, or a span layout splits never produce) it
-// returns the receiver unchanged.
-func (p *RangePartitioner) Shrink() *RangePartitioner {
-	plan, ok := p.PlanMergeColdest(nil)
-	if !ok {
-		return p
-	}
-	return plan.Next
-}

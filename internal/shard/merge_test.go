@@ -108,24 +108,26 @@ func TestPlanMergeColdestNoOp(t *testing.T) {
 	}
 }
 
-// TestShrinkInvertsGrow pins Shrink as Grow's inverse on the even
-// pre-split, and its totality on the single-shard floor.
+// TestShrinkInvertsGrow pins the coldest-merge plan as Grow's inverse on
+// the even pre-split, and that a single-shard partitioner gets no plan.
 func TestShrinkInvertsGrow(t *testing.T) {
 	p := NewRange(3, 3<<20)
-	back := p.Grow().Shrink()
-	bs, bo := back.Spans()
+	plan, ok := p.Grow().PlanMergeColdest(nil)
+	if !ok {
+		t.Fatal("no merge plan after Grow")
+	}
+	bs, bo := plan.Next.Spans()
 	ps, po := p.Spans()
 	if len(bs) != len(ps) {
-		t.Fatalf("span count %d after Grow+Shrink, want %d", len(bs), len(ps))
+		t.Fatalf("span count %d after Grow and merge, want %d", len(bs), len(ps))
 	}
 	for i := range bs {
 		if bs[i] != ps[i] || bo[i] != po[i] {
 			t.Fatalf("span %d: (%d,%d) after round trip, want (%d,%d)", i, bs[i], bo[i], ps[i], po[i])
 		}
 	}
-	single := NewRange(1, 1<<10)
-	if single.Shrink() != single {
-		t.Fatal("single-shard Shrink did not return the receiver")
+	if _, ok := NewRange(1, 1<<10).PlanMergeColdest(nil); ok {
+		t.Fatal("single-shard partitioner produced a merge plan")
 	}
 }
 

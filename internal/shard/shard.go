@@ -28,7 +28,10 @@
 // import them back.
 package shard
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // DefaultVnodes is the number of virtual nodes each shard places on the
 // ring. More vnodes smooth the key distribution across shards at the cost
@@ -47,7 +50,16 @@ type point struct {
 // immutable and safe for concurrent use.
 type Ring struct {
 	n      int
-	points []point
+	points []point // ascending by hash
+	// walk is points followed by a sentinel, the hash 2^64-1 owned by the
+	// first point's shard: where the ring wraps, and where a walk stops.
+	walk []point
+	// bucket[b] is the index of the first point at or after the start of
+	// hash-prefix bucket b. There are as many buckets as the power of two
+	// at or above the point count; the top bits of a hash name its
+	// bucket, and shift is 64 minus their number.
+	bucket []int32
+	shift  uint
 }
 
 // mix is the splitmix64 finalizer — the same avalanche-quality mixer the
@@ -67,7 +79,7 @@ func New(n int) *Ring {
 	if n < 1 {
 		n = 1
 	}
-	pts := make([]point, 0, n*DefaultVnodes)
+	pts := make([]point, 0, n*DefaultVnodes+1)
 	for s := 0; s < n; s++ {
 		for v := 0; v < DefaultVnodes; v++ {
 			// The vnode label packs (shard, replica); mixing twice keeps
@@ -84,7 +96,22 @@ func New(n int) *Ring {
 		// astronomically unlikely but must not make ownership ambiguous.
 		return pts[i].shard < pts[j].shard
 	})
-	return &Ring{n: n, points: pts}
+	width := 0
+	for 1<<width < len(pts) {
+		width++
+	}
+	r := &Ring{n: n, points: pts, bucket: make([]int32, 1<<width), shift: uint(64 - width)}
+	// One merge pass: both the bucket starts and the points ascend.
+	i := 0
+	for b := range r.bucket {
+		start := uint64(b) << r.shift
+		for i < len(pts) && pts[i].h < start {
+			i++
+		}
+		r.bucket[b] = int32(i)
+	}
+	r.walk = append(pts, point{h: ^uint64(0), shard: pts[0].shard})
+	return r
 }
 
 // Shards returns the number of shards the ring was built for.
@@ -96,13 +123,25 @@ func (r *Ring) Owner(key uint64) int {
 	if r.n == 1 {
 		return 0
 	}
-	h := mix(key)
-	// First point with point.h >= h; wraps to points[0].
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	if i == len(r.points) {
-		i = 0
+	return r.ownerOfHash(mix(key))
+}
+
+// ownerOfHash returns the shard of the first point with point.h >= h,
+// wrapping to the first point. The walk starts at the first point of h's
+// bucket, which is at or before the answer, and steps over that bucket's
+// points below h: at most one on average, as there are at least as many
+// buckets as points. The first two steps add the borrow of a subtraction
+// instead of branching on a comparison that goes either way.
+func (r *Ring) ownerOfHash(h uint64) int {
+	i := int(r.bucket[h>>r.shift])
+	_, below := bits.Sub64(r.walk[i].h, h, 0)
+	i += int(below)
+	_, below = bits.Sub64(r.walk[i].h, h, 0)
+	i += int(below)
+	for r.walk[i].h < h {
+		i++
 	}
-	return r.points[i].shard
+	return r.walk[i].shard
 }
 
 // Participants returns the sorted distinct owners of keys — the shard set

@@ -1,6 +1,9 @@
 package shard
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // TestOwnerInRangeAndDeterministic pins the router's two basic contracts:
 // owners are valid shard indexes, and ownership is a pure function of
@@ -88,5 +91,52 @@ func TestParticipants(t *testing.T) {
 	one := r.Participants([]uint64{7, 7, 7})
 	if len(one) != 1 || one[0] != r.Owner(7) {
 		t.Fatalf("Participants({7,7,7}) = %v", one)
+	}
+}
+
+// searchOwner is the ring's defining rule, written as the binary search the
+// bucket index replaces: the shard of the first point at or after h,
+// wrapping to the first point.
+func searchOwner(r *Ring, h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].shard
+}
+
+// TestBucketedOwnerIsExact checks the bucket index against the binary
+// search on a million mixed keys and on every hash where the two could
+// part: each point's hash and its neighbours, each bucket's first hash and
+// the one before it, and both ends of the ring.
+func TestBucketedOwnerIsExact(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+		r := New(n)
+		if pts := n * DefaultVnodes; len(r.bucket) < pts || len(r.bucket) >= 2*pts {
+			t.Fatalf("n=%d: %d buckets for %d points, want the power of two at or above", n, len(r.bucket), pts)
+		}
+		check := func(h uint64) {
+			if got, want := r.ownerOfHash(h), searchOwner(r, h); got != want {
+				t.Fatalf("n=%d: hash %#x: bucketed owner %d, binary search %d", n, h, got, want)
+			}
+		}
+		check(0)
+		check(^uint64(0))
+		for _, p := range r.points {
+			check(p.h - 1)
+			check(p.h)
+			check(p.h + 1)
+		}
+		for b := range r.bucket {
+			start := uint64(b) << r.shift
+			check(start - 1)
+			check(start)
+		}
+		for k := uint64(0); k < 1<<20; k++ {
+			check(mix(k ^ 0x5DEECE66D))
+			if n > 1 && r.Owner(k) != searchOwner(r, mix(k)) {
+				t.Fatalf("n=%d: Owner(%d) = %d, binary search %d", n, k, r.Owner(k), searchOwner(r, mix(k)))
+			}
+		}
 	}
 }
